@@ -67,22 +67,19 @@ func CorruptStoreIntoSlice(ca *slice.ComputeAddr) (Corruption, bool) {
 	return Corruption{}, false
 }
 
-// CorruptDropAddr removes the lowest-ID tracked access from the slice's
-// address map, so that access's address would never reach shadow memory.
+// CorruptDropAddr removes the first (lowest-ID) tracked access from the
+// slice's address list, so that access's address would never reach shadow
+// memory.
 func CorruptDropAddr(p *ir.Program, ca *slice.ComputeAddr) (Corruption, bool) {
-	ids := make([]int, 0, len(ca.AddrOf))
-	for id := range ca.AddrOf {
-		ids = append(ids, id)
-	}
-	if len(ids) == 0 {
+	if len(ca.Addrs) == 0 {
 		return Corruption{}, false
 	}
-	sort.Ints(ids)
-	delete(ca.AddrOf, ids[0])
+	dropped := ca.Addrs[0].Instr
+	ca.Addrs = ca.Addrs[1:]
 	return Corruption{
 		Name:  "drop-addr",
 		Check: CheckSlice,
-		Pos:   p.Instrs[ids[0]].Pos,
+		Pos:   p.Instrs[dropped].Pos,
 	}, true
 }
 
@@ -158,4 +155,46 @@ func CorruptDOALL(loop *ir.Loop) (advisor.Recommendation, Corruption) {
 			Check: CheckAdvisor,
 			Pos:   loop.Pos,
 		}
+}
+
+// CorruptSlotAccess retargets the lowest-ID load or store at another
+// array's slot while leaving its Array string alone — the stale-slot bug
+// class: the analyses keep reasoning about the named array while the
+// executor reads and writes a different one. Returns false for programs
+// with fewer than two arrays or no memory access.
+func CorruptSlotAccess(p *ir.Program) (Corruption, bool) {
+	if len(p.ArrayNames) < 2 {
+		return Corruption{}, false
+	}
+	for _, in := range p.Instrs {
+		if in.Op == ir.Load || in.Op == ir.Store {
+			in.Slot = (in.Slot + 1) % len(p.ArrayNames)
+			return Corruption{Name: "slot-access", Check: CheckSlots, Pos: in.Pos}, true
+		}
+	}
+	return Corruption{}, false
+}
+
+// CorruptSlotLoopVar points the first loop's induction update at another
+// scalar's slot: the loop would count in a variable its body never reads.
+// Returns false for programs with fewer than two scalars or no loop.
+func CorruptSlotLoopVar(p *ir.Program) (Corruption, bool) {
+	if len(p.VarNames) < 2 || len(p.Loops) == 0 {
+		return Corruption{}, false
+	}
+	l := p.Loops[0]
+	l.VarSlot = (l.VarSlot + 1) % len(p.VarNames)
+	return Corruption{Name: "slot-loop-var", Check: CheckSlots, Pos: l.Pos}, true
+}
+
+// CorruptSlotTable shifts the last array's slot-table base by one cell
+// without touching ArrayBase — the two views of the layout disagree, so the
+// addresses the executor signs are not the addresses Program.Addr reports.
+// Table diagnostics carry no source position.
+func CorruptSlotTable(p *ir.Program) (Corruption, bool) {
+	if len(p.ArrayBases) == 0 {
+		return Corruption{}, false
+	}
+	p.ArrayBases[len(p.ArrayBases)-1]++
+	return Corruption{Name: "slot-table", Check: CheckSlots}, true
 }

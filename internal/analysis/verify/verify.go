@@ -19,7 +19,10 @@
 //     speculative region is captured by the signature instrumentation plan,
 //     and epoch boundaries sit only at invocation boundaries (§4.3);
 //  5. advisor consistency — a DOALL verdict implies no loop-carried
-//     dependence SCC in the loop's PDG (Chapter 2).
+//     dependence SCC in the loop's PDG (Chapter 2);
+//  6. slot resolution — every slot the executor indexes by names the same
+//     array or scalar as the string the analyses read, and the slot tables
+//     agree with the name-keyed layout (slots.go).
 //
 // Diagnostics are reported through internal/diag with source positions, so
 // `crossinv -lint` can point at the offending line. The mutation helpers in
@@ -48,6 +51,7 @@ const (
 	CheckSignature = "signature"
 	CheckAdvisor   = "advisor"
 	CheckXDep      = "xdep"
+	CheckSlots     = "slots"
 )
 
 // hardEdge reports whether the partition must honor the edge: everything
@@ -239,25 +243,27 @@ func Slice(p *ir.Program, part *partition.Result, ca *slice.ComputeAddr) diag.Li
 
 	// Address coverage: DOMORE's shadow memory only orders the addresses the
 	// slice predicts, so an untracked access would race unsynchronized.
+	tracked := map[int]bool{}
+	for _, ta := range ca.Addrs {
+		in, ok := inBody[ta.Instr]
+		if !ok {
+			out.Errorf(CheckSlice, ca.Inner.Pos,
+				"computeAddr of loop %q tracks instruction %d, which is not in the loop body", ca.Inner.Var, ta.Instr)
+			continue
+		}
+		tracked[ta.Instr] = true
+		if t.Reg[ta.Reg] {
+			out.Errorf(CheckSlice, in.Pos,
+				"address register r%d of access %d (%s) derives from worker-written arrays; the scheduler cannot precompute it", ta.Reg, ta.Instr, in)
+		}
+	}
 	for _, in := range body {
 		if in.Op != ir.Load && in.Op != ir.Store {
 			continue
 		}
-		if _, ok := ca.AddrOf[in.ID]; !ok {
+		if !tracked[in.ID] {
 			out.Errorf(CheckSlice, in.Pos,
 				"memory access %d (%s) in loop %q is not tracked by computeAddr; its address would never reach shadow memory", in.ID, in, ca.Inner.Var)
-		}
-	}
-	for id, reg := range ca.AddrOf {
-		in, ok := inBody[id]
-		if !ok {
-			out.Errorf(CheckSlice, ca.Inner.Pos,
-				"computeAddr of loop %q tracks instruction %d, which is not in the loop body", ca.Inner.Var, id)
-			continue
-		}
-		if t.Reg[reg] {
-			out.Errorf(CheckSlice, in.Pos,
-				"address register r%d of access %d (%s) derives from worker-written arrays; the scheduler cannot precompute it", reg, id, in)
 		}
 	}
 	return out
@@ -412,7 +418,7 @@ func liveInNames(inner *ir.Loop) (need []string, firstRead map[string]token.Pos)
 // SignaturePlan records which memory accesses (by instruction ID) the
 // SPECCROSS instrumentation captures into signatures. The pipeline hooks
 // every load and store executed inside a task (speccrossgen inserts the
-// spec_access points via interpreter hooks), so the default plan marks every
+// spec_access points via the executor's access sink), so the default plan marks every
 // access in the region's parallel bodies; the verifier checks the plan
 // against the region rather than trusting the construction.
 type SignaturePlan struct {

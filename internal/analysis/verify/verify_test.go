@@ -178,6 +178,35 @@ func TestCorruptDropInstrumentation(t *testing.T) {
 	wantFlagged(t, verify.Signatures(p, outer, plan), c)
 }
 
+func TestCleanProgramsHaveConsistentSlots(t *testing.T) {
+	for _, src := range []string{cgSrc, stencilSrc, "func empty() { var A[1] }"} {
+		p, _ := compile(t, src)
+		if list := verify.Slots(p); len(list) != 0 {
+			t.Errorf("freshly lowered program failed the slot check:\n%s", list.Text())
+		}
+	}
+}
+
+func TestCorruptSlots(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*ir.Program) (verify.Corruption, bool)
+	}{
+		{"access", verify.CorruptSlotAccess},
+		{"loop-var", verify.CorruptSlotLoopVar},
+		{"table", verify.CorruptSlotTable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, _ := compile(t, cgSrc)
+			c, ok := tc.corrupt(p)
+			if !ok {
+				t.Fatal("nothing to corrupt")
+			}
+			wantFlagged(t, verify.Slots(p), c)
+		})
+	}
+}
+
 func TestCorruptDOALL(t *testing.T) {
 	p, dep := compile(t, cgSrc)
 	loop := loopByVar(t, p, "j") // carries a dependence through C[IDX[j]]

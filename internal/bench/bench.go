@@ -201,6 +201,9 @@ func cellSpecs(opts Options) []cellSpec {
 	for _, s := range traceSpecs(opts) {
 		add(s)
 	}
+	for _, s := range compiledSpecs(opts) {
+		add(s)
+	}
 	return specs
 }
 

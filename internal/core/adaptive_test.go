@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/transform/speccrossgen"
 )
@@ -36,7 +37,19 @@ func TestAdaptiveMatchesSequentialCG(t *testing.T) {
 	c := compileT(t, cgLike)
 	want := seqChecksum(t, c)
 	region := c.Regions[len(c.Regions)-1]
-	res, err := c.RunAdaptive(region, adaptive.Config{Workers: 4, Window: 4})
+	cfg := adaptive.Config{Workers: 4, Window: 4}
+	if raceflag.Enabled {
+		// CG's tasks conflict across epochs, so unbounded speculative windows
+		// race by design until the checker rolls them back (§4.2.1). Under
+		// the detector, gate them with the profiled distance, as a daemon
+		// request does; the controller still runs every window.
+		prof, err := c.ProfileRegion(region, SignatureKind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.SeedFromProfile(prof.MinDistance, cfg.Workers)
+	}
+	res, err := c.RunAdaptive(region, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,8 +86,12 @@ func (c *Compiled) RunSequential() (*interp.Env, error) {
 
 // runOutside executes program nodes up to (but excluding) the region loop,
 // returning the environment at region entry, and a function that finishes
-// the rest of the program after the region completes.
+// the rest of the program after the region completes. Every engine mode and
+// the §4.4 profile start here, so this is where the slot gate sits.
 func (c *Compiled) runOutside(region *ir.Loop) (*interp.Env, func(*interp.Env) error, error) {
+	if err := verifySlots(c.Prog); err != nil {
+		return nil, nil, err
+	}
 	env := interp.NewEnv(c.Prog)
 	var before, after []ir.Node
 	found := false

@@ -12,8 +12,9 @@ import (
 
 // Lint runs the static plan verifier over the whole program: every
 // candidate region's derived parallelization plan (partition, slices, MTCG
-// communication, signature instrumentation) and every loop's advisor
-// classification. The returned list is sorted; callers attach the file name
+// communication, signature instrumentation), every loop's advisor
+// classification, and the slot tables the executor indexes by. The returned
+// list is sorted; callers attach the file name
 // with diag.List.WithFile.
 func (c *Compiled) Lint() diag.List {
 	var out diag.List
@@ -28,6 +29,7 @@ func (c *Compiled) Lint() diag.List {
 	// analyzer run: no plan may rest on a verdict the analyzer would not
 	// reproduce (in particular, none claimed where a dependence is proven).
 	out = append(out, verify.XDep(c.Prog, c.Dep, c.Regions, c.XDep())...)
+	out = append(out, verify.Slots(c.Prog)...)
 	out.Sort()
 	return out
 }
@@ -58,6 +60,17 @@ func verifySignaturePlan(p *ir.Program, region *ir.Loop) error {
 	if errs := list.Errors(); len(errs) > 0 {
 		errs.Sort()
 		return fmt.Errorf("core: speculative region failed verification:\n%s", errs.Text())
+	}
+	return nil
+}
+
+// verifySlots is the always-on gate before the executor touches a program
+// on behalf of any engine: the slots it indexes by must still name what the
+// analyses, and every plan derived from them, believe they name.
+func verifySlots(p *ir.Program) error {
+	if errs := verify.Slots(p).Errors(); len(errs) > 0 {
+		errs.Sort()
+		return fmt.Errorf("core: program failed verification:\n%s", errs.Text())
 	}
 	return nil
 }

@@ -3,7 +3,13 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"crossinv/internal/analysis/verify"
+	"crossinv/internal/runtime/adaptive"
+	"crossinv/internal/runtime/domore"
+	"crossinv/internal/runtime/speccross"
 )
 
 // TestLintCorpusClean asserts the static plan verifier accepts every plan
@@ -38,5 +44,43 @@ func TestLintCorpusClean(t *testing.T) {
 				t.Errorf("lint diagnostics on a pipeline-emitted plan:\n%s", list.Text())
 			}
 		})
+	}
+}
+
+// TestGatesRejectStaleSlot seeds the stale-slot corruption into a compiled
+// program and checks that Lint reports it and that no engine will execute
+// it: every Run* mode starts in runOutside, where the slot gate sits.
+func TestGatesRejectStaleSlot(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "compiler", "stencil.lnl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := c.Regions[len(c.Regions)-1]
+	corruption, ok := verify.CorruptSlotAccess(c.Prog)
+	if !ok {
+		t.Fatal("nothing to corrupt")
+	}
+	flagged := false
+	for _, d := range c.Lint() {
+		flagged = flagged || (d.Check == corruption.Check && d.Pos == corruption.Pos)
+	}
+	if !flagged {
+		t.Errorf("Lint did not report the %s corruption at %s", corruption.Name, corruption.Pos)
+	}
+	runs := map[string]func() error{
+		"barrier":        func() error { _, err := c.RunBarriers(region, 2); return err },
+		"domore":         func() error { _, err := c.RunDOMORE(region, 2); return err },
+		"domore-sharded": func() error { _, err := c.RunDOMOREShardedOpts(region, domore.Options{Workers: 2}); return err },
+		"speccross":      func() error { _, err := c.RunSpecCross(region, speccross.Config{Workers: 2}, false); return err },
+		"adaptive":       func() error { _, err := c.RunAdaptive(region, adaptive.Config{Workers: 2}); return err },
+	}
+	for mode, run := range runs {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "failed verification") {
+			t.Errorf("%s executed a program with a stale slot (err = %v)", mode, err)
+		}
 	}
 }

@@ -1,9 +1,13 @@
 // Package interp executes crossinv IR. It is the sequential reference
-// executor for compiled LNL programs, and — through its access hooks — the
+// executor for compiled LNL programs, and — through its access sink — the
 // substrate the runtime engines drive: the DOMORE adapter interprets the
 // sliced computeAddr program and the worker body per iteration, and the
 // SPECCROSS adapter records every load/store into a task signature exactly
 // where Algorithm 5 would have inserted spec_access calls.
+//
+// Execution is slot-resolved: ir.Lower interned every array and scalar name
+// into a dense slot, so the executor only indexes slices. All arrays live in
+// one flat Mem whose index is the flat address the engines shadow and sign.
 package interp
 
 import (
@@ -12,23 +16,28 @@ import (
 	"crossinv/internal/ir"
 )
 
-// Hooks observe memory traffic during execution. Either hook may be nil.
-type Hooks struct {
-	// OnLoad fires before each array load with the flat address.
-	OnLoad func(addr uint64)
-	// OnStore fires before each array store with the flat address.
-	OnStore func(addr uint64)
+// Sink observes memory traffic during execution: Read fires before each
+// array load and Write before each array store, with the flat address.
+// *signature.Signature satisfies it.
+type Sink interface {
+	Read(addr uint64)
+	Write(addr uint64)
 }
 
-// Env is an execution environment: the program's arrays, scalar variables,
-// and a register file. Environments are cheap to fork for worker-private
-// register files while sharing arrays.
+// Env is an execution environment: the program's flat memory, scalar
+// variables, and a register file. Environments are cheap to fork for
+// worker-private scalars and registers while sharing memory.
 type Env struct {
-	Prog   *ir.Program
-	Arrays map[string][]int64
-	Vars   map[string]int64
-	Regs   []int64
-	Hooks  Hooks
+	Prog *ir.Program
+	// Mem backs every array: slot i is Mem[ArrayBases[i]:][:ArraySizes[i]],
+	// so an index into Mem is the flat address.
+	Mem []int64
+	// Vars holds scalars and induction variables by Program.VarNames slot.
+	Vars []int64
+	Regs []int64
+	// Sink, when non-nil, sees every load and store. Assign nil, not a nil
+	// pointer wrapped in the interface, to turn observation off.
+	Sink Sink
 	// Steps counts executed instructions; the virtual-time trace exporter
 	// uses it as the per-task cost measure.
 	Steps int64
@@ -36,70 +45,64 @@ type Env struct {
 
 // NewEnv allocates a zeroed environment for the program.
 func NewEnv(p *ir.Program) *Env {
-	e := &Env{
-		Prog:   p,
-		Arrays: make(map[string][]int64, len(p.Arrays)),
-		Vars:   map[string]int64{},
-		Regs:   make([]int64, p.NumRegs),
+	nm, nv, nr := int(p.AddrSpace), len(p.VarNames), p.NumRegs
+	buf := make([]int64, nm+nv+nr)
+	return &Env{
+		Prog: p,
+		Mem:  buf[:nm:nm],
+		Vars: buf[nm : nm+nv : nm+nv],
+		Regs: buf[nm+nv:],
 	}
-	for name, size := range p.Arrays {
-		e.Arrays[name] = make([]int64, size)
-	}
-	return e
 }
 
-// Fork returns an environment sharing the receiver's arrays but with
+// Fork returns an environment sharing the receiver's memory but with
 // private scalars and registers — the per-worker state split MTCG performs
 // (each thread owns its registers; shared memory stays shared).
 func (e *Env) Fork() *Env {
-	f := &Env{
-		Prog:   e.Prog,
-		Arrays: e.Arrays,
-		Vars:   make(map[string]int64, len(e.Vars)),
-		Regs:   make([]int64, len(e.Regs)),
-		Hooks:  e.Hooks,
+	nv := len(e.Vars)
+	buf := make([]int64, nv+len(e.Regs))
+	copy(buf, e.Vars)
+	return &Env{
+		Prog: e.Prog,
+		Mem:  e.Mem,
+		Vars: buf[:nv:nv],
+		Regs: buf[nv:],
+		Sink: e.Sink,
 	}
-	for k, v := range e.Vars {
-		f.Vars[k] = v
-	}
-	return f
 }
 
-// Snapshot deep-copies the array state (the speculative state SPECCROSS
-// checkpoints).
-func (e *Env) Snapshot() map[string][]int64 {
-	cp := make(map[string][]int64, len(e.Arrays))
-	for name, a := range e.Arrays {
-		c := make([]int64, len(a))
-		copy(c, a)
-		cp[name] = c
+// Array returns the named array's window of Mem, or nil if the program
+// declares no such array.
+func (e *Env) Array(name string) []int64 {
+	s := e.Prog.ArraySlot(name)
+	if s < 0 {
+		return nil
 	}
-	return cp
+	base := e.Prog.ArrayBases[s]
+	return e.Mem[base : base+uint64(e.Prog.ArraySizes[s])]
+}
+
+// Snapshot copies the array state (the speculative state SPECCROSS
+// checkpoints).
+func (e *Env) Snapshot() []int64 {
+	return append([]int64(nil), e.Mem...)
 }
 
 // Restore copies a snapshot back over the array state.
-func (e *Env) Restore(snap map[string][]int64) {
-	for name, c := range snap {
-		copy(e.Arrays[name], c)
-	}
+func (e *Env) Restore(snap []int64) {
+	copy(e.Mem, snap)
 }
 
 // Checksum folds every array into one value, for cheap equivalence checks
-// between execution strategies.
+// between execution strategies. Arrays fold in ascending name order, not
+// layout order: cached plans store this value as the sequential oracle, so
+// it must not depend on how memory is laid out.
 func (e *Env) Checksum() uint64 {
 	var h uint64 = 1469598103934665603
-	names := make([]string, 0, len(e.Arrays))
-	for n := range e.Arrays {
-		names = append(names, n)
-	}
-	// Sort for determinism.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	for _, n := range names {
-		for _, v := range e.Arrays[n] {
+	p := e.Prog
+	for _, s := range p.ArraySorted {
+		base := p.ArrayBases[s]
+		for _, v := range e.Mem[base : base+uint64(p.ArraySizes[s])] {
 			h ^= uint64(v)
 			h *= 1099511628211
 		}
@@ -121,7 +124,7 @@ func (e *Env) Exec(nodes []ir.Node) error {
 				return err
 			}
 			for i := lo; i < hi; i++ {
-				e.Vars[n.Var] = i
+				e.Vars[n.VarSlot] = i
 				if err := e.Exec(n.Body); err != nil {
 					return err
 				}
@@ -178,67 +181,72 @@ func (e *OOBError) Error() string {
 // Step executes one instruction.
 func (e *Env) Step(in *ir.Instr) error {
 	e.Steps++
+	regs := e.Regs
 	switch in.Op {
 	case ir.Const:
-		e.Regs[in.Dst] = in.Imm
+		regs[in.Dst] = in.Imm
 	case ir.Add:
-		e.Regs[in.Dst] = e.Regs[in.A] + e.Regs[in.B]
+		regs[in.Dst] = regs[in.A] + regs[in.B]
 	case ir.Sub:
-		e.Regs[in.Dst] = e.Regs[in.A] - e.Regs[in.B]
+		regs[in.Dst] = regs[in.A] - regs[in.B]
 	case ir.Mul:
-		e.Regs[in.Dst] = e.Regs[in.A] * e.Regs[in.B]
+		regs[in.Dst] = regs[in.A] * regs[in.B]
 	case ir.Div:
-		if e.Regs[in.B] == 0 {
-			e.Regs[in.Dst] = 0
+		if regs[in.B] == 0 {
+			regs[in.Dst] = 0
 		} else {
-			e.Regs[in.Dst] = e.Regs[in.A] / e.Regs[in.B]
+			regs[in.Dst] = regs[in.A] / regs[in.B]
 		}
 	case ir.Mod:
-		if e.Regs[in.B] == 0 {
-			e.Regs[in.Dst] = 0
+		if regs[in.B] == 0 {
+			regs[in.Dst] = 0
 		} else {
-			e.Regs[in.Dst] = e.Regs[in.A] % e.Regs[in.B]
+			regs[in.Dst] = regs[in.A] % regs[in.B]
 		}
 	case ir.CmpEq:
-		e.Regs[in.Dst] = b2i(e.Regs[in.A] == e.Regs[in.B])
+		regs[in.Dst] = b2i(regs[in.A] == regs[in.B])
 	case ir.CmpNe:
-		e.Regs[in.Dst] = b2i(e.Regs[in.A] != e.Regs[in.B])
+		regs[in.Dst] = b2i(regs[in.A] != regs[in.B])
 	case ir.CmpLt:
-		e.Regs[in.Dst] = b2i(e.Regs[in.A] < e.Regs[in.B])
+		regs[in.Dst] = b2i(regs[in.A] < regs[in.B])
 	case ir.CmpLe:
-		e.Regs[in.Dst] = b2i(e.Regs[in.A] <= e.Regs[in.B])
+		regs[in.Dst] = b2i(regs[in.A] <= regs[in.B])
 	case ir.CmpGt:
-		e.Regs[in.Dst] = b2i(e.Regs[in.A] > e.Regs[in.B])
+		regs[in.Dst] = b2i(regs[in.A] > regs[in.B])
 	case ir.CmpGe:
-		e.Regs[in.Dst] = b2i(e.Regs[in.A] >= e.Regs[in.B])
+		regs[in.Dst] = b2i(regs[in.A] >= regs[in.B])
 	case ir.Load:
-		arr := e.Arrays[in.Array]
-		idx := e.Regs[in.A]
-		if idx < 0 || idx >= int64(len(arr)) {
-			return &OOBError{Array: in.Array, Index: idx, Size: int64(len(arr))}
+		idx := regs[in.A]
+		if uint64(idx) >= uint64(e.Prog.ArraySizes[in.Slot]) {
+			return e.oob(in, idx)
 		}
-		if e.Hooks.OnLoad != nil {
-			e.Hooks.OnLoad(e.Prog.Addr(in.Array, idx))
+		addr := e.Prog.ArrayBases[in.Slot] + uint64(idx)
+		if e.Sink != nil {
+			e.Sink.Read(addr)
 		}
-		e.Regs[in.Dst] = arr[idx]
+		regs[in.Dst] = e.Mem[addr]
 	case ir.Store:
-		arr := e.Arrays[in.Array]
-		idx := e.Regs[in.A]
-		if idx < 0 || idx >= int64(len(arr)) {
-			return &OOBError{Array: in.Array, Index: idx, Size: int64(len(arr))}
+		idx := regs[in.A]
+		if uint64(idx) >= uint64(e.Prog.ArraySizes[in.Slot]) {
+			return e.oob(in, idx)
 		}
-		if e.Hooks.OnStore != nil {
-			e.Hooks.OnStore(e.Prog.Addr(in.Array, idx))
+		addr := e.Prog.ArrayBases[in.Slot] + uint64(idx)
+		if e.Sink != nil {
+			e.Sink.Write(addr)
 		}
-		arr[idx] = e.Regs[in.B]
+		e.Mem[addr] = regs[in.B]
 	case ir.ReadVar:
-		e.Regs[in.Dst] = e.Vars[in.Var]
+		regs[in.Dst] = e.Vars[in.Slot]
 	case ir.WriteVar:
-		e.Vars[in.Var] = e.Regs[in.A]
+		e.Vars[in.Slot] = regs[in.A]
 	default:
 		return fmt.Errorf("interp: unknown opcode %v", in.Op)
 	}
 	return nil
+}
+
+func (e *Env) oob(in *ir.Instr, idx int64) error {
+	return &OOBError{Array: in.Array, Index: idx, Size: e.Prog.ArraySizes[in.Slot]}
 }
 
 func b2i(b bool) int64 {

@@ -39,7 +39,7 @@ func TestArithmetic(t *testing.T) {
 	}`)
 	want := []int64{14, 20, 3, 2, -3, 0, 0, -4}
 	for i, w := range want {
-		if got := env.Arrays["A"][i]; got != w {
+		if got := env.Array("A")[i]; got != w {
 			t.Errorf("A[%d] = %d, want %d", i, got, w)
 		}
 	}
@@ -57,7 +57,7 @@ func TestComparisons(t *testing.T) {
 	}`)
 	want := []int64{1, 0, 1, 0, 1, 0}
 	for i, w := range want {
-		if got := env.Arrays["A"][i]; got != w {
+		if got := env.Array("A")[i]; got != w {
 			t.Errorf("A[%d] = %d, want %d", i, got, w)
 		}
 	}
@@ -79,7 +79,7 @@ func TestLoopAndIf(t *testing.T) {
 		if i%2 == 0 {
 			want = i * 10
 		}
-		if got := env.Arrays["A"][i]; got != want {
+		if got := env.Array("A")[i]; got != want {
 			t.Errorf("A[%d] = %d, want %d", i, got, want)
 		}
 	}
@@ -110,13 +110,13 @@ func TestStencilProgram(t *testing.T) {
 		}
 	}
 	for i := range A {
-		if env.Arrays["A"][i] != A[i] {
-			t.Errorf("A[%d] = %d, want %d", i, env.Arrays["A"][i], A[i])
+		if env.Array("A")[i] != A[i] {
+			t.Errorf("A[%d] = %d, want %d", i, env.Array("A")[i], A[i])
 		}
 	}
 	for j := range B {
-		if env.Arrays["B"][j] != B[j] {
-			t.Errorf("B[%d] = %d, want %d", j, env.Arrays["B"][j], B[j])
+		if env.Array("B")[j] != B[j] {
+			t.Errorf("B[%d] = %d, want %d", j, env.Array("B")[j], B[j])
 		}
 	}
 }
@@ -135,7 +135,13 @@ func TestOutOfBoundsLoad(t *testing.T) {
 	}
 }
 
-func TestHooksObserveTraffic(t *testing.T) {
+// trafficLog is a Sink that records every address it is shown.
+type trafficLog struct{ loads, stores []uint64 }
+
+func (l *trafficLog) Read(a uint64)  { l.loads = append(l.loads, a) }
+func (l *trafficLog) Write(a uint64) { l.stores = append(l.stores, a) }
+
+func TestSinkObservesTraffic(t *testing.T) {
 	prog, err := parser.Parse(`func f() {
 		var A[4], B[4]
 		parfor i = 0 .. 4 { A[i] = B[i] + 1 }
@@ -148,59 +154,84 @@ func TestHooksObserveTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := interp.NewEnv(p)
-	var loads, stores []uint64
-	env.Hooks.OnLoad = func(a uint64) { loads = append(loads, a) }
-	env.Hooks.OnStore = func(a uint64) { stores = append(stores, a) }
+	var log trafficLog
+	env.Sink = &log
 	if err := env.Exec(p.Body); err != nil {
 		t.Fatal(err)
 	}
-	if len(loads) != 4 || len(stores) != 4 {
-		t.Fatalf("loads=%d stores=%d, want 4/4", len(loads), len(stores))
+	if len(log.loads) != 4 || len(log.stores) != 4 {
+		t.Fatalf("loads=%d stores=%d, want 4/4", len(log.loads), len(log.stores))
 	}
 	// B is laid out after A: loads at base(B)+i, stores at base(A)+i.
 	for i := 0; i < 4; i++ {
-		if loads[i] != p.Addr("B", int64(i)) {
-			t.Errorf("load %d at %d, want %d", i, loads[i], p.Addr("B", int64(i)))
+		if log.loads[i] != p.Addr("B", int64(i)) {
+			t.Errorf("load %d at %d, want %d", i, log.loads[i], p.Addr("B", int64(i)))
 		}
-		if stores[i] != p.Addr("A", int64(i)) {
-			t.Errorf("store %d at %d, want %d", i, stores[i], p.Addr("A", int64(i)))
+		if log.stores[i] != p.Addr("A", int64(i)) {
+			t.Errorf("store %d at %d, want %d", i, log.stores[i], p.Addr("A", int64(i)))
 		}
 	}
 }
 
-func TestForkSharesArraysNotScalars(t *testing.T) {
+// TestForkSharesMemNotScalars pins the aliasing contract the engines rely
+// on: forks see each other's array writes through the one Mem, and never
+// each other's scalars or registers.
+func TestForkSharesMemNotScalars(t *testing.T) {
 	prog, _ := parser.Parse("func f() { var A[2] x = 7 }")
 	p, _ := ir.Lower(prog)
 	env := interp.NewEnv(p)
 	if err := env.Exec(p.Body); err != nil {
 		t.Fatal(err)
 	}
-	f := env.Fork()
-	if f.Vars["x"] != 7 {
+	x := p.VarSlot("x")
+	f, g := env.Fork(), env.Fork()
+	if f.Vars[x] != 7 {
 		t.Fatal("fork must copy scalars")
 	}
-	f.Vars["x"] = 9
-	if env.Vars["x"] != 7 {
+	f.Vars[x] = 9
+	f.Regs[0] = 42
+	if env.Vars[x] != 7 || g.Vars[x] != 7 {
 		t.Fatal("fork scalars must be private")
 	}
-	f.Arrays["A"][0] = 5
-	if env.Arrays["A"][0] != 5 {
-		t.Fatal("fork must share arrays")
+	if env.Regs[0] == 42 || g.Regs[0] == 42 {
+		t.Fatal("fork registers must be private")
+	}
+	f.Array("A")[0] = 5
+	if env.Array("A")[0] != 5 || g.Mem[p.Addr("A", 0)] != 5 {
+		t.Fatal("forks must share memory")
+	}
+	// Growing one fork's scalars or registers must not spill into the
+	// neighbouring window of the shared backing allocation.
+	f.Vars = append(f.Vars, 1)
+	if f.Regs[0] != 42 {
+		t.Fatal("appending to Vars overwrote Regs")
 	}
 }
 
 func TestSnapshotRestore(t *testing.T) {
-	prog, _ := parser.Parse("func f() { var A[3] A[0] = 1 A[1] = 2 }")
+	prog, _ := parser.Parse("func f() { var A[3], B[2] A[0] = 1 A[1] = 2 B[1] = 3 }")
 	p, _ := ir.Lower(prog)
 	env, err := interp.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := env.Checksum()
 	snap := env.Snapshot()
-	env.Arrays["A"][0] = 99
+	// A torn speculative write: every cell of every array clobbered, through
+	// the environment and through a fork of it.
+	for i := range env.Mem {
+		env.Mem[i] = -1
+	}
+	env.Fork().Array("B")[0] = 99
+	if snap[0] != 1 {
+		t.Fatal("snapshot must not alias live memory")
+	}
 	env.Restore(snap)
-	if env.Arrays["A"][0] != 1 {
-		t.Fatalf("restore failed: A[0] = %d", env.Arrays["A"][0])
+	if a, b := env.Array("A"), env.Array("B"); a[0] != 1 || a[1] != 2 || a[2] != 0 || b[0] != 0 || b[1] != 3 {
+		t.Fatalf("restore not exact: A=%v B=%v", a, b)
+	}
+	if env.Checksum() != want {
+		t.Fatal("checksum changed across snapshot/restore")
 	}
 }
 
@@ -212,7 +243,7 @@ func TestChecksumDistinguishesStates(t *testing.T) {
 	if e1.Checksum() != e2.Checksum() {
 		t.Fatal("identical states must have identical checksums")
 	}
-	e2.Arrays["A"][0] = 1
+	e2.Array("A")[0] = 1
 	if e1.Checksum() == e2.Checksum() {
 		t.Fatal("different states should (almost surely) differ in checksum")
 	}

@@ -58,7 +58,12 @@ type Instr struct {
 	Imm   int64
 	Array string // Load/Store
 	Var   string // ReadVar/WriteVar
-	Pos   token.Pos
+	// Slot is the name resolved at lowering: the index of Array in
+	// Program.ArrayNames for Load/Store, of Var in Program.VarNames for
+	// ReadVar/WriteVar. The executor indexes by Slot; Array and Var stay
+	// for the analyses and diagnostics.
+	Slot int
+	Pos  token.Pos
 }
 
 // String renders the instruction for dumps and tests.
@@ -91,8 +96,10 @@ func (*Instr) node() {}
 // sequences leaving their results in LoReg and HiReg. Parallel marks loops
 // the front end asserted DOALL-able within one invocation (parfor).
 type Loop struct {
-	ID           int
-	Var          string
+	ID  int
+	Var string
+	// VarSlot is the index of Var in Program.VarNames.
+	VarSlot      int
 	Lo, Hi       []*Instr
 	LoReg, HiReg Reg
 	Body         []Node
@@ -124,6 +131,19 @@ type Program struct {
 	ArrayBase map[string]uint64
 	// AddrSpace is the exclusive upper bound of the flat address space.
 	AddrSpace uint64
+	// ArrayNames, ArraySizes and ArrayBases are the slot-indexed form of
+	// Arrays and ArrayBase, in declaration order: array slot i occupies
+	// flat addresses [ArrayBases[i], ArrayBases[i]+ArraySizes[i]). Lower
+	// fills both forms from the same declarations.
+	ArrayNames []string
+	ArraySizes []int64
+	ArrayBases []uint64
+	// ArraySorted lists the array slots in ascending name order, the order
+	// interp.Env.Checksum folds them in.
+	ArraySorted []int
+	// VarNames lists scalars and induction variables by slot, in order of
+	// first appearance.
+	VarNames []string
 	// Body is the top-level loop tree.
 	Body []Node
 	// NumRegs is the number of virtual registers.
@@ -140,28 +160,30 @@ func (p *Program) Addr(array string, idx int64) uint64 {
 	return p.ArrayBase[array] + uint64(idx)
 }
 
+// ArraySlot returns the slot of the named array, or -1.
+func (p *Program) ArraySlot(name string) int { return indexOf(p.ArrayNames, name) }
+
+// VarSlot returns the slot of the named scalar, or -1.
+func (p *Program) VarSlot(name string) int { return indexOf(p.VarNames, name) }
+
+func indexOf(names []string, name string) int {
+	for i, n := range names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Dump renders the loop tree for golden tests and debugging.
 func (p *Program) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "program %s\n", p.Name)
-	names := make([]string, 0, len(p.Arrays))
-	for n := range p.Arrays {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "  array %s[%d] @%d\n", n, p.Arrays[n], p.ArrayBase[n])
+	for _, s := range p.ArraySorted {
+		fmt.Fprintf(&b, "  array %s[%d] @%d\n", p.ArrayNames[s], p.ArraySizes[s], p.ArrayBases[s])
 	}
 	dumpNodes(&b, p.Body, 1)
 	return b.String()
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 func indent(b *strings.Builder, depth int) {

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"sort"
 
 	"crossinv/internal/lang/ast"
 	"crossinv/internal/lang/token"
@@ -26,7 +27,9 @@ func Lower(prog *ast.Program) (*Program, error) {
 			Arrays:    map[string]int64{},
 			ArrayBase: map[string]uint64{},
 		},
-		scalars: map[string]bool{},
+		scalars:   map[string]bool{},
+		arraySlot: map[string]int{},
+		varSlot:   map[string]int{},
 	}
 	for _, d := range prog.Arrays {
 		size, err := constEval(d.Size)
@@ -39,10 +42,21 @@ func Lower(prog *ast.Program) (*Program, error) {
 		if _, dup := l.p.Arrays[d.Name]; dup {
 			return nil, &LowerError{Pos: d.Pos(), Msg: fmt.Sprintf("array %q redeclared", d.Name)}
 		}
+		l.arraySlot[d.Name] = len(l.p.ArrayNames)
 		l.p.Arrays[d.Name] = size
 		l.p.ArrayBase[d.Name] = l.p.AddrSpace
+		l.p.ArrayNames = append(l.p.ArrayNames, d.Name)
+		l.p.ArraySizes = append(l.p.ArraySizes, size)
+		l.p.ArrayBases = append(l.p.ArrayBases, l.p.AddrSpace)
 		l.p.AddrSpace += uint64(size)
 	}
+	l.p.ArraySorted = make([]int, len(l.p.ArrayNames))
+	for i := range l.p.ArraySorted {
+		l.p.ArraySorted[i] = i
+	}
+	sort.Slice(l.p.ArraySorted, func(i, j int) bool {
+		return l.p.ArrayNames[l.p.ArraySorted[i]] < l.p.ArrayNames[l.p.ArraySorted[j]]
+	})
 	body, err := l.stmts(prog.Body)
 	if err != nil {
 		return nil, err
@@ -74,9 +88,22 @@ func numberLoops(p *Program) {
 }
 
 type lowerer struct {
-	p       *Program
-	nextReg Reg
-	scalars map[string]bool // defined scalar names (induction vars, assignments)
+	p         *Program
+	nextReg   Reg
+	scalars   map[string]bool // defined scalar names (induction vars, assignments)
+	arraySlot map[string]int
+	varSlot   map[string]int
+}
+
+// slotOf interns a scalar or induction-variable name.
+func (l *lowerer) slotOf(name string) int {
+	s, ok := l.varSlot[name]
+	if !ok {
+		s = len(l.p.VarNames)
+		l.varSlot[name] = s
+		l.p.VarNames = append(l.p.VarNames, name)
+	}
+	return s
 }
 
 func (l *lowerer) reg() Reg {
@@ -172,10 +199,11 @@ func (l *lowerer) expr(e ast.Expr, out *[]*Instr) (Reg, error) {
 			return 0, &LowerError{Pos: e.Pos(), Msg: fmt.Sprintf("undefined variable %q", e.Name)}
 		}
 		r := l.reg()
-		l.emit(out, Instr{Op: ReadVar, Dst: r, Var: e.Name, Pos: e.Pos()})
+		l.emit(out, Instr{Op: ReadVar, Dst: r, Var: e.Name, Slot: l.slotOf(e.Name), Pos: e.Pos()})
 		return r, nil
 	case *ast.Index:
-		if _, ok := l.p.Arrays[e.Array]; !ok {
+		slot, ok := l.arraySlot[e.Array]
+		if !ok {
 			return 0, &LowerError{Pos: e.Pos(), Msg: fmt.Sprintf("undeclared array %q", e.Array)}
 		}
 		idx, err := l.expr(e.Idx, out)
@@ -183,7 +211,7 @@ func (l *lowerer) expr(e ast.Expr, out *[]*Instr) (Reg, error) {
 			return 0, err
 		}
 		r := l.reg()
-		l.emit(out, Instr{Op: Load, Dst: r, A: idx, Array: e.Array, Pos: e.Pos()})
+		l.emit(out, Instr{Op: Load, Dst: r, A: idx, Array: e.Array, Slot: slot, Pos: e.Pos()})
 		return r, nil
 	case *ast.Bin:
 		a, err := l.expr(e.L, out)
@@ -214,7 +242,8 @@ func (l *lowerer) stmts(stmts []ast.Stmt) ([]Node, error) {
 		case *ast.Assign:
 			var seq []*Instr
 			if s.Index != nil {
-				if _, ok := l.p.Arrays[s.Target]; !ok {
+				slot, ok := l.arraySlot[s.Target]
+				if !ok {
 					return nil, &LowerError{Pos: s.Pos(), Msg: fmt.Sprintf("undeclared array %q", s.Target)}
 				}
 				idx, err := l.expr(s.Index, &seq)
@@ -225,7 +254,7 @@ func (l *lowerer) stmts(stmts []ast.Stmt) ([]Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				l.emit(&seq, Instr{Op: Store, A: idx, B: val, Array: s.Target, Pos: s.Pos()})
+				l.emit(&seq, Instr{Op: Store, A: idx, B: val, Array: s.Target, Slot: slot, Pos: s.Pos()})
 			} else {
 				if _, isArray := l.p.Arrays[s.Target]; isArray {
 					return nil, &LowerError{Pos: s.Pos(), Msg: fmt.Sprintf("array %q assigned without index", s.Target)}
@@ -234,11 +263,12 @@ func (l *lowerer) stmts(stmts []ast.Stmt) ([]Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				l.emit(&seq, Instr{Op: WriteVar, A: val, Var: s.Target, Pos: s.Pos()})
+				l.emit(&seq, Instr{Op: WriteVar, A: val, Var: s.Target, Slot: l.slotOf(s.Target), Pos: s.Pos()})
 				l.scalars[s.Target] = true
 			}
 			appendInstrs(seq)
 		case *ast.For:
+			varSlot := l.slotOf(s.Var)
 			var lo, hi []*Instr
 			loReg, err := l.expr(s.Lo, &lo)
 			if err != nil {
@@ -256,8 +286,8 @@ func (l *lowerer) stmts(stmts []ast.Stmt) ([]Node, error) {
 			}
 			l.scalars[s.Var] = outer
 			loop := &Loop{
-				Var: s.Var,
-				Lo:  lo, Hi: hi, LoReg: loReg, HiReg: hiReg,
+				Var: s.Var, VarSlot: varSlot,
+				Lo: lo, Hi: hi, LoReg: loReg, HiReg: hiReg,
 				Body: body, Parallel: s.Parallel, Pos: s.Pos(),
 			}
 			nodes = append(nodes, loop)

@@ -121,11 +121,11 @@ func liveIns(inner *ir.Loop) []string {
 }
 
 // invocation is the per-invocation record the scheduler publishes to
-// workers: which inner loop, its bounds, and the live-in scalar values.
+// workers: which inner loop and its bounds. The live-in scalar values sit in
+// the workload's liveVals arena at the invocation's stride.
 type invocation struct {
-	inner   *ir.Loop
-	lo, hi  int64
-	liveIns map[string]int64
+	innerIdx int
+	lo, hi   int64
 }
 
 // workload adapts the transformed region to domore.Workload.
@@ -141,6 +141,16 @@ type workload struct {
 	outerN   int64
 	invs     []invocation
 	addrBuf  []uint64
+
+	// Per inner loop, resolved once at Bind: the loop, its computeAddr
+	// slice and the variable slots of its live-ins.
+	inners    []*ir.Loop
+	slices    []*slice.ComputeAddr
+	liveSlots [][]int
+	// liveVals holds every invocation's forwarded live-in values:
+	// invocation inv owns liveVals[inv*liveStride:][:len(liveSlots[i])].
+	liveVals   []int64
+	liveStride int
 
 	errMu sync.Mutex
 	err   error // first execution error (read via Err/Finish)
@@ -160,15 +170,30 @@ func (par *Parallelized) Bind(env *interp.Env, workers int) (*workload, error) {
 		w.workers = append(w.workers, env.Fork())
 	}
 
-	// Split the outer body into scheduler segments around the inner loops.
+	// Split the outer body into scheduler segments around the inner loops,
+	// resolving each inner loop's slice and live-in slots as it is met.
 	var cur []ir.Node
 	for _, n := range par.Outer.Body {
-		if l, ok := n.(*ir.Loop); ok && par.Slices[l] != nil {
-			w.segments = append(w.segments, cur)
-			cur = nil
+		inner, ok := n.(*ir.Loop)
+		if !ok || par.Slices[inner] == nil {
+			cur = append(cur, n)
 			continue
 		}
-		cur = append(cur, n)
+		w.segments = append(w.segments, cur)
+		cur = nil
+		names := par.LiveIns[inner]
+		slots := make([]int, len(names))
+		for j, name := range names {
+			if slots[j] = par.Prog.VarSlot(name); slots[j] < 0 {
+				return nil, fmt.Errorf("mtcg: live-in %q of loop %q is not a program scalar", name, inner.Var)
+			}
+		}
+		w.inners = append(w.inners, inner)
+		w.slices = append(w.slices, par.Slices[inner])
+		w.liveSlots = append(w.liveSlots, slots)
+		if len(slots) > w.liveStride {
+			w.liveStride = len(slots)
+		}
 	}
 	w.tail = cur
 
@@ -181,12 +206,18 @@ func (par *Parallelized) Bind(env *interp.Env, workers int) (*workload, error) {
 		w.outerN = hi - lo
 	}
 	w.invs = make([]invocation, w.Invocations())
+	w.liveVals = make([]int64, len(w.invs)*w.liveStride)
 	return w, nil
 }
 
 // Invocations implements domore.Workload.
 func (w *workload) Invocations() int {
 	return int(w.outerN) * len(w.segments)
+}
+
+// liveIns returns invocation inv's slice of the live-in arena.
+func (w *workload) liveIns(inv, innerIdx int) []int64 {
+	return w.liveVals[inv*w.liveStride:][:len(w.liveSlots[innerIdx])]
 }
 
 // Sequential implements domore.Workload: it advances the outer loop to the
@@ -207,30 +238,29 @@ func (w *workload) Sequential(inv int) {
 				return
 			}
 		}
-		w.sched.Vars[w.par.Outer.Var] = w.outerLo + int64(outerIter)
+		w.sched.Vars[w.par.Outer.VarSlot] = w.outerLo + int64(outerIter)
 	}
 	if err := w.sched.Exec(w.segments[innerIdx]); err != nil {
 		w.fail(err)
 		return
 	}
-	inner := w.par.Part.Inners[innerIdx]
-	lo, hi, err := w.sched.LoopBounds(inner)
+	lo, hi, err := w.sched.LoopBounds(w.inners[innerIdx])
 	if err != nil {
 		w.fail(err)
 		return
 	}
-	rec := invocation{inner: inner, lo: lo, hi: hi, liveIns: map[string]int64{}}
-	for _, name := range w.par.LiveIns[inner] {
-		rec.liveIns[name] = w.sched.Vars[name]
+	vals := w.liveIns(inv, innerIdx)
+	for j, slot := range w.liveSlots[innerIdx] {
+		vals[j] = w.sched.Vars[slot]
 	}
-	w.invs[inv] = rec
+	w.invs[inv] = invocation{innerIdx: innerIdx, lo: lo, hi: hi}
 }
 
 // Finish executes the trailing sequential code of the final outer iteration
 // and reports the first error encountered anywhere in the region.
 func (w *workload) Finish() error {
 	if !w.failed() && w.outerN > 0 {
-		w.sched.Vars[w.par.Outer.Var] = w.outerLo + w.outerN - 1
+		w.sched.Vars[w.par.Outer.VarSlot] = w.outerLo + w.outerN - 1
 		if err := w.sched.Exec(w.tail); err != nil {
 			w.fail(err)
 		}
@@ -263,35 +293,40 @@ func (w *workload) Iterations(inv int) int {
 
 // ComputeAddr implements domore.Workload: it interprets the generated
 // slice on the scheduler's environment. Address computations hoisted out
-// of untaken branches may index out of bounds; those addresses are
-// skipped — an overapproximation-tolerant scheduler never misses a real
-// address because every actually-executed access is in the slice.
+// of untaken branches may index out of bounds; those loads and addresses
+// are skipped — an overapproximation-tolerant scheduler never misses a real
+// address because every actually-executed access is in the slice. Addresses
+// come out in the slice's tracked order, so one iteration's shadow-memory
+// updates and forwarded sync conditions are the same on every run.
 func (w *workload) ComputeAddr(inv, iter int, buf []uint64) []uint64 {
 	if w.failed() {
 		return nil
 	}
 	_ = buf // the interpreter-backed slice owns its own result registers
 	rec := w.invs[inv]
-	ca := w.par.Slices[rec.inner]
-	w.sched.Vars[rec.inner.Var] = rec.lo + int64(iter)
+	ca := w.slices[rec.innerIdx]
+	prog := w.par.Prog
+	regs := w.sched.Regs
+	w.sched.Vars[w.inners[rec.innerIdx].VarSlot] = rec.lo + int64(iter)
 	for _, in := range ca.Instrs {
+		// The only instruction of a store-free slice that can fault is a
+		// load; checking its index here keeps the skip off the error path.
+		if in.Op == ir.Load && uint64(regs[in.A]) >= uint64(prog.ArraySizes[in.Slot]) {
+			continue
+		}
 		if err := w.sched.Step(in); err != nil {
-			var oob *interp.OOBError
-			if errors.As(err, &oob) {
-				continue
-			}
 			w.fail(err)
 			return nil
 		}
 	}
 	w.addrBuf = w.addrBuf[:0]
-	for id, reg := range ca.AddrOf {
-		in := w.par.Prog.Instrs[id]
-		idx := w.sched.Regs[reg]
-		if idx < 0 || idx >= w.par.Prog.Arrays[in.Array] {
+	for _, t := range ca.Addrs {
+		slot := prog.Instrs[t.Instr].Slot
+		idx := regs[t.Reg]
+		if uint64(idx) >= uint64(prog.ArraySizes[slot]) {
 			continue
 		}
-		addr := w.par.Prog.Addr(in.Array, idx)
+		addr := prog.ArrayBases[slot] + uint64(idx)
 		dup := false
 		for _, a := range w.addrBuf {
 			if a == addr {
@@ -313,12 +348,14 @@ func (w *workload) Execute(inv, iter, tid int) {
 		return
 	}
 	rec := w.invs[inv]
+	inner := w.inners[rec.innerIdx]
 	env := w.workers[tid]
-	for name, v := range rec.liveIns {
-		env.Vars[name] = v
+	vals := w.liveIns(inv, rec.innerIdx)
+	for j, slot := range w.liveSlots[rec.innerIdx] {
+		env.Vars[slot] = vals[j]
 	}
-	env.Vars[rec.inner.Var] = rec.lo + int64(iter)
-	if err := env.Exec(rec.inner.Body); err != nil {
+	env.Vars[inner.VarSlot] = rec.lo + int64(iter)
+	if err := env.Exec(inner.Body); err != nil {
 		w.fail(err)
 	}
 }

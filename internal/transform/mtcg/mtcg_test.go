@@ -138,8 +138,8 @@ func TestTailSequentialCodeRuns(t *testing.T) {
 		t.Fatalf("checksum %x != sequential %x (tail statements lost?)", got, want)
 	}
 	for i := int64(0); i < 10; i++ {
-		if env.Arrays["T"][i] != 2*i {
-			t.Fatalf("T[%d] = %d, want %d", i, env.Arrays["T"][i], 2*i)
+		if env.Array("T")[i] != 2*i {
+			t.Fatalf("T[%d] = %d, want %d", i, env.Array("T")[i], 2*i)
 		}
 	}
 }

@@ -40,13 +40,22 @@ type ComputeAddr struct {
 	// Instrs is the slice, in original program order. It references the
 	// inner loop's induction variable and scheduler-computed scalars.
 	Instrs []*ir.Instr
-	// AddrOf maps each tracked memory instruction ID to the register that
-	// holds its address after executing Instrs.
-	AddrOf map[int]ir.Reg
+	// Addrs lists each tracked memory instruction with the register that
+	// holds its address after executing Instrs, in body order — the order
+	// the scheduler feeds one iteration's addresses to shadow memory, and
+	// with it the order of the sync conditions it forwards.
+	Addrs []TrackedAddr
 	// Weight is len(Instrs) / len(body instructions): the quantity the
 	// performance guard thresholds (Table 5.2 reports the measured
 	// scheduler/worker time ratio for the same programs).
 	Weight float64
+}
+
+// TrackedAddr names one tracked access: the memory instruction's ID and the
+// register its index operand lives in.
+type TrackedAddr struct {
+	Instr int
+	Reg   ir.Reg
 }
 
 // Options tunes generation.
@@ -90,13 +99,13 @@ func Generate(p *ir.Program, dep *depend.Result, inner *ir.Loop, workerWrites ma
 	// addresses an iteration touches, so every load and store of shared
 	// arrays is tracked (Algorithm 1 updates shadow memory for the full
 	// address set).
-	ca := &ComputeAddr{Inner: inner, AddrOf: map[int]ir.Reg{}}
+	ca := &ComputeAddr{Inner: inner}
 	need := map[int]bool{} // instruction IDs in the slice
 	var work []ir.Reg
 	for _, in := range body {
 		switch in.Op {
 		case ir.Load, ir.Store:
-			ca.AddrOf[in.ID] = in.A
+			ca.Addrs = append(ca.Addrs, TrackedAddr{Instr: in.ID, Reg: in.A})
 			work = append(work, in.A)
 		}
 	}

@@ -48,11 +48,9 @@ func TestCGSlice(t *testing.T) {
 	}
 	// Both the load and the store of C must have tracked address registers.
 	tracked := 0
-	for _, in := range p.Instrs {
-		if (in.Op == ir.Load || in.Op == ir.Store) && in.Array == "C" {
-			if _, ok := ca.AddrOf[in.ID]; ok {
-				tracked++
-			}
+	for _, ta := range ca.Addrs {
+		if in := p.Instrs[ta.Instr]; (in.Op == ir.Load || in.Op == ir.Store) && in.Array == "C" {
+			tracked++
 		}
 	}
 	if tracked < 2 {

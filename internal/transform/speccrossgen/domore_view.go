@@ -90,47 +90,54 @@ func (v *DomoreView) WindowStart(epoch int) { v.addrEnv.refresh() }
 type addrReplayEnv struct {
 	r   *Region
 	env *interp.Env
+	col addrCollector
 }
 
 func newAddrReplayEnv(r *Region) *addrReplayEnv {
 	a := &addrReplayEnv{r: r, env: r.base.Fork()}
-	a.refresh()
+	a.env.Mem = r.base.Snapshot()
+	a.env.Sink = &a.col
 	return a
 }
 
 // refresh re-copies the live arrays into the private replay copy. Callers
 // must hold a quiesce point (adaptive window boundaries qualify).
 func (a *addrReplayEnv) refresh() {
-	a.env.Arrays = a.r.base.Snapshot()
+	copy(a.env.Mem, a.r.base.Mem)
 }
 
-// replay executes the task body with recording hooks, appending each
+// replay executes the task body with the collector attached, appending each
 // distinct touched address to buf.
 func (a *addrReplayEnv) replay(inv, iter int, buf []uint64) []uint64 {
-	e := a.r.epochs[inv]
-	inner := a.r.Inners[e.innerIdx%len(a.r.Inners)]
-	start := len(buf)
-	add := func(addr uint64) {
-		for _, b := range buf[start:] {
-			if b == addr {
-				return
-			}
-		}
-		buf = append(buf, addr)
-	}
-	a.env.Hooks = interp.Hooks{OnLoad: add, OnStore: add}
-	for k, v := range e.vars {
-		a.env.Vars[k] = v
-	}
-	a.env.Vars[inner.Var] = e.lo + int64(iter)
+	a.col = addrCollector{buf: buf, start: len(buf)}
+	inner := a.r.enter(a.env, inv, iter)
 	if err := a.env.Exec(inner.Body); err != nil {
 		// The replay copy can lag the live arrays by up to a window; the
 		// independence check guarantees the recorded addresses are still
 		// exact, and value-dependent faults surface in Execute instead.
 		_ = err
 	}
-	a.env.Hooks = interp.Hooks{}
-	return buf
+	return a.col.buf
+}
+
+// addrCollector is the interp.Sink of the address replay: loads and stores
+// alike append their address to buf unless it already appears at or after
+// start (the addresses of the task being replayed).
+type addrCollector struct {
+	buf   []uint64
+	start int
+}
+
+func (c *addrCollector) Read(addr uint64)  { c.add(addr) }
+func (c *addrCollector) Write(addr uint64) { c.add(addr) }
+
+func (c *addrCollector) add(addr uint64) {
+	for _, b := range c.buf[c.start:] {
+		if b == addr {
+			return
+		}
+	}
+	c.buf = append(c.buf, addr)
 }
 
 // checkAddrIndependence taints every register holding a value loaded from a

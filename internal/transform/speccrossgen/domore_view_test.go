@@ -70,7 +70,7 @@ func TestDomoreViewReplayIsSideEffectFree(t *testing.T) {
 	for iter := 0; iter < v.Iterations(0); iter++ {
 		v.ComputeAddr(0, iter, nil)
 	}
-	for _, a := range env.Arrays["A"] {
+	for _, a := range env.Array("A") {
 		if a != 0 {
 			t.Fatal("ComputeAddr mutated the live environment")
 		}

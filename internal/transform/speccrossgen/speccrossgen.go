@@ -5,8 +5,8 @@
 // replayed per §4.3's requirement), and emits an executable region — a
 // speccross.Workload over the IR interpreter — whose tasks record their
 // memory accesses into signatures exactly where spec_access instrumentation
-// would be inserted (every load and store of shared arrays: the interpreter
-// hooks fire at the same program points).
+// would be inserted (every load and store of shared arrays: the executor
+// shows its sink the access at the same program points).
 package speccrossgen
 
 import (
@@ -63,14 +63,27 @@ type Region struct {
 	base    *interp.Env
 	workers []*interp.Env
 	epochs  []epochInfo
+	// frames holds one scalar frame (len(Prog.VarNames) values) per epoch,
+	// back to back: the scalar environment the epoch's tasks observe.
+	frames []int64
 }
 
-// epochInfo is one inner-loop invocation with its precomputed bounds and
-// the scalar environment its tasks observe.
+// epochInfo is one inner-loop invocation with its precomputed bounds.
 type epochInfo struct {
 	innerIdx int
 	lo, hi   int64
-	vars     map[string]int64
+}
+
+// enter installs the epoch's scalar frame and the task's induction value on
+// env and returns the inner loop to execute. Lowering only admits scalar
+// reads dominated by a definition, so overwriting the whole frame (body
+// temporaries included) cannot change what a task computes.
+func (r *Region) enter(env *interp.Env, epoch, task int) *ir.Loop {
+	e := &r.epochs[epoch]
+	inner := r.Inners[e.innerIdx]
+	copy(env.Vars, r.frames[epoch*len(env.Vars):])
+	env.Vars[inner.VarSlot] = e.lo + int64(task)
+	return inner
 }
 
 // New validates the region rooted at outer, replays its sequential control
@@ -130,7 +143,7 @@ func New(p *ir.Program, dep *depend.Result, outer *ir.Loop, env *interp.Env, max
 		return nil, err
 	}
 	for t := lo; t < hi; t++ {
-		replay.Vars[outer.Var] = t
+		replay.Vars[outer.VarSlot] = t
 		seq := 0
 		for _, n := range outer.Body {
 			if l, ok := n.(*ir.Loop); ok && l.Parallel {
@@ -138,11 +151,8 @@ func New(p *ir.Program, dep *depend.Result, outer *ir.Loop, env *interp.Env, max
 				if err != nil {
 					return nil, err
 				}
-				vars := make(map[string]int64, len(replay.Vars))
-				for k, v := range replay.Vars {
-					vars[k] = v
-				}
-				r.epochs = append(r.epochs, epochInfo{innerIdx: seq, lo: elo, hi: ehi, vars: vars})
+				r.epochs = append(r.epochs, epochInfo{innerIdx: seq, lo: elo, hi: ehi})
+				r.frames = append(r.frames, replay.Vars...)
 				seq++
 				continue
 			}
@@ -196,20 +206,12 @@ func (r *Region) Tasks(epoch int) int {
 // speculating (this is where Algorithm 5's enter_task/spec_access/exit_task
 // instrumentation lands).
 func (r *Region) Run(epoch, task, tid int, sig *signature.Signature) {
-	e := r.epochs[epoch]
-	inner := r.Inners[e.innerIdx%len(r.Inners)]
 	env := r.workers[tid]
-	for k, v := range e.vars {
-		env.Vars[k] = v
-	}
-	env.Vars[inner.Var] = e.lo + int64(task)
+	inner := r.enter(env, epoch, task)
 	if sig != nil {
-		env.Hooks = interp.Hooks{
-			OnLoad:  func(a uint64) { sig.Read(a) },
-			OnStore: func(a uint64) { sig.Write(a) },
-		}
+		env.Sink = sig
 	} else {
-		env.Hooks = interp.Hooks{}
+		env.Sink = nil // not a nil *Signature inside a non-nil interface
 	}
 	if err := env.Exec(inner.Body); err != nil {
 		// Speculative execution over inconsistent state may fault (e.g.
@@ -225,15 +227,14 @@ func (r *Region) Run(epoch, task, tid int, sig *signature.Signature) {
 func (r *Region) Snapshot() any { return r.base.Snapshot() }
 
 // Restore implements speccross.Workload.
-func (r *Region) Restore(s any) { r.base.Restore(s.(map[string][]int64)) }
+func (r *Region) Restore(s any) { r.base.Restore(s.([]int64)) }
 
 // EpochLabel implements speccross.Labeler: epochs are named after the
 // source position of their inner loop, so per-loop minimum dependence
 // distances can be reported (Table 5.3).
 func (r *Region) EpochLabel(epoch int) string {
-	e := r.epochs[epoch]
-	inner := r.Inners[e.innerIdx%len(r.Inners)]
-	return fmt.Sprintf("L%d@%s", e.innerIdx%len(r.Inners)+1, inner.Pos)
+	idx := r.epochs[epoch].innerIdx
+	return fmt.Sprintf("L%d@%s", idx+1, r.Inners[idx].Pos)
 }
 
 // RunSpeculative executes the region under the SPECCROSS runtime.
@@ -266,22 +267,15 @@ func (r *Region) Trace(unitCost int64) *sim.Trace {
 		unitCost = 100
 	}
 	scratch := r.base.Fork()
-	scratch.Arrays = r.base.Snapshot() // private copy: replay must not mutate
+	scratch.Mem = r.base.Snapshot() // private copy: replay must not mutate
+	var acc accessLog
+	scratch.Sink = &acc
 	tr := &sim.Trace{Name: r.Prog.Name}
 	for epoch := 0; epoch < r.Epochs(); epoch++ {
-		e := r.epochs[epoch]
-		inner := r.Inners[e.innerIdx%len(r.Inners)]
 		ep := sim.Epoch{SeqCost: 50 * unitCost}
 		for task := 0; task < r.Tasks(epoch); task++ {
-			var reads, writes []uint64
-			scratch.Hooks = interp.Hooks{
-				OnLoad:  func(a uint64) { reads = append(reads, a) },
-				OnStore: func(a uint64) { writes = append(writes, a) },
-			}
-			for k, v := range e.vars {
-				scratch.Vars[k] = v
-			}
-			scratch.Vars[inner.Var] = e.lo + int64(task)
+			acc = accessLog{}
+			inner := r.enter(scratch, epoch, task)
 			before := scratch.Steps
 			if err := scratch.Exec(inner.Body); err != nil {
 				// Replay over the scratch copy diverging from live state can
@@ -290,11 +284,17 @@ func (r *Region) Trace(unitCost int64) *sim.Trace {
 			}
 			ep.Tasks = append(ep.Tasks, sim.Task{
 				Cost:   (scratch.Steps - before) * unitCost,
-				Reads:  reads,
-				Writes: writes,
+				Reads:  acc.reads,
+				Writes: acc.writes,
 			})
 		}
 		tr.Epochs = append(tr.Epochs, ep)
 	}
 	return tr
 }
+
+// accessLog is the interp.Sink Trace records each task's addresses with.
+type accessLog struct{ reads, writes []uint64 }
+
+func (a *accessLog) Read(addr uint64)  { a.reads = append(a.reads, addr) }
+func (a *accessLog) Write(addr uint64) { a.writes = append(a.writes, addr) }

@@ -8,6 +8,7 @@ import (
 	"crossinv/internal/ir"
 	"crossinv/internal/ir/interp"
 	"crossinv/internal/lang/parser"
+	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/transform/speccrossgen"
@@ -119,7 +120,20 @@ func TestBarrierAndSpeculativeMatchSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		if spec {
-			r.RunSpeculative(speccross.Config{Workers: 3, CheckpointEvery: 4})
+			cfg := speccross.Config{Workers: 3, CheckpointEvery: 4}
+			if raceflag.Enabled {
+				// Unbounded speculation over the stencil's conflicts races by
+				// design until the checker rolls it back (§4.2.1); under the
+				// detector, bound it by the distance profiled on a scratch
+				// region (profiling executes the tasks).
+				scratch, err := speccrossgen.New(p2, dep2, p2.Loops[0], interp.NewEnv(p2), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prof := scratch.Profile(signature.Range)
+				cfg.SpecDistance, _ = prof.Recommended(cfg.Workers)
+			}
+			r.RunSpeculative(cfg)
 		} else {
 			r.RunBarriers(3)
 		}
@@ -173,7 +187,7 @@ func TestTraceExportsInstructionCosts(t *testing.T) {
 		t.Fatalf("task accesses = %d reads / %d writes, want 2/1", len(task.Reads), len(task.Writes))
 	}
 	// The replay must not have mutated live program state.
-	for _, v := range env.Arrays["A"] {
+	for _, v := range env.Array("A") {
 		if v != 0 {
 			t.Fatal("trace replay mutated the live environment")
 		}

@@ -20,6 +20,11 @@ import (
 // engine, mirroring the local driver's output shape. With explain, the
 // daemon's /debug/decisions journal is fetched for each adaptive
 // invocation and rendered like the local audit.
+//
+// The daemon answers a request it has already executed and verified from
+// memory. explain and misspec ask for a fresh execution instead: a served
+// result has no decision journal of its own, and an injected fault must
+// really run.
 func runRemote(addr, src, mode string, workers, region, window, misspec int, explain bool) error {
 	base := addr
 	if !strings.Contains(base, "://") {
@@ -33,6 +38,7 @@ func runRemote(addr, src, mode string, workers, region, window, misspec int, exp
 	for _, m := range modes {
 		req := &daemon.RunRequest{
 			Source: src, Mode: m, Workers: workers, Region: region, Window: window,
+			Fresh: explain || misspec > 0,
 		}
 		if m == "speccross" || m == "adaptive" {
 			req.Misspec = misspec
@@ -43,9 +49,16 @@ func runRemote(addr, src, mode string, workers, region, window, misspec int, exp
 		}
 		switch {
 		case status == 200:
-			fmt.Printf("%-10s checksum %016x  %v  (remote %s, cache %s, analysis spans %d, invocation %s)\n",
+			served := ""
+			switch {
+			case resp.Memo:
+				served = ", served from memory, verified by " + resp.Leader
+			case resp.Coalesced:
+				served = ", coalesced onto " + resp.Leader
+			}
+			fmt.Printf("%-10s checksum %016x  %v  (remote %s, cache %s, analysis spans %d, invocation %s%s)\n",
 				resp.Engine, resp.Checksum, time.Duration(resp.DurationNs).Round(time.Microsecond),
-				addr, resp.Cache, resp.AnalysisSpans, resp.Invocation)
+				addr, resp.Cache, resp.AnalysisSpans, resp.Invocation, served)
 			if explain && m == "adaptive" && resp.Invocation != "" {
 				entries, err := fetchDecisions(client, base, resp.Invocation)
 				if err != nil {

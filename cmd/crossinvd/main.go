@@ -19,6 +19,14 @@
 //	                latency trigger (default 0: disabled)
 //	-no-trace       disable request-scoped tracing (spans, flight
 //	                recorder retention) — benchmark baseline only
+//	-result-cache   verified results kept in memory, and compiled programs
+//	                kept live (default 8192 each; negative: execute every
+//	                request, serve and coalesce nothing)
+//
+// A request identical to one the daemon has already executed and verified
+// against the sequential oracle is answered from memory ("memo": true), and
+// one identical to a request still executing waits for that execution
+// ("coalesced": true); "fresh": true in the request forces a real run.
 //
 // Endpoints: POST /run, GET /plans, GET /healthz, plus /metrics, /summary
 // and /debug/pprof/ from the internal/obs mux, plus the request-scoped
@@ -54,6 +62,7 @@ var (
 	flightDir    = flag.String("flight-dir", "", "flight-recorder dump directory (default <cache>/flightrec)")
 	latBudget    = flag.Duration("latency-budget", 0, "p99 latency budget arming the flight recorder's latency trigger (0: disabled)")
 	noTrace      = flag.Bool("no-trace", false, "disable request-scoped tracing (benchmark baseline only)")
+	resultCache  = flag.Int("result-cache", 0, "verified results and live programs kept in memory (0: 8192; negative: serve nothing from memory)")
 )
 
 func main() {
@@ -74,14 +83,15 @@ func run() error {
 		fdir = filepath.Join(dir, "flightrec")
 	}
 	s, err := daemon.New(daemon.Config{
-		CacheDir:       dir,
-		MaxInFlight:    *maxInflight,
-		QueueDepth:     *queueDepth,
-		QueueTimeout:   *queueTimeout,
-		DefaultWorkers: *workers,
-		FlightDir:      fdir,
-		LatencyBudget:  *latBudget,
-		DisableTracing: *noTrace,
+		CacheDir:           dir,
+		MaxInFlight:        *maxInflight,
+		QueueDepth:         *queueDepth,
+		QueueTimeout:       *queueTimeout,
+		DefaultWorkers:     *workers,
+		FlightDir:          fdir,
+		LatencyBudget:      *latBudget,
+		DisableTracing:     *noTrace,
+		ResultCacheEntries: *resultCache,
 	})
 	if err != nil {
 		return err
@@ -111,9 +121,12 @@ func run() error {
 		return err
 	}
 	c := s.Counters()
-	fmt.Printf("crossinvd: drained (admitted %d, completed %d, rejected %d, cache hot/warm/cold %d/%d/%d)\n",
+	// admitted/completed count invocations that held an execution slot;
+	// the ones answered from the flight table are listed beside them.
+	fmt.Printf("crossinvd: drained (admitted %d, completed %d, rejected %d, cache hot/warm/cold %d/%d/%d, served from memory %d, coalesced %d)\n",
 		c["daemon.admitted"], c["daemon.completed"],
 		c["daemon.rejected.queue_full"]+c["daemon.rejected.timeout"]+c["daemon.rejected.draining"],
-		c["daemon.cache.hot"], c["daemon.cache.warm"], c["daemon.cache.cold"])
+		c["daemon.cache.hot"], c["daemon.cache.warm"], c["daemon.cache.cold"],
+		c["daemon.result.hit"], c["daemon.result.coalesced"])
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,9 +113,12 @@ func TestDaemonSmoke(t *testing.T) {
 		return &daemon.RunRequest{Source: string(src), Mode: mode, Workers: 2}
 	}
 
-	// Round 1: 16 concurrent cold/hot invocations, all must succeed.
+	// Round 1: 16 concurrent invocations of three distinct requests, all
+	// must succeed — each request's first arrival executes, the rest wait on
+	// it or are answered from its verified result.
 	const n = 16
 	var want atomic.Uint64
+	var ran atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -128,9 +132,17 @@ func TestDaemonSmoke(t *testing.T) {
 			if prev := want.Swap(resp.Checksum); prev != 0 && prev != resp.Checksum {
 				t.Errorf("checksum drift: %x vs %x", prev, resp.Checksum)
 			}
+			if !resp.Memo && !resp.Coalesced {
+				ran.Add(1)
+			} else if resp.Leader == "" {
+				t.Errorf("round 1 req %d served without naming its leader: %+v", i, resp)
+			}
 		}(i)
 	}
 	wg.Wait()
+	if ran.Load() != 3 {
+		t.Errorf("round 1 executed %d of %d invocations, want 3 (one per distinct request)", ran.Load(), n)
+	}
 
 	httpResp, err := http.Get(base + "/healthz")
 	if err != nil || httpResp.StatusCode != 200 {
@@ -144,19 +156,29 @@ func TestDaemonSmoke(t *testing.T) {
 		if status != 200 {
 			t.Fatalf("round 2 %s: %d %s", mode, status, resp.Error)
 		}
-		if resp.Cache != "hot" || resp.AnalysisSpans != 0 {
-			t.Errorf("round 2 %s: cache %q spans %d, want hot/0", mode, resp.Cache, resp.AnalysisSpans)
+		if resp.Cache != "hot" || resp.AnalysisSpans != 0 || !resp.Memo {
+			t.Errorf("round 2 %s: cache %q spans %d memo %v, want hot/0/true", mode, resp.Cache, resp.AnalysisSpans, resp.Memo)
+		}
+		// Asked to run, the hot engine path still does, with no analysis.
+		fresh := req(mode)
+		fresh.Fresh = true
+		resp, status = post(t, base, fresh)
+		if status != 200 || resp.Memo || resp.Coalesced || resp.Cache != "hot" || resp.AnalysisSpans != 0 {
+			t.Errorf("round 2 fresh %s: %d %+v, want an executed hot run", mode, status, resp)
 		}
 	}
 
 	// Round 3: SIGTERM mid-storm. Every request must get a definitive
 	// answer: 200 (accepted before drain, completed during it) or 503.
+	// Fresh, so the storm holds execution slots while the drain begins.
 	var inflight sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		inflight.Add(1)
 		go func() {
 			defer inflight.Done()
-			resp, status := post(t, base, req("domore"))
+			fresh := req("domore")
+			fresh.Fresh = true
+			resp, status := post(t, base, fresh)
 			if status != 200 && status != 503 && status != 429 {
 				t.Errorf("drain round: %d %s", status, resp.Error)
 			}
@@ -188,6 +210,16 @@ func TestDaemonSmoke(t *testing.T) {
 	// The cache dir survives the daemon: stats were flushed on drain.
 	if !strings.Contains(out, "cache hot/warm/cold") {
 		t.Errorf("no cache summary in output:\n%s", out)
+	}
+	// Rounds 1 and 2 together: 3 executions, 3 fresh runs, 13 + 3 served.
+	served := regexp.MustCompile(`served from memory (\d+), coalesced (\d+)\)`).FindStringSubmatch(out)
+	if served == nil {
+		t.Fatalf("no served summary in output:\n%s", out)
+	}
+	hits, _ := strconv.Atoi(served[1])
+	joined, _ := strconv.Atoi(served[2])
+	if hits+joined != n-3+3 {
+		t.Errorf("served from memory %d + coalesced %d, want %d", hits, joined, n)
 	}
 }
 

@@ -45,24 +45,29 @@ func cg() {
 //	daemon/invoke.warm — fresh process state, populated on-disk cache:
 //	  recompile but replay the cached oracle and §4.4 profile;
 //	daemon/invoke.hot  — long-lived server: in-memory program cache,
-//	  zero analysis spans, pure execution.
+//	  zero analysis spans, pure execution (requested fresh, or the
+//	  repeat would be answered from the result cache);
+//	daemon/invoke.memo — the same repeat as a client sends it: answered
+//	  from the verified result in memory, no engine.
 //
 // cold/warm is the ISSUE acceptance ratio (warm p50 ≥2× better than
-// cold); hot is the steady state a client of a running daemon sees. All
-// setup and teardown happens in prepare/cleanup, outside the timed
-// closures.
+// cold); hot is the engines' steady state on a running daemon and memo
+// what a client repeating a request actually sees. All setup and teardown
+// happens in prepare/cleanup, outside the timed closures.
 func daemonSpecs(opts Options) []cellSpec {
-	run := func(s *daemon.Server, wantCache string) {
+	invoke := func(s *daemon.Server, wantCache string, fresh, wantMemo bool) {
 		resp, status := s.Execute(&daemon.RunRequest{
-			Source: daemonProgram, Mode: "speccross", Workers: opts.Workers,
+			Source: daemonProgram, Mode: "speccross", Workers: opts.Workers, Fresh: fresh,
 		})
 		if status != 200 {
 			panic(fmt.Sprintf("bench daemon cell: status %d: %s", status, resp.Error))
 		}
-		if resp.Cache != wantCache {
-			panic(fmt.Sprintf("bench daemon cell: cache %q, want %q", resp.Cache, wantCache))
+		if resp.Cache != wantCache || resp.Memo != wantMemo {
+			panic(fmt.Sprintf("bench daemon cell: cache %q memo %v, want %q %v", resp.Cache, resp.Memo, wantCache, wantMemo))
 		}
 	}
+	// run always executes: every cell but invoke.memo times the engines.
+	run := func(s *daemon.Server, wantCache string) { invoke(s, wantCache, true, false) }
 	newServer := func(dir string) *daemon.Server {
 		s, err := daemon.New(daemon.Config{CacheDir: dir, DefaultWorkers: opts.Workers})
 		if err != nil {
@@ -122,23 +127,33 @@ func daemonSpecs(opts Options) []cellSpec {
 		})
 	}
 
-	// Hot: one long-lived server; the first prepare runs it cold then hot
-	// (untimed) so every timed sample is the established in-memory path.
-	{
+	// Hot and memo: one long-lived server each; the first prepare runs it
+	// cold and then once the timed way (untimed), so every timed sample is
+	// the established path. Hot asks for a fresh execution — the in-memory
+	// program, zero analysis spans, the engines — and memo asks the way a
+	// client does and is answered from the verified result.
+	for _, v := range []struct {
+		name  string
+		fresh bool
+	}{
+		{"invoke.hot", true},
+		{"invoke.memo", false},
+	} {
+		v := v
 		var (
 			root string
 			s    *daemon.Server
 		)
 		specs = append(specs, cellSpec{
-			id: "daemon/invoke.hot", engine: "daemon", workload: "invoke.hot",
+			id: "daemon/" + v.name, engine: "daemon", workload: v.name,
 			prepare: func() func() {
 				if s == nil {
 					root = scratch()
 					s = newServer(filepath.Join(root, "cache"))
-					run(s, "cold")
-					run(s, "hot")
+					invoke(s, "cold", v.fresh, false)
+					invoke(s, "hot", v.fresh, !v.fresh)
 				}
-				return func() { run(s, "hot") }
+				return func() { invoke(s, "hot", v.fresh, !v.fresh) }
 			},
 			cleanup: func() {
 				if root != "" {

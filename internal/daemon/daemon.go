@@ -22,6 +22,15 @@
 // (per-request isolation; the compiled IR and transforms are shared
 // read-only). Shutdown drains gracefully: stop admitting, finish every
 // in-flight invocation, flush the cache.
+//
+// In front of admission sits the flight table (flight.go). LNL programs are
+// closed — no input beyond the source text — so a request identical to one
+// this server has already executed and verified against the sequential
+// oracle is answered from memory, and one identical to a request still
+// executing waits for that execution instead of starting its own. Neither
+// takes an execution slot. Every key is therefore executed and verified at
+// least once per server lifetime before it is ever served, and only verified
+// 200s are kept; RunRequest.Fresh asks for a real execution regardless.
 package daemon
 
 import (
@@ -69,7 +78,15 @@ type Config struct {
 	// spans, no flight-recorder event retention, engines run untraced.
 	// The overhead benchmark's baseline; not recommended in production.
 	DisableTracing bool
+	// ResultCacheEntries bounds the flight table's settled results and,
+	// with the same number, the in-memory program cache (default 8192). A
+	// result is a key and four scalars; a program is its compiled IR.
+	// Negative disables result serving and coalescing — every request
+	// executes — and leaves the program cache at the default bound.
+	ResultCacheEntries int
 }
+
+const defaultResultCacheEntries = 8192
 
 func (c *Config) fill() error {
 	if c.CacheDir == "" {
@@ -89,6 +106,9 @@ func (c *Config) fill() error {
 	}
 	if c.TraceRingCap <= 0 {
 		c.TraceRingCap = 4096
+	}
+	if c.ResultCacheEntries == 0 {
+		c.ResultCacheEntries = defaultResultCacheEntries
 	}
 	return nil
 }
@@ -115,7 +135,12 @@ type Server struct {
 	flight    *obs.FlightRecorder
 
 	mu       sync.Mutex
-	programs map[string]*program
+	programs *lru[string, *program]
+
+	// results is the flight table: verified results served from memory and
+	// identical in-flight requests coalesced onto one execution. Per server,
+	// like every cache here; nil when Config.ResultCacheEntries is negative.
+	results *flightTable
 
 	inflight chan struct{}
 	waiting  atomic.Int64
@@ -168,11 +193,18 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	programs := defaultResultCacheEntries
+	var results *flightTable
+	if cfg.ResultCacheEntries > 0 {
+		programs = cfg.ResultCacheEntries
+		results = newFlightTable(cfg.ResultCacheEntries)
+	}
 	s := &Server{
 		cfg:       cfg,
 		store:     store,
 		rec:       trace.NewRecorder(),
-		programs:  map[string]*program{},
+		programs:  newLRU[string, *program](programs),
+		results:   results,
 		inflight:  make(chan struct{}, cfg.MaxInFlight),
 		done:      make(chan struct{}),
 		drained:   make(chan struct{}),
@@ -257,6 +289,12 @@ func (s *Server) beginRequest() bool {
 	return true
 }
 
+func (s *Server) programCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.programs.len()
+}
+
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
@@ -277,6 +315,14 @@ func (s *Server) Counters() map[string]int64 {
 	out["daemon.cache.hot"] = s.cacheHot.Load()
 	out["daemon.cache.warm"] = s.cacheWarm.Load()
 	out["daemon.cache.cold"] = s.cacheCold.Load()
+	if t := s.results; t != nil {
+		out["daemon.result.hit"] = t.hits.Load()
+		out["daemon.result.miss"] = t.misses.Load()
+		out["daemon.result.coalesced"] = t.coalesced.Load()
+		out["daemon.result.evicted"] = t.evicted.Load()
+		out["daemon.result.entries"] = int64(t.entries())
+	}
+	out["daemon.programs"] = int64(s.programCount())
 	out["checker.prefilter.checks"] = s.prefilterChecks.Load()
 	out["checker.prefilter.hits"] = s.prefilterHits.Load()
 	for name, v := range s.flight.Counters() {
@@ -285,11 +331,19 @@ func (s *Server) Counters() map[string]int64 {
 	return out
 }
 
+// levels names the Counters entries that are current sizes, not monotone
+// totals: /metrics exports them as gauges.
+var levels = map[string]bool{"daemon.programs": true, "daemon.result.entries": true}
+
 // decorate injects the daemon counters and gauges into each /metrics
 // scrape's registry.
 func (s *Server) decorate(g *trace.Registry) {
 	for name, v := range s.Counters() {
-		g.AddCounter(name, v)
+		if levels[name] {
+			g.SetGauge(name, float64(v))
+		} else {
+			g.AddCounter(name, v)
+		}
 	}
 	g.SetGauge("daemon.inflight", float64(s.running.Load()))
 	g.SetGauge("daemon.waiting", float64(s.waiting.Load()))
@@ -385,27 +439,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer s.wg.Done()
 
 	inv := s.beginInvocation()
-	adm := inv.span(trace.SpanAdmission)
-	release, aerr := s.admit()
-	adm.End()
-	if aerr != nil {
-		if aerr.timeout {
-			s.flight.RecordTrigger(obs.TriggerAdmissionTimeout, aerr.msg, inv.id)
-		}
-		resp := &RunResponse{Invocation: inv.id, Error: aerr.msg}
-		s.finishInvocation(inv, &req, resp, aerr.status)
-		writeJSON(w, aerr.status, resp)
-		return
-	}
-	defer release()
-
-	resp, status := s.execute(&req, inv)
+	resp, status := s.serve(&req, inv, true)
 	s.finishInvocation(inv, &req, resp, status)
-	if status >= 500 || (status >= 400 && status != http.StatusUnprocessableEntity) {
-		s.failed.Add(1)
-	} else {
-		s.completed.Add(1)
-	}
 	writeJSON(w, status, resp)
 }
 
@@ -442,9 +477,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Waiting:  s.waiting.Load(),
 		Admitted: s.admitted.Load(),
 	}
-	s.mu.Lock()
-	h.Programs = len(s.programs)
-	s.mu.Unlock()
+	h.Programs = s.programCount()
 	status := http.StatusOK
 	if s.draining.Load() {
 		h.Status = "draining"

@@ -272,7 +272,9 @@ func TestConcurrentInvocationsWithAdmissionControl(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, status := postRun(t, ts.URL, &RunRequest{Source: src, Mode: "domore", Workers: 2})
+			// Fresh: the storm is there to contend for execution slots, which
+			// requests answered from the flight table never take.
+			resp, status := postRun(t, ts.URL, &RunRequest{Source: src, Mode: "domore", Workers: 2, Fresh: true})
 			switch status {
 			case 200:
 				if resp.Checksum != want {
@@ -341,7 +343,8 @@ func TestGracefulDrain(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, status := postRun(t, ts.URL, &RunRequest{Source: src, Mode: "domore", Workers: 2})
+			// Fresh: the drain contract is about invocations holding slots.
+			resp, status := postRun(t, ts.URL, &RunRequest{Source: src, Mode: "domore", Workers: 2, Fresh: true})
 			switch status {
 			case 200:
 				if resp.Checksum != want {

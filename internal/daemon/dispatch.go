@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,6 +41,12 @@ type RunRequest struct {
 	// it exercises the rollback/recovery path and trips the flight
 	// recorder's misspec-storm trigger on demand.
 	Misspec int `json:"misspec,omitempty"`
+	// Fresh forces a real execution even when the daemon holds a verified
+	// result for this exact request: the request neither waits on an
+	// identical one in flight nor is answered from memory, and its success
+	// refreshes the retained result. For callers that want the engines'
+	// timing, trace or decision journal rather than the answer.
+	Fresh bool `json:"fresh,omitempty"`
 }
 
 // RunResponse reports one invocation's outcome.
@@ -65,8 +72,15 @@ type RunResponse struct {
 	DurationNs    int64 `json:"duration_ns"`
 	// Misspecs is the exact misspeculation count the request's trace
 	// recorder observed (0 when tracing is disabled).
-	Misspecs int64  `json:"misspecs,omitempty"`
-	Error    string `json:"error,omitempty"`
+	Misspecs int64 `json:"misspecs,omitempty"`
+	// Memo marks a response answered from the result cache and Coalesced
+	// one that waited on an identical request already executing; either
+	// way no engine ran for this request, and Leader names the invocation
+	// whose execution (verified against the oracle) produced the answer.
+	Memo      bool   `json:"memo,omitempty"`
+	Coalesced bool   `json:"coalesced,omitempty"`
+	Leader    string `json:"leader,omitempty"`
+	Error     string `json:"error,omitempty"`
 }
 
 // spans tallies the analysis stages one request ran.
@@ -109,24 +123,37 @@ type programInfo struct {
 	OracleHot  bool   `json:"oracle_hot"`
 }
 
-func (s *Server) program(src string) *program {
-	hash := core.SourceHash(src)
+// program returns the live program for a source hash, creating it on first
+// sight. The map is LRU-bounded: eviction drops only in-memory artifacts
+// (IR, facts, region plans), so an evicted program's next request recompiles
+// and replays oracle and profile from the disk cache — warm, not cold.
+// Requests already holding an evicted program keep using it.
+func (s *Server) program(hash string) *program {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.programs[hash]
+	p, ok := s.programs.get(hash)
 	if !ok {
 		p = &program{hash: hash, regions: map[int]*regionPlan{}}
-		s.programs[hash] = p
+		s.programs.put(hash, p)
 	}
 	return p
 }
 
+// countServedRun keeps /plans run counts covering requests answered from
+// the flight table, and keeps a program whose results are popular resident.
+func (s *Server) countServedRun(hash string) {
+	s.mu.Lock()
+	p, ok := s.programs.get(hash)
+	s.mu.Unlock()
+	if ok {
+		p.runs.Add(1)
+	}
+}
+
 func (s *Server) programInfos() []programInfo {
 	s.mu.Lock()
-	progs := make([]*program, 0, len(s.programs))
-	for _, p := range s.programs {
-		progs = append(progs, p)
-	}
+	progs := make([]*program, 0, s.programs.len())
+	s.programs.each(func(_ string, p *program) { progs = append(progs, p) })
 	s.mu.Unlock()
 	out := make([]programInfo, 0, len(progs))
 	for _, p := range progs {
@@ -390,7 +417,7 @@ func (s *Server) putPlan(p *program, rp *regionPlan, key plancache.Key, kind sig
 // engine failed or verification against the oracle mismatched.
 func (s *Server) Execute(req *RunRequest) (*RunResponse, int) {
 	inv := s.beginInvocation()
-	resp, status := s.execute(req, inv)
+	resp, status := s.serve(req, inv, false)
 	s.finishInvocation(inv, req, resp, status)
 	return resp, status
 }
@@ -401,7 +428,7 @@ func (s *Server) Execute(req *RunRequest) (*RunResponse, int) {
 // tracing is disabled.
 func (s *Server) ExecuteTraced(req *RunRequest) (resp *RunResponse, status int, events []trace.Event) {
 	inv := s.beginInvocation()
-	resp, status = s.execute(req, inv)
+	resp, status = s.serve(req, inv, false)
 	// Close the root here so the capture contains the complete tree; the
 	// zeroed Span makes finishInvocation's End a no-op. Copy the events:
 	// they may alias live ring storage, and the recorder is about to be
@@ -415,9 +442,129 @@ func (s *Server) ExecuteTraced(req *RunRequest) (resp *RunResponse, status int, 
 	return resp, status, events
 }
 
+// runParams is a request's validated, default-resolved shape: computed once
+// per request, it keys the flight table and parameterizes execute. bad holds
+// the 400 message of a malformed request, which execute reports.
+type runParams struct {
+	hash    string
+	mode    string
+	kind    signature.Kind
+	workers int
+	bad     string
+}
+
+func (s *Server) params(req *RunRequest) runParams {
+	p := runParams{mode: req.Mode, workers: req.Workers}
+	if req.Source == "" {
+		p.bad = "empty source"
+		return p
+	}
+	if p.mode == "" {
+		p.mode = "auto"
+	}
+	switch p.mode {
+	case "seq", "barrier", "domore", "domore-sharded", "speccross", "adaptive", "auto":
+	default:
+		p.bad = fmt.Sprintf("unknown mode %q", p.mode)
+		return p
+	}
+	var ok bool
+	if p.kind, ok = sigKind(req.Sig); !ok {
+		p.bad = fmt.Sprintf("unknown signature kind %q", req.Sig)
+		return p
+	}
+	if p.workers <= 0 {
+		p.workers = s.cfg.DefaultWorkers
+	}
+	p.hash = core.SourceHash(req.Source)
+	return p
+}
+
+// serve answers one request: from the flight table when its key is settled
+// or already executing, otherwise by executing it — as the key's leader when
+// the request is cacheable. admit is true on the HTTP path; in-process
+// callers take no execution slot.
+//
+// The table sits in front of admission on purpose: a hit or a follower uses
+// no engine, so it is never queued behind running ones and never shed. The
+// only queueing a follower inherits is its leader's own admission wait,
+// which QueueTimeout bounds; if the leader is refused, so are its followers,
+// with the leader's status.
+func (s *Server) serve(req *RunRequest, inv *invocation, admit bool) (resp *RunResponse, status int) {
+	start := time.Now()
+	p := s.params(req)
+	key := flightKey{hash: p.hash, mode: p.mode, kind: p.kind, workers: p.workers, region: max(req.Region, -1), window: max(req.Window, 0)}
+
+	// Forced misspeculation must really run and Fresh asks to: both bypass
+	// the table entirely, never leading followers either.
+	if p.bad == "" && s.results != nil && req.Misspec <= 0 && !req.Fresh {
+		res, fl, lead := s.results.join(key, inv.id)
+		if !lead {
+			return s.answer(inv, p.hash, start, res, fl)
+		}
+		// Settle on every path out, a panicking engine included (resp is
+		// still nil then): followers block on this flight.
+		defer func() {
+			if resp == nil {
+				resp, status = &RunResponse{Invocation: inv.id, Error: "leader " + inv.id + " did not complete"}, 500
+			}
+			s.results.settle(key, fl, resp, status)
+		}()
+	}
+
+	if admit {
+		adm := inv.span(trace.SpanAdmission)
+		release, aerr := s.admit()
+		adm.End()
+		if aerr != nil {
+			if aerr.timeout {
+				s.flight.RecordTrigger(obs.TriggerAdmissionTimeout, aerr.msg, inv.id)
+			}
+			return &RunResponse{Invocation: inv.id, Error: aerr.msg}, aerr.status
+		}
+		defer release()
+	}
+	resp, status = s.execute(req, p, inv)
+	if admit {
+		if status >= 500 || (status >= 400 && status != http.StatusUnprocessableEntity) {
+			s.failed.Add(1)
+		} else {
+			s.completed.Add(1)
+		}
+	}
+	if req.Fresh && s.results != nil && verified(resp, status) {
+		s.results.refresh(key, resp)
+	}
+	return resp, status
+}
+
+// answer builds the response of a request the flight table serves: a hit on
+// the settled result res (fl nil), or a follower of the execution fl, whose
+// outcome it waits for and shares — the leader's error and status included.
+func (s *Server) answer(inv *invocation, hash string, start time.Time, res result, fl *flight) (*RunResponse, int) {
+	lsp := inv.span(trace.SpanCacheLookup)
+	status, errmsg := 200, ""
+	if fl != nil {
+		<-fl.done
+		res, status, errmsg = fl.res, fl.status, fl.errmsg
+	}
+	lsp.End()
+	resp := &RunResponse{Invocation: inv.id, Leader: res.leader, Memo: fl == nil, Coalesced: fl != nil, Error: errmsg}
+	if status == 200 {
+		// "hot" and zero analysis spans by their definitions: nothing was
+		// parsed, analyzed, profiled or planned for this request.
+		resp.OK, resp.Engine, resp.Regions, resp.Cache = true, res.engine, res.regions, "hot"
+		resp.Checksum, resp.SeqChecksum = res.checksum, res.checksum
+		s.countCache("hot")
+		s.countServedRun(hash)
+	}
+	resp.DurationNs = time.Since(start).Nanoseconds()
+	return resp, status
+}
+
 // execute is the dispatch body: every stage is wrapped in a request-lane
 // span parented under inv's root, and engines write to inv's recorder.
-func (s *Server) execute(req *RunRequest, inv *invocation) (*RunResponse, int) {
+func (s *Server) execute(req *RunRequest, in runParams, inv *invocation) (*RunResponse, int) {
 	start := time.Now()
 	resp := &RunResponse{Invocation: inv.id}
 	fail := func(status int, format string, args ...any) (*RunResponse, int) {
@@ -426,28 +573,12 @@ func (s *Server) execute(req *RunRequest, inv *invocation) (*RunResponse, int) {
 		return resp, status
 	}
 
-	if req.Source == "" {
-		return fail(400, "empty source")
+	if in.bad != "" {
+		return fail(400, "%s", in.bad)
 	}
-	mode := req.Mode
-	if mode == "" {
-		mode = "auto"
-	}
-	switch mode {
-	case "seq", "barrier", "domore", "domore-sharded", "speccross", "adaptive", "auto":
-	default:
-		return fail(400, "unknown mode %q", mode)
-	}
-	kind, ok := sigKind(req.Sig)
-	if !ok {
-		return fail(400, "unknown signature kind %q", req.Sig)
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.DefaultWorkers
-	}
+	mode, kind, workers := in.mode, in.kind, in.workers
 
-	p := s.program(req.Source)
+	p := s.program(in.hash)
 	p.runs.Add(1)
 	st := &spans{}
 	csp := inv.span(trace.SpanCompile)

@@ -12,7 +12,8 @@ import (
 // examples corpus, the warm path (daemon restart over a populated plan
 // cache — recompiles, but replays the oracle checksum and §4.4 profile)
 // must have at least 2× better median invocation latency than the cold
-// path (full pipeline). Skipped under the race detector: the 10–20×
+// path (full pipeline). Requests are Fresh: both sides time the pipeline and
+// the engines, never an answer from the result cache. Skipped under the race detector: the 10–20×
 // instrumentation slowdown makes wall-clock assertions meaningless.
 func TestWarmBeatsColdLatency(t *testing.T) {
 	if raceflag.Enabled {
@@ -38,7 +39,7 @@ func TestWarmBeatsColdLatency(t *testing.T) {
 		}
 		for name, src := range examples {
 			start := time.Now()
-			resp, status := cold.Execute(&RunRequest{Source: src, Mode: "speccross", Workers: 4})
+			resp, status := cold.Execute(&RunRequest{Source: src, Mode: "speccross", Workers: 4, Fresh: true})
 			if status != 200 {
 				t.Fatalf("%s cold: %d %s", name, status, resp.Error)
 			}
@@ -57,7 +58,7 @@ func TestWarmBeatsColdLatency(t *testing.T) {
 		}
 		for name, src := range examples {
 			start := time.Now()
-			resp, status := warm.Execute(&RunRequest{Source: src, Mode: "speccross", Workers: 4})
+			resp, status := warm.Execute(&RunRequest{Source: src, Mode: "speccross", Workers: 4, Fresh: true})
 			if status != 200 {
 				t.Fatalf("%s warm: %d %s", name, status, resp.Error)
 			}

@@ -34,9 +34,11 @@ const obsPipe = `func pipe() {
 `
 
 // obsRun is the forced-misspec invocation every observability test
-// drives: one rollback at epoch 10, recovered and re-verified.
+// drives: one rollback at epoch 10, recovered and re-verified. Misspec
+// alone bypasses the result cache; Fresh says what these tests are for —
+// the engines' spans, events and decisions, however often they repeat it.
 func obsRun() *RunRequest {
-	return &RunRequest{Source: obsPipe, Mode: "adaptive", Workers: 4, Window: 16, Misspec: 10}
+	return &RunRequest{Source: obsPipe, Mode: "adaptive", Workers: 4, Window: 16, Misspec: 10, Fresh: true}
 }
 
 // TestRequestObservability is the tentpole acceptance test, end to end

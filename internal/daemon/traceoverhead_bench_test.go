@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// benchTraceOverhead times the hot path (in-memory program cache, zero
-// analysis spans) with request tracing on or off. Paired with
+// benchTraceOverhead times the hot engine path (in-memory program cache,
+// zero analysis spans; Fresh, or the repeats would be answered from the
+// result cache) with request tracing on or off. Paired with
 // internal/bench's daemon/trace.{off,on} cells and TestTraceOverheadGate;
 // this benchmark is the precise single-process view:
 //
@@ -20,7 +21,7 @@ func benchTraceOverhead(b *testing.B, disable bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := &RunRequest{Source: benchProgram, Mode: "speccross", Workers: 4}
+	req := &RunRequest{Source: benchProgram, Mode: "speccross", Workers: 4, Fresh: true}
 	s.Execute(req) // cold: compile + analyze + fill cache
 	s.Execute(req) // first hot hit
 	b.ResetTimer()

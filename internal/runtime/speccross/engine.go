@@ -272,7 +272,10 @@ type specState struct {
 	start int32 // first epoch of the segment
 	// pos[tid] is the packed (epoch, task) each worker most recently began.
 	pos []paddedU64
-	// done[tid] counts globally-numbered completed tasks, for range gating.
+	// done[tid] is worker tid's completion frontier for range gating: every
+	// task of the worker numbered at or below it (globally) is complete. It
+	// is the last completed task, or one below the task the worker is
+	// stalled at.
 	done []paddedI64
 	// prefix[e-start] is the global task number of the first task of epoch e.
 	prefix []int64
@@ -425,14 +428,18 @@ func specWorker(w Workload, st *specState, tid, start, end int, q *queue.SPSC[re
 			if st.cfg.SpecDistanceOf != nil {
 				dist = st.cfg.SpecDistanceOf(e)
 			}
+			// Publish position, gate, then read the other threads' positions:
+			// the watermark vector for this task (Fig 4.6). The position goes
+			// out before the gate because the gate may publish, through
+			// done, that everything of this worker below the task is
+			// complete; a worker let through on that must also read a
+			// position past those tasks, or the checker would take them for
+			// still running and report an overlap that never happened.
+			st.pos[tid].v.Store(packET(int32(e), int32(t)))
 			if stallOnRange(st, tid, global, dist, stats, tt) {
 				produceReq(q, request{end: true}, tid, tt)
 				return
 			}
-
-			// Publish position, then read the other threads' positions:
-			// the watermark vector for this task (Fig 4.6).
-			st.pos[tid].v.Store(packET(int32(e), int32(t)))
 			if sigi == sigBlock {
 				sigs = signature.NewBatch(st.cfg.SigKind, sigBlock)
 				wmArena = make([]uint64, nw*sigBlock)
@@ -534,6 +541,14 @@ func stallOnRange(st *specState, tid int, global, dist int64, stats *Stats, tt *
 		}
 		if !stalled {
 			stalled = true
+			// done[tid] so far names this worker's last completed task, but
+			// every task of this worker below global is complete, and the
+			// numbers in between belong to other workers. Publish that
+			// frontier before waiting, or two workers can each wait for the
+			// other to pass a number neither owns. It only ever moves up, and
+			// among stalled workers the one with the smallest next task then
+			// sees every other frontier at or above it and proceeds.
+			st.done[tid].v.Store(global - 1)
 			atomic.AddInt64(&stats.RangeStalls, 1)
 			tt.Emit(trace.KindRangeStallBegin, global, dist, 0)
 		}

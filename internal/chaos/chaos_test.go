@@ -111,7 +111,7 @@ func TestParseFaultsAndMutation(t *testing.T) {
 	if _, err := ParseFaults("bogus", 0); err == nil {
 		t.Fatal("bogus fault accepted")
 	}
-	if all := AllFaults(1); all.String() != "queue-full,delay,sig-conflict,panic,timeout,torn-state,torn-delta,shard-skew" {
+	if all := AllFaults(1); all.String() != "queue-full,delay,sig-conflict,panic,timeout,torn-state,torn-delta,shard-skew,dirty-runtime" {
 		t.Fatalf("AllFaults string: %q", all.String())
 	}
 	if (FaultPlan{}).Active() || !AllFaults(0).Active() {
@@ -174,6 +174,18 @@ func TestDifferentialAllFaults(t *testing.T) {
 	}
 }
 
+// TestDifferentialDirtyRuntime runs the sweep with only the dirty-runtime
+// fault enabled, so the pass that shares one engine runtime between a
+// faulting run and every engine after it is what the seeds exercise; the
+// seed walks through all four ways the runtime is dirtied.
+func TestDifferentialDirtyRuntime(t *testing.T) {
+	for seed := uint64(1); seed <= uint64(seedCount()); seed++ {
+		for _, f := range RunSeed(seed, Options{Faults: FaultPlan{Seed: seed, DirtyRuntime: true}}) {
+			t.Errorf("seed %d (%s): %s", seed, dirtyKinds[seed%uint64(len(dirtyKinds))], f)
+		}
+	}
+}
+
 // TestDifferentialTornDelta runs the sweep with only the torn-delta fault
 // enabled: without TornState forcing full snapshots, the engines keep the
 // incremental-checkpoint path, so the scribbled cell is repaired by a
@@ -219,7 +231,7 @@ func TestMutationsCaughtAndShrunk(t *testing.T) {
 	for _, m := range Mutations() {
 		m := m
 		t.Run(string(m), func(t *testing.T) {
-			spec := MutationCatcher()
+			spec := m.Catcher()
 			opts := Options{Mutation: m, Faults: m.Faults()}
 			opts.Faults.Seed = 0
 

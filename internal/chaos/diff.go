@@ -115,6 +115,9 @@ func RunSpec(spec *Spec, opts Options) []Failure {
 			fails = append(fails, *f)
 		}
 	}
+	if opts.Faults.DirtyRuntime {
+		fails = append(fails, runDirty(spec, want, opts)...)
+	}
 	return fails
 }
 

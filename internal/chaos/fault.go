@@ -71,6 +71,14 @@ type FaultPlan struct {
 	// skew between shards. Effective only on traced domore-sharded runs
 	// (the hook hangs off the recorder, like DelayLanes).
 	ShardSkew bool
+	// DirtyRuntime adds a pass that runs the case's engines back to back on
+	// one engine runtime — warmed up by a clean speculative run, then
+	// dirtied by a seed-chosen run that ends badly: a forced
+	// misspeculation, a speculative panic, timed-out segments, or a DOMORE
+	// worker panic that tears the runtime down. Every later run, on that
+	// runtime or on its replacement, must match the oracle, and its
+	// deterministic Stats must equal a fresh runtime's (see dirty.go).
+	DirtyRuntime bool
 }
 
 // AllFaults returns a plan with every fault kind enabled.
@@ -78,13 +86,13 @@ func AllFaults(seed uint64) FaultPlan {
 	return FaultPlan{
 		Seed: seed, QueueFull: true, DelayLanes: true,
 		SigConflict: true, Panic: true, Timeout: true, TornState: true,
-		TornDelta: true, ShardSkew: true,
+		TornDelta: true, ShardSkew: true, DirtyRuntime: true,
 	}
 }
 
 // ParseFaults parses "all", "none", or a comma-separated subset
 // (queue-full, delay, sig-conflict, panic, timeout, torn-state,
-// torn-delta, shard-skew).
+// torn-delta, shard-skew, dirty-runtime).
 func ParseFaults(s string, seed uint64) (FaultPlan, error) {
 	switch s {
 	case "", "none":
@@ -111,6 +119,8 @@ func ParseFaults(s string, seed uint64) (FaultPlan, error) {
 			p.TornDelta = true
 		case "shard-skew":
 			p.ShardSkew = true
+		case "dirty-runtime":
+			p.DirtyRuntime = true
 		default:
 			return p, fmt.Errorf("chaos: unknown fault %q", f)
 		}
@@ -120,7 +130,7 @@ func ParseFaults(s string, seed uint64) (FaultPlan, error) {
 
 // Active reports whether any fault is enabled.
 func (p FaultPlan) Active() bool {
-	return p.QueueFull || p.DelayLanes || p.SigConflict || p.Panic || p.Timeout || p.TornState || p.TornDelta || p.ShardSkew
+	return p.QueueFull || p.DelayLanes || p.SigConflict || p.Panic || p.Timeout || p.TornState || p.TornDelta || p.ShardSkew || p.DirtyRuntime
 }
 
 // String lists the enabled faults.
@@ -139,6 +149,7 @@ func (p FaultPlan) String() string {
 	add(p.TornState, "torn-state")
 	add(p.TornDelta, "torn-delta")
 	add(p.ShardSkew, "shard-skew")
+	add(p.DirtyRuntime, "dirty-runtime")
 	if len(on) == 0 {
 		return "none"
 	}

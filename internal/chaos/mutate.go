@@ -53,18 +53,26 @@ const (
 	// sync condition, so the differential runner must observe a divergent
 	// final state.
 	MutStaleShardClaim Mutation = "stale-shard-claim"
+	// MutStaleRuntime skips one reset between two runs that share an engine
+	// runtime: the harness rewinds the workload's state for the next run
+	// without telling the runtime (no Runtime.StateChanged), so the
+	// incremental-checkpoint base image the previous run left there is
+	// taken for current. The next misspeculation then "restores" dirty
+	// cells to values from the wrong run. Only the dirty-runtime pass
+	// shares a runtime between runs, so only it can catch this one.
+	MutStaleRuntime Mutation = "stale-runtime"
 )
 
 // Mutations lists the non-empty mutation kinds.
 func Mutations() []Mutation {
-	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleShardClaim}
+	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleShardClaim, MutStaleRuntime}
 }
 
 // ParseMutation validates a -mutate flag value.
 func ParseMutation(s string) (Mutation, error) {
 	m := Mutation(s)
 	switch m {
-	case MutNone, MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleShardClaim:
+	case MutNone, MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleShardClaim, MutStaleRuntime:
 		return m, nil
 	}
 	return MutNone, fmt.Errorf("chaos: unknown mutation %q", s)
@@ -88,6 +96,10 @@ func (m Mutation) Faults() FaultPlan {
 		// lane maximizes the window in which the missing sync condition
 		// lets the reader overtake the writer.
 		return FaultPlan{ShardSkew: true}
+	case MutStaleRuntime:
+		// Seed 0 dirties the shared runtime with a forced misspeculation,
+		// whose delta restore is what reads the stale image.
+		return FaultPlan{DirtyRuntime: true}
 	}
 	return FaultPlan{}
 }
@@ -127,11 +139,37 @@ func MutationCatcher() *Spec {
 	return s
 }
 
+// Catcher returns the hand-built case the mutation's self-test runs on:
+// MutationCatcher for the mutations that lose a dependence, and for
+// MutStaleRuntime a case with no cross-thread dependence at all. A stale
+// checkpoint image only exists after a run whose last segment committed,
+// and MutationCatcher's segments all misspeculate; here every segment of
+// the warm-up commits, so the forced misspeculation of the run after it
+// restores read-modify-written cells from the wrong run's image.
+func (m Mutation) Catcher() *Spec {
+	if m != MutStaleRuntime {
+		return MutationCatcher()
+	}
+	s := &Spec{Name: "chaos-runtime-catcher", StateLen: 2, SigKind: "exact"}
+	for e := 0; e < 4; e++ {
+		s.Epochs = append(s.Epochs, EpochSpec{Tasks: []TaskSpec{
+			{Writes: []uint64{0}},
+			{Writes: []uint64{1}},
+		}})
+	}
+	if err := s.Validate(); err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // Wrap applies the mutation to a case's kernel. MutNone returns the
-// kernel unchanged, as does MutWidenStatic — it lies about the analysis,
-// not the execution (RunSpec corrupts the claim before the gate).
+// kernel unchanged, as do MutWidenStatic — it lies about the analysis,
+// not the execution (RunSpec corrupts the claim before the gate) — and
+// MutStaleRuntime, which breaks the harness's own use of a shared runtime
+// (dirtyRun.reset).
 func (m Mutation) Wrap(k *epochal.Kernel) adaptive.Workload {
-	if m == MutNone || m == MutWidenStatic {
+	if m == MutNone || m == MutWidenStatic || m == MutStaleRuntime {
 		return k
 	}
 	return &mutated{k: k, m: m}

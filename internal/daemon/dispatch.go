@@ -502,8 +502,8 @@ func (s *Server) serve(req *RunRequest, inv *invocation, admit bool) (resp *RunR
 		if !lead {
 			return s.answer(inv, p.hash, start, res, fl)
 		}
-		// Settle on every path out, a panicking engine included (resp is
-		// still nil then): followers block on this flight.
+		// Settle on every path out, a panic outside execute included (resp
+		// is still nil then): followers block on this flight.
 		defer func() {
 			if resp == nil {
 				resp, status = &RunResponse{Invocation: inv.id, Error: "leader " + inv.id + " did not complete"}, 500
@@ -524,7 +524,7 @@ func (s *Server) serve(req *RunRequest, inv *invocation, admit bool) (resp *RunR
 		}
 		defer release()
 	}
-	resp, status = s.execute(req, p, inv)
+	resp, status = s.executeRecovering(req, p, inv)
 	if admit {
 		if status >= 500 || (status >= 400 && status != http.StatusUnprocessableEntity) {
 			s.failed.Add(1)
@@ -560,6 +560,21 @@ func (s *Server) answer(inv *invocation, hash string, start time.Time, res resul
 	}
 	resp.DurationNs = time.Since(start).Nanoseconds()
 	return resp, status
+}
+
+// executeRecovering is execute with a panic turned into a 500. An engine
+// entry point tears its runtime down and re-raises on the calling goroutine
+// — this one — whatever panicked on one of its threads, so recovering here
+// is what keeps a faulting worker from taking the process down: the request
+// fails, its slot is released and its followers are settled like any other.
+func (s *Server) executeRecovering(req *RunRequest, in runParams, inv *invocation) (resp *RunResponse, status int) {
+	defer func() {
+		if r := recover(); r != nil {
+			resp = &RunResponse{Invocation: inv.id, Error: fmt.Sprintf("%s: engine panicked: %v", in.mode, r)}
+			status = http.StatusInternalServerError
+		}
+	}()
+	return s.execute(req, in, inv)
 }
 
 // execute is the dispatch body: every stage is wrapped in a request-lane

@@ -59,6 +59,30 @@ func bad(s *Stats) {
 	wantRule(t, ds, "stats-atomic", "increment of audited Stats field LaneWaits")
 }
 
+func TestStatsAtomicAllowsQuiesceFold(t *testing.T) {
+	// The per-thread counter discipline: threads bump private plain
+	// counters, and only fold — run at quiesce — writes the Stats fields.
+	src := `package speccross
+
+type Stats struct{ RangeStalls, PrefilterHits int64 }
+type state struct{ local []struct{ rangeStalls int64 } }
+
+func (st *state) fold(stats *Stats) {
+	for i := range st.local {
+		stats.RangeStalls += st.local[i].rangeStalls
+		st.local[i].rangeStalls = 0
+	}
+}
+
+func (st *state) worker(stats *Stats) { stats.PrefilterHits++ }
+`
+	ds := check(t, "speccross", src)
+	if len(ds) != 1 {
+		t.Fatalf("want exactly the worker's write flagged, got %v", ds)
+	}
+	wantRule(t, ds, "stats-atomic", "increment of audited Stats field PrefilterHits")
+}
+
 func TestStatsAtomicScopedToEnginePackages(t *testing.T) {
 	// Post-join aggregation outside the engines (adaptive's window merge,
 	// the simulator) legitimately uses plain arithmetic — same source,

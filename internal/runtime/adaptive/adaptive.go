@@ -16,7 +16,9 @@
 // pluggable for bandit-style learners — picks the engine for the next
 // window. Switches pay the documented quiesce cost: a drain barrier when
 // leaving DOMORE, a checkpoint barrier when leaving SPECCROSS (both fall
-// out of the window join every window boundary performs).
+// out of the quiesce every window boundary performs: the engines of all
+// windows run on one engine.Runtime, whose threads drain their mailboxes
+// there, so a switch hands the same threads a different loop).
 package adaptive
 
 import (
@@ -24,7 +26,7 @@ import (
 	"time"
 
 	"crossinv/internal/runtime/domore"
-	"crossinv/internal/runtime/shadow"
+	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/runtime/trace"
@@ -95,11 +97,11 @@ type Config struct {
 	// the safe probe when nothing is known yet).
 	Start Engine
 	// Domore is the DOMORE options template. Workers is overridden per
-	// window; Shadow is replaced by a fresh store each DOMORE window
-	// (iteration numbering restarts per window, and every dependence into
-	// an earlier window is already satisfied by the window-boundary
-	// quiesce, so carrying shadow state across windows would manufacture
-	// waits on iterations that never re-execute).
+	// window; Shadow is replaced by the runtime's store, cleared for each
+	// DOMORE window (iteration numbering restarts per window, and every
+	// dependence into an earlier window is already satisfied by the
+	// window-boundary quiesce, so carrying shadow state across windows would
+	// manufacture waits on iterations that never re-execute).
 	Domore domore.Options
 	// Spec is the SPECCROSS config template. Workers and CheckpointEvery
 	// are overridden per window (each window is one checkpoint segment, so
@@ -162,29 +164,50 @@ type Stats struct {
 // runs to completion (SPECCROSS windows recover internally via rollback
 // and barrier re-execution), and window boundaries fully quiesce, so the
 // final state equals the sequential result regardless of the decisions.
+// Run creates one engine runtime for the call and closes it on return.
 func Run(w Workload, cfg Config) Stats {
+	cfg.fill()
+	rt := engine.New(cfg.Workers)
+	defer rt.Close()
+	return RunOn(rt, w, cfg)
+}
+
+// RunOn is Run on the threads and state of rt, which must have been created
+// for cfg.Workers workers. Every window's engine runs on it, so a window
+// boundary is a quiesce of standing threads and an engine switch hands the
+// same workers a different loop; nothing is spawned, joined or allocated
+// per window.
+func RunOn(rt *engine.Runtime, w Workload, cfg Config) Stats {
 	cfg.fill()
 	epochs := w.Epochs()
 	if inv := w.Invocations(); inv != epochs {
 		panic(fmt.Sprintf("adaptive: workload views disagree: %d invocations vs %d epochs", inv, epochs))
 	}
-
+	defer rt.Settle()
 	var stats Stats
-	trace.Labeled("adaptive", "control", func() {
-		stats = runWindows(w, cfg, epochs)
-	})
+	rt.Labeled("adaptive", "control", func() { stats = runWindows(rt, w, cfg, epochs) })
 	return stats
 }
 
 // runWindows is the controller loop: it runs on the adaptive monitor's
-// labeled goroutine, and each window's engine relabels the threads it
-// spawns (the controller thread itself re-labels per engine call via the
-// engines' own Labeled wrappers, so its scheduling work attributes to the
-// engine that performed it).
-func runWindows(w Workload, cfg Config, epochs int) Stats {
-	var stats Stats
+// labeled goroutine, and each window's engine relabels the runtime threads
+// it posts to (the controller thread itself re-labels per engine call via
+// the engines' own Labeled wrappers, so its scheduling work attributes to
+// the engine that performed it).
+func runWindows(rt *engine.Runtime, w Workload, cfg Config, epochs int) Stats {
+	stats := Stats{Samples: make([]Sample, 0, (epochs+cfg.Window-1)/cfg.Window)}
 	ctl := cfg.Trace.Lane(trace.LaneControl)
 	engine := cfg.Start
+	// One view object serves every window: SPECCROSS keeps its checkpoint
+	// image on the runtime, valid from one speculative window to the next
+	// for as long as it is handed the same workload value.
+	win := &window{w: w}
+	win.dw, _ = w.(speccross.DeltaWorkload)
+	win.irr, _ = w.(speccross.Irreversibler)
+	var distOf func(epoch int) int64
+	if of := cfg.Spec.SpecDistanceOf; of != nil {
+		distOf = func(epoch int) int64 { return of(win.lo + epoch) }
+	}
 	for lo := 0; lo < epochs; {
 		hi := lo + cfg.Window
 		if hi > epochs {
@@ -193,7 +216,7 @@ func runWindows(w Workload, cfg Config, epochs int) Stats {
 		if ws, ok := w.(WindowStarter); ok {
 			ws.WindowStart(lo)
 		}
-		win := &window{w: w, lo: lo, hi: hi}
+		win.lo, win.hi = lo, hi
 		sample := Sample{Engine: engine, StartEpoch: lo, EndEpoch: hi}
 		winSpan := ctl.BeginSpan(trace.SpanWindow, cfg.SpanParent)
 		ctl.Emit(trace.KindWindowBegin, int64(lo), int64(hi), int64(engine))
@@ -202,14 +225,14 @@ func runWindows(w Workload, cfg Config, epochs int) Stats {
 
 		switch engine {
 		case EngineBarrier:
-			speccross.RunBarriersTraced(win, cfg.Workers, cfg.Trace)
+			speccross.RunBarriersOn(rt, win, cfg.Trace)
 			for e := lo; e < hi; e++ {
 				sample.Tasks += int64(w.Tasks(e))
 			}
 		case EngineDomore, EngineDomoreSharded:
 			opts := cfg.Domore
 			opts.Workers = cfg.Workers
-			opts.Shadow = shadow.NewSparse()
+			opts.Shadow = nil // the runtime's store, cleared per window
 			opts.Trace = cfg.Trace
 			var st domore.Stats
 			if engine == EngineDomoreSharded {
@@ -217,9 +240,9 @@ func runWindows(w Workload, cfg Config, epochs int) Stats {
 				// serial address mode is the default because not every
 				// adaptive workload's ComputeAddr is lane-concurrent (the
 				// interpreter-backed regions share one replay environment).
-				st = domore.RunSharded(win, opts)
+				st = domore.RunShardedOn(rt, win, opts)
 			} else {
-				st = domore.Run(win, opts)
+				st = domore.RunOn(rt, win, opts)
 			}
 			addDomore(&stats.Domore, st)
 			sample.Tasks = st.Iterations
@@ -233,10 +256,7 @@ func runWindows(w Workload, cfg Config, epochs int) Stats {
 			sc.Trace = cfg.Trace
 			// The template's epoch-indexed knobs are absolute; the window
 			// view re-bases epochs to 0, so shift them accordingly.
-			if of := cfg.Spec.SpecDistanceOf; of != nil {
-				base := lo
-				sc.SpecDistanceOf = func(epoch int) int64 { return of(base + epoch) }
-			}
+			sc.SpecDistanceOf = distOf
 			if fe := cfg.Spec.ForceMisspecEpoch; fe > 0 {
 				if fe >= lo && fe < hi {
 					rel := fe - lo
@@ -250,7 +270,7 @@ func runWindows(w Workload, cfg Config, epochs int) Stats {
 					sc.ForceMisspecEpoch = -1
 				}
 			}
-			st := speccross.Run(win, sc)
+			st := speccross.RunOn(rt, win, sc)
 			addSpec(&stats.Spec, st)
 			sample.Tasks = st.Tasks
 			sample.Misspeculated = st.Misspeculations > 0
@@ -345,6 +365,8 @@ func applyTraceSample(sample *Sample, engine Engine, before, after trace.Summary
 // a region starting at invocation/epoch 0.
 type window struct {
 	w      Workload
+	dw     speccross.DeltaWorkload // w's delta view, or nil
+	irr    speccross.Irreversibler // w's irreversible-epoch marker, or nil
 	lo, hi int
 }
 
@@ -368,31 +390,22 @@ func (s *window) Restore(snap any) { s.w.Restore(snap) }
 // SPECCROSS windows keep incremental checkpoints; StateLen 0 (the
 // delta-incapable marker) is reported when the workload has no delta view.
 func (s *window) StateLen() int {
-	if dw, ok := s.w.(speccross.DeltaWorkload); ok {
-		return dw.StateLen()
+	if s.dw != nil {
+		return s.dw.StateLen()
 	}
 	return 0
 }
 
-func (s *window) ReadCell(cell uint64) int64 {
-	return s.w.(speccross.DeltaWorkload).ReadCell(cell)
-}
-
-func (s *window) WriteCell(cell uint64, v int64) {
-	s.w.(speccross.DeltaWorkload).WriteCell(cell, v)
-}
-
+func (s *window) ReadCell(cell uint64) int64     { return s.dw.ReadCell(cell) }
+func (s *window) WriteCell(cell uint64, v int64) { s.dw.WriteCell(cell, v) }
 func (s *window) AddrCells(addr uint64) (lo, hi uint64) {
-	return s.w.(speccross.DeltaWorkload).AddrCells(addr)
+	return s.dw.AddrCells(addr)
 }
 
 // Irreversible forwards the §4.2.2 irreversible-epoch marker when the
 // underlying workload provides one.
 func (s *window) Irreversible(epoch int) bool {
-	if irr, ok := s.w.(speccross.Irreversibler); ok {
-		return irr.Irreversible(s.lo + epoch)
-	}
-	return false
+	return s.irr != nil && s.irr.Irreversible(s.lo+epoch)
 }
 
 func addDomore(dst *domore.Stats, s domore.Stats) {

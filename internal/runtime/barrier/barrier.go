@@ -21,6 +21,8 @@ type Barrier struct {
 	cond  *sync.Cond
 	count int    // arrivals in the current phase
 	phase uint64 // generation counter; changing it releases waiters
+	// broken is set by Abort: a participant died, so no phase can complete.
+	broken bool
 
 	waitTime  atomic.Int64 // cumulative nanoseconds spent blocked, all threads
 	waitCount atomic.Int64 // cumulative number of Wait calls
@@ -54,6 +56,9 @@ func (b *Barrier) Wait() bool {
 func (b *Barrier) wait() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.broken {
+		return false
+	}
 	phase := b.phase
 	b.count++
 	if b.count == b.parties {
@@ -62,10 +67,20 @@ func (b *Barrier) wait() bool {
 		b.cond.Broadcast()
 		return true
 	}
-	for phase == b.phase {
+	for phase == b.phase && !b.broken {
 		b.cond.Wait()
 	}
 	return false
+}
+
+// Abort breaks the barrier for good: every blocked Wait and every later
+// one returns false at once. The engine runtime calls it when a
+// participant panicked, so the survivors are not left waiting for it.
+func (b *Barrier) Abort() {
+	b.mu.Lock()
+	b.broken = true
+	b.cond.Broadcast()
+	b.mu.Unlock()
 }
 
 // Stats reports the cumulative time all threads have spent blocked in Wait

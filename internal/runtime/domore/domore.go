@@ -19,9 +19,9 @@ package domore
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/queue"
 	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/shadow"
@@ -66,9 +66,10 @@ type Options struct {
 	// state). Defaults to fresh round-robin instances; set it when using
 	// LOCALWRITE or a custom policy with the duplicated scheduler.
 	NewPolicy func() sched.Policy
-	// Shadow is the dependence-detection store; defaults to a Sparse store.
-	// For dense integer address spaces a shadow.Dense sized to the space is
-	// markedly faster (§3.2.1 discusses the trade-off).
+	// Shadow is the dependence-detection store; nil (the default) selects a
+	// Sparse store the engine keeps and clears between runs. For dense
+	// integer address spaces a shadow.Dense sized to the space is markedly
+	// faster (§3.2.1 discusses the trade-off).
 	Shadow shadow.Store
 	// QueueCap is the per-worker condition-queue capacity (default 1024).
 	QueueCap int
@@ -116,12 +117,6 @@ func (o *Options) fill() {
 	if o.Workers <= 0 {
 		panic(fmt.Sprintf("domore: invalid worker count %d", o.Workers))
 	}
-	if o.Policy == nil {
-		o.Policy = sched.NewRoundRobin()
-	}
-	if o.Shadow == nil {
-		o.Shadow = shadow.NewSparse()
-	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 1024
 	}
@@ -131,17 +126,21 @@ func (o *Options) fill() {
 // uses these counters for Table 5.2 and the figure captions.
 //
 // Concurrency contract (audited, enforced by the stats_race_test regression
-// under -race): while an engine runs, each field has exactly one writing
-// discipline. Fields written only by the single scheduler goroutine use
-// plain increments (all but Stalls in Run; AddrChecks, Iterations, and
-// SyncConditions in RunStealing's sequential precompute; every field but
-// Stalls and LaneWaits in RunSharded, whose driver alone merges lane
-// results); fields written by concurrent goroutines use atomic.AddInt64
-// (Stalls in every engine, LaneWaits in RunSharded's scheduler lanes,
-// Dispatches in RunStealing, every field in RunDuplicated, whose scheduler
-// is replicated per worker). A field is never written through both
-// disciplines in one run, and the returned Stats is read only after all
-// goroutines have joined, so callers may read it without synchronization.
+// under -race and by the stats-atomic lint rule): while an engine runs, each
+// field has exactly one writing discipline. In Run and RunSharded no thread
+// writes Stats at all: the scheduler (or sharded driver) counts into a Stats
+// only it can see, workers and scheduler lanes count Stalls and LaneWaits in
+// plain thread-private counters, and the control goroutine folds those in at
+// quiesce, when every thread has finished its phase. RunDuplicated and
+// RunStealing still share one Stats between their threads: fields written
+// only by a single scheduler goroutine use plain increments (AddrChecks,
+// Iterations, and SyncConditions in RunStealing's sequential precompute);
+// fields written by concurrent goroutines use atomic.AddInt64 (Stalls in
+// both, Dispatches in RunStealing, every field in RunDuplicated, whose
+// scheduler is replicated per worker). A field is never written through
+// both disciplines in one run, and the returned Stats is read only after
+// every thread has quiesced, so callers may read it without
+// synchronization.
 type Stats struct {
 	// Iterations is the total number of inner-loop iterations scheduled
 	// (combined across invocations — the paper's global iteration numbers).
@@ -189,36 +188,32 @@ type cond struct {
 }
 
 // Run executes the workload under DOMORE with a dedicated scheduler thread
-// (the Fig 3.2(c) plan) and returns execution statistics.
+// (the Fig 3.2(c) plan) and returns execution statistics. It runs on a
+// runtime of its own, created for the call and closed on return.
 func Run(w Workload, opts Options) Stats {
 	opts.fill()
-	nw := opts.Workers
+	rt := engine.New(opts.Workers)
+	defer rt.Close()
+	return RunOn(rt, w, opts)
+}
 
-	queues := make([]*queue.SPSC[cond], nw)
-	for i := range queues {
-		queues[i] = queue.NewSPSC[cond](opts.QueueCap)
+// RunOn is Run on the threads and state of rt, which must have been created
+// for opts.Workers workers: the calling goroutine is the scheduler, the
+// runtime's worker threads run Algorithm 2, and rings, progress words and
+// the default shadow store are reset, not rebuilt. If the scheduler or a
+// worker panics, rt is closed and the panic continues on the caller.
+func RunOn(rt *engine.Runtime, w Workload, opts Options) Stats {
+	opts.fill()
+	defer rt.Settle()
+	st := stateOn(rt, &opts)
+	st.begin(w, opts.Trace)
+	for tid := range st.local {
+		rt.Go(tid, "domore", "worker", st.local[tid].run)
 	}
-	latestFinished := make([]paddedInt64, nw)
-	for i := range latestFinished {
-		latestFinished[i].v.Store(-1)
-	}
-
 	var stats Stats
-	var wg sync.WaitGroup
-	for tid := 0; tid < nw; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			trace.Labeled("domore", "worker", func() {
-				worker(w, tid, queues[tid], latestFinished, &stats, opts.Trace.Lane(int32(tid)))
-			})
-		}(tid)
-	}
-
-	trace.Labeled("domore", "scheduler", func() {
-		scheduler(w, opts, queues, &stats)
-	})
-	wg.Wait()
+	rt.Labeled("domore", "scheduler", func() { st.schedule(&opts, &stats) })
+	rt.Wait()
+	st.fold(&stats)
 	return stats
 }
 
@@ -228,21 +223,114 @@ type paddedInt64 struct {
 	_ [56]byte
 }
 
-// scheduler is Algorithm 1 plus the outer-loop sequential regions: for every
+// stateKey is the key DOMORE's state is kept under in a runtime.
+type stateKey struct{}
+
+// state is what a runtime keeps for DOMORE between runs: the per-worker
+// rings, progress words and counters, the default shadow store, and the
+// scheduler's scratch. A run resets it; the rings are rebuilt only when a
+// different queue capacity is asked for.
+type state struct {
+	rt             *engine.Runtime
+	queueCap       int
+	queues         []*queue.SPSC[cond]
+	latestFinished []paddedInt64
+	local          []workerLocal
+	shadow         *shadow.Sparse // the default Options.Shadow, cleared per run
+	roundRobin     sched.Policy   // the default Options.Policy (it keeps no state between runs)
+	pending        [][]cond       // scheduler or driver: per-target conditions of the current iteration
+	buf            []uint64       // scheduler or driver: ComputeAddr scratch
+	sharded        *shardedRun    // RunShardedOn's driver state
+
+	// The run in progress, written by the control goroutine before it posts
+	// the worker phases.
+	w   Workload
+	rec *trace.Recorder
+}
+
+// workerLocal is one worker's private state. Its counters are plain: only
+// the worker writes them, and the control goroutine folds them into Stats
+// at quiesce.
+type workerLocal struct {
+	stalls          int64
+	batch           []cond // workerBatched's drain buffer
+	run, runBatched func() // the worker's phases, bound once
+	_               [64]byte
+}
+
+// stateOn returns rt's DOMORE state, sized for opts, and resolves the
+// options whose defaults the state holds.
+func stateOn(rt *engine.Runtime, opts *Options) *state {
+	if opts.Workers != rt.Workers() {
+		panic(fmt.Sprintf("domore: %d workers asked of a runtime with %d", opts.Workers, rt.Workers()))
+	}
+	st := rt.State(stateKey{}, func() any {
+		nw := rt.Workers()
+		st := &state{
+			rt:             rt,
+			latestFinished: make([]paddedInt64, nw),
+			local:          make([]workerLocal, nw),
+			shadow:         shadow.NewSparse(),
+			roundRobin:     sched.NewRoundRobin(),
+			pending:        make([][]cond, nw),
+		}
+		for tid := range st.local {
+			tid := tid
+			st.local[tid].run = func() { st.worker(tid) }
+			st.local[tid].runBatched = func() { st.workerBatched(tid) }
+		}
+		return st
+	}).(*state)
+	if st.queueCap != opts.QueueCap {
+		st.queueCap = opts.QueueCap
+		st.queues = make([]*queue.SPSC[cond], len(st.local))
+		for i := range st.queues {
+			st.queues[i] = queue.NewSPSC[cond](opts.QueueCap)
+		}
+	}
+	if opts.Policy == nil {
+		opts.Policy = st.roundRobin
+	}
+	return st
+}
+
+// begin resets the state for a run of w. Every thread is quiescent; the
+// phase posts that follow publish the writes. The rings need no reset: each
+// worker consumed its end token, so they are empty, and their indices only
+// ever grow.
+func (st *state) begin(w Workload, rec *trace.Recorder) {
+	st.w, st.rec = w, rec
+	for i := range st.latestFinished {
+		st.latestFinished[i].v.Store(-1)
+	}
+	// DOMORE changes the workload's state without recording what it wrote.
+	st.rt.StateChanged()
+}
+
+// fold adds the per-thread counters to stats and zeroes them.
+func (st *state) fold(stats *Stats) {
+	for i := range st.local {
+		stats.Stalls += st.local[i].stalls
+		st.local[i].stalls = 0
+	}
+}
+
+// schedule is Algorithm 1 plus the outer-loop sequential regions: for every
 // iteration it computes the address set, assigns workers, detects conflicts
 // in shadow memory, and forwards conditions followed by the dispatch record.
-func scheduler(w Workload, opts Options, queues []*queue.SPSC[cond], stats *Stats) {
+func (st *state) schedule(opts *Options, stats *Stats) {
+	w, queues, pending := st.w, st.queues, st.pending
 	nw := opts.Workers
-	shadowMem := opts.Shadow
+	var shadowMem shadow.Store = opts.Shadow
+	if opts.Shadow == nil {
+		st.shadow.Reset()
+		shadowMem = st.shadow
+	}
 	owner, multiOwner := opts.Policy.(*sched.LocalWrite)
 	sch := opts.Trace.Lane(trace.LaneScheduler)
 
-	// Per-target pending dependence conditions for the current iteration,
-	// deduplicated to the newest iteration per (target, depTid) pair.
-	pending := make([][]cond, nw)
-
 	iterNum := int64(0)
-	var buf []uint64
+	buf := st.buf
 	invocations := w.Invocations()
 	for inv := 0; inv < invocations; inv++ {
 		w.Sequential(inv)
@@ -273,11 +361,11 @@ func scheduler(w Workload, opts Options, queues []*queue.SPSC[cond], stats *Stat
 			}
 			for _, t := range tids {
 				for _, d := range pending[t] {
-					produce(queues[t], d, int64(t), sch)
+					st.produce(queues[t], d, int64(t), sch)
 					stats.SyncConditions++
 					sch.Emit(trace.KindSyncCond, int64(t), int64(d.Tid), d.Iter)
 				}
-				produce(queues[t], cond{Kind: kindRun, Iter: iterNum, Inv: int32(inv), Index: int32(it)}, int64(t), sch)
+				st.produce(queues[t], cond{Kind: kindRun, Iter: iterNum, Inv: int32(inv), Index: int32(it)}, int64(t), sch)
 				stats.Dispatches++
 				sch.Emit(trace.KindDispatch, int64(t), iterNum, 0)
 				if sch.Enabled() {
@@ -289,16 +377,18 @@ func scheduler(w Workload, opts Options, queues []*queue.SPSC[cond], stats *Stat
 		}
 		sch.Emit(trace.KindEpochCommit, 1, int64(inv), int64(inv+1))
 	}
+	st.buf = buf
 	for t, q := range queues {
-		produce(q, cond{Kind: kindEnd}, int64(t), sch)
+		st.produce(q, cond{Kind: kindEnd}, int64(t), sch)
 	}
 }
 
 // produce forwards one message to worker owner's queue, recording a
 // queue-full backoff episode on tt when the ring has no room. The fast
 // path is a single TryProduce, so with tracing disabled (nil tt) it
-// degrades to exactly queue.Produce.
-func produce(q *queue.SPSC[cond], c cond, owner int64, tt *trace.ThreadTrace) {
+// degrades to exactly queue.Produce. It runs on the control goroutine: if
+// the runtime stopped (the consumer died), Wait re-raises the panic.
+func (st *state) produce(q *queue.SPSC[cond], c cond, owner int64, tt *trace.ThreadTrace) {
 	if q.TryProduce(c) {
 		return
 	}
@@ -308,21 +398,28 @@ func produce(q *queue.SPSC[cond], c cond, owner int64, tt *trace.ThreadTrace) {
 			tt.Emit(trace.KindQueueFullEnd, owner, 0, 0)
 			return
 		}
+		if st.rt.Stopped() {
+			st.rt.Wait()
+		}
 		queue.Backoff(spins)
 	}
 }
 
 // consume receives one message from worker owner's queue, recording a
-// queue-empty backoff episode on tt when the ring is dry; see produce.
-func consume(q *queue.SPSC[cond], owner int64, tt *trace.ThreadTrace) cond {
+// queue-empty backoff episode on tt when the ring is dry; see produce. It
+// reports false when the runtime stopped while the ring was dry.
+func (st *state) consume(q *queue.SPSC[cond], owner int64, tt *trace.ThreadTrace) (cond, bool) {
 	if v, ok := q.TryConsume(); ok {
-		return v
+		return v, true
 	}
 	tt.Emit(trace.KindQueueEmptyBegin, owner, 0, 0)
 	for spins := 1; ; spins++ {
 		if v, ok := q.TryConsume(); ok {
 			tt.Emit(trace.KindQueueEmptyEnd, owner, 0, 0)
-			return v
+			return v, true
+		}
+		if st.rt.Stopped() {
+			return cond{}, false
 		}
 		queue.Backoff(spins)
 	}
@@ -344,26 +441,41 @@ func addDep(deps []cond, tid int32, iter int64) []cond {
 
 // worker is Algorithm 2: consume conditions, stall on unsatisfied
 // dependences, execute dispatched iterations, and publish completion.
-func worker(w Workload, tid int, q *queue.SPSC[cond], latestFinished []paddedInt64, stats *Stats, tt *trace.ThreadTrace) {
+func (st *state) worker(tid int) {
+	q, tt := st.queues[tid], st.rec.Lane(int32(tid))
 	for {
-		c := consume(q, int64(tid), tt)
-		switch c.Kind {
-		case kindEnd:
+		c, ok := st.consume(q, int64(tid), tt)
+		if !ok || !st.step(c, tid, tt) {
 			return
-		case kindDep:
-			if latestFinished[c.Tid].v.Load() < c.Iter {
-				atomic.AddInt64(&stats.Stalls, 1)
-				tt.Emit(trace.KindStallBegin, int64(c.Tid), c.Iter, 0)
-				for spins := 0; latestFinished[c.Tid].v.Load() < c.Iter; spins++ {
-					queue.Backoff(spins)
-				}
-				tt.Emit(trace.KindStallEnd, int64(c.Tid), c.Iter, 0)
-			}
-		case kindRun:
-			tt.Emit(trace.KindIterStart, int64(c.Inv), int64(c.Index), c.Iter)
-			w.Execute(int(c.Inv), int(c.Index), tid)
-			latestFinished[tid].v.Store(c.Iter)
-			tt.Emit(trace.KindIterEnd, int64(c.Inv), int64(c.Index), c.Iter)
 		}
 	}
+}
+
+// step handles one message on worker tid and reports whether the worker
+// goes on: false on the end token, or when the runtime stopped during a
+// stall.
+func (st *state) step(c cond, tid int, tt *trace.ThreadTrace) bool {
+	switch c.Kind {
+	case kindEnd:
+		return false
+	case kindDep:
+		dep := &st.latestFinished[c.Tid].v
+		if dep.Load() < c.Iter {
+			st.local[tid].stalls++
+			tt.Emit(trace.KindStallBegin, int64(c.Tid), c.Iter, 0)
+			for spins := 0; dep.Load() < c.Iter; spins++ {
+				if st.rt.Stopped() {
+					return false
+				}
+				queue.Backoff(spins)
+			}
+			tt.Emit(trace.KindStallEnd, int64(c.Tid), c.Iter, 0)
+		}
+	case kindRun:
+		tt.Emit(trace.KindIterStart, int64(c.Inv), int64(c.Index), c.Iter)
+		st.w.Execute(int(c.Inv), int(c.Index), tid)
+		st.latestFinished[tid].v.Store(c.Iter)
+		tt.Emit(trace.KindIterEnd, int64(c.Inv), int64(c.Index), c.Iter)
+	}
+	return true
 }

@@ -1,9 +1,9 @@
 package domore
 
 import (
-	"sync"
 	"sync/atomic"
 
+	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/queue"
 	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/shadow"
@@ -97,28 +97,35 @@ type shardLane struct {
 	done  atomic.Int64
 	_     [56]byte
 	conds []laneCond // lane output for the current chunk
+	buf   []uint64   // ConcurrentAddr: the lane's ComputeAddr scratch
+	waits int64      // chunk-handoff wait episodes; plain, folded at quiesce
+	run   func()     // the lane's phase, bound once
 }
 
 // shardedRun carries the driver's merge state so the helpers share it
-// without re-threading a dozen parameters.
+// without re-threading a dozen parameters. A runtime keeps one between runs
+// (state.sharded): lanes, chunk arenas, output buffers and the default
+// sharded store are reused as long as the lane count stays the same.
 type shardedRun struct {
+	st    *state
+	store *shadow.Sharded // the default store (Options.NewShard nil), cleared per run
+	ch    *shardChunk
+	lanes []shardLane
+
+	outbuf [][]cond // per-worker buffered (unpublished) messages
+	cursor []int    // per-lane merge cursor into lane conds
+
+	// The run in progress.
 	w          Workload
-	opts       *Options
+	opts       Options
 	nw         int
 	concurrent bool
-	store      *shadow.Sharded
+	shards     *shadow.Sharded
 	newPolicy  func() sched.Policy
 	owner      *sched.LocalWrite // serial mode: shared, Owner is pure
 	multiOwner bool
-	ch         *shardChunk
-	lanes      []shardLane
-	queues     []*queue.SPSC[cond]
-	stats      *Stats
+	stats      Stats
 	sch        *trace.ThreadTrace
-	pending    [][]cond // per-worker conditions for the current iteration
-	outbuf     [][]cond // per-worker buffered (unpublished) messages
-	cursor     []int    // per-lane merge cursor into lane conds
-	scratch    []uint64 // serial mode: ComputeAddr scratch, copied to the arena
 }
 
 // RunSharded executes the workload under DOMORE with the sharded scheduler
@@ -126,8 +133,19 @@ type shardedRun struct {
 // same iterations, dispatches, synchronization conditions, and shadow
 // lookups, which the workloadtest equivalence suite asserts field by field
 // — with the scheduler's dependence detection spread across Options.Lanes
-// concurrent lanes. Stalls and LaneWaits remain timing-dependent.
+// concurrent lanes. Stalls and LaneWaits remain timing-dependent. Like Run
+// it creates a runtime for the call.
 func RunSharded(w Workload, opts Options) Stats {
+	opts.fill()
+	rt := engine.New(opts.Workers)
+	defer rt.Close()
+	return RunShardedOn(rt, w, opts)
+}
+
+// RunShardedOn is RunSharded on the threads and state of rt: the calling
+// goroutine is the driver, the scheduler lanes run on the runtime's
+// auxiliary threads and the workers on its worker threads. See RunOn.
+func RunShardedOn(rt *engine.Runtime, w Workload, opts Options) Stats {
 	opts.fill()
 	if opts.Lanes <= 0 {
 		opts.Lanes = defaultLanes
@@ -135,23 +153,74 @@ func RunSharded(w Workload, opts Options) Stats {
 	if opts.Batch <= 0 {
 		opts.Batch = defaultBatch
 	}
-	nw := opts.Workers
+	defer rt.Settle()
+	st := stateOn(rt, &opts)
+	st.begin(w, opts.Trace)
+	d := st.shardedFor(opts.Lanes)
+	d.begin(w, opts)
 
-	d := &shardedRun{
-		w:          w,
-		opts:       &opts,
-		nw:         nw,
-		concurrent: opts.ConcurrentAddr,
-		store:      shadow.NewSharded(opts.Lanes, opts.NewShard),
-		ch:         &shardChunk{},
-		lanes:      make([]shardLane, opts.Lanes),
-		queues:     make([]*queue.SPSC[cond], nw),
-		stats:      &Stats{},
-		pending:    make([][]cond, nw),
-		outbuf:     make([][]cond, nw),
-		cursor:     make([]int, opts.Lanes),
+	for tid := range st.local {
+		rt.Go(tid, "domore", "worker", st.local[tid].runBatched)
 	}
+	for l := range d.lanes {
+		rt.GoAux(l, "domore", "sched-lane", d.lanes[l].run)
+	}
+	rt.Labeled("domore", "scheduler", d.drive)
+	rt.Wait()
+	d.fold()
+	return d.stats
+}
+
+// fold adds the per-thread counters to the run's stats and zeroes them.
+func (d *shardedRun) fold() {
+	d.st.fold(&d.stats)
+	for l := range d.lanes {
+		d.stats.LaneWaits += d.lanes[l].waits
+		d.lanes[l].waits = 0
+	}
+}
+
+// shardedFor returns the driver state for the given lane count, building
+// it when the runtime has none or last ran with a different count.
+func (st *state) shardedFor(lanes int) *shardedRun {
+	if d := st.sharded; d != nil && len(d.lanes) == lanes {
+		return d
+	}
+	d := &shardedRun{
+		st:     st,
+		ch:     &shardChunk{},
+		lanes:  make([]shardLane, lanes),
+		outbuf: make([][]cond, len(st.local)),
+		cursor: make([]int, lanes),
+	}
+	for l := range d.lanes {
+		l := l
+		d.lanes[l].run = func() { d.lane(l) }
+	}
+	st.sharded = d
+	return d
+}
+
+// begin resets the driver state for a run; every thread is quiescent.
+func (d *shardedRun) begin(w Workload, opts Options) {
+	d.w, d.opts, d.nw, d.stats = w, opts, opts.Workers, Stats{}
+	d.concurrent = opts.ConcurrentAddr
 	d.sch = opts.Trace.Lane(trace.LaneScheduler)
+	d.ch.stop = false
+	for l := range d.lanes {
+		d.lanes[l].ready.Store(0)
+		d.lanes[l].done.Store(0)
+	}
+	if opts.NewShard != nil {
+		d.shards = shadow.NewSharded(opts.Lanes, opts.NewShard)
+	} else {
+		if d.store == nil {
+			d.store = shadow.NewSharded(opts.Lanes, nil)
+		}
+		d.store.Reset()
+		d.shards = d.store
+	}
+	d.newPolicy, d.owner, d.multiOwner = nil, nil, false
 	if d.concurrent {
 		d.newPolicy = opts.NewPolicy
 		if d.newPolicy == nil {
@@ -160,39 +229,19 @@ func RunSharded(w Workload, opts Options) Stats {
 	} else {
 		d.owner, d.multiOwner = opts.Policy.(*sched.LocalWrite)
 	}
-	for i := range d.queues {
-		d.queues[i] = queue.NewSPSC[cond](opts.QueueCap)
-	}
-	latestFinished := make([]paddedInt64, nw)
-	for i := range latestFinished {
-		latestFinished[i].v.Store(-1)
-	}
+}
 
-	var wg sync.WaitGroup
-	for tid := 0; tid < nw; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			trace.Labeled("domore", "worker", func() {
-				workerBatched(w, tid, d.queues[tid], latestFinished, d.stats, opts.Trace.Lane(int32(tid)))
-			})
-		}(tid)
+// await spins on the control goroutine until lane l has completed chunk
+// seq. If the runtime stopped (a lane or worker died), Wait re-raises.
+func (d *shardedRun) await(seq int64) {
+	for l := range d.lanes {
+		for spins := 0; d.lanes[l].done.Load() < seq; spins++ {
+			if d.st.rt.Stopped() {
+				d.st.rt.Wait()
+			}
+			queue.Backoff(spins)
+		}
 	}
-	for l := 0; l < opts.Lanes; l++ {
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			trace.Labeled("domore", "sched-lane", func() {
-				d.lane(l)
-			})
-		}(l)
-	}
-
-	trace.Labeled("domore", "scheduler", func() {
-		d.drive()
-	})
-	wg.Wait()
-	return *d.stats
 }
 
 // drive is the sharded scheduler's main loop: sequential regions, chunk
@@ -219,11 +268,7 @@ func (d *shardedRun) drive() {
 			for l := range d.lanes {
 				d.lanes[l].ready.Store(seq)
 			}
-			for l := range d.lanes {
-				for spins := 0; d.lanes[l].done.Load() < seq; spins++ {
-					queue.Backoff(spins)
-				}
-			}
+			d.await(seq)
 			d.merge()
 			iterNum += int64(n)
 		}
@@ -235,11 +280,7 @@ func (d *shardedRun) drive() {
 	for l := range d.lanes {
 		d.lanes[l].ready.Store(seq)
 	}
-	for l := range d.lanes {
-		for spins := 0; d.lanes[l].done.Load() < seq; spins++ {
-			queue.Backoff(spins)
-		}
-	}
+	d.await(seq)
 	for t := range d.outbuf {
 		d.outbuf[t] = append(d.outbuf[t], cond{Kind: kindEnd})
 		d.flush(t)
@@ -262,8 +303,8 @@ func (d *shardedRun) prepareSerial() {
 		// ComputeAddr may return a private buffer instead of appending to
 		// the one passed (the interpreter-backed workloads do), so copy the
 		// result into the chunk arena rather than aliasing it.
-		d.scratch = d.w.ComputeAddr(int(ch.inv), int(ch.it0+k), d.scratch[:0])
-		ch.addrs = append(ch.addrs, d.scratch...)
+		d.st.buf = d.w.ComputeAddr(int(ch.inv), int(ch.it0+k), d.st.buf[:0])
+		ch.addrs = append(ch.addrs, d.st.buf...)
 		ch.addrOff = append(ch.addrOff, int32(len(ch.addrs)))
 		ch.counts = append(ch.counts, int64(len(ch.addrs)-start))
 		tids := d.opts.Policy.Assign(ch.iterNum+int64(k), ch.addrs[start:], d.nw)
@@ -280,7 +321,7 @@ func (d *shardedRun) prepareSerial() {
 func (d *shardedRun) lane(l int) {
 	ls := &d.lanes[l]
 	lt := d.opts.Trace.Lane(int32(trace.LaneShardBase - l))
-	myShard := d.store.Shard(l)
+	myShard := d.shards.Shard(l)
 	nl := len(d.lanes)
 	nw := d.nw
 	ch := d.ch
@@ -293,11 +334,15 @@ func (d *shardedRun) lane(l int) {
 	}
 	recording := d.concurrent && l == 0
 
-	var buf []uint64
+	buf := ls.buf
+	defer func() { ls.buf = buf }()
 	for seq := int64(1); ; seq++ {
 		if ls.ready.Load() < seq {
-			atomic.AddInt64(&d.stats.LaneWaits, 1)
+			ls.waits++
 			for spins := 0; ls.ready.Load() < seq; spins++ {
+				if d.st.rt.Stopped() {
+					return
+				}
 				queue.Backoff(spins)
 			}
 		}
@@ -360,7 +405,7 @@ func (d *shardedRun) lane(l int) {
 // scheduler-lane trace events are emitted, and the outgoing messages are
 // buffered per worker under the iteration-order publication invariant.
 func (d *shardedRun) merge() {
-	ch, stats := d.ch, d.stats
+	ch, stats, pending := d.ch, &d.stats, d.st.pending
 	for l := range d.cursor {
 		d.cursor[l] = 0
 	}
@@ -371,18 +416,18 @@ func (d *shardedRun) merge() {
 		d.sch.Emit(trace.KindAddrCheck, ch.counts[k], int64(ch.inv), iterNum)
 		stats.AddrChecks += ch.counts[k]
 		for _, t := range tids {
-			d.pending[t] = d.pending[t][:0]
+			pending[t] = pending[t][:0]
 		}
 		for l := range d.lanes {
 			lc := d.lanes[l].conds
 			for d.cursor[l] < len(lc) && lc[d.cursor[l]].it == k {
 				c := lc[d.cursor[l]]
 				d.cursor[l]++
-				d.pending[c.accessor] = addDep(d.pending[c.accessor], c.depTid, c.depIter)
+				pending[c.accessor] = addDep(pending[c.accessor], c.depTid, c.depIter)
 			}
 		}
 		for _, t := range tids {
-			for _, dep := range d.pending[t] {
+			for _, dep := range pending[t] {
 				// Publication invariant: dep references ⟨dep.Tid, dep.Iter⟩;
 				// dep.Iter's dispatch was buffered to dep.Tid in an earlier
 				// iteration, so flushing dep.Tid first guarantees it is on
@@ -413,13 +458,16 @@ func (d *shardedRun) flush(t int) {
 	if len(msgs) == 0 {
 		return
 	}
-	q := d.queues[t]
+	q := d.st.queues[t]
 	n := q.TryProduceBatch(msgs)
 	if n < len(msgs) {
 		d.sch.Emit(trace.KindQueueFullBegin, int64(t), 0, 0)
 		for spins := 1; n < len(msgs); spins++ {
 			k := q.TryProduceBatch(msgs[n:])
 			if k == 0 {
+				if d.st.rt.Stopped() {
+					d.st.rt.Wait()
+				}
 				queue.Backoff(spins)
 			} else {
 				n += k
@@ -440,8 +488,12 @@ func (d *shardedRun) flush(t int) {
 // once per drained batch instead of once per message. The empty-ring wait
 // uses the same Backoff schedule, so single-CPU boxes still make progress
 // (see TESTING.md, "Single-CPU runners").
-func workerBatched(w Workload, tid int, q *queue.SPSC[cond], latestFinished []paddedInt64, stats *Stats, tt *trace.ThreadTrace) {
-	batch := make([]cond, batchConsume)
+func (st *state) workerBatched(tid int) {
+	q, tt := st.queues[tid], st.rec.Lane(int32(tid))
+	if st.local[tid].batch == nil {
+		st.local[tid].batch = make([]cond, batchConsume)
+	}
+	batch := st.local[tid].batch
 	for {
 		n := q.TryConsumeBatch(batch)
 		if n == 0 {
@@ -449,32 +501,19 @@ func workerBatched(w Workload, tid int, q *queue.SPSC[cond], latestFinished []pa
 			for spins := 1; n == 0; spins++ {
 				n = q.TryConsumeBatch(batch)
 				if n == 0 {
+					if st.rt.Stopped() {
+						return
+					}
 					queue.Backoff(spins)
 				}
 			}
 			tt.Emit(trace.KindQueueEmptyEnd, int64(tid), 0, 0)
 		}
 		for i := 0; i < n; i++ {
-			c := batch[i]
-			switch c.Kind {
-			case kindEnd:
-				// Always the final message on the queue, so no batch tail
-				// can follow it.
+			// The end token is always the final message on the queue, so no
+			// batch tail can follow it.
+			if !st.step(batch[i], tid, tt) {
 				return
-			case kindDep:
-				if latestFinished[c.Tid].v.Load() < c.Iter {
-					atomic.AddInt64(&stats.Stalls, 1)
-					tt.Emit(trace.KindStallBegin, int64(c.Tid), c.Iter, 0)
-					for spins := 0; latestFinished[c.Tid].v.Load() < c.Iter; spins++ {
-						queue.Backoff(spins)
-					}
-					tt.Emit(trace.KindStallEnd, int64(c.Tid), c.Iter, 0)
-				}
-			case kindRun:
-				tt.Emit(trace.KindIterStart, int64(c.Inv), int64(c.Index), c.Iter)
-				w.Execute(int(c.Inv), int(c.Index), tid)
-				latestFinished[tid].v.Store(c.Iter)
-				tt.Emit(trace.KindIterEnd, int64(c.Inv), int64(c.Index), c.Iter)
 			}
 		}
 	}

@@ -8,11 +8,12 @@ import (
 
 // TestStatsCountersRace is the regression for the Stats concurrency
 // contract (see the Stats doc comment): it drives every engine over a
-// conflict-dense workload with enough workers that the worker-side atomic
-// increments (Stalls everywhere, Dispatches under stealing, everything
-// under the duplicated scheduler) run concurrently with the engine's
+// conflict-dense workload with enough workers that the worker-side counting
+// — thread-private Stalls and LaneWaits folded at quiesce under the
+// dedicated and sharded schedulers, atomic increments under stealing and
+// the duplicated scheduler — runs concurrently with the scheduler's
 // single-writer plain increments. Under `go test -race` any field written
-// through both disciplines — or read before the joins — is reported; in a
+// through both disciplines — or read before quiesce — is reported; in a
 // plain run it still pins the counter totals.
 func TestStatsCountersRace(t *testing.T) {
 	const invs, iters = 40, 64
@@ -21,6 +22,7 @@ func TestStatsCountersRace(t *testing.T) {
 		run  func(Workload, Options) Stats
 	}{
 		{"dedicated", Run},
+		{"sharded", func(w Workload, o Options) Stats { o.Lanes, o.Batch = 3, 16; return RunSharded(w, o) }},
 		{"duplicated", RunDuplicated},
 		{"stealing", RunStealing},
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"crossinv/internal/runtime/shadow"
 	"crossinv/internal/runtime/trace"
 )
 
@@ -75,6 +76,9 @@ func RunStealing(w Workload, opts Options) Stats {
 
 	trace.Labeled("domore", "scheduler", func() {
 		shadowMem := opts.Shadow
+		if shadowMem == nil {
+			shadowMem = shadow.NewSparse()
+		}
 		var deps []int64
 		var buf []uint64
 		iterNum := int64(0)

@@ -1,9 +1,7 @@
 package speccross
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"crossinv/internal/runtime/queue"
 	"crossinv/internal/runtime/signature"
@@ -50,55 +48,72 @@ import (
 //     row-epoch's entries: the direction-2 overlap test "some logged task
 //     began before r finished" becomes one comparison instead of a scan.
 type checker struct {
-	workers int
-	start   int // first epoch of the segment
-	kind    signature.Kind
-	rows    []checkerRow
+	start int // first epoch of the segment
+	kind  signature.Kind
+	rows  []checkerRow // one per worker
 }
 
 // checkerRow is the signature-log row of one worker (Fig 4.8), with its
-// per-epoch entries, union signatures, and watermark minima.
+// per-epoch entries, union signatures, and watermark minima. The slices
+// outlive the segment: reset truncates log and minWM and empties the
+// unions, so a row-epoch with nothing logged is one whose log is empty.
 type checkerRow struct {
 	mu sync.RWMutex
 	// log[e-start] holds the entries logged for this worker in epoch e.
 	log [][]taskEntry
-	// union[e-start] is the union of all logged signatures for the epoch.
+	// union[e-start] is the union of all logged signatures for the epoch
+	// (allocated on first use, then kept).
 	union []*signature.Signature
 	// minWM[e-start][t] is the minimum watermark any logged entry of the
-	// epoch recorded for worker t, or nil when nothing is logged yet.
+	// epoch recorded for worker t.
 	minWM [][]uint64
 	// maxEpoch is the highest epoch index (relative) logged.
 	maxEpoch int
 }
 
-func newChecker(workers int, kind signature.Kind, start, end int) *checker {
-	c := &checker{
-		workers: workers,
-		start:   start,
-		kind:    kind,
-		rows:    make([]checkerRow, workers),
-	}
+// reset empties the log for a segment of epochs [start, end), keeping
+// every allocation of the segments before it.
+func (c *checker) reset(kind signature.Kind, start, end int) {
+	c.start, c.kind = start, kind
+	n := end - start
 	for i := range c.rows {
 		r := &c.rows[i]
-		r.log = make([][]taskEntry, end-start)
-		r.union = make([]*signature.Signature, end-start)
-		r.minWM = make([][]uint64, end-start)
+		for len(r.log) < n {
+			r.log = append(r.log, nil)
+			r.union = append(r.union, nil)
+			r.minWM = append(r.minWM, nil)
+		}
+		for re := 0; re <= r.maxEpoch; re++ {
+			r.log[re] = r.log[re][:0]
+			r.minWM[re] = r.minWM[re][:0]
+			if u := r.union[re]; u != nil {
+				u.Reset()
+			}
+		}
 		r.maxEpoch = -1
 	}
-	return c
 }
 
-// run consumes requests from the given queue subset until each has sent its
-// end token. It flags misspeculation on the shared state when a conflict is
-// found and keeps draining so no worker blocks on a full queue during
-// shutdown.
-func (c *checker) run(queues []*queue.SPSC[request], st *specState, stats *Stats, tt *trace.ThreadTrace) {
-	finished := make([]bool, len(queues))
-	remaining := len(queues)
-	for remaining > 0 {
+// dropUnions forgets the union signatures, which are of one kind.
+func (c *checker) dropUnions() {
+	for i := range c.rows {
+		clear(c.rows[i].union)
+	}
+}
+
+// run is checker shard sh's phase: it consumes requests from the shard's
+// rings until each has sent its end token. It flags misspeculation on the
+// shared state when a conflict is found and keeps draining so no worker
+// blocks on a full queue during shutdown.
+func (c *checker) run(st *state, sh int) {
+	loc := &st.shards[sh]
+	tt := st.rec.Lane(trace.LaneCheckerBase - int32(sh))
+	clear(loc.finished)
+	remaining := len(loc.queues)
+	for spins := 0; remaining > 0; {
 		progress := false
-		for qi, q := range queues {
-			if finished[qi] {
+		for qi, q := range loc.queues {
+			if loc.finished[qi] {
 				continue
 			}
 			req, ok := q.TryConsume()
@@ -107,22 +122,28 @@ func (c *checker) run(queues []*queue.SPSC[request], st *specState, stats *Stats
 			}
 			progress = true
 			if req.end {
-				finished[qi] = true
+				loc.finished[qi] = true
 				remaining--
 				continue
 			}
-			c.process(req.entry, st, stats, tt)
+			c.process(req.entry, st, loc, tt)
 		}
-		if !progress {
-			// Nothing buffered on any queue: let the workers run. The
-			// checker's latency only delays detection, never progress.
-			runtime.Gosched()
+		if progress {
+			spins = 0
+			continue
 		}
+		// Nothing buffered on any queue: let the workers run. The
+		// checker's latency only delays detection, never progress.
+		if st.rt.Stopped() {
+			return
+		}
+		spins++
+		queue.Backoff(spins)
 	}
 }
 
 // process logs the entry and performs both comparison directions.
-func (c *checker) process(e taskEntry, st *specState, stats *Stats, tt *trace.ThreadTrace) {
+func (c *checker) process(e taskEntry, st *state, loc *shardLocal, tt *trace.ThreadTrace) {
 	epoch, _ := unpackET(e.pos)
 	rel := int(epoch) - c.start
 
@@ -138,35 +159,12 @@ func (c *checker) process(e taskEntry, st *specState, stats *Stats, tt *trace.Th
 	e.sig.Seal()
 
 	// Log first (see the type comment for why ordering matters with
-	// sharded checkers). The row's union stays sealed under the same lock,
-	// so readers always see a sorted accumulator.
-	row := &c.rows[e.tid]
-	row.mu.Lock()
-	row.log[rel] = append(row.log[rel], e)
-	if row.union[rel] == nil {
-		row.union[rel] = signature.New(c.kind)
-	}
-	row.union[rel].Union(e.sig)
-	row.union[rel].Seal()
-	if row.minWM[rel] == nil {
-		row.minWM[rel] = append([]uint64(nil), e.wm...)
-	} else {
-		mw := row.minWM[rel]
-		for i, w := range e.wm {
-			if w < mw[i] {
-				mw[i] = w
-			}
-		}
-	}
-	if rel > row.maxEpoch {
-		row.maxEpoch = rel
-	}
-	row.mu.Unlock()
+	// sharded checkers).
+	c.log(e, rel)
 
 	windowNonEmpty := false
 	conflict := false
-
-	for o := 0; o < c.workers && !conflict; o++ {
+	for o := 0; o < len(c.rows) && !conflict; o++ {
 		if o == int(e.tid) {
 			continue
 		}
@@ -178,79 +176,112 @@ func (c *checker) process(e taskEntry, st *specState, stats *Stats, tt *trace.Th
 		if lo < 0 {
 			lo = 0
 		}
-		orow := &c.rows[o]
-		orow.mu.RLock()
-
-		// Direction 1: e is the later-epoch side.
-		for re := lo; re < rel && re <= orow.maxEpoch; re++ {
-			u := orow.union[re]
-			if u == nil {
-				continue
-			}
-			atomic.AddInt64(&stats.PrefilterChecks, 1)
-			if !e.sig.Conflicts(u) {
-				tt.Emit(trace.KindSigPrefilter, 0, int64(o), int64(re))
-				continue
-			}
-			atomic.AddInt64(&stats.PrefilterHits, 1)
-			tt.Emit(trace.KindSigPrefilter, 1, int64(o), int64(re))
-			for i := range orow.log[re] {
-				s := &orow.log[re][i]
-				if s.pos < e.wm[o] {
-					continue // finished before e began: ordered, no overlap
-				}
-				atomic.AddInt64(&stats.Comparisons, 1)
-				tt.Emit(trace.KindSigCheck, int64(s.tid), int64(s.pos), 0)
-				if e.sig.Conflicts(s.sig) {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
-				break
-			}
-		}
-
-		// Direction 2: e is the earlier-epoch side of already-logged tasks
-		// from later epochs that began before e finished.
-		for re := rel + 1; re <= orow.maxEpoch && !conflict; re++ {
-			mw := orow.minWM[re]
-			if mw == nil || mw[e.tid] > e.pos {
-				continue // every logged task began after e finished: ordered
-			}
-			windowNonEmpty = true
-			u := orow.union[re]
-			atomic.AddInt64(&stats.PrefilterChecks, 1)
-			if !e.sig.Conflicts(u) {
-				tt.Emit(trace.KindSigPrefilter, 0, int64(o), int64(re))
-				continue
-			}
-			atomic.AddInt64(&stats.PrefilterHits, 1)
-			tt.Emit(trace.KindSigPrefilter, 1, int64(o), int64(re))
-			for i := range orow.log[re] {
-				s := &orow.log[re][i]
-				if s.wm[e.tid] > e.pos {
-					continue // s began after e finished: ordered
-				}
-				atomic.AddInt64(&stats.Comparisons, 1)
-				tt.Emit(trace.KindSigCheck, int64(s.tid), int64(s.pos), 0)
-				if e.sig.Conflicts(s.sig) {
-					conflict = true
-					break
-				}
-			}
-		}
-
-		orow.mu.RUnlock()
+		var overlap bool
+		conflict, overlap = c.scan(e, o, lo, rel, loc, tt)
+		windowNonEmpty = windowNonEmpty || overlap
 	}
 
 	if conflict {
-		st.misspec.CompareAndSwap(misspecNone, misspecConflict)
+		st.flag(misspecConflict)
 		return
 	}
 
 	if windowNonEmpty {
-		atomic.AddInt64(&stats.CheckRequests, 1)
+		loc.checkRequests++
 		tt.Emit(trace.KindCheckRequest, int64(e.tid), int64(e.pos), 0)
 	}
+}
+
+// log appends e to its worker's row for relative epoch rel and folds it
+// into the row-epoch's union and watermark minimum. The row's union stays
+// sealed under the same lock, so readers always see a sorted accumulator.
+// The lock is released by defer, as in scan: a panic in here must not leave
+// the row locked against the other shards, which would then never reach a
+// point where they notice the runtime stopped.
+func (c *checker) log(e taskEntry, rel int) {
+	row := &c.rows[e.tid]
+	row.mu.Lock()
+	defer row.mu.Unlock()
+	first := len(row.log[rel]) == 0
+	row.log[rel] = append(row.log[rel], e)
+	if row.union[rel] == nil {
+		row.union[rel] = signature.New(c.kind)
+	}
+	row.union[rel].Union(e.sig)
+	row.union[rel].Seal()
+	if first {
+		row.minWM[rel] = append(row.minWM[rel], e.wm...)
+	} else {
+		mw := row.minWM[rel]
+		for i, w := range e.wm {
+			if w < mw[i] {
+				mw[i] = w
+			}
+		}
+	}
+	if rel > row.maxEpoch {
+		row.maxEpoch = rel
+	}
+}
+
+// scan compares e against worker o's row in both directions, from relative
+// epoch lo on. It reports whether a conflict was found and whether any
+// later-epoch task of o overlapped e.
+func (c *checker) scan(e taskEntry, o, lo, rel int, loc *shardLocal, tt *trace.ThreadTrace) (conflict, overlap bool) {
+	orow := &c.rows[o]
+	orow.mu.RLock()
+	defer orow.mu.RUnlock()
+
+	// Direction 1: e is the later-epoch side.
+	for re := lo; re < rel && re <= orow.maxEpoch; re++ {
+		if len(orow.log[re]) == 0 {
+			continue
+		}
+		loc.prefilterChecks++
+		if !e.sig.Conflicts(orow.union[re]) {
+			tt.Emit(trace.KindSigPrefilter, 0, int64(o), int64(re))
+			continue
+		}
+		loc.prefilterHits++
+		tt.Emit(trace.KindSigPrefilter, 1, int64(o), int64(re))
+		for i := range orow.log[re] {
+			s := &orow.log[re][i]
+			if s.pos < e.wm[o] {
+				continue // finished before e began: ordered, no overlap
+			}
+			loc.comparisons++
+			tt.Emit(trace.KindSigCheck, int64(s.tid), int64(s.pos), 0)
+			if e.sig.Conflicts(s.sig) {
+				return true, overlap
+			}
+		}
+	}
+
+	// Direction 2: e is the earlier-epoch side of already-logged tasks
+	// from later epochs that began before e finished.
+	for re := rel + 1; re <= orow.maxEpoch; re++ {
+		if len(orow.log[re]) == 0 || orow.minWM[re][e.tid] > e.pos {
+			continue // every logged task began after e finished: ordered
+		}
+		overlap = true
+		loc.prefilterChecks++
+		if !e.sig.Conflicts(orow.union[re]) {
+			tt.Emit(trace.KindSigPrefilter, 0, int64(o), int64(re))
+			continue
+		}
+		loc.prefilterHits++
+		tt.Emit(trace.KindSigPrefilter, 1, int64(o), int64(re))
+		for i := range orow.log[re] {
+			s := &orow.log[re][i]
+			if s.wm[e.tid] > e.pos {
+				continue // s began after e finished: ordered
+			}
+			loc.comparisons++
+			tt.Emit(trace.KindSigCheck, int64(s.tid), int64(s.pos), 0)
+			if e.sig.Conflicts(s.sig) {
+				return true, overlap
+			}
+		}
+	}
+	return false, overlap
 }

@@ -2,11 +2,12 @@ package speccross
 
 import (
 	"fmt"
-	"sync"
+	"reflect"
 	"sync/atomic"
 	"time"
 
 	"crossinv/internal/runtime/barrier"
+	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/queue"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/trace"
@@ -31,20 +32,45 @@ import (
 // touched; a rollback likewise rewrites only the dirty cells. This is the
 // checkpoint substitution of §4.2.2: checkpoint and recovery cost are
 // bounded by the write set, not the heap.
+//
+// Run creates a runtime for the call and closes it on return; every
+// segment and every recovery of the run shares its threads and state.
 func Run(w Workload, cfg Config) Stats {
+	cfg.fill()
+	rt := engine.New(cfg.Workers)
+	defer rt.Close()
+	return RunOn(rt, w, cfg)
+}
+
+// RunOn is Run on the threads and state of rt, which must have been created
+// for cfg.Workers workers: the calling goroutine is the segment control,
+// speculative and recovery workers run on the runtime's worker threads, the
+// checker shards on its auxiliary threads, and every segment and every
+// recovery of the run reuses them. Rings, progress words, the checker log
+// and the signature arenas are reset per segment, not rebuilt.
+//
+// The incremental-checkpoint base image is kept on the runtime too, and
+// stays valid from one RunOn to the next over the same workload value as
+// long as every change to the workload's state in between was a tracked
+// speculative write. Engines running on rt report their untracked phases
+// themselves; a caller that changes the state between two runs (Restore,
+// re-initialisation) must call rt.StateChanged.
+//
+// If control, a checker shard or a recovery worker panics, rt is closed and
+// the panic continues on the caller; a panic of a speculative worker is a
+// misspeculation (§4.2.2).
+func RunOn(rt *engine.Runtime, w Workload, cfg Config) Stats {
+	cfg.fill()
+	defer rt.Settle()
 	var stats Stats
 	// Segment control (checkpoint, rollback, recovery sequencing) runs on
 	// the calling goroutine; label it so profile samples of Snapshot and
-	// Restore attribute to the control lane. Worker and checker goroutines
-	// relabel themselves.
-	trace.Labeled("speccross", "control", func() {
-		stats = run(w, cfg)
-	})
+	// Restore attribute to the control lane.
+	rt.Labeled("speccross", "control", func() { stats = stateOn(rt, cfg.Workers).run(w, &cfg) })
 	return stats
 }
 
-func run(w Workload, cfg Config) Stats {
-	cfg.fill()
+func (st *state) run(w Workload, cfg *Config) Stats {
 	var stats Stats
 	ctl := cfg.Trace.Lane(trace.LaneControl)
 
@@ -65,65 +91,27 @@ func run(w Workload, cfg Config) Stats {
 		useDelta = hasDelta
 	}
 
-	// Checkpoint state. Full mode keeps the latest snapshot; incremental
-	// mode keeps a base image of every cell plus a generation-stamped
-	// visited array, so per-segment dirty-set dedup is O(dirty) with no
-	// O(heap) clearing between segments.
+	// Checkpoint state. Full mode takes a snapshot as each speculative
+	// segment begins; incremental mode keeps a base image of every cell on
+	// the runtime plus a generation-stamped visited array, so per-segment
+	// dirty-set dedup is O(dirty) with no O(heap) clearing between segments.
+	// Either is taken lazily, when a speculative segment is about to need
+	// it: untracked execution (barrier recovery, irreversible epochs) only
+	// counts its checkpoint here, and the image is captured — once — before
+	// the next speculation.
 	var snapshot any
-	var base, stamp []int64
-	var gen int64
-	rebuildBase := func() {
-		if base == nil {
-			base = make([]int64, dw.StateLen())
-		}
-		for i := range base {
-			base[i] = dw.ReadCell(uint64(i))
-		}
-	}
-	if useDelta {
-		rebuildBase()
-		stamp = make([]int64, len(base))
-	} else {
-		snapshot = w.Snapshot()
-	}
-
-	// checkpointFull re-captures the whole state: the full-snapshot mode,
-	// and the incremental mode's fallback after untracked (nil-signature)
-	// execution — barrier recovery and irreversible epochs.
 	checkpointFull := func(end int) {
-		if useDelta {
-			rebuildBase()
-		} else {
-			snapshot = w.Snapshot()
-		}
 		stats.Checkpoints++
 		ctl.Emit(trace.KindCheckpoint, int64(end), 0, 0)
 	}
 	// checkpointDirty refreshes the base image for the committed segment's
 	// tracked write set only.
-	checkpointDirty := func(end int, dirty [][]uint64) {
+	checkpointDirty := func(end int) {
 		if !useDelta {
 			checkpointFull(end)
 			return
 		}
-		gen++
-		cells := int64(0)
-		for _, dl := range dirty {
-			for _, a := range dl {
-				lo, hi := dw.AddrCells(a)
-				if hi > uint64(len(base)) {
-					hi = uint64(len(base)) // sentinel / out-of-range addresses
-				}
-				for c := lo; c < hi; c++ {
-					if stamp[c] == gen {
-						continue // already refreshed this segment
-					}
-					stamp[c] = gen
-					base[c] = dw.ReadCell(c)
-					cells++
-				}
-			}
-		}
+		cells := st.sweepDirty(dw, func(c uint64) { st.base[c] = dw.ReadCell(c) })
 		stats.Checkpoints++
 		stats.DeltaCheckpoints++
 		stats.DeltaCells += cells
@@ -132,30 +120,13 @@ func run(w Workload, cfg Config) Stats {
 	}
 	// restore rolls the state back to the segment's checkpoint: a full
 	// Restore, or a rewrite of exactly the dirty cells.
-	restore := func(start int, dirty [][]uint64) {
+	restore := func(start int) {
 		if !useDelta {
 			w.Restore(snapshot)
 			ctl.Emit(trace.KindRestore, int64(start), 0, 0)
 			return
 		}
-		gen++
-		cells := int64(0)
-		for _, dl := range dirty {
-			for _, a := range dl {
-				lo, hi := dw.AddrCells(a)
-				if hi > uint64(len(base)) {
-					hi = uint64(len(base))
-				}
-				for c := lo; c < hi; c++ {
-					if stamp[c] == gen {
-						continue
-					}
-					stamp[c] = gen
-					dw.WriteCell(c, base[c])
-					cells++
-				}
-			}
-		}
+		cells := st.sweepDirty(dw, func(c uint64) { dw.WriteCell(c, st.base[c]) })
 		stats.DeltaRestores++
 		ctl.Emit(trace.KindRestore, int64(start), 0, 0)
 		ctl.Emit(trace.KindDeltaRestore, cells, int64(start), 0)
@@ -164,7 +135,7 @@ func run(w Workload, cfg Config) Stats {
 	for start := 0; start < epochs; {
 		// An irreversible epoch forms its own non-speculative segment.
 		if hasIrr && irr.Irreversible(start) {
-			runBarriers(w, cfg.Workers, start, start+1, cfg.Trace)
+			st.runBarriers(w, start, start+1, cfg.Trace)
 			checkpointFull(start + 1)
 			start++
 			continue
@@ -182,22 +153,29 @@ func run(w Workload, cfg Config) Stats {
 			}
 		}
 
+		if useDelta {
+			st.ensureBase(w, dw)
+		} else {
+			snapshot = w.Snapshot()
+		}
 		ctl.Emit(trace.KindEpochBegin, int64(start), int64(end), 0)
-		if ok, reason, dirty := runSpeculative(w, &cfg, start, end, &stats, useDelta); ok {
+		reason := st.runSpeculative(w, cfg, start, end, useDelta)
+		st.fold(&stats)
+		if reason == misspecNone {
 			ctl.Emit(trace.KindEpochCommit, int64(end-start), int64(start), int64(end))
-			checkpointDirty(end, dirty)
+			checkpointDirty(end)
 			stats.Epochs += int64(end - start)
 		} else {
 			stats.Misspeculations++
 			ctl.Emit(trace.KindMisspec, int64(reason), int64(start), int64(end))
 			ctl.Emit(trace.KindEpochAbort, int64(start), int64(end), 0)
-			restore(start, dirty)
+			restore(start)
 			ctl.Emit(trace.KindRecoveryBegin, int64(start), int64(end), 0)
-			runBarriers(w, cfg.Workers, start, end, cfg.Trace)
+			st.runBarriers(w, start, end, cfg.Trace)
 			stats.ReexecutedEpochs += int64(end - start)
 			ctl.Emit(trace.KindRecoveryEnd, int64(end-start), int64(start), int64(end))
-			// Recovery ran untracked (nil signatures), so the incremental
-			// path re-captures the whole base image here.
+			// Recovery ran untracked (nil signatures), which made the base
+			// image stale; the next speculative segment re-captures it.
 			checkpointFull(end)
 		}
 		start = end
@@ -220,34 +198,49 @@ func RunBarriersTraced(w Workload, workers int, rec *trace.Recorder) *barrier.Ba
 	if workers <= 0 {
 		panic(fmt.Sprintf("speccross: invalid worker count %d", workers))
 	}
-	return runBarriers(w, workers, 0, w.Epochs(), rec)
+	rt := engine.New(workers)
+	defer rt.Close()
+	return RunBarriersOn(rt, w, rec)
 }
 
-func runBarriers(w Workload, workers, start, end int, rec *trace.Recorder) *barrier.Barrier {
-	bar := barrier.New(workers)
-	var wg sync.WaitGroup
-	for tid := 0; tid < workers; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			trace.Labeled("barrier", "worker", func() {
-				tt := rec.Lane(int32(tid))
-				for e := start; e < end; e++ {
-					n := w.Tasks(e)
-					for t := tid; t < n; t += workers {
-						tt.Emit(trace.KindIterStart, int64(e), int64(t), 0)
-						w.Run(e, t, tid, nil)
-						tt.Emit(trace.KindIterEnd, int64(e), int64(t), 0)
-					}
-					tt.Emit(trace.KindBarrierWaitBegin, int64(e), 0, 0)
-					bar.Wait()
-					tt.Emit(trace.KindBarrierWaitEnd, int64(e), 0, 0)
-				}
-			})
-		}(tid)
+// RunBarriersOn is RunBarriersTraced on the worker threads of rt, one
+// worker per runtime worker. The barrier it returns is the runtime's, with
+// its statistics restarted for this run.
+func RunBarriersOn(rt *engine.Runtime, w Workload, rec *trace.Recorder) *barrier.Barrier {
+	defer rt.Settle()
+	rt.Barrier().ResetStats()
+	return stateOn(rt, rt.Workers()).runBarriers(w, 0, w.Epochs(), rec)
+}
+
+func (st *state) runBarriers(w Workload, start, end int, rec *trace.Recorder) *barrier.Barrier {
+	st.w, st.start, st.end, st.rec = w, start, end, rec
+	// Barrier execution records no signatures: cached images go stale.
+	st.rt.StateChanged()
+	bar := st.rt.Barrier()
+	for tid := range st.local {
+		st.rt.Go(tid, "barrier", "worker", st.local[tid].runBarrier)
 	}
-	wg.Wait()
+	st.rt.Wait()
 	return bar
+}
+
+func (st *state) barrierWorker(tid int) {
+	w, bar, workers := st.w, st.rt.Barrier(), len(st.local)
+	tt := st.rec.Lane(int32(tid))
+	for e := st.start; e < st.end; e++ {
+		n := w.Tasks(e)
+		for t := tid; t < n; t += workers {
+			tt.Emit(trace.KindIterStart, int64(e), int64(t), 0)
+			w.Run(e, t, tid, nil)
+			tt.Emit(trace.KindIterEnd, int64(e), int64(t), 0)
+		}
+		tt.Emit(trace.KindBarrierWaitBegin, int64(e), 0, 0)
+		bar.Wait()
+		tt.Emit(trace.KindBarrierWaitEnd, int64(e), 0, 0)
+		if st.rt.Stopped() {
+			return // a worker died and the barrier was aborted
+		}
+	}
 }
 
 // taskEntry is one logged task execution: its signature plus the watermark
@@ -266,27 +259,83 @@ type request struct {
 	end   bool
 }
 
-// specState is the shared state of one speculative segment.
-type specState struct {
-	cfg   *Config
-	start int32 // first epoch of the segment
+// stateKey is the key SPECCROSS's state is kept under in a runtime.
+type stateKey struct{}
+
+// state is what a runtime keeps for SPECCROSS between segments, recoveries
+// and runs: the worker→checker rings, the position and completion words,
+// the checker log, the per-worker signature arenas and write logs, and the
+// incremental-checkpoint base image. A segment resets what it uses; the
+// rings are rebuilt only for a different capacity, the arenas only for a
+// different signature kind.
+type state struct {
+	rt       *engine.Runtime
+	queueCap int
+	queues   []*queue.SPSC[request]
 	// pos[tid] is the packed (epoch, task) each worker most recently began.
 	pos []paddedU64
 	// done[tid] is worker tid's completion frontier for range gating: every
 	// task of the worker numbered at or below it (globally) is complete. It
 	// is the last completed task, or one below the task the worker is
 	// stalled at.
-	done []paddedI64
+	done   []paddedI64
+	local  []workerLocal
+	shards []shardLocal
+	chk    checker
+	kind   signature.Kind // of the arenas and the checker's unions
+
+	// Incremental-checkpoint image: base holds every cell's checkpointed
+	// value, stamp/gen dedup a dirty sweep. It is current while baseFor is
+	// the workload it was read from and baseVersion the runtime's state
+	// version (see RunOn).
+	base, stamp []int64
+	gen         int64
+	baseFor     Workload
+	baseVersion uint64
+
+	// The phase in progress, written by the control goroutine before it
+	// posts to the threads.
+	w          Workload
+	cfg        *Config
+	rec        *trace.Recorder
+	start, end int
 	// prefix[e-start] is the global task number of the first task of epoch e.
 	prefix []int64
-	// misspec is set (with a reason) when the segment must be abandoned.
-	misspec atomic.Int32
-	// trackWrites enables per-worker dirty logs for incremental
-	// checkpointing; dirty[tid] is worker tid's accumulated write log,
-	// published before the worker exits (and read by the engine only
-	// after all workers joined).
+	// misspec holds segBase while the segment is clean and segBase|reason
+	// once it must be abandoned. segBase changes every segment, so a
+	// SpecTimeout timer that fires late cannot flag a segment it was not
+	// armed for.
+	misspec atomic.Uint64
+	segBase uint64
+	// trackWrites enables per-worker write logs for incremental
+	// checkpointing (workerLocal.dlog, read by control after quiesce).
 	trackWrites bool
-	dirty       [][]uint64
+}
+
+// workerLocal is one worker's private state. Signatures and watermark
+// vectors come from block arenas that are recycled when the segment ends —
+// committed or aborted, every entry of a finished segment is dead — and the
+// counters are plain, folded into Stats at quiesce.
+type workerLocal struct {
+	sigs  [][]signature.Signature // blocks of sigBlock
+	wms   [][]uint64              // matching watermark blocks, workers*sigBlock each
+	taken int                     // signatures handed out this segment
+	// dlog accumulates the worker's tracked writes across the segment
+	// (addresses in order, possibly with duplicates).
+	dlog               []uint64
+	tasks, rangeStalls int64
+	run, runBarrier    func() // the worker's phases, bound once
+	_                  [64]byte
+}
+
+// shardLocal is one checker shard's private state.
+type shardLocal struct {
+	queues   []*queue.SPSC[request] // the rings this shard drains
+	finished []bool
+	run      func()
+
+	checkRequests, comparisons, prefilterChecks, prefilterHits int64
+	_                                                          [64]byte
 }
 
 type paddedU64 struct {
@@ -310,123 +359,244 @@ const (
 
 // sigBlock is how many per-task signatures a worker acquires per batch
 // allocation (signature.NewBatch); the watermark vectors are carved from a
-// matching arena, so per-task allocation cost is O(1/sigBlock).
+// matching arena, so per-task allocation cost is O(1/sigBlock) in a
+// runtime's first segments and zero once its arenas have grown.
 const sigBlock = 64
 
-// runSpeculative executes epochs [start, end) without barriers and reports
-// whether the segment committed cleanly; on misspeculation, reason is the
-// misspec* code that triggered the abort. With trackWrites set, dirty holds
-// each worker's write log for the segment (tracked addresses, in order,
-// possibly with duplicates).
-func runSpeculative(w Workload, cfg *Config, start, end int, stats *Stats, trackWrites bool) (ok bool, reason int32, dirty [][]uint64) {
-	nw := cfg.Workers
-	st := &specState{cfg: cfg, start: int32(start), trackWrites: trackWrites}
-	st.pos = make([]paddedU64, nw)
-	st.done = make([]paddedI64, nw)
-	st.prefix = make([]int64, end-start+1)
-	st.dirty = make([][]uint64, nw)
+// stateOn returns rt's SPECCROSS state.
+func stateOn(rt *engine.Runtime, workers int) *state {
+	if workers != rt.Workers() {
+		panic(fmt.Sprintf("speccross: %d workers asked of a runtime with %d", workers, rt.Workers()))
+	}
+	return rt.State(stateKey{}, func() any {
+		st := &state{
+			rt:    rt,
+			pos:   make([]paddedU64, workers),
+			done:  make([]paddedI64, workers),
+			local: make([]workerLocal, workers),
+		}
+		st.chk.rows = make([]checkerRow, workers)
+		for tid := range st.local {
+			tid := tid
+			st.local[tid].run = func() { st.specWorker(tid) }
+			st.local[tid].runBarrier = func() { st.barrierWorker(tid) }
+		}
+		return st
+	}).(*state)
+}
+
+// aborted reports whether the segment in progress has been flagged.
+func (st *state) aborted() bool { return st.misspec.Load() != st.segBase }
+
+// flag abandons the segment in progress for the given reason, unless it
+// already was.
+func (st *state) flag(reason int32) { st.misspec.CompareAndSwap(st.segBase, st.segBase|uint64(reason)) }
+
+// ensureBase makes the base image current for w, reading every cell only
+// when the cached image is for another workload or predates an untracked
+// change of the state.
+func (st *state) ensureBase(w Workload, dw DeltaWorkload) {
+	n := dw.StateLen()
+	if st.baseVersion == st.rt.StateVersion() && len(st.base) == n && sameWorkload(st.baseFor, w) {
+		return
+	}
+	if cap(st.base) < n {
+		st.base, st.stamp, st.gen = make([]int64, n), make([]int64, n), 0
+	}
+	st.base, st.stamp = st.base[:n], st.stamp[:n]
+	for i := range st.base {
+		st.base[i] = dw.ReadCell(uint64(i))
+	}
+	st.baseFor, st.baseVersion = w, st.rt.StateVersion()
+}
+
+// sameWorkload reports whether a and b are the same workload object. Only
+// pointers are compared: anything else just has its image rebuilt.
+func sameWorkload(a, b Workload) bool {
+	if a == nil || b == nil {
+		return false
+	}
+	t := reflect.TypeOf(a)
+	return t.Kind() == reflect.Pointer && t == reflect.TypeOf(b) && a == b
+}
+
+// sweepDirty calls visit once for every state cell the finished segment's
+// write logs cover and returns how many that was.
+func (st *state) sweepDirty(dw DeltaWorkload, visit func(cell uint64)) (cells int64) {
+	st.gen++
+	for i := range st.local {
+		for _, a := range st.local[i].dlog {
+			lo, hi := dw.AddrCells(a)
+			if hi > uint64(len(st.base)) {
+				hi = uint64(len(st.base)) // sentinel / out-of-range addresses
+			}
+			for c := lo; c < hi; c++ {
+				if st.stamp[c] == st.gen {
+					continue // already visited this sweep
+				}
+				st.stamp[c] = st.gen
+				visit(c)
+				cells++
+			}
+		}
+	}
+	return cells
+}
+
+// fold adds the per-thread counters to stats and zeroes them. Every thread
+// is quiescent.
+func (st *state) fold(stats *Stats) {
+	for i := range st.local {
+		l := &st.local[i]
+		stats.Tasks += l.tasks
+		stats.RangeStalls += l.rangeStalls
+		l.tasks, l.rangeStalls = 0, 0
+	}
+	for i := range st.shards {
+		s := &st.shards[i]
+		stats.CheckRequests += s.checkRequests
+		stats.Comparisons += s.comparisons
+		stats.PrefilterChecks += s.prefilterChecks
+		stats.PrefilterHits += s.prefilterHits
+		s.checkRequests, s.comparisons, s.prefilterChecks, s.prefilterHits = 0, 0, 0, 0
+	}
+}
+
+// beginSegment resets the state for speculative epochs [start, end). Every
+// thread is quiescent; the phase posts that follow publish the writes. The
+// rings need no reset: the shards drained each one to its end token.
+func (st *state) beginSegment(w Workload, cfg *Config, start, end int, trackWrites bool) {
+	nw := len(st.local)
+	st.w, st.cfg, st.rec, st.start, st.end, st.trackWrites = w, cfg, cfg.Trace, start, end, trackWrites
+	st.segBase += 1 << 8
+	st.misspec.Store(st.segBase)
+
+	st.prefix = append(st.prefix[:0], 0)
 	for e := start; e < end; e++ {
-		st.prefix[e-start+1] = st.prefix[e-start] + int64(w.Tasks(e))
+		st.prefix = append(st.prefix, st.prefix[e-start]+int64(w.Tasks(e)))
 	}
 	for i := 0; i < nw; i++ {
 		st.pos[i].v.Store(packET(int32(start), 0))
 		st.done[i].v.Store(-1)
 	}
 
-	queues := make([]*queue.SPSC[request], nw)
-	for i := range queues {
-		queues[i] = queue.NewSPSC[request](cfg.QueueCap)
+	if st.queueCap != cfg.QueueCap {
+		st.queueCap = cfg.QueueCap
+		st.queues = make([]*queue.SPSC[request], nw)
+		for i := range st.queues {
+			st.queues[i] = queue.NewSPSC[request](cfg.QueueCap)
+		}
+		st.shards = nil
 	}
+	// Each shard drains a subset of the rings against the row-sharded log
+	// (CheckerShards = 1 is the paper's single checker thread).
+	if len(st.shards) != cfg.CheckerShards {
+		st.shards = make([]shardLocal, cfg.CheckerShards)
+		for sh := range st.shards {
+			sh := sh
+			s := &st.shards[sh]
+			for qi := sh; qi < nw; qi += cfg.CheckerShards {
+				s.queues = append(s.queues, st.queues[qi])
+			}
+			s.finished = make([]bool, len(s.queues))
+			s.run = func() { st.chk.run(st, sh) }
+		}
+	}
+	if st.kind != cfg.SigKind {
+		st.kind = cfg.SigKind
+		for i := range st.local {
+			st.local[i].sigs, st.local[i].wms = nil, nil
+		}
+		st.chk.dropUnions()
+	}
+	for i := range st.local {
+		l := &st.local[i]
+		l.taken = 0
+		if l.dlog == nil {
+			// Non-nil even when empty: a nil Signature.WriteLog means
+			// "do not log".
+			l.dlog = make([]uint64, 0, 256)
+		}
+		l.dlog = l.dlog[:0]
+	}
+	st.chk.reset(cfg.SigKind, start, end)
+}
 
-	var timer *time.Timer
+// runSpeculative executes epochs [start, end) without barriers and returns
+// misspecNone if the segment committed cleanly, or the misspec* code that
+// aborted it. With trackWrites set, each worker's write log for the
+// segment is left in its workerLocal.dlog.
+func (st *state) runSpeculative(w Workload, cfg *Config, start, end int, trackWrites bool) (reason int32) {
+	st.beginSegment(w, cfg, start, end, trackWrites)
+
 	if cfg.SpecTimeout > 0 {
-		timer = time.AfterFunc(cfg.SpecTimeout, func() {
-			st.misspec.CompareAndSwap(misspecNone, misspecTimeout)
+		base := st.segBase
+		timer := time.AfterFunc(cfg.SpecTimeout, func() {
+			st.misspec.CompareAndSwap(base, base|uint64(misspecTimeout))
 		})
 		defer timer.Stop()
 	}
 
-	// Spawn the checker shard(s): each drains its queue subset against the
-	// row-sharded log (CheckerShards = 1 is the paper's single checker
-	// thread).
-	chk := newChecker(nw, cfg.SigKind, start, end)
-	var checkers sync.WaitGroup
-	for sh := 0; sh < cfg.CheckerShards; sh++ {
-		var subset []*queue.SPSC[request]
-		for qi := sh; qi < nw; qi += cfg.CheckerShards {
-			subset = append(subset, queues[qi])
-		}
-		checkers.Add(1)
-		go func(sh int, subset []*queue.SPSC[request]) {
-			defer checkers.Done()
-			trace.Labeled("speccross", "checker", func() {
-				chk.run(subset, st, stats, cfg.Trace.Lane(trace.LaneCheckerBase-int32(sh)))
-			})
-		}(sh, subset)
+	for sh := range st.shards {
+		st.rt.GoAux(sh, "speccross", "checker", st.shards[sh].run)
 	}
-
-	var wg sync.WaitGroup
-	for tid := 0; tid < nw; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			trace.Labeled("speccross", "worker", func() {
-				specWorker(w, st, tid, start, end, queues[tid], stats, cfg.Trace.Lane(int32(tid)))
-			})
-		}(tid)
+	for tid := range st.local {
+		st.rt.Go(tid, "speccross", "worker", st.local[tid].run)
 	}
-	wg.Wait()
-	checkers.Wait()
+	st.rt.Wait()
+	return int32(st.misspec.Load() - st.segBase)
+}
 
-	r := st.misspec.Load()
-	return r == misspecNone, r, st.dirty
+// take hands the worker its next signature and watermark vector of the
+// segment, growing the arenas by one block when they run out.
+func (l *workerLocal) take(kind signature.Kind, nw int) (*signature.Signature, []uint64) {
+	b, i := l.taken/sigBlock, l.taken%sigBlock
+	if b == len(l.sigs) {
+		l.sigs = append(l.sigs, signature.NewBatch(kind, sigBlock))
+		l.wms = append(l.wms, make([]uint64, nw*sigBlock))
+	}
+	l.taken++
+	sig := &l.sigs[b][i]
+	sig.Reset() // recycled from an earlier segment
+	return sig, l.wms[b][i*nw : (i+1)*nw : (i+1)*nw]
 }
 
 // specWorker executes this thread's share of every epoch in the segment,
 // publishing positions, signatures and checking requests (the worker loop of
 // Fig 4.7).
-func specWorker(w Workload, st *specState, tid, start, end int, q *queue.SPSC[request], stats *Stats, tt *trace.ThreadTrace) {
-	nw := st.cfg.Workers
+func (st *state) specWorker(tid int) {
+	w, cfg, nw, start, end := st.w, st.cfg, len(st.local), st.start, st.end
+	q, tt, loc := st.queues[tid], st.rec.Lane(int32(tid)), &st.local[tid]
 
-	// dlog accumulates this worker's tracked writes across the segment;
 	// curSig points at the in-flight task's signature so the panic path
 	// below can harvest writes recorded before the fault (the workload
 	// records each write before performing it, so a cell a faulting task
 	// managed to dirty is always in the log).
-	var dlog []uint64
 	var curSig *signature.Signature
-	if st.trackWrites {
-		dlog = make([]uint64, 0, 256)
-	}
 
 	defer func() {
 		if r := recover(); r != nil {
 			// A fault during speculative execution (the segfault trigger of
 			// §4.2.2): flag misspeculation and shut down this worker.
 			if st.trackWrites && curSig != nil && curSig.WriteLog != nil {
-				st.dirty[tid] = curSig.WriteLog
+				loc.dlog = curSig.WriteLog
 			}
-			st.misspec.CompareAndSwap(misspecNone, misspecPanic)
-			produceReq(q, request{end: true}, tid, tt)
+			st.flag(misspecPanic)
+			st.produceReq(q, request{end: true}, tid, tt)
 		}
 	}()
-
-	// Per-task signatures and watermark vectors come from block arenas.
-	var sigs []signature.Signature
-	var wmArena []uint64
-	sigi := sigBlock
 
 	for e := start; e < end; e++ {
 		n := w.Tasks(e)
 		for t := tid; t < n; t += nw {
-			if st.misspec.Load() != misspecNone {
-				produceReq(q, request{end: true}, tid, tt)
+			if st.aborted() {
+				st.produceReq(q, request{end: true}, tid, tt)
 				return
 			}
 			global := st.prefix[e-start] + int64(t)
-			dist := st.cfg.SpecDistance
-			if st.cfg.SpecDistanceOf != nil {
-				dist = st.cfg.SpecDistanceOf(e)
+			dist := cfg.SpecDistance
+			if cfg.SpecDistanceOf != nil {
+				dist = cfg.SpecDistanceOf(e)
 			}
 			// Publish position, gate, then read the other threads' positions:
 			// the watermark vector for this task (Fig 4.6). The position goes
@@ -436,18 +606,11 @@ func specWorker(w Workload, st *specState, tid, start, end int, q *queue.SPSC[re
 			// position past those tasks, or the checker would take them for
 			// still running and report an overlap that never happened.
 			st.pos[tid].v.Store(packET(int32(e), int32(t)))
-			if stallOnRange(st, tid, global, dist, stats, tt) {
-				produceReq(q, request{end: true}, tid, tt)
+			if st.stallOnRange(tid, global, dist, tt) {
+				st.produceReq(q, request{end: true}, tid, tt)
 				return
 			}
-			if sigi == sigBlock {
-				sigs = signature.NewBatch(st.cfg.SigKind, sigBlock)
-				wmArena = make([]uint64, nw*sigBlock)
-				sigi = 0
-			}
-			sig := &sigs[sigi]
-			wm := wmArena[sigi*nw : (sigi+1)*nw : (sigi+1)*nw]
-			sigi++
+			sig, wm := loc.take(cfg.SigKind, nw)
 			for o := 0; o < nw; o++ {
 				if o != tid {
 					wm[o] = st.pos[o].v.Load()
@@ -456,43 +619,43 @@ func specWorker(w Workload, st *specState, tid, start, end int, q *queue.SPSC[re
 
 			tt.Emit(trace.KindTaskStart, int64(e), int64(t), global)
 			if st.trackWrites {
-				sig.WriteLog = dlog
+				sig.WriteLog = loc.dlog
 			}
 			curSig = sig
 			w.Run(e, t, tid, sig)
 			curSig = nil
 			if st.trackWrites {
-				dlog = sig.WriteLog
+				loc.dlog = sig.WriteLog
 				sig.WriteLog = nil
-				st.dirty[tid] = dlog
 			}
 			// Seal before publishing: checker shards compare against the
 			// logged signature concurrently, which must be read-only.
 			sig.Seal()
 			st.done[tid].v.Store(global)
-			atomic.AddInt64(&stats.Tasks, 1)
+			loc.tasks++
 			tt.Emit(trace.KindTaskEnd, int64(e), int64(t), global)
 
-			produceReq(q, request{entry: taskEntry{
+			st.produceReq(q, request{entry: taskEntry{
 				tid: int32(tid), pos: packET(int32(e), int32(t)), wm: wm, sig: sig,
 			}}, tid, tt)
 
-			if st.cfg.ForceMisspecEpoch == e {
-				st.misspec.CompareAndSwap(misspecNone, misspecInjected)
+			if cfg.ForceMisspecEpoch == e {
+				st.flag(misspecInjected)
 			}
 		}
 	}
 	// Mark this worker as past the segment so range gating never waits on
 	// a thread that has no tasks left.
 	st.done[tid].v.Store(1 << 62)
-	produceReq(q, request{end: true}, tid, tt)
+	st.produceReq(q, request{end: true}, tid, tt)
 }
 
 // produceReq forwards one checking request, recording a queue-full backoff
 // episode on tt when the checker has fallen behind and the ring is full
 // (checker pressure, §5.2). With tracing disabled it degrades to exactly
-// queue.Produce.
-func produceReq(q *queue.SPSC[request], r request, owner int, tt *trace.ThreadTrace) {
+// queue.Produce. If the runtime stopped — the draining shard died — the
+// request is dropped: the run is being torn down.
+func (st *state) produceReq(q *queue.SPSC[request], r request, owner int, tt *trace.ThreadTrace) {
 	if q.TryProduce(r) {
 		return
 	}
@@ -502,6 +665,9 @@ func produceReq(q *queue.SPSC[request], r request, owner int, tt *trace.ThreadTr
 			tt.Emit(trace.KindQueueFullEnd, int64(owner), 0, 0)
 			return
 		}
+		if st.rt.Stopped() {
+			return
+		}
 		queue.Backoff(spins)
 	}
 }
@@ -509,7 +675,7 @@ func produceReq(q *queue.SPSC[request], r request, owner int, tt *trace.ThreadTr
 // stallOnRange blocks while this worker is more than SpecDistance tasks
 // ahead of the laggard (the enter_task gating of Table 4.1). It reports true
 // if the segment misspeculated while waiting.
-func stallOnRange(st *specState, tid int, global, dist int64, stats *Stats, tt *trace.ThreadTrace) (aborted bool) {
+func (st *state) stallOnRange(tid int, global, dist int64, tt *trace.ThreadTrace) (aborted bool) {
 	if dist <= 0 {
 		return false
 	}
@@ -533,7 +699,7 @@ func stallOnRange(st *specState, tid int, global, dist int64, stats *Stats, tt *
 			}
 			return false
 		}
-		if st.misspec.Load() != misspecNone {
+		if st.aborted() || st.rt.Stopped() {
 			if stalled {
 				tt.Emit(trace.KindRangeStallEnd, global, dist, 1)
 			}
@@ -549,7 +715,7 @@ func stallOnRange(st *specState, tid int, global, dist int64, stats *Stats, tt *
 			// among stalled workers the one with the smallest next task then
 			// sees every other frontier at or above it and proceeds.
 			st.done[tid].v.Store(global - 1)
-			atomic.AddInt64(&stats.RangeStalls, 1)
+			st.local[tid].rangeStalls++
 			tt.Emit(trace.KindRangeStallBegin, global, dist, 0)
 		}
 		queue.Backoff(spins)

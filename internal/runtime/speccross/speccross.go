@@ -106,8 +106,8 @@ type Labeler interface {
 
 // Config tunes a SPECCROSS execution.
 type Config struct {
-	// Workers is the number of worker threads. One additional checker
-	// thread is spawned (§4.2.1), so total concurrency is Workers+1.
+	// Workers is the number of worker threads. The checker shards
+	// (CheckerShards, §4.2.1) run beside them.
 	Workers int
 	// SigKind selects the signature scheme (default Range, §4.2.1).
 	SigKind signature.Kind
@@ -186,14 +186,15 @@ func (c *Config) fill() {
 // these counters.
 //
 // Concurrency contract (audited, enforced by the stats_race_test regression
-// under -race): Tasks and RangeStalls are incremented with atomic.AddInt64
-// by concurrent workers; CheckRequests, Comparisons, PrefilterChecks, and
-// PrefilterHits with atomic.AddInt64 by the checker shards; Epochs, Misspeculations,
-// Checkpoints, ReexecutedEpochs, DeltaCheckpoints, DeltaCells, and
-// DeltaRestores with plain increments by the engine goroutine alone, at
-// segment boundaries where workers and checker are quiescent. The returned
-// Stats is read only after every thread has joined, so callers may read it
-// without synchronization.
+// under -race and by the stats-atomic lint rule): no thread but the control
+// goroutine writes Stats. Workers count Tasks and RangeStalls, and checker
+// shards count CheckRequests, Comparisons, PrefilterChecks and
+// PrefilterHits, in plain thread-private counters; the control goroutine
+// folds those into Stats at each segment's quiesce, when every thread has
+// finished its phase, and writes Epochs, Misspeculations, Checkpoints,
+// ReexecutedEpochs, DeltaCheckpoints, DeltaCells and DeltaRestores itself at
+// segment boundaries. The returned Stats is read only after the last
+// quiesce, so callers may read it without synchronization.
 type Stats struct {
 	// Tasks is the number of task executions, excluding re-execution.
 	Tasks int64

@@ -8,6 +8,8 @@
 package epochal
 
 import (
+	"sync"
+
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/sim"
 	"crossinv/internal/workloads"
@@ -46,6 +48,21 @@ type Kernel struct {
 	// object-granular addresses with no fixed span), keeping the kernel on
 	// full snapshots.
 	AddrSpan func(addr uint64) (lo, hi uint64)
+
+	// bufs recycles the buffers Run and ComputeAddr hand to Access, which
+	// every engine thread calls at once: without it each speculative task
+	// and each scheduled iteration allocates its address sets.
+	bufs sync.Pool // of *accessBufs
+}
+
+// accessBufs is one call's pair of Access buffers.
+type accessBufs struct{ reads, writes []uint64 }
+
+func (k *Kernel) getBufs() *accessBufs {
+	if b, ok := k.bufs.Get().(*accessBufs); ok {
+		return b
+	}
+	return new(accessBufs)
 }
 
 // IdentitySpan is the AddrSpan of element-granular kernels: signature
@@ -106,13 +123,15 @@ func (k *Kernel) Tasks(epoch int) int { return k.TasksOf(epoch) }
 // Run implements speccross.Workload.
 func (k *Kernel) Run(epoch, task, tid int, sig *signature.Signature) {
 	if sig != nil {
-		r, w := k.Access(epoch, task, nil, nil)
-		for _, a := range r {
+		b := k.getBufs()
+		b.reads, b.writes = k.Access(epoch, task, b.reads[:0], b.writes[:0])
+		for _, a := range b.reads {
 			sig.Read(a)
 		}
-		for _, a := range w {
+		for _, a := range b.writes {
 			sig.Write(a)
 		}
+		k.bufs.Put(b)
 	}
 	k.Update(epoch, task)
 }
@@ -162,7 +181,9 @@ func (k *Kernel) Sequential(inv int) {}
 // read∪write address set of the iteration (Algorithm 1 shadows every
 // access).
 func (k *Kernel) ComputeAddr(inv, iter int, buf []uint64) []uint64 {
-	reads, writes := k.Access(inv, iter, buf, nil)
+	b := k.getBufs()
+	reads, writes := k.Access(inv, iter, buf, b.writes[:0])
+	b.writes = writes
 	for _, w := range writes {
 		dup := false
 		for _, r := range reads {
@@ -175,6 +196,7 @@ func (k *Kernel) ComputeAddr(inv, iter int, buf []uint64) []uint64 {
 			reads = append(reads, w)
 		}
 	}
+	k.bufs.Put(b)
 	return reads
 }
 

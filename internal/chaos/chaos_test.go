@@ -36,10 +36,18 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 
 func TestGenerateCoversShapes(t *testing.T) {
 	kinds := map[string]bool{}
-	var deps, multi int
+	var deps, multi, bothPaths int
 	for seed := uint64(1); seed <= 64; seed++ {
 		s := Generate(seed)
 		kinds[s.SigKind] = true
+		var full, partial bool
+		for _, ep := range s.Epochs {
+			full = full || len(ep.Tasks) >= shardBatch
+			partial = partial || len(ep.Tasks)%shardBatch != 0
+		}
+		if full && partial {
+			bothPaths++
+		}
 		if s.NumEpochs() > 1 {
 			multi++
 		}
@@ -54,6 +62,11 @@ func TestGenerateCoversShapes(t *testing.T) {
 	}
 	if multi < 32 || deps < 16 {
 		t.Errorf("generator variety too low: %d multi-epoch, %d multi-task of 64", multi, deps)
+	}
+	// Invocation lengths must straddle the sharded scheduler's chunk size, so
+	// that single cases run both the lanes' detection and the driver's.
+	if bothPaths < 8 {
+		t.Errorf("only %d of 64 cases have both a full and a partial chunk at Batch %d", bothPaths, shardBatch)
 	}
 }
 

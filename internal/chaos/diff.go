@@ -22,6 +22,12 @@ var Engines = []string{"barrier", "domore", "domore-sharded", "speccross", "adap
 // they target is the lane that actually runs.
 const shardLanes = 3
 
+// shardBatch is the chunk size of those runs. It is small so that generated
+// invocation lengths (1 to genMaxTasks) fall on both sides of it: one case
+// then has full chunks, which the scheduler lanes detect, and partial ones,
+// which the sharded driver detects itself.
+const shardBatch = 8
+
 // Options configures a differential run of one case.
 type Options struct {
 	// Workers is the worker-thread count (default 4).
@@ -181,11 +187,18 @@ func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Fai
 		detail = domoreInvariants(st, spec, rec)
 	case "domore-sharded":
 		st := domore.RunSharded(w, opts.Faults.Domore(domore.Options{
-			Workers: opts.Workers, Lanes: shardLanes, Batch: 8, Trace: rec,
+			Workers: opts.Workers, Lanes: shardLanes, Batch: shardBatch, Trace: rec,
 		}))
 		detail = domoreInvariants(st, spec, rec)
-		if detail == "" && rec != nil && rec.Summary().Counts[trace.KindShardChunk] == 0 {
-			detail = "domore-sharded emitted no shard-chunk events; scheduler lanes did not run"
+		if detail == "" && rec != nil {
+			// One event per chunk per shard, from whichever thread detected it.
+			var chunks int64
+			for e := 0; e < spec.NumEpochs(); e++ {
+				chunks += int64((len(spec.Epochs[e].Tasks) + shardBatch - 1) / shardBatch)
+			}
+			if got := rec.Summary().Counts[trace.KindShardChunk]; got != chunks*shardLanes {
+				detail = fmt.Sprintf("domore-sharded emitted %d shard-chunk events, want %d chunks × %d shards", got, chunks, shardLanes)
+			}
 		}
 	case "speccross":
 		cfg := opts.Faults.Spec(speccross.Config{

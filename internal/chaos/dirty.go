@@ -206,7 +206,7 @@ func (d *dirtyRun) runClean(eng string) string {
 		o := d.domoreOptions()
 		run, runOn := domore.Run, domore.RunOn
 		if eng == "domore-sharded" {
-			o.Lanes, o.Batch = shardLanes, 8
+			o.Lanes, o.Batch = shardLanes, shardBatch
 			run, runOn = domore.RunSharded, domore.RunShardedOn
 		}
 		got := runOn(d.rt, d.k, o)

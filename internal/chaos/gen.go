@@ -11,9 +11,13 @@ import (
 // inputs — a dependence-ordering bug that needs a large state to
 // manifest needs, above all, the *dependence*, and small cases shrink
 // and replay in milliseconds.
+//
+// genMaxTasks is one and a half times shardBatch, so a case with more than
+// shardBatch blocks mixes invocations that fill a chunk of the sharded
+// scheduler with ones that do not.
 const (
 	genMaxEpochs    = 16
-	genMaxTasks     = 8
+	genMaxTasks     = 12
 	genMaxBlock     = 12
 	genMaxAddrs     = 6
 	genMaxWork      = 512

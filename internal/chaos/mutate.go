@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/shadow"
@@ -61,18 +62,27 @@ const (
 	// cells to values from the wrong run. Only the dirty-runtime pass
 	// shares a runtime between runs, so only it can catch this one.
 	MutStaleRuntime Mutation = "stale-runtime"
+	// MutSkipInlineShard models a sharded driver whose own detection path
+	// ignores one shard. The driver keeps an invocation's partial chunk —
+	// the iterations past the last multiple of the chunk size — off the
+	// lanes and detects it itself, every shard in one pass; here ComputeAddr
+	// loses, in exactly those iterations (at this package's shardBatch),
+	// every address of the last shard (shadow.ShardOf at shardLanes, which
+	// owns two of the catcher case's three contended cells). Iterations of
+	// full chunks keep all their addresses, so a harness whose cases never
+	// leave a partial chunk cannot catch this one.
+	MutSkipInlineShard Mutation = "skip-inline-shard"
 )
 
 // Mutations lists the non-empty mutation kinds.
 func Mutations() []Mutation {
-	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleShardClaim, MutStaleRuntime}
+	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleShardClaim, MutStaleRuntime, MutSkipInlineShard}
 }
 
 // ParseMutation validates a -mutate flag value.
 func ParseMutation(s string) (Mutation, error) {
 	m := Mutation(s)
-	switch m {
-	case MutNone, MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleShardClaim, MutStaleRuntime:
+	if m == MutNone || slices.Contains(Mutations(), m) {
 		return m, nil
 	}
 	return MutNone, fmt.Errorf("chaos: unknown mutation %q", s)
@@ -221,6 +231,16 @@ func (w *mutated) ComputeAddr(inv, iter int, buf []uint64) []uint64 {
 			}
 		}
 		out = kept
+	case w.m == MutSkipInlineShard:
+		if n := w.k.Iterations(inv); iter >= n-n%shardBatch {
+			kept := out[:0]
+			for _, a := range out {
+				if shadow.ShardOf(a, shardLanes) != shardLanes-1 {
+					kept = append(kept, a)
+				}
+			}
+			out = kept
+		}
 	}
 	return out
 }

@@ -31,6 +31,19 @@ func TestWorkerPanicIs500(t *testing.T) {
   }
 }
 `
+	// Two full chunks an invocation at the sharded scheduler's default chunk
+	// size of 256: only a full chunk is handed to a scheduler-lane thread
+	// (cg.lnl's inner loops are shorter, so its chunks never leave the
+	// driver).
+	const wide = `func wide() {
+  var A[3000]
+  for t = 1 .. 5 {
+    parfor i = 0 .. 512 {
+      A[t*512 + i] = A[(t-1)*512 + i] * 3 + 1
+    }
+  }
+}
+`
 	worker := func(l int32) bool { return l >= 0 }
 	cases := []struct {
 		mode, src string
@@ -39,7 +52,7 @@ func TestWorkerPanicIs500(t *testing.T) {
 	}{
 		{"barrier", cg, trace.KindIterStart, worker},
 		{"domore", cg, trace.KindIterStart, worker},
-		{"domore-sharded", cg, trace.KindShardChunk, func(l int32) bool { return l <= trace.LaneShardBase }},
+		{"domore-sharded", wide, trace.KindShardChunk, func(l int32) bool { return l <= trace.LaneShardBase }},
 		{"speccross", pipe, trace.KindSigPrefilter, func(l int32) bool { return l <= trace.LaneCheckerBase && l > trace.LaneShardBase }},
 		{"adaptive", cg, trace.KindIterStart, worker},
 	}

@@ -67,9 +67,10 @@ type Options struct {
 	// LOCALWRITE or a custom policy with the duplicated scheduler.
 	NewPolicy func() sched.Policy
 	// Shadow is the dependence-detection store; nil (the default) selects a
-	// Sparse store the engine keeps and clears between runs. For dense
-	// integer address spaces a shadow.Dense sized to the space is markedly
-	// faster (§3.2.1 discusses the trade-off).
+	// Sparse store (a hash table, any address) the engine keeps and resets
+	// between runs. A shadow.Dense is a direct-mapped array that panics on an
+	// address at or beyond its size: pass one only with a proven bound on
+	// every address ComputeAddr can return (§3.2.1 discusses the trade-off).
 	Shadow shadow.Store
 	// QueueCap is the per-worker condition-queue capacity (default 1024).
 	QueueCap int
@@ -94,9 +95,11 @@ type Options struct {
 	// conditions are batched onto the worker queues (default 256).
 	Batch int
 	// NewShard, when set, constructs the shadow store for one shard of
-	// RunSharded's partitioned shadow memory; defaults to fresh Sparse
-	// stores. Use Dense sub-stores for compact integer address spaces.
-	// RunSharded ignores Shadow — the partition must be built per shard.
+	// RunSharded's partitioned shadow memory; the default is Sparse stores
+	// the engine keeps and resets between runs. A shard sees a hash-selected
+	// subset of the addresses, so a Dense sub-store must still cover the
+	// whole address bound (see Shadow). RunSharded ignores Shadow — the
+	// partition must be built per shard.
 	NewShard func(shard int) shadow.Store
 	// ConcurrentAddr lets RunSharded call ComputeAddr concurrently from
 	// every scheduler lane (each lane redundantly computes the full
@@ -353,11 +356,10 @@ func (st *state) schedule(opts *Options, stats *Stats) {
 					accessor = int32(owner.Owner(a, nw))
 				}
 				stats.AddrChecks++
-				dep := shadowMem.Lookup(a)
+				dep := shadowMem.Exchange(a, accessor, iterNum)
 				if dep.Iter != shadow.None && dep.Tid != accessor {
 					pending[accessor] = addDep(pending[accessor], dep.Tid, dep.Iter)
 				}
-				shadowMem.Update(a, accessor, iterNum)
 			}
 			for _, t := range tids {
 				for _, d := range pending[t] {

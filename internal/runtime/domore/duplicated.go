@@ -85,11 +85,10 @@ func duplicatedWorker(w Workload, opts *Options, tid, nw int, latestFinished []p
 				if multiOwner && len(tids) > 1 {
 					accessor = int32(owner.Owner(a, nw))
 				}
-				dep := shadowMem.Lookup(a)
+				dep := shadowMem.Exchange(a, accessor, iterNum)
 				if dep.Iter != shadow.None && dep.Tid != accessor && accessor == int32(tid) {
 					deps = addDep(deps, dep.Tid, dep.Iter)
 				}
-				shadowMem.Update(a, accessor, iterNum)
 			}
 			for _, t := range tids {
 				if t == tid {

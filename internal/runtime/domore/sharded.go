@@ -27,6 +27,16 @@ import (
 //     iteration order. With Options.ConcurrentAddr the lanes also compute
 //     the address sets (redundantly, like the duplicated scheduler of
 //     §3.4); otherwise the driver precomputes them into a reused arena.
+//   - Only a full chunk (Options.Batch iterations) is worth a cross-thread
+//     round trip. Without ConcurrentAddr the driver detects a partial chunk
+//     — an invocation's tail, or a whole invocation shorter than Batch —
+//     itself, for every shard through the lanes' own routine (detect) into
+//     the lanes' own condition lists, so the merge cannot tell who ran it.
+//     The shard-ownership invariant holds because the lanes are quiescent
+//     whenever the driver is not inside a hand-off: they touch a shard only
+//     between the driver's publication of a chunk and their completion
+//     store, which the driver waits for. Lane threads are posted at the
+//     first hand-off, so a run that never fills a chunk starts none.
 //   - Synchronization conditions and dispatch records are buffered per
 //     worker and published with queue.ProduceBatch, amortizing the queue's
 //     index publication over the chunk instead of paying it per iteration.
@@ -75,6 +85,7 @@ type laneCond struct {
 // are reused across chunks; the steady state allocates nothing.
 type shardChunk struct {
 	stop    bool
+	seq     int64 // ordinal of the chunk in the run, from 1
 	inv     int32
 	it0     int32 // first inner-loop index of the chunk
 	n       int32 // iterations in the chunk
@@ -96,10 +107,18 @@ type shardLane struct {
 	_     [56]byte
 	done  atomic.Int64
 	_     [56]byte
-	conds []laneCond // lane output for the current chunk
+	conds []laneCond // the shard's output for the current chunk
 	buf   []uint64   // ConcurrentAddr: the lane's ComputeAddr scratch
 	waits int64      // chunk-handoff wait episodes; plain, folded at quiesce
 	run   func()     // the lane's phase, bound once
+
+	// What check needs, set per run: by begin, except that a ConcurrentAddr
+	// lane builds a policy of its own and takes owner from that.
+	shard      shadow.Store
+	nw         int
+	pol        sched.Policy
+	owner      *sched.LocalWrite
+	multiOwner bool
 }
 
 // shardedRun carries the driver's merge state so the helpers share it
@@ -120,10 +139,9 @@ type shardedRun struct {
 	opts       Options
 	nw         int
 	concurrent bool
+	handoffs   int64 // chunks handed to the lanes so far, the stop included
 	shards     *shadow.Sharded
 	newPolicy  func() sched.Policy
-	owner      *sched.LocalWrite // serial mode: shared, Owner is pure
-	multiOwner bool
 	stats      Stats
 	sch        *trace.ThreadTrace
 }
@@ -161,9 +179,6 @@ func RunShardedOn(rt *engine.Runtime, w Workload, opts Options) Stats {
 
 	for tid := range st.local {
 		rt.Go(tid, "domore", "worker", st.local[tid].runBatched)
-	}
-	for l := range d.lanes {
-		rt.GoAux(l, "domore", "sched-lane", d.lanes[l].run)
 	}
 	rt.Labeled("domore", "scheduler", d.drive)
 	rt.Wait()
@@ -206,11 +221,7 @@ func (d *shardedRun) begin(w Workload, opts Options) {
 	d.w, d.opts, d.nw, d.stats = w, opts, opts.Workers, Stats{}
 	d.concurrent = opts.ConcurrentAddr
 	d.sch = opts.Trace.Lane(trace.LaneScheduler)
-	d.ch.stop = false
-	for l := range d.lanes {
-		d.lanes[l].ready.Store(0)
-		d.lanes[l].done.Store(0)
-	}
+	d.ch.stop, d.ch.seq, d.handoffs = false, 0, 0
 	if opts.NewShard != nil {
 		d.shards = shadow.NewSharded(opts.Lanes, opts.NewShard)
 	} else {
@@ -220,15 +231,41 @@ func (d *shardedRun) begin(w Workload, opts Options) {
 		d.store.Reset()
 		d.shards = d.store
 	}
-	d.newPolicy, d.owner, d.multiOwner = nil, nil, false
+	// Without ConcurrentAddr every lane shares the driver's LocalWrite: all
+	// check calls of it is Owner, which is pure.
+	var owner *sched.LocalWrite
+	var multiOwner bool
+	d.newPolicy = nil
 	if d.concurrent {
 		d.newPolicy = opts.NewPolicy
 		if d.newPolicy == nil {
 			d.newPolicy = func() sched.Policy { return sched.NewRoundRobin() }
 		}
 	} else {
-		d.owner, d.multiOwner = opts.Policy.(*sched.LocalWrite)
+		owner, multiOwner = opts.Policy.(*sched.LocalWrite)
 	}
+	for l := range d.lanes {
+		ls := &d.lanes[l]
+		ls.ready.Store(0)
+		ls.done.Store(0)
+		ls.shard, ls.nw = d.shards.Shard(l), d.nw
+		ls.pol, ls.owner, ls.multiOwner = nil, owner, multiOwner
+	}
+}
+
+// handOff publishes the current chunk to the lanes and waits until every
+// lane has completed it. The first hand-off of a run posts the lane phases.
+func (d *shardedRun) handOff() {
+	if d.handoffs == 0 {
+		for l := range d.lanes {
+			d.st.rt.GoAux(l, "domore", "sched-lane", d.lanes[l].run)
+		}
+	}
+	d.handoffs++
+	for l := range d.lanes {
+		d.lanes[l].ready.Store(d.handoffs)
+	}
+	d.await(d.handoffs)
 }
 
 // await spins on the control goroutine until lane l has completed chunk
@@ -245,10 +282,10 @@ func (d *shardedRun) await(seq int64) {
 }
 
 // drive is the sharded scheduler's main loop: sequential regions, chunk
-// handoff, merge, and batched publication.
+// detection (handed to the lanes or done here, see the file comment), merge,
+// and batched publication.
 func (d *shardedRun) drive() {
 	w, ch := d.w, d.ch
-	seq := int64(0)
 	iterNum := int64(0)
 	invocations := w.Invocations()
 	for inv := 0; inv < invocations; inv++ {
@@ -256,31 +293,30 @@ func (d *shardedRun) drive() {
 		iters := w.Iterations(inv)
 		d.sch.Emit(trace.KindEpochBegin, int64(inv), int64(inv+1), 0)
 		for it0 := 0; it0 < iters; it0 += d.opts.Batch {
-			n := iters - it0
-			if n > d.opts.Batch {
-				n = d.opts.Batch
-			}
+			n := min(iters-it0, d.opts.Batch)
+			ch.seq++
 			ch.inv, ch.it0, ch.n, ch.iterNum = int32(inv), int32(it0), int32(n), iterNum
-			if !d.concurrent {
+			switch {
+			case d.concurrent:
+				// The lanes' private policies must see every iteration.
+				d.handOff()
+			case n == d.opts.Batch:
 				d.prepareSerial()
+				d.handOff()
+			default:
+				d.prepareSerial()
+				d.detect(0, len(d.lanes), d.sch)
 			}
-			seq++
-			for l := range d.lanes {
-				d.lanes[l].ready.Store(seq)
-			}
-			d.await(seq)
 			d.merge()
 			iterNum += int64(n)
 		}
 		d.sch.Emit(trace.KindEpochCommit, 1, int64(inv), int64(inv+1))
 	}
-	// Stop the lanes, then publish the end tokens.
-	ch.stop = true
-	seq++
-	for l := range d.lanes {
-		d.lanes[l].ready.Store(seq)
+	// Stop the lanes, if any started, then publish the end tokens.
+	if d.handoffs > 0 {
+		ch.stop = true
+		d.handOff()
 	}
-	d.await(seq)
 	for t := range d.outbuf {
 		d.outbuf[t] = append(d.outbuf[t], cond{Kind: kindEnd})
 		d.flush(t)
@@ -315,27 +351,54 @@ func (d *shardedRun) prepareSerial() {
 	}
 }
 
-// lane is one scheduler lane: it processes every chunk in order but
-// performs shadow lookups and updates only for the addresses hashing to
-// its shard, appending detected dependences in iteration order.
+// detect is dependence detection for shards [lo, hi) over a chunk whose
+// addresses and assignments are in the chunk arena (prepareSerial): each
+// shard's conditions, in iteration order, replace its lane's list. Lane l
+// runs it for its own shard on a chunk handed off, the driver for every
+// shard on a chunk it keeps — one pass, each address routed to its shard.
+// Whoever runs it emits the KindShardChunk events on its own trace lane.
+func (d *shardedRun) detect(lo, hi int, tt *trace.ThreadTrace) {
+	ch, nl := d.ch, len(d.lanes)
+	for l := lo; l < hi; l++ {
+		d.lanes[l].conds = d.lanes[l].conds[:0]
+	}
+	for k := int32(0); k < ch.n; k++ {
+		t0, nt := ch.tids[ch.tidOff[k]], int(ch.tidOff[k+1]-ch.tidOff[k])
+		for _, a := range ch.addrs[ch.addrOff[k]:ch.addrOff[k+1]] {
+			l := 0
+			if nl > 1 {
+				l = shadow.ShardOf(a, nl)
+			}
+			if l >= lo && l < hi {
+				d.lanes[l].check(k, ch.iterNum+int64(k), a, t0, nt)
+			}
+		}
+	}
+	for l := lo; l < hi; l++ {
+		tt.Emit(trace.KindShardChunk, int64(l), ch.seq, ch.iterNum)
+	}
+}
+
+// check is Algorithm 1's shadow step for one address of the lane's shard,
+// accessed by iteration iterNum (chunk-relative index k, assigned to nt
+// workers of which t0 is the first).
+func (ls *shardLane) check(k int32, iterNum int64, a uint64, t0 int32, nt int) {
+	accessor := t0
+	if ls.multiOwner && nt > 1 {
+		accessor = int32(ls.owner.Owner(a, ls.nw))
+	}
+	dep := ls.shard.Exchange(a, accessor, iterNum)
+	if dep.Iter != shadow.None && dep.Tid != accessor {
+		ls.conds = append(ls.conds, laneCond{it: k, accessor: accessor, depTid: dep.Tid, depIter: dep.Iter})
+	}
+}
+
+// lane is one scheduler lane: it processes every chunk handed off, in
+// order, but performs shadow exchanges only for the addresses hashing to
+// its shard.
 func (d *shardedRun) lane(l int) {
 	ls := &d.lanes[l]
 	lt := d.opts.Trace.Lane(int32(trace.LaneShardBase - l))
-	myShard := d.shards.Shard(l)
-	nl := len(d.lanes)
-	nw := d.nw
-	ch := d.ch
-
-	var pol sched.Policy
-	owner, multiOwner := d.owner, d.multiOwner
-	if d.concurrent {
-		pol = d.newPolicy()
-		owner, multiOwner = pol.(*sched.LocalWrite)
-	}
-	recording := d.concurrent && l == 0
-
-	buf := ls.buf
-	defer func() { ls.buf = buf }()
 	for seq := int64(1); ; seq++ {
 		if ls.ready.Load() < seq {
 			ls.waits++
@@ -346,56 +409,54 @@ func (d *shardedRun) lane(l int) {
 				queue.Backoff(spins)
 			}
 		}
-		if ch.stop {
+		if d.ch.stop {
 			ls.done.Store(seq)
 			return
 		}
-		ls.conds = ls.conds[:0]
-		if recording {
-			ch.counts = ch.counts[:0]
-			ch.tids = ch.tids[:0]
-			ch.tidOff = append(ch.tidOff[:0], 0)
+		if d.concurrent {
+			d.detectConcurrent(l, lt)
+		} else {
+			d.detect(l, l+1, lt)
 		}
-		for k := int32(0); k < ch.n; k++ {
-			iterNum := ch.iterNum + int64(k)
-			var addrs []uint64
-			var t0 int32
-			var nt int
-			if d.concurrent {
-				buf = d.w.ComputeAddr(int(ch.inv), int(ch.it0+k), buf[:0])
-				addrs = buf
-				tids := pol.Assign(iterNum, addrs, nw)
-				t0, nt = int32(tids[0]), len(tids)
-				if recording {
-					ch.counts = append(ch.counts, int64(len(addrs)))
-					for _, t := range tids {
-						ch.tids = append(ch.tids, int32(t))
-					}
-					ch.tidOff = append(ch.tidOff, int32(len(ch.tids)))
-				}
-			} else {
-				addrs = ch.addrs[ch.addrOff[k]:ch.addrOff[k+1]]
-				t0 = ch.tids[ch.tidOff[k]]
-				nt = int(ch.tidOff[k+1] - ch.tidOff[k])
-			}
-			for _, a := range addrs {
-				if shadow.ShardOf(a, nl) != l {
-					continue
-				}
-				accessor := t0
-				if multiOwner && nt > 1 {
-					accessor = int32(owner.Owner(a, nw))
-				}
-				dep := myShard.Lookup(a)
-				if dep.Iter != shadow.None && dep.Tid != accessor {
-					ls.conds = append(ls.conds, laneCond{it: k, accessor: accessor, depTid: dep.Tid, depIter: dep.Iter})
-				}
-				myShard.Update(a, accessor, iterNum)
-			}
-		}
-		lt.Emit(trace.KindShardChunk, int64(l), seq, ch.iterNum)
 		ls.done.Store(seq)
 	}
+}
+
+// detectConcurrent is detect for ConcurrentAddr: the lane computes every
+// iteration's addresses and assignment itself, on a policy of its own built
+// at the run's first chunk. Lane 0 also records the per-iteration
+// counts and assignments the driver's merge reads.
+func (d *shardedRun) detectConcurrent(l int, lt *trace.ThreadTrace) {
+	ls, ch := &d.lanes[l], d.ch
+	if ls.pol == nil {
+		ls.pol = d.newPolicy()
+		ls.owner, ls.multiOwner = ls.pol.(*sched.LocalWrite)
+	}
+	recording := l == 0
+	ls.conds = ls.conds[:0]
+	if recording {
+		ch.counts = ch.counts[:0]
+		ch.tids = ch.tids[:0]
+		ch.tidOff = append(ch.tidOff[:0], 0)
+	}
+	for k := int32(0); k < ch.n; k++ {
+		iterNum := ch.iterNum + int64(k)
+		ls.buf = d.w.ComputeAddr(int(ch.inv), int(ch.it0+k), ls.buf[:0])
+		tids := ls.pol.Assign(iterNum, ls.buf, d.nw)
+		if recording {
+			ch.counts = append(ch.counts, int64(len(ls.buf)))
+			for _, t := range tids {
+				ch.tids = append(ch.tids, int32(t))
+			}
+			ch.tidOff = append(ch.tidOff, int32(len(ch.tids)))
+		}
+		for _, a := range ls.buf {
+			if shadow.ShardOf(a, len(d.lanes)) == l {
+				ls.check(k, iterNum, a, int32(tids[0]), len(tids))
+			}
+		}
+	}
+	lt.Emit(trace.KindShardChunk, int64(l), ch.seq, ch.iterNum)
 }
 
 // merge replays the completed chunk in iteration order on the driver:

@@ -2,9 +2,11 @@ package domore
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/shadow"
 	"crossinv/internal/runtime/trace"
@@ -145,20 +147,169 @@ func TestRunShardedTinyQueues(t *testing.T) {
 	}
 }
 
+// newIrregularLens is newIrregular with a trip count per invocation.
+func newIrregularLens(rng *rand.Rand, lens []int, space, addrsPerIter int) *irregular {
+	w := &irregular{data: make([]int64, space)}
+	for _, n := range lens {
+		one := newIrregular(rng, 1, n, space, addrsPerIter)
+		w.idx = append(w.idx, one.idx[0])
+	}
+	for i := range w.idx {
+		for range w.idx[i] {
+			w.seqs = append(w.seqs, int64(len(w.seqs)+1))
+		}
+	}
+	return w
+}
+
+// TestRunShardedChunkBoundaries pins the schedule across the line between
+// the two detection paths: invocations one short of a chunk (detected on
+// the driver), exactly a chunk (handed to the lanes), one over and two
+// chunks and a tail (both, alternating within an invocation), and a mix —
+// for one to three lanes, single-owner and LOCALWRITE multi-owner. Every
+// deterministic Stats field equals Run's; Batches, which only the chunking
+// decides, does not depend on the lane count.
+func TestRunShardedChunkBoundaries(t *testing.T) {
+	const batch, space, workers = 8, 40, 4
+	rep := func(n, times int) []int {
+		out := make([]int, times)
+		for i := range out {
+			out[i] = n
+		}
+		return out
+	}
+	shapes := []struct {
+		name string
+		lens []int
+	}{
+		{"batch-1", rep(batch-1, 12)},
+		{"batch", rep(batch, 12)},
+		{"batch+1", rep(batch+1, 12)},
+		{"2batch+3", rep(2*batch+3, 8)},
+		{"mix", []int{3, batch, 1, 2*batch + 3, batch - 1, 0, batch + 1, 3 * batch, 5, batch}},
+	}
+	for _, shape := range shapes {
+		for _, multi := range []bool{false, true} {
+			name := shape.name + "/round-robin"
+			if multi {
+				name = shape.name + "/localwrite"
+			}
+			t.Run(name, func(t *testing.T) {
+				mk := func() Workload {
+					w := newIrregularLens(rand.New(rand.NewSource(31)), shape.lens, space, 3)
+					if multi {
+						return &localWorkload{irregular: *w, space: space, workers: workers}
+					}
+					return w
+				}
+				data := func(w Workload) []int64 {
+					if lw, ok := w.(*localWorkload); ok {
+						return lw.data
+					}
+					return w.(*irregular).data
+				}
+				opts := func() Options {
+					o := Options{Workers: workers, Batch: batch}
+					if multi {
+						o.Policy = sched.NewLocalWrite(space)
+					}
+					return o
+				}
+				ref := mk()
+				want := Run(ref, opts())
+				var batches int64
+				for lanes := 1; lanes <= 3; lanes++ {
+					w := mk()
+					o := opts()
+					o.Lanes = lanes
+					got := RunSharded(w, o)
+					for a, v := range data(ref) {
+						if data(w)[a] != v {
+							t.Fatalf("lanes %d: data[%d] = %d, Run produced %d", lanes, a, data(w)[a], v)
+						}
+					}
+					if got.Iterations != want.Iterations || got.Dispatches != want.Dispatches ||
+						got.SyncConditions != want.SyncConditions || got.AddrChecks != want.AddrChecks {
+						t.Errorf("lanes %d: sharded stats %+v disagree with Run %+v", lanes, got, want)
+					}
+					if lanes == 1 {
+						batches = got.Batches
+					} else if got.Batches != batches {
+						t.Errorf("lanes %d: Batches = %d, %d with one lane", lanes, got.Batches, batches)
+					}
+				}
+				if multi && want.Dispatches <= want.Iterations && want.Iterations > 0 {
+					t.Errorf("Dispatches %d <= Iterations %d: the multi-owner case lost its point", want.Dispatches, want.Iterations)
+				}
+			})
+		}
+	}
+}
+
+// TestRunShardedShortInvocationsStartNoLanes: a run that never fills a
+// chunk is detected entirely on the driver, so it starts no lane thread and
+// no lane ever waits; the first full chunk on the same runtime starts them.
+func TestRunShardedShortInvocationsStartNoLanes(t *testing.T) {
+	const workers, lanes, batch = 3, 2, 16
+	rt := engine.New(workers)
+	defer rt.Close()
+	short := newIrregularLens(rand.New(rand.NewSource(8)), []int{batch - 1, 1, 7, batch - 1, 0, 12}, 24, 2)
+	want := short.sequentialRun()
+	st := RunShardedOn(rt, short, Options{Workers: workers, Lanes: lanes, Batch: batch})
+	for a := range want {
+		if short.data[a] != want[a] {
+			t.Fatalf("data[%d] = %d, want %d", a, short.data[a], want[a])
+		}
+	}
+	if st.SyncConditions == 0 {
+		t.Fatal("no dependence manifested; the driver-side path was not exercised")
+	}
+	if rt.Threads() != workers {
+		t.Errorf("runtime started %d threads for a run without a full chunk, want the %d workers only", rt.Threads(), workers)
+	}
+	if st.LaneWaits != 0 {
+		t.Errorf("LaneWaits = %d with no lane running", st.LaneWaits)
+	}
+	full := newIrregularLens(rand.New(rand.NewSource(9)), []int{5, batch, 5}, 24, 2)
+	want = full.sequentialRun()
+	RunShardedOn(rt, full, Options{Workers: workers, Lanes: lanes, Batch: batch})
+	for a := range want {
+		if full.data[a] != want[a] {
+			t.Fatalf("after a full chunk: data[%d] = %d, want %d", a, full.data[a], want[a])
+		}
+	}
+	if rt.Threads() != workers+lanes {
+		t.Errorf("runtime has %d threads after a full chunk, want %d workers + %d lanes", rt.Threads(), workers, lanes)
+	}
+}
+
 // TestRunShardedTraceParity asserts the trace-derived counters equal the
 // engine's Stats — the same contract the workloadtest suite enforces for
-// Run — plus the sharded-only invariant: every lane emits one
-// KindShardChunk per chunk, and Batches is deterministic across runs.
+// Run — plus the sharded-only invariants: KindShardChunk is emitted exactly
+// once per chunk per shard, by whoever detected that chunk (a scheduler
+// lane on its own trace lane for a full chunk, the driver on the scheduler
+// lane for a partial one), and Batches is deterministic across runs.
 func TestRunShardedTraceParity(t *testing.T) {
-	run := func() (Stats, *trace.Summary) {
+	const invs, iters, lanes, batch = 10, 37, 3, 10
+	type chunkKey struct{ shard, seq int64 }
+	run := func() (Stats, *trace.Summary, map[chunkKey][]int32) {
 		rng := rand.New(rand.NewSource(9))
-		w := newIrregular(rng, 10, 37, 32, 2)
+		w := newIrregular(rng, invs, iters, 32, 2)
 		rec := trace.NewRecorder()
-		stats := RunSharded(w, Options{Workers: 4, Lanes: 3, Batch: 10, Trace: rec})
+		var mu sync.Mutex
+		emitted := map[chunkKey][]int32{}
+		rec.SetHook(func(lane int32, k trace.Kind, a, b, _ int64) {
+			if k == trace.KindShardChunk {
+				mu.Lock()
+				emitted[chunkKey{a, b}] = append(emitted[chunkKey{a, b}], lane)
+				mu.Unlock()
+			}
+		})
+		stats := RunSharded(w, Options{Workers: 4, Lanes: lanes, Batch: batch, Trace: rec})
 		sum := rec.Summary()
-		return stats, &sum
+		return stats, &sum, emitted
 	}
-	stats, sum := run()
+	stats, sum, emitted := run()
 	if sum.Counts[trace.KindSchedule] != stats.Iterations {
 		t.Errorf("trace schedules %d != Iterations %d", sum.Counts[trace.KindSchedule], stats.Iterations)
 	}
@@ -174,12 +325,23 @@ func TestRunShardedTraceParity(t *testing.T) {
 	if sum.Counts[trace.KindStallBegin] != stats.Stalls {
 		t.Errorf("trace stalls %d != Stalls %d", sum.Counts[trace.KindStallBegin], stats.Stalls)
 	}
-	// 10 invocations of 37 iterations in chunks of 10 → 4 chunks each.
-	const wantChunks = 10 * 4
-	if got := sum.Counts[trace.KindShardChunk]; got != wantChunks*3 {
-		t.Errorf("trace shard chunks = %d, want %d chunks × 3 lanes", got, wantChunks*3)
+	// 37 iterations in chunks of 10: three full chunks, then a tail of 7.
+	const perInv = (iters + batch - 1) / batch
+	if got := sum.Counts[trace.KindShardChunk]; got != invs*perInv*lanes {
+		t.Errorf("trace shard chunks = %d, want %d chunks × %d shards", got, invs*perInv, lanes)
 	}
-	stats2, _ := run()
+	for seq := int64(1); seq <= invs*perInv; seq++ {
+		for shard := int64(0); shard < lanes; shard++ {
+			want, who := int32(trace.LaneShardBase)-int32(shard), "its scheduler lane"
+			if seq%perInv == 0 {
+				want, who = trace.LaneScheduler, "the driver"
+			}
+			if got := emitted[chunkKey{shard, seq}]; len(got) != 1 || got[0] != want {
+				t.Errorf("chunk %d shard %d: emitted on trace lanes %v, want once on %d (%s)", seq, shard, got, want, who)
+			}
+		}
+	}
+	stats2, _, _ := run()
 	if stats2.Batches != stats.Batches {
 		t.Errorf("Batches not deterministic: %d then %d", stats.Batches, stats2.Batches)
 	}
@@ -243,8 +405,8 @@ func TestRunShardedSteadyStateAllocs(t *testing.T) {
 			RunSharded(w, Options{Workers: 2, Lanes: 2, Batch: 32})
 		}
 	}
-	small := testing.AllocsPerRun(5, mkRun(4))   // 200 iterations
-	big := testing.AllocsPerRun(5, mkRun(24))    // 1200 iterations
+	small := testing.AllocsPerRun(5, mkRun(4)) // 200 iterations
+	big := testing.AllocsPerRun(5, mkRun(24))  // 1200 iterations
 	marginal := (big - small) / float64(1000)
 	if marginal > 0.05 {
 		t.Errorf("marginal allocations = %.4f/iteration (small run %.0f, big run %.0f); steady state should reuse every buffer",

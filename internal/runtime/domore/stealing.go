@@ -92,13 +92,12 @@ func RunStealing(w Workload, opts Options) Stats {
 				deps = deps[:0]
 				for _, a := range addrs {
 					stats.AddrChecks++
-					dep := shadowMem.Lookup(a)
+					dep := shadowMem.Exchange(a, 0, iterNum)
 					// Skip self-dependences: an iteration that lists an address
 					// twice would otherwise wait on its own completion flag.
 					if dep.Iter >= 0 && dep.Iter != iterNum {
 						deps = appendDep(deps, dep.Iter)
 					}
-					shadowMem.Update(a, 0, iterNum)
 				}
 				if chunk := iterNum >> chunkBits; table[chunk] == nil {
 					table[chunk] = make([]atomic.Bool, chunkSize)

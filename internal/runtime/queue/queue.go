@@ -26,16 +26,19 @@ type SPSC[T any] struct {
 	buf  []T
 	mask uint64
 
-	_    [cacheLine]byte
-	head atomic.Uint64 // next slot to consume; owned by the consumer
-	_    [cacheLine]byte
-	tail atomic.Uint64 // next slot to fill; owned by the producer
-	_    [cacheLine]byte
-
-	// cachedHead and cachedTail let each side avoid re-reading the other
-	// side's index on every operation (the classic SPSC optimization).
-	cachedHead uint64 // producer's last observed head
-	cachedTail uint64 // consumer's last observed tail
+	// Each side's line holds the index it owns and its cached copy of the
+	// other side's index (the classic SPSC optimization: re-read the peer's
+	// index only when the cached one says full or empty). Both are written
+	// by that side alone — the consumer rewrites cachedTail on every empty
+	// poll — so neither side's polling dirties a line the other side reads
+	// on its fast path.
+	_          [cacheLine]byte
+	head       atomic.Uint64 // next slot to consume; owned by the consumer
+	cachedTail uint64        // consumer's last observed tail
+	_          [cacheLine]byte
+	tail       atomic.Uint64 // next slot to fill; owned by the producer
+	cachedHead uint64        // producer's last observed head
+	_          [cacheLine]byte
 }
 
 // MaxCapacity bounds NewSPSC: the largest capacity (pre-rounding) a ring

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestCapacityRounding(t *testing.T) {
@@ -310,4 +311,30 @@ func BenchmarkProduceConsume(b *testing.B) {
 			q.Consume()
 		}
 	})
+}
+
+// TestLayoutKeepsTheSidesApart pins the false-sharing fix: every field the
+// consumer writes (head, and cachedTail, which it rewrites on each empty
+// poll) is at least a cache line away from every field the producer writes
+// (tail, cachedHead), and from the read-only header both sides load.
+func TestLayoutKeepsTheSidesApart(t *testing.T) {
+	var q SPSC[int64]
+	consumer := map[string]uintptr{"head": unsafe.Offsetof(q.head), "cachedTail": unsafe.Offsetof(q.cachedTail)}
+	producer := map[string]uintptr{"tail": unsafe.Offsetof(q.tail), "cachedHead": unsafe.Offsetof(q.cachedHead)}
+	header := map[string]uintptr{"buf": unsafe.Offsetof(q.buf), "mask": unsafe.Offsetof(q.mask)}
+	apart := func(as, bs map[string]uintptr) {
+		for an, a := range as {
+			for bn, b := range bs {
+				if d := max(a, b) - min(a, b); d < cacheLine {
+					t.Errorf("%s (offset %d) and %s (offset %d) are %d bytes apart, want >= %d", an, a, bn, b, d, cacheLine)
+				}
+			}
+		}
+	}
+	apart(consumer, producer)
+	apart(consumer, header)
+	apart(producer, header)
+	if end := unsafe.Sizeof(q) - unsafe.Offsetof(q.cachedHead); end < cacheLine {
+		t.Errorf("only %d bytes after cachedHead; a neighbouring allocation could share the producer's line", end)
+	}
 }

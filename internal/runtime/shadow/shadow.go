@@ -5,11 +5,14 @@
 //
 // Two stores are provided: Dense, an array indexed directly by address, for
 // workloads whose address space is a compact range of array indices; and
-// Sparse, a map-backed store for workloads with large or scattered address
-// spaces. Both are single-writer structures: only the scheduler thread (or,
-// in the duplicated-scheduler variant of §3.4, one private instance per
-// worker) mutates them, so no internal locking is needed.
+// Sparse, a hash table for workloads with large or scattered address spaces
+// (the engines' default). Both are single-writer structures: only the
+// scheduler thread (or, in the duplicated-scheduler variant of §3.4, one
+// private instance per worker) mutates them, so no internal locking is
+// needed.
 package shadow
+
+import "math/bits"
 
 // None is the iteration number stored in an empty entry; the paper writes it
 // as ⊥ and tests depIterNum != -1 in Algorithm 1.
@@ -32,6 +35,10 @@ type Store interface {
 	Lookup(addr uint64) Entry
 	// Update records that worker tid accessed addr during iteration iter.
 	Update(addr uint64, tid int32, iter int64)
+	// Exchange is Lookup followed by Update in one step: it records the
+	// access and returns the accessor it replaced. It is what the
+	// schedulers call per address (Algorithm 1 always does both).
+	Exchange(addr uint64, tid int32, iter int64) Entry
 	// Reset clears every entry. It is used between outer-region executions.
 	Reset()
 	// Len reports how many addresses currently have a recorded accessor.
@@ -53,26 +60,24 @@ func NewDense(size int) *Dense {
 	return d
 }
 
-// Lookup implements Store. Addresses outside the configured range are
-// reported as untouched; the caller's performance guard is expected to size
-// the store from the workload's address bound.
-func (d *Dense) Lookup(addr uint64) Entry {
-	if addr >= uint64(len(d.cells)) {
-		return empty
+// Lookup implements Store. An address outside [0, size) panics (the slice
+// bounds check): a store sized from a wrong bound would otherwise report the
+// address untouched, which is a missed dependence and a wrong result.
+func (d *Dense) Lookup(addr uint64) Entry { return d.cells[addr] }
+
+// Exchange implements Store; out-of-range addresses panic like Lookup.
+func (d *Dense) Exchange(addr uint64, tid int32, iter int64) Entry {
+	c := &d.cells[addr]
+	prev := *c
+	if prev.Iter == None {
+		d.used++
 	}
-	return d.cells[addr]
+	*c = Entry{Tid: tid, Iter: iter}
+	return prev
 }
 
 // Update implements Store.
-func (d *Dense) Update(addr uint64, tid int32, iter int64) {
-	if addr >= uint64(len(d.cells)) {
-		return
-	}
-	if d.cells[addr].Iter == None {
-		d.used++
-	}
-	d.cells[addr] = Entry{Tid: tid, Iter: iter}
-}
+func (d *Dense) Update(addr uint64, tid int32, iter int64) { d.Exchange(addr, tid, iter) }
 
 // Reset implements Store.
 func (d *Dense) Reset() {
@@ -85,33 +90,116 @@ func (d *Dense) Reset() {
 // Len implements Store.
 func (d *Dense) Len() int { return d.used }
 
-// Sparse is a Store backed by a map, for address spaces too large or too
-// scattered to shadow densely (the space/time trade-off §3.2.1 discusses;
-// the paper notes a signature scheme could substitute here too).
+// Sparse is a Store for address spaces too large or too scattered to shadow
+// densely (the space/time trade-off §3.2.1 discusses): an open-addressed,
+// linear-probed hash table of ⟨addr, iter, tid⟩ slots kept at load ≤ ½. It
+// grows by doubling and never shrinks, nothing is ever deleted from it (so
+// probing needs no tombstones), and Reset is O(1): every slot carries the
+// generation it was written in, and a slot of another generation is empty.
 type Sparse struct {
-	cells map[uint64]Entry
+	slots []slot
+	shift uint   // 64 - log2(len(slots)): home takes the hash's high bits
+	used  int    // slots of the current generation
+	gen   uint32 // current generation; never 0, the stamp of a fresh slot
 }
+
+type slot struct {
+	addr uint64
+	iter int64
+	tid  int32
+	gen  uint32
+}
+
+// sparseMinSlots is the table size NewSparse starts from.
+const sparseMinSlots = 256
 
 // NewSparse returns an empty sparse store.
 func NewSparse() *Sparse {
-	return &Sparse{cells: make(map[uint64]Entry)}
+	s := &Sparse{gen: 1}
+	s.alloc(sparseMinSlots)
+	return s
+}
+
+func (s *Sparse) alloc(n int) {
+	s.slots = make([]slot, n)
+	s.shift = uint(64 - bits.TrailingZeros(uint(n)))
+}
+
+// home is addr's first probe position: Fibonacci hashing, which spreads the
+// sequential array indices the workloads use as addresses — and the
+// ShardOf-selected subsets of them a scheduler lane sees — evenly.
+func (s *Sparse) home(addr uint64) uint64 {
+	return addr * 0x9e3779b97f4a7c15 >> s.shift
 }
 
 // Lookup implements Store.
 func (s *Sparse) Lookup(addr uint64) Entry {
-	if e, ok := s.cells[addr]; ok {
-		return e
+	mask := uint64(len(s.slots) - 1)
+	for i := s.home(addr); ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.gen != s.gen {
+			return empty
+		}
+		if sl.addr == addr {
+			return Entry{Tid: sl.tid, Iter: sl.iter}
+		}
 	}
-	return empty
+}
+
+// Exchange implements Store: one probe sequence finds the slot, reads the
+// previous accessor and writes the new one.
+func (s *Sparse) Exchange(addr uint64, tid int32, iter int64) Entry {
+	mask := uint64(len(s.slots) - 1)
+	for i := s.home(addr); ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.gen != s.gen {
+			if 2*(s.used+1) > len(s.slots) {
+				s.grow()
+				return s.Exchange(addr, tid, iter)
+			}
+			*sl = slot{addr: addr, iter: iter, tid: tid, gen: s.gen}
+			s.used++
+			return empty
+		}
+		if sl.addr == addr {
+			prev := Entry{Tid: sl.tid, Iter: sl.iter}
+			sl.tid, sl.iter = tid, iter
+			return prev
+		}
+	}
 }
 
 // Update implements Store.
-func (s *Sparse) Update(addr uint64, tid int32, iter int64) {
-	s.cells[addr] = Entry{Tid: tid, Iter: iter}
+func (s *Sparse) Update(addr uint64, tid int32, iter int64) { s.Exchange(addr, tid, iter) }
+
+// grow doubles the table and re-inserts the current generation's slots.
+func (s *Sparse) grow() {
+	old := s.slots
+	s.alloc(2 * len(old))
+	mask := uint64(len(s.slots) - 1)
+	for k := range old {
+		if old[k].gen != s.gen {
+			continue
+		}
+		i := s.home(old[k].addr)
+		for s.slots[i].gen == s.gen {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = old[k]
+	}
 }
 
-// Reset implements Store.
-func (s *Sparse) Reset() { clear(s.cells) }
+// Reset implements Store by moving to the next generation. When the stamp
+// wraps, slots written 2³² resets ago would read as current, so that one
+// reset in 2³² clears the table.
+func (s *Sparse) Reset() {
+	s.used = 0
+	s.gen++
+	if s.gen == 0 {
+		clear(s.slots)
+		s.gen = 1
+	}
+}
 
 // Len implements Store.
-func (s *Sparse) Len() int { return len(s.cells) }
+func (s *Sparse) Len() int { return s.used }

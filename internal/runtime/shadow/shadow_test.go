@@ -57,14 +57,43 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestDenseOutOfRange(t *testing.T) {
-	d := NewDense(4)
-	d.Update(100, 1, 1) // silently ignored: out of configured range
-	if e := d.Lookup(100); e.Iter != None {
-		t.Fatalf("out-of-range Lookup = %+v, want empty", e)
+// TestExchange: Exchange returns what Lookup would have and records what
+// Update would have, on every store.
+func TestExchange(t *testing.T) {
+	all := stores(16)
+	all["sharded"] = NewSharded(3, nil)
+	for name, s := range all {
+		if e := s.Exchange(5, 2, 17); e != empty {
+			t.Errorf("%s: first Exchange(5) = %+v, want empty", name, e)
+		}
+		if e := s.Exchange(5, 3, 20); e != (Entry{Tid: 2, Iter: 17}) {
+			t.Errorf("%s: second Exchange(5) = %+v, want {2 17}", name, e)
+		}
+		if e := s.Lookup(5); e != (Entry{Tid: 3, Iter: 20}) {
+			t.Errorf("%s: Lookup(5) after Exchange = %+v, want {3 20}", name, e)
+		}
+		if s.Len() != 1 {
+			t.Errorf("%s: Len = %d, want 1", name, s.Len())
+		}
 	}
-	if d.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", d.Len())
+}
+
+// TestDenseOutOfRangePanics: an address beyond the configured bound must
+// not read as untouched — that is a dropped dependence.
+func TestDenseOutOfRangePanics(t *testing.T) {
+	for name, op := range map[string]func(*Dense){
+		"Lookup":   func(d *Dense) { d.Lookup(100) },
+		"Update":   func(d *Dense) { d.Update(100, 1, 1) },
+		"Exchange": func(d *Dense) { d.Exchange(4, 1, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of an out-of-range address did not panic", name)
+				}
+			}()
+			op(NewDense(4))
+		}()
 	}
 }
 

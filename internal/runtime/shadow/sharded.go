@@ -80,6 +80,11 @@ func (s *Sharded) Update(addr uint64, tid int32, iter int64) {
 	s.shards[ShardOf(addr, len(s.shards))].Update(addr, tid, iter)
 }
 
+// Exchange implements Store by routing to the owning shard.
+func (s *Sharded) Exchange(addr uint64, tid int32, iter int64) Entry {
+	return s.shards[ShardOf(addr, len(s.shards))].Exchange(addr, tid, iter)
+}
+
 // Reset implements Store: every shard is cleared. Single-goroutine only
 // (between region executions, like the other stores).
 func (s *Sharded) Reset() {

@@ -67,19 +67,19 @@ func TestShardedAgreesWithFlat(t *testing.T) {
 	}
 }
 
-// TestShardedDenseShards exercises the mk constructor: Dense sub-stores
-// keep their bounds behavior behind the sharded router.
+// TestShardedDenseShards exercises the mk constructor: each Dense sub-store
+// covers the whole address bound and holds the addresses routed to it.
 func TestShardedDenseShards(t *testing.T) {
 	sh := NewSharded(2, func(int) Store { return NewDense(64) })
-	sh.Update(7, 1, 10)
-	if e := sh.Lookup(7); e.Tid != 1 || e.Iter != 10 {
-		t.Fatalf("Lookup(7) = %+v", e)
+	for a := uint64(0); a < 64; a++ {
+		sh.Update(a, int32(a%3), int64(a))
 	}
-	sh.Update(1 << 20, 2, 11) // out of Dense range: dropped, reported untouched
-	if e := sh.Lookup(1 << 20); e.Iter != None {
-		t.Fatalf("out-of-range address reported touched: %+v", e)
+	for a := uint64(0); a < 64; a++ {
+		if e := sh.Lookup(a); e.Tid != int32(a%3) || e.Iter != int64(a) {
+			t.Fatalf("Lookup(%d) = %+v", a, e)
+		}
 	}
-	if sh.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", sh.Len())
+	if sh.Len() != 64 || sh.Shard(0).Len()+sh.Shard(1).Len() != 64 || sh.Shard(0).Len() == 0 || sh.Shard(1).Len() == 0 {
+		t.Fatalf("Len = %d (shards %d + %d), want 64 split across both", sh.Len(), sh.Shard(0).Len(), sh.Shard(1).Len())
 	}
 }

@@ -37,7 +37,7 @@ func run() int {
 		ckpt    = flag.Int("checkpoint-every", 3, "SPECCROSS epochs per checkpoint segment")
 		window  = flag.Int("window", 4, "adaptive epochs per monitoring window")
 		faults  = flag.String("faults", "all", "fault plan: all, none, or a csv of queue-full, delay, sig-conflict, panic, timeout, torn-state, torn-delta, shard-skew, dirty-runtime")
-		mutate  = flag.String("mutate", "", "inject an engine-contract bug (drop-addr, drop-sig-write, skip-restore, skip-delta-restore, widen-static, stale-shard-claim, stale-runtime, skip-inline-shard) and require the harness to catch it")
+		mutate  = flag.String("mutate", "", "inject an engine-contract bug (drop-addr, drop-sig-write, skip-restore, skip-delta-restore, widen-static, stale-shard-claim, stale-runtime, skip-inline-shard, release-keeps-version) and require the harness to catch it")
 		shrink  = flag.Bool("shrink", false, "shrink failing cases and write artifacts to -out")
 		out     = flag.String("out", "chaos-artifacts", "artifact output directory")
 		verbose = flag.Bool("v", false, "log every case")

@@ -97,13 +97,22 @@ func fetchDecisions(client *http.Client, base, invocation string) ([]obs.Decisio
 	return doc.Entries, nil
 }
 
-// renderDecisions formats the decision audit one window per line: the
-// sampled signals the policy saw, what it chose, and why.
+// renderDecisions formats the decision audit: a header naming the engine
+// runtime the run was given, then one window per line — the sampled signals
+// the policy saw, what it chose, and why.
 func renderDecisions(entries []obs.DecisionEntry) string {
 	if len(entries) == 0 {
 		return "  (no adaptive decisions recorded)\n"
 	}
 	var b strings.Builder
+	// The runtime is the run's, not a window's: the last entry has seen
+	// every thread the run started.
+	last := entries[len(entries)-1]
+	origin := "new"
+	if last.RuntimeReused {
+		origin = "reused"
+	}
+	fmt.Fprintf(&b, "  runtime: %s, %d threads, %d checker shards\n", origin, last.RuntimeThreads, last.CheckerShards)
 	for _, e := range entries {
 		verb := "stay"
 		if e.Switched {

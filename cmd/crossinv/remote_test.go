@@ -3,9 +3,11 @@ package main
 import (
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 
 	"crossinv/internal/daemon"
+	"crossinv/internal/obs"
 )
 
 // TestRemoteFreshWithExplainAndMisspec: a plain -remote repeat is answered
@@ -52,5 +54,20 @@ func TestRemoteFreshWithExplainAndMisspec(t *testing.T) {
 		if grew := len(s.Decisions().Snapshot("")) > journal; grew != (st.wantRun == 1) {
 			t.Errorf("%s: decision journal grew = %v, want %v", st.name, grew, st.wantRun == 1)
 		}
+	}
+}
+
+// TestRenderDecisionsNamesTheRuntime: the audit opens with the engine
+// runtime the run was given, taken from the last window's entry.
+func TestRenderDecisionsNamesTheRuntime(t *testing.T) {
+	out := renderDecisions([]obs.DecisionEntry{
+		{Window: 0, Engine: "domore", Next: "speccross", RuntimeReused: true, RuntimeThreads: 2, CheckerShards: 1},
+		{Window: 1, Engine: "speccross", Next: "speccross", RuntimeReused: true, RuntimeThreads: 3, CheckerShards: 1},
+	})
+	if first, _, _ := strings.Cut(out, "\n"); first != "  runtime: reused, 3 threads, 1 checker shards" {
+		t.Errorf("audit opens with %q", first)
+	}
+	if out := renderDecisions([]obs.DecisionEntry{{RuntimeThreads: 4, CheckerShards: 2}}); !strings.HasPrefix(out, "  runtime: new, 4 threads, 2 checker shards\n") {
+		t.Errorf("audit of a run on a new runtime opens with %q", out)
 	}
 }

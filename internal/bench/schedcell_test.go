@@ -14,7 +14,7 @@ import (
 // worker count), so on a host with real cores the gap is the detection
 // split across lanes plus the batched condition publication. What the test
 // asserts is what repeats on every host — the grid validates, both cells
-// ran, and the sharded engine's allocations stay in the flat one's regime.
+// ran, and neither allocates more than a handful of objects per run.
 // The duration ratio and its Mann-Whitney p are logged, not asserted: the
 // ratio needs idle cores that a parallel `go test` on a 1–2 CPU box does not
 // have (ROADMAP item 1); performance claims are made with benchmark/run.sh.
@@ -39,18 +39,15 @@ func TestSchedCellsGate(t *testing.T) {
 	t.Logf("single median %.0fns / sharded median %.0fns = %.2fx on %d CPUs, Mann-Whitney p = %.3f",
 		single.Median, sharded.Median, single.Median/sharded.Median, runtime.GOMAXPROCS(0),
 		MannWhitneyP(single.Samples, sharded.Samples))
-	// The allocs column must be live: both engines build queues, shadow
-	// stores, and worker structures per run. The sharded engine's per-run
-	// setup must stay in the same regime as the flat one's — its steady
-	// state is allocation-free (pinned by the domore package's marginal
-	// allocs test), so anything beyond setup growth here is a leak.
+	// Both engines run on a runtime borrowed from the engine pool, so after
+	// the warm-up neither builds queues, shadow stores or worker structures
+	// per run, and the sharded engine's steady state is allocation-free
+	// (pinned by the domore package's marginal allocs test): a run allocates
+	// a handful of objects at most, and anything beyond that is a leak.
+	const perRun = 16
 	for _, c := range []*Cell{single, sharded} {
-		if c.AllocsPerOp <= 0 {
-			t.Errorf("%s: AllocsPerOp = %v, want > 0", c.ID, c.AllocsPerOp)
+		if c.AllocsPerOp > perRun {
+			t.Errorf("%s: %.0f allocations per run on a pooled runtime, want at most %d", c.ID, c.AllocsPerOp, perRun)
 		}
-	}
-	if sharded.AllocsPerOp > 50*single.AllocsPerOp {
-		t.Errorf("sharded allocs/op %.0f vs single %.0f: sharded steady state should not allocate",
-			sharded.AllocsPerOp, single.AllocsPerOp)
 	}
 }

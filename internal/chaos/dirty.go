@@ -22,6 +22,14 @@ import (
 // next run resets, or, when the runtime was torn down, its replacement never
 // sees: each later run matches the sequential oracle and its deterministic
 // Stats equal those of the same engine on a runtime of its own.
+//
+// The pass runs twice. First on a runtime the harness owns, through the
+// RunOn entry points, telling it (StateChanged) whenever the kernel is
+// rewound between runs. Then through the public entry points — Run, not
+// RunOn — which borrow whatever runtime the engine pool hands out: the same
+// one each time, since the harness runs them back to back. There the harness
+// rewinds the kernel and tells nobody; that the next run does not take the
+// last one's checkpoint image for current is what Runtime.Release promises.
 
 // dirtyKinds are the ways the dirtying run ends badly, chosen by the fault
 // seed. The first three abort speculative segments and must leave the
@@ -62,28 +70,94 @@ type dirtyRun struct {
 	spec *Spec
 	opts Options
 	k    *epochal.Kernel // one kernel serves every run, reset in between
-	rt   *engine.Runtime
-	rec  *trace.Recorder
+	// rt is the runtime the harness owns; nil in the pooled pass, whose runs
+	// borrow theirs.
+	rt  *engine.Runtime
+	rec *trace.Recorder
+}
+
+func (d *dirtyRun) pass() string {
+	if d.rt == nil {
+		return "dirty-runtime/pooled/"
+	}
+	return "dirty-runtime/"
 }
 
 func (d *dirtyRun) fail(engine, format string, args ...any) Failure {
 	return Failure{
-		Engine: "dirty-runtime/" + engine, Traced: d.opts.Traced,
+		Engine: d.pass() + engine, Traced: d.opts.Traced,
 		Faults: d.opts.Faults.String(), Mutation: string(d.opts.Mutation),
 		Detail: fmt.Sprintf(format, args...), Spec: d.spec,
 	}
 }
 
 // reset returns the kernel to its initial state for the next run. The
-// harness changes the state behind the engines' back here, which is exactly
-// what Runtime.StateChanged exists to report; MutStaleRuntime is the bug of
-// not reporting it.
+// harness changes the state behind the engines' back here. On its own
+// runtime that is exactly what Runtime.StateChanged exists to report, and
+// MutStaleRuntime is the bug of not reporting it; a pooled runtime it
+// cannot tell, and need not.
 func (d *dirtyRun) reset() {
 	clear(d.k.State)
-	if d.opts.Mutation != MutStaleRuntime {
+	if d.rt != nil && d.opts.Mutation != MutStaleRuntime {
 		d.rt.StateChanged()
 	}
 	d.rec.Reset()
+}
+
+// on runs f — one engine's RunOn — on the runtime this pass hands its runs,
+// and reports false when the pass hands them none: the pooled pass, where
+// the caller goes through the engine's public entry point instead. Under
+// MutReleaseKeepsVersion the pooled pass spells that entry point out —
+// Acquire, RunOn, Release — with a Release that does not invalidate.
+func (d *dirtyRun) on(f func(rt *engine.Runtime)) bool {
+	switch {
+	case d.rt != nil:
+		f(d.rt)
+	case d.opts.Mutation == MutReleaseKeepsVersion:
+		rt := engine.Acquire(d.opts.Workers)
+		defer rt.ReleaseStale()
+		f(rt)
+	default:
+		return false
+	}
+	return true
+}
+
+func (d *dirtyRun) speccross(w speccross.Workload, cfg speccross.Config) (st speccross.Stats) {
+	if !d.on(func(rt *engine.Runtime) { st = speccross.RunOn(rt, w, cfg) }) {
+		st = speccross.Run(w, cfg)
+	}
+	return st
+}
+
+func (d *dirtyRun) barriers(w speccross.Workload) {
+	if !d.on(func(rt *engine.Runtime) { speccross.RunBarriersOn(rt, w, d.rec) }) {
+		speccross.RunBarriersTraced(w, d.opts.Workers, d.rec)
+	}
+}
+
+// domoreEntries returns the pooled and the handed-in-runtime entry point of
+// the single or the sharded scheduler.
+func domoreEntries(sharded bool) (func(domore.Workload, domore.Options) domore.Stats, func(*engine.Runtime, domore.Workload, domore.Options) domore.Stats) {
+	if sharded {
+		return domore.RunSharded, domore.RunShardedOn
+	}
+	return domore.Run, domore.RunOn
+}
+
+func (d *dirtyRun) domore(w domore.Workload, o domore.Options, sharded bool) (st domore.Stats) {
+	run, runOn := domoreEntries(sharded)
+	if !d.on(func(rt *engine.Runtime) { st = runOn(rt, w, o) }) {
+		st = run(w, o)
+	}
+	return st
+}
+
+func (d *dirtyRun) adaptive(w adaptive.Workload, cfg adaptive.Config) (st adaptive.Stats) {
+	if !d.on(func(rt *engine.Runtime) { st = adaptive.RunOn(rt, w, cfg) }) {
+		st = adaptive.Run(w, cfg)
+	}
+	return st
 }
 
 func (d *dirtyRun) specConfig() speccross.Config {
@@ -101,11 +175,18 @@ func (d *dirtyRun) domoreOptions() domore.Options {
 	return d.opts.Faults.Domore(domore.Options{Workers: d.opts.Workers, Trace: d.rec})
 }
 
-// runDirty executes the DirtyRuntime pass over one case and returns its
+// runDirty executes both DirtyRuntime passes over one case and returns their
 // failures.
-func runDirty(spec *Spec, want []int64, opts Options) (fails []Failure) {
-	d := &dirtyRun{spec: spec, opts: opts, k: spec.Kernel(), rt: engine.New(opts.Workers)}
-	defer func() { d.rt.Close() }()
+func runDirty(spec *Spec, want []int64, opts Options) []Failure {
+	return append(runDirtyPass(spec, want, opts, false), runDirtyPass(spec, want, opts, true)...)
+}
+
+func runDirtyPass(spec *Spec, want []int64, opts Options, pooled bool) (fails []Failure) {
+	d := &dirtyRun{spec: spec, opts: opts, k: spec.Kernel()}
+	if !pooled {
+		d.rt = engine.New(opts.Workers)
+		defer func() { d.rt.Close() }()
+	}
 	if opts.Traced {
 		d.rec = trace.NewRecorder()
 		d.rec.SetHook(opts.Faults.Hook())
@@ -123,7 +204,7 @@ func runDirty(spec *Spec, want []int64, opts Options) (fails []Failure) {
 
 	// Warm-up: a clean speculative run, so the runtime holds everything a
 	// run can leave behind — a current checkpoint image included.
-	speccross.RunOn(d.rt, d.k, d.specConfig())
+	d.speccross(d.k, d.specConfig())
 	if diverged("warm-up") {
 		return fails
 	}
@@ -143,19 +224,19 @@ func runDirty(spec *Spec, want []int64, opts Options) (fails []Failure) {
 	case "forced-misspec":
 		cfg := d.specConfig()
 		cfg.ForceMisspecEpoch = at
-		if st := speccross.RunOn(d.rt, d.k, cfg); st.Misspeculations == 0 {
+		if st := d.speccross(d.k, cfg); st.Misspeculations == 0 {
 			fails = append(fails, d.fail(kind, "forced misspeculation did not fire"))
 		}
 	case "spec-panic":
 		w := &faulty{Workload: d.k, at: at, spec: true}
 		w.left.Store(1)
-		if st := speccross.RunOn(d.rt, w, d.specConfig()); st.Misspeculations == 0 {
+		if st := d.speccross(w, d.specConfig()); st.Misspeculations == 0 {
 			fails = append(fails, d.fail(kind, "injected speculative panic was not a misspeculation"))
 		}
 	case "spec-timeout":
 		cfg := d.specConfig()
 		cfg.SpecTimeout = time.Nanosecond
-		speccross.RunOn(d.rt, d.k, cfg)
+		d.speccross(d.k, cfg)
 	case "worker-panic":
 		func() {
 			defer func() {
@@ -165,15 +246,19 @@ func runDirty(spec *Spec, want []int64, opts Options) (fails []Failure) {
 			}()
 			w := &faulty{Workload: d.k, at: at}
 			w.left.Store(1)
-			domore.RunOn(d.rt, w, d.domoreOptions())
+			d.domore(w, d.domoreOptions(), false)
 		}()
-		if !d.rt.Closed() {
-			fails = append(fails, d.fail(kind, "runtime still open after a worker panicked on it"))
-			return fails
+		// A pooled runtime that failed is dropped by its Release: the next
+		// runs borrow another.
+		if d.rt != nil {
+			if !d.rt.Closed() {
+				fails = append(fails, d.fail(kind, "runtime still open after a worker panicked on it"))
+				return fails
+			}
+			d.rt = engine.New(opts.Workers) // discarded: the next runs get its replacement
 		}
-		d.rt = engine.New(opts.Workers) // discarded: the next runs get its replacement
 	}
-	if d.rt.Closed() {
+	if d.rt != nil && d.rt.Closed() {
 		fails = append(fails, d.fail(kind, "runtime was torn down by a fault the engine contains"))
 		return fails
 	}
@@ -193,34 +278,34 @@ func runDirty(spec *Spec, want []int64, opts Options) (fails []Failure) {
 	return fails
 }
 
-// runClean runs one engine on the shared runtime with no fault injected and
+// runClean runs one engine on the pass's runtime with no fault injected and
 // compares its deterministic Stats with a run of the same engine, same
 // options, on a fresh kernel and a runtime of its own.
 func (d *dirtyRun) runClean(eng string) string {
-	fresh := d.spec.Kernel()
 	segments := int64((d.spec.NumEpochs() + d.opts.CheckpointEvery - 1) / d.opts.CheckpointEvery)
 	switch eng {
 	case "barrier":
-		speccross.RunBarriersOn(d.rt, d.k, d.rec)
+		d.barriers(d.k)
 	case "domore", "domore-sharded":
-		o := d.domoreOptions()
-		run, runOn := domore.Run, domore.RunOn
-		if eng == "domore-sharded" {
+		o, sharded := d.domoreOptions(), eng == "domore-sharded"
+		if sharded {
 			o.Lanes, o.Batch = shardLanes, shardBatch
-			run, runOn = domore.RunSharded, domore.RunShardedOn
 		}
-		got := runOn(d.rt, d.k, o)
+		got := d.domore(d.k, o, sharded)
 		if detail := domoreInvariants(got, d.spec, d.rec); detail != "" {
 			return detail
 		}
 		o.Trace = nil
-		ref := run(fresh, o)
+		_, runOn := domoreEntries(sharded)
+		own := engine.New(d.opts.Workers)
+		ref := runOn(own, d.spec.Kernel(), o)
+		own.Close()
 		got.Stalls, got.LaneWaits, ref.Stalls, ref.LaneWaits = 0, 0, 0, 0 // timing
 		if got != ref {
 			return fmt.Sprintf("deterministic Stats %+v on the reused runtime, %+v on a fresh one", got, ref)
 		}
 	case "speccross":
-		st := speccross.RunOn(d.rt, d.k, d.specConfig())
+		st := d.speccross(d.k, d.specConfig())
 		if detail := speccrossInvariants(st, d.spec, d.rec); detail != "" {
 			return detail
 		}
@@ -232,7 +317,7 @@ func (d *dirtyRun) runClean(eng string) string {
 		cfg := adaptive.Config{Workers: d.opts.Workers, Window: d.opts.Window, Trace: d.rec}
 		cfg.Spec.SigKind = d.spec.Kind()
 		cfg.Domore = d.opts.Faults.Domore(cfg.Domore)
-		st := adaptive.RunOn(d.rt, d.k, cfg)
+		st := d.adaptive(d.k, cfg)
 		if detail := adaptiveInvariants(st, d.spec, d.opts.Window, d.rec); detail != "" {
 			return detail
 		}

@@ -72,11 +72,21 @@ const (
 	// full chunks keep all their addresses, so a harness whose cases never
 	// leave a partial chunk cannot catch this one.
 	MutSkipInlineShard Mutation = "skip-inline-shard"
+	// MutReleaseKeepsVersion models an engine pool that parks a released
+	// runtime as its borrower left it — state version not advanced, the
+	// last workload still on record as the checkpoint image's owner
+	// (engine.Runtime.ReleaseStale). The harness rewinds the kernel between
+	// two pooled runs and, unlike on a runtime of its own, has nobody to
+	// tell; the next run is handed the same runtime and takes the image for
+	// current, exactly as under MutStaleRuntime. Only the pooled half of the
+	// dirty-runtime pass borrows from the pool twice over one kernel, so
+	// only it can catch this one.
+	MutReleaseKeepsVersion Mutation = "release-keeps-version"
 )
 
 // Mutations lists the non-empty mutation kinds.
 func Mutations() []Mutation {
-	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleShardClaim, MutStaleRuntime, MutSkipInlineShard}
+	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleShardClaim, MutStaleRuntime, MutSkipInlineShard, MutReleaseKeepsVersion}
 }
 
 // ParseMutation validates a -mutate flag value.
@@ -106,7 +116,7 @@ func (m Mutation) Faults() FaultPlan {
 		// lane maximizes the window in which the missing sync condition
 		// lets the reader overtake the writer.
 		return FaultPlan{ShardSkew: true}
-	case MutStaleRuntime:
+	case MutStaleRuntime, MutReleaseKeepsVersion:
 		// Seed 0 dirties the shared runtime with a forced misspeculation,
 		// whose delta restore is what reads the stale image.
 		return FaultPlan{DirtyRuntime: true}
@@ -151,13 +161,14 @@ func MutationCatcher() *Spec {
 
 // Catcher returns the hand-built case the mutation's self-test runs on:
 // MutationCatcher for the mutations that lose a dependence, and for
-// MutStaleRuntime a case with no cross-thread dependence at all. A stale
+// MutStaleRuntime and MutReleaseKeepsVersion a case with no cross-thread
+// dependence at all. A stale
 // checkpoint image only exists after a run whose last segment committed,
 // and MutationCatcher's segments all misspeculate; here every segment of
 // the warm-up commits, so the forced misspeculation of the run after it
 // restores read-modify-written cells from the wrong run's image.
 func (m Mutation) Catcher() *Spec {
-	if m != MutStaleRuntime {
+	if m != MutStaleRuntime && m != MutReleaseKeepsVersion {
 		return MutationCatcher()
 	}
 	s := &Spec{Name: "chaos-runtime-catcher", StateLen: 2, SigKind: "exact"}
@@ -176,10 +187,11 @@ func (m Mutation) Catcher() *Spec {
 // Wrap applies the mutation to a case's kernel. MutNone returns the
 // kernel unchanged, as do MutWidenStatic — it lies about the analysis,
 // not the execution (RunSpec corrupts the claim before the gate) — and
-// MutStaleRuntime, which breaks the harness's own use of a shared runtime
-// (dirtyRun.reset).
+// MutStaleRuntime and MutReleaseKeepsVersion, which break the harness's own
+// use of a shared runtime and the pool's release of one (dirtyRun.reset,
+// dirtyRun.on).
 func (m Mutation) Wrap(k *epochal.Kernel) adaptive.Workload {
-	if m == MutNone || m == MutWidenStatic || m == MutStaleRuntime {
+	if m == MutNone || m == MutWidenStatic || m == MutStaleRuntime || m == MutReleaseKeepsVersion {
 		return k
 	}
 	return &mutated{k: k, m: m}

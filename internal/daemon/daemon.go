@@ -45,6 +45,7 @@ import (
 
 	"crossinv/internal/obs"
 	"crossinv/internal/plancache"
+	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/trace"
 )
 
@@ -260,9 +261,10 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Shutdown drains the daemon: stop admitting (healthz flips to 503, /run
-// answers 503), wait for every in-flight invocation to complete, flush
-// the plan cache, and release the listener. Idempotent; every caller
-// blocks until the drain is complete.
+// answers 503), wait for every in-flight invocation to complete, close the
+// engine runtimes they left parked in the engine pool, flush the plan
+// cache, and release the listener. Idempotent; every caller blocks until
+// the drain is complete.
 func (s *Server) Shutdown() error {
 	s.shutdownOnce.Do(func() {
 		s.drainMu.Lock()
@@ -270,6 +272,7 @@ func (s *Server) Shutdown() error {
 		s.drainMu.Unlock()
 		close(s.done)
 		s.wg.Wait()
+		engine.CloseIdle()
 		s.shutdownErr = s.store.Flush()
 		close(s.drained)
 	})

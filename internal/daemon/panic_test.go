@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/trace"
 )
 
@@ -16,8 +17,10 @@ import (
 // it fires on the engine thread that emits the event: a worker, a scheduler
 // lane, a checker shard — and requires what ROADMAP item 5 asks of a worker
 // panic: the request is answered 500 (the process survives), its execution
-// slot is released, no engine goroutine is left behind, and the next request
-// on the same server is served correctly.
+// slot is released, the runtime the thread died on is torn down rather than
+// returned to the engine pool — the next request on the slot is built a new
+// one and served correctly — and once the pool's idle runtimes are closed no
+// engine goroutine is left behind.
 func TestWorkerPanicIs500(t *testing.T) {
 	cg := corpus(t)["cg.lnl"]
 	// Epoch t reads what epoch t-4 wrote: speculation overlaps epochs, so
@@ -77,10 +80,12 @@ func TestWorkerPanicIs500(t *testing.T) {
 			req := &RunRequest{Source: src, Mode: tc.mode, Workers: 2, Fresh: true}
 
 			// A clean run first, so the oracle and plans exist and the
-			// goroutine baseline includes the HTTP server's own.
+			// goroutine baseline includes the HTTP server's own, but not the
+			// runtime the run parked in the engine pool.
 			if resp, status := postRun(t, ts.URL, req); status != 200 || resp.Checksum != want {
 				t.Fatalf("clean run: %d %q checksum %x, want %x", status, resp.Error, resp.Checksum, want)
 			}
+			engine.CloseIdle()
 			base := runtime.NumGoroutine()
 
 			armed.Store(true)
@@ -97,10 +102,18 @@ func TestWorkerPanicIs500(t *testing.T) {
 			if c := s.Counters(); c["daemon.failed"] != 1 {
 				t.Errorf("daemon.failed = %d, want 1", c["daemon.failed"])
 			}
+			created, reused, idle := engine.Counters()
+			if idle != 0 {
+				t.Errorf("%d runtimes in the engine pool after the failed request, want the failed one dropped", idle)
+			}
 
 			if resp, status := postRun(t, ts.URL, req); status != 200 || !resp.OK || resp.Checksum != want {
 				t.Fatalf("run after the fault: %d %q checksum %x, want %x", status, resp.Error, resp.Checksum, want)
 			}
+			if c, r, _ := engine.Counters(); c == created || r != reused {
+				t.Errorf("run after the fault: %d runtimes built, %d reused; want a new one and none from the pool", c-created, r-reused)
+			}
+			engine.CloseIdle()
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > base {
 				if time.Now().After(deadline) {

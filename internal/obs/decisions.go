@@ -40,6 +40,10 @@ type DecisionEntry struct {
 	SeedSource string `json:"seed_source,omitempty"`
 	PolicyLow  int    `json:"policy_low"`
 	PolicyHold int    `json:"policy_hold"`
+
+	RuntimeReused  bool `json:"runtime_reused"`
+	RuntimeThreads int  `json:"runtime_threads"`
+	CheckerShards  int  `json:"checker_shards"`
 }
 
 // DecisionFromAudit flattens one adaptive audit record into the
@@ -66,6 +70,9 @@ func DecisionFromAudit(invocation string, d adaptive.Decision) DecisionEntry {
 		SeedSource:       d.SeedSource,
 		PolicyLow:        d.PolicyLow,
 		PolicyHold:       d.PolicyHold,
+		RuntimeReused:    d.RuntimeReused,
+		RuntimeThreads:   d.RuntimeThreads,
+		CheckerShards:    d.CheckerShards,
 	}
 }
 

@@ -3,7 +3,8 @@
 // serving half of the observability layer — internal/runtime/trace records,
 // obs exposes:
 //
-//	/metrics        Prometheus text exposition of Recorder.LiveMetrics
+//	/metrics        Prometheus text exposition of Recorder.LiveMetrics, the
+//	                goroutine count and the engine pool's runtime counters
 //	/summary        JSON of the live Summary (per-kind counts and sums)
 //	/debug/pprof/*  standard pprof handlers; CPU profiles carry the
 //	                engine/lane goroutine labels trace.Labeled sets, so
@@ -21,6 +22,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 
+	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/trace"
 )
 
@@ -70,6 +72,12 @@ func NewMux(rec *trace.Recorder, decorate func(*trace.Registry)) *http.ServeMux 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		g := rec.LiveMetrics()
 		g.SetGauge("process.goroutines", float64(runtime.NumGoroutine()))
+		// Is this process paying thread start-up per engine call, and how
+		// many parked engine threads is it holding?
+		created, reused, idle := engine.Counters()
+		g.AddCounter("engine.runtimes_created", created)
+		g.AddCounter("engine.runtimes_reused", reused)
+		g.SetGauge("engine.runtimes_idle", float64(idle))
 		if decorate != nil {
 			decorate(g)
 		}

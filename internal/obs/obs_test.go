@@ -95,6 +95,17 @@ func TestMetricsMatchEngineStats(t *testing.T) {
 	if _, ok := samples["crossinv_process_goroutines"]; !ok {
 		t.Error("missing crossinv_process_goroutines gauge")
 	}
+	// domore.Run above built one runtime and left it in the engine pool; a
+	// second run is served from there, and the scrape says so.
+	created, reused := samples["crossinv_engine_runtimes_created_total"], samples["crossinv_engine_runtimes_reused_total"]
+	if created < 1 || samples["crossinv_engine_runtimes_idle"] < 1 {
+		t.Errorf("after one engine run: runtimes created %v, idle %v; want at least 1 each", created, samples["crossinv_engine_runtimes_idle"])
+	}
+	domore.Run(cg.New(1), domore.Options{Workers: 4})
+	samples = parsePrometheus(t, get(t, srv.URL+"/metrics"))
+	if c, r := samples["crossinv_engine_runtimes_created_total"], samples["crossinv_engine_runtimes_reused_total"]; c != created || r != reused+1 {
+		t.Errorf("a second engine run: runtimes created %v → %v, reused %v → %v; want it served from the pool", created, c, reused, r)
+	}
 
 	var sum Summary
 	if err := json.Unmarshal([]byte(get(t, srv.URL+"/summary")), &sum); err != nil {

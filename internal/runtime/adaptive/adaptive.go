@@ -164,11 +164,12 @@ type Stats struct {
 // runs to completion (SPECCROSS windows recover internally via rollback
 // and barrier re-execution), and window boundaries fully quiesce, so the
 // final state equals the sequential result regardless of the decisions.
-// Run creates one engine runtime for the call and closes it on return.
+// Run borrows one runtime from the engine pool for the call and releases it
+// on return.
 func Run(w Workload, cfg Config) Stats {
 	cfg.fill()
-	rt := engine.New(cfg.Workers)
-	defer rt.Close()
+	rt := engine.Acquire(cfg.Workers)
+	defer rt.Release()
 	return RunOn(rt, w, cfg)
 }
 
@@ -204,6 +205,9 @@ func runWindows(rt *engine.Runtime, w Workload, cfg Config, epochs int) Stats {
 	win := &window{w: w}
 	win.dw, _ = w.(speccross.DeltaWorkload)
 	win.irr, _ = w.(speccross.Irreversibler)
+	spec := cfg.Spec
+	spec.Workers = cfg.Workers
+	shards := spec.Shards()
 	var distOf func(epoch int) int64
 	if of := cfg.Spec.SpecDistanceOf; of != nil {
 		distOf = func(epoch int) int64 { return of(win.lo + epoch) }
@@ -319,6 +323,10 @@ func runWindows(rt *engine.Runtime, w Workload, cfg Config, epochs int) Stats {
 				SeedSource: cfg.SeedSource,
 				PolicyLow:  ps.Low,
 				PolicyHold: ps.Hold,
+
+				RuntimeReused:  rt.Reused(),
+				RuntimeThreads: rt.Threads(),
+				CheckerShards:  shards,
 			})
 		}
 		engine = next

@@ -33,6 +33,14 @@ type Decision struct {
 	// PolicyLow and PolicyHold expose the ThresholdPolicy hysteresis
 	// state after the decision (zero for other policies).
 	PolicyLow, PolicyHold int
+	// RuntimeReused reports whether the run's engine runtime came out of
+	// the engine pool (false: it was built for this run, which then paid
+	// thread start-up); RuntimeThreads is how many threads it has started
+	// by the end of the window, and CheckerShards how many of them a
+	// SPECCROSS window uses as checkers.
+	RuntimeReused  bool
+	RuntimeThreads int
+	CheckerShards  int
 }
 
 // PolicyState is a policy's self-description after a Decide call, for

@@ -88,6 +88,21 @@ func TestDecisionAudit(t *testing.T) {
 	if winSpans != stats.Windows {
 		t.Errorf("window spans = %d, want %d", winSpans, stats.Windows)
 	}
+
+	// Every decision names the runtime the run was given: 4 workers and an
+	// explicit 2 checker shards are 6 threads once a SPECCROSS window has
+	// run, and a second Run is handed the first one's runtime by the pool.
+	decisions = decisions[:0]
+	cfg.Spec.CheckerShards, cfg.Trace = 2, nil
+	adaptive.Run(buildKernel(false), cfg)
+	for i, d := range decisions {
+		if !d.RuntimeReused || d.CheckerShards != 2 {
+			t.Fatalf("decision %d of a second Run: runtime reused %v, %d checker shards; want reused, 2", i, d.RuntimeReused, d.CheckerShards)
+		}
+	}
+	if n := decisions[len(decisions)-1].RuntimeThreads; n != 6 {
+		t.Errorf("last decision counts %d runtime threads, want 4 workers + 2 checker shards", n)
+	}
 }
 
 // TestPrefilterPressureFallback pins the cheap checker-pressure signal:

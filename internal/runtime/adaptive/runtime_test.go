@@ -103,9 +103,11 @@ func settle(t *testing.T, what string, base int) {
 	}
 }
 
-// TestEntryPointsLeaveNoGoroutineBehind: every entry point that creates a
-// runtime closes it on every way out — a clean run, a misspeculation, a
-// timed-out segment, and a panic on a worker or on the control goroutine.
+// TestEntryPointsLeaveNoGoroutineBehind: every entry point that borrows a
+// runtime hands it back on every way out — a clean run, a misspeculation, a
+// timed-out segment — so that closing the pool's idle runtimes leaves no
+// engine goroutine; and a runtime a worker panicked on is torn down, not
+// pooled.
 func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 	const epochs, tasks, nw = 24, 8, 2
 	pin := func(e adaptive.Engine) adaptive.Config {
@@ -179,6 +181,7 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			engine.CloseIdle()
 			base := runtime.NumGoroutine()
 			c := newCells(epochs, tasks, nw)
 			c.fault = tc.fault
@@ -197,6 +200,12 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 			if !tc.panics {
 				c.check(t, tc.name)
 			}
+			if _, _, idle := engine.Counters(); idle != 1 && !tc.panics {
+				t.Errorf("%d runtimes in the pool after a clean run, want the 1 it released", idle)
+			} else if idle != 0 && tc.panics {
+				t.Errorf("%d runtimes in the pool after a worker panic, want the failed one dropped", idle)
+			}
+			engine.CloseIdle()
 			settle(t, tc.name, base)
 		})
 	}
@@ -273,5 +282,86 @@ func TestWindowsAllocateNothingOfTheirOwn(t *testing.T) {
 	t.Logf("alternating: 2 windows %.0f allocations, 12 windows %.0f", two, twelve)
 	if twelve > two+slack {
 		t.Errorf("alternating engines: 12 windows allocate %.0f, 2 windows %.0f: more than %d apart", twelve, two, slack)
+	}
+}
+
+// TestPooledRunAllocatesWhatRunOnDoes is the deterministic cost gate of the
+// engine pool: the second and later adaptive.Run over a workload — each
+// borrowing the runtime the one before released — allocates exactly what
+// RunOn does on a runtime its caller keeps (the sample log and the window
+// view), whichever engines its windows use, and starts no goroutine.
+func TestPooledRunAllocatesWhatRunOnDoes(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const epochs, tasks, nw = 24, 16, 2
+	c := newCells(epochs, tasks, nw)
+	for _, tc := range []struct {
+		name   string
+		policy adaptive.Policy
+		start  adaptive.Engine
+	}{
+		{"domore", adaptive.Fixed(adaptive.EngineDomore), adaptive.EngineDomore},
+		{"domore-sharded", adaptive.Fixed(adaptive.EngineDomoreSharded), adaptive.EngineDomoreSharded},
+		{"speccross", adaptive.Fixed(adaptive.EngineSpecCross), adaptive.EngineSpecCross},
+		{"barrier", adaptive.Fixed(adaptive.EngineBarrier), adaptive.EngineBarrier},
+		{"alternating", alternate{}, adaptive.EngineDomore},
+	} {
+		cfg := adaptive.Config{Workers: nw, Window: 4, Policy: tc.policy, Start: tc.start}
+		engine.CloseIdle()
+		rt := engine.New(nw)
+		kept := testing.AllocsPerRun(10, func() {
+			clear(c.state)
+			rt.StateChanged()
+			adaptive.RunOn(rt, c, cfg)
+		})
+		rt.Close()
+		c.check(t, tc.name+": RunOn")
+
+		goroutines := 0
+		pooled := testing.AllocsPerRun(10, func() {
+			clear(c.state) // rewound behind the pool's back: Release covers it
+			adaptive.Run(c, cfg)
+			if goroutines == 0 {
+				goroutines = runtime.NumGoroutine() // after the warm-up run
+			}
+		})
+		c.check(t, tc.name+": pooled Run")
+		if pooled != kept {
+			t.Errorf("%s: a pooled Run allocates %v objects, RunOn on a kept runtime %v", tc.name, pooled, kept)
+		}
+		if n := runtime.NumGoroutine(); n != goroutines {
+			t.Errorf("%s: %d goroutines after 10 pooled runs, %d after the first", tc.name, n, goroutines)
+		}
+	}
+	engine.CloseIdle()
+}
+
+// TestPooledRuntimePinsNoWorkload: the engines of a finished adaptive.Run
+// saw the workload through the controller's window view; once the caller
+// has dropped the workload, the runtime parked in the pool keeps neither
+// reachable.
+func TestPooledRuntimePinsNoWorkload(t *testing.T) {
+	engine.CloseIdle()
+	defer engine.CloseIdle()
+	collected := make(chan struct{})
+	func() {
+		c := newCells(24, 8, 2)
+		runtime.SetFinalizer(c, func(*cells) { close(collected) })
+		adaptive.Run(c, adaptive.Config{Workers: 2, Window: 4, Policy: alternate{}})
+	}()
+	if _, _, idle := engine.Counters(); idle != 1 {
+		t.Fatalf("%d runtimes in the pool after Run, want 1", idle)
+	}
+	deadline := time.After(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("the workload of a finished Run is still reachable while its runtime sits in the pool")
+		case <-time.After(time.Millisecond):
+		}
 	}
 }

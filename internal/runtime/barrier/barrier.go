@@ -91,6 +91,16 @@ func (b *Barrier) Stats() (idle time.Duration, waits int64) {
 	return time.Duration(b.waitTime.Load()), b.waitCount.Load()
 }
 
+// Snapshot returns a new barrier for the same parties carrying the
+// statistics accumulated so far: what a caller keeps when b itself goes on
+// to serve someone else's run.
+func (b *Barrier) Snapshot() *Barrier {
+	c := New(b.parties)
+	c.waitTime.Store(b.waitTime.Load())
+	c.waitCount.Store(b.waitCount.Load())
+	return c
+}
+
 // ResetStats zeroes the accumulated statistics.
 func (b *Barrier) ResetStats() {
 	b.waitTime.Store(0)

@@ -192,11 +192,11 @@ type cond struct {
 
 // Run executes the workload under DOMORE with a dedicated scheduler thread
 // (the Fig 3.2(c) plan) and returns execution statistics. It runs on a
-// runtime of its own, created for the call and closed on return.
+// runtime borrowed from the engine pool for the call and released on return.
 func Run(w Workload, opts Options) Stats {
 	opts.fill()
-	rt := engine.New(opts.Workers)
-	defer rt.Close()
+	rt := engine.Acquire(opts.Workers)
+	defer rt.Release()
 	return RunOn(rt, w, opts)
 }
 
@@ -308,6 +308,20 @@ func (st *state) begin(w Workload, rec *trace.Recorder) {
 	}
 	// DOMORE changes the workload's state without recording what it wrote.
 	st.rt.StateChanged()
+}
+
+// Forget drops what the last run handed the state — workload, recorder and,
+// for the sharded driver, its options and the stores and policies built from
+// them — so a runtime parked in the engine pool pins buffers only.
+func (st *state) Forget() {
+	st.w, st.rec = nil, nil
+	if d := st.sharded; d != nil {
+		d.w, d.opts, d.sch, d.shards, d.newPolicy = nil, Options{}, nil, nil, nil
+		for l := range d.lanes {
+			ls := &d.lanes[l]
+			ls.shard, ls.pol, ls.owner = nil, nil, nil
+		}
+	}
 }
 
 // fold adds the per-thread counters to stats and zeroes them.

@@ -152,11 +152,11 @@ type shardedRun struct {
 // lookups, which the workloadtest equivalence suite asserts field by field
 // — with the scheduler's dependence detection spread across Options.Lanes
 // concurrent lanes. Stalls and LaneWaits remain timing-dependent. Like Run
-// it creates a runtime for the call.
+// it borrows a runtime from the engine pool for the call.
 func RunSharded(w Workload, opts Options) Stats {
 	opts.fill()
-	rt := engine.New(opts.Workers)
-	defer rt.Close()
+	rt := engine.Acquire(opts.Workers)
+	defer rt.Release()
 	return RunShardedOn(rt, w, opts)
 }
 

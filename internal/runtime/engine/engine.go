@@ -22,6 +22,13 @@
 // polls Stopped on its slow path and abandons its wait, and Wait tears the
 // runtime down and re-raises the panic on the control goroutine. A runtime
 // that failed is closed and must be replaced.
+//
+// Runtimes also outlive the engine call: the entry points that own their
+// call (domore.Run, speccross.Run, adaptive.Run, ...) borrow one from a
+// process-wide free list with Acquire and hand it back with Release, so a
+// steady stream of calls runs on threads, rings and arenas that were built
+// once. Whoever acquired a runtime is its control goroutine until it
+// releases it. See Acquire and Release for what the pool keeps and promises.
 package engine
 
 import (
@@ -65,6 +72,14 @@ type Runtime struct {
 	stop   atomic.Bool
 	closed bool
 
+	// idle is raised while the runtime sits in the pool: its threads skip
+	// their idle spin and park at once, so a pooled runtime costs no CPU.
+	idle atomic.Bool
+	// pooled is true while the runtime is on the free list; reused records
+	// that the current owner got it from there.
+	pooled atomic.Bool
+	reused bool
+
 	mu       sync.Mutex // guards panicked/panicVal, written by failing threads
 	panicked bool
 	panicVal any
@@ -102,6 +117,7 @@ func New(workers int) *Runtime {
 	if workers <= 0 {
 		panic(fmt.Sprintf("engine: invalid worker count %d", workers))
 	}
+	runtimesCreated.Add(1)
 	return &Runtime{workers: workers, wake: make(chan struct{}, 1)}
 }
 
@@ -171,7 +187,7 @@ func (t *thread) loop() {
 	defer t.rt.exited.Done()
 	for n := uint64(1); ; n++ {
 		for spins := 0; t.posted.Load() < n; spins++ {
-			if spins < idleSpins {
+			if spins < idleSpins && !t.rt.idle.Load() {
 				queue.Backoff(spins)
 				continue
 			}

@@ -33,12 +33,13 @@ import (
 // checkpoint substitution of §4.2.2: checkpoint and recovery cost are
 // bounded by the write set, not the heap.
 //
-// Run creates a runtime for the call and closes it on return; every
-// segment and every recovery of the run shares its threads and state.
+// Run borrows a runtime from the engine pool for the call and releases it
+// on return; every segment and every recovery of the run shares its threads
+// and state, and so does the next call that is handed the same runtime.
 func Run(w Workload, cfg Config) Stats {
 	cfg.fill()
-	rt := engine.New(cfg.Workers)
-	defer rt.Close()
+	rt := engine.Acquire(cfg.Workers)
+	defer rt.Release()
 	return RunOn(rt, w, cfg)
 }
 
@@ -66,12 +67,15 @@ func RunOn(rt *engine.Runtime, w Workload, cfg Config) Stats {
 	// Segment control (checkpoint, rollback, recovery sequencing) runs on
 	// the calling goroutine; label it so profile samples of Snapshot and
 	// Restore attribute to the control lane.
-	rt.Labeled("speccross", "control", func() { stats = stateOn(rt, cfg.Workers).run(w, &cfg) })
+	st := stateOn(rt, cfg.Workers)
+	st.cfg = cfg
+	rt.Labeled("speccross", "control", func() { stats = st.run(w) })
 	return stats
 }
 
-func (st *state) run(w Workload, cfg *Config) Stats {
+func (st *state) run(w Workload) Stats {
 	var stats Stats
+	cfg := &st.cfg
 	ctl := cfg.Trace.Lane(trace.LaneControl)
 
 	irr, hasIrr := w.(Irreversibler)
@@ -193,14 +197,16 @@ func RunBarriers(w Workload, workers int) *barrier.Barrier {
 
 // RunBarriersTraced is RunBarriers with event tracing: each worker tid
 // emits iteration spans and barrier-wait spans on lane tid of rec. A nil
-// rec is equivalent to RunBarriers.
+// rec is equivalent to RunBarriers. It runs on a runtime borrowed from the
+// engine pool; the barrier it returns is a copy carrying the run's
+// statistics, because the next borrower restarts the runtime's own.
 func RunBarriersTraced(w Workload, workers int, rec *trace.Recorder) *barrier.Barrier {
 	if workers <= 0 {
 		panic(fmt.Sprintf("speccross: invalid worker count %d", workers))
 	}
-	rt := engine.New(workers)
-	defer rt.Close()
-	return RunBarriersOn(rt, w, rec)
+	rt := engine.Acquire(workers)
+	defer rt.Release()
+	return RunBarriersOn(rt, w, rec).Snapshot()
 }
 
 // RunBarriersOn is RunBarriersTraced on the worker threads of rt, one
@@ -296,7 +302,7 @@ type state struct {
 	// The phase in progress, written by the control goroutine before it
 	// posts to the threads.
 	w          Workload
-	cfg        *Config
+	cfg        Config // a copy: a pointer to the caller's would put one on the heap per run
 	rec        *trace.Recorder
 	start, end int
 	// prefix[e-start] is the global task number of the first task of epoch e.
@@ -385,6 +391,13 @@ func stateOn(rt *engine.Runtime, workers int) *state {
 	}).(*state)
 }
 
+// Forget drops what the last run handed the state — workload, config,
+// recorder, and with the workload the claim that the checkpoint image is
+// its — so a runtime parked in the engine pool pins buffers only.
+func (st *state) Forget() {
+	st.w, st.cfg, st.rec, st.baseFor = nil, Config{}, nil, nil
+}
+
 // aborted reports whether the segment in progress has been flagged.
 func (st *state) aborted() bool { return st.misspec.Load() != st.segBase }
 
@@ -467,7 +480,7 @@ func (st *state) fold(stats *Stats) {
 // rings need no reset: the shards drained each one to its end token.
 func (st *state) beginSegment(w Workload, cfg *Config, start, end int, trackWrites bool) {
 	nw := len(st.local)
-	st.w, st.cfg, st.rec, st.start, st.end, st.trackWrites = w, cfg, cfg.Trace, start, end, trackWrites
+	st.w, st.rec, st.start, st.end, st.trackWrites = w, cfg.Trace, start, end, trackWrites
 	st.segBase += 1 << 8
 	st.misspec.Store(st.segBase)
 
@@ -565,7 +578,7 @@ func (l *workerLocal) take(kind signature.Kind, nw int) (*signature.Signature, [
 // publishing positions, signatures and checking requests (the worker loop of
 // Fig 4.7).
 func (st *state) specWorker(tid int) {
-	w, cfg, nw, start, end := st.w, st.cfg, len(st.local), st.start, st.end
+	w, cfg, nw, start, end := st.w, &st.cfg, len(st.local), st.start, st.end
 	q, tt, loc := st.queues[tid], st.rec.Lane(int32(tid)), &st.local[tid]
 
 	// curSig points at the in-flight task's signature so the panic path

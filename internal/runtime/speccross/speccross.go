@@ -14,6 +14,7 @@ package speccross
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"crossinv/internal/runtime/signature"
@@ -131,10 +132,15 @@ type Config struct {
 	Checkpoint CheckpointMode
 	// QueueCap is the per-worker request-queue capacity (default 1024).
 	QueueCap int
-	// CheckerShards is the number of checker threads (default 2, clamped
-	// to Workers — the parallelized checker §5.2 names as future work
-	// after identifying the single checker thread as the scaling
-	// bottleneck; set 1 to reproduce the paper's single-checker design).
+	// CheckerShards is the number of checker threads, at most Workers. The
+	// default is what the machine has left once the workers are placed,
+	// clamp(GOMAXPROCS − Workers, 1, 2): the paper's single checker on a
+	// core of its own (§4.2.1) when the workers already fill the machine —
+	// more checker threads than spare processors only take turns with the
+	// workers they check — and two when two processors are spare (the
+	// parallelized checker §5.2 names as future work after identifying the
+	// single checker thread as the scaling bottleneck). An explicit value
+	// is honoured.
 	// Each shard drains a subset of the worker queues against a shared
 	// signature log sharded by worker row, each row guarded by its own
 	// lock; every shard logs its entry before comparing, so for any
@@ -171,15 +177,21 @@ func (c *Config) fill() {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
 	}
-	if c.CheckerShards <= 0 {
-		c.CheckerShards = 2
-	}
-	if c.CheckerShards > c.Workers {
-		c.CheckerShards = c.Workers
-	}
+	c.CheckerShards = c.Shards()
 	if c.ForceMisspecEpoch == 0 {
 		c.ForceMisspecEpoch = -1
 	}
+}
+
+// Shards reports how many checker shards a run of c.Workers workers under c
+// uses: CheckerShards when set, else its default, and never more than
+// Workers.
+func (c *Config) Shards() int {
+	n := c.CheckerShards
+	if n <= 0 {
+		n = min(max(runtime.GOMAXPROCS(0)-c.Workers, 1), 2)
+	}
+	return min(n, c.Workers)
 }
 
 // Stats reports what the runtime observed; Table 5.3 is generated from

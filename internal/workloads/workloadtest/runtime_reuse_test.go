@@ -1,7 +1,9 @@
 package workloadtest
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"crossinv/internal/runtime/adaptive"
@@ -28,6 +30,20 @@ func runOn(rt *engine.Runtime, row string, inst workloads.Instance, c rowConfig)
 	panic("unknown row " + row)
 }
 
+// freshStats runs every applicable row of e on a runtime built for that run
+// alone and closed after it: what the reuse tests compare against.
+func freshStats(e workloads.Entry, c rowConfig) map[string]detStats {
+	want := map[string]detStats{}
+	for _, row := range statsRows {
+		if row.needs(e, c.ok) {
+			rt := engine.New(4)
+			want[row.name] = runOn(rt, row.name, Make(e), c)
+			rt.Close()
+		}
+	}
+	return want
+}
+
 // TestReusedRuntimeMatchesFresh runs every row of a workload back to back
 // on one runtime — different engines taking turns on the same threads,
 // rings, checker log and arenas — twice over, and requires each run's
@@ -40,12 +56,7 @@ func TestReusedRuntimeMatchesFresh(t *testing.T) {
 			c := configFor(e)
 			golden := Make(e)
 			golden.RunSequential()
-			want := map[string]detStats{}
-			for _, row := range statsRows {
-				if row.needs(e, c.ok) {
-					want[row.name] = runFresh(row.name, Make(e), c)
-				}
-			}
+			want := freshStats(e, c)
 			rt := engine.New(4)
 			defer rt.Close()
 			runs := 0
@@ -69,5 +80,63 @@ func TestReusedRuntimeMatchesFresh(t *testing.T) {
 				t.Fatalf("only %d runs shared the runtime", runs)
 			}
 		})
+	}
+}
+
+// TestPooledRuntimeMatchesFresh is the same claim for the engine pool: every
+// row of every registry workload, plus the barrier plan, through the public
+// entry points, back to back in a seed-shuffled order and at alternating
+// checker-shard counts, on whichever runtime the pool hands out — which is
+// one runtime for the whole test, whatever engine, workload, queue capacity,
+// signature kind or shard count the run before it had. Data and
+// deterministic Stats equal those of a run on a runtime of its own.
+func TestPooledRuntimeMatchesFresh(t *testing.T) {
+	type run struct {
+		e      workloads.Entry
+		c      rowConfig
+		row    string // "barrier" beside the statsRows names
+		want   detStats
+		golden uint64
+	}
+	var runs []run
+	for _, e := range workloads.All() {
+		c := configFor(e)
+		golden := Make(e)
+		golden.RunSequential()
+		want := freshStats(e, c)
+		for row, d := range want {
+			runs = append(runs, run{e, c, row, d, golden.Checksum()})
+		}
+		if e.SpecOK {
+			runs = append(runs, run{e, c, "barrier", nil, golden.Checksum()})
+		}
+	}
+	sort.Slice(runs, func(i, j int) bool {
+		return runs[i].e.Name+"/"+runs[i].row < runs[j].e.Name+"/"+runs[j].row
+	})
+	engine.CloseIdle()
+	defer engine.CloseIdle()
+	created, _, _ := engine.Counters()
+	for seed := int64(1); seed <= 2; seed++ {
+		rand.New(rand.NewSource(seed)).Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
+		for i, r := range runs {
+			r.c.shards = 1 + i%2
+			inst := Make(r.e)
+			var got detStats
+			if r.row == "barrier" {
+				speccross.RunBarriers(inst.(speccross.Workload), 4)
+			} else {
+				got = runPooled(r.row, inst, r.c)
+			}
+			if inst.Checksum() != r.golden {
+				t.Errorf("seed %d, run %d, %s/%s: checksum %x != sequential %x", seed, i, r.e.Name, r.row, inst.Checksum(), r.golden)
+			}
+			if !reflect.DeepEqual(got, r.want) {
+				t.Errorf("seed %d, run %d, %s/%s on a pooled runtime:\n got  %v\n want %v", seed, i, r.e.Name, r.row, got, r.want)
+			}
+		}
+	}
+	if c, _, _ := engine.Counters(); c != created+1 {
+		t.Errorf("%d runtimes built for %d pooled runs at one worker count, want 1", c-created, 2*len(runs))
 	}
 }

@@ -50,24 +50,29 @@ func detSpec(s speccross.Stats) detStats {
 // pins its policy: the default one reads checker pressure, which is timing.
 type statsRow struct {
 	name string
+	// spec marks the rows that run SPECCROSS, and so have checker shards.
+	spec bool
 	// needs reports whether the row applies to the entry; ok is whether the
 	// §4.4 profile finds speculation profitable at 4 workers.
 	needs func(e workloads.Entry, ok bool) bool
 }
 
 var statsRows = []statsRow{
-	{"domore", func(e workloads.Entry, _ bool) bool { return e.DomoreOK }},
-	{"domore-sharded", func(e workloads.Entry, _ bool) bool { return e.DomoreOK }},
-	{"speccross", func(e workloads.Entry, ok bool) bool { return e.SpecOK && ok }},
-	{"adaptive-domore", func(e workloads.Entry, _ bool) bool { return e.DomoreOK && e.SpecOK }},
-	{"adaptive-speccross", func(e workloads.Entry, ok bool) bool { return e.DomoreOK && e.SpecOK && ok }},
+	{"domore", false, func(e workloads.Entry, _ bool) bool { return e.DomoreOK }},
+	{"domore-sharded", false, func(e workloads.Entry, _ bool) bool { return e.DomoreOK }},
+	{"speccross", true, func(e workloads.Entry, ok bool) bool { return e.SpecOK && ok }},
+	{"adaptive-domore", false, func(e workloads.Entry, _ bool) bool { return e.DomoreOK && e.SpecOK }},
+	{"adaptive-speccross", true, func(e workloads.Entry, ok bool) bool { return e.DomoreOK && e.SpecOK && ok }},
 }
 
-// rowConfig carries what every row of one entry shares.
+// rowConfig carries what every row of one entry shares. shards is the
+// SPECCROSS rows' CheckerShards; 0 leaves the default, which depends on the
+// host's processor count — the deterministic Stats do not.
 type rowConfig struct {
-	kind signature.Kind
-	dist int64
-	ok   bool
+	kind   signature.Kind
+	dist   int64
+	ok     bool
+	shards int
 }
 
 func configFor(e workloads.Entry) rowConfig {
@@ -85,13 +90,14 @@ func shardedOptions() domore.Options {
 }
 
 func (c rowConfig) spec() speccross.Config {
-	return speccross.Config{Workers: 4, CheckpointEvery: 200, SigKind: c.kind, SpecDistance: c.dist}
+	return speccross.Config{Workers: 4, CheckpointEvery: 200, SigKind: c.kind, SpecDistance: c.dist, CheckerShards: c.shards}
 }
 
 func (c rowConfig) adaptive(pin adaptive.Engine) adaptive.Config {
 	cfg := adaptive.Config{Workers: 4, Policy: adaptive.Fixed(pin), Start: pin}
 	cfg.Spec.SigKind = c.kind
 	cfg.Spec.SpecDistance = c.dist
+	cfg.Spec.CheckerShards = c.shards
 	return cfg
 }
 
@@ -106,9 +112,9 @@ func adaptiveDet(s adaptive.Stats) detStats {
 	return d
 }
 
-// runFresh runs one row through the engine's own entry point, which creates
-// a runtime for the call.
-func runFresh(row string, inst workloads.Instance, c rowConfig) detStats {
+// runPooled runs one row through the engine's own entry point, which
+// borrows a runtime from the engine pool for the call.
+func runPooled(row string, inst workloads.Instance, c rowConfig) detStats {
 	switch row {
 	case "domore":
 		return detDomore(domore.Run(inst.(domore.Workload), domore.Options{Workers: 4}))
@@ -126,12 +132,28 @@ func runFresh(row string, inst workloads.Instance, c rowConfig) detStats {
 
 // TestStatsMatchGolden runs every row of every registry workload and
 // compares the deterministic Stats fields, and the checksum, with the
-// committed golden values.
+// committed golden values — under one checker shard and under two, which
+// are the two values the default takes (the file was written at two).
 func TestStatsMatchGolden(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the golden values are for unshrunk regions (see Make)")
 	}
-	got := map[string]detStats{}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil && !*updateGolden {
+		t.Fatal(err)
+	}
+	want := map[string]detStats{}
+	if err := json.Unmarshal(data, &want); err != nil && !*updateGolden {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	var keys []string
+	for k := range want {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+
+	// The domore rows do not depend on the shard count: they run once.
+	got := map[int]map[string]detStats{1: {}, 2: {}}
 	for _, e := range workloads.All() {
 		c := configFor(e)
 		golden := Make(e)
@@ -140,16 +162,23 @@ func TestStatsMatchGolden(t *testing.T) {
 			if !row.needs(e, c.ok) {
 				continue
 			}
-			inst := Make(e)
-			d := runFresh(row.name, inst, c)
-			if inst.Checksum() != golden.Checksum() {
-				t.Errorf("%s/%s: checksum %x != sequential %x", e.Name, row.name, inst.Checksum(), golden.Checksum())
+			for shards := 1; shards <= 2; shards++ {
+				if shards == 2 && !row.spec {
+					got[2][e.Name+"/"+row.name] = got[1][e.Name+"/"+row.name]
+					continue
+				}
+				c.shards = shards
+				inst := Make(e)
+				d := runPooled(row.name, inst, c)
+				if inst.Checksum() != golden.Checksum() {
+					t.Errorf("%s/%s, %d checker shards: checksum %x != sequential %x", e.Name, row.name, shards, inst.Checksum(), golden.Checksum())
+				}
+				got[shards][e.Name+"/"+row.name] = d
 			}
-			got[e.Name+"/"+row.name] = d
 		}
 	}
 	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", " ")
+		data, err := json.MarshalIndent(got[2], "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,25 +187,14 @@ func TestStatsMatchGolden(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]detStats{}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", goldenPath, err)
-	}
-	var keys []string
-	for k := range want {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !reflect.DeepEqual(got[k], want[k]) {
-			t.Errorf("%s:\n got  %v\n want %v", k, got[k], want[k])
+	for shards, got := range got {
+		for _, k := range keys {
+			if !reflect.DeepEqual(got[k], want[k]) {
+				t.Errorf("%s, %d checker shards:\n got  %v\n want %v", k, shards, got[k], want[k])
+			}
 		}
-	}
-	if len(got) != len(want) {
-		t.Errorf("%d rows ran, golden file has %d", len(got), len(want))
+		if len(got) != len(want) {
+			t.Errorf("%d rows ran under %d checker shards, golden file has %d", len(got), shards, len(want))
+		}
 	}
 }

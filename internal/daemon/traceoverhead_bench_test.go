@@ -7,9 +7,7 @@ import (
 
 // benchTraceOverhead times the hot engine path (in-memory program cache,
 // zero analysis spans; Fresh, or the repeats would be answered from the
-// result cache) with request tracing on or off. Paired with
-// internal/bench's daemon/trace.{off,on} cells and TestTraceOverheadGate;
-// this benchmark is the precise single-process view:
+// result cache) with request tracing on or off, in one process:
 //
 //	go test ./internal/daemon/ -run '^$' -bench BenchmarkTrace
 func benchTraceOverhead(b *testing.B, disable bool) {

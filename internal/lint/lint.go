@@ -6,15 +6,16 @@
 // keeps the tool dependency-free.
 //
 // Rule stats-atomic: inside the engine packages (domore, speccross) the
-// Stats fields that concurrent goroutines count — Stalls, RangeStalls,
-// LaneWaits and the checker's pre-filter counters, per the audited
-// concurrency contract on domore.Stats — are written in exactly two ways:
-// by the quiesce-time fold of the per-thread counters (a function named
-// fold, run by the control goroutine with every thread parked), or through
-// atomic.AddInt64 (the engines that still share one Stats between
-// threads). A plain `stats.Stalls++` anywhere else inside an engine is a
-// data race the race detector only catches when a schedule happens to
-// expose it; this pass catches it on every build.
+// Stats fields that engine threads count — Stalls, RangeStalls, LaneWaits
+// and the checker's pre-filter counters, per the audited concurrency
+// contract on domore.Stats — are written only by the quiesce-time fold of
+// the per-thread counters (a function named fold, run by the control
+// goroutine with every thread parked). Any other write inside an engine,
+// plain (`stats.Stalls++`) or atomic (`atomic.AddInt64(&stats.Stalls, 1)`),
+// is a thread writing a Stats the contract says no thread writes: plain it
+// is a data race the race detector only catches when a schedule happens to
+// expose it, atomic it is a shared cache line the per-thread counters
+// exist to avoid. This pass catches both on every build.
 //
 // Rule trace-nil-guard: every exported pointer-receiver method on
 // trace.Recorder and trace.ThreadTrace must contain the nil-receiver
@@ -45,10 +46,10 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Rule, d.Msg)
 }
 
-// atomicStatsFields lists Stats fields written by concurrent goroutines
-// while an engine runs (the audited contract on domore.Stats: every other
-// field is single-writer and may use plain increments).
-var atomicStatsFields = map[string]bool{
+// auditedStatsFields lists the Stats fields engine threads count while an
+// engine runs (the audited contract on domore.Stats: every other field is
+// counted by the control goroutine alone and may use plain increments).
+var auditedStatsFields = map[string]bool{
 	"Stalls":          true,
 	"RangeStalls":     true,
 	"PrefilterChecks": true,
@@ -59,7 +60,7 @@ var atomicStatsFields = map[string]bool{
 }
 
 // enginePackages scopes the stats-atomic rule: only inside the engines do
-// worker goroutines write Stats concurrently. Post-join aggregation
+// worker goroutines count into Stats fields. Post-join aggregation
 // elsewhere (adaptive's window merge, the simulator) is legitimately
 // plain.
 var enginePackages = map[string]bool{
@@ -87,17 +88,17 @@ func CheckFile(fset *token.FileSet, pkg string, f *ast.File) []Diagnostic {
 	return out
 }
 
-// checkStatsAtomic flags direct writes to the audited concurrent Stats
-// fields outside a fold function. Reads, atomic.AddInt64(&s.Stalls, …),
-// and composite literals are fine; assignment statements and ++/--
-// targeting the field are not.
+// checkStatsAtomic flags writes to the audited Stats fields outside a fold
+// function. Reads (atomic loads included) and composite literals are fine;
+// assignment statements, ++/-- and the other sync/atomic calls taking the
+// field's address are not.
 func checkStatsAtomic(fset *token.FileSet, f *ast.File) []Diagnostic {
 	var out []Diagnostic
 	flag := func(pos token.Pos, field, how string) {
 		out = append(out, Diagnostic{
 			Pos:  fset.Position(pos),
 			Rule: "stats-atomic",
-			Msg: fmt.Sprintf("non-atomic %s of audited Stats field %s; concurrent goroutines write it, use atomic.AddInt64",
+			Msg: fmt.Sprintf("%s of audited Stats field %s outside fold; count it per thread and fold it in at quiesce",
 				how, field),
 		})
 	}
@@ -116,6 +117,18 @@ func checkStatsAtomic(fset *token.FileSet, f *ast.File) []Diagnostic {
 			if name, ok := auditedSelector(st.X); ok {
 				flag(st.X.Pos(), name, "increment")
 			}
+		case *ast.CallExpr:
+			fn, ok := st.Fun.(*ast.SelectorExpr)
+			if !ok || !isIdent(fn.X, "atomic") || strings.HasPrefix(fn.Sel.Name, "Load") {
+				break
+			}
+			for _, arg := range st.Args {
+				if addr, ok := arg.(*ast.UnaryExpr); ok && addr.Op == token.AND {
+					if name, ok := auditedSelector(addr.X); ok {
+						flag(addr.X.Pos(), name, "atomic."+fn.Sel.Name)
+					}
+				}
+			}
 		}
 		return true
 	})
@@ -124,7 +137,7 @@ func checkStatsAtomic(fset *token.FileSet, f *ast.File) []Diagnostic {
 
 func auditedSelector(e ast.Expr) (string, bool) {
 	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || !atomicStatsFields[sel.Sel.Name] {
+	if !ok || !auditedStatsFields[sel.Sel.Name] {
 		return "", false
 	}
 	return sel.Sel.Name, true

@@ -33,8 +33,6 @@ func wantRule(t *testing.T, ds []Diagnostic, rule, substr string) {
 func TestStatsAtomicFlagsPlainWrites(t *testing.T) {
 	src := `package domore
 
-import "sync/atomic"
-
 type Stats struct{ Stalls, RangeStalls, LaneWaits, Iterations, Batches int64 }
 
 func bad(s *Stats) {
@@ -45,8 +43,6 @@ func bad(s *Stats) {
 	s.Iterations++               // fine: single-writer field
 	s.Batches++                  // fine: driver-only field
 	_ = s.Stalls                 // fine: read
-	atomic.AddInt64(&s.Stalls, 1) // fine: the required idiom
-	atomic.AddInt64(&s.LaneWaits, 1) // fine: the required idiom
 }
 `
 	ds := check(t, "domore", src)
@@ -57,6 +53,28 @@ func bad(s *Stats) {
 	wantRule(t, ds, "stats-atomic", "assignment of audited Stats field Stalls")
 	wantRule(t, ds, "stats-atomic", "assignment of audited Stats field RangeStalls")
 	wantRule(t, ds, "stats-atomic", "increment of audited Stats field LaneWaits")
+}
+
+func TestStatsAtomicFlagsAtomicWrites(t *testing.T) {
+	// No engine shares one Stats between its threads, so an atomic write
+	// outside fold breaks the contract as surely as a plain one.
+	src := `package domore
+
+import "sync/atomic"
+
+type Stats struct{ Stalls, Iterations int64 }
+
+func worker(stats *Stats) {
+	atomic.AddInt64(&stats.Stalls, 1)     // flagged
+	atomic.AddInt64(&stats.Iterations, 1) // fine: not an audited field
+	_ = atomic.LoadInt64(&stats.Stalls)   // fine: a read
+}
+`
+	ds := check(t, "domore", src)
+	if len(ds) != 1 {
+		t.Fatalf("want exactly the atomic Stalls write flagged, got %v", ds)
+	}
+	wantRule(t, ds, "stats-atomic", "atomic.AddInt64 of audited Stats field Stalls")
 }
 
 func TestStatsAtomicAllowsQuiesceFold(t *testing.T) {

@@ -7,8 +7,8 @@
 //	                goroutine count and the engine pool's runtime counters
 //	/summary        JSON of the live Summary (per-kind counts and sums)
 //	/debug/pprof/*  standard pprof handlers; CPU profiles carry the
-//	                engine/lane goroutine labels trace.Labeled sets, so
-//	                profile samples attribute to scheduler/worker/checker
+//	                engine/lane goroutine labels the engine runtime sets
+//	                per phase, so samples attribute to scheduler/worker/checker
 //
 // Everything served here reads only the single-writer atomic counters
 // (never the ring buffers), so scraping during a run is race-free; the

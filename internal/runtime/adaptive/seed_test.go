@@ -1,9 +1,11 @@
 package adaptive_test
 
 import (
+	"runtime"
 	"testing"
 
 	"crossinv/internal/runtime/adaptive"
+	"crossinv/internal/workloads/epochal"
 )
 
 func TestParseEngine(t *testing.T) {
@@ -156,5 +158,81 @@ func TestSeededRunMatchesSequential(t *testing.T) {
 	}
 	if got := k.Checksum(); got != want {
 		t.Errorf("seeded adaptive checksum %x != sequential %x", got, want)
+	}
+}
+
+// seedKernel is a forward-only pipeline of 48 epochs × 32 tasks: every task
+// owns a cell, and task 0 of every epoch also rewrites one hot cell, so
+// conflicting tasks sit exactly one epoch (32 tasks) apart — the distance
+// the xdep analyzer proves — and the manifest rate, 1/32, is below the
+// threshold policy's SpecEnter bound. Task 0 yields inside its compute, so
+// even on one processor other workers start later-epoch tasks while it
+// runs: the overlap unbounded speculation misspeculates on.
+func seedKernel() *epochal.Kernel {
+	const epochs, tasks, hot = 48, 32, 48 * 32
+	k := &epochal.Kernel{State: make([]int64, hot+1), NumEpochs: epochs}
+	k.TasksOf = func(int) int { return tasks }
+	k.Access = func(e, t int, reads, writes []uint64) ([]uint64, []uint64) {
+		a := uint64(e*tasks + t)
+		if t == 0 {
+			return append(reads, a, hot), append(writes, a, hot)
+		}
+		return append(reads, a), append(writes, a)
+	}
+	k.Update = func(e, t int) {
+		g := e*tasks + t
+		v := k.State[g]
+		for i := 0; i < 5000; i++ {
+			v = v*6364136223846793005 + 1442695040888963407
+			if t == 0 && i%500 == 0 {
+				runtime.Gosched()
+			}
+		}
+		k.State[g] = v*3 + int64(g) + 1
+		if t == 0 {
+			k.State[hot] = k.State[hot]*3 + int64(e) + 1
+		}
+	}
+	return k
+}
+
+// TestSeedKernelBehavior pins what the analyzer's facts buy the adaptive
+// runtime: the cold controller escalates to unbounded speculation and
+// misspeculates on the hot-cell recurrence, while the run seeded with the
+// proven forward-only distance speculates inside that bound and never rolls
+// back. Both must match the sequential result — seeding is a performance
+// fact, never a correctness one.
+func TestSeedKernelBehavior(t *testing.T) {
+	const minDistance = 32
+	seq := seedKernel()
+	seq.RunSequential()
+	want := seq.Checksum()
+
+	run := func(static bool) (spec, misspec int) {
+		cfg := adaptive.Config{Workers: 4, Window: 6}
+		if static && !cfg.SeedFromFacts("forward-only", minDistance) {
+			t.Fatal("SeedFromFacts rejected forward-only")
+		}
+		k := seedKernel()
+		for _, s := range adaptive.Run(k, cfg).Samples {
+			if s.Engine == adaptive.EngineSpecCross {
+				spec++
+			}
+			if s.Misspeculated {
+				misspec++
+			}
+		}
+		if got := k.Checksum(); got != want {
+			t.Fatalf("static=%v checksum %x != sequential %x", static, got, want)
+		}
+		return spec, misspec
+	}
+
+	if spec, misspec := run(false); spec == 0 || misspec == 0 {
+		t.Errorf("cold run: %d speculative windows, %d misspeculated; want both > 0", spec, misspec)
+	}
+	if spec, misspec := run(true); spec == 0 || misspec != 0 {
+		t.Errorf("seeded run: %d speculative windows, %d misspeculated; want > 0 and none (the proven bound %d gates it)",
+			spec, misspec, minDistance)
 	}
 }

@@ -125,25 +125,3 @@ func RunLOCALWRITE(workers int, n int, partition *sched.LocalWrite, body func(i,
 	}
 	wg.Wait()
 }
-
-// RunWorkStealing executes one loop invocation with a work-stealing pool
-// (the §3.3.3 future-work scheduling policy, used for the scheduling-policy
-// ablation). Iterations may only be independent.
-func RunWorkStealing(workers int, loop Loop) {
-	pool := sched.NewWorkStealing(workers, int64(loop.N))
-	var wg sync.WaitGroup
-	for tid := 0; tid < workers; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			for {
-				i, ok := pool.Next(tid)
-				if !ok {
-					return
-				}
-				loop.Body(int(i), tid)
-			}
-		}(tid)
-	}
-	wg.Wait()
-}

@@ -158,19 +158,6 @@ func TestRunLOCALWRITEOwnerComputes(t *testing.T) {
 	}
 }
 
-func TestRunWorkStealingCoversAllIterations(t *testing.T) {
-	const n = 1000
-	var hits [n]atomic.Int32
-	RunWorkStealing(4, Loop{N: n, Body: func(i, _ int) {
-		hits[i].Add(1)
-	}})
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Fatalf("iteration %d executed %d times", i, got)
-		}
-	}
-}
-
 func TestInvalidWorkersPanic(t *testing.T) {
 	for name, f := range map[string]func(){
 		"Run":           func() { Run(0, nil, nil) },

@@ -12,9 +12,10 @@
 // dependence actually manifests, replacing the global barrier of Fig 3.2(a)
 // with the pipelined plan of Fig 3.2(c).
 //
-// The package also provides the duplicated-scheduler variant of §3.4
-// (Figs 3.8–3.9), which removes the dedicated scheduler thread so DOMORE can
-// compose with SPECCROSS.
+// RunSharded spreads the scheduler's dependence detection across lanes; with
+// Options.ConcurrentAddr and one lane per worker it is the duplicated
+// scheduler of §3.4 (Figs 3.8–3.9), every lane replaying the address
+// computation and assignment itself.
 package domore
 
 import (
@@ -46,8 +47,9 @@ type Workload interface {
 	// will access to buf and returns it. This is the compiler-generated
 	// computeAddr slice: it must be side-effect free (§3.3.4 aborts the
 	// transformation otherwise). The caller owns buf, so implementations
-	// stay allocation-free and safe for the concurrent replicas of
-	// RunDuplicated (§3.4), which call ComputeAddr from every worker.
+	// stay allocation-free and safe for the concurrent scheduler lanes of
+	// RunSharded with ConcurrentAddr (§3.4), which call ComputeAddr from
+	// every lane.
 	ComputeAddr(inv, iter int, buf []uint64) []uint64
 	// Execute runs the inner-loop body for iteration (inv, iter) on worker
 	// tid. Under a multi-owner policy (LOCALWRITE) it is invoked once per
@@ -62,9 +64,9 @@ type Options struct {
 	// Policy assigns iterations to workers; defaults to round-robin.
 	Policy sched.Policy
 	// NewPolicy, when set, constructs a thread-private policy instance for
-	// each replica in RunDuplicated (replicas must not share policy scratch
-	// state). Defaults to fresh round-robin instances; set it when using
-	// LOCALWRITE or a custom policy with the duplicated scheduler.
+	// each scheduler lane of RunSharded with ConcurrentAddr (lanes must not
+	// share policy scratch state). Defaults to fresh round-robin instances;
+	// set it when using LOCALWRITE or a custom policy there.
 	NewPolicy func() sched.Policy
 	// Shadow is the dependence-detection store; nil (the default) selects a
 	// Sparse store (a hash table, any address) the engine keeps and resets
@@ -79,12 +81,9 @@ type Options struct {
 	// sync-cond/dispatch records, queue-depth samples) and worker tid emits
 	// on lane tid (iteration spans, stall spans carrying the ⟨depTid,
 	// depIterNum⟩ condition, queue-empty backoff episodes). A nil Trace
-	// compiles the hot path down to nil-receiver no-ops. Run and RunSharded
-	// honor Trace (RunSharded additionally emits one KindShardChunk per
-	// chunk per scheduler lane on lanes trace.LaneShardBase - l);
-	// RunDuplicated and RunStealing ignore it — their replicated
-	// schedulers have no single scheduler lane, so their event streams
-	// would misattribute scheduling work (left to a future change).
+	// compiles the hot path down to nil-receiver no-ops. RunSharded
+	// additionally emits one KindShardChunk per chunk per scheduler lane on
+	// lanes trace.LaneShardBase - l.
 	Trace *trace.Recorder
 
 	// Lanes is the number of scheduler lanes RunSharded partitions shadow
@@ -105,14 +104,13 @@ type Options struct {
 	// every scheduler lane (each lane redundantly computes the full
 	// address set and keeps the addresses hashing to its shard), which
 	// removes the serial address computation entirely. It requires the
-	// same safety the concurrent replicas of RunDuplicated need — the
-	// documented ComputeAddr contract — which interpreter-backed workloads
+	// documented ComputeAddr contract, which interpreter-backed workloads
 	// sharing one replay environment (mtcg, speccrossgen's DomoreView) do
 	// not meet. When false (the default), the driver computes each chunk's
 	// addresses serially into a reused arena and the lanes perform only
 	// the sharded dependence detection, which is always safe. With
-	// ConcurrentAddr, a stateful Policy requires NewPolicy, exactly like
-	// RunDuplicated (each lane replays assignments on a private instance).
+	// ConcurrentAddr, a stateful Policy requires NewPolicy (each lane
+	// replays assignments on a private instance).
 	ConcurrentAddr bool
 }
 
@@ -129,21 +127,12 @@ func (o *Options) fill() {
 // uses these counters for Table 5.2 and the figure captions.
 //
 // Concurrency contract (audited, enforced by the stats_race_test regression
-// under -race and by the stats-atomic lint rule): while an engine runs, each
-// field has exactly one writing discipline. In Run and RunSharded no thread
-// writes Stats at all: the scheduler (or sharded driver) counts into a Stats
-// only it can see, workers and scheduler lanes count Stalls and LaneWaits in
-// plain thread-private counters, and the control goroutine folds those in at
-// quiesce, when every thread has finished its phase. RunDuplicated and
-// RunStealing still share one Stats between their threads: fields written
-// only by a single scheduler goroutine use plain increments (AddrChecks,
-// Iterations, and SyncConditions in RunStealing's sequential precompute);
-// fields written by concurrent goroutines use atomic.AddInt64 (Stalls in
-// both, Dispatches in RunStealing, every field in RunDuplicated, whose
-// scheduler is replicated per worker). A field is never written through
-// both disciplines in one run, and the returned Stats is read only after
-// every thread has quiesced, so callers may read it without
-// synchronization.
+// under -race and by the stats-atomic lint rule): no thread writes Stats
+// while an engine runs. The scheduler (or sharded driver) counts into a
+// Stats only it can see, workers and scheduler lanes count Stalls and
+// LaneWaits in plain thread-private counters, and the control goroutine
+// folds those in at quiesce, when every thread has finished its phase, so
+// callers may read the returned Stats without synchronization.
 type Stats struct {
 	// Iterations is the total number of inner-loop iterations scheduled
 	// (combined across invocations — the paper's global iteration numbers).

@@ -147,24 +147,6 @@ func TestRunDenseShadow(t *testing.T) {
 	}
 }
 
-func TestRunDuplicatedMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	w := newIrregular(rng, 15, 40, 48, 2)
-	want := w.sequentialRun()
-	stats := RunDuplicated(w, Options{Workers: 4})
-	for a := range want {
-		if w.data[a] != want[a] {
-			t.Fatalf("data[%d] = %d, want %d", a, w.data[a], want[a])
-		}
-	}
-	if stats.Iterations != 15*40 {
-		t.Fatalf("normalized Iterations = %d, want %d", stats.Iterations, 15*40)
-	}
-	if stats.Dispatches != 15*40 {
-		t.Fatalf("Dispatches = %d, want %d (each iteration executed once)", stats.Dispatches, 15*40)
-	}
-}
-
 // localWorkload exercises LOCALWRITE scheduling: iterations touch several
 // addresses and each owner applies only its own updates.
 type localWorkload struct {
@@ -199,6 +181,39 @@ func TestRunLocalWritePolicy(t *testing.T) {
 	}
 }
 
+// TestDuplicatedSchedulerMatchesSequential checks the §3.4 configuration:
+// RunSharded with ConcurrentAddr and one scheduler lane per worker is the
+// duplicated scheduler — every lane replays address computation and
+// assignment on a policy of its own. The LOCALWRITE row touches one address
+// per iteration, so it too executes every iteration exactly once.
+func TestDuplicatedSchedulerMatchesSequential(t *testing.T) {
+	const invs, iters, nw, space = 15, 40, 4, 48
+	rr := newIrregular(rand.New(rand.NewSource(99)), invs, iters, space, 2)
+	lw := &localWorkload{irregular: *newIrregular(rand.New(rand.NewSource(99)), invs, iters, space, 1), space: space, workers: nw}
+	for _, c := range []struct {
+		name      string
+		w         Workload
+		data      *irregular
+		newPolicy func() sched.Policy
+	}{
+		{"round-robin", rr, rr, nil},
+		{"localwrite", lw, &lw.irregular, func() sched.Policy { return sched.NewLocalWrite(space) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want := c.data.sequentialRun()
+			stats := RunSharded(c.w, Options{Workers: nw, Lanes: nw, ConcurrentAddr: true, NewPolicy: c.newPolicy})
+			for a := range want {
+				if c.data.data[a] != want[a] {
+					t.Fatalf("data[%d] = %d, want %d", a, c.data.data[a], want[a])
+				}
+			}
+			if stats.Iterations != invs*iters || stats.Dispatches != invs*iters {
+				t.Fatalf("Iterations = %d, Dispatches = %d; want %d each", stats.Iterations, stats.Dispatches, invs*iters)
+			}
+		})
+	}
+}
+
 func TestInvalidWorkersPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -208,8 +223,9 @@ func TestInvalidWorkersPanics(t *testing.T) {
 	Run(&irregular{}, Options{Workers: 0})
 }
 
-// Property: for arbitrary irregular access patterns and worker counts, both
-// DOMORE variants produce exactly the sequential result.
+// Property: for arbitrary irregular access patterns and worker counts, Run
+// and the duplicated-scheduler configuration of RunSharded produce exactly
+// the sequential result.
 func TestQuickEquivalence(t *testing.T) {
 	prop := func(seed int64, workers uint8, dup bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -217,7 +233,7 @@ func TestQuickEquivalence(t *testing.T) {
 		w := newIrregular(rng, 8, 25, 24, 2)
 		want := w.sequentialRun()
 		if dup {
-			RunDuplicated(w, Options{Workers: nw})
+			RunSharded(w, Options{Workers: nw, ConcurrentAddr: true, Lanes: nw})
 		} else {
 			Run(w, Options{Workers: nw})
 		}

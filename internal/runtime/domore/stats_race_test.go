@@ -7,14 +7,13 @@ import (
 )
 
 // TestStatsCountersRace is the regression for the Stats concurrency
-// contract (see the Stats doc comment): it drives every engine over a
-// conflict-dense workload with enough workers that the worker-side counting
-// — thread-private Stalls and LaneWaits folded at quiesce under the
-// dedicated and sharded schedulers, atomic increments under stealing and
-// the duplicated scheduler — runs concurrently with the scheduler's
-// single-writer plain increments. Under `go test -race` any field written
-// through both disciplines — or read before quiesce — is reported; in a
-// plain run it still pins the counter totals.
+// contract (see the Stats doc comment): it drives the dedicated, sharded and
+// duplicated (RunSharded with ConcurrentAddr, one lane per worker) schedulers
+// over a conflict-dense workload with enough workers that the worker- and
+// lane-side counting — thread-private Stalls and LaneWaits folded at
+// quiesce — runs concurrently with the scheduler's plain increments. Under
+// `go test -race` any field written by a running thread — or read before
+// quiesce — is reported; in a plain run it still pins the counter totals.
 func TestStatsCountersRace(t *testing.T) {
 	const invs, iters = 40, 64
 	engines := []struct {
@@ -23,8 +22,10 @@ func TestStatsCountersRace(t *testing.T) {
 	}{
 		{"dedicated", Run},
 		{"sharded", func(w Workload, o Options) Stats { o.Lanes, o.Batch = 3, 16; return RunSharded(w, o) }},
-		{"duplicated", RunDuplicated},
-		{"stealing", RunStealing},
+		{"duplicated", func(w Workload, o Options) Stats {
+			o.ConcurrentAddr, o.Lanes = true, o.Workers
+			return RunSharded(w, o)
+		}},
 	}
 	for _, eng := range engines {
 		eng := eng

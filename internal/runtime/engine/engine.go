@@ -313,9 +313,8 @@ func (rt *Runtime) Close() {
 }
 
 // Labeled runs fn on the control goroutine with pprof labels
-// {engine, lane}, restoring the labels in force before. It is
-// trace.Labeled without the per-call label set: the contexts are cached,
-// so relabelling per window costs no allocation.
+// {engine, lane}, restoring the labels in force before. The labelled
+// contexts are cached, so relabelling per window costs no allocation.
 func (rt *Runtime) Labeled(engine, lane string, fn func()) {
 	prev := rt.labels.cur
 	ctx := rt.labels.get(engine, lane)

@@ -1,8 +1,13 @@
 package engine
 
 import (
+	"bytes"
+	"reflect"
+	"regexp"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,9 +171,9 @@ func TestBarrierAbortedByThreadPanic(t *testing.T) {
 	rt.Wait()
 }
 
-// TestLabelsAreSetPerPhaseAndRestored checks the label bookkeeping (a
-// goroutine's pprof labels cannot be read back; the CPU-profile check of
-// lane attribution lives with the profile parser in internal/bench).
+// TestLabelsAreSetPerPhaseAndRestored checks the label bookkeeping through
+// the cached contexts; TestThreadsAreLabelledInGoroutineProfile checks what
+// a profile records.
 func TestLabelsAreSetPerPhaseAndRestored(t *testing.T) {
 	rt := New(1)
 	defer rt.Close()
@@ -196,6 +201,42 @@ func TestLabelsAreSetPerPhaseAndRestored(t *testing.T) {
 	})
 	if !ran || rt.labels.cur != nil {
 		t.Errorf("Labeled did not run or did not restore the unlabelled state")
+	}
+}
+
+// TestThreadsAreLabelledInGoroutineProfile parks every kind of runtime
+// thread inside a phase — two workers, an auxiliary lane, and the control
+// goroutine inside Labeled — and reads the goroutine profile: each must
+// appear under its phase's {engine, lane} labels, which is what attributes
+// engine time to lanes in a CPU profile.
+func TestThreadsAreLabelledInGoroutineProfile(t *testing.T) {
+	rt := New(2)
+	defer rt.Close()
+	release := make(chan struct{})
+	var parked sync.WaitGroup
+	parked.Add(3)
+	park := func() { parked.Done(); <-release }
+	rt.Go(0, "domore", "worker", park)
+	rt.Go(1, "domore", "worker", park)
+	rt.GoAux(0, "domore", "sched-lane", park)
+	parked.Wait()
+	var prof bytes.Buffer
+	rt.Labeled("domore", "scheduler", func() { pprof.Lookup("goroutine").WriteTo(&prof, 1) })
+	close(release)
+	rt.Wait()
+
+	got := map[string]int{}
+	for _, m := range regexp.MustCompile(`(?m)^(\d+) @ .*\n# labels: (.*)$`).FindAllStringSubmatch(prof.String(), -1) {
+		n, _ := strconv.Atoi(m[1])
+		got[m[2]] += n
+	}
+	want := map[string]int{
+		`{"engine":"domore", "lane":"worker"}`:     2,
+		`{"engine":"domore", "lane":"sched-lane"}`: 1,
+		`{"engine":"domore", "lane":"scheduler"}`:  1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("goroutines by labels = %v, want %v\n%s", got, want, prof.String())
 	}
 }
 

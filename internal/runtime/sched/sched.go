@@ -1,13 +1,7 @@
 // Package sched provides the iteration-scheduling policies the DOMORE
-// scheduler chooses among (§3.3.3): round-robin, LOCALWRITE-style memory
-// partitioning, and the work-stealing policy the paper lists as planned
-// future work (integrated here as an ablation).
+// scheduler chooses among (§3.3.3): round-robin and LOCALWRITE-style memory
+// partitioning.
 package sched
-
-import (
-	"fmt"
-	"sync"
-)
 
 // Policy decides which worker thread(s) execute a given iteration.
 //
@@ -93,102 +87,3 @@ func (l *LocalWrite) Assign(iterNum int64, addrs []uint64, workers int) []int {
 
 // Name implements Policy.
 func (l *LocalWrite) Name() string { return "localwrite" }
-
-// Deque is a work-stealing deque: the owner pushes and pops at the bottom,
-// thieves steal from the top. This implementation uses a mutex, which is
-// adequate for the iteration granularities in the evaluated workloads; the
-// abstraction is what matters for the scheduling-policy ablation.
-type Deque struct {
-	mu    sync.Mutex
-	items []int64
-}
-
-// Push adds an item at the bottom (owner side).
-func (d *Deque) Push(v int64) {
-	d.mu.Lock()
-	d.items = append(d.items, v)
-	d.mu.Unlock()
-}
-
-// Pop removes the most recently pushed item (owner side, LIFO).
-func (d *Deque) Pop() (int64, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.items)
-	if n == 0 {
-		return 0, false
-	}
-	v := d.items[n-1]
-	d.items = d.items[:n-1]
-	return v, true
-}
-
-// Steal removes the oldest item (thief side, FIFO).
-func (d *Deque) Steal() (int64, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return 0, false
-	}
-	v := d.items[0]
-	d.items = d.items[1:]
-	return v, true
-}
-
-// Len reports the number of queued items.
-func (d *Deque) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.items)
-}
-
-// WorkStealing is a Cilk-style load-balancing pool over iteration numbers:
-// iterations are dealt round-robin into per-worker deques, and idle workers
-// steal. The paper cites this as the planned alternative scheduling policy
-// for DOMORE (§3.3.3); it cannot be expressed as a pure Assign policy (the
-// mapping is decided at execution time), so it carries its own deques and a
-// Next method workers drain from.
-type WorkStealing struct {
-	deques []*Deque
-}
-
-// NewWorkStealing returns a pool with one deque per worker, preloaded by
-// dealing iterations [0,total) round-robin.
-func NewWorkStealing(workers int, total int64) *WorkStealing {
-	if workers <= 0 {
-		panic(fmt.Sprintf("sched: invalid worker count %d", workers))
-	}
-	w := &WorkStealing{deques: make([]*Deque, workers)}
-	for i := range w.deques {
-		w.deques[i] = &Deque{}
-	}
-	for i := int64(0); i < total; i++ {
-		w.deques[i%int64(workers)].Push(i)
-	}
-	return w
-}
-
-// Next returns the next iteration for worker tid: its own deque first
-// (LIFO for locality), then stealing from victims in order. ok is false when
-// no work remains anywhere.
-func (w *WorkStealing) Next(tid int) (int64, bool) {
-	if v, ok := w.deques[tid].Pop(); ok {
-		return v, true
-	}
-	for off := 1; off < len(w.deques); off++ {
-		victim := (tid + off) % len(w.deques)
-		if v, ok := w.deques[victim].Steal(); ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-// Remaining reports the total queued iterations across all deques.
-func (w *WorkStealing) Remaining() int {
-	n := 0
-	for _, d := range w.deques {
-		n += d.Len()
-	}
-	return n
-}

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -83,77 +82,6 @@ func TestQuickLocalWriteMonotone(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDequeLIFOOwnerFIFOThief(t *testing.T) {
-	d := &Deque{}
-	for i := int64(0); i < 4; i++ {
-		d.Push(i)
-	}
-	if v, ok := d.Pop(); !ok || v != 3 {
-		t.Fatalf("Pop = %d,%v; want 3 (LIFO)", v, ok)
-	}
-	if v, ok := d.Steal(); !ok || v != 0 {
-		t.Fatalf("Steal = %d,%v; want 0 (FIFO)", v, ok)
-	}
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", d.Len())
-	}
-}
-
-func TestDequeEmpty(t *testing.T) {
-	d := &Deque{}
-	if _, ok := d.Pop(); ok {
-		t.Fatal("Pop on empty succeeded")
-	}
-	if _, ok := d.Steal(); ok {
-		t.Fatal("Steal on empty succeeded")
-	}
-}
-
-func TestWorkStealingDrainsExactlyOnce(t *testing.T) {
-	const workers = 4
-	const total = 1000
-	ws := NewWorkStealing(workers, total)
-	var mu sync.Mutex
-	seen := make(map[int64]int)
-	var wg sync.WaitGroup
-	for tid := 0; tid < workers; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			for {
-				v, ok := ws.Next(tid)
-				if !ok {
-					return
-				}
-				mu.Lock()
-				seen[v]++
-				mu.Unlock()
-			}
-		}(tid)
-	}
-	wg.Wait()
-	if len(seen) != total {
-		t.Fatalf("drained %d distinct iterations, want %d", len(seen), total)
-	}
-	for v, n := range seen {
-		if n != 1 {
-			t.Fatalf("iteration %d executed %d times", v, n)
-		}
-	}
-	if ws.Remaining() != 0 {
-		t.Fatalf("Remaining = %d, want 0", ws.Remaining())
-	}
-}
-
-func TestWorkStealingStealsFromLoadedVictim(t *testing.T) {
-	ws := NewWorkStealing(2, 0)
-	ws.deques[1].Push(7)
-	// Worker 0 has nothing; it must steal from worker 1.
-	if v, ok := ws.Next(0); !ok || v != 7 {
-		t.Fatalf("Next(0) = %d,%v; want steal of 7", v, ok)
 	}
 }
 

@@ -161,9 +161,10 @@ type workload struct {
 func (w *workload) failed() bool { return w.bad.Load() }
 
 // Bind prepares the region to run against env's state with the given
-// number of workers. Call domore.Run (or RunDuplicated) with the returned
-// workload, then Finish to execute the outer loop's trailing sequential
-// code and collect any execution error.
+// number of workers. Call domore.Run or domore.RunSharded (not with
+// Options.ConcurrentAddr: ComputeAddr shares one environment) with the
+// returned workload, then Finish to execute the outer loop's trailing
+// sequential code and collect any execution error.
 func (par *Parallelized) Bind(env *interp.Env, workers int) (*workload, error) {
 	w := &workload{par: par, sched: env}
 	for i := 0; i < workers; i++ {

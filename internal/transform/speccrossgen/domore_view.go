@@ -36,7 +36,7 @@ var ErrAddrDependsOnParallel = errors.New(
 //
 // The view drives the dedicated-scheduler engine (domore.Run): ComputeAddr
 // shares one replay environment, so it is not safe for the concurrent
-// scheduler replicas of domore.RunDuplicated.
+// scheduler lanes of domore.RunSharded with Options.ConcurrentAddr.
 type DomoreView struct {
 	*Region
 	addrEnv *addrReplayEnv

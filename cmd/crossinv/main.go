@@ -9,8 +9,6 @@
 //
 //	-mode     seq | barrier | domore | domore-sharded | speccross | adaptive
 //	          | all   (default all)
-//	-engine   alias of -mode (the adaptive-runtime docs use this name; an
-//	          explicit -mode that disagrees with -engine is an error)
 //	-workers  worker thread count (default 4)
 //	-lanes    scheduler lane count for domore-sharded (0: runtime default)
 //	-region   candidate region index (default: last detected)
@@ -77,7 +75,6 @@ import (
 
 var (
 	mode    = flag.String("mode", "all", "execution mode: seq|barrier|domore|domore-sharded|speccross|adaptive|all")
-	engine  = flag.String("engine", "", "alias of -mode")
 	workers = flag.Int("workers", 4, "worker thread count")
 	lanes   = flag.Int("lanes", 0, "scheduler lane count for domore-sharded (0: runtime default)")
 	region  = flag.Int("region", -1, "candidate region index (-1: last)")
@@ -104,18 +101,6 @@ var (
 
 func main() {
 	flag.Parse()
-	modeSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "mode" {
-			modeSet = true
-		}
-	})
-	resolved, err := resolveMode(*mode, modeSet, *engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossinv:", err)
-		os.Exit(2)
-	}
-	*mode = resolved
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: crossinv [flags] <program.lnl>")
 		flag.PrintDefaults()
@@ -236,7 +221,7 @@ func main() {
 			fmt.Printf("%-10s checksum %016x  %v  (barrier waits %d, idle %v)\n",
 				m, got, time.Since(start).Round(time.Microsecond), waits, idle.Round(time.Microsecond))
 		case "domore":
-			res, err := c.RunDOMOREOpts(target, domore.Options{Workers: *workers, Trace: rec})
+			res, err := runDOMORE(c, target, false, domore.Options{Workers: *workers, Trace: rec})
 			if err != nil {
 				fmt.Printf("%-10s inapplicable: %v\n", m, err)
 				return
@@ -246,7 +231,7 @@ func main() {
 				m, got, time.Since(start).Round(time.Microsecond),
 				res.Stats.Iterations, res.Stats.SyncConditions, res.Stats.Stalls)
 		case "domore-sharded":
-			res, err := c.RunDOMOREShardedOpts(target, domore.Options{Workers: *workers, Lanes: *lanes, Trace: rec})
+			res, err := runDOMORE(c, target, true, domore.Options{Workers: *workers, Lanes: *lanes, Trace: rec})
 			if err != nil {
 				fmt.Printf("%-10s inapplicable: %v\n", m, err)
 				return
@@ -256,7 +241,7 @@ func main() {
 				m, got, time.Since(start).Round(time.Microsecond),
 				res.Stats.Iterations, res.Stats.SyncConditions, res.Stats.Batches, res.Stats.LaneWaits)
 		case "speccross":
-			res, err := c.RunSpecCross(target, speccross.Config{
+			res, err := runSpecCross(c, target, speccross.Config{
 				Workers: *workers, CheckpointEvery: *ckpt,
 				ForceMisspecEpoch: *misspec, Trace: rec,
 			}, *profile)
@@ -396,18 +381,30 @@ func exportTrace(rec *trace.Recorder, file string, metrics bool) error {
 	return nil
 }
 
-// resolveMode reconciles -mode and -engine: -engine is an alias of -mode,
-// so setting both to different values is a contradiction the driver refuses
-// rather than silently letting one win. modeSet says whether -mode was
-// given explicitly (its default does not conflict with anything).
-func resolveMode(mode string, modeSet bool, engine string) (string, error) {
-	if engine == "" {
-		return mode, nil
+// runDOMORE builds and verifies the region's DOMORE plan, then runs it on
+// the single or the sharded scheduler.
+func runDOMORE(c *core.Compiled, region *ir.Loop, sharded bool, opts domore.Options) (*core.DomoreResult, error) {
+	par, err := c.PlanDOMORE(region)
+	if err != nil {
+		return nil, err
 	}
-	if modeSet && mode != engine {
-		return "", fmt.Errorf("-mode=%s and -engine=%s disagree; -engine is an alias of -mode, set only one", mode, engine)
+	if sharded {
+		return c.RunDOMOREShardedPlanned(par, region, opts)
 	}
-	return engine, nil
+	return c.RunDOMOREPlanned(par, region, opts)
+}
+
+// runSpecCross runs the region under SPECCROSS: gated by a fresh §4.4
+// profile when profile is set, with unbounded speculation otherwise.
+func runSpecCross(c *core.Compiled, region *ir.Loop, cfg speccross.Config, profile bool) (*core.SpecCrossResult, error) {
+	prof := speccross.ProfileResult{MinDistance: speccross.NoConflict}
+	if profile {
+		var err error
+		if prof, err = c.ProfileRegion(region, cfg.SigKind); err != nil {
+			return nil, err
+		}
+	}
+	return c.RunSpecCrossProfiled(region, cfg, prof)
 }
 
 // lintOutput renders the static plan verifier's diagnostics for the

@@ -17,44 +17,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-func TestResolveMode(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		mode    string
-		modeSet bool
-		engine  string
-		want    string
-		wantErr bool
-	}{
-		{name: "defaults", mode: "all", want: "all"},
-		{name: "mode only", mode: "domore", modeSet: true, want: "domore"},
-		{name: "engine only", mode: "all", engine: "speccross", want: "speccross"},
-		{name: "both agree", mode: "adaptive", modeSet: true, engine: "adaptive", want: "adaptive"},
-		{name: "both disagree", mode: "domore", modeSet: true, engine: "speccross", wantErr: true},
-		// The unset -mode default must not conflict with an explicit -engine.
-		{name: "default mode with engine", mode: "all", engine: "barrier", want: "barrier"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := resolveMode(tc.mode, tc.modeSet, tc.engine)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("resolveMode = %q, want error", got)
-				}
-				if !strings.Contains(err.Error(), "disagree") {
-					t.Errorf("error %q does not explain the disagreement", err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
-				t.Errorf("resolveMode = %q, want %q", got, tc.want)
-			}
-		})
-	}
-}
-
 func compileFile(t *testing.T, path string) *core.Compiled {
 	t.Helper()
 	src, err := os.ReadFile(path)
@@ -114,7 +76,7 @@ func TestServeLoop(t *testing.T) {
 				first = false
 				<-release
 			}
-			if _, err := c.RunDOMOREOpts(target, domore.Options{Workers: 2, Trace: rec}); err != nil {
+			if _, err := runDOMORE(c, target, false, domore.Options{Workers: 2, Trace: rec}); err != nil {
 				t.Error(err)
 			}
 		})

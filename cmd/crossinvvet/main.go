@@ -1,6 +1,6 @@
 // Command crossinvvet runs the repo-specific static checks in
 // internal/lint (Stats atomicity in the engine packages, nil-receiver
-// guards on trace handles).
+// guards on trace handles, one wait primitive for the runtime's threads).
 //
 // Two modes:
 //
@@ -45,7 +45,7 @@ func main() {
 	// does).
 	for _, a := range args {
 		if a == "-V=full" || a == "--V=full" {
-			fmt.Printf("crossinvvet version crossinv-lint-1\n")
+			fmt.Printf("crossinvvet version crossinv-lint-2\n")
 			return
 		}
 		// go vet also queries the tool's supported flags as JSON; these

@@ -17,6 +17,8 @@ import (
 	"runtime"
 
 	"crossinv/internal/core"
+	"crossinv/internal/ir"
+	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/speccross"
 )
 
@@ -55,7 +57,7 @@ func run(src string) {
 		fmt.Printf("barrier     checksum %016x ✔\n", res.Env.Checksum())
 	}
 
-	if res, err := c.RunDOMORE(region, 4); err != nil {
+	if res, err := runDOMORE(c, region); err != nil {
 		fmt.Printf("domore      inapplicable: %v\n", err)
 	} else {
 		mustMatch("domore", res.Env.Checksum(), want)
@@ -63,13 +65,34 @@ func run(src string) {
 			res.Env.Checksum(), res.Stats.SyncConditions)
 	}
 
-	if res, err := c.RunSpecCross(region, speccross.Config{Workers: 4, CheckpointEvery: 20}, true); err != nil {
+	if res, err := runSpecCross(c, region); err != nil {
 		fmt.Printf("speccross   inapplicable: %v\n", err)
 	} else {
 		mustMatch("speccross", res.Env.Checksum(), want)
 		fmt.Printf("speccross   checksum %016x ✔  (profiled min distance %s)\n",
 			res.Env.Checksum(), distString(res.Profile.MinDistance))
 	}
+}
+
+// runDOMORE builds and verifies the region's DOMORE plan (partition →
+// computeAddr slice → MTCG), then runs it on the DOMORE runtime.
+func runDOMORE(c *core.Compiled, region *ir.Loop) (*core.DomoreResult, error) {
+	par, err := c.PlanDOMORE(region)
+	if err != nil {
+		return nil, err
+	}
+	return c.RunDOMOREPlanned(par, region, domore.Options{Workers: 4})
+}
+
+// runSpecCross profiles the region (§4.4) and runs it under SPECCROSS with
+// the speculative range the profile recommends.
+func runSpecCross(c *core.Compiled, region *ir.Loop) (*core.SpecCrossResult, error) {
+	cfg := speccross.Config{Workers: 4, CheckpointEvery: 20}
+	prof, err := c.ProfileRegion(region, cfg.SigKind)
+	if err != nil {
+		return nil, err
+	}
+	return c.RunSpecCrossProfiled(region, cfg, prof)
 }
 
 func distString(d int64) string {

@@ -157,75 +157,11 @@ type DomoreResult struct {
 	Par   *mtcg.Parallelized
 }
 
-// RunDOMORE executes the program with the region transformed by the DOMORE
-// pipeline (partition → slice → MTCG → runtime).
-func (c *Compiled) RunDOMORE(region *ir.Loop, workers int) (*DomoreResult, error) {
-	return c.RunDOMOREOpts(region, domore.Options{Workers: workers})
-}
-
-// RunDOMOREOpts is RunDOMORE with full control over the runtime options
-// (queue capacity, scheduling policy, event tracing via opts.Trace). It is
-// the cold path: PlanDOMORE builds and verifies the transform, then
-// RunDOMOREPlanned executes it; a plan cache holding the Parallelized can
-// call RunDOMOREPlanned directly and skip the pipeline.
-func (c *Compiled) RunDOMOREOpts(region *ir.Loop, opts domore.Options) (*DomoreResult, error) {
-	par, err := c.PlanDOMORE(region)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunDOMOREPlanned(par, region, opts)
-}
-
-// RunDOMOREShardedOpts is RunDOMOREOpts on the sharded scheduler: the same
-// DOMORE plan executed by domore.RunSharded, which spreads the scheduler's
-// dependence detection over opts.Lanes lanes and batches sync conditions.
-func (c *Compiled) RunDOMOREShardedOpts(region *ir.Loop, opts domore.Options) (*DomoreResult, error) {
-	par, err := c.PlanDOMORE(region)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunDOMOREShardedPlanned(par, region, opts)
-}
-
 // SpecCrossResult is the outcome of a SPECCROSS execution.
 type SpecCrossResult struct {
 	Env     *interp.Env
 	Stats   speccross.Stats
 	Profile speccross.ProfileResult
-}
-
-// RunSpecCross executes the program with the region transformed by the
-// SPECCROSS pipeline. When profile is true, a §4.4 profiling pass runs
-// first (ProfileRegion, against scratch region state) and its recommended
-// speculative distance gates the run via RunSpecCrossProfiled; a plan
-// cache holding the ProfileResult calls RunSpecCrossProfiled directly and
-// skips the pass.
-func (c *Compiled) RunSpecCross(region *ir.Loop, cfg speccross.Config, profile bool) (*SpecCrossResult, error) {
-	if profile {
-		prof, err := c.ProfileRegion(region, cfg.SigKind)
-		if err != nil {
-			return nil, err
-		}
-		return c.RunSpecCrossProfiled(region, cfg, prof)
-	}
-	env, finish, err := c.runOutside(region)
-	if err != nil {
-		return nil, err
-	}
-	res := &SpecCrossResult{}
-	r, err := speccrossgen.New(c.Prog, c.Dep, region, env, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := verifySignaturePlan(c.Prog, region); err != nil {
-		return nil, err
-	}
-	res.Stats = speccross.Run(r, cfg)
-	if err := finish(env); err != nil {
-		return nil, err
-	}
-	res.Env = env
-	return res, nil
 }
 
 // Report summarizes the compile-time analysis of a region: the DOALL

@@ -4,10 +4,42 @@ import (
 	"testing"
 	"testing/quick"
 
+	"crossinv/internal/ir"
 	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/speccross"
 )
+
+// runDOMORE is the cold DOMORE path: build and verify the plan, then run it.
+func runDOMORE(c *Compiled, region *ir.Loop, opts domore.Options) (*DomoreResult, error) {
+	par, err := c.PlanDOMORE(region)
+	if err != nil {
+		return nil, err
+	}
+	return c.RunDOMOREPlanned(par, region, opts)
+}
+
+// runDOMORESharded is runDOMORE on the sharded scheduler.
+func runDOMORESharded(c *Compiled, region *ir.Loop, opts domore.Options) (*DomoreResult, error) {
+	par, err := c.PlanDOMORE(region)
+	if err != nil {
+		return nil, err
+	}
+	return c.RunDOMOREShardedPlanned(par, region, opts)
+}
+
+// runSpecCross runs the region under SPECCROSS: gated by a fresh §4.4
+// profile when profile is set, with unbounded speculation otherwise.
+func runSpecCross(c *Compiled, region *ir.Loop, cfg speccross.Config, profile bool) (*SpecCrossResult, error) {
+	prof := speccross.ProfileResult{MinDistance: speccross.NoConflict}
+	if profile {
+		var err error
+		if prof, err = c.ProfileRegion(region, cfg.SigKind); err != nil {
+			return nil, err
+		}
+	}
+	return c.RunSpecCrossProfiled(region, cfg, prof)
+}
 
 // fig13 is the paper's motivating program (Fig 1.3): two parallel loops
 // with cross-invocation stencil dependences under a timestep loop.
@@ -89,7 +121,7 @@ func TestSpecCrossMatchesSequential(t *testing.T) {
 	want := seqChecksum(t, c)
 	// Under the race detector, profile first: unbounded speculation over
 	// the stencil's genuine conflicts races by design (§4.2.1).
-	res, err := c.RunSpecCross(c.Regions[0], speccross.Config{Workers: 4, CheckpointEvery: 6}, raceflag.Enabled)
+	res, err := runSpecCross(c, c.Regions[0], speccross.Config{Workers: 4, CheckpointEvery: 6}, raceflag.Enabled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +136,7 @@ func TestSpecCrossMatchesSequential(t *testing.T) {
 func TestSpecCrossWithProfilingMatchesSequential(t *testing.T) {
 	c := compileT(t, fig13)
 	want := seqChecksum(t, c)
-	res, err := c.RunSpecCross(c.Regions[0], speccross.Config{Workers: 2, CheckpointEvery: 6}, true)
+	res, err := runSpecCross(c, c.Regions[0], speccross.Config{Workers: 2, CheckpointEvery: 6}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +158,7 @@ func TestDOMOREMatchesSequentialCG(t *testing.T) {
 	want := seqChecksum(t, c)
 	// The CG region is the loop over i: the last detected region.
 	region := c.Regions[len(c.Regions)-1]
-	res, err := c.RunDOMORE(region, 4)
+	res, err := runDOMORE(c, region, domore.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +179,7 @@ func TestDOMOREShardedMatchesSequentialCG(t *testing.T) {
 	c := compileT(t, cgLike)
 	want := seqChecksum(t, c)
 	region := c.Regions[len(c.Regions)-1]
-	res, err := c.RunDOMOREShardedOpts(region, domore.Options{Workers: 4, Lanes: 3, Batch: 16})
+	res, err := runDOMORESharded(c, region, domore.Options{Workers: 4, Lanes: 3, Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +193,7 @@ func TestDOMOREShardedMatchesSequentialCG(t *testing.T) {
 		t.Fatal("expected dynamic synchronization conditions")
 	}
 	// The sharded scheduler must reproduce the flat scheduler's schedule.
-	ref, err := c.RunDOMORE(region, 4)
+	ref, err := runDOMORE(c, region, domore.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +208,7 @@ func TestDOMOREShardedMatchesSequentialCG(t *testing.T) {
 func TestDOMOREMatchesSequentialFig13(t *testing.T) {
 	c := compileT(t, fig13)
 	want := seqChecksum(t, c)
-	res, err := c.RunDOMORE(c.Regions[0], 3)
+	res, err := runDOMORE(c, c.Regions[0], domore.Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +264,11 @@ func TestQuickAllStrategiesAgree(t *testing.T) {
 		if err != nil || b.Env.Checksum() != want {
 			return false
 		}
-		s, err := c.RunSpecCross(region, speccross.Config{Workers: nw, CheckpointEvery: int(ckpt%8) + 1}, false)
+		s, err := runSpecCross(c, region, speccross.Config{Workers: nw, CheckpointEvery: int(ckpt%8) + 1}, false)
 		if err != nil || s.Env.Checksum() != want {
 			return false
 		}
-		d, err := c.RunDOMORE(region, nw)
+		d, err := runDOMORE(c, region, domore.Options{Workers: nw})
 		if err != nil || d.Env.Checksum() != want {
 			return false
 		}

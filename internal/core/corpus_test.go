@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"crossinv/internal/raceflag"
+	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/speccross"
 )
 
@@ -45,7 +46,7 @@ func TestCorpus(t *testing.T) {
 				t.Errorf("barrier checksum %x != sequential %x", got, want)
 			}
 
-			if res, err := c.RunDOMORE(region, 4); err != nil {
+			if res, err := runDOMORE(c, region, domore.Options{Workers: 4}); err != nil {
 				t.Logf("domore inapplicable: %v", err)
 			} else if got := res.Env.Checksum(); got != want {
 				t.Errorf("domore checksum %x != sequential %x", got, want)
@@ -54,7 +55,7 @@ func TestCorpus(t *testing.T) {
 			// Under the race detector, profile first so speculation is
 			// gated (unbounded speculation over conflicts is racy by
 			// design, §4.2.1).
-			res, err := c.RunSpecCross(region, speccross.Config{Workers: 4, CheckpointEvery: 6}, raceflag.Enabled)
+			res, err := runSpecCross(c, region, speccross.Config{Workers: 4, CheckpointEvery: 6}, raceflag.Enabled)
 			if err != nil {
 				t.Errorf("speccross: %v", err)
 			} else if got := res.Env.Checksum(); got != want {

@@ -73,9 +73,9 @@ func TestGatesRejectStaleSlot(t *testing.T) {
 	}
 	runs := map[string]func() error{
 		"barrier":        func() error { _, err := c.RunBarriers(region, 2); return err },
-		"domore":         func() error { _, err := c.RunDOMORE(region, 2); return err },
-		"domore-sharded": func() error { _, err := c.RunDOMOREShardedOpts(region, domore.Options{Workers: 2}); return err },
-		"speccross":      func() error { _, err := c.RunSpecCross(region, speccross.Config{Workers: 2}, false); return err },
+		"domore":         func() error { _, err := runDOMORE(c, region, domore.Options{Workers: 2}); return err },
+		"domore-sharded": func() error { _, err := runDOMORESharded(c, region, domore.Options{Workers: 2}); return err },
+		"speccross":      func() error { _, err := runSpecCross(c, region, speccross.Config{Workers: 2}, false); return err },
 		"adaptive":       func() error { _, err := c.RunAdaptive(region, adaptive.Config{Workers: 2}); return err },
 	}
 	for mode, run := range runs {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"crossinv/internal/raceflag"
+	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/speccross"
 )
 
@@ -39,7 +40,7 @@ func TestConditionalBodyAllStrategies(t *testing.T) {
 		t.Fatal("barrier diverged on conditional body")
 	}
 
-	d, err := c.RunDOMORE(region, 3)
+	d, err := runDOMORE(c, region, domore.Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestConditionalBodyAllStrategies(t *testing.T) {
 		t.Fatal("domore diverged on conditional body")
 	}
 
-	s, err := c.RunSpecCross(region, speccross.Config{Workers: 3, CheckpointEvery: 5}, raceflag.Enabled)
+	s, err := runSpecCross(c, region, speccross.Config{Workers: 3, CheckpointEvery: 5}, raceflag.Enabled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +83,14 @@ func TestEmptyInnerInvocation(t *testing.T) {
 			return r.Env.Checksum(), nil
 		}},
 		{"domore", func() (uint64, error) {
-			r, err := c.RunDOMORE(region, 2)
+			r, err := runDOMORE(c, region, domore.Options{Workers: 2})
 			if err != nil {
 				return 0, err
 			}
 			return r.Env.Checksum(), nil
 		}},
 		{"speccross", func() (uint64, error) {
-			r, err := c.RunSpecCross(region, speccross.Config{Workers: 2, CheckpointEvery: 3}, raceflag.Enabled)
+			r, err := runSpecCross(c, region, speccross.Config{Workers: 2, CheckpointEvery: 3}, raceflag.Enabled)
 			if err != nil {
 				return 0, err
 			}
@@ -120,14 +121,14 @@ func TestDegenerateBoundsTreatedAsEmpty(t *testing.T) {
 	c := compileT(t, decreasingBounds)
 	want := seqChecksum(t, c)
 	region := c.Regions[0]
-	r, err := c.RunDOMORE(region, 2)
+	r, err := runDOMORE(c, region, domore.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Env.Checksum() != want {
 		t.Fatal("domore diverged on degenerate bounds")
 	}
-	s, err := c.RunSpecCross(region, speccross.Config{Workers: 2, CheckpointEvery: 2}, raceflag.Enabled)
+	s, err := runSpecCross(c, region, speccross.Config{Workers: 2, CheckpointEvery: 2}, raceflag.Enabled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestRunSpecCrossUnprofitableFallsBackToBarriers(t *testing.T) {
 	c := compileT(t, src)
 	want := seqChecksum(t, c)
 	region := c.Regions[0]
-	res, err := c.RunSpecCross(region, speccross.Config{Workers: 8, CheckpointEvery: 10}, true)
+	res, err := runSpecCross(c, region, speccross.Config{Workers: 8, CheckpointEvery: 10}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

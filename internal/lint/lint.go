@@ -22,6 +22,13 @@
 // guard idiom (`if r == nil`, `return t != nil`, …). A nil recorder is
 // the documented "tracing disabled" state passed through every engine, so
 // an unguarded method is a latent panic on the untraced path.
+//
+// Rule one-wait: in the packages whose threads wait on each other (engine,
+// queue, domore, speccross) only the wait primitive's file, engine's
+// wait.go, calls runtime.Gosched. Every other wait loop tests its own exit
+// condition and calls engine.Runtime.Pause, so the wait schedule, the stop
+// word and any parking are decided in one place; a Gosched anywhere else is
+// a wait that bypasses them.
 package lint
 
 import (
@@ -68,6 +75,17 @@ var enginePackages = map[string]bool{
 	"speccross": true,
 }
 
+// waitPackages scopes the one-wait rule, and waitFile names the one file in
+// package engine where a wait may yield the processor.
+var waitPackages = map[string]bool{
+	"engine":    true,
+	"queue":     true,
+	"domore":    true,
+	"speccross": true,
+}
+
+const waitFile = "wait.go"
+
 // guardedTypes scopes the nil-guard rule to the trace package's
 // nil-tolerant handles.
 var guardedTypes = map[string]bool{
@@ -85,6 +103,42 @@ func CheckFile(fset *token.FileSet, pkg string, f *ast.File) []Diagnostic {
 	if pkg == "trace" {
 		out = append(out, checkNilGuards(fset, f)...)
 	}
+	if waitPackages[pkg] && !(pkg == "engine" && filepath.Base(fset.Position(f.Pos()).Filename) == waitFile) {
+		out = append(out, checkOneWait(fset, f)...)
+	}
+	return out
+}
+
+// checkOneWait flags every runtime.Gosched call in f, under whatever name
+// the file imports package runtime.
+func checkOneWait(fset *token.FileSet, f *ast.File) []Diagnostic {
+	rt := ""
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"runtime"` {
+			rt = "runtime"
+			if imp.Name != nil {
+				rt = imp.Name.Name
+			}
+		}
+	}
+	if rt == "" {
+		return nil
+	}
+	var out []Diagnostic
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if fn, ok := call.Fun.(*ast.SelectorExpr); ok && isIdent(fn.X, rt) && fn.Sel.Name == "Gosched" {
+			out = append(out, Diagnostic{
+				Pos:  fset.Position(call.Pos()),
+				Rule: "one-wait",
+				Msg:  "runtime.Gosched outside engine/wait.go; wait through engine.Runtime.Pause",
+			})
+		}
+		return true
+	})
 	return out
 }
 

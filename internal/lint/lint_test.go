@@ -12,8 +12,14 @@ import (
 // check parses src as one file of package pkg and runs the rules.
 func check(t *testing.T, pkg, src string) []Diagnostic {
 	t.Helper()
+	return checkAs(t, pkg+".go", pkg, src)
+}
+
+// checkAs is check for a file with the given name.
+func checkAs(t *testing.T, name, pkg, src string) []Diagnostic {
+	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, pkg+".go", src, parser.SkipObjectResolution)
+	f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatalf("parse fixture: %v", err)
 	}
@@ -177,6 +183,48 @@ func (r *Recorder) Events() int { return r.n }
 `
 	if ds := check(t, "notrace", src); len(ds) != 0 {
 		t.Fatalf("Recorder outside package trace flagged: %v", ds)
+	}
+}
+
+func TestOneWaitFlagsGoschedOutsideThePrimitive(t *testing.T) {
+	src := `package domore
+
+import "runtime"
+
+func (st *state) await(done *int64, target int64) {
+	for *done < target {
+		runtime.Gosched()
+	}
+}
+`
+	ds := check(t, "domore", src)
+	if len(ds) != 1 {
+		t.Fatalf("want the injected Gosched flagged once, got %v", ds)
+	}
+	wantRule(t, ds, "one-wait", "runtime.Gosched outside engine/wait.go")
+	if ds[0].Pos.Line != 7 {
+		t.Errorf("reported at line %d, want the call on line 7", ds[0].Pos.Line)
+	}
+
+	// An aliased import does not hide the call.
+	aliased := strings.Replace(strings.Replace(src, `import "runtime"`, `import rt "runtime"`, 1), "runtime.Gosched", "rt.Gosched", 1)
+	wantRule(t, check(t, "domore", aliased), "one-wait", "Gosched")
+}
+
+func TestOneWaitScopedToThePrimitiveAndTheWaitingPackages(t *testing.T) {
+	src := `package engine
+
+import "runtime"
+
+func pause() { runtime.Gosched() }
+`
+	if ds := checkAs(t, "wait.go", "engine", src); len(ds) != 0 {
+		t.Fatalf("the wait primitive's own file flagged: %v", ds)
+	}
+	wantRule(t, checkAs(t, "engine.go", "engine", src), "one-wait", "Gosched")
+	chaos := strings.Replace(src, "package engine", "package chaos", 1)
+	if ds := check(t, "chaos", chaos); len(ds) != 0 {
+		t.Fatalf("Gosched outside the waiting packages flagged: %v", ds)
 	}
 }
 

@@ -97,11 +97,11 @@ type Config struct {
 	// the safe probe when nothing is known yet).
 	Start Engine
 	// Domore is the DOMORE options template. Workers is overridden per
-	// window; Shadow is replaced by the runtime's store, cleared for each
-	// DOMORE window (iteration numbering restarts per window, and every
-	// dependence into an earlier window is already satisfied by the
-	// window-boundary quiesce, so carrying shadow state across windows would
-	// manufacture waits on iterations that never re-execute).
+	// window. The engine clears its shadow store for each DOMORE window
+	// (iteration numbering restarts per window, and every dependence into an
+	// earlier window is already satisfied by the window-boundary quiesce, so
+	// carrying shadow state across windows would manufacture waits on
+	// iterations that never re-execute).
 	Domore domore.Options
 	// Spec is the SPECCROSS config template. Workers and CheckpointEvery
 	// are overridden per window (each window is one checkpoint segment, so
@@ -111,10 +111,8 @@ type Config struct {
 	// window: the controller emits window-begin and engine-switch events
 	// on trace.LaneControl, and each window's engine emits its usual
 	// stream (lanes persist across windows; the boundary quiesce makes
-	// the handoff safe). When set, the per-window monitor Sample is
-	// derived from trace-event deltas rather than from engine Stats, so
-	// the policy's inputs come from the same observability stream that
-	// export and metrics use.
+	// the handoff safe). The per-window monitor Sample comes from engine
+	// Stats whether or not tracing is on.
 	Trace *trace.Recorder
 	// SpanParent, when nonzero, parents each window's request span under
 	// an enclosing span — the daemon passes its execute span's id so the
@@ -224,7 +222,6 @@ func runWindows(rt *engine.Runtime, w Workload, cfg Config, epochs int) Stats {
 		sample := Sample{Engine: engine, StartEpoch: lo, EndEpoch: hi}
 		winSpan := ctl.BeginSpan(trace.SpanWindow, cfg.SpanParent)
 		ctl.Emit(trace.KindWindowBegin, int64(lo), int64(hi), int64(engine))
-		before := cfg.Trace.Summary()
 		winStart := time.Now()
 
 		switch engine {
@@ -236,7 +233,6 @@ func runWindows(rt *engine.Runtime, w Workload, cfg Config, epochs int) Stats {
 		case EngineDomore, EngineDomoreSharded:
 			opts := cfg.Domore
 			opts.Workers = cfg.Workers
-			opts.Shadow = nil // the runtime's store, cleared per window
 			opts.Trace = cfg.Trace
 			var st domore.Stats
 			if engine == EngineDomoreSharded {
@@ -291,13 +287,6 @@ func runWindows(rt *engine.Runtime, w Workload, cfg Config, epochs int) Stats {
 		winSpan.End()
 
 		boundaryStart := time.Now()
-		if ctl.Enabled() {
-			// The monitor refactor: with tracing on, the policy's inputs
-			// come from the event stream (exact Summary deltas over the
-			// quiescent window boundary), not from engine Stats.
-			applyTraceSample(&sample, engine, before, cfg.Trace.Summary())
-		}
-
 		stats.Windows++
 		stats.EngineWindows[engine]++
 		stats.Samples = append(stats.Samples, sample)
@@ -333,39 +322,6 @@ func runWindows(rt *engine.Runtime, w Workload, cfg Config, epochs int) Stats {
 		lo = hi
 	}
 	return stats
-}
-
-// applyTraceSample overwrites the monitor fields of sample with values
-// derived from the window's trace-event deltas. The mapping mirrors the
-// Stats-based derivation exactly: DOMORE's manifest rate is sync
-// conditions per scheduled iteration, SPECCROSS's checker pressure is
-// signature comparisons per committed task, and a window misspeculated
-// iff a misspec event fired inside it.
-func applyTraceSample(sample *Sample, engine Engine, before, after trace.Summary) {
-	d := func(k trace.Kind) int64 { return after.Counts[k] - before.Counts[k] }
-	switch engine {
-	case EngineBarrier:
-		sample.Tasks = d(trace.KindIterEnd)
-	case EngineDomore, EngineDomoreSharded:
-		// The sharded driver emits the same scheduler-lane kinds as the
-		// single scheduler, so the derivation is shared.
-		sample.Tasks = d(trace.KindSchedule)
-		if sample.Tasks > 0 {
-			sample.ManifestRate = float64(d(trace.KindSyncCond)) / float64(sample.Tasks)
-		}
-	case EngineSpecCross:
-		sample.Tasks = d(trace.KindTaskEnd)
-		sample.Misspeculated = d(trace.KindMisspec) > 0
-		if sample.Tasks > 0 {
-			sample.CheckerPressure = float64(d(trace.KindSigCheck)) / float64(sample.Tasks)
-		}
-		// The pre-filter event carries its outcome in argument A, so the
-		// hit rate falls out of the count/sum deltas.
-		if checks := d(trace.KindSigPrefilter); checks > 0 {
-			hits := after.Sums[trace.KindSigPrefilter] - before.Sums[trace.KindSigPrefilter]
-			sample.PrefilterHitRate = float64(hits) / float64(checks)
-		}
-	}
 }
 
 // window exposes the epoch range [lo, hi) of a workload as a standalone

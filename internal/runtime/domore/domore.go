@@ -68,12 +68,6 @@ type Options struct {
 	// share policy scratch state). Defaults to fresh round-robin instances;
 	// set it when using LOCALWRITE or a custom policy there.
 	NewPolicy func() sched.Policy
-	// Shadow is the dependence-detection store; nil (the default) selects a
-	// Sparse store (a hash table, any address) the engine keeps and resets
-	// between runs. A shadow.Dense is a direct-mapped array that panics on an
-	// address at or beyond its size: pass one only with a proven bound on
-	// every address ComputeAddr can return (§3.2.1 discusses the trade-off).
-	Shadow shadow.Store
 	// QueueCap is the per-worker condition-queue capacity (default 1024).
 	QueueCap int
 	// Trace, when non-nil, receives engine events: the scheduler emits on
@@ -93,13 +87,6 @@ type Options struct {
 	// per lane handoff, and the granularity at which synchronization
 	// conditions are batched onto the worker queues (default 256).
 	Batch int
-	// NewShard, when set, constructs the shadow store for one shard of
-	// RunSharded's partitioned shadow memory; the default is Sparse stores
-	// the engine keeps and resets between runs. A shard sees a hash-selected
-	// subset of the addresses, so a Dense sub-store must still cover the
-	// whole address bound (see Shadow). RunSharded ignores Shadow — the
-	// partition must be built per shard.
-	NewShard func(shard int) shadow.Store
 	// ConcurrentAddr lets RunSharded call ComputeAddr concurrently from
 	// every scheduler lane (each lane redundantly computes the full
 	// address set and keeps the addresses hashing to its shard), which
@@ -149,7 +136,7 @@ type Stats struct {
 	// AddrChecks counts shadow-memory lookups performed by the scheduler.
 	AddrChecks int64
 	// Batches counts batched queue publications by RunSharded's driver:
-	// each is one ProduceBatch flush of a worker's buffered conditions and
+	// each is one batched flush of a worker's buffered conditions and
 	// dispatches. Deterministic for a given workload and options (flushes
 	// happen at chunk boundaries and when the iteration-order publication
 	// invariant forces one); zero under the other entry points.
@@ -192,7 +179,7 @@ func Run(w Workload, opts Options) Stats {
 // RunOn is Run on the threads and state of rt, which must have been created
 // for opts.Workers workers: the calling goroutine is the scheduler, the
 // runtime's worker threads run Algorithm 2, and rings, progress words and
-// the default shadow store are reset, not rebuilt. If the scheduler or a
+// the shadow store are reset, not rebuilt. If the scheduler or a
 // worker panics, rt is closed and the panic continues on the caller.
 func RunOn(rt *engine.Runtime, w Workload, opts Options) Stats {
 	opts.fill()
@@ -219,7 +206,7 @@ type paddedInt64 struct {
 type stateKey struct{}
 
 // state is what a runtime keeps for DOMORE between runs: the per-worker
-// rings, progress words and counters, the default shadow store, and the
+// rings, progress words and counters, the shadow store, and the
 // scheduler's scratch. A run resets it; the rings are rebuilt only when a
 // different queue capacity is asked for.
 type state struct {
@@ -228,7 +215,7 @@ type state struct {
 	queues         []*queue.SPSC[cond]
 	latestFinished []paddedInt64
 	local          []workerLocal
-	shadow         *shadow.Sparse // the default Options.Shadow, cleared per run
+	shadow         *shadow.Sparse // Run's dependence-detection store, cleared per run
 	roundRobin     sched.Policy   // the default Options.Policy (it keeps no state between runs)
 	pending        [][]cond       // scheduler or driver: per-target conditions of the current iteration
 	buf            []uint64       // scheduler or driver: ComputeAddr scratch
@@ -300,15 +287,15 @@ func (st *state) begin(w Workload, rec *trace.Recorder) {
 }
 
 // Forget drops what the last run handed the state — workload, recorder and,
-// for the sharded driver, its options and the stores and policies built from
-// them — so a runtime parked in the engine pool pins buffers only.
+// for the sharded driver, its options and the policies built from them — so
+// a runtime parked in the engine pool pins buffers only.
 func (st *state) Forget() {
 	st.w, st.rec = nil, nil
 	if d := st.sharded; d != nil {
-		d.w, d.opts, d.sch, d.shards, d.newPolicy = nil, Options{}, nil, nil, nil
+		d.w, d.opts, d.sch, d.newPolicy = nil, Options{}, nil, nil
 		for l := range d.lanes {
 			ls := &d.lanes[l]
-			ls.shard, ls.pol, ls.owner = nil, nil, nil
+			ls.pol, ls.owner = nil, nil
 		}
 	}
 }
@@ -327,11 +314,8 @@ func (st *state) fold(stats *Stats) {
 func (st *state) schedule(opts *Options, stats *Stats) {
 	w, queues, pending := st.w, st.queues, st.pending
 	nw := opts.Workers
-	var shadowMem shadow.Store = opts.Shadow
-	if opts.Shadow == nil {
-		st.shadow.Reset()
-		shadowMem = st.shadow
-	}
+	shadowMem := st.shadow
+	shadowMem.Reset()
 	owner, multiOwner := opts.Policy.(*sched.LocalWrite)
 	sch := opts.Trace.Lane(trace.LaneScheduler)
 
@@ -390,9 +374,8 @@ func (st *state) schedule(opts *Options, stats *Stats) {
 
 // produce forwards one message to worker owner's queue, recording a
 // queue-full backoff episode on tt when the ring has no room. The fast
-// path is a single TryProduce, so with tracing disabled (nil tt) it
-// degrades to exactly queue.Produce. It runs on the control goroutine: if
-// the runtime stopped (the consumer died), Wait re-raises the panic.
+// path is a single TryProduce. It runs on the control goroutine: if the
+// runtime stopped (the consumer died), Wait re-raises the panic.
 func (st *state) produce(q *queue.SPSC[cond], c cond, owner int64, tt *trace.ThreadTrace) {
 	if q.TryProduce(c) {
 		return
@@ -403,10 +386,9 @@ func (st *state) produce(q *queue.SPSC[cond], c cond, owner int64, tt *trace.Thr
 			tt.Emit(trace.KindQueueFullEnd, owner, 0, 0)
 			return
 		}
-		if st.rt.Stopped() {
+		if !st.rt.Pause(spins) {
 			st.rt.Wait()
 		}
-		queue.Backoff(spins)
 	}
 }
 
@@ -423,10 +405,9 @@ func (st *state) consume(q *queue.SPSC[cond], owner int64, tt *trace.ThreadTrace
 			tt.Emit(trace.KindQueueEmptyEnd, owner, 0, 0)
 			return v, true
 		}
-		if st.rt.Stopped() {
+		if !st.rt.Pause(spins) {
 			return cond{}, false
 		}
-		queue.Backoff(spins)
 	}
 }
 
@@ -469,10 +450,9 @@ func (st *state) step(c cond, tid int, tt *trace.ThreadTrace) bool {
 			st.local[tid].stalls++
 			tt.Emit(trace.KindStallBegin, int64(c.Tid), c.Iter, 0)
 			for spins := 0; dep.Load() < c.Iter; spins++ {
-				if st.rt.Stopped() {
+				if !st.rt.Pause(spins) {
 					return false
 				}
-				queue.Backoff(spins)
 			}
 			tt.Emit(trace.KindStallEnd, int64(c.Tid), c.Iter, 0)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"crossinv/internal/runtime/sched"
-	"crossinv/internal/runtime/shadow"
 )
 
 // irregular is a synthetic CG-shaped workload: an outer loop of invocations,
@@ -128,18 +127,6 @@ func TestRunSingleWorker(t *testing.T) {
 	w := newIrregular(rng, 5, 20, 16, 1)
 	want := w.sequentialRun()
 	Run(w, Options{Workers: 1})
-	for a := range want {
-		if w.data[a] != want[a] {
-			t.Fatalf("data[%d] = %d, want %d", a, w.data[a], want[a])
-		}
-	}
-}
-
-func TestRunDenseShadow(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	w := newIrregular(rng, 10, 30, 32, 2)
-	want := w.sequentialRun()
-	Run(w, Options{Workers: 4, Shadow: shadow.NewDense(32)})
 	for a := range want {
 		if w.data[a] != want[a] {
 			t.Fatalf("data[%d] = %d, want %d", a, w.data[a], want[a])

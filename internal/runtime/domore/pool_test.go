@@ -8,7 +8,6 @@ import (
 
 	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/engine"
-	"crossinv/internal/runtime/shadow"
 )
 
 func checkIrregular(t *testing.T, what string, w *irregular, want []int64) {
@@ -123,11 +122,10 @@ func TestPooledRunRebuildsOnlyWhatDiffers(t *testing.T) {
 	if b := look(); b.ring == second.ring || b.driver != second.driver {
 		t.Errorf("QueueCap 64 → 2: rings kept %v, driver kept %v; want rings rebuilt, driver kept", b.ring == second.ring, b.driver == second.driver)
 	}
-	run("caller's shards", true, Options{Lanes: 3, NewShard: func(int) shadow.Store { return shadow.NewSparse() }})
 	run("defaults", false, Options{})
 
 	if c, _, _ := engine.Counters(); c != created+1 {
-		t.Errorf("%d runtimes built for six runs and four look-ins, want 1", c-created)
+		t.Errorf("%d runtimes built for five runs and four look-ins, want 1", c-created)
 	}
 }
 

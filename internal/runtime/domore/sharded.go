@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"crossinv/internal/runtime/engine"
-	"crossinv/internal/runtime/queue"
 	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/shadow"
 	"crossinv/internal/runtime/trace"
@@ -38,7 +37,7 @@ import (
 //     store, which the driver waits for. Lane threads are posted at the
 //     first hand-off, so a run that never fills a chunk starts none.
 //   - Synchronization conditions and dispatch records are buffered per
-//     worker and published with queue.ProduceBatch, amortizing the queue's
+//     worker and published with TryProduceBatch, amortizing the queue's
 //     index publication over the chunk instead of paying it per iteration.
 //
 // Batching must not reorder the schedule's liveness argument: Run's
@@ -112,8 +111,9 @@ type shardLane struct {
 	waits int64      // chunk-handoff wait episodes; plain, folded at quiesce
 	run   func()     // the lane's phase, bound once
 
-	// What check needs, set per run: by begin, except that a ConcurrentAddr
-	// lane builds a policy of its own and takes owner from that.
+	// What check needs: the lane's shard, set when the driver is built, and
+	// the rest per run by begin, except that a ConcurrentAddr lane builds a
+	// policy of its own and takes owner from that.
 	shard      shadow.Store
 	nw         int
 	pol        sched.Policy
@@ -123,11 +123,11 @@ type shardLane struct {
 
 // shardedRun carries the driver's merge state so the helpers share it
 // without re-threading a dozen parameters. A runtime keeps one between runs
-// (state.sharded): lanes, chunk arenas, output buffers and the default
-// sharded store are reused as long as the lane count stays the same.
+// (state.sharded): lanes, chunk arenas, output buffers and the sharded
+// store are reused as long as the lane count stays the same.
 type shardedRun struct {
 	st    *state
-	store *shadow.Sharded // the default store (Options.NewShard nil), cleared per run
+	store *shadow.Sharded // the partitioned shadow memory, cleared per run
 	ch    *shardChunk
 	lanes []shardLane
 
@@ -140,7 +140,6 @@ type shardedRun struct {
 	nw         int
 	concurrent bool
 	handoffs   int64 // chunks handed to the lanes so far, the stop included
-	shards     *shadow.Sharded
 	newPolicy  func() sched.Policy
 	stats      Stats
 	sch        *trace.ThreadTrace
@@ -203,6 +202,7 @@ func (st *state) shardedFor(lanes int) *shardedRun {
 	}
 	d := &shardedRun{
 		st:     st,
+		store:  shadow.NewSharded(lanes, nil),
 		ch:     &shardChunk{},
 		lanes:  make([]shardLane, lanes),
 		outbuf: make([][]cond, len(st.local)),
@@ -211,6 +211,7 @@ func (st *state) shardedFor(lanes int) *shardedRun {
 	for l := range d.lanes {
 		l := l
 		d.lanes[l].run = func() { d.lane(l) }
+		d.lanes[l].shard = d.store.Shard(l)
 	}
 	st.sharded = d
 	return d
@@ -222,15 +223,7 @@ func (d *shardedRun) begin(w Workload, opts Options) {
 	d.concurrent = opts.ConcurrentAddr
 	d.sch = opts.Trace.Lane(trace.LaneScheduler)
 	d.ch.stop, d.ch.seq, d.handoffs = false, 0, 0
-	if opts.NewShard != nil {
-		d.shards = shadow.NewSharded(opts.Lanes, opts.NewShard)
-	} else {
-		if d.store == nil {
-			d.store = shadow.NewSharded(opts.Lanes, nil)
-		}
-		d.store.Reset()
-		d.shards = d.store
-	}
+	d.store.Reset()
 	// Without ConcurrentAddr every lane shares the driver's LocalWrite: all
 	// check calls of it is Owner, which is pure.
 	var owner *sched.LocalWrite
@@ -248,7 +241,7 @@ func (d *shardedRun) begin(w Workload, opts Options) {
 		ls := &d.lanes[l]
 		ls.ready.Store(0)
 		ls.done.Store(0)
-		ls.shard, ls.nw = d.shards.Shard(l), d.nw
+		ls.nw = d.nw
 		ls.pol, ls.owner, ls.multiOwner = nil, owner, multiOwner
 	}
 }
@@ -273,10 +266,9 @@ func (d *shardedRun) handOff() {
 func (d *shardedRun) await(seq int64) {
 	for l := range d.lanes {
 		for spins := 0; d.lanes[l].done.Load() < seq; spins++ {
-			if d.st.rt.Stopped() {
+			if !d.st.rt.Pause(spins) {
 				d.st.rt.Wait()
 			}
-			queue.Backoff(spins)
 		}
 	}
 }
@@ -403,10 +395,9 @@ func (d *shardedRun) lane(l int) {
 		if ls.ready.Load() < seq {
 			ls.waits++
 			for spins := 0; ls.ready.Load() < seq; spins++ {
-				if d.st.rt.Stopped() {
+				if !d.st.rt.Pause(spins) {
 					return
 				}
-				queue.Backoff(spins)
 			}
 		}
 		if d.ch.stop {
@@ -526,10 +517,9 @@ func (d *shardedRun) flush(t int) {
 		for spins := 1; n < len(msgs); spins++ {
 			k := q.TryProduceBatch(msgs[n:])
 			if k == 0 {
-				if d.st.rt.Stopped() {
+				if !d.st.rt.Pause(spins) {
 					d.st.rt.Wait()
 				}
-				queue.Backoff(spins)
 			} else {
 				n += k
 				spins = 0
@@ -547,7 +537,7 @@ func (d *shardedRun) flush(t int) {
 // workerBatched is Algorithm 2 on the batched consume path: identical
 // message semantics to worker, but the queue's head index is published
 // once per drained batch instead of once per message. The empty-ring wait
-// uses the same Backoff schedule, so single-CPU boxes still make progress
+// pauses like every engine wait, so single-CPU boxes still make progress
 // (see TESTING.md, "Single-CPU runners").
 func (st *state) workerBatched(tid int) {
 	q, tt := st.queues[tid], st.rec.Lane(int32(tid))
@@ -561,11 +551,8 @@ func (st *state) workerBatched(tid int) {
 			tt.Emit(trace.KindQueueEmptyBegin, int64(tid), 0, 0)
 			for spins := 1; n == 0; spins++ {
 				n = q.TryConsumeBatch(batch)
-				if n == 0 {
-					if st.rt.Stopped() {
-						return
-					}
-					queue.Backoff(spins)
+				if n == 0 && !st.rt.Pause(spins) {
+					return
 				}
 			}
 			tt.Emit(trace.KindQueueEmptyEnd, int64(tid), 0, 0)

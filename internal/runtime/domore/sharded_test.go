@@ -8,7 +8,6 @@ import (
 
 	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/sched"
-	"crossinv/internal/runtime/shadow"
 	"crossinv/internal/runtime/trace"
 )
 
@@ -344,20 +343,6 @@ func TestRunShardedTraceParity(t *testing.T) {
 	stats2, _, _ := run()
 	if stats2.Batches != stats.Batches {
 		t.Errorf("Batches not deterministic: %d then %d", stats.Batches, stats2.Batches)
-	}
-}
-
-// TestRunShardedDenseShards exercises the NewShard constructor with Dense
-// sub-stores over the workload's compact address space.
-func TestRunShardedDenseShards(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	w := newIrregular(rng, 10, 30, 32, 2)
-	want := w.sequentialRun()
-	RunSharded(w, Options{Workers: 4, NewShard: func(int) shadow.Store { return shadow.NewDense(32) }})
-	for a := range want {
-		if w.data[a] != want[a] {
-			t.Fatalf("data[%d] = %d, want %d", a, w.data[a], want[a])
-		}
 	}
 }
 

@@ -15,13 +15,13 @@
 // quiesces with Wait, which returns when every mailbox has drained. An
 // engine switch is therefore the same threads handed a different loop. A
 // Runtime belongs to one control goroutine at a time; none of its methods
-// except Stopped may be called from the threads it owns.
+// except Stopped and Pause may be called from the threads it owns.
 //
 // A panic on a runtime thread does not kill the process: the thread's
-// trampoline captures it and raises the stop word, every engine spin site
-// polls Stopped on its slow path and abandons its wait, and Wait tears the
-// runtime down and re-raises the panic on the control goroutine. A runtime
-// that failed is closed and must be replaced.
+// trampoline captures it and raises the stop word, every engine wait sees it
+// through Pause and abandons its wait, and Wait tears the runtime down and
+// re-raises the panic on the control goroutine. A runtime that failed is
+// closed and must be replaced.
 //
 // Runtimes also outlive the engine call: the entry points that own their
 // call (domore.Run, speccross.Run, adaptive.Run, ...) borrow one from a
@@ -39,16 +39,14 @@ import (
 	"sync/atomic"
 
 	"crossinv/internal/runtime/barrier"
-	"crossinv/internal/runtime/queue"
 )
 
 const (
-	// idleSpins is how many queue.Backoff attempts an idle thread makes
-	// before it parks: long enough to bridge a window boundary (a policy
-	// decision, a dirty-cell checkpoint) without a futex wake, short enough
-	// that threads an engine does not use sleep through its windows. The
-	// schedule yields from the fourth attempt on, so GOMAXPROCS=1 still
-	// makes progress.
+	// idleSpins is how many Pause attempts an idle thread makes before it
+	// parks: long enough to bridge a window boundary (a policy decision, a
+	// dirty-cell checkpoint) without a futex wake, short enough that threads
+	// an engine does not use sleep through its windows. The schedule yields
+	// from the fourth attempt on, so GOMAXPROCS=1 still makes progress.
 	idleSpins = 1 << 10
 	// waitSpins is the control goroutine's budget in Wait. It is small
 	// because the workers it waits for need the processor it would spin on.
@@ -64,10 +62,9 @@ type Runtime struct {
 	exited  sync.WaitGroup
 
 	// pending counts posted phases that have not finished; the control
-	// goroutine parks on wake once it has outlasted waitSpins.
+	// goroutine parks once it has outlasted waitSpins.
 	pending atomic.Int32
-	parked  atomic.Bool
-	wake    chan struct{}
+	parker
 
 	stop   atomic.Bool
 	closed bool
@@ -100,8 +97,7 @@ type thread struct {
 	// writes the mailbox fields, then advances posted; the thread reads
 	// them after observing the advance.
 	posted atomic.Uint64
-	parked atomic.Bool
-	wake   chan struct{}
+	parker
 
 	fn           func() // nil: exit
 	engine, lane string
@@ -118,7 +114,7 @@ func New(workers int) *Runtime {
 		panic(fmt.Sprintf("engine: invalid worker count %d", workers))
 	}
 	runtimesCreated.Add(1)
-	return &Runtime{workers: workers, wake: make(chan struct{}, 1)}
+	return &Runtime{workers: workers, parker: newParker()}
 }
 
 // Workers reports the worker-thread count the runtime was created for.
@@ -159,7 +155,7 @@ func (rt *Runtime) post(i int, engine, lane string, fn func()) {
 	}
 	t := rt.threads[i]
 	if t == nil {
-		t = &thread{rt: rt, wake: make(chan struct{}, 1)}
+		t = &thread{rt: rt, parker: newParker()}
 		rt.threads[i] = t
 		rt.started++
 		rt.exited.Add(1)
@@ -177,28 +173,14 @@ func (t *thread) send(fn func(), engine, lane string) {
 	t.fn, t.engine, t.lane = fn, engine, lane
 	t.seq++
 	t.posted.Store(t.seq)
-	if t.parked.CompareAndSwap(true, false) {
-		t.wake <- struct{}{}
-	}
+	t.unpark()
 }
 
 // loop is the thread trampoline: wait for a phase, run it, report.
 func (t *thread) loop() {
 	defer t.rt.exited.Done()
 	for n := uint64(1); ; n++ {
-		for spins := 0; t.posted.Load() < n; spins++ {
-			if spins < idleSpins && !t.rt.idle.Load() {
-				queue.Backoff(spins)
-				continue
-			}
-			// Park. Whoever wins the parked flag decides: the poster sends
-			// a wake-up, or this thread saw the post itself and needs none.
-			t.parked.Store(true)
-			if t.posted.Load() >= n && t.parked.CompareAndSwap(true, false) {
-				break
-			}
-			<-t.wake
-		}
+		t.await(t.rt, idleSpins, func() bool { return t.posted.Load() >= n })
 		if t.fn == nil {
 			return
 		}
@@ -219,8 +201,8 @@ func (t *thread) run() {
 }
 
 func (rt *Runtime) finish() {
-	if rt.pending.Add(-1) == 0 && rt.parked.CompareAndSwap(true, false) {
-		rt.wake <- struct{}{}
+	if rt.pending.Add(-1) == 0 {
+		rt.unpark()
 	}
 }
 
@@ -240,8 +222,8 @@ func (rt *Runtime) fail(v any) {
 
 // Stopped reports whether phases must abandon their waits: a runtime thread
 // panicked, or the runtime is closing under a control goroutine that is
-// unwinding. Engine spin loops poll it on their slow path (one load per
-// backoff attempt); it is the only method safe to call from any thread.
+// unwinding. Engine waits see it through Pause; Stopped and Pause are the
+// only methods safe to call from any thread.
 func (rt *Runtime) Stopped() bool { return rt.stop.Load() }
 
 // Wait quiesces: it returns once every posted phase has finished. If a
@@ -262,17 +244,7 @@ func (rt *Runtime) Wait() {
 }
 
 func (rt *Runtime) drain() {
-	for spins := 0; rt.pending.Load() > 0; spins++ {
-		if spins < waitSpins {
-			queue.Backoff(spins)
-			continue
-		}
-		rt.parked.Store(true)
-		if rt.pending.Load() == 0 && rt.parked.CompareAndSwap(true, false) {
-			break
-		}
-		<-rt.wake
-	}
+	rt.await(rt, waitSpins, func() bool { return rt.pending.Load() == 0 })
 	for _, t := range rt.threads {
 		if t != nil {
 			t.busy = false

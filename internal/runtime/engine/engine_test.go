@@ -11,8 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"crossinv/internal/runtime/queue"
 )
 
 // settle waits for the goroutine count to come back down to base: Close
@@ -92,11 +90,10 @@ func TestParkedThreadIsWoken(t *testing.T) {
 func TestThreadPanicIsReraisedOnControl(t *testing.T) {
 	base := runtime.NumGoroutine()
 	rt := New(2)
-	// The survivor spins the way engine loops do: on its slow path it
-	// polls the stop word.
+	// The survivor waits the way engine loops do: through Pause, which
+	// gives up once the stop word is raised.
 	rt.Go(0, "test", "worker", func() {
-		for spins := 0; !rt.Stopped(); spins++ {
-			queue.Backoff(spins)
+		for spins := 0; rt.Pause(spins); spins++ {
 		}
 	})
 	rt.Go(1, "test", "worker", func() { panic("worker fault") })
@@ -134,8 +131,7 @@ func TestSettleClosesOnControlPanic(t *testing.T) {
 		}()
 		defer rt.Settle()
 		rt.Go(0, "test", "worker", func() {
-			for spins := 0; !rt.Stopped(); spins++ {
-				queue.Backoff(spins)
+			for spins := 0; rt.Pause(spins); spins++ {
 			}
 		})
 		panic("control fault")

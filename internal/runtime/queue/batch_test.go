@@ -88,11 +88,11 @@ func FuzzSPSCBatchOrder(f *testing.F) {
 }
 
 // TestSPSCBatchSingleHammer interleaves batch and single-element operations
-// between a real producer/consumer pair: the producer alternates ProduceBatch
-// chunks with single Produce calls, the consumer alternates ConsumeBatch
-// with single Consume, over a ring small enough to wrap thousands of times.
-// The consumer must observe the exact produced sequence. Both sides block
-// through Backoff, which yields, so the schedule interleaves on 1-CPU CI too.
+// between a real producer/consumer pair: the producer alternates batch
+// chunks with single produces, the consumer alternates batch consumes with
+// single ones, over a ring small enough to wrap thousands of times. The
+// consumer must observe the exact produced sequence. Both sides wait through
+// the yielding test helpers, so the schedule interleaves on 1-CPU CI too.
 func TestSPSCBatchSingleHammer(t *testing.T) {
 	for _, cap := range []int{1, 4, 64} {
 		t.Run("", func(t *testing.T) {
@@ -108,10 +108,10 @@ func TestSPSCBatchSingleHammer(t *testing.T) {
 						for k := 0; k < 7 && next+k < total; k++ {
 							chunk = append(chunk, next+k)
 						}
-						q.ProduceBatch(chunk)
+						produceBatch(q, chunk)
 						next += len(chunk)
 					} else {
-						q.Produce(next)
+						produce(q, next)
 						next++
 					}
 				}
@@ -120,7 +120,7 @@ func TestSPSCBatchSingleHammer(t *testing.T) {
 			want := 0
 			for want < total {
 				if want%2 == 0 {
-					n := q.ConsumeBatch(dst)
+					n := consumeBatch(q, dst)
 					for i := 0; i < n; i++ {
 						if dst[i] != want {
 							t.Fatalf("consumed %d, want %d", dst[i], want)
@@ -128,7 +128,7 @@ func TestSPSCBatchSingleHammer(t *testing.T) {
 						want++
 					}
 				} else {
-					if got := q.Consume(); got != want {
+					if got := consume(q); got != want {
 						t.Fatalf("consumed %d, want %d", got, want)
 					}
 					want++
@@ -146,11 +146,10 @@ func TestSPSCBatchSingleHammer(t *testing.T) {
 }
 
 // TestBatchConsumeSingleCPU pins GOMAXPROCS to 1 and pushes a full ring's
-// worth of traffic through the batch consumer loop. On one processor the
-// consumer's empty-ring spin makes progress only because Backoff yields
-// early and keeps yielding (see TESTING.md, "Single-CPU runners"); a
-// regression that busy-spins the batch path livelocks this test until the
-// suite timeout kills it.
+// worth of traffic through the batch operations. On one processor each side
+// runs only while the other waits, so a batch operation that stops
+// refreshing its cached peer index livelocks this test until the suite
+// timeout kills it.
 func TestBatchConsumeSingleCPU(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const total = 5000
@@ -167,13 +166,13 @@ func TestBatchConsumeSingleCPU(t *testing.T) {
 			// Batches of 16 into a ring of 8: every ProduceBatch call must
 			// split and spin on the full ring, the producer-side dual of the
 			// consumer path under test.
-			q.ProduceBatch(chunk)
+			produceBatch(q, chunk)
 			next += len(chunk)
 		}
 	}()
 	dst := make([]int, 4)
 	for want := 0; want < total; {
-		n := q.ConsumeBatch(dst)
+		n := consumeBatch(q, dst)
 		for i := 0; i < n; i++ {
 			if dst[i] != want {
 				t.Fatalf("consumed %d, want %d", dst[i], want)

@@ -51,8 +51,8 @@ func FuzzSPSCOrder(f *testing.F) {
 
 // FuzzSPSCConcurrent streams the fuzz bytes through a queue between a
 // real producer goroutine and the consumer, with the capacity chosen by
-// the first byte so the ring wraps and both the full-ring and empty-ring
-// blocking paths run. The consumer must observe exactly the produced
+// the first byte so the ring wraps and both sides wait, on a full ring and
+// on an empty one. The consumer must observe exactly the produced
 // sequence — any reorder, loss, or duplication is a bug in the index
 // protocol.
 func FuzzSPSCConcurrent(f *testing.F) {
@@ -72,11 +72,11 @@ func FuzzSPSCConcurrent(f *testing.F) {
 		go func() {
 			defer close(done)
 			for _, v := range vals {
-				q.Produce(v)
+				produce(q, v)
 			}
 		}()
 		for i, want := range vals {
-			if got := q.Consume(); got != want {
+			if got := consume(q); got != want {
 				t.Errorf("element %d: consumed %d, produced %d", i, got, want)
 				break
 			}

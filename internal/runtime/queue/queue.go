@@ -5,13 +5,13 @@
 // The design follows the lock-free queue the paper builds on (§3.2.3): one
 // cache-line-padded head index owned by the consumer, one tail index owned by
 // the producer, and a power-of-two ring so index masking is a single AND.
-// Produce and Consume spin (with cooperative yielding) when the ring is full
-// or empty; TryProduce and TryConsume never block.
+// Every operation is non-blocking: it reports how much it moved, and a side
+// that finds the ring full or empty waits the way every engine thread does
+// (engine.Runtime.Pause).
 package queue
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 )
 
@@ -99,14 +99,6 @@ func (q *SPSC[T]) TryProduce(v T) bool {
 	return true
 }
 
-// Produce appends v, spinning until space is available.
-// It must only be called from the producer goroutine.
-func (q *SPSC[T]) Produce(v T) {
-	for spins := 0; !q.TryProduce(v); spins++ {
-		Backoff(spins)
-	}
-}
-
 // TryConsume removes and returns the oldest element if one is buffered.
 // It must only be called from the consumer goroutine.
 func (q *SPSC[T]) TryConsume() (T, bool) {
@@ -155,19 +147,6 @@ func (q *SPSC[T]) TryProduceBatch(vs []T) int {
 	return int(n)
 }
 
-// ProduceBatch appends every element of vs, spinning while the ring is full.
-// It must only be called from the producer goroutine.
-func (q *SPSC[T]) ProduceBatch(vs []T) {
-	for spins := 0; len(vs) > 0; spins++ {
-		if n := q.TryProduceBatch(vs); n > 0 {
-			vs = vs[n:]
-			spins = 0
-			continue
-		}
-		Backoff(spins)
-	}
-}
-
 // TryConsumeBatch removes up to len(dst) buffered elements into dst and
 // returns how many it removed (possibly 0). Like TryProduceBatch, the head
 // index is published once per batch. Consumed slots are zeroed so the ring
@@ -197,59 +176,4 @@ func (q *SPSC[T]) TryConsumeBatch(dst []T) int {
 	}
 	q.head.Store(head + n)
 	return int(n)
-}
-
-// ConsumeBatch removes at least one and up to len(dst) elements into dst,
-// spinning (with the Backoff schedule, so a 1-CPU box still makes progress)
-// until something arrives. len(dst) must be at least 1. It must only be
-// called from the consumer goroutine.
-func (q *SPSC[T]) ConsumeBatch(dst []T) int {
-	for spins := 0; ; spins++ {
-		if n := q.TryConsumeBatch(dst); n > 0 {
-			return n
-		}
-		Backoff(spins)
-	}
-}
-
-// Consume removes and returns the oldest element, spinning until one arrives.
-// It must only be called from the consumer goroutine.
-func (q *SPSC[T]) Consume() T {
-	for spins := 0; ; spins++ {
-		if v, ok := q.TryConsume(); ok {
-			return v
-		}
-		Backoff(spins)
-	}
-}
-
-// Backoff spin-wait politeness constants: attempts below BackoffBusySpins
-// busy-spin; from there to BackoffYieldCap the schedule yields at
-// power-of-two attempt numbers (exponentially spaced); past the cap every
-// attempt yields.
-const (
-	BackoffBusySpins = 4
-	BackoffYieldCap  = 1 << 8
-)
-
-// Backoff yields the processor with a capped exponential schedule, given
-// the number of failed attempts so far. The first few attempts busy-spin
-// — cheap when the peer runs on another core and the wait is ephemeral.
-// After that the schedule calls runtime.Gosched at exponentially spaced
-// attempts (4, 8, 16, … BackoffYieldCap), then on every attempt: under
-// GOMAXPROCS=1 a full (or empty) ring makes progress only when the
-// waiter yields, so the first yield must come early and the steady state
-// must yield continuously rather than burn the peer's only processor.
-//
-// It is exported so engine code that needs a custom wait loop (e.g. to
-// trace a backoff episode around TryProduce) degrades identically to
-// Produce/Consume.
-func Backoff(spins int) {
-	if spins < BackoffBusySpins {
-		return
-	}
-	if spins < BackoffYieldCap && spins&(spins-1) != 0 {
-		return
-	}
-	runtime.Gosched()
 }

@@ -69,13 +69,13 @@ func TestLenNeverNegativeHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			q.Produce(i)
+			produce(q, i)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			q.Consume()
+			consume(q)
 		}
 	}()
 	done := make(chan struct{})
@@ -99,10 +99,9 @@ func TestLenNeverNegativeHammer(t *testing.T) {
 }
 
 // TestFullRingSingleProc pins GOMAXPROCS to 1 and forces the producer to
-// block on a full ring: progress then depends entirely on the backoff
-// schedule yielding to the consumer. The old schedule busy-spun 16
-// iterations before the first yield; the capped exponential schedule
-// must both yield early and keep yielding, or this test hangs.
+// wait on a full ring: each side then runs only while the other has yielded
+// in its wait, so every refresh of a cached peer index must see the peer's
+// last publication, or this test hangs.
 func TestFullRingSingleProc(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
@@ -113,45 +112,19 @@ func TestFullRingSingleProc(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < n; i++ {
-			q.Produce(i) // ring is full almost immediately
+			produce(q, i) // ring is full almost immediately
 		}
 	}()
 	for i := 0; i < n; i++ {
-		if got := q.Consume(); got != i {
-			t.Errorf("Consume() = %d, want %d", got, i)
+		if got := consume(q); got != i {
+			t.Errorf("consumed %d, want %d", got, i)
 			break
 		}
 	}
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("producer did not finish: backoff never yielded to the consumer")
-	}
-}
-
-func TestBackoffSchedule(t *testing.T) {
-	// The schedule's shape (not its effect) is easy to pin: no yield
-	// below BackoffBusySpins, exponentially spaced yield points up to
-	// the cap, and every spin past the cap. Backoff's only observable
-	// action is runtime.Gosched, so assert the decision points via the
-	// exported constants instead.
-	if BackoffBusySpins >= BackoffYieldCap {
-		t.Fatalf("busy prefix %d not below yield cap %d", BackoffBusySpins, BackoffYieldCap)
-	}
-	yieldsAt := func(spins int) bool {
-		if spins < BackoffBusySpins {
-			return false
-		}
-		return spins >= BackoffYieldCap || spins&(spins-1) == 0
-	}
-	if yieldsAt(0) || yieldsAt(BackoffBusySpins-1) {
-		t.Error("schedule yields inside the busy prefix")
-	}
-	if !yieldsAt(BackoffBusySpins) {
-		t.Error("first yield must come right after the busy prefix")
-	}
-	if !yieldsAt(BackoffYieldCap) || !yieldsAt(BackoffYieldCap+1) || !yieldsAt(BackoffYieldCap+97) {
-		t.Error("schedule must yield on every attempt past the cap")
+		t.Fatal("producer did not finish on one processor")
 	}
 }
 
@@ -179,11 +152,11 @@ func TestFIFOOrderSingleThread(t *testing.T) {
 	q := NewSPSC[int](8)
 	for round := 0; round < 5; round++ { // exercise wraparound
 		for i := 0; i < 8; i++ {
-			q.Produce(round*8 + i)
+			produce(q, round*8+i)
 		}
 		for i := 0; i < 8; i++ {
-			if got := q.Consume(); got != round*8+i {
-				t.Fatalf("round %d: Consume() = %d, want %d", round, got, round*8+i)
+			if got := consume(q); got != round*8+i {
+				t.Fatalf("round %d: consumed %d, want %d", round, got, round*8+i)
 			}
 		}
 	}
@@ -196,19 +169,19 @@ func TestInterleavedProduceConsume(t *testing.T) {
 	next := 0
 	expect := 0
 	for i := 0; i < 100; i++ {
-		q.Produce(next)
+		produce(q, next)
 		next++
 		if i%3 == 0 && q.TryProduce(next) {
 			next++
 		}
-		if got := q.Consume(); got != expect {
-			t.Fatalf("Consume() = %d, want %d", got, expect)
+		if got := consume(q); got != expect {
+			t.Fatalf("consumed %d, want %d", got, expect)
 		}
 		expect++
 	}
 	for expect < next {
-		if got := q.Consume(); got != expect {
-			t.Fatalf("drain: Consume() = %d, want %d", got, expect)
+		if got := consume(q); got != expect {
+			t.Fatalf("drain: consumed %d, want %d", got, expect)
 		}
 		expect++
 	}
@@ -222,12 +195,12 @@ func TestConcurrentFIFO(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			q.Produce(i)
+			produce(q, i)
 		}
 	}()
 	for i := 0; i < n; i++ {
-		if got := q.Consume(); got != i {
-			t.Fatalf("Consume() = %d, want %d (order violated)", got, i)
+		if got := consume(q); got != i {
+			t.Fatalf("consumed %d, want %d (order violated)", got, i)
 		}
 	}
 	wg.Wait()
@@ -247,7 +220,7 @@ func TestConcurrentStructPayload(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < n; i++ {
-			got := q.Consume()
+			got := consume(q)
 			if got.Tid != int32(i%7) || got.Iter != int64(i) {
 				t.Errorf("payload %d corrupted: %+v", i, got)
 				return
@@ -255,9 +228,47 @@ func TestConcurrentStructPayload(t *testing.T) {
 		}
 	}()
 	for i := 0; i < n; i++ {
-		q.Produce(cond{Tid: int32(i % 7), Iter: int64(i)})
+		produce(q, cond{Tid: int32(i % 7), Iter: int64(i)})
 	}
 	<-done
+}
+
+// produce, consume, produceBatch and consumeBatch are the blocking loops the
+// tests drive the ring through: the Try operation until it moves something,
+// yielding between attempts so a producer/consumer pair interleaves under
+// GOMAXPROCS=1 too. Engine threads wait through engine.Runtime.Pause instead.
+func produce[T any](q *SPSC[T], v T) {
+	for !q.TryProduce(v) {
+		runtime.Gosched()
+	}
+}
+
+func consume[T any](q *SPSC[T]) T {
+	for {
+		if v, ok := q.TryConsume(); ok {
+			return v
+		}
+		runtime.Gosched()
+	}
+}
+
+func produceBatch[T any](q *SPSC[T], vs []T) {
+	for len(vs) > 0 {
+		n := q.TryProduceBatch(vs)
+		if n == 0 {
+			runtime.Gosched()
+		}
+		vs = vs[n:]
+	}
+}
+
+func consumeBatch[T any](q *SPSC[T], dst []T) int {
+	for {
+		if n := q.TryConsumeBatch(dst); n > 0 {
+			return n
+		}
+		runtime.Gosched()
+	}
 }
 
 // Property: for any sequence of values produced, consuming returns exactly
@@ -307,8 +318,8 @@ func BenchmarkProduceConsume(b *testing.B) {
 		// RunParallel with one producer/consumer pair is not expressible;
 		// use the serial path to measure per-op cost.
 		for pb.Next() {
-			q.Produce(1)
-			q.Consume()
+			q.TryProduce(1)
+			q.TryConsume()
 		}
 	})
 }

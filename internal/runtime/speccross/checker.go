@@ -3,7 +3,6 @@ package speccross
 import (
 	"sync"
 
-	"crossinv/internal/runtime/queue"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/trace"
 )
@@ -134,11 +133,10 @@ func (c *checker) run(st *state, sh int) {
 		}
 		// Nothing buffered on any queue: let the workers run. The
 		// checker's latency only delays detection, never progress.
-		if st.rt.Stopped() {
+		spins++
+		if !st.rt.Pause(spins) {
 			return
 		}
-		spins++
-		queue.Backoff(spins)
 	}
 }
 

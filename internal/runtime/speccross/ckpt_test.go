@@ -65,6 +65,11 @@ func (w *deltaArrayWorkload) sequential() []int64 {
 	return out
 }
 
+// fullOnly exposes only the Workload methods of the workload it wraps,
+// hiding any delta view, so the engine takes full Snapshot/Restore
+// checkpoints of it.
+type fullOnly struct{ Workload }
+
 // TestIncrementalCheckpointEquivalence runs the same workload — including
 // an irreversible epoch (untracked execution forcing a full base rebuild)
 // and an injected misspeculation (forcing a delta rollback) — under full
@@ -78,31 +83,32 @@ func TestIncrementalCheckpointEquivalence(t *testing.T) {
 	}
 	want := build().sequential()
 
-	results := map[CheckpointMode]*deltaArrayWorkload{}
 	var incStats Stats
-	for _, mode := range []CheckpointMode{CkptFull, CkptIncremental} {
+	for _, mode := range []string{"full", "incremental"} {
 		w := build()
-		st := Run(w, Config{
+		var view Workload = w
+		if mode == "full" {
+			view = fullOnly{w}
+		}
+		st := Run(view, Config{
 			Workers:           4,
 			SigKind:           signature.Exact,
 			CheckpointEvery:   10,
-			Checkpoint:        mode,
 			ForceMisspecEpoch: 25,
 		})
 		if st.Misspeculations != 1 {
-			t.Fatalf("mode %v: Misspeculations = %d, want the 1 injected", mode, st.Misspeculations)
+			t.Fatalf("%s: Misspeculations = %d, want the 1 injected", mode, st.Misspeculations)
 		}
-		results[mode] = w
-		if mode == CkptIncremental {
-			incStats = st
+		if got := st.DeltaCheckpoints > 0; got != (mode == "incremental") {
+			t.Fatalf("%s: DeltaCheckpoints = %d", mode, st.DeltaCheckpoints)
 		}
-	}
-
-	for mode, w := range results {
 		for i := range want {
 			if w.state[i] != want[i] {
-				t.Fatalf("mode %v: state[%d] = %d, sequential = %d", mode, i, w.state[i], want[i])
+				t.Fatalf("%s: state[%d] = %d, sequential = %d", mode, i, w.state[i], want[i])
 			}
+		}
+		if mode == "incremental" {
+			incStats = st
 		}
 	}
 
@@ -125,19 +131,6 @@ func TestIncrementalCheckpointEquivalence(t *testing.T) {
 	}
 }
 
-// TestCkptIncrementalRequiresDeltaWorkload pins the configuration error:
-// forcing incremental checkpoints on a workload with no delta view must
-// panic rather than silently fall back.
-func TestCkptIncrementalRequiresDeltaWorkload(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Run with CkptIncremental on a non-delta workload did not panic")
-		}
-	}()
-	g := newGrid(4, 4, 2, 8)
-	Run(g, Config{Workers: 2, Checkpoint: CkptIncremental})
-}
-
 // TestBlockGranularDeltaSpans exercises AddrCells spans wider than one
 // cell: block-granular signature addresses must refresh and roll back the
 // whole block.
@@ -152,7 +145,6 @@ func TestBlockGranularDeltaSpans(t *testing.T) {
 		Workers:           2,
 		SigKind:           signature.Exact,
 		CheckpointEvery:   5,
-		Checkpoint:        CkptIncremental,
 		ForceMisspecEpoch: 7,
 	})
 	if st.Misspeculations != 1 {

@@ -26,8 +26,8 @@ import (
 // irreversible are likewise executed non-speculatively between two full
 // synchronizations.
 //
-// Checkpoints are full snapshots or — for DeltaWorkloads under the default
-// CkptAuto — incremental: the engine keeps one base image of the state and,
+// Checkpoints are full snapshots or — for DeltaWorkloads with a nonzero
+// StateLen — incremental: the engine keeps one base image of the state and,
 // at each commit, refreshes only the cells the segment's tracked write set
 // touched; a rollback likewise rewrites only the dirty cells. This is the
 // checkpoint substitution of §4.2.2: checkpoint and recovery cost are
@@ -82,18 +82,7 @@ func (st *state) run(w Workload) Stats {
 	epochs := w.Epochs()
 
 	dw, hasDelta := w.(DeltaWorkload)
-	hasDelta = hasDelta && dw.StateLen() > 0
-	useDelta := false
-	switch cfg.Checkpoint {
-	case CkptFull:
-	case CkptIncremental:
-		if !hasDelta {
-			panic("speccross: Config.Checkpoint is CkptIncremental but the workload does not implement DeltaWorkload (or declares StateLen 0)")
-		}
-		useDelta = true
-	default:
-		useDelta = hasDelta
-	}
+	useDelta := hasDelta && dw.StateLen() > 0
 
 	// Checkpoint state. Full mode takes a snapshot as each speculative
 	// segment begins; incremental mode keeps a base image of every cell on
@@ -665,9 +654,8 @@ func (st *state) specWorker(tid int) {
 
 // produceReq forwards one checking request, recording a queue-full backoff
 // episode on tt when the checker has fallen behind and the ring is full
-// (checker pressure, §5.2). With tracing disabled it degrades to exactly
-// queue.Produce. If the runtime stopped — the draining shard died — the
-// request is dropped: the run is being torn down.
+// (checker pressure, §5.2). If the runtime stopped — the draining shard
+// died — the request is dropped: the run is being torn down.
 func (st *state) produceReq(q *queue.SPSC[request], r request, owner int, tt *trace.ThreadTrace) {
 	if q.TryProduce(r) {
 		return
@@ -678,10 +666,9 @@ func (st *state) produceReq(q *queue.SPSC[request], r request, owner int, tt *tr
 			tt.Emit(trace.KindQueueFullEnd, int64(owner), 0, 0)
 			return
 		}
-		if st.rt.Stopped() {
+		if !st.rt.Pause(spins) {
 			return
 		}
-		queue.Backoff(spins)
 	}
 }
 
@@ -712,7 +699,7 @@ func (st *state) stallOnRange(tid int, global, dist int64, tt *trace.ThreadTrace
 			}
 			return false
 		}
-		if st.aborted() || st.rt.Stopped() {
+		if st.aborted() || !st.rt.Pause(spins) {
 			if stalled {
 				tt.Emit(trace.KindRangeStallEnd, global, dist, 1)
 			}
@@ -731,6 +718,5 @@ func (st *state) stallOnRange(tid int, global, dist int64, tt *trace.ThreadTrace
 			st.local[tid].rangeStalls++
 			tt.Emit(trace.KindRangeStallBegin, global, dist, 0)
 		}
-		queue.Backoff(spins)
 	}
 }

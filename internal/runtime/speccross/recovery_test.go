@@ -101,18 +101,18 @@ func sequentialRecoveryState() []int64 {
 func TestRecoveryDeterministicConflicts(t *testing.T) {
 	// The exact same recovery accounting must hold under both checkpoint
 	// substitutions: full snapshots and incremental (write-set) deltas.
-	for _, mode := range []struct {
-		name string
-		ckpt CheckpointMode
-	}{{"full", CkptFull}, {"incremental", CkptIncremental}} {
-		t.Run(mode.name, func(t *testing.T) {
+	for _, mode := range []string{"full", "incremental"} {
+		t.Run(mode, func(t *testing.T) {
 			w := newRecoveryWorkload()
+			var view Workload = w
+			if mode == "full" {
+				view = fullOnly{w}
+			}
 			rec := trace.NewRecorder()
-			stats := Run(w, Config{
+			stats := Run(view, Config{
 				Workers:         2,
 				SigKind:         signature.Exact,
 				CheckpointEvery: 2,
-				Checkpoint:      mode.ckpt,
 				Trace:           rec,
 			})
 
@@ -128,12 +128,12 @@ func TestRecoveryDeterministicConflicts(t *testing.T) {
 			if stats.Checkpoints != 3 {
 				t.Errorf("Checkpoints = %d, want exactly 3 (one per segment end)", stats.Checkpoints)
 			}
-			switch mode.ckpt {
-			case CkptFull:
+			switch mode {
+			case "full":
 				if stats.DeltaRestores != 0 || stats.DeltaCheckpoints != 0 {
 					t.Errorf("full mode took delta checkpoints: %+v", stats)
 				}
-			case CkptIncremental:
+			case "incremental":
 				if stats.DeltaRestores != 2 {
 					t.Errorf("DeltaRestores = %d, want 2 (one per abort)", stats.DeltaRestores)
 				}

@@ -59,7 +59,7 @@ type Workload interface {
 // checkpointer. Run calls with a nil signature (barrier recovery,
 // irreversible epochs) are untracked; the engine rebuilds the full base
 // image after them. A StateLen of 0 declares the workload delta-incapable
-// (no sound address→cell mapping is available) and keeps CkptAuto on full
+// (no sound address→cell mapping is available) and keeps it on full
 // snapshots.
 type DeltaWorkload interface {
 	Workload
@@ -76,20 +76,6 @@ type DeltaWorkload interface {
 	// signature addresses are element indices.
 	AddrCells(addr uint64) (lo, hi uint64)
 }
-
-// CheckpointMode selects how segment checkpoints are taken.
-type CheckpointMode int
-
-const (
-	// CkptAuto (the default) uses incremental checkpoints when the
-	// workload implements DeltaWorkload and full snapshots otherwise.
-	CkptAuto CheckpointMode = iota
-	// CkptFull forces full Snapshot/Restore checkpoints.
-	CkptFull
-	// CkptIncremental requires incremental checkpoints; Run panics if the
-	// workload does not implement DeltaWorkload.
-	CkptIncremental
-)
 
 // Irreversibler is optionally implemented by workloads with epochs that
 // perform irreversible operations (I/O); such epochs are executed
@@ -126,10 +112,6 @@ type Config struct {
 	// CheckpointEvery is the number of epochs between checkpoints
 	// (default 1000, §4.2.2).
 	CheckpointEvery int
-	// Checkpoint selects full-snapshot or incremental checkpoints
-	// (default CkptAuto: incremental whenever the workload implements
-	// DeltaWorkload).
-	Checkpoint CheckpointMode
 	// QueueCap is the per-worker request-queue capacity (default 1024).
 	QueueCap int
 	// CheckerShards is the number of checker threads, at most Workers. The

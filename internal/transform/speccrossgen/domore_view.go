@@ -14,7 +14,7 @@ import (
 // recording the addresses it touches. Together with the Region's existing
 // speccross.Workload implementation, the resulting DomoreView satisfies
 // adaptive.Workload, so compiled LNL regions can run under the adaptive
-// hybrid runtime (crossinv -engine=adaptive).
+// hybrid runtime (crossinv -mode adaptive).
 
 // ErrAddrDependsOnParallel reports that some address (or the control flow
 // selecting which addresses are accessed) inside a parallel body depends on

@@ -1,7 +1,8 @@
 // Command chaos is the differential fuzzing and fault-injection driver:
 // it runs seeded random workloads under all five engines (barrier,
-// DOMORE, sharded DOMORE, SPECCROSS, adaptive) and fails if any engine's final memory or
-// Stats invariants diverge from the sequential oracle.
+// DOMORE, DOMORE with explicit round-robin, SPECCROSS, adaptive) and fails
+// if any engine's final memory or Stats invariants diverge from the
+// sequential oracle.
 //
 // Modes:
 //
@@ -36,8 +37,8 @@ func run() int {
 		workers = flag.Int("workers", 4, "worker threads per engine")
 		ckpt    = flag.Int("checkpoint-every", 3, "SPECCROSS epochs per checkpoint segment")
 		window  = flag.Int("window", 4, "adaptive epochs per monitoring window")
-		faults  = flag.String("faults", "all", "fault plan: all, none, or a csv of queue-full, delay, sig-conflict, panic, timeout, torn-state, torn-delta, shard-skew, dirty-runtime")
-		mutate  = flag.String("mutate", "", "inject an engine-contract bug (drop-addr, drop-sig-write, skip-restore, skip-delta-restore, widen-static, stale-shard-claim, stale-runtime, skip-inline-shard, release-keeps-version) and require the harness to catch it")
+		faults  = flag.String("faults", "all", "fault plan: all, none, or a csv of queue-full, delay, sig-conflict, panic, timeout, torn-state, torn-delta, dirty-runtime")
+		mutate  = flag.String("mutate", "", "inject an engine-contract bug (drop-addr, drop-sig-write, skip-restore, skip-delta-restore, widen-static, stale-runtime, release-keeps-version, elide-cross-cond) and require the harness to catch it")
 		shrink  = flag.Bool("shrink", false, "shrink failing cases and write artifacts to -out")
 		out     = flag.String("out", "chaos-artifacts", "artifact output directory")
 		verbose = flag.Bool("v", false, "log every case")

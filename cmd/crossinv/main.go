@@ -7,10 +7,9 @@
 //
 //	crossinv [flags] <program.lnl>
 //
-//	-mode     seq | barrier | domore | domore-sharded | speccross | adaptive
-//	          | all   (default all)
+//	-mode     seq | barrier | domore | speccross | adaptive | all
+//	          (default all)
 //	-workers  worker thread count (default 4)
-//	-lanes    scheduler lane count for domore-sharded (0: runtime default)
 //	-region   candidate region index (default: last detected)
 //	-report   print the per-region analysis report and exit
 //	-analyze  print the cross-invocation dependence report (distance and
@@ -74,9 +73,8 @@ import (
 )
 
 var (
-	mode    = flag.String("mode", "all", "execution mode: seq|barrier|domore|domore-sharded|speccross|adaptive|all")
+	mode    = flag.String("mode", "all", "execution mode: seq|barrier|domore|speccross|adaptive|all")
 	workers = flag.Int("workers", 4, "worker thread count")
-	lanes   = flag.Int("lanes", 0, "scheduler lane count for domore-sharded (0: runtime default)")
 	region  = flag.Int("region", -1, "candidate region index (-1: last)")
 	report  = flag.Bool("report", false, "print the analysis report and exit")
 	analyze = flag.Bool("analyze", false, "print the cross-invocation dependence report and exit")
@@ -221,7 +219,7 @@ func main() {
 			fmt.Printf("%-10s checksum %016x  %v  (barrier waits %d, idle %v)\n",
 				m, got, time.Since(start).Round(time.Microsecond), waits, idle.Round(time.Microsecond))
 		case "domore":
-			res, err := runDOMORE(c, target, false, domore.Options{Workers: *workers, Trace: rec})
+			res, err := runDOMORE(c, target, domore.Options{Workers: *workers, Trace: rec})
 			if err != nil {
 				fmt.Printf("%-10s inapplicable: %v\n", m, err)
 				return
@@ -230,16 +228,6 @@ func main() {
 			fmt.Printf("%-10s checksum %016x  %v  (iterations %d, sync conditions %d, stalls %d)\n",
 				m, got, time.Since(start).Round(time.Microsecond),
 				res.Stats.Iterations, res.Stats.SyncConditions, res.Stats.Stalls)
-		case "domore-sharded":
-			res, err := runDOMORE(c, target, true, domore.Options{Workers: *workers, Lanes: *lanes, Trace: rec})
-			if err != nil {
-				fmt.Printf("%-10s inapplicable: %v\n", m, err)
-				return
-			}
-			got = res.Env.Checksum()
-			fmt.Printf("%-10s checksum %016x  %v  (iterations %d, sync conditions %d, batches %d, lane waits %d)\n",
-				m, got, time.Since(start).Round(time.Microsecond),
-				res.Stats.Iterations, res.Stats.SyncConditions, res.Stats.Batches, res.Stats.LaneWaits)
 		case "speccross":
 			res, err := runSpecCross(c, target, speccross.Config{
 				Workers: *workers, CheckpointEvery: *ckpt,
@@ -268,9 +256,9 @@ func main() {
 				return
 			}
 			got = res.Env.Checksum()
-			fmt.Printf("%-10s checksum %016x  %v  (windows %d, switches %d, engine windows [domore speccross barrier domore-sharded] %v)\n",
+			fmt.Printf("%-10s checksum %016x  %v  (windows %d, switches %d, engine windows [domore speccross barrier] %v)\n",
 				m, got, time.Since(start).Round(time.Microsecond),
-				res.Stats.Windows, res.Stats.Switches, res.Stats.EngineWindows)
+				res.Stats.Windows, res.Stats.Switches, res.Stats.EngineWindows[:adaptive.EngineBarrier+1])
 			if *explain {
 				fmt.Print(renderDecisions(audit))
 			}
@@ -284,7 +272,6 @@ func main() {
 	runAll := func() {
 		runMode("barrier")
 		runMode("domore")
-		runMode("domore-sharded")
 		runMode("speccross")
 		runMode("adaptive")
 	}
@@ -304,7 +291,7 @@ func main() {
 		runOnce = runSeq
 	case "all":
 		runOnce = runAll
-	case "barrier", "domore", "domore-sharded", "speccross", "adaptive":
+	case "barrier", "domore", "speccross", "adaptive":
 		runOnce = func() { runMode(*mode) }
 	default:
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
@@ -381,15 +368,11 @@ func exportTrace(rec *trace.Recorder, file string, metrics bool) error {
 	return nil
 }
 
-// runDOMORE builds and verifies the region's DOMORE plan, then runs it on
-// the single or the sharded scheduler.
-func runDOMORE(c *core.Compiled, region *ir.Loop, sharded bool, opts domore.Options) (*core.DomoreResult, error) {
+// runDOMORE builds and verifies the region's DOMORE plan, then runs it.
+func runDOMORE(c *core.Compiled, region *ir.Loop, opts domore.Options) (*core.DomoreResult, error) {
 	par, err := c.PlanDOMORE(region)
 	if err != nil {
 		return nil, err
-	}
-	if sharded {
-		return c.RunDOMOREShardedPlanned(par, region, opts)
 	}
 	return c.RunDOMOREPlanned(par, region, opts)
 }

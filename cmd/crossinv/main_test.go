@@ -76,7 +76,7 @@ func TestServeLoop(t *testing.T) {
 				first = false
 				<-release
 			}
-			if _, err := runDOMORE(c, target, false, domore.Options{Workers: 2, Trace: rec}); err != nil {
+			if _, err := runDOMORE(c, target, domore.Options{Workers: 2, Trace: rec}); err != nil {
 				t.Error(err)
 			}
 		})

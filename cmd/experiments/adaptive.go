@@ -90,8 +90,8 @@ func figA1() {
 		fmt.Printf("%8d %6s %14d %9d (%-10s %7.3f\n",
 			p, kind, phaseMk[p], best, bestEng.String()+")", float64(phaseMk[p])/float64(best))
 	}
-	fmt.Printf("\nengine windows [domore speccross barrier domore-sharded]: %v, %d switches\n",
-		res.EngineWindows, res.Switches)
+	fmt.Printf("\nengine windows [domore speccross barrier]: %v, %d switches\n",
+		res.EngineWindows[:adaptive.EngineBarrier+1], res.Switches)
 	fmt.Println("acceptance: adaptive within 10% of the best static engine per phase,")
 	fmt.Println("beating both all-DOMORE and all-SPECCROSS end-to-end")
 }

@@ -46,9 +46,9 @@ func breakdownDomore(name string) {
 	stalled := g.TotalDuration("stall.ns")
 	queueWait := g.TotalDuration("queue-empty.ns") + g.TotalDuration("queue-full.ns")
 	fmt.Printf("\n%s under DOMORE (4 workers + scheduler, wall %v)\n", name, wall.Round(time.Microsecond))
-	fmt.Printf("  iterations %d, dispatches %d, sync conditions %d (manifest rate %.1f%%)\n",
-		stats.Iterations, stats.Dispatches, stats.SyncConditions,
-		100*float64(stats.SyncConditions)/float64(max64(stats.Iterations, 1)))
+	fmt.Printf("  iterations %d, dispatches %d, sync conditions %d, dependences %d (manifest rate %.1f%%)\n",
+		stats.Iterations, stats.Dispatches, stats.SyncConditions, stats.Dependences,
+		100*float64(stats.Dependences)/float64(max64(stats.Iterations, 1)))
 	fmt.Printf("  worker time:   busy %10v (%5.1f%% of wall x workers)\n", busy.Round(time.Microsecond), pct(busy, 4*wall))
 	fmt.Printf("  stall time:    %d stalls, %10v (%5.1f%%)\n",
 		sum.Counts[trace.KindStallBegin], stalled.Round(time.Microsecond), pct(stalled, 4*wall))

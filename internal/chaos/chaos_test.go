@@ -36,18 +36,10 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 
 func TestGenerateCoversShapes(t *testing.T) {
 	kinds := map[string]bool{}
-	var deps, multi, bothPaths int
+	var deps, multi int
 	for seed := uint64(1); seed <= 64; seed++ {
 		s := Generate(seed)
 		kinds[s.SigKind] = true
-		var full, partial bool
-		for _, ep := range s.Epochs {
-			full = full || len(ep.Tasks) >= shardBatch
-			partial = partial || len(ep.Tasks)%shardBatch != 0
-		}
-		if full && partial {
-			bothPaths++
-		}
 		if s.NumEpochs() > 1 {
 			multi++
 		}
@@ -62,11 +54,6 @@ func TestGenerateCoversShapes(t *testing.T) {
 	}
 	if multi < 32 || deps < 16 {
 		t.Errorf("generator variety too low: %d multi-epoch, %d multi-task of 64", multi, deps)
-	}
-	// Invocation lengths must straddle the sharded scheduler's chunk size, so
-	// that single cases run both the lanes' detection and the driver's.
-	if bothPaths < 8 {
-		t.Errorf("only %d of 64 cases have both a full and a partial chunk at Batch %d", bothPaths, shardBatch)
 	}
 }
 
@@ -124,7 +111,7 @@ func TestParseFaultsAndMutation(t *testing.T) {
 	if _, err := ParseFaults("bogus", 0); err == nil {
 		t.Fatal("bogus fault accepted")
 	}
-	if all := AllFaults(1); all.String() != "queue-full,delay,sig-conflict,panic,timeout,torn-state,torn-delta,shard-skew,dirty-runtime" {
+	if all := AllFaults(1); all.String() != "queue-full,delay,sig-conflict,panic,timeout,torn-state,torn-delta,dirty-runtime" {
 		t.Fatalf("AllFaults string: %q", all.String())
 	}
 	if (FaultPlan{}).Active() || !AllFaults(0).Active() {

@@ -7,26 +7,17 @@ import (
 	"crossinv/internal/analysis/xdep"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
+	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/runtime/trace"
 	"crossinv/internal/workloads/epochal"
 )
 
 // Engines lists the engines the differential runner exercises, in run
-// order.
-var Engines = []string{"barrier", "domore", "domore-sharded", "speccross", "adaptive"}
-
-// shardLanes is the scheduler-lane count every sharded-scheduler run in
-// this package uses — the ShardSkew fault and the stale-shard-claim
-// mutation key their shard arithmetic on the same constant, so the lane
-// they target is the lane that actually runs.
-const shardLanes = 3
-
-// shardBatch is the chunk size of those runs. It is small so that generated
-// invocation lengths (1 to genMaxTasks) fall on both sides of it: one case
-// then has full chunks, which the scheduler lanes detect, and partial ones,
-// which the sharded driver detects itself.
-const shardBatch = 8
+// order. domore-round-robin is DOMORE with an explicit round-robin policy:
+// besides the oracle it must agree with the default assignment on every
+// Stats field the assignment cannot change.
+var Engines = []string{"barrier", "domore", "domore-round-robin", "speccross", "adaptive"}
 
 // Options configures a differential run of one case.
 type Options struct {
@@ -185,20 +176,13 @@ func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Fai
 	case "domore":
 		st := domore.Run(w, opts.Faults.Domore(domore.Options{Workers: opts.Workers, Trace: rec}))
 		detail = domoreInvariants(st, spec, rec)
-	case "domore-sharded":
-		st := domore.RunSharded(w, opts.Faults.Domore(domore.Options{
-			Workers: opts.Workers, Lanes: shardLanes, Batch: shardBatch, Trace: rec,
+	case "domore-round-robin":
+		st := domore.Run(w, opts.Faults.Domore(domore.Options{
+			Workers: opts.Workers, Policy: sched.NewRoundRobin(), Trace: rec,
 		}))
 		detail = domoreInvariants(st, spec, rec)
-		if detail == "" && rec != nil {
-			// One event per chunk per shard, from whichever thread detected it.
-			var chunks int64
-			for e := 0; e < spec.NumEpochs(); e++ {
-				chunks += int64((len(spec.Epochs[e].Tasks) + shardBatch - 1) / shardBatch)
-			}
-			if got := rec.Summary().Counts[trace.KindShardChunk]; got != chunks*shardLanes {
-				detail = fmt.Sprintf("domore-sharded emitted %d shard-chunk events, want %d chunks × %d shards", got, chunks, shardLanes)
-			}
+		if detail == "" {
+			detail = sameAsFollow(st, spec, opts)
 		}
 	case "speccross":
 		cfg := opts.Faults.Spec(speccross.Config{
@@ -247,6 +231,18 @@ func diffState(k *epochal.Kernel, want []int64, mk func(string) *Failure) *Failu
 	f := mk(fmt.Sprintf("final state diverges from sequential oracle in %d of %d cells", total, len(k.State)))
 	f.Mismatches = mm
 	return f
+}
+
+// sameAsFollow compares a round-robin DOMORE run's Stats with those of the
+// default assignment over a fresh kernel of the same case: where iterations
+// go changes conditions and stalls, never what is scheduled or checked.
+func sameAsFollow(rr domore.Stats, spec *Spec, opts Options) string {
+	follow := domore.Run(opts.Mutation.Wrap(spec.Kernel()), domore.Options{Workers: opts.Workers})
+	if rr.Iterations != follow.Iterations || rr.Dispatches != follow.Dispatches ||
+		rr.AddrChecks != follow.AddrChecks || rr.Dependences != follow.Dependences {
+		return fmt.Sprintf("round-robin Stats %+v, default assignment %+v: iterations, dispatches, addr checks or dependences differ", rr, follow)
+	}
+	return ""
 }
 
 func domoreInvariants(st domore.Stats, spec *Spec, rec *trace.Recorder) string {

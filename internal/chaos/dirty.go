@@ -8,6 +8,7 @@ import (
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/engine"
+	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/runtime/trace"
@@ -136,19 +137,9 @@ func (d *dirtyRun) barriers(w speccross.Workload) {
 	}
 }
 
-// domoreEntries returns the pooled and the handed-in-runtime entry point of
-// the single or the sharded scheduler.
-func domoreEntries(sharded bool) (func(domore.Workload, domore.Options) domore.Stats, func(*engine.Runtime, domore.Workload, domore.Options) domore.Stats) {
-	if sharded {
-		return domore.RunSharded, domore.RunShardedOn
-	}
-	return domore.Run, domore.RunOn
-}
-
-func (d *dirtyRun) domore(w domore.Workload, o domore.Options, sharded bool) (st domore.Stats) {
-	run, runOn := domoreEntries(sharded)
-	if !d.on(func(rt *engine.Runtime) { st = runOn(rt, w, o) }) {
-		st = run(w, o)
+func (d *dirtyRun) domore(w domore.Workload, o domore.Options) (st domore.Stats) {
+	if !d.on(func(rt *engine.Runtime) { st = domore.RunOn(rt, w, o) }) {
+		st = domore.Run(w, o)
 	}
 	return st
 }
@@ -246,7 +237,7 @@ func runDirtyPass(spec *Spec, want []int64, opts Options, pooled bool) (fails []
 			}()
 			w := &faulty{Workload: d.k, at: at}
 			w.left.Store(1)
-			d.domore(w, d.domoreOptions(), false)
+			d.domore(w, d.domoreOptions())
 		}()
 		// A pooled runtime that failed is dropped by its Release: the next
 		// runs borrow another.
@@ -286,21 +277,20 @@ func (d *dirtyRun) runClean(eng string) string {
 	switch eng {
 	case "barrier":
 		d.barriers(d.k)
-	case "domore", "domore-sharded":
-		o, sharded := d.domoreOptions(), eng == "domore-sharded"
-		if sharded {
-			o.Lanes, o.Batch = shardLanes, shardBatch
+	case "domore", "domore-round-robin":
+		o := d.domoreOptions()
+		if eng == "domore-round-robin" {
+			o.Policy = sched.NewRoundRobin()
 		}
-		got := d.domore(d.k, o, sharded)
+		got := d.domore(d.k, o)
 		if detail := domoreInvariants(got, d.spec, d.rec); detail != "" {
 			return detail
 		}
 		o.Trace = nil
-		_, runOn := domoreEntries(sharded)
 		own := engine.New(d.opts.Workers)
-		ref := runOn(own, d.spec.Kernel(), o)
+		ref := domore.RunOn(own, d.spec.Kernel(), o)
 		own.Close()
-		got.Stalls, got.LaneWaits, ref.Stalls, ref.LaneWaits = 0, 0, 0, 0 // timing
+		got.Stalls, ref.Stalls = 0, 0 // timing
 		if got != ref {
 			return fmt.Sprintf("deterministic Stats %+v on the reused runtime, %+v on a fresh one", got, ref)
 		}

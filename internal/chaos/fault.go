@@ -64,13 +64,6 @@ type FaultPlan struct {
 	// with (and exists to exercise) the write-set delta path; on workloads
 	// forced onto full snapshots it is repaired by the full restore.
 	TornDelta bool
-	// ShardSkew delays one seed-chosen scheduler lane of the sharded DOMORE
-	// scheduler (domore.RunSharded): the trace hook yields repeatedly at
-	// that lane's shard-chunk completion events, so the driver's chunk
-	// barrier always waits on a straggler and lane-merge runs with maximal
-	// skew between shards. Effective only on traced domore-sharded runs
-	// (the hook hangs off the recorder, like DelayLanes).
-	ShardSkew bool
 	// DirtyRuntime adds a pass that runs the case's engines back to back on
 	// one engine runtime — warmed up by a clean speculative run, then
 	// dirtied by a seed-chosen run that ends badly: a forced
@@ -86,13 +79,13 @@ func AllFaults(seed uint64) FaultPlan {
 	return FaultPlan{
 		Seed: seed, QueueFull: true, DelayLanes: true,
 		SigConflict: true, Panic: true, Timeout: true, TornState: true,
-		TornDelta: true, ShardSkew: true, DirtyRuntime: true,
+		TornDelta: true, DirtyRuntime: true,
 	}
 }
 
 // ParseFaults parses "all", "none", or a comma-separated subset
 // (queue-full, delay, sig-conflict, panic, timeout, torn-state,
-// torn-delta, shard-skew, dirty-runtime).
+// torn-delta, dirty-runtime).
 func ParseFaults(s string, seed uint64) (FaultPlan, error) {
 	switch s {
 	case "", "none":
@@ -117,8 +110,6 @@ func ParseFaults(s string, seed uint64) (FaultPlan, error) {
 			p.TornState = true
 		case "torn-delta":
 			p.TornDelta = true
-		case "shard-skew":
-			p.ShardSkew = true
 		case "dirty-runtime":
 			p.DirtyRuntime = true
 		default:
@@ -130,7 +121,7 @@ func ParseFaults(s string, seed uint64) (FaultPlan, error) {
 
 // Active reports whether any fault is enabled.
 func (p FaultPlan) Active() bool {
-	return p.QueueFull || p.DelayLanes || p.SigConflict || p.Panic || p.Timeout || p.TornState || p.TornDelta || p.ShardSkew || p.DirtyRuntime
+	return p.QueueFull || p.DelayLanes || p.SigConflict || p.Panic || p.Timeout || p.TornState || p.TornDelta || p.DirtyRuntime
 }
 
 // String lists the enabled faults.
@@ -148,7 +139,6 @@ func (p FaultPlan) String() string {
 	add(p.Timeout, "timeout")
 	add(p.TornState, "torn-state")
 	add(p.TornDelta, "torn-delta")
-	add(p.ShardSkew, "shard-skew")
 	add(p.DirtyRuntime, "dirty-runtime")
 	if len(on) == 0 {
 		return "none"
@@ -175,36 +165,18 @@ func (p FaultPlan) Spec(c speccross.Config) speccross.Config {
 	return c
 }
 
-// Hook returns the trace hook implementing the DelayLanes and ShardSkew
-// faults, or nil. Installed on a run's recorder, DelayLanes yields the
-// emitting thread at a seed-chosen subset of iteration/task starts and
-// stall points — cheap, deterministic-by-count schedule perturbation at
-// the engines' existing trace points. ShardSkew instead targets one
-// scheduler lane of the sharded DOMORE scheduler, yielding hard at every
-// one of its shard-chunk completions so the lane is a permanent straggler.
+// Hook returns the trace hook implementing the DelayLanes fault, or nil.
+// Installed on a run's recorder, it yields the emitting thread at a
+// seed-chosen subset of iteration/task starts and stall points — cheap,
+// deterministic-by-count schedule perturbation at the engines' existing
+// trace points.
 func (p FaultPlan) Hook() trace.Hook {
-	if !p.DelayLanes && !p.ShardSkew {
+	if !p.DelayLanes {
 		return nil
 	}
 	var ctr atomic.Uint64
 	seed := p.Seed
-	delay := p.DelayLanes
-	skewLane := int64(-1)
-	if p.ShardSkew {
-		skewLane = int64(seed % shardLanes)
-	}
 	return func(lane int32, k trace.Kind, a, b, c int64) {
-		if k == trace.KindShardChunk {
-			if a == skewLane {
-				for i := 0; i < 8; i++ {
-					runtime.Gosched()
-				}
-			}
-			return
-		}
-		if !delay {
-			return
-		}
 		switch k {
 		case trace.KindIterStart, trace.KindTaskStart, trace.KindSchedule, trace.KindStallEnd:
 		default:

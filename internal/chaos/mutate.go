@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"crossinv/internal/runtime/adaptive"
-	"crossinv/internal/runtime/shadow"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/workloads/epochal"
 )
@@ -45,15 +44,6 @@ const (
 	// access sets. The soundness gate must catch the lie by observing a
 	// real cross-epoch conflict through shadow memory.
 	MutWidenStatic Mutation = "widen-static"
-	// MutStaleShardClaim models a sharded scheduler whose lanes claim
-	// stale shard ownership: ComputeAddr's result loses every address
-	// whose shard (shadow.ShardOf at the package's lane count) differs
-	// from the last address's shard — exactly a cross-shard dependence
-	// edge silently dropped at the shard boundary. Any scheduler that
-	// trusts the surviving addresses misses the dependence and forwards no
-	// sync condition, so the differential runner must observe a divergent
-	// final state.
-	MutStaleShardClaim Mutation = "stale-shard-claim"
 	// MutStaleRuntime skips one reset between two runs that share an engine
 	// runtime: the harness rewinds the workload's state for the next run
 	// without telling the runtime (no Runtime.StateChanged), so the
@@ -62,16 +52,6 @@ const (
 	// cells to values from the wrong run. Only the dirty-runtime pass
 	// shares a runtime between runs, so only it can catch this one.
 	MutStaleRuntime Mutation = "stale-runtime"
-	// MutSkipInlineShard models a sharded driver whose own detection path
-	// ignores one shard. The driver keeps an invocation's partial chunk —
-	// the iterations past the last multiple of the chunk size — off the
-	// lanes and detects it itself, every shard in one pass; here ComputeAddr
-	// loses, in exactly those iterations (at this package's shardBatch),
-	// every address of the last shard (shadow.ShardOf at shardLanes, which
-	// owns two of the catcher case's three contended cells). Iterations of
-	// full chunks keep all their addresses, so a harness whose cases never
-	// leave a partial chunk cannot catch this one.
-	MutSkipInlineShard Mutation = "skip-inline-shard"
 	// MutReleaseKeepsVersion models an engine pool that parks a released
 	// runtime as its borrower left it — state version not advanced, the
 	// last workload still on record as the checkpoint image's owner
@@ -82,11 +62,19 @@ const (
 	// dirty-runtime pass borrows from the pool twice over one kernel, so
 	// only it can catch this one.
 	MutReleaseKeepsVersion Mutation = "release-keeps-version"
+	// MutElideCrossCond models a DOMORE scheduler that trusts its default
+	// assignment too far: an iteration placed on the worker its newest
+	// dependence ran on gets no condition at all, as if that worker's
+	// program order discharged its dependences on other workers too. The
+	// engine's seam for it is the workload's ElideCrossConds method, so it
+	// breaks exactly the runs of the DOMORE engine proper; only a case with
+	// an iteration that depends on two workers at once can catch it.
+	MutElideCrossCond Mutation = "elide-cross-cond"
 )
 
 // Mutations lists the non-empty mutation kinds.
 func Mutations() []Mutation {
-	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleShardClaim, MutStaleRuntime, MutSkipInlineShard, MutReleaseKeepsVersion}
+	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleRuntime, MutReleaseKeepsVersion, MutElideCrossCond}
 }
 
 // ParseMutation validates a -mutate flag value.
@@ -111,11 +99,6 @@ func (m Mutation) Faults() FaultPlan {
 		return FaultPlan{Panic: true, TornState: true}
 	case MutSkipDeltaRestore:
 		return FaultPlan{TornDelta: true}
-	case MutStaleShardClaim:
-		// The dropped edge diverges on its own, but skewing one scheduler
-		// lane maximizes the window in which the missing sync condition
-		// lets the reader overtake the writer.
-		return FaultPlan{ShardSkew: true}
 	case MutStaleRuntime, MutReleaseKeepsVersion:
 		// Seed 0 dirties the shared runtime with a forced misspeculation,
 		// whose delta restore is what reads the stale image.
@@ -153,31 +136,59 @@ func MutationCatcher() *Spec {
 			}},
 		)
 	}
-	if err := s.Validate(); err != nil {
-		panic(err)
-	}
-	return s
+	return mustValid(s)
 }
 
 // Catcher returns the hand-built case the mutation's self-test runs on:
-// MutationCatcher for the mutations that lose a dependence, and for
+// MutationCatcher for the mutations that lose a dependence; for
 // MutStaleRuntime and MutReleaseKeepsVersion a case with no cross-thread
-// dependence at all. A stale
-// checkpoint image only exists after a run whose last segment committed,
-// and MutationCatcher's segments all misspeculate; here every segment of
-// the warm-up commits, so the forced misspeculation of the run after it
-// restores read-modify-written cells from the wrong run's image.
+// dependence at all; and for MutElideCrossCond a case whose readers depend
+// on two workers.
+//
+// A stale checkpoint image only exists after a run whose last segment
+// committed, and MutationCatcher's segments all misspeculate; in the
+// runtime catcher every segment of the warm-up commits, so the forced
+// misspeculation of the run after it restores read-modify-written cells
+// from the wrong run's image.
+//
+// In MutationCatcher the reader is the only later accessor of the cell it
+// reads, so the default DOMORE assignment puts it behind its writer on one
+// worker and no condition is left to elide. The cross catcher's epochs
+// pair a slow writer of cell 3i with a fast writer of cell 3i+1, and the
+// next epoch's reader loads both: it follows the fast writer, so the slow
+// one is on another worker and reachable only through a condition.
 func (m Mutation) Catcher() *Spec {
-	if m != MutStaleRuntime && m != MutReleaseKeepsVersion {
-		return MutationCatcher()
+	switch m {
+	case MutStaleRuntime, MutReleaseKeepsVersion:
+		s := &Spec{Name: "chaos-runtime-catcher", StateLen: 2, SigKind: "exact"}
+		for e := 0; e < 4; e++ {
+			s.Epochs = append(s.Epochs, EpochSpec{Tasks: []TaskSpec{
+				{Writes: []uint64{0}},
+				{Writes: []uint64{1}},
+			}})
+		}
+		return mustValid(s)
+	case MutElideCrossCond:
+		s := &Spec{Name: "chaos-cross-catcher", StateLen: 9, SigKind: "exact"}
+		for i := uint64(0); i < 3; i++ {
+			a := 3 * i
+			s.Epochs = append(s.Epochs,
+				EpochSpec{Tasks: []TaskSpec{
+					{Writes: []uint64{a}, Work: 200000},
+					{Writes: []uint64{a + 1}},
+				}},
+				EpochSpec{Tasks: []TaskSpec{
+					{},
+					{Reads: []uint64{a, a + 1}, Writes: []uint64{a + 2}},
+				}},
+			)
+		}
+		return mustValid(s)
 	}
-	s := &Spec{Name: "chaos-runtime-catcher", StateLen: 2, SigKind: "exact"}
-	for e := 0; e < 4; e++ {
-		s.Epochs = append(s.Epochs, EpochSpec{Tasks: []TaskSpec{
-			{Writes: []uint64{0}},
-			{Writes: []uint64{1}},
-		}})
-	}
+	return MutationCatcher()
+}
+
+func mustValid(s *Spec) *Spec {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
@@ -189,7 +200,8 @@ func (m Mutation) Catcher() *Spec {
 // not the execution (RunSpec corrupts the claim before the gate) — and
 // MutStaleRuntime and MutReleaseKeepsVersion, which break the harness's own
 // use of a shared runtime and the pool's release of one (dirtyRun.reset,
-// dirtyRun.on).
+// dirtyRun.on). MutElideCrossCond's wrapper changes nothing but asks the
+// DOMORE engine to break itself (ElideCrossConds).
 func (m Mutation) Wrap(k *epochal.Kernel) adaptive.Workload {
 	if m == MutNone || m == MutWidenStatic || m == MutStaleRuntime || m == MutReleaseKeepsVersion {
 		return k
@@ -209,6 +221,9 @@ func (w *mutated) Execute(inv, iter, t int) { w.k.Execute(inv, iter, t) }
 func (w *mutated) Epochs() int              { return w.k.Epochs() }
 func (w *mutated) Tasks(epoch int) int      { return w.k.Tasks(epoch) }
 func (w *mutated) Snapshot() any            { return w.k.Snapshot() }
+
+// ElideCrossConds is the DOMORE engine's mutation seam.
+func (w *mutated) ElideCrossConds() bool { return w.m == MutElideCrossCond }
 
 // The delta view forwards to the kernel, so the incremental-checkpoint
 // path stays engaged under mutation — skip-delta-restore breaks exactly
@@ -230,29 +245,6 @@ func (w *mutated) ComputeAddr(inv, iter int, buf []uint64) []uint64 {
 	case w.m == MutDropAddr && len(out) > 1:
 		copy(out, out[1:])
 		out = out[:len(out)-1]
-	case w.m == MutStaleShardClaim && len(out) > 1:
-		// Keep only addresses sharing the last address's shard: the stale
-		// claim drops every cross-shard edge of the iteration (dropping by
-		// the first address's shard would spare the catcher case's reads,
-		// which precede the writes in ComputeAddr order).
-		want := shadow.ShardOf(out[len(out)-1], shardLanes)
-		kept := out[:0]
-		for _, a := range out {
-			if shadow.ShardOf(a, shardLanes) == want {
-				kept = append(kept, a)
-			}
-		}
-		out = kept
-	case w.m == MutSkipInlineShard:
-		if n := w.k.Iterations(inv); iter >= n-n%shardBatch {
-			kept := out[:0]
-			for _, a := range out {
-				if shadow.ShardOf(a, shardLanes) != shardLanes-1 {
-					kept = append(kept, a)
-				}
-			}
-			out = kept
-		}
 	}
 	return out
 }

@@ -23,8 +23,9 @@ import (
 type RunRequest struct {
 	// Source is the LNL program text (required) — the content address.
 	Source string `json:"source"`
-	// Mode is seq, barrier, domore, domore-sharded, speccross, adaptive, or
-	// auto (default auto: the profile-informed engine choice).
+	// Mode is seq, barrier, domore, speccross, adaptive, or auto (default
+	// auto: the profile-informed engine choice). domore-sharded, the name
+	// of a DOMORE scheduler since folded into DOMORE's, is read as domore.
 	Mode string `json:"mode,omitempty"`
 	// Workers overrides the daemon's default engine worker count.
 	Workers int `json:"workers,omitempty"`
@@ -459,11 +460,14 @@ func (s *Server) params(req *RunRequest) runParams {
 		p.bad = "empty source"
 		return p
 	}
-	if p.mode == "" {
+	switch p.mode {
+	case "":
 		p.mode = "auto"
+	case "domore-sharded":
+		p.mode = "domore"
 	}
 	switch p.mode {
-	case "seq", "barrier", "domore", "domore-sharded", "speccross", "adaptive", "auto":
+	case "seq", "barrier", "domore", "speccross", "adaptive", "auto":
 	default:
 		p.bad = fmt.Sprintf("unknown mode %q", p.mode)
 		return p
@@ -708,21 +712,6 @@ func (s *Server) execute(req *RunRequest, in runParams, inv *invocation) (*RunRe
 			return fail(422, "domore plan: %v", e)
 		}
 		res, e := c.RunDOMOREPlanned(par, region, domore.Options{Workers: workers, Trace: inv.rec})
-		if e != nil {
-			rerr = e
-		} else {
-			sum = res.Env.Checksum()
-		}
-	case "domore-sharded":
-		psp := inv.span(trace.SpanPlan)
-		par, e := rp.ensureDomorePlan(s, c, regionIdx, st)
-		psp.End()
-		if e != nil {
-			esp.End()
-			resp.AnalysisSpans = st.total()
-			return fail(422, "domore plan: %v", e)
-		}
-		res, e := c.RunDOMOREShardedPlanned(par, region, domore.Options{Workers: workers, Trace: inv.rec})
 		if e != nil {
 			rerr = e
 		} else {

@@ -14,8 +14,8 @@ import (
 
 // TestWorkerPanicIs500 makes a thread of each engine panic in the middle of
 // a region — the fault is injected through the request recorder's hook, so
-// it fires on the engine thread that emits the event: a worker, a scheduler
-// lane, a checker shard — and requires what ROADMAP item 5 asks of a worker
+// it fires on the engine thread that emits the event: a worker, the DOMORE
+// scheduler, a checker shard — and requires what ROADMAP item 5 asks of a worker
 // panic: the request is answered 500 (the process survives), its execution
 // slot is released, the runtime the thread died on is torn down rather than
 // returned to the engine pool — the next request on the slot is built a new
@@ -34,19 +34,6 @@ func TestWorkerPanicIs500(t *testing.T) {
   }
 }
 `
-	// Two full chunks an invocation at the sharded scheduler's default chunk
-	// size of 256: only a full chunk is handed to a scheduler-lane thread
-	// (cg.lnl's inner loops are shorter, so its chunks never leave the
-	// driver).
-	const wide = `func wide() {
-  var A[3000]
-  for t = 1 .. 5 {
-    parfor i = 0 .. 512 {
-      A[t*512 + i] = A[(t-1)*512 + i] * 3 + 1
-    }
-  }
-}
-`
 	worker := func(l int32) bool { return l >= 0 }
 	cases := []struct {
 		mode, src string
@@ -55,8 +42,9 @@ func TestWorkerPanicIs500(t *testing.T) {
 	}{
 		{"barrier", cg, trace.KindIterStart, worker},
 		{"domore", cg, trace.KindIterStart, worker},
-		{"domore-sharded", wide, trace.KindShardChunk, func(l int32) bool { return l <= trace.LaneShardBase }},
-		{"speccross", pipe, trace.KindSigPrefilter, func(l int32) bool { return l <= trace.LaneCheckerBase && l > trace.LaneShardBase }},
+		// The old name runs DOMORE; this case kills its scheduler.
+		{"domore-sharded", cg, trace.KindSchedule, func(l int32) bool { return l == trace.LaneScheduler }},
+		{"speccross", pipe, trace.KindSigPrefilter, func(l int32) bool { return l <= trace.LaneCheckerBase && l > trace.LaneRequest }},
 		{"adaptive", cg, trace.KindIterStart, worker},
 	}
 	for _, tc := range cases {

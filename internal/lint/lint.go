@@ -29,6 +29,15 @@
 // condition and calls engine.Runtime.Pause, so the wait schedule, the stop
 // word and any parking are decided in one place; a Gosched anywhere else is
 // a wait that bypasses them.
+//
+// Rule frozen-surface: the repository benchmark, a module of its own that
+// no change may edit, calls some entry points that are now forwarders to
+// the code that replaced them: domore.RunSharded (domore.Run),
+// core.Compiled.RunDOMOREShardedPlanned (RunDOMOREPlanned), and the engine
+// constant adaptive.EngineDomoreSharded, which nothing chooses. They stay
+// for the benchmark alone, so any other use in this module — a call, a
+// method or function value, a reference — is reported, whatever name the
+// file imports the package under. Tests are exempt, as from every rule.
 package lint
 
 import (
@@ -61,9 +70,6 @@ var auditedStatsFields = map[string]bool{
 	"RangeStalls":     true,
 	"PrefilterChecks": true,
 	"PrefilterHits":   true,
-	// LaneWaits is written by every scheduler lane of the sharded DOMORE
-	// scheduler while the driver runs; like Stalls it crosses goroutines.
-	"LaneWaits": true,
 }
 
 // enginePackages scopes the stats-atomic rule: only inside the engines do
@@ -106,6 +112,79 @@ func CheckFile(fset *token.FileSet, pkg string, f *ast.File) []Diagnostic {
 	if waitPackages[pkg] && !(pkg == "engine" && filepath.Base(fset.Position(f.Pos()).Filename) == waitFile) {
 		out = append(out, checkOneWait(fset, f)...)
 	}
+	out = append(out, checkFrozenSurface(fset, pkg, f)...)
+	return out
+}
+
+// frozen lists the forwarders kept for the benchmark: the name, and the
+// import path suffix and package name it is declared in. A method's path is
+// empty: it is matched by name on any receiver.
+var frozen = []struct{ path, pkg, name string }{
+	{"/runtime/domore", "domore", "RunSharded"},
+	{"", "core", "RunDOMOREShardedPlanned"},
+	{"/runtime/adaptive", "adaptive", "EngineDomoreSharded"},
+}
+
+// checkFrozenSurface flags every use of a frozen forwarder in f: through a
+// selector on the declaring package's import (or, for the method, on any
+// value), or by bare name inside the declaring package, where only the
+// declaration itself is not a use.
+func checkFrozenSurface(fset *token.FileSet, pkg string, f *ast.File) []Diagnostic {
+	imported := map[string]string{} // local import name → frozen name
+	for _, imp := range f.Imports {
+		path := strings.Trim(imp.Path.Value, `"`)
+		for _, fr := range frozen {
+			if fr.path != "" && strings.HasSuffix(path, fr.path) {
+				local := fr.pkg
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+				imported[local] = fr.name
+			}
+		}
+	}
+	skip := map[*ast.Ident]bool{} // declarations, and selectors' right-hand sides
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch d := n.(type) {
+		case *ast.FuncDecl:
+			skip[d.Name] = true
+		case *ast.ValueSpec:
+			for _, id := range d.Names {
+				skip[id] = true
+			}
+		case *ast.SelectorExpr:
+			skip[d.Sel] = true
+		}
+		return true
+	})
+	var out []Diagnostic
+	flag := func(pos token.Pos, name string) {
+		out = append(out, Diagnostic{
+			Pos:  fset.Position(pos),
+			Rule: "frozen-surface",
+			Msg:  fmt.Sprintf("use of %s, which exists only for the benchmark module; use what it forwards to", name),
+		})
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch e := n.(type) {
+		case *ast.SelectorExpr:
+			for _, fr := range frozen {
+				if e.Sel.Name != fr.name {
+					continue
+				}
+				if x, ok := e.X.(*ast.Ident); fr.path == "" || ok && imported[x.Name] == fr.name {
+					flag(e.Pos(), fr.pkg+"."+fr.name)
+				}
+			}
+		case *ast.Ident:
+			for _, fr := range frozen {
+				if !skip[e] && pkg == fr.pkg && e.Name == fr.name {
+					flag(e.Pos(), fr.pkg+"."+fr.name)
+				}
+			}
+		}
+		return true
+	})
 	return out
 }
 
@@ -293,7 +372,9 @@ func CheckFiles(files []string) []Diagnostic {
 	return out
 }
 
-// CheckDir walks root recursively and checks every non-test Go file.
+// CheckDir walks root recursively and checks every non-test Go file of
+// root's module: directories holding a go.mod of their own are other
+// modules, and are skipped.
 func CheckDir(root string) ([]Diagnostic, error) {
 	var files []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -301,7 +382,13 @@ func CheckDir(root string) ([]Diagnostic, error) {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); name != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			if path == root {
+				return nil
+			}
+			if name := d.Name(); strings.HasPrefix(name, ".") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

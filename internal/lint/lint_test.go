@@ -39,26 +39,23 @@ func wantRule(t *testing.T, ds []Diagnostic, rule, substr string) {
 func TestStatsAtomicFlagsPlainWrites(t *testing.T) {
 	src := `package domore
 
-type Stats struct{ Stalls, RangeStalls, LaneWaits, Iterations, Batches int64 }
+type Stats struct{ Stalls, RangeStalls, Iterations int64 }
 
 func bad(s *Stats) {
 	s.Stalls++                   // flagged: increment
 	s.Stalls = s.Stalls + 1      // flagged: assignment
 	s.RangeStalls += 2           // flagged: compound assignment
-	s.LaneWaits++                // flagged: scheduler-lane field
 	s.Iterations++               // fine: single-writer field
-	s.Batches++                  // fine: driver-only field
 	_ = s.Stalls                 // fine: read
 }
 `
 	ds := check(t, "domore", src)
-	if got := len(ds); got != 4 {
-		t.Fatalf("want 4 diagnostics, got %d: %v", got, ds)
+	if got := len(ds); got != 3 {
+		t.Fatalf("want 3 diagnostics, got %d: %v", got, ds)
 	}
 	wantRule(t, ds, "stats-atomic", "increment of audited Stats field Stalls")
 	wantRule(t, ds, "stats-atomic", "assignment of audited Stats field Stalls")
 	wantRule(t, ds, "stats-atomic", "assignment of audited Stats field RangeStalls")
-	wantRule(t, ds, "stats-atomic", "increment of audited Stats field LaneWaits")
 }
 
 func TestStatsAtomicFlagsAtomicWrites(t *testing.T) {
@@ -247,13 +244,75 @@ func TestCheckFilesSkipsTestsAndReportsParseErrors(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean runs the pass over the real runtime tree: the audited
-// code must satisfy its own rules (this is the same sweep CI runs via
-// `go vet -vettool`).
+// TestFrozenSurfaceFlagsCallers injects a caller of each forwarder kept
+// for the benchmark module — by the package's own name, under an alias, as
+// a method value — and requires each use flagged, and the declarations not.
+func TestFrozenSurfaceFlagsCallers(t *testing.T) {
+	src := `package daemon
+
+import (
+	"crossinv/internal/runtime/adaptive"
+	dm "crossinv/internal/runtime/domore"
+)
+
+func run(c *core.Compiled, w dm.Workload) {
+	dm.RunSharded(w, dm.Options{Workers: 2})       // flagged
+	c.RunDOMOREShardedPlanned(nil, nil, dm.Options{}) // flagged
+	f := c.RunDOMOREShardedPlanned                    // flagged
+	_ = adaptive.EngineDomoreSharded                  // flagged
+	dm.Run(w, dm.Options{Workers: 2})              // fine
+	_, _ = f, adaptive.EngineDomore                // fine
+}
+`
+	ds := check(t, "daemon", src)
+	if len(ds) != 4 {
+		t.Fatalf("want the 4 injected uses flagged, got %v", ds)
+	}
+	for i, line := range []int{9, 10, 11, 12} {
+		if ds[i].Rule != "frozen-surface" || ds[i].Pos.Line != line {
+			t.Errorf("diagnostic %d: %v, want frozen-surface on line %d", i, ds[i], line)
+		}
+	}
+	wantRule(t, ds, "frozen-surface", "domore.RunSharded")
+	wantRule(t, ds, "frozen-surface", "core.RunDOMOREShardedPlanned")
+	wantRule(t, ds, "frozen-surface", "adaptive.EngineDomoreSharded")
+
+	// Inside the declaring packages the declaration is fine and a use is not.
+	adaptive := `package adaptive
+
+const (
+	EngineDomore Engine = iota
+	EngineDomoreSharded
+)
+
+func (e Engine) String() string {
+	if e == EngineDomoreSharded { // flagged
+		return "domore-sharded"
+	}
+	return "domore"
+}
+`
+	if ds := check(t, "adaptive", adaptive); len(ds) != 1 || ds[0].Pos.Line != 9 {
+		t.Errorf("package adaptive: want its use on line 9 flagged alone, got %v", ds)
+	}
+	domore := `package domore
+
+func RunSharded(w Workload, opts Options) Stats { return Run(w, opts) }
+
+var entry = RunSharded // flagged
+`
+	if ds := check(t, "domore", domore); len(ds) != 1 || ds[0].Pos.Line != 5 {
+		t.Errorf("package domore: want its use on line 5 flagged alone, got %v", ds)
+	}
+}
+
+// TestRepoIsClean runs the pass over the module's own tree (the benchmark
+// module in it is skipped): the code must satisfy its own rules (this is
+// the same sweep CI runs via `go vet -vettool`).
 func TestRepoIsClean(t *testing.T) {
-	root := filepath.Join("..", "runtime")
-	if _, err := os.Stat(root); err != nil {
-		t.Skipf("runtime tree not present: %v", err)
+	root := filepath.Join("..", "..")
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Skipf("module tree not present: %v", err)
 	}
 	ds, err := CheckDir(root)
 	if err != nil {

@@ -10,7 +10,7 @@
 // this package takes the paper's title one step further and uses runtime
 // information to pick the runtime itself. Windows of W epochs run under
 // the current engine; DOMORE windows report the manifest-dependence rate
-// (sync conditions per iteration, from the scheduler of Algorithm 1),
+// (iterations with a dependence, from the scheduler of Algorithm 1),
 // SPECCROSS windows report misspeculations and checker pressure (from
 // the Chapter 4 Stats); a Policy — hysteresis thresholds by default,
 // pluggable for bandit-style learners — picks the engine for the next
@@ -230,24 +230,15 @@ func runWindows(rt *engine.Runtime, w Workload, cfg Config, epochs int) Stats {
 			for e := lo; e < hi; e++ {
 				sample.Tasks += int64(w.Tasks(e))
 			}
-		case EngineDomore, EngineDomoreSharded:
+		case EngineDomore:
 			opts := cfg.Domore
 			opts.Workers = cfg.Workers
 			opts.Trace = cfg.Trace
-			var st domore.Stats
-			if engine == EngineDomoreSharded {
-				// The sharded scheduler builds its own per-shard stores; the
-				// serial address mode is the default because not every
-				// adaptive workload's ComputeAddr is lane-concurrent (the
-				// interpreter-backed regions share one replay environment).
-				st = domore.RunShardedOn(rt, win, opts)
-			} else {
-				st = domore.RunOn(rt, win, opts)
-			}
+			st := domore.RunOn(rt, win, opts)
 			addDomore(&stats.Domore, st)
 			sample.Tasks = st.Iterations
 			if st.Iterations > 0 {
-				sample.ManifestRate = float64(st.SyncConditions) / float64(st.Iterations)
+				sample.ManifestRate = float64(st.Dependences) / float64(st.Iterations)
 			}
 		case EngineSpecCross:
 			sc := cfg.Spec
@@ -376,10 +367,9 @@ func addDomore(dst *domore.Stats, s domore.Stats) {
 	dst.Iterations += s.Iterations
 	dst.Dispatches += s.Dispatches
 	dst.SyncConditions += s.SyncConditions
+	dst.Dependences += s.Dependences
 	dst.Stalls += s.Stalls
 	dst.AddrChecks += s.AddrChecks
-	dst.Batches += s.Batches
-	dst.LaneWaits += s.LaneWaits
 }
 
 func addSpec(dst *speccross.Stats, s speccross.Stats) {

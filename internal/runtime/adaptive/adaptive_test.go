@@ -184,9 +184,13 @@ func TestAdaptiveTracksPhases(t *testing.T) {
 // one.
 func TestAdaptiveFixedPolicies(t *testing.T) {
 	want := seqChecksum(false)
-	for eng := adaptive.Engine(0); eng < adaptive.NumEngines; eng++ {
-		eng := eng
-		t.Run(eng.String(), func(t *testing.T) {
+	// "domore-sharded", a DOMORE scheduler's old name, pins DOMORE.
+	for _, name := range []string{"domore", "speccross", "barrier", "domore-sharded"} {
+		eng, ok := adaptive.ParseEngine(name)
+		if !ok {
+			t.Fatalf("ParseEngine(%q) failed", name)
+		}
+		t.Run(name, func(t *testing.T) {
 			k := buildKernel(false)
 			stats := adaptive.Run(k, adaptive.Config{
 				Workers: 4,

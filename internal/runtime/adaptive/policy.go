@@ -18,10 +18,10 @@ const (
 	EngineSpecCross
 	// EngineBarrier is the pthread-barrier baseline.
 	EngineBarrier
-	// EngineDomoreSharded is DOMORE with the sharded scheduler and batched
-	// condition queues (domore.RunSharded): the same schedule as
-	// EngineDomore with the scheduler's dependence detection spread across
-	// lanes, so it is a legal quiesce-point target wherever DOMORE is.
+	// EngineDomoreSharded is never chosen, run or reported. It stays
+	// declared because the repository benchmark, which no change may edit,
+	// indexes per-engine counts with it; the crossinvvet frozen-surface rule
+	// rejects any other use. ParseEngine reads its old name as EngineDomore.
 	EngineDomoreSharded
 	// NumEngines is the number of selectable engines.
 	NumEngines
@@ -34,8 +34,6 @@ func (e Engine) String() string {
 		return "barrier"
 	case EngineDomore:
 		return "domore"
-	case EngineDomoreSharded:
-		return "domore-sharded"
 	case EngineSpecCross:
 		return "speccross"
 	}
@@ -45,8 +43,8 @@ func (e Engine) String() string {
 // Sample is what the online monitors observed over one window of epochs.
 // Each engine reports the signals it can measure natively:
 //
-//   - DOMORE windows report ManifestRate — synchronization conditions
-//     forwarded per scheduled iteration, the dynamic analogue of the
+//   - DOMORE windows report ManifestRate — the share of scheduled
+//     iterations with a manifested dependence, the dynamic analogue of the
 //     paper's "manifest rate" (72.4% for CG, 99% for ECLAT, §5.1);
 //   - SPECCROSS windows report Misspeculated and CheckerPressure
 //     (signature comparisons per task, a proxy for checker-queue load,
@@ -60,7 +58,9 @@ type Sample struct {
 	StartEpoch, EndEpoch int
 	// Tasks is the number of tasks/iterations the window executed.
 	Tasks int64
-	// ManifestRate is sync conditions per iteration (DOMORE windows).
+	// ManifestRate is domore.Stats.Dependences per iteration (DOMORE
+	// windows). It counts a dependence wherever it ran, so keeping one on
+	// its worker does not make a window look speculable.
 	ManifestRate float64
 	// Misspeculated reports whether the window rolled back (SPECCROSS).
 	Misspeculated bool
@@ -150,10 +150,7 @@ func (p *ThresholdPolicy) Decide(s Sample) Engine {
 		// scheduler measures the manifest rate directly.
 		p.lastReason = "barrier window carries no dependence signal; probing with domore"
 		return EngineDomore
-	case EngineDomore, EngineDomoreSharded:
-		// The sharded scheduler produces DOMORE's exact schedule, so its
-		// windows carry the same manifest-rate signal; stay-decisions keep
-		// the caller's flavor rather than silently dropping the sharding.
+	case EngineDomore:
 		if p.hold > 0 {
 			p.hold--
 			p.low = 0

@@ -113,6 +113,7 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 	pin := func(e adaptive.Engine) adaptive.Config {
 		return adaptive.Config{Workers: nw, Window: 4, Policy: adaptive.Fixed(e), Start: e}
 	}
+	legacy, _ := adaptive.ParseEngine("domore-sharded") // the old name pins DOMORE
 	cases := []struct {
 		name   string
 		fault  func(epoch, task int, sig *signature.Signature)
@@ -120,7 +121,7 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 		run    func(c *cells)
 	}{
 		{name: "domore.Run", run: func(c *cells) { domore.Run(c, domore.Options{Workers: nw}) }},
-		{name: "domore.RunSharded", run: func(c *cells) { domore.RunSharded(c, domore.Options{Workers: nw, Lanes: 2, Batch: 4}) }},
+		{name: "domore.RunSharded", run: func(c *cells) { domore.RunSharded(c, domore.Options{Workers: nw, Lanes: 2}) }},
 		{name: "speccross.Run", run: func(c *cells) { speccross.Run(c, speccross.Config{Workers: nw, CheckpointEvery: 5}) }},
 		{name: "speccross.Run forced misspeculation", run: func(c *cells) {
 			st := speccross.Run(c, speccross.Config{Workers: nw, CheckpointEvery: 5, ForceMisspecEpoch: 7})
@@ -148,7 +149,7 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 		{name: "speccross.RunBarriers", run: func(c *cells) { speccross.RunBarriers(c, nw) }},
 		{name: "adaptive.Run domore", run: func(c *cells) { adaptive.Run(c, pin(adaptive.EngineDomore)) }},
 		{name: "adaptive.Run speccross", run: func(c *cells) { adaptive.Run(c, pin(adaptive.EngineSpecCross)) }},
-		{name: "adaptive.Run domore-sharded", run: func(c *cells) { adaptive.Run(c, pin(adaptive.EngineDomoreSharded)) }},
+		{name: "adaptive.Run domore-sharded", run: func(c *cells) { adaptive.Run(c, pin(legacy)) }},
 		{name: "domore.Run worker panic", panics: true,
 			fault: func(e, task int, _ *signature.Signature) {
 				if e == 3 && task == 1 {
@@ -162,7 +163,7 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 					panic("worker fault")
 				}
 			},
-			run: func(c *cells) { domore.RunSharded(c, domore.Options{Workers: nw, Lanes: 2, Batch: 4, QueueCap: 2}) }},
+			run: func(c *cells) { domore.RunSharded(c, domore.Options{Workers: nw, Lanes: 2, QueueCap: 2}) }},
 		{name: "speccross.RunBarriers worker panic", panics: true,
 			fault: func(e, task int, _ *signature.Signature) {
 				if e == 3 && task == 1 {
@@ -271,7 +272,7 @@ func TestWindowsAllocateNothingOfTheirOwn(t *testing.T) {
 			adaptive.Run(c, adaptive.Config{Workers: nw, Window: window, Policy: policy, Start: start})
 		})
 	}
-	for _, e := range []adaptive.Engine{adaptive.EngineDomore, adaptive.EngineDomoreSharded, adaptive.EngineSpecCross, adaptive.EngineBarrier} {
+	for _, e := range []adaptive.Engine{adaptive.EngineDomore, adaptive.EngineSpecCross, adaptive.EngineBarrier} {
 		one, twelve := allocs(epochs, adaptive.Fixed(e), e), allocs(epochs/12, adaptive.Fixed(e), e)
 		t.Logf("%v: 1 window %.0f allocations, 12 windows %.0f", e, one, twelve)
 		if twelve > one+slack {
@@ -302,7 +303,6 @@ func TestPooledRunAllocatesWhatRunOnDoes(t *testing.T) {
 		start  adaptive.Engine
 	}{
 		{"domore", adaptive.Fixed(adaptive.EngineDomore), adaptive.EngineDomore},
-		{"domore-sharded", adaptive.Fixed(adaptive.EngineDomoreSharded), adaptive.EngineDomoreSharded},
 		{"speccross", adaptive.Fixed(adaptive.EngineSpecCross), adaptive.EngineSpecCross},
 		{"barrier", adaptive.Fixed(adaptive.EngineBarrier), adaptive.EngineBarrier},
 		{"alternating", alternate{}, adaptive.EngineDomore},

@@ -14,13 +14,13 @@ const NoConflictDistance = speccross.NoConflict
 // window runs.
 
 // ParseEngine maps an engine's display name back to its identifier — the
-// inverse of Engine.String, used to revive cached seeds.
+// inverse of Engine.String, used to revive cached seeds. "domore-sharded",
+// the name of a DOMORE scheduler since folded into DOMORE's, still reads as
+// EngineDomore, so seeds cached under it stay valid.
 func ParseEngine(name string) (Engine, bool) {
 	switch name {
-	case "domore":
+	case "domore", "domore-sharded":
 		return EngineDomore, true
-	case "domore-sharded":
-		return EngineDomoreSharded, true
 	case "speccross":
 		return EngineSpecCross, true
 	case "barrier":

@@ -9,11 +9,14 @@ import (
 )
 
 func TestParseEngine(t *testing.T) {
-	for e := adaptive.Engine(0); e < adaptive.NumEngines; e++ {
+	for _, e := range []adaptive.Engine{adaptive.EngineDomore, adaptive.EngineSpecCross, adaptive.EngineBarrier} {
 		got, ok := adaptive.ParseEngine(e.String())
 		if !ok || got != e {
 			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, ok)
 		}
+	}
+	if got, ok := adaptive.ParseEngine("domore-sharded"); !ok || got != adaptive.EngineDomore {
+		t.Errorf("ParseEngine(\"domore-sharded\") = %v, %v; want the domore alias", got, ok)
 	}
 	if _, ok := adaptive.ParseEngine("warp-drive"); ok {
 		t.Error("ParseEngine accepted an unknown name")

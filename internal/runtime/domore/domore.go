@@ -12,10 +12,11 @@
 // dependence actually manifests, replacing the global barrier of Fig 3.2(a)
 // with the pipelined plan of Fig 3.2(c).
 //
-// RunSharded spreads the scheduler's dependence detection across lanes; with
-// Options.ConcurrentAddr and one lane per worker it is the duplicated
-// scheduler of §3.4 (Figs 3.8–3.9), every lane replaying the address
-// computation and assignment itself.
+// The scheduler also uses what shadow memory tells it to place the
+// iteration: by default an iteration goes to the worker its newest
+// dependence ran on, whose own program order then discharges that
+// dependence (the produce-to-self case of §3.4), so a dependence chain stays
+// on one worker instead of becoming one cross-thread condition per link.
 package domore
 
 import (
@@ -47,9 +48,7 @@ type Workload interface {
 	// will access to buf and returns it. This is the compiler-generated
 	// computeAddr slice: it must be side-effect free (§3.3.4 aborts the
 	// transformation otherwise). The caller owns buf, so implementations
-	// stay allocation-free and safe for the concurrent scheduler lanes of
-	// RunSharded with ConcurrentAddr (§3.4), which call ComputeAddr from
-	// every lane.
+	// stay allocation-free.
 	ComputeAddr(inv, iter int, buf []uint64) []uint64
 	// Execute runs the inner-loop body for iteration (inv, iter) on worker
 	// tid. Under a multi-owner policy (LOCALWRITE) it is invoked once per
@@ -61,13 +60,14 @@ type Workload interface {
 type Options struct {
 	// Workers is the number of worker threads (the scheduler is extra).
 	Workers int
-	// Policy assigns iterations to workers; defaults to round-robin.
+	// Policy assigns iterations to workers. Nil, the default, makes the
+	// assignment follow the dependence: an iteration goes to the worker of
+	// its newest prior accessor in shadow memory, unless that worker took
+	// the last three iterations (followCap) or there is no prior accessor,
+	// when it goes to iterNum mod Workers. The rule is a pure function of
+	// the shadow state and the iteration number. sched.NewRoundRobin() and
+	// sched.NewLocalWrite assign as their documentation says.
 	Policy sched.Policy
-	// NewPolicy, when set, constructs a thread-private policy instance for
-	// each scheduler lane of RunSharded with ConcurrentAddr (lanes must not
-	// share policy scratch state). Defaults to fresh round-robin instances;
-	// set it when using LOCALWRITE or a custom policy there.
-	NewPolicy func() sched.Policy
 	// QueueCap is the per-worker condition-queue capacity (default 1024).
 	QueueCap int
 	// Trace, when non-nil, receives engine events: the scheduler emits on
@@ -75,31 +75,19 @@ type Options struct {
 	// sync-cond/dispatch records, queue-depth samples) and worker tid emits
 	// on lane tid (iteration spans, stall spans carrying the ⟨depTid,
 	// depIterNum⟩ condition, queue-empty backoff episodes). A nil Trace
-	// compiles the hot path down to nil-receiver no-ops. RunSharded
-	// additionally emits one KindShardChunk per chunk per scheduler lane on
-	// lanes trace.LaneShardBase - l.
+	// compiles the hot path down to nil-receiver no-ops.
 	Trace *trace.Recorder
 
-	// Lanes is the number of scheduler lanes RunSharded partitions shadow
-	// memory across (default 4). Ignored by the other entry points.
+	// Lanes is accepted and ignored. It remains because the repository
+	// benchmark, which no change may edit, sets it for RunSharded.
 	Lanes int
-	// Batch is RunSharded's chunk size: the number of iterations scheduled
-	// per lane handoff, and the granularity at which synchronization
-	// conditions are batched onto the worker queues (default 256).
-	Batch int
-	// ConcurrentAddr lets RunSharded call ComputeAddr concurrently from
-	// every scheduler lane (each lane redundantly computes the full
-	// address set and keeps the addresses hashing to its shard), which
-	// removes the serial address computation entirely. It requires the
-	// documented ComputeAddr contract, which interpreter-backed workloads
-	// sharing one replay environment (mtcg, speccrossgen's DomoreView) do
-	// not meet. When false (the default), the driver computes each chunk's
-	// addresses serially into a reused arena and the lanes perform only
-	// the sharded dependence detection, which is always safe. With
-	// ConcurrentAddr, a stateful Policy requires NewPolicy (each lane
-	// replays assignments on a private instance).
-	ConcurrentAddr bool
 }
+
+// followCap is how many consecutive iterations the default assignment hands
+// one worker by following dependences before it spreads the next one
+// round-robin, so an independent stream still reaches every worker. Chosen
+// by measurement from {2, 3, 4} on the engine.dense programs.
+const followCap = 3
 
 func (o *Options) fill() {
 	if o.Workers <= 0 {
@@ -115,11 +103,10 @@ func (o *Options) fill() {
 //
 // Concurrency contract (audited, enforced by the stats_race_test regression
 // under -race and by the stats-atomic lint rule): no thread writes Stats
-// while an engine runs. The scheduler (or sharded driver) counts into a
-// Stats only it can see, workers and scheduler lanes count Stalls and
-// LaneWaits in plain thread-private counters, and the control goroutine
-// folds those in at quiesce, when every thread has finished its phase, so
-// callers may read the returned Stats without synchronization.
+// while an engine runs. The scheduler counts into a Stats only it can see,
+// workers count Stalls in plain thread-private counters, and the control
+// goroutine folds those in at quiesce, when every thread has finished its
+// phase, so callers may read the returned Stats without synchronization.
 type Stats struct {
 	// Iterations is the total number of inner-loop iterations scheduled
 	// (combined across invocations — the paper's global iteration numbers).
@@ -128,24 +115,21 @@ type Stats struct {
 	// single-owner policies and exceeds it under LOCALWRITE.
 	Dispatches int64
 	// SyncConditions counts ⟨depTid, depIterNum⟩ conditions forwarded — the
-	// dynamic dependences that actually manifested across threads.
+	// dynamic dependences that manifested across threads.
 	SyncConditions int64
+	// Dependences counts the iterations with a manifested dependence — a
+	// prior accessor of one of their addresses — on any thread. It is the
+	// manifest rate's numerator: unlike SyncConditions it does not fall
+	// when the assignment keeps a dependence on one worker.
+	Dependences int64
 	// Stalls counts worker waits that found the dependence not yet
 	// satisfied (i.e. the condition caused an actual pause).
 	Stalls int64
 	// AddrChecks counts shadow-memory lookups performed by the scheduler.
 	AddrChecks int64
-	// Batches counts batched queue publications by RunSharded's driver:
-	// each is one batched flush of a worker's buffered conditions and
-	// dispatches. Deterministic for a given workload and options (flushes
-	// happen at chunk boundaries and when the iteration-order publication
-	// invariant forces one); zero under the other entry points.
-	Batches int64
-	// LaneWaits counts chunk-handoff wait episodes in RunSharded's
-	// scheduler lanes: a lane found its next chunk not yet published and
-	// spun. Timing-dependent (like Stalls); zero under the other entry
-	// points.
-	LaneWaits int64
+	// Batches and LaneWaits are always 0. They remain because the
+	// repository benchmark, which no change may edit, reads them.
+	Batches, LaneWaits int64
 }
 
 // message kinds carried on the scheduler→worker queues.
@@ -196,6 +180,12 @@ func RunOn(rt *engine.Runtime, w Workload, opts Options) Stats {
 	return stats
 }
 
+// RunSharded is Run: Options.Lanes is ignored, and Stats.Batches and
+// LaneWaits read 0. It remains because the repository benchmark, which no
+// change may edit, calls it by name; the crossinvvet frozen-surface rule
+// rejects any other caller outside tests.
+func RunSharded(w Workload, opts Options) Stats { return Run(w, opts) }
+
 // paddedInt64 keeps each worker's latestFinished slot on its own cache line.
 type paddedInt64 struct {
 	v atomic.Int64
@@ -215,26 +205,32 @@ type state struct {
 	queues         []*queue.SPSC[cond]
 	latestFinished []paddedInt64
 	local          []workerLocal
-	shadow         *shadow.Sparse // Run's dependence-detection store, cleared per run
-	roundRobin     sched.Policy   // the default Options.Policy (it keeps no state between runs)
-	pending        [][]cond       // scheduler or driver: per-target conditions of the current iteration
-	buf            []uint64       // scheduler or driver: ComputeAddr scratch
-	sharded        *shardedRun    // RunShardedOn's driver state
+	shadow         *shadow.Sparse // the dependence-detection store, cleared per run
+	pending        [][]cond       // scheduler: per-target conditions of the current iteration
+	buf            []uint64       // scheduler: ComputeAddr scratch
 
 	// The run in progress, written by the control goroutine before it posts
 	// the worker phases.
-	w   Workload
-	rec *trace.Recorder
+	w     Workload
+	rec   *trace.Recorder
+	elide bool // w asked for the elide-cross-cond mutation (see crossCondElider)
 }
+
+// crossCondElider is the seam of the chaos harness's elide-cross-cond
+// mutation. A workload whose ElideCrossConds reports true gets a broken
+// scheduler: it forwards no condition for an iteration it placed by
+// following a dependence, as if the followed worker's program order
+// discharged every dependence of the iteration and not only that one. The
+// harness must catch the missed condition; nothing else implements this.
+type crossCondElider interface{ ElideCrossConds() bool }
 
 // workerLocal is one worker's private state. Its counters are plain: only
 // the worker writes them, and the control goroutine folds them into Stats
 // at quiesce.
 type workerLocal struct {
-	stalls          int64
-	batch           []cond // workerBatched's drain buffer
-	run, runBatched func() // the worker's phases, bound once
-	_               [64]byte
+	stalls int64
+	run    func() // the worker's phase, bound once
+	_      [64]byte
 }
 
 // stateOn returns rt's DOMORE state, sized for opts, and resolves the
@@ -250,13 +246,11 @@ func stateOn(rt *engine.Runtime, opts *Options) *state {
 			latestFinished: make([]paddedInt64, nw),
 			local:          make([]workerLocal, nw),
 			shadow:         shadow.NewSparse(),
-			roundRobin:     sched.NewRoundRobin(),
 			pending:        make([][]cond, nw),
 		}
 		for tid := range st.local {
 			tid := tid
 			st.local[tid].run = func() { st.worker(tid) }
-			st.local[tid].runBatched = func() { st.workerBatched(tid) }
 		}
 		return st
 	}).(*state)
@@ -267,9 +261,6 @@ func stateOn(rt *engine.Runtime, opts *Options) *state {
 			st.queues[i] = queue.NewSPSC[cond](opts.QueueCap)
 		}
 	}
-	if opts.Policy == nil {
-		opts.Policy = st.roundRobin
-	}
 	return st
 }
 
@@ -279,6 +270,8 @@ func stateOn(rt *engine.Runtime, opts *Options) *state {
 // ever grow.
 func (st *state) begin(w Workload, rec *trace.Recorder) {
 	st.w, st.rec = w, rec
+	e, ok := w.(crossCondElider)
+	st.elide = ok && e.ElideCrossConds()
 	for i := range st.latestFinished {
 		st.latestFinished[i].v.Store(-1)
 	}
@@ -286,19 +279,9 @@ func (st *state) begin(w Workload, rec *trace.Recorder) {
 	st.rt.StateChanged()
 }
 
-// Forget drops what the last run handed the state — workload, recorder and,
-// for the sharded driver, its options and the policies built from them — so
-// a runtime parked in the engine pool pins buffers only.
-func (st *state) Forget() {
-	st.w, st.rec = nil, nil
-	if d := st.sharded; d != nil {
-		d.w, d.opts, d.sch, d.newPolicy = nil, Options{}, nil, nil
-		for l := range d.lanes {
-			ls := &d.lanes[l]
-			ls.pol, ls.owner = nil, nil
-		}
-	}
-}
+// Forget drops what the last run handed the state — workload and recorder —
+// so a runtime parked in the engine pool pins buffers only.
+func (st *state) Forget() { st.w, st.rec = nil, nil }
 
 // fold adds the per-thread counters to stats and zeroes them.
 func (st *state) fold(stats *Stats) {
@@ -319,7 +302,10 @@ func (st *state) schedule(opts *Options, stats *Stats) {
 	owner, multiOwner := opts.Policy.(*sched.LocalWrite)
 	sch := opts.Trace.Lane(trace.LaneScheduler)
 
-	iterNum := int64(0)
+	var one [1]int
+	f := follower{sm: shadowMem, nw: int32(nw), elide: st.elide}
+	// Counted in locals, stored into stats once at the end.
+	var iterNum, dispatches, syncConds, dependences, addrChecks int64
 	buf := st.buf
 	invocations := w.Invocations()
 	for inv := 0; inv < invocations; inv++ {
@@ -329,12 +315,22 @@ func (st *state) schedule(opts *Options, stats *Stats) {
 		for it := 0; it < iters; it++ {
 			buf = w.ComputeAddr(inv, it, buf[:0])
 			addrs := buf
-			tids := opts.Policy.Assign(iterNum, addrs, nw)
 			sch.Emit(trace.KindSchedule, 1, int64(inv), iterNum)
 			sch.Emit(trace.KindAddrCheck, int64(len(addrs)), int64(inv), iterNum)
+			addrChecks += int64(len(addrs))
+			// Without a policy the iteration is stamped with its provisional
+			// round-robin assignee, and placed once its dependences are known.
+			var tids []int
+			if opts.Policy == nil {
+				one[0] = f.provisional()
+				tids = one[:]
+			} else {
+				tids = opts.Policy.Assign(iterNum, addrs, nw)
+			}
 			for _, t := range tids {
 				pending[t] = pending[t][:0]
 			}
+			own, manifest := shadow.None, false
 			for _, a := range addrs {
 				// The thread that will actually perform this access: the
 				// single assignee, or the address's owner under LOCALWRITE.
@@ -342,26 +338,36 @@ func (st *state) schedule(opts *Options, stats *Stats) {
 				if multiOwner && len(tids) > 1 {
 					accessor = int32(owner.Owner(a, nw))
 				}
-				stats.AddrChecks++
 				dep := shadowMem.Exchange(a, accessor, iterNum)
-				if dep.Iter != shadow.None && dep.Tid != accessor {
+				switch {
+				case dep.Iter == shadow.None || dep.Iter == iterNum:
+					// Untouched, or the address occurs twice in the iteration.
+				case dep.Tid == accessor:
+					own, manifest = max(own, dep.Iter), true
+				default:
 					pending[accessor] = addDep(pending[accessor], dep.Tid, dep.Iter)
+					manifest = true
 				}
+			}
+			if manifest {
+				dependences++
+			}
+			if opts.Policy == nil {
+				one[0] = int(f.place(pending, addrs, iterNum, int32(one[0]), own))
 			}
 			for _, t := range tids {
 				for _, d := range pending[t] {
 					st.produce(queues[t], d, int64(t), sch)
-					stats.SyncConditions++
+					syncConds++
 					sch.Emit(trace.KindSyncCond, int64(t), int64(d.Tid), d.Iter)
 				}
 				st.produce(queues[t], cond{Kind: kindRun, Iter: iterNum, Inv: int32(inv), Index: int32(it)}, int64(t), sch)
-				stats.Dispatches++
+				dispatches++
 				sch.Emit(trace.KindDispatch, int64(t), iterNum, 0)
 				if sch.Enabled() {
 					sch.Emit(trace.KindQueueDepth, int64(queues[t].Len()), int64(t), 0)
 				}
 			}
-			stats.Iterations++
 			iterNum++
 		}
 		sch.Emit(trace.KindEpochCommit, 1, int64(inv), int64(inv+1))
@@ -370,6 +376,76 @@ func (st *state) schedule(opts *Options, stats *Stats) {
 	for t, q := range queues {
 		st.produce(q, cond{Kind: kindEnd}, int64(t), sch)
 	}
+	stats.Iterations, stats.Dispatches, stats.SyncConditions = iterNum, dispatches, syncConds
+	stats.Dependences, stats.AddrChecks = dependences, addrChecks
+}
+
+// follower is the default assignment (Options.Policy nil) over one run. It
+// lives on the scheduler's stack.
+type follower struct {
+	sm    *shadow.Sparse
+	nw    int32
+	rr    int32 // the next iteration's provisional assignee, iterNum mod nw
+	last  int32 // the worker the last iteration went to
+	n     int   // how many consecutive iterations it took
+	elide bool  // the elide-cross-cond mutation (see crossCondElider)
+}
+
+// provisional returns the next iteration's provisional assignee.
+func (f *follower) provisional() int {
+	t := f.rr
+	f.rr++
+	if f.rr == f.nw {
+		f.rr = 0
+	}
+	return int(t)
+}
+
+// place decides where iteration iterNum goes once its addresses have been
+// exchanged in shadow memory under the provisional assignee p: own is p's
+// newest prior access to them, and pending[p] holds the other threads',
+// newest per thread — the conditions the iteration needs if it stays. It
+// goes to the worker of the newest prior accessor, unless that worker took
+// the last followCap iterations or there is none. An iteration that moves
+// is re-stamped under its assignee t, and pending[t] gets its conditions:
+// p's own access among them, t's left out.
+func (f *follower) place(pending [][]cond, addrs []uint64, iterNum int64, p int32, own int64) int32 {
+	deps, t := pending[p], p
+	if len(deps) > 0 {
+		newest := shadow.Entry{Tid: p, Iter: own}
+		for _, d := range deps {
+			if d.Iter > newest.Iter {
+				newest = shadow.Entry{Tid: d.Tid, Iter: d.Iter}
+			}
+		}
+		if newest.Tid != f.last || f.n < followCap {
+			t = newest.Tid
+			if f.elide {
+				deps, own, pending[p] = nil, shadow.None, deps[:0]
+			}
+		}
+	}
+	if t == f.last {
+		f.n++
+	} else {
+		f.last, f.n = t, 1
+	}
+	if t != p {
+		for _, a := range addrs {
+			f.sm.Update(a, t, iterNum)
+		}
+		conds := pending[t][:0]
+		for _, d := range deps {
+			if d.Tid != t {
+				conds = append(conds, d)
+			}
+		}
+		if own != shadow.None {
+			conds = append(conds, cond{Kind: kindDep, Tid: p, Iter: own})
+		}
+		pending[t] = conds
+	}
+	return t
 }
 
 // produce forwards one message to worker owner's queue, recording a

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"crossinv/internal/runtime/sched"
+	"crossinv/internal/runtime/trace"
 )
 
 // irregular is a synthetic CG-shaped workload: an outer loop of invocations,
@@ -168,36 +169,124 @@ func TestRunLocalWritePolicy(t *testing.T) {
 	}
 }
 
-// TestDuplicatedSchedulerMatchesSequential checks the §3.4 configuration:
-// RunSharded with ConcurrentAddr and one scheduler lane per worker is the
-// duplicated scheduler — every lane replays address computation and
-// assignment on a policy of its own. The LOCALWRITE row touches one address
-// per iteration, so it too executes every iteration exactly once.
+// schedule is the list of scheduler records a run emits: every forwarded
+// condition and dispatch, in order.
+func schedule(t *testing.T, w Workload, opts Options) []trace.Event {
+	t.Helper()
+	rec := trace.NewRecorder()
+	opts.Trace = rec
+	Run(w, opts)
+	var out []trace.Event
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindSyncCond || ev.Kind == trace.KindDispatch {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestDuplicatedSchedulerMatchesSequential pins what the duplicated
+// scheduler of §3.4 needs from the scheduler it replicates: every worker
+// recomputes the schedule and runs only its own share, which is sound only
+// when the schedule is a function of the workload alone. Two runs of one
+// workload forward the same conditions and dispatch the same iterations to
+// the same workers, in the same order, and match the sequential result —
+// under the default assignment and under the two policies.
 func TestDuplicatedSchedulerMatchesSequential(t *testing.T) {
 	const invs, iters, nw, space = 15, 40, 4, 48
-	rr := newIrregular(rand.New(rand.NewSource(99)), invs, iters, space, 2)
-	lw := &localWorkload{irregular: *newIrregular(rand.New(rand.NewSource(99)), invs, iters, space, 1), space: space, workers: nw}
 	for _, c := range []struct {
-		name      string
-		w         Workload
-		data      *irregular
-		newPolicy func() sched.Policy
+		name   string
+		addrs  int
+		policy func() sched.Policy
 	}{
-		{"round-robin", rr, rr, nil},
-		{"localwrite", lw, &lw.irregular, func() sched.Policy { return sched.NewLocalWrite(space) }},
+		{"follow", 2, func() sched.Policy { return nil }},
+		{"round-robin", 2, func() sched.Policy { return sched.NewRoundRobin() }},
+		{"localwrite", 1, func() sched.Policy { return sched.NewLocalWrite(space) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			want := c.data.sequentialRun()
-			stats := RunSharded(c.w, Options{Workers: nw, Lanes: nw, ConcurrentAddr: true, NewPolicy: c.newPolicy})
-			for a := range want {
-				if c.data.data[a] != want[a] {
-					t.Fatalf("data[%d] = %d, want %d", a, c.data.data[a], want[a])
+			mk := func() (Workload, *irregular) {
+				w := newIrregular(rand.New(rand.NewSource(99)), invs, iters, space, c.addrs)
+				if c.name == "localwrite" {
+					lw := &localWorkload{irregular: *w, space: space, workers: nw}
+					return lw, &lw.irregular
+				}
+				return w, w
+			}
+			w, _ := mk()
+			first := schedule(t, w, Options{Workers: nw, Policy: c.policy()})
+			w, data := mk()
+			want := data.sequentialRun()
+			again := schedule(t, w, Options{Workers: nw, Policy: c.policy()})
+			checkIrregular(t, c.name, data, want)
+			if len(first) != len(again) {
+				t.Fatalf("%d scheduler records, then %d", len(first), len(again))
+			}
+			dispatches := 0
+			for i := range first {
+				a, b := first[i], again[i]
+				if a.Kind != b.Kind || a.A != b.A || a.B != b.B || a.C != b.C {
+					t.Fatalf("record %d: %v then %v", i, a, b)
+				}
+				if a.Kind == trace.KindDispatch {
+					dispatches++
 				}
 			}
-			if stats.Iterations != invs*iters || stats.Dispatches != invs*iters {
-				t.Fatalf("Iterations = %d, Dispatches = %d; want %d each", stats.Iterations, stats.Dispatches, invs*iters)
+			if dispatches != invs*iters {
+				t.Fatalf("%d dispatches, want %d", dispatches, invs*iters)
 			}
 		})
+	}
+}
+
+// TestFollowKeepsChainsOnOneWorker: in a chain of iterations, each touching
+// the cell the one before it touched, an iteration stays on its
+// predecessor's worker — the dependence discharged by that worker's program
+// order, no condition forwarded — until that worker has taken followCap in a
+// row; then it goes round-robin, and only that hand-over costs a condition.
+// Iterations without a dependence go round-robin.
+func TestFollowKeepsChainsOnOneWorker(t *testing.T) {
+	const nw, n = 3, 20
+	w := &irregular{data: make([]int64, 2*n)}
+	chain, indep := make([][]uint64, n), make([][]uint64, n)
+	for i := range chain {
+		chain[i] = []uint64{0}
+		indep[i] = []uint64{uint64(n + i)}
+	}
+	w.idx = [][][]uint64{chain, indep}
+	for range 2 * n {
+		w.seqs = append(w.seqs, int64(len(w.seqs)+1))
+	}
+	want := w.sequentialRun()
+	var workers []int64
+	conds := 0
+	for _, ev := range schedule(t, w, Options{Workers: nw}) {
+		if ev.Kind == trace.KindSyncCond {
+			conds++
+		} else {
+			workers = append(workers, ev.A)
+		}
+	}
+	checkIrregular(t, "follow", w, want)
+	moves, run := 0, 1
+	for i := 1; i < n; i++ {
+		if workers[i] == workers[i-1] {
+			run++
+			continue
+		}
+		moves++
+		if run < followCap || workers[i] != int64(i%nw) {
+			t.Errorf("chain iteration %d left worker %d for %d after a run of %d; want a round-robin hand-over after %d",
+				i, workers[i-1], workers[i], run, followCap)
+		}
+		run = 1
+	}
+	if moves == 0 || conds != moves {
+		t.Errorf("%d conditions for %d hand-overs along the chain; want one each, and some", conds, moves)
+	}
+	for i, got := range workers[n:] {
+		if want := int64((n + i) % nw); got != want {
+			t.Errorf("independent iteration %d on worker %d, want %d", n+i, got, want)
+		}
 	}
 }
 
@@ -211,19 +300,19 @@ func TestInvalidWorkersPanics(t *testing.T) {
 }
 
 // Property: for arbitrary irregular access patterns and worker counts, Run
-// and the duplicated-scheduler configuration of RunSharded produce exactly
-// the sequential result.
+// under the default assignment and under explicit round-robin produces
+// exactly the sequential result.
 func TestQuickEquivalence(t *testing.T) {
-	prop := func(seed int64, workers uint8, dup bool) bool {
+	prop := func(seed int64, workers uint8, rr bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nw := int(workers%4) + 1
 		w := newIrregular(rng, 8, 25, 24, 2)
 		want := w.sequentialRun()
-		if dup {
-			RunSharded(w, Options{Workers: nw, ConcurrentAddr: true, Lanes: nw})
-		} else {
-			Run(w, Options{Workers: nw})
+		opts := Options{Workers: nw}
+		if rr {
+			opts.Policy = sched.NewRoundRobin()
 		}
+		Run(w, opts)
 		for a := range want {
 			if w.data[a] != want[a] {
 				return false

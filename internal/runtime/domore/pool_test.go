@@ -8,6 +8,7 @@ import (
 
 	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/engine"
+	"crossinv/internal/runtime/sched"
 )
 
 func checkIrregular(t *testing.T, what string, w *irregular, want []int64) {
@@ -20,11 +21,10 @@ func checkIrregular(t *testing.T, what string, w *irregular, want []int64) {
 }
 
 // TestPooledRunAllocatesWhatRunOnDoes is the deterministic cost gate of the
-// engine pool for both schedulers: the second and later Run (RunSharded)
-// over a workload — each borrowing the runtime the one before released —
-// allocates exactly what RunOn (RunShardedOn) does on a runtime its caller
-// keeps. No ring, shadow table, chunk arena or lane is built per call, and
-// no goroutine started.
+// engine pool: the second and later Run (or RunSharded, which is Run) over
+// a workload — each borrowing the runtime the one before released —
+// allocates exactly what RunOn does on a runtime its caller keeps. No ring
+// or shadow table is built per call, and no goroutine started.
 func TestPooledRunAllocatesWhatRunOnDoes(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -32,23 +32,22 @@ func TestPooledRunAllocatesWhatRunOnDoes(t *testing.T) {
 	const workers = 2
 	w := newIrregular(rand.New(rand.NewSource(5)), 6, 40, 48, 2)
 	want := w.sequentialRun()
-	opts := Options{Workers: workers, Lanes: 2, Batch: 16}
+	opts := Options{Workers: workers, Lanes: 2}
 	for _, tc := range []struct {
-		name  string
-		run   func(Workload, Options) Stats
-		runOn func(*engine.Runtime, Workload, Options) Stats
+		name string
+		run  func(Workload, Options) Stats
 	}{
-		{"Run", Run, RunOn},
-		{"RunSharded", RunSharded, RunShardedOn},
+		{"Run", Run},
+		{"RunSharded", RunSharded},
 	} {
 		engine.CloseIdle()
 		rt := engine.New(workers)
 		kept := testing.AllocsPerRun(10, func() {
 			clear(w.data)
-			tc.runOn(rt, w, opts)
+			RunOn(rt, w, opts)
 		})
 		rt.Close()
-		checkIrregular(t, tc.name+"On", w, want)
+		checkIrregular(t, "RunOn", w, want)
 
 		goroutines := 0
 		pooled := testing.AllocsPerRun(10, func() {
@@ -60,7 +59,7 @@ func TestPooledRunAllocatesWhatRunOnDoes(t *testing.T) {
 		})
 		checkIrregular(t, "pooled "+tc.name, w, want)
 		if pooled != kept {
-			t.Errorf("a pooled %s allocates %v objects, %sOn on a kept runtime %v", tc.name, pooled, tc.name, kept)
+			t.Errorf("a pooled %s allocates %v objects, RunOn on a kept runtime %v", tc.name, pooled, kept)
 		}
 		if n := runtime.NumGoroutine(); n != goroutines {
 			t.Errorf("%s: %d goroutines after 10 pooled runs, %d after the first", tc.name, n, goroutines)
@@ -70,59 +69,48 @@ func TestPooledRunAllocatesWhatRunOnDoes(t *testing.T) {
 }
 
 // TestPooledRunRebuildsOnlyWhatDiffers: a run that follows a run with
-// another QueueCap or lane count — or the other scheduler — on the same
-// pooled runtime still equals the sequential result, and rebuilds the rings
-// only for a new capacity and the sharded driver only for a new lane count.
+// another QueueCap, lane count or policy on the same pooled runtime still
+// equals the sequential result, and rebuilds the rings only for a new
+// capacity.
 func TestPooledRunRebuildsOnlyWhatDiffers(t *testing.T) {
 	engine.CloseIdle()
 	defer engine.CloseIdle()
 	const workers = 3
-	run := func(what string, sharded bool, opts Options) {
+	run := func(what string, opts Options) {
 		t.Helper()
-		opts.Workers, opts.Batch = workers, 8
+		opts.Workers = workers
 		w := newIrregular(rand.New(rand.NewSource(11)), 5, 30, 40, 2)
 		want := w.sequentialRun()
-		var st Stats
-		if sharded {
-			st = RunSharded(w, opts)
-		} else {
-			st = Run(w, opts)
-		}
+		st := Run(w, opts)
 		if st.Iterations != 150 || st.SyncConditions == 0 {
 			t.Errorf("%s: %d iterations, %d sync conditions; want 150 and some", what, st.Iterations, st.SyncConditions)
 		}
 		checkIrregular(t, what, w, want)
 	}
-	type built struct {
-		ring   any
-		driver *shardedRun
-	}
-	look := func() (b built) {
+	ring := func() any {
 		rt := engine.Acquire(workers)
 		defer rt.Release()
 		// Not stateOn: it would rebuild the rings for the capacity it is
 		// asked for.
-		st := rt.State(stateKey{}, nil).(*state)
-		return built{st.queues[0], st.sharded}
+		return rt.State(stateKey{}, nil).(*state).queues[0]
 	}
 	created, _, _ := engine.Counters()
 
-	run("sharded, 2 lanes", true, Options{QueueCap: 64, Lanes: 2})
-	first := look()
-	run("single scheduler", false, Options{QueueCap: 64})
-	if b := look(); b != first {
-		t.Errorf("Run after RunSharded at one capacity: rings kept %v, driver kept %v; want both", b.ring == first.ring, b.driver == first.driver)
+	run("2 lanes", Options{QueueCap: 64, Lanes: 2})
+	first := ring()
+	run("round-robin", Options{QueueCap: 64, Policy: sched.NewRoundRobin()})
+	if ring() != first {
+		t.Error("Run with another policy at one capacity rebuilt the rings")
 	}
-	run("sharded, 3 lanes", true, Options{QueueCap: 64, Lanes: 3})
-	second := look()
-	if second.ring != first.ring || second.driver == first.driver {
-		t.Errorf("Lanes 2 → 3: rings kept %v, driver kept %v; want rings kept, driver rebuilt", second.ring == first.ring, second.driver == first.driver)
+	run("3 lanes", Options{QueueCap: 64, Lanes: 3})
+	if ring() != first {
+		t.Error("Lanes 2 → 3 rebuilt the rings")
 	}
-	run("sharded, small rings", true, Options{QueueCap: 2, Lanes: 3})
-	if b := look(); b.ring == second.ring || b.driver != second.driver {
-		t.Errorf("QueueCap 64 → 2: rings kept %v, driver kept %v; want rings rebuilt, driver kept", b.ring == second.ring, b.driver == second.driver)
+	run("small rings", Options{QueueCap: 2})
+	if ring() == first {
+		t.Error("QueueCap 64 → 2 kept the rings")
 	}
-	run("defaults", false, Options{})
+	run("defaults", Options{})
 
 	if c, _, _ := engine.Counters(); c != created+1 {
 		t.Errorf("%d runtimes built for five runs and four look-ins, want 1", c-created)
@@ -131,8 +119,7 @@ func TestPooledRunRebuildsOnlyWhatDiffers(t *testing.T) {
 
 // TestPooledRuntimePinsNoWorkload: once a run has returned and the caller
 // has dropped the workload, the runtime parked in the pool does not keep it
-// reachable — through the state, the sharded driver's copy of the options,
-// or a lane.
+// reachable through its state.
 func TestPooledRuntimePinsNoWorkload(t *testing.T) {
 	for name, run := range map[string]func(Workload, Options) Stats{"Run": Run, "RunSharded": RunSharded} {
 		engine.CloseIdle()
@@ -140,7 +127,7 @@ func TestPooledRuntimePinsNoWorkload(t *testing.T) {
 		func() {
 			w := newIrregular(rand.New(rand.NewSource(7)), 4, 20, 32, 2)
 			runtime.SetFinalizer(w, func(*irregular) { close(collected) })
-			run(w, Options{Workers: 2, Lanes: 2, Batch: 8})
+			run(w, Options{Workers: 2, Lanes: 2})
 		}()
 		if _, _, idle := engine.Counters(); idle != 1 {
 			t.Fatalf("%s: %d runtimes in the pool after the run, want 1", name, idle)

@@ -7,13 +7,13 @@ import (
 )
 
 // TestStatsCountersRace is the regression for the Stats concurrency
-// contract (see the Stats doc comment): it drives the dedicated, sharded and
-// duplicated (RunSharded with ConcurrentAddr, one lane per worker) schedulers
-// over a conflict-dense workload with enough workers that the worker- and
-// lane-side counting — thread-private Stalls and LaneWaits folded at
-// quiesce — runs concurrently with the scheduler's plain increments. Under
-// `go test -race` any field written by a running thread — or read before
-// quiesce — is reported; in a plain run it still pins the counter totals.
+// contract (see the Stats doc comment): it drives the scheduler — through
+// Run, through RunSharded, and as two runs at once on two pooled runtimes —
+// over a conflict-dense workload with enough workers that the worker-side
+// counting — thread-private Stalls folded at quiesce — runs concurrently
+// with the scheduler's plain increments. Under `go test -race` any field
+// written by a running thread — or read before quiesce — is reported; in a
+// plain run it still pins the counter totals.
 func TestStatsCountersRace(t *testing.T) {
 	const invs, iters = 40, 64
 	engines := []struct {
@@ -21,10 +21,16 @@ func TestStatsCountersRace(t *testing.T) {
 		run  func(Workload, Options) Stats
 	}{
 		{"dedicated", Run},
-		{"sharded", func(w Workload, o Options) Stats { o.Lanes, o.Batch = 3, 16; return RunSharded(w, o) }},
+		{"sharded", func(w Workload, o Options) Stats { o.Lanes = 3; return RunSharded(w, o) }},
 		{"duplicated", func(w Workload, o Options) Stats {
-			o.ConcurrentAddr, o.Lanes = true, o.Workers
-			return RunSharded(w, o)
+			other := newIrregular(rand.New(rand.NewSource(7)), invs, iters, 32, 2)
+			done := make(chan Stats)
+			go func() { done <- Run(other, o) }()
+			st := Run(w, o)
+			if ost := <-done; ost.Iterations != st.Iterations || !reflect.DeepEqual(other.data, dataOf(w)) {
+				t.Errorf("the concurrent twin run: %d iterations, data equal %v", ost.Iterations, reflect.DeepEqual(other.data, dataOf(w)))
+			}
+			return st
 		}},
 	}
 	for _, eng := range engines {

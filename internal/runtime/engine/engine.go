@@ -2,16 +2,14 @@
 // on. The paper's premise is that worker threads outlive an inner-loop
 // invocation; a Runtime makes them outlive the engine call too: it owns a
 // set of goroutines — the workers, plus auxiliary threads that serve as
-// DOMORE scheduler lanes or SPECCROSS checker shards — that park between
-// phases instead of being spawned and joined per window or per checkpoint
-// segment, and it keeps each engine's reusable state (rings, progress
+// SPECCROSS checker shards — that park between phases instead of being
+// spawned and joined per window or per checkpoint segment, and it keeps each engine's reusable state (rings, progress
 // arrays, shadow stores, checker log, signature arenas, checkpoint images)
 // alive between runs so a run resets it instead of rebuilding it.
 //
 // Who owns which thread: the goroutine that calls an engine entry point is
-// the control thread (DOMORE's scheduler or sharded driver, SPECCROSS's
-// segment control, the adaptive controller). It posts one phase — a
-// function — to each runtime thread's mailbox with Go or GoAux and
+// the control thread (DOMORE's scheduler, SPECCROSS's segment control, the
+// adaptive controller). It posts one phase — a function — to each runtime thread's mailbox with Go or GoAux and
 // quiesces with Wait, which returns when every mailbox has drained. An
 // engine switch is therefore the same threads handed a different loop. A
 // Runtime belongs to one control goroutine at a time; none of its methods
@@ -137,8 +135,8 @@ func (rt *Runtime) Go(tid int, engine, lane string, fn func()) {
 	rt.post(tid, engine, lane, fn)
 }
 
-// GoAux posts fn as the next phase of auxiliary thread i (a scheduler lane
-// or a checker shard). Auxiliary threads are started on first use and kept.
+// GoAux posts fn as the next phase of auxiliary thread i (a SPECCROSS
+// checker shard). Auxiliary threads are started on first use and kept.
 func (rt *Runtime) GoAux(i int, engine, lane string, fn func()) {
 	if i < 0 {
 		panic(fmt.Sprintf("engine: invalid auxiliary thread %d", i))

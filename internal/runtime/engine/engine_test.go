@@ -214,7 +214,7 @@ func TestThreadsAreLabelledInGoroutineProfile(t *testing.T) {
 	park := func() { parked.Done(); <-release }
 	rt.Go(0, "domore", "worker", park)
 	rt.Go(1, "domore", "worker", park)
-	rt.GoAux(0, "domore", "sched-lane", park)
+	rt.GoAux(0, "speccross", "checker", park)
 	parked.Wait()
 	var prof bytes.Buffer
 	rt.Labeled("domore", "scheduler", func() { pprof.Lookup("goroutine").WriteTo(&prof, 1) })
@@ -228,7 +228,7 @@ func TestThreadsAreLabelledInGoroutineProfile(t *testing.T) {
 	}
 	want := map[string]int{
 		`{"engine":"domore", "lane":"worker"}`:     2,
-		`{"engine":"domore", "lane":"sched-lane"}`: 1,
+		`{"engine":"speccross", "lane":"checker"}`: 1,
 		`{"engine":"domore", "lane":"scheduler"}`:  1,
 	}
 	if !reflect.DeepEqual(got, want) {

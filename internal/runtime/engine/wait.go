@@ -7,10 +7,9 @@ import (
 
 // This file is the one way a runtime's threads wait. Every engine wait — a
 // DOMORE worker stalled on ⟨depTid, depIterNum⟩, a producer on a full ring,
-// a consumer on an empty one, a scheduler lane on its next chunk, the
-// SPECCROSS range gate and checker drain, an idle thread, the control
-// goroutine in Wait — is a loop that tests its own exit condition and calls
-// Pause after each failed attempt. The schedule and the stop word therefore
+// a consumer on an empty one, the SPECCROSS range gate and checker drain,
+// an idle thread, the control goroutine in Wait — is a loop that tests its
+// own exit condition and calls Pause after each failed attempt. The schedule and the stop word therefore
 // live here and nowhere else (the one-wait lint rule keeps it so).
 
 // The wait schedule: attempts below busySpins busy-spin; from there to

@@ -120,8 +120,7 @@ func (q *SPSC[T]) TryConsume() (T, bool) {
 // TryProduceBatch appends as many elements of vs as there is room for and
 // returns how many it appended (possibly 0). All appended elements become
 // visible to the consumer with a single tail publication, so the per-element
-// synchronization cost is amortized over the batch — the batched
-// sync-condition path of the sharded DOMORE scheduler. FIFO order within vs
+// synchronization cost is amortized over the batch. FIFO order within vs
 // is preserved. It must only be called from the producer goroutine.
 func (q *SPSC[T]) TryProduceBatch(vs []T) int {
 	if len(vs) == 0 {

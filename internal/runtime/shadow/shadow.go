@@ -126,8 +126,7 @@ func (s *Sparse) alloc(n int) {
 }
 
 // home is addr's first probe position: Fibonacci hashing, which spreads the
-// sequential array indices the workloads use as addresses — and the
-// ShardOf-selected subsets of them a scheduler lane sees — evenly.
+// sequential array indices the workloads use as addresses evenly.
 func (s *Sparse) home(addr uint64) uint64 {
 	return addr * 0x9e3779b97f4a7c15 >> s.shift
 }

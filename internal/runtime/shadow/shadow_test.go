@@ -60,9 +60,7 @@ func TestReset(t *testing.T) {
 // TestExchange: Exchange returns what Lookup would have and records what
 // Update would have, on every store.
 func TestExchange(t *testing.T) {
-	all := stores(16)
-	all["sharded"] = NewSharded(3, nil)
-	for name, s := range all {
+	for name, s := range stores(16) {
 		if e := s.Exchange(5, 2, 17); e != empty {
 			t.Errorf("%s: first Exchange(5) = %+v, want empty", name, e)
 		}

@@ -19,13 +19,24 @@ var fuzzAddrs = func() []uint64 {
 	}
 	for i := uint64(16); i < 2048; i++ {
 		if i%2 == 0 {
-			pool = append(pool, Mix(i))
+			pool = append(pool, scatter(i))
 		} else {
 			pool = append(pool, i)
 		}
 	}
 	return pool
 }()
+
+// scatter is a splitmix64 finalizer: it turns small integers into 64-bit
+// addresses whose bits all depend on all of the input's.
+func scatter(a uint64) uint64 {
+	a ^= a >> 30
+	a *= 0xbf58476d1ce4e5b9
+	a ^= a >> 27
+	a *= 0x94d049bb133111eb
+	a ^= a >> 31
+	return a
+}
 
 // FuzzTableAgreesWithMap drives a Sparse store and a Go-map model with the
 // same Exchange/Update/Lookup/Len/Reset sequence and requires every result

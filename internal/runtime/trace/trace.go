@@ -145,11 +145,6 @@ const (
 	// B=parent span id (0 = root), C=SpanKind code.
 	KindSpanBegin
 	KindSpanEnd
-	// KindShardChunk marks one scheduler lane finishing dependence
-	// detection for one chunk of the sharded DOMORE scheduler. A=lane
-	// (shard index), B=chunk sequence number, C=first combined iteration
-	// number of the chunk. The chaos shard-skew fault keys on this kind.
-	KindShardChunk
 
 	// KindCount is the number of event kinds (not itself a kind).
 	KindCount
@@ -192,7 +187,6 @@ var kindNames = [KindCount]string{
 	KindDeltaRestore:     "restore.delta",
 	KindSpanBegin:        "span.begin",
 	KindSpanEnd:          "span.end",
-	KindShardChunk:       "shard.chunk",
 }
 
 func (k Kind) String() string {
@@ -219,10 +213,6 @@ const (
 	// analysis stages) here. Far below the checker range so any realistic
 	// shard count stays clear of it.
 	LaneRequest = -1000
-	// LaneShardBase is the first sharded-scheduler lane of domore.
-	// RunSharded; lane l uses LaneShardBase - l. Its own range below
-	// LaneRequest, so checker shards and lane counts never collide.
-	LaneShardBase = -2000
 )
 
 // LaneName renders a lane identifier for human-readable output.
@@ -236,8 +226,6 @@ func LaneName(lane int32) string {
 		return "control"
 	case lane == LaneRequest:
 		return "request"
-	case lane <= LaneShardBase:
-		return "sched-lane " + itoa(int64(LaneShardBase-lane))
 	default:
 		return "checker " + itoa(int64(LaneCheckerBase-lane))
 	}

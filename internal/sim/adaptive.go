@@ -109,9 +109,7 @@ func SimAdaptive(tr *Trace, cfg AdaptiveConfig, m CostModel) AdaptiveResult {
 		switch engine {
 		case adaptive.EngineBarrier:
 			r = SimBarrier(sub, cfg.Threads, m)
-		case adaptive.EngineDomore, adaptive.EngineDomoreSharded:
-			// The sharded scheduler reproduces DOMORE's schedule exactly, so
-			// its virtual-time model and monitor signal are DOMORE's.
+		case adaptive.EngineDomore:
 			r = SimDomore(sub, workers, m)
 			dec.ManifestRate = manifestRate(sub, workers)
 			sample.ManifestRate = dec.ManifestRate

@@ -161,10 +161,9 @@ type workload struct {
 func (w *workload) failed() bool { return w.bad.Load() }
 
 // Bind prepares the region to run against env's state with the given
-// number of workers. Call domore.Run or domore.RunSharded (not with
-// Options.ConcurrentAddr: ComputeAddr shares one environment) with the
-// returned workload, then Finish to execute the outer loop's trailing
-// sequential code and collect any execution error.
+// number of workers. Call domore.Run with the returned workload, then
+// Finish to execute the outer loop's trailing sequential code and collect
+// any execution error.
 func (par *Parallelized) Bind(env *interp.Env, workers int) (*workload, error) {
 	w := &workload{par: par, sched: env}
 	for i := 0; i < workers; i++ {
@@ -369,20 +368,5 @@ func (par *Parallelized) Run(env *interp.Env, opts domore.Options) (domore.Stats
 		return domore.Stats{}, err
 	}
 	stats := domore.Run(w, opts)
-	return stats, w.Finish()
-}
-
-// RunSharded is Run on the sharded scheduler (domore.RunSharded). The
-// interpreter-backed ComputeAddr replays region code against the shared
-// scheduler environment, so it is not safe to call from concurrent lanes;
-// ConcurrentAddr is forced off and the driver sources addresses serially,
-// leaving the lanes the sharded dependence detection.
-func (par *Parallelized) RunSharded(env *interp.Env, opts domore.Options) (domore.Stats, error) {
-	w, err := par.Bind(env, opts.Workers)
-	if err != nil {
-		return domore.Stats{}, err
-	}
-	opts.ConcurrentAddr = false
-	stats := domore.RunSharded(w, opts)
 	return stats, w.Finish()
 }

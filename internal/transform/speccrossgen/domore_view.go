@@ -34,9 +34,8 @@ var ErrAddrDependsOnParallel = errors.New(
 // statically that addresses never depend on parallel-written array values,
 // which makes the replayed addresses exact regardless of snapshot age.
 //
-// The view drives the dedicated-scheduler engine (domore.Run): ComputeAddr
-// shares one replay environment, so it is not safe for the concurrent
-// scheduler lanes of domore.RunSharded with Options.ConcurrentAddr.
+// ComputeAddr shares one replay environment, so only one scheduler may call
+// it at a time.
 type DomoreView struct {
 	*Region
 	addrEnv *addrReplayEnv

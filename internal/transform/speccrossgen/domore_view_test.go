@@ -181,8 +181,8 @@ func TestDomoreViewAllowsReadOnlyIndexArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats := domore.Run(v, domore.Options{Workers: 2}); stats.SyncConditions == 0 {
-		t.Fatal("IDX maps distinct j to shared C cells; conditions expected")
+	if stats := domore.Run(v, domore.Options{Workers: 2}); stats.Dependences == 0 {
+		t.Fatal("IDX maps distinct j to shared C cells; dependences expected")
 	}
 	if got := env.Checksum(); got != want {
 		t.Fatalf("checksum %x != sequential %x", got, want)

@@ -18,8 +18,10 @@ func runOn(rt *engine.Runtime, row string, inst workloads.Instance, c rowConfig)
 	switch row {
 	case "domore":
 		return detDomore(domore.RunOn(rt, inst.(domore.Workload), domore.Options{Workers: 4}))
+	case "domore-round-robin":
+		return detDomore(domore.RunOn(rt, inst.(domore.Workload), roundRobinOptions()))
 	case "domore-sharded":
-		return detDomore(domore.RunShardedOn(rt, inst.(domore.Workload), shardedOptions()))
+		return detDomore(domore.RunOn(rt, inst.(domore.Workload), shardedOptions()))
 	case "speccross":
 		return detSpec(speccross.RunOn(rt, inst.(speccross.Workload), c.spec()))
 	case "adaptive-domore":

@@ -11,6 +11,7 @@ import (
 	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
+	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/workloads"
@@ -21,13 +22,21 @@ import (
 // engines moved onto the standing runtime (this file uses only entry points
 // that commit has), so TestStatsMatchGolden pins "same schedule, same
 // checkpoints" across that refactor and every later one.
+//
+// It was rewritten once since, when DOMORE's default assignment began to
+// follow the dependence and RunSharded became Run. Only SyncConditions
+// changed, on the domore and adaptive-domore rows of the programs that
+// move iterations, and Batches, on the domore-sharded rows, which became
+// the domore rows. Iterations, Dispatches, AddrChecks and every adaptive
+// Windows, Switches and Spec field stayed as they were; the
+// domore-round-robin rows, added then, carry the old domore rows' values.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/stats_golden.json")
 
 const goldenPath = "testdata/stats_golden.json"
 
 // detStats are the Stats fields that are a function of the workload and the
-// options alone — no Stalls, LaneWaits, Tasks or checker counters, which
-// depend on how threads interleave.
+// options alone — no Stalls, Tasks or checker counters, which depend on how
+// threads interleave.
 type detStats map[string]int64
 
 func detDomore(s domore.Stats) detStats {
@@ -59,6 +68,7 @@ type statsRow struct {
 
 var statsRows = []statsRow{
 	{"domore", false, func(e workloads.Entry, _ bool) bool { return e.DomoreOK }},
+	{"domore-round-robin", false, func(e workloads.Entry, _ bool) bool { return e.DomoreOK }},
 	{"domore-sharded", false, func(e workloads.Entry, _ bool) bool { return e.DomoreOK }},
 	{"speccross", true, func(e workloads.Entry, ok bool) bool { return e.SpecOK && ok }},
 	{"adaptive-domore", false, func(e workloads.Entry, _ bool) bool { return e.DomoreOK && e.SpecOK }},
@@ -85,8 +95,11 @@ func configFor(e workloads.Entry) rowConfig {
 	return c
 }
 
-func shardedOptions() domore.Options {
-	return domore.Options{Workers: 4, Lanes: 3, Batch: 32, ConcurrentAddr: true}
+// shardedOptions are what the benchmark's domore-sharded rows pass.
+func shardedOptions() domore.Options { return domore.Options{Workers: 4, Lanes: 3} }
+
+func roundRobinOptions() domore.Options {
+	return domore.Options{Workers: 4, Policy: sched.NewRoundRobin()}
 }
 
 func (c rowConfig) spec() speccross.Config {
@@ -118,6 +131,8 @@ func runPooled(row string, inst workloads.Instance, c rowConfig) detStats {
 	switch row {
 	case "domore":
 		return detDomore(domore.Run(inst.(domore.Workload), domore.Options{Workers: 4}))
+	case "domore-round-robin":
+		return detDomore(domore.Run(inst.(domore.Workload), roundRobinOptions()))
 	case "domore-sharded":
 		return detDomore(domore.RunSharded(inst.(domore.Workload), shardedOptions()))
 	case "speccross":

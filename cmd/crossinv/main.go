@@ -18,8 +18,9 @@
 //	-lint     run the static plan verifier and exit (nonzero on any error)
 //	-json     with -lint or -analyze: emit the result as JSON
 //	-dump     print the lowered IR and exit
-//	-profile  run the §4.4 profiling pass before speculating (speccross)
-//	-ckpt     SPECCROSS checkpoint period in epochs (default 1000)
+//	-profile  run the §4.4 profiling pass before speculating (speccross;
+//	          adaptive always profiles to seed its controller, unless the
+//	          region is proven free of cross-invocation dependences)
 //	-window   adaptive monitoring window in epochs (0: runtime default)
 //	-trace    write a Chrome trace_event JSON of the run to FILE (single
 //	          engine modes only; load via chrome://tracing or Perfetto)
@@ -64,7 +65,6 @@ import (
 	"crossinv/internal/ir/interp"
 	"crossinv/internal/obs"
 	"crossinv/internal/runtime/adaptive"
-	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/runtime/trace"
@@ -82,7 +82,6 @@ var (
 	jsonOut = flag.Bool("json", false, "with -lint or -analyze: emit the result as JSON")
 	dump    = flag.Bool("dump", false, "print the lowered IR and exit")
 	profile = flag.Bool("profile", false, "profile before speculating")
-	ckpt    = flag.Int("ckpt", 1000, "speccross checkpoint period (epochs)")
 	window  = flag.Int("window", 0, "adaptive monitoring window in epochs (0: runtime default)")
 	sweep   = flag.Bool("sweep", false, "print a 2..24-thread virtual-time scalability sweep and exit")
 
@@ -159,6 +158,7 @@ func main() {
 	}
 
 	var target *ir.Loop
+	var plan core.Plan
 	if len(c.Regions) > 0 {
 		idx := *region
 		if idx < 0 {
@@ -168,6 +168,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		plan.Facts = c.Facts()[idx]
 	}
 
 	if *sweep {
@@ -205,63 +206,29 @@ func main() {
 			fmt.Printf("%-10s skipped (no candidate region)\n", m)
 			return
 		}
+		p := plan
+		if m == "speccross" && !*profile {
+			p.Profile = func() (speccross.ProfileResult, error) {
+				return speccross.ProfileResult{MinDistance: speccross.NoConflict}, nil
+			}
+		}
+		opts := core.Options{Engine: m, Workers: *workers, Window: *window, ForceMisspecEpoch: *misspec, Trace: rec}
+		var audit []obs.DecisionEntry
+		if *explain {
+			opts.OnDecision = func(d adaptive.Decision) {
+				audit = append(audit, obs.DecisionFromAudit("", d))
+			}
+		}
 		start := time.Now()
-		var got uint64
-		switch m {
-		case "barrier":
-			res, err := c.RunBarriersTraced(target, *workers, rec)
-			if err != nil {
-				fmt.Printf("%-10s inapplicable: %v\n", m, err)
-				return
-			}
-			got = res.Env.Checksum()
-			idle, waits := res.Barrier.Stats()
-			fmt.Printf("%-10s checksum %016x  %v  (barrier waits %d, idle %v)\n",
-				m, got, time.Since(start).Round(time.Microsecond), waits, idle.Round(time.Microsecond))
-		case "domore":
-			res, err := runDOMORE(c, target, domore.Options{Workers: *workers, Trace: rec})
-			if err != nil {
-				fmt.Printf("%-10s inapplicable: %v\n", m, err)
-				return
-			}
-			got = res.Env.Checksum()
-			fmt.Printf("%-10s checksum %016x  %v  (iterations %d, sync conditions %d, stalls %d)\n",
-				m, got, time.Since(start).Round(time.Microsecond),
-				res.Stats.Iterations, res.Stats.SyncConditions, res.Stats.Stalls)
-		case "speccross":
-			res, err := runSpecCross(c, target, speccross.Config{
-				Workers: *workers, CheckpointEvery: *ckpt,
-				ForceMisspecEpoch: *misspec, Trace: rec,
-			}, *profile)
-			if err != nil {
-				fmt.Printf("%-10s inapplicable: %v\n", m, err)
-				return
-			}
-			got = res.Env.Checksum()
-			fmt.Printf("%-10s checksum %016x  %v  (tasks %d, misspeculations %d, checkpoints %d)\n",
-				m, got, time.Since(start).Round(time.Microsecond),
-				res.Stats.Tasks, res.Stats.Misspeculations, res.Stats.Checkpoints)
-		case "adaptive":
-			acfg := adaptive.Config{Workers: *workers, Window: *window, Trace: rec}
-			acfg.Spec.ForceMisspecEpoch = *misspec
-			var audit []obs.DecisionEntry
-			if *explain {
-				acfg.OnDecision = func(d adaptive.Decision) {
-					audit = append(audit, obs.DecisionFromAudit("", d))
-				}
-			}
-			res, err := c.RunAdaptive(target, acfg)
-			if err != nil {
-				fmt.Printf("%-10s inapplicable: %v\n", m, err)
-				return
-			}
-			got = res.Env.Checksum()
-			fmt.Printf("%-10s checksum %016x  %v  (windows %d, switches %d, engine windows [domore speccross barrier] %v)\n",
-				m, got, time.Since(start).Round(time.Microsecond),
-				res.Stats.Windows, res.Stats.Switches, res.Stats.EngineWindows[:adaptive.EngineBarrier+1])
-			if *explain {
-				fmt.Print(renderDecisions(audit))
-			}
+		res, err := c.Run(target, p, opts)
+		if err != nil {
+			fmt.Printf("%-10s inapplicable: %v\n", m, err)
+			return
+		}
+		got := res.Env.Checksum()
+		fmt.Printf("%-10s checksum %016x  %v  (%s)\n", m, got, time.Since(start).Round(time.Microsecond), details(res))
+		if *explain {
+			fmt.Print(renderDecisions(audit))
 		}
 		if got != want {
 			fmt.Fprintf(os.Stderr, "FAIL: %s checksum %016x != sequential %016x\n", m, got, want)
@@ -368,26 +335,23 @@ func exportTrace(rec *trace.Recorder, file string, metrics bool) error {
 	return nil
 }
 
-// runDOMORE builds and verifies the region's DOMORE plan, then runs it.
-func runDOMORE(c *core.Compiled, region *ir.Loop, opts domore.Options) (*core.DomoreResult, error) {
-	par, err := c.PlanDOMORE(region)
-	if err != nil {
-		return nil, err
+// details renders the statistics of the engine that ran.
+func details(res core.Result) string {
+	switch {
+	case res.Barrier != nil:
+		idle, waits := res.Barrier.Barrier.Stats()
+		return fmt.Sprintf("barrier waits %d, idle %v", waits, idle.Round(time.Microsecond))
+	case res.DOMORE != nil:
+		st := res.DOMORE.Stats
+		return fmt.Sprintf("iterations %d, sync conditions %d, stalls %d", st.Iterations, st.SyncConditions, st.Stalls)
+	case res.SpecCross != nil:
+		st := res.SpecCross.Stats
+		return fmt.Sprintf("tasks %d, misspeculations %d, checkpoints %d", st.Tasks, st.Misspeculations, st.Checkpoints)
+	default:
+		st := res.Adaptive.Stats
+		return fmt.Sprintf("windows %d, switches %d, engine windows [domore speccross barrier] %v",
+			st.Windows, st.Switches, st.EngineWindows[:adaptive.EngineBarrier+1])
 	}
-	return c.RunDOMOREPlanned(par, region, opts)
-}
-
-// runSpecCross runs the region under SPECCROSS: gated by a fresh §4.4
-// profile when profile is set, with unbounded speculation otherwise.
-func runSpecCross(c *core.Compiled, region *ir.Loop, cfg speccross.Config, profile bool) (*core.SpecCrossResult, error) {
-	prof := speccross.ProfileResult{MinDistance: speccross.NoConflict}
-	if profile {
-		var err error
-		if prof, err = c.ProfileRegion(region, cfg.SigKind); err != nil {
-			return nil, err
-		}
-	}
-	return c.RunSpecCrossProfiled(region, cfg, prof)
 }
 
 // lintOutput renders the static plan verifier's diagnostics for the

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"crossinv/internal/core"
-	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/trace"
 )
 
@@ -76,7 +75,7 @@ func TestServeLoop(t *testing.T) {
 				first = false
 				<-release
 			}
-			if _, err := runDOMORE(c, target, domore.Options{Workers: 2, Trace: rec}); err != nil {
+			if _, err := c.Run(target, core.Plan{}, core.Options{Engine: "domore", Workers: 2, Trace: rec}); err != nil {
 				t.Error(err)
 			}
 		})

@@ -46,7 +46,7 @@ func main() {
 	// does).
 	for _, a := range args {
 		if a == "-V=full" || a == "--V=full" {
-			fmt.Printf("crossinvvet version crossinv-lint-3\n")
+			fmt.Printf("crossinvvet version crossinv-lint-4\n")
 			return
 		}
 		// go vet also queries the tool's supported flags as JSON; these

@@ -1,8 +1,8 @@
 // Compiler: run loop-nest-language programs through the full automatic
 // parallelization pipeline — parse → lower → dependence analysis → region
 // detection → DOMORE partition/slice/MTCG and SPECCROSS region generation —
-// and execute each strategy, checking the results against sequential
-// execution. This is the end-to-end path the crossinv CLI drives; the two
+// and execute each strategy through core.Run, checking the results against
+// sequential execution; any mismatch exits non-zero. This is the end-to-end path the crossinv CLI drives; the two
 // .lnl files next to this program are the Fig 1.3 stencil and the Fig 3.1
 // CG nest.
 //
@@ -17,8 +17,6 @@ import (
 	"runtime"
 
 	"crossinv/internal/core"
-	"crossinv/internal/ir"
-	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/speccross"
 )
 
@@ -48,51 +46,35 @@ func run(src string) {
 		log.Fatal(err)
 	}
 	want := seq.Checksum()
-	fmt.Printf("sequential  checksum %016x\n", want)
+	fmt.Printf("%-15s checksum %016x\n", "sequential", want)
 
-	if res, err := c.RunBarriers(region, 4); err != nil {
-		fmt.Printf("barrier     inapplicable: %v\n", err)
-	} else {
-		mustMatch("barrier", res.Env.Checksum(), want)
-		fmt.Printf("barrier     checksum %016x ✔\n", res.Env.Checksum())
-	}
-
-	if res, err := runDOMORE(c, region); err != nil {
-		fmt.Printf("domore      inapplicable: %v\n", err)
-	} else {
-		mustMatch("domore", res.Env.Checksum(), want)
-		fmt.Printf("domore      checksum %016x ✔  (%d sync conditions at runtime)\n",
-			res.Env.Checksum(), res.Stats.SyncConditions)
-	}
-
-	if res, err := runSpecCross(c, region); err != nil {
-		fmt.Printf("speccross   inapplicable: %v\n", err)
-	} else {
-		mustMatch("speccross", res.Env.Checksum(), want)
-		fmt.Printf("speccross   checksum %016x ✔  (profiled min distance %s)\n",
-			res.Env.Checksum(), distString(res.Profile.MinDistance))
+	plan := core.Plan{Facts: c.Facts()[len(c.Regions)-1]}
+	for _, engine := range []string{"barrier", "domore", "speccross", "adaptive", "auto"} {
+		res, err := c.Run(region, plan, core.Options{Engine: engine, Workers: 4})
+		if err != nil {
+			fmt.Printf("%-15s inapplicable: %v\n", engine, err)
+			continue
+		}
+		mustMatch(engine, res.Env.Checksum(), want)
+		label := engine
+		if res.Engine != engine {
+			label += ":" + res.Engine
+		}
+		fmt.Printf("%-15s checksum %016x ✔%s\n", label, res.Env.Checksum(), detail(res))
 	}
 }
 
-// runDOMORE builds and verifies the region's DOMORE plan (partition →
-// computeAddr slice → MTCG), then runs it on the DOMORE runtime.
-func runDOMORE(c *core.Compiled, region *ir.Loop) (*core.DomoreResult, error) {
-	par, err := c.PlanDOMORE(region)
-	if err != nil {
-		return nil, err
+// detail notes what the engine that ran found out about the region.
+func detail(res core.Result) string {
+	switch {
+	case res.DOMORE != nil:
+		return fmt.Sprintf("  (%d sync conditions at runtime)", res.DOMORE.Stats.SyncConditions)
+	case res.SpecCross != nil:
+		return fmt.Sprintf("  (profiled min distance %s)", distString(res.SpecCross.Profile.MinDistance))
+	case res.Adaptive != nil:
+		return fmt.Sprintf("  (%d windows, %d switches)", res.Adaptive.Stats.Windows, res.Adaptive.Stats.Switches)
 	}
-	return c.RunDOMOREPlanned(par, region, domore.Options{Workers: 4})
-}
-
-// runSpecCross profiles the region (§4.4) and runs it under SPECCROSS with
-// the speculative range the profile recommends.
-func runSpecCross(c *core.Compiled, region *ir.Loop) (*core.SpecCrossResult, error) {
-	cfg := speccross.Config{Workers: 4, CheckpointEvery: 20}
-	prof, err := c.ProfileRegion(region, cfg.SigKind)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunSpecCrossProfiled(region, cfg, prof)
+	return ""
 }
 
 func distString(d int64) string {

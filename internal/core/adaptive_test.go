@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/transform/speccrossgen"
 )
@@ -12,51 +11,42 @@ import (
 func TestAdaptiveMatchesSequentialFig13(t *testing.T) {
 	c := compileT(t, fig13)
 	want := seqChecksum(t, c)
-	res, err := c.RunAdaptive(c.Regions[0], adaptive.Config{Workers: 3, Window: 6})
+	res, err := c.Run(c.Regions[0], Plan{Facts: c.Facts()[0]}, Options{Engine: "adaptive", Workers: 3, Window: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Env.Checksum(); got != want {
 		t.Fatalf("adaptive checksum %x != sequential %x", got, want)
 	}
-	if res.Stats.Windows != 4 {
-		t.Fatalf("windows = %d, want 4 (24 epochs / window 6)", res.Stats.Windows)
+	stats := res.Adaptive.Stats
+	if stats.Windows != 4 {
+		t.Fatalf("windows = %d, want 4 (24 epochs / window 6)", stats.Windows)
 	}
-	// The stencil's manifest-dependence rate is high throughout, so the
-	// default policy must keep the DOMORE engine and never speculate (which
-	// also keeps this test exact under the race detector).
-	if res.Stats.EngineWindows[adaptive.EngineSpecCross] != 0 {
-		t.Fatalf("policy speculated on a high-rate region: %v", res.Stats.EngineWindows)
-	}
-	if res.Stats.Domore.SyncConditions == 0 {
-		t.Fatal("expected dynamic synchronization conditions")
+	// Run seeds the controller from the stencil's profile, whose minimum
+	// distance reaches 3 workers: it starts speculating, inside that
+	// distance, so no window misspeculates (which also keeps this test
+	// exact under the race detector).
+	if stats.EngineWindows[adaptive.EngineSpecCross] == 0 || stats.Spec.Misspeculations != 0 {
+		t.Fatalf("seeded controller: engine windows %v, misspeculations %d; want speculation without misspeculation",
+			stats.EngineWindows, stats.Spec.Misspeculations)
 	}
 }
 
 func TestAdaptiveMatchesSequentialCG(t *testing.T) {
 	c := compileT(t, cgLike)
 	want := seqChecksum(t, c)
-	region := c.Regions[len(c.Regions)-1]
-	cfg := adaptive.Config{Workers: 4, Window: 4}
-	if raceflag.Enabled {
-		// CG's tasks conflict across epochs, so unbounded speculative windows
-		// race by design until the checker rolls them back (§4.2.1). Under
-		// the detector, gate them with the profiled distance, as a daemon
-		// request does; the controller still runs every window.
-		prof, err := c.ProfileRegion(region, SignatureKind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.SeedFromProfile(prof.MinDistance, cfg.Workers)
-	}
-	res, err := c.RunAdaptive(region, cfg)
+	idx := len(c.Regions) - 1
+	// Run seeds the controller from the profiled distance, so speculative
+	// windows stay inside it (CG's tasks conflict across epochs, and
+	// unbounded speculation over them races by design, §4.2.1).
+	res, err := c.Run(c.Regions[idx], Plan{Facts: c.Facts()[idx]}, Options{Engine: "adaptive", Workers: 4, Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Env.Checksum(); got != want {
 		t.Fatalf("adaptive checksum %x != sequential %x", got, want)
 	}
-	if res.Stats.Windows == 0 {
+	if res.Adaptive.Stats.Windows == 0 {
 		t.Fatal("no windows executed")
 	}
 }
@@ -69,7 +59,7 @@ func TestAdaptiveRejectsValueDependentAddrs(t *testing.T) {
 			parfor j = 0 .. 8 { C[IDX[j]] = C[IDX[j]] + j }
 		}
 	}`)
-	_, err := c.RunAdaptive(c.Regions[0], adaptive.Config{Workers: 2})
+	_, err := c.Run(c.Regions[0], Plan{Facts: c.Facts()[0]}, Options{Engine: "adaptive", Workers: 2})
 	if !errors.Is(err, speccrossgen.ErrAddrDependsOnParallel) {
 		t.Fatalf("err = %v, want ErrAddrDependsOnParallel", err)
 	}

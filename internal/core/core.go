@@ -1,9 +1,10 @@
 // Package core is the crossinv compiler/runtime façade: the end-to-end
 // automatic parallelization pipeline the paper contributes. It compiles a
 // loop-nest-language program, analyzes its dependences, detects candidate
-// regions, and executes them sequentially, with barrier-synchronized DOALL
-// (the baseline of Figs 5.1–5.2), with DOMORE (Chapter 3), or with
-// SPECCROSS (Chapter 4) — verifying that every strategy computes the
+// regions, and executes them sequentially, or through Compiled.Run with
+// barrier-synchronized DOALL (the baseline of Figs 5.1–5.2), with DOMORE
+// (Chapter 3), with SPECCROSS (Chapter 4), or under the adaptive controller
+// that switches between them — verifying that every strategy computes the
 // sequential result.
 package core
 
@@ -16,13 +17,8 @@ import (
 	"crossinv/internal/ir"
 	"crossinv/internal/ir/interp"
 	"crossinv/internal/lang/parser"
-	"crossinv/internal/runtime/barrier"
-	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/signature"
-	"crossinv/internal/runtime/speccross"
-	"crossinv/internal/runtime/trace"
 	"crossinv/internal/transform/advisor"
-	"crossinv/internal/transform/mtcg"
 	"crossinv/internal/transform/speccrossgen"
 )
 
@@ -114,54 +110,6 @@ func (c *Compiled) runOutside(region *ir.Loop) (*interp.Env, func(*interp.Env) e
 	}
 	finish := func(e *interp.Env) error { return e.Exec(after) }
 	return env, finish, nil
-}
-
-// BarrierResult is the outcome of a barrier-parallelized execution.
-type BarrierResult struct {
-	Env     *interp.Env
-	Barrier *barrier.Barrier
-}
-
-// RunBarriers executes the program with the region parallelized in the
-// classic way: inner loops split across workers, a barrier between
-// invocations (Fig 1.3(b)).
-func (c *Compiled) RunBarriers(region *ir.Loop, workers int) (*BarrierResult, error) {
-	return c.RunBarriersTraced(region, workers, nil)
-}
-
-// RunBarriersTraced is RunBarriers with event tracing into rec (nil rec
-// is equivalent to RunBarriers).
-func (c *Compiled) RunBarriersTraced(region *ir.Loop, workers int, rec *trace.Recorder) (*BarrierResult, error) {
-	env, finish, err := c.runOutside(region)
-	if err != nil {
-		return nil, err
-	}
-	r, err := speccrossgen.New(c.Prog, c.Dep, region, env, workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := verifySignaturePlan(c.Prog, region); err != nil {
-		return nil, err
-	}
-	bar := speccross.RunBarriersTraced(r, workers, rec)
-	if err := finish(env); err != nil {
-		return nil, err
-	}
-	return &BarrierResult{Env: env, Barrier: bar}, nil
-}
-
-// DomoreResult is the outcome of a DOMORE execution.
-type DomoreResult struct {
-	Env   *interp.Env
-	Stats domore.Stats
-	Par   *mtcg.Parallelized
-}
-
-// SpecCrossResult is the outcome of a SPECCROSS execution.
-type SpecCrossResult struct {
-	Env     *interp.Env
-	Stats   speccross.Stats
-	Profile speccross.ProfileResult
 }
 
 // Report summarizes the compile-time analysis of a region: the DOALL

@@ -4,41 +4,20 @@ import (
 	"testing"
 	"testing/quick"
 
-	"crossinv/internal/ir"
 	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/speccross"
 )
 
-// runDOMORE is the cold DOMORE path: build and verify the plan, then run it.
-func runDOMORE(c *Compiled, region *ir.Loop, opts domore.Options) (*DomoreResult, error) {
-	par, err := c.PlanDOMORE(region)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunDOMOREPlanned(par, region, opts)
-}
-
-// runDOMORESharded is runDOMORE through the frozen forwarder.
-func runDOMORESharded(c *Compiled, region *ir.Loop, opts domore.Options) (*DomoreResult, error) {
-	par, err := c.PlanDOMORE(region)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunDOMOREShardedPlanned(par, region, opts)
-}
-
-// runSpecCross runs the region under SPECCROSS: gated by a fresh §4.4
-// profile when profile is set, with unbounded speculation otherwise.
-func runSpecCross(c *Compiled, region *ir.Loop, cfg speccross.Config, profile bool) (*SpecCrossResult, error) {
-	prof := speccross.ProfileResult{MinDistance: speccross.NoConflict}
+// specPlan is the Plan of a SPECCROSS run: gated by a fresh §4.4 profile
+// when profile is set, with unbounded speculation otherwise.
+func specPlan(profile bool) Plan {
 	if profile {
-		var err error
-		if prof, err = c.ProfileRegion(region, cfg.SigKind); err != nil {
-			return nil, err
-		}
+		return Plan{}
 	}
-	return c.RunSpecCrossProfiled(region, cfg, prof)
+	return Plan{Profile: func() (speccross.ProfileResult, error) {
+		return speccross.ProfileResult{MinDistance: speccross.NoConflict}, nil
+	}}
 }
 
 // fig13 is the paper's motivating program (Fig 1.3): two parallel loops
@@ -104,14 +83,14 @@ func TestRegionsDetected(t *testing.T) {
 func TestBarriersMatchSequential(t *testing.T) {
 	c := compileT(t, fig13)
 	want := seqChecksum(t, c)
-	res, err := c.RunBarriers(c.Regions[0], 4)
+	res, err := c.Run(c.Regions[0], Plan{}, Options{Engine: "barrier", Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Env.Checksum(); got != want {
 		t.Fatalf("barrier checksum %x != sequential %x", got, want)
 	}
-	if _, waits := res.Barrier.Stats(); waits == 0 {
+	if _, waits := res.Barrier.Barrier.Stats(); waits == 0 {
 		t.Fatal("expected barrier waits")
 	}
 }
@@ -121,14 +100,14 @@ func TestSpecCrossMatchesSequential(t *testing.T) {
 	want := seqChecksum(t, c)
 	// Under the race detector, profile first: unbounded speculation over
 	// the stencil's genuine conflicts races by design (§4.2.1).
-	res, err := runSpecCross(c, c.Regions[0], speccross.Config{Workers: 4, CheckpointEvery: 6}, raceflag.Enabled)
+	res, err := c.Run(c.Regions[0], specPlan(raceflag.Enabled), Options{Engine: "speccross", Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Env.Checksum(); got != want {
 		t.Fatalf("speccross checksum %x != sequential %x", got, want)
 	}
-	if res.Stats.Tasks == 0 {
+	if res.SpecCross.Stats.Tasks == 0 {
 		t.Fatal("no tasks executed")
 	}
 }
@@ -136,19 +115,19 @@ func TestSpecCrossMatchesSequential(t *testing.T) {
 func TestSpecCrossWithProfilingMatchesSequential(t *testing.T) {
 	c := compileT(t, fig13)
 	want := seqChecksum(t, c)
-	res, err := runSpecCross(c, c.Regions[0], speccross.Config{Workers: 2, CheckpointEvery: 6}, true)
+	res, err := c.Run(c.Regions[0], Plan{}, Options{Engine: "speccross", Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Env.Checksum(); got != want {
 		t.Fatalf("speccross+profile checksum %x != sequential %x", got, want)
 	}
-	if res.Profile.Tasks == 0 {
+	if res.SpecCross.Profile.Tasks == 0 {
 		t.Fatal("profiling did not run")
 	}
 	// The stencil has real cross-invocation dependences; profiling must
 	// observe conflicts and a finite minimum distance.
-	if res.Profile.MinDistance == speccross.NoConflict {
+	if res.SpecCross.Profile.MinDistance == speccross.NoConflict {
 		t.Fatal("profiling missed the stencil's cross-invocation conflicts")
 	}
 }
@@ -158,19 +137,19 @@ func TestDOMOREMatchesSequentialCG(t *testing.T) {
 	want := seqChecksum(t, c)
 	// The CG region is the loop over i: the last detected region.
 	region := c.Regions[len(c.Regions)-1]
-	res, err := runDOMORE(c, region, domore.Options{Workers: 4})
+	res, err := c.Run(region, Plan{}, Options{Engine: "domore", Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Env.Checksum(); got != want {
 		t.Fatalf("domore checksum %x != sequential %x", got, want)
 	}
-	if res.Stats.Iterations == 0 {
+	if res.DOMORE.Stats.Iterations == 0 {
 		t.Fatal("no iterations scheduled")
 	}
 	// The IDX pattern revisits C cells across invocations: dynamic
 	// dependences must have been detected.
-	if res.Stats.Dependences == 0 {
+	if res.DOMORE.Stats.Dependences == 0 {
 		t.Fatal("expected dynamic dependences")
 	}
 }
@@ -179,7 +158,11 @@ func TestDOMOREShardedMatchesSequentialCG(t *testing.T) {
 	c := compileT(t, cgLike)
 	want := seqChecksum(t, c)
 	region := c.Regions[len(c.Regions)-1]
-	res, err := runDOMORESharded(c, region, domore.Options{Workers: 4, Lanes: 3})
+	par, err := c.PlanDOMORE(region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunDOMOREShardedPlanned(par, region, domore.Options{Workers: 4, Lanes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,24 +175,20 @@ func TestDOMOREShardedMatchesSequentialCG(t *testing.T) {
 	if res.Stats.Dependences == 0 {
 		t.Fatal("expected dynamic dependences")
 	}
-	// The forwarder runs RunDOMOREPlanned's schedule.
-	ref, err := runDOMORE(c, region, domore.Options{Workers: 4})
+	// The forwarder runs the domore engine's schedule.
+	ref, err := c.Run(region, Plan{}, Options{Engine: "domore", Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Iterations != ref.Stats.Iterations ||
-		res.Stats.Dispatches != ref.Stats.Dispatches ||
-		res.Stats.SyncConditions != ref.Stats.SyncConditions ||
-		res.Stats.Dependences != ref.Stats.Dependences ||
-		res.Stats.AddrChecks != ref.Stats.AddrChecks {
-		t.Fatalf("forwarded stats %+v diverge from RunDOMOREPlanned's %+v", res.Stats, ref.Stats)
+	if det, want := detDomore(res.Stats), detDomore(ref.DOMORE.Stats); det != want {
+		t.Fatalf("forwarded stats %+v diverge from Run's %+v", det, want)
 	}
 }
 
 func TestDOMOREMatchesSequentialFig13(t *testing.T) {
 	c := compileT(t, fig13)
 	want := seqChecksum(t, c)
-	res, err := runDOMORE(c, c.Regions[0], domore.Options{Workers: 3})
+	res, err := c.Run(c.Regions[0], Plan{}, Options{Engine: "domore", Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,19 +240,17 @@ func TestQuickAllStrategiesAgree(t *testing.T) {
 		region := c.Regions[len(c.Regions)-1]
 		nw := int(workers%4) + 1
 
-		b, err := c.RunBarriers(region, nw)
-		if err != nil || b.Env.Checksum() != want {
-			return false
+		for _, engine := range []string{"barrier", "domore"} {
+			res, err := c.Run(region, Plan{}, Options{Engine: engine, Workers: nw})
+			if err != nil || res.Env.Checksum() != want {
+				return false
+			}
 		}
-		s, err := runSpecCross(c, region, speccross.Config{Workers: nw, CheckpointEvery: int(ckpt%8) + 1}, false)
-		if err != nil || s.Env.Checksum() != want {
-			return false
-		}
-		d, err := runDOMORE(c, region, domore.Options{Workers: nw})
-		if err != nil || d.Env.Checksum() != want {
-			return false
-		}
-		return true
+		// The checkpoint period is not an Options field: vary it through
+		// the forwarder, which runs the speccross engine's runner.
+		cfg := speccross.Config{Workers: nw, CheckpointEvery: int(ckpt%8) + 1}
+		s, err := c.RunSpecCrossProfiled(region, cfg, speccross.ProfileResult{MinDistance: speccross.NoConflict})
+		return err == nil && s.Env.Checksum() == want
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"crossinv/internal/raceflag"
-	"crossinv/internal/runtime/domore"
-	"crossinv/internal/runtime/speccross"
 )
 
 // TestCorpus runs every loop-nest-language program in testdata through the
@@ -40,13 +38,13 @@ func TestCorpus(t *testing.T) {
 			want := seqChecksum(t, c)
 			region := c.Regions[len(c.Regions)-1]
 
-			if res, err := c.RunBarriers(region, 4); err != nil {
+			if res, err := c.Run(region, Plan{}, Options{Engine: "barrier", Workers: 4}); err != nil {
 				t.Errorf("barrier: %v", err)
 			} else if got := res.Env.Checksum(); got != want {
 				t.Errorf("barrier checksum %x != sequential %x", got, want)
 			}
 
-			if res, err := runDOMORE(c, region, domore.Options{Workers: 4}); err != nil {
+			if res, err := c.Run(region, Plan{}, Options{Engine: "domore", Workers: 4}); err != nil {
 				t.Logf("domore inapplicable: %v", err)
 			} else if got := res.Env.Checksum(); got != want {
 				t.Errorf("domore checksum %x != sequential %x", got, want)
@@ -55,7 +53,7 @@ func TestCorpus(t *testing.T) {
 			// Under the race detector, profile first so speculation is
 			// gated (unbounded speculation over conflicts is racy by
 			// design, §4.2.1).
-			res, err := runSpecCross(c, region, speccross.Config{Workers: 4, CheckpointEvery: 6}, raceflag.Enabled)
+			res, err := c.Run(region, specPlan(raceflag.Enabled), Options{Engine: "speccross", Workers: 4})
 			if err != nil {
 				t.Errorf("speccross: %v", err)
 			} else if got := res.Env.Checksum(); got != want {

@@ -7,9 +7,6 @@ import (
 	"testing"
 
 	"crossinv/internal/analysis/verify"
-	"crossinv/internal/runtime/adaptive"
-	"crossinv/internal/runtime/domore"
-	"crossinv/internal/runtime/speccross"
 )
 
 // TestLintCorpusClean asserts the static plan verifier accepts every plan
@@ -49,7 +46,7 @@ func TestLintCorpusClean(t *testing.T) {
 
 // TestGatesRejectStaleSlot seeds the stale-slot corruption into a compiled
 // program and checks that Lint reports it and that no engine will execute
-// it: every Run* mode starts in runOutside, where the slot gate sits.
+// it: every engine starts in runOutside, where the slot gate sits.
 func TestGatesRejectStaleSlot(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "compiler", "stencil.lnl"))
 	if err != nil {
@@ -71,16 +68,12 @@ func TestGatesRejectStaleSlot(t *testing.T) {
 	if !flagged {
 		t.Errorf("Lint did not report the %s corruption at %s", corruption.Name, corruption.Pos)
 	}
-	runs := map[string]func() error{
-		"barrier":        func() error { _, err := c.RunBarriers(region, 2); return err },
-		"domore":         func() error { _, err := runDOMORE(c, region, domore.Options{Workers: 2}); return err },
-		"domore-sharded": func() error { _, err := runDOMORESharded(c, region, domore.Options{Workers: 2}); return err },
-		"speccross":      func() error { _, err := runSpecCross(c, region, speccross.Config{Workers: 2}, false); return err },
-		"adaptive":       func() error { _, err := c.RunAdaptive(region, adaptive.Config{Workers: 2}); return err },
-	}
-	for mode, run := range runs {
-		if err := run(); err == nil || !strings.Contains(err.Error(), "failed verification") {
-			t.Errorf("%s executed a program with a stale slot (err = %v)", mode, err)
+	for _, engine := range []string{"barrier", "domore", "speccross", "adaptive", "auto"} {
+		for _, p := range []Plan{{}, specPlan(false)} {
+			_, err := c.Run(region, p, Options{Engine: engine, Workers: 2})
+			if err == nil || !strings.Contains(err.Error(), "failed verification") {
+				t.Errorf("%s executed a program with a stale slot (err = %v)", engine, err)
+			}
 		}
 	}
 }

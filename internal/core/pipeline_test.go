@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"crossinv/internal/raceflag"
-	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/speccross"
 )
 
@@ -32,28 +31,14 @@ func TestConditionalBodyAllStrategies(t *testing.T) {
 	want := seqChecksum(t, c)
 	region := c.Regions[len(c.Regions)-1]
 
-	b, err := c.RunBarriers(region, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Env.Checksum() != want {
-		t.Fatal("barrier diverged on conditional body")
-	}
-
-	d, err := runDOMORE(c, region, domore.Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Env.Checksum() != want {
-		t.Fatal("domore diverged on conditional body")
-	}
-
-	s, err := runSpecCross(c, region, speccross.Config{Workers: 3, CheckpointEvery: 5}, raceflag.Enabled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Env.Checksum() != want {
-		t.Fatal("speccross diverged on conditional body")
+	for _, engine := range []string{"barrier", "domore", "speccross"} {
+		res, err := c.Run(region, specPlan(raceflag.Enabled), Options{Engine: engine, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Env.Checksum() != want {
+			t.Fatalf("%s diverged on conditional body", engine)
+		}
 	}
 }
 
@@ -71,38 +56,13 @@ func TestEmptyInnerInvocation(t *testing.T) {
 	c := compileT(t, emptyInnerSrc)
 	want := seqChecksum(t, c)
 	region := c.Regions[0]
-	for _, run := range []struct {
-		name string
-		f    func() (uint64, error)
-	}{
-		{"barrier", func() (uint64, error) {
-			r, err := c.RunBarriers(region, 2)
-			if err != nil {
-				return 0, err
-			}
-			return r.Env.Checksum(), nil
-		}},
-		{"domore", func() (uint64, error) {
-			r, err := runDOMORE(c, region, domore.Options{Workers: 2})
-			if err != nil {
-				return 0, err
-			}
-			return r.Env.Checksum(), nil
-		}},
-		{"speccross", func() (uint64, error) {
-			r, err := runSpecCross(c, region, speccross.Config{Workers: 2, CheckpointEvery: 3}, raceflag.Enabled)
-			if err != nil {
-				return 0, err
-			}
-			return r.Env.Checksum(), nil
-		}},
-	} {
-		got, err := run.f()
+	for _, engine := range []string{"barrier", "domore", "speccross"} {
+		res, err := c.Run(region, specPlan(raceflag.Enabled), Options{Engine: engine, Workers: 2})
 		if err != nil {
-			t.Fatalf("%s: %v", run.name, err)
+			t.Fatalf("%s: %v", engine, err)
 		}
-		if got != want {
-			t.Fatalf("%s diverged on empty invocations", run.name)
+		if res.Env.Checksum() != want {
+			t.Fatalf("%s diverged on empty invocations", engine)
 		}
 	}
 }
@@ -121,19 +81,14 @@ func TestDegenerateBoundsTreatedAsEmpty(t *testing.T) {
 	c := compileT(t, decreasingBounds)
 	want := seqChecksum(t, c)
 	region := c.Regions[0]
-	r, err := runDOMORE(c, region, domore.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Env.Checksum() != want {
-		t.Fatal("domore diverged on degenerate bounds")
-	}
-	s, err := runSpecCross(c, region, speccross.Config{Workers: 2, CheckpointEvery: 2}, raceflag.Enabled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Env.Checksum() != want {
-		t.Fatal("speccross diverged on degenerate bounds")
+	for _, engine := range []string{"domore", "speccross"} {
+		res, err := c.Run(region, specPlan(raceflag.Enabled), Options{Engine: engine, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Env.Checksum() != want {
+			t.Fatalf("%s diverged on degenerate bounds", engine)
+		}
 	}
 }
 
@@ -151,13 +106,14 @@ func TestRunSpecCrossUnprofitableFallsBackToBarriers(t *testing.T) {
 	c := compileT(t, src)
 	want := seqChecksum(t, c)
 	region := c.Regions[0]
-	res, err := runSpecCross(c, region, speccross.Config{Workers: 8, CheckpointEvery: 10}, true)
+	run, err := c.Run(region, Plan{}, Options{Engine: "speccross", Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Env.Checksum() != want {
+	if run.Env.Checksum() != want {
 		t.Fatal("fallback execution diverged")
 	}
+	res := run.SpecCross
 	if res.Profile.MinDistance == speccross.NoConflict {
 		t.Fatal("profiler should observe the A[i] self-dependences")
 	}

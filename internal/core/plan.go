@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"crossinv/internal/ir"
-	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/transform/advisor"
@@ -102,42 +101,6 @@ func (c *Compiled) ProfileRegion(region *ir.Loop, kind signature.Kind) (speccros
 	return pr.Profile(kind), nil
 }
 
-// RunSpecCrossProfiled executes the region under SPECCROSS with a §4.4
-// profile already in hand — freshly computed by ProfileRegion or replayed
-// from a plan cache. It applies the paper's profitability rule: when the
-// minimum dependence distance is below the worker count, speculation is
-// declined and the region runs under non-speculative barriers.
-func (c *Compiled) RunSpecCrossProfiled(region *ir.Loop, cfg speccross.Config, prof speccross.ProfileResult) (*SpecCrossResult, error) {
-	res := &SpecCrossResult{Profile: prof}
-	dist, profitable := prof.Recommended(cfg.Workers)
-	env, finish, err := c.runOutside(region)
-	if err != nil {
-		return nil, err
-	}
-	r, err := speccrossgen.New(c.Prog, c.Dep, region, env, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := verifySignaturePlan(c.Prog, region); err != nil {
-		return nil, err
-	}
-	if !profitable {
-		speccross.RunBarriers(r, cfg.Workers)
-		if err := finish(env); err != nil {
-			return nil, err
-		}
-		res.Env = env
-		return res, nil
-	}
-	cfg.SpecDistance = dist
-	res.Stats = speccross.Run(r, cfg)
-	if err := finish(env); err != nil {
-		return nil, err
-	}
-	res.Env = env
-	return res, nil
-}
-
 // PlanDOMORE runs the DOMORE compile pipeline for the region — partition,
 // computeAddr slicing, MTCG — and the always-on plan verifier, returning
 // the transformed region. The result is immutable after construction
@@ -152,31 +115,6 @@ func (c *Compiled) PlanDOMORE(region *ir.Loop) (*mtcg.Parallelized, error) {
 		return nil, err
 	}
 	return par, nil
-}
-
-// RunDOMOREPlanned executes a region whose DOMORE transform was already
-// built (and verified) by PlanDOMORE — the warm path that skips the
-// partition/slice/MTCG pipeline entirely.
-func (c *Compiled) RunDOMOREPlanned(par *mtcg.Parallelized, region *ir.Loop, opts domore.Options) (*DomoreResult, error) {
-	env, finish, err := c.runOutside(region)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := par.Run(env, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := finish(env); err != nil {
-		return nil, err
-	}
-	return &DomoreResult{Env: env, Stats: stats, Par: par}, nil
-}
-
-// RunDOMOREShardedPlanned is RunDOMOREPlanned. It remains because the
-// repository benchmark, which no change may edit, calls it by name; the
-// crossinvvet frozen-surface rule rejects any other caller outside tests.
-func (c *Compiled) RunDOMOREShardedPlanned(par *mtcg.Parallelized, region *ir.Loop, opts domore.Options) (*DomoreResult, error) {
-	return c.RunDOMOREPlanned(par, region, opts)
 }
 
 // Oracle runs the program sequentially and returns the checksum every

@@ -598,3 +598,45 @@ func TestAdaptiveSkipsProfileForProvenDOALL(t *testing.T) {
 		t.Errorf("provably-DOALL region still ran %d profiling passes", n)
 	}
 }
+
+// TestUnparallelizableRequestsNameTheirStage pins the 422 messages of
+// requests the program cannot serve as asked: a failed DOMORE transform or
+// §4.4 profile is named by its stage, and an engine that cannot run the
+// region by the engine — auto's included, once its profile chose one.
+func TestUnparallelizableRequestsNameTheirStage(t *testing.T) {
+	// The sequential code between the parallel loops reads what they wrote,
+	// so neither an epoch/task region nor a DOMORE worker partition exists.
+	const seqRead = `func f() {
+	var A[10]
+	for t = 0 .. 3 {
+		x = A[0]
+		parfor i = 0 .. 10 { A[i] = A[i] + x }
+	}
+}
+`
+	// Task addresses depend on an index array a parallel loop writes: no
+	// computeAddr slice, and no DOMORE view for the adaptive controller.
+	const valueDependent = `func main() {
+	var IDX[8], C[16]
+	for t = 0 .. 3 {
+		parfor i = 0 .. 8 { IDX[i] = IDX[i] + 1 }
+		parfor j = 0 .. 8 { C[IDX[j]] = C[IDX[j]] + j }
+	}
+}
+`
+	s := newServer(t, Config{})
+	for _, tc := range []struct{ src, mode, prefix string }{
+		{seqRead, "barrier", "barrier: speccrossgen:"},
+		{seqRead, "domore", "domore plan: partition:"},
+		{seqRead, "speccross", "profile: speccrossgen:"},
+		{seqRead, "adaptive", "profile: speccrossgen:"},
+		{seqRead, "auto", "profile: speccrossgen:"},
+		{valueDependent, "domore", "domore plan: slice:"},
+		{valueDependent, "adaptive", "adaptive: speccrossgen:"},
+	} {
+		resp, status := s.Execute(&RunRequest{Source: tc.src, Mode: tc.mode, Workers: 2, Fresh: true})
+		if status != 422 || !strings.HasPrefix(resp.Error, tc.prefix) {
+			t.Errorf("%s: %d %q, want 422 %q…", tc.mode, status, resp.Error, tc.prefix)
+		}
+	}
+}

@@ -9,10 +9,10 @@ import (
 	"time"
 
 	"crossinv/internal/core"
+	"crossinv/internal/ir"
 	"crossinv/internal/obs"
 	"crossinv/internal/plancache"
 	"crossinv/internal/runtime/adaptive"
-	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/runtime/trace"
@@ -272,34 +272,26 @@ func (p *program) ensureOracle(s *Server, c *core.Compiled, st *spans) (uint64, 
 
 // ensureProfile computes (once per signature kind) the §4.4 conflict
 // profile for the region.
-func (rp *regionPlan) ensureProfile(s *Server, c *core.Compiled, regionIdx int, kind signature.Kind, st *spans) (*speccross.ProfileResult, error) {
+func (rp *regionPlan) ensureProfile(s *Server, c *core.Compiled, region *ir.Loop, kind signature.Kind, st *spans) (speccross.ProfileResult, error) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
 	if rp.prof[kind] == nil {
-		region, err := c.Region(regionIdx)
-		if err != nil {
-			return nil, err
-		}
 		pr, err := c.ProfileRegion(region, kind)
 		st.profile++
 		s.spanProfile.Add(1)
 		if err != nil {
-			return nil, err
+			return pr, err
 		}
 		rp.prof[kind] = &pr
 	}
-	return rp.prof[kind], nil
+	return *rp.prof[kind], nil
 }
 
 // ensureDomorePlan builds (once) the verified DOMORE transform.
-func (rp *regionPlan) ensureDomorePlan(s *Server, c *core.Compiled, regionIdx int, st *spans) (*mtcg.Parallelized, error) {
+func (rp *regionPlan) ensureDomorePlan(s *Server, c *core.Compiled, region *ir.Loop, st *spans) (*mtcg.Parallelized, error) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
 	if rp.par == nil {
-		region, err := c.Region(regionIdx)
-		if err != nil {
-			return nil, err
-		}
 		par, err := c.PlanDOMORE(region)
 		st.plan++
 		s.spanPlan.Add(1)
@@ -669,127 +661,65 @@ func (s *Server) execute(req *RunRequest, in runParams, inv *invocation) (*RunRe
 		return fail(422, "oracle: %v", err)
 	}
 
-	// profile wraps ensureProfile in its span; all three call sites (auto
-	// dispatch, speccross, adaptive seeding) go through it.
-	profile := func() (*speccross.ProfileResult, error) {
-		psp := inv.span(trace.SpanProfile)
-		defer psp.End()
-		return rp.ensureProfile(s, c, regionIdx, kind, st)
-	}
-
-	engine := mode
-	if mode == "auto" {
-		pr, perr := profile()
-		if perr != nil {
-			resp.AnalysisSpans = st.total()
-			return fail(422, "profile: %v", perr)
-		}
-		if _, profitable := pr.Recommended(workers); profitable {
-			engine = "speccross"
-		} else {
-			engine = "domore"
-		}
-	}
-
-	var sum uint64
-	var rerr error
-	esp := inv.span(trace.SpanExecute)
-	switch engine {
-	case "barrier":
-		res, e := c.RunBarriersTraced(region, workers, inv.rec)
-		if e != nil {
-			rerr = e
-		} else {
-			sum = res.Env.Checksum()
-		}
-	case "domore":
-		psp := inv.span(trace.SpanPlan)
-		par, e := rp.ensureDomorePlan(s, c, regionIdx, st)
-		psp.End()
-		if e != nil {
-			esp.End()
-			resp.AnalysisSpans = st.total()
-			return fail(422, "domore plan: %v", e)
-		}
-		res, e := c.RunDOMOREPlanned(par, region, domore.Options{Workers: workers, Trace: inv.rec})
-		if e != nil {
-			rerr = e
-		} else {
-			sum = res.Env.Checksum()
-		}
-	case "speccross":
-		pr, e := profile()
-		if e != nil {
-			esp.End()
-			resp.AnalysisSpans = st.total()
-			return fail(422, "profile: %v", e)
-		}
-		scfg := speccross.Config{
-			Workers: workers, SigKind: kind,
-			Trace:             inv.rec,
-			ForceMisspecEpoch: req.Misspec,
-		}
-		res, e := c.RunSpecCrossProfiled(region, scfg, *pr)
-		if e != nil {
-			rerr = e
-		} else {
-			sum = res.Env.Checksum()
-		}
-	case "adaptive":
-		cfg := adaptive.Config{Workers: workers, Window: req.Window}
-		if cfg.Window <= 0 {
-			rp.mu.Lock()
-			if rp.seed != nil {
-				cfg.Window = rp.seed.Window
+	// The suppliers wrap the cached builds in their spans; Run calls each
+	// only when the engine it runs needs the artifact. stage names the one
+	// that failed, for the 422's prefix.
+	var stage string
+	plan := core.Plan{
+		DOMORE: func() (par *mtcg.Parallelized, err error) {
+			defer inv.span(trace.SpanPlan).End()
+			if par, err = rp.ensureDomorePlan(s, c, region, st); err != nil {
+				stage = "domore plan"
 			}
-			rp.mu.Unlock()
+			return par, err
+		},
+		Profile: func() (pr speccross.ProfileResult, err error) {
+			defer inv.span(trace.SpanProfile).End()
+			if pr, err = rp.ensureProfile(s, c, region, kind, st); err != nil {
+				stage = "profile"
+			}
+			return pr, err
+		},
+	}
+	p.mu.Lock()
+	if regionIdx < len(p.facts) {
+		plan.Facts = p.facts[regionIdx]
+	}
+	p.mu.Unlock()
+	window := req.Window
+	if window <= 0 {
+		rp.mu.Lock()
+		if rp.seed != nil {
+			window = rp.seed.Window
 		}
-		cfg.Spec.SigKind = kind
-		cfg.Spec.ForceMisspecEpoch = req.Misspec
-		cfg.Trace = inv.rec
-		cfg.SpanParent = esp.ID()
-		cfg.OnDecision = func(d adaptive.Decision) {
+		rp.mu.Unlock()
+	}
+
+	esp := inv.span(trace.SpanExecute)
+	res, rerr := c.Run(region, plan, core.Options{
+		Engine: mode, Workers: workers, SigKind: kind, Window: window,
+		ForceMisspecEpoch: req.Misspec,
+		Trace:             inv.rec,
+		SpanParent:        esp.ID(),
+		OnDecision: func(d adaptive.Decision) {
 			e := obs.DecisionFromAudit(inv.id, d)
 			s.decisions.Append(e)
 			inv.decisions = append(inv.decisions, e)
-		}
-		// Static facts seed first. A provably-DOALL region ("none") pins
-		// barrier-free speculation and the §4.4 profiling pass is skipped
-		// outright — there is no dependence to profile. Otherwise the
-		// static seed is a prior the dynamic profile refines.
-		var fclass string
-		var fdist int64
-		p.mu.Lock()
-		if regionIdx < len(p.facts) {
-			fclass = p.facts[regionIdx].XDepClass
-			fdist = p.facts[regionIdx].XDepMinDistance
-		}
-		p.mu.Unlock()
-		cfg.SeedFromFacts(fclass, fdist)
-		if fclass != "none" {
-			pr, e := profile()
-			if e != nil {
-				esp.End()
-				resp.AnalysisSpans = st.total()
-				return fail(422, "profile: %v", e)
-			}
-			cfg.SeedFromProfile(pr.MinDistance, workers)
-		}
-		res, e := c.RunAdaptive(region, cfg)
-		if e != nil {
-			rerr = e
-		} else {
-			sum = res.Env.Checksum()
-		}
-	}
+		},
+	})
 	esp.End()
 	resp.AnalysisSpans = st.total()
+	engine := res.Engine
 	if rerr != nil {
 		// Construction failures (e.g. no DOMORE view for this region shape)
 		// and execution faults are properties of the program, not the
-		// daemon: 422, like a compile error.
-		return fail(422, "%s: %v", engine, rerr)
+		// daemon: 422, like a compile error. A failed supplier names itself.
+		if stage == "" {
+			stage = engine
+		}
+		return fail(422, "%s: %v", stage, rerr)
 	}
+	sum := res.Env.Checksum()
 	if sum != oracle {
 		return fail(500, "%s checksum %x != sequential oracle %x", engine, sum, oracle)
 	}

@@ -32,12 +32,16 @@
 //
 // Rule frozen-surface: the repository benchmark, a module of its own that
 // no change may edit, calls some entry points that are now forwarders to
-// the code that replaced them: domore.RunSharded (domore.Run),
-// core.Compiled.RunDOMOREShardedPlanned (RunDOMOREPlanned), and the engine
-// constant adaptive.EngineDomoreSharded, which nothing chooses. They stay
-// for the benchmark alone, so any other use in this module — a call, a
-// method or function value, a reference — is reported, whatever name the
-// file imports the package under. Tests are exempt, as from every rule.
+// the code that replaced them: domore.RunSharded (domore.Run), the
+// core.Compiled run methods RunBarriers, RunBarriersTraced,
+// RunDOMOREPlanned, RunDOMOREShardedPlanned, RunSpecCrossProfiled and
+// RunAdaptive (core.Compiled.Run), and the engine constant
+// adaptive.EngineDomoreSharded, which nothing chooses. They stay for the
+// benchmark alone, so any other use in this module — a call, a method or
+// function value, a reference — is reported, whatever name the file imports
+// the package under. A method is matched by name on any value, but not on
+// an imported package: speccross.RunBarriers is an engine, not the method.
+// Tests are exempt, as from every rule.
 package lint
 
 import (
@@ -118,21 +122,32 @@ func CheckFile(fset *token.FileSet, pkg string, f *ast.File) []Diagnostic {
 
 // frozen lists the forwarders kept for the benchmark: the name, and the
 // import path suffix and package name it is declared in. A method's path is
-// empty: it is matched by name on any receiver.
+// empty: it is matched by name on any value that is not an imported package.
 var frozen = []struct{ path, pkg, name string }{
 	{"/runtime/domore", "domore", "RunSharded"},
+	{"", "core", "RunBarriers"},
+	{"", "core", "RunBarriersTraced"},
+	{"", "core", "RunDOMOREPlanned"},
 	{"", "core", "RunDOMOREShardedPlanned"},
+	{"", "core", "RunSpecCrossProfiled"},
+	{"", "core", "RunAdaptive"},
 	{"/runtime/adaptive", "adaptive", "EngineDomoreSharded"},
 }
 
 // checkFrozenSurface flags every use of a frozen forwarder in f: through a
-// selector on the declaring package's import (or, for the method, on any
-// value), or by bare name inside the declaring package, where only the
-// declaration itself is not a use.
+// selector on the declaring package's import (or, for a method, on any value
+// but an imported package), or by bare name inside the declaring package,
+// where only the declaration itself is not a use.
 func checkFrozenSurface(fset *token.FileSet, pkg string, f *ast.File) []Diagnostic {
 	imported := map[string]string{} // local import name → frozen name
+	packages := map[string]bool{}   // every local import name
 	for _, imp := range f.Imports {
 		path := strings.Trim(imp.Path.Value, `"`)
+		if imp.Name != nil {
+			packages[imp.Name.Name] = true
+		} else {
+			packages[path[strings.LastIndex(path, "/")+1:]] = true
+		}
 		for _, fr := range frozen {
 			if fr.path != "" && strings.HasSuffix(path, fr.path) {
 				local := fr.pkg
@@ -172,7 +187,9 @@ func checkFrozenSurface(fset *token.FileSet, pkg string, f *ast.File) []Diagnost
 				if e.Sel.Name != fr.name {
 					continue
 				}
-				if x, ok := e.X.(*ast.Ident); fr.path == "" || ok && imported[x.Name] == fr.name {
+				x, ok := e.X.(*ast.Ident)
+				onImport := ok && packages[x.Name]
+				if fr.path == "" && !onImport || fr.path != "" && onImport && imported[x.Name] == fr.name {
 					flag(e.Pos(), fr.pkg+"."+fr.name)
 				}
 			}

@@ -247,12 +247,16 @@ func TestCheckFilesSkipsTestsAndReportsParseErrors(t *testing.T) {
 // TestFrozenSurfaceFlagsCallers injects a caller of each forwarder kept
 // for the benchmark module — by the package's own name, under an alias, as
 // a method value — and requires each use flagged, and the declarations not.
+// A frozen method's name on an imported package is that package's own
+// function (speccross.RunBarriers is the engine), and is not flagged.
 func TestFrozenSurfaceFlagsCallers(t *testing.T) {
 	src := `package daemon
 
 import (
 	"crossinv/internal/runtime/adaptive"
 	dm "crossinv/internal/runtime/domore"
+	"crossinv/internal/runtime/speccross"
+	sc "crossinv/internal/runtime/speccross"
 )
 
 func run(c *core.Compiled, w dm.Workload) {
@@ -260,15 +264,21 @@ func run(c *core.Compiled, w dm.Workload) {
 	c.RunDOMOREShardedPlanned(nil, nil, dm.Options{}) // flagged
 	f := c.RunDOMOREShardedPlanned                    // flagged
 	_ = adaptive.EngineDomoreSharded                  // flagged
+	c.RunAdaptive(nil, adaptive.Config{})             // flagged
+	c.RunBarriersTraced(nil, 2, nil)                  // flagged
 	dm.Run(w, dm.Options{Workers: 2})              // fine
 	_, _ = f, adaptive.EngineDomore                // fine
+	speccross.RunBarriers(nil, 2)                  // fine
+	sc.RunBarriersTraced(nil, 2, nil)              // fine
+	c.Run(nil, core.Plan{}, core.Options{})        // fine
 }
 `
 	ds := check(t, "daemon", src)
-	if len(ds) != 4 {
-		t.Fatalf("want the 4 injected uses flagged, got %v", ds)
+	lines := []int{11, 12, 13, 14, 15, 16}
+	if len(ds) != len(lines) {
+		t.Fatalf("want the %d injected uses flagged, got %v", len(lines), ds)
 	}
-	for i, line := range []int{9, 10, 11, 12} {
+	for i, line := range lines {
 		if ds[i].Rule != "frozen-surface" || ds[i].Pos.Line != line {
 			t.Errorf("diagnostic %d: %v, want frozen-surface on line %d", i, ds[i], line)
 		}
@@ -276,6 +286,8 @@ func run(c *core.Compiled, w dm.Workload) {
 	wantRule(t, ds, "frozen-surface", "domore.RunSharded")
 	wantRule(t, ds, "frozen-surface", "core.RunDOMOREShardedPlanned")
 	wantRule(t, ds, "frozen-surface", "adaptive.EngineDomoreSharded")
+	wantRule(t, ds, "frozen-surface", "core.RunAdaptive")
+	wantRule(t, ds, "frozen-surface", "core.RunBarriersTraced")
 
 	// Inside the declaring packages the declaration is fine and a use is not.
 	adaptive := `package adaptive

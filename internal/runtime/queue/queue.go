@@ -5,9 +5,9 @@
 // The design follows the lock-free queue the paper builds on (§3.2.3): one
 // cache-line-padded head index owned by the consumer, one tail index owned by
 // the producer, and a power-of-two ring so index masking is a single AND.
-// Every operation is non-blocking: it reports how much it moved, and a side
-// that finds the ring full or empty waits the way every engine thread does
-// (engine.Runtime.Pause).
+// Every operation is non-blocking: it reports whether it moved an element,
+// and a side that finds the ring full or empty waits the way every engine
+// thread does (engine.Runtime.Pause).
 package queue
 
 import (
@@ -115,64 +115,4 @@ func (q *SPSC[T]) TryConsume() (T, bool) {
 	q.buf[head&q.mask] = zero // release references for GC
 	q.head.Store(head + 1)
 	return v, true
-}
-
-// TryProduceBatch appends as many elements of vs as there is room for and
-// returns how many it appended (possibly 0). All appended elements become
-// visible to the consumer with a single tail publication, so the per-element
-// synchronization cost is amortized over the batch. FIFO order within vs
-// is preserved. It must only be called from the producer goroutine.
-func (q *SPSC[T]) TryProduceBatch(vs []T) int {
-	if len(vs) == 0 {
-		return 0
-	}
-	tail := q.tail.Load()
-	free := uint64(len(q.buf)) - (tail - q.cachedHead)
-	if free < uint64(len(vs)) {
-		q.cachedHead = q.head.Load()
-		free = uint64(len(q.buf)) - (tail - q.cachedHead)
-		if free == 0 {
-			return 0
-		}
-	}
-	n := uint64(len(vs))
-	if n > free {
-		n = free
-	}
-	for i := uint64(0); i < n; i++ {
-		q.buf[(tail+i)&q.mask] = vs[i]
-	}
-	q.tail.Store(tail + n)
-	return int(n)
-}
-
-// TryConsumeBatch removes up to len(dst) buffered elements into dst and
-// returns how many it removed (possibly 0). Like TryProduceBatch, the head
-// index is published once per batch. Consumed slots are zeroed so the ring
-// releases references for GC. It must only be called from the consumer
-// goroutine.
-func (q *SPSC[T]) TryConsumeBatch(dst []T) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	head := q.head.Load()
-	avail := q.cachedTail - head
-	if avail < uint64(len(dst)) {
-		q.cachedTail = q.tail.Load()
-		avail = q.cachedTail - head
-		if avail == 0 {
-			return 0
-		}
-	}
-	n := uint64(len(dst))
-	if n > avail {
-		n = avail
-	}
-	var zero T
-	for i := uint64(0); i < n; i++ {
-		dst[i] = q.buf[(head+i)&q.mask]
-		q.buf[(head+i)&q.mask] = zero
-	}
-	q.head.Store(head + n)
-	return int(n)
 }

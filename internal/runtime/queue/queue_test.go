@@ -233,10 +233,9 @@ func TestConcurrentStructPayload(t *testing.T) {
 	<-done
 }
 
-// produce, consume, produceBatch and consumeBatch are the blocking loops the
-// tests drive the ring through: the Try operation until it moves something,
-// yielding between attempts so a producer/consumer pair interleaves under
-// GOMAXPROCS=1 too. Engine threads wait through engine.Runtime.Pause instead.
+// produce and consume are the blocking loops the tests drive the ring
+// through: the Try operation until it moves something, yielding between
+// attempts so a producer/consumer pair interleaves under GOMAXPROCS=1 too. Engine threads wait through engine.Runtime.Pause instead.
 func produce[T any](q *SPSC[T], v T) {
 	for !q.TryProduce(v) {
 		runtime.Gosched()
@@ -247,25 +246,6 @@ func consume[T any](q *SPSC[T]) T {
 	for {
 		if v, ok := q.TryConsume(); ok {
 			return v
-		}
-		runtime.Gosched()
-	}
-}
-
-func produceBatch[T any](q *SPSC[T], vs []T) {
-	for len(vs) > 0 {
-		n := q.TryProduceBatch(vs)
-		if n == 0 {
-			runtime.Gosched()
-		}
-		vs = vs[n:]
-	}
-}
-
-func consumeBatch[T any](q *SPSC[T], dst []T) int {
-	for {
-		if n := q.TryConsumeBatch(dst); n > 0 {
-			return n
 		}
 		runtime.Gosched()
 	}

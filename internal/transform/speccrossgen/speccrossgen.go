@@ -237,16 +237,6 @@ func (r *Region) EpochLabel(epoch int) string {
 	return fmt.Sprintf("L%d@%s", idx+1, r.Inners[idx].Pos)
 }
 
-// RunSpeculative executes the region under the SPECCROSS runtime.
-func (r *Region) RunSpeculative(cfg speccross.Config) speccross.Stats {
-	return speccross.Run(r, cfg)
-}
-
-// RunBarriers executes the region with the non-speculative baseline.
-func (r *Region) RunBarriers(workers int) {
-	speccross.RunBarriers(r, workers)
-}
-
 // Profile runs the §4.4 profiling pass over the region, comparing within
 // the default checkpoint period (speccross.DefaultProfileWindow): the
 // engine never overlaps epochs across a checkpoint, so the windowed pass is

@@ -133,9 +133,9 @@ func TestBarrierAndSpeculativeMatchSequential(t *testing.T) {
 				prof := scratch.Profile(signature.Range)
 				cfg.SpecDistance, _ = prof.Recommended(cfg.Workers)
 			}
-			r.RunSpeculative(cfg)
+			speccross.Run(r, cfg)
 		} else {
-			r.RunBarriers(3)
+			speccross.RunBarriers(r, 3)
 		}
 		if got := env.Checksum(); got != want {
 			t.Fatalf("spec=%v checksum %x != sequential %x", spec, got, want)

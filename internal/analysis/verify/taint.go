@@ -4,10 +4,10 @@ import "crossinv/internal/ir"
 
 // Taint is the result of the shared value-taint fixpoint: which registers
 // and scalar variables may hold values derived from a designated set of
-// taint sources. Both the slice-purity check (§3.3.4: the computeAddr slice
-// must never read a value the worker partition may write) and the DOMORE
-// view of SPECCROSS regions (speccrossgen.NewDomoreView: task addresses must
-// not depend on parallel-written arrays) reduce to this analysis.
+// taint sources. The slice-purity check reduces to it (§3.3.4: the
+// computeAddr slice must never read a value the worker partition may
+// write), and compiled-region DOMORE is that slice, in both domore and
+// adaptive modes.
 type Taint struct {
 	Reg map[ir.Reg]bool
 	Var map[string]bool

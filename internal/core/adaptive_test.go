@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"crossinv/internal/runtime/adaptive"
-	"crossinv/internal/transform/speccrossgen"
+	"crossinv/internal/transform/slice"
 )
 
 func TestAdaptiveMatchesSequentialFig13(t *testing.T) {
@@ -60,7 +62,32 @@ func TestAdaptiveRejectsValueDependentAddrs(t *testing.T) {
 		}
 	}`)
 	_, err := c.Run(c.Regions[0], Plan{Facts: c.Facts()[0]}, Options{Engine: "adaptive", Workers: 2})
-	if !errors.Is(err, speccrossgen.ErrAddrDependsOnParallel) {
-		t.Fatalf("err = %v, want ErrAddrDependsOnParallel", err)
+	if !errors.Is(err, slice.ErrWorkerState) {
+		t.Fatalf("err = %v, want slice.ErrWorkerState", err)
+	}
+}
+
+// TestAdaptiveRunsConditional: the branch in conditional.lnl's first loop
+// tests W, which its second loop writes, but no address depends on it, so
+// the region's slices exist and adaptive reproduces the sequential result.
+func TestAdaptiveRunsConditional(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "conditional.lnl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := compileT(t, string(src))
+	want := seqChecksum(t, c)
+	idx := len(c.Regions) - 1
+	for _, window := range []int{0, 3} {
+		res, err := c.Run(c.Regions[idx], Plan{Facts: c.Facts()[idx]}, Options{Engine: "adaptive", Workers: 2, Window: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Env.Checksum(); got != want {
+			t.Fatalf("window %d: adaptive checksum %x != sequential %x", window, got, want)
+		}
+		if res.Adaptive.Stats.EngineWindows[adaptive.EngineDomore] == 0 {
+			t.Fatalf("window %d: no DOMORE window ran (%v)", window, res.Adaptive.Stats.EngineWindows)
+		}
 	}
 }

@@ -11,6 +11,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"crossinv/internal/analysis/depend"
 	"crossinv/internal/analysis/xdep"
@@ -31,6 +32,9 @@ type Compiled struct {
 	Regions []*ir.Loop
 
 	xdepFacts *xdep.Facts // lazily built by XDep
+	// domorePlans maps each region PlanDOMORE was asked for to its
+	// *domorePlan.
+	domorePlans sync.Map
 }
 
 // XDep returns the cross-invocation dependence facts for every candidate

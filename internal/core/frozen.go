@@ -41,7 +41,11 @@ func (c *Compiled) RunSpecCrossProfiled(region *ir.Loop, cfg speccross.Config, p
 }
 
 // RunAdaptive runs region under the adaptive controller configured, and
-// seeded, exactly as cfg says.
+// seeded, exactly as cfg says, with the region's DOMORE plan.
 func (c *Compiled) RunAdaptive(region *ir.Loop, cfg adaptive.Config) (*AdaptiveResult, error) {
-	return c.runAdaptive(region, cfg)
+	par, err := c.PlanDOMORE(region)
+	if err != nil {
+		return nil, err
+	}
+	return c.runAdaptive(par, region, cfg)
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"crossinv/internal/ir"
 	"crossinv/internal/runtime/signature"
@@ -103,10 +104,29 @@ func (c *Compiled) ProfileRegion(region *ir.Loop, kind signature.Kind) (speccros
 
 // PlanDOMORE runs the DOMORE compile pipeline for the region — partition,
 // computeAddr slicing, MTCG — and the always-on plan verifier, returning
-// the transformed region. The result is immutable after construction
-// (Parallelized.Bind builds fresh per-run state), so a daemon may build it
-// once per program and reuse it across concurrent invocations.
+// the transformed region. It runs once per Compiled and region, and every
+// later call, concurrent ones included, gets the same outcome: the result
+// is immutable after construction (Parallelized.Bind builds fresh per-run
+// state), and domore and adaptive runs both need it, so planning again on
+// every run would cost more than many a region's engine does.
 func (c *Compiled) PlanDOMORE(region *ir.Loop) (*mtcg.Parallelized, error) {
+	v, ok := c.domorePlans.Load(region)
+	if !ok {
+		v, _ = c.domorePlans.LoadOrStore(region, new(domorePlan))
+	}
+	m := v.(*domorePlan)
+	m.once.Do(func() { m.par, m.err = c.planDOMORE(region) })
+	return m.par, m.err
+}
+
+// domorePlan is one region's PlanDOMORE outcome.
+type domorePlan struct {
+	once sync.Once
+	par  *mtcg.Parallelized
+	err  error
+}
+
+func (c *Compiled) planDOMORE(region *ir.Loop) (*mtcg.Parallelized, error) {
 	par, err := mtcg.Transform(c.Prog, c.Dep, region, slice.Options{})
 	if err != nil {
 		return nil, err

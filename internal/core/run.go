@@ -24,7 +24,9 @@ type Plan struct {
 	// Facts are the region's entry in Compiled.Facts. Adaptive seeds its
 	// controller from XDepClass and XDepMinDistance.
 	Facts RegionFacts
-	// DOMORE supplies the verified DOMORE transform. Nil means PlanDOMORE.
+	// DOMORE supplies the verified DOMORE transform, which domore runs and
+	// whose §3.3.4 slices give adaptive its DOMORE windows' addresses. Nil
+	// means PlanDOMORE.
 	DOMORE func() (*mtcg.Parallelized, error)
 	// Profile supplies the §4.4 conflict profile. Nil means ProfileRegion
 	// with Options.SigKind.
@@ -105,12 +107,17 @@ type AdaptiveResult struct {
 //   - adaptive hands the region to the hybrid controller, seeded from the
 //     static facts and then from the profile, unless the facts prove the
 //     region free of cross-invocation dependences (class none): that pins
-//     speculation and no profile is taken;
+//     speculation and no profile is taken. Its DOMORE windows take their
+//     addresses from the DOMORE plan's slices, so it needs the plan too;
 //   - auto runs Choose's engine for the region's profile.
 func (c *Compiled) Run(region *ir.Loop, p Plan, o Options) (Result, error) {
 	profile := p.Profile
 	if profile == nil {
 		profile = func() (speccross.ProfileResult, error) { return c.ProfileRegion(region, o.SigKind) }
+	}
+	plan := p.DOMORE
+	if plan == nil {
+		plan = func() (*mtcg.Parallelized, error) { return c.PlanDOMORE(region) }
 	}
 	res := Result{Engine: o.Engine}
 	if o.Engine == "auto" {
@@ -128,10 +135,6 @@ func (c *Compiled) Run(region *ir.Loop, p Plan, o Options) (Result, error) {
 			res.Env = res.Barrier.Env
 		}
 	case "domore":
-		plan := p.DOMORE
-		if plan == nil {
-			plan = func() (*mtcg.Parallelized, error) { return c.PlanDOMORE(region) }
-		}
 		var par *mtcg.Parallelized
 		if par, err = plan(); err != nil {
 			return res, err
@@ -160,7 +163,11 @@ func (c *Compiled) Run(region *ir.Loop, p Plan, o Options) (Result, error) {
 			}
 			cfg.SeedFromProfile(prof.MinDistance, o.Workers)
 		}
-		if res.Adaptive, err = c.runAdaptive(region, cfg); err == nil {
+		var par *mtcg.Parallelized
+		if par, err = plan(); err != nil {
+			return res, err
+		}
+		if res.Adaptive, err = c.runAdaptive(par, region, cfg); err == nil {
 			res.Env = res.Adaptive.Env
 		}
 	default:
@@ -248,17 +255,16 @@ func (c *Compiled) runSpecCross(region *ir.Loop, cfg speccross.Config, prof spec
 	})
 }
 
-// runAdaptive runs the region's DOMORE view under adaptive.Run. The view
-// fails for regions whose task addresses depend on parallel-written data,
-// the regions DOMORE itself cannot handle.
-func (c *Compiled) runAdaptive(region *ir.Loop, cfg adaptive.Config) (*AdaptiveResult, error) {
+// runAdaptive runs the region under adaptive.Run through its DOMORE view,
+// whose addresses come from the slices of par, the region's DOMORE plan.
+func (c *Compiled) runAdaptive(par *mtcg.Parallelized, region *ir.Loop, cfg adaptive.Config) (*AdaptiveResult, error) {
 	res := &AdaptiveResult{}
 	return execute(c, region, res, &res.Env, func(env *interp.Env) error {
 		r, err := c.speculative(region, env, cfg.Workers)
 		if err != nil {
 			return err
 		}
-		v, err := speccrossgen.NewDomoreView(r)
+		v, err := speccrossgen.NewDomoreView(r, par.Slices)
 		if err == nil {
 			res.Stats = adaptive.Run(v, cfg)
 		}

@@ -3,12 +3,14 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"crossinv/internal/ir"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/speccross"
+	"crossinv/internal/transform/mtcg"
 )
 
 // detDomoreStats, detSpecStats and detStats hold the Stats fields that are
@@ -199,5 +201,38 @@ func TestRunTakesProfileOnlyWhenNeeded(t *testing.T) {
 		if res.Env.Checksum() != want {
 			t.Errorf("distance %d: auto checksum %x != sequential %x", dist, res.Env.Checksum(), want)
 		}
+	}
+}
+
+// TestRunPlansDOMOREOncePerRegion: PlanDOMORE callers, concurrent ones
+// included, and runs whose caller supplies no DOMORE plan share one plan
+// per region.
+func TestRunPlansDOMOREOncePerRegion(t *testing.T) {
+	c := compileT(t, cgLike)
+	region := c.Regions[len(c.Regions)-1]
+	pars := make([]*mtcg.Parallelized, 8)
+	var wg sync.WaitGroup
+	for i := range pars {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if pars[i], err = c.PlanDOMORE(region); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, par := range pars {
+		if par == nil || par != pars[0] {
+			t.Fatalf("plan %d is %p, plan 0 %p", i, par, pars[0])
+		}
+	}
+	res, err := c.Run(region, Plan{}, Options{Engine: "domore", Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DOMORE.Par != pars[0] {
+		t.Fatal("Run without a supplier planned the region again")
 	}
 }

@@ -16,6 +16,8 @@ import (
 
 	"crossinv/internal/core"
 	"crossinv/internal/plancache"
+	"crossinv/internal/runtime/adaptive"
+	"crossinv/internal/runtime/signature"
 )
 
 // corpus loads every LNL program the repo ships: the examples plus the
@@ -632,11 +634,64 @@ func TestUnparallelizableRequestsNameTheirStage(t *testing.T) {
 		{seqRead, "adaptive", "profile: speccrossgen:"},
 		{seqRead, "auto", "profile: speccrossgen:"},
 		{valueDependent, "domore", "domore plan: slice:"},
-		{valueDependent, "adaptive", "adaptive: speccrossgen:"},
+		{valueDependent, "adaptive", "domore plan: slice:"},
 	} {
 		resp, status := s.Execute(&RunRequest{Source: tc.src, Mode: tc.mode, Workers: 2, Fresh: true})
 		if status != 422 || !strings.HasPrefix(resp.Error, tc.prefix) {
 			t.Errorf("%s: %d %q, want 422 %q…", tc.mode, status, resp.Error, tc.prefix)
 		}
+	}
+}
+
+// TestColdAutoStoresChosenEngine pins the plan record of a cold auto
+// request: the engine it stores is core.Choose's for the region's profile,
+// whether speculation pays (lag 16, two workers) or not (lag 1), with the
+// adaptive runtime's default window.
+func TestColdAutoStoresChosenEngine(t *testing.T) {
+	const workers = 2
+	mk := func(lag int) string {
+		return `func pipe() {
+  var A[520]
+  for t = 2 .. 64 {
+    parfor i = 0 .. 8 {
+      A[t*8 + i] = A[t*8 + i - ` + strconv.Itoa(lag) + `] * 3 + 1
+    }
+  }
+}
+`
+	}
+	engines := map[string]bool{}
+	for _, lag := range []int{1, 16} {
+		src := mk(lag)
+		c, err := core.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := c.ProfileRegion(c.Regions[0], signature.Range)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.Choose(prof, workers)
+		engines[want] = true
+
+		s := newServer(t, Config{})
+		resp, status := s.Execute(&RunRequest{Source: src, Mode: "auto", Workers: workers})
+		if status != 200 || !resp.OK || resp.Engine != want {
+			t.Fatalf("lag %d: %d %+v, want engine %s", lag, status, resp, want)
+		}
+		key := plancache.Key{
+			SourceHash:  core.SourceHash(src),
+			Fingerprint: plancache.Fingerprint(core.PipelineVersion, 0, sigName(signature.Range), c.XDep().Hash()),
+		}
+		plan, ok := s.store.Get(key)
+		if !ok {
+			t.Fatalf("lag %d: no plan stored", lag)
+		}
+		if plan.Engine != want || plan.Adaptive == nil || *plan.Adaptive != (plancache.AdaptiveSeed{Start: want, Window: adaptive.DefaultWindow}) {
+			t.Errorf("lag %d: stored engine %q, adaptive seed %+v; want %q, window %d", lag, plan.Engine, plan.Adaptive, want, adaptive.DefaultWindow)
+		}
+	}
+	if !engines["domore"] || !engines["speccross"] {
+		t.Fatalf("the two programs chose %v; want one of each engine", engines)
 	}
 }

@@ -384,13 +384,9 @@ func (s *Server) putPlan(p *program, rp *regionPlan, key plancache.Key, kind sig
 		rp.mu.Lock()
 		if pr := rp.prof[kind]; pr != nil {
 			plan.Profile = toCacheProfile(pr)
-			if _, profitable := pr.Recommended(workers); profitable {
-				plan.Engine = "speccross"
-			} else {
-				plan.Engine = "domore"
-			}
+			plan.Engine = core.Choose(*pr, workers)
 			if window <= 0 {
-				window = 32
+				window = adaptive.DefaultWindow
 			}
 			plan.Adaptive = &plancache.AdaptiveSeed{Start: plan.Engine, Window: window}
 		}

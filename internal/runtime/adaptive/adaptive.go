@@ -46,16 +46,6 @@ type Workload interface {
 	speccross.Workload
 }
 
-// WindowStarter is optionally implemented by workloads that maintain
-// derived state for the DOMORE view (for example a private array mirror
-// that address recomputation replays against). WindowStart(epoch) is
-// invoked at each window boundary, with every engine quiescent and all
-// epochs before epoch committed, so the workload can resynchronize that
-// state before the next window runs.
-type WindowStarter interface {
-	WindowStart(epoch int)
-}
-
 // Combine builds a unified Workload from separately implemented engine
 // views over the same region and shared state. The two views must agree
 // on structure (d.Invocations() == s.Epochs(), iteration counts equal).
@@ -88,7 +78,8 @@ type Config struct {
 	// Workers is the worker thread count handed to every engine (each
 	// engine adds its own scheduler/checker threads as usual).
 	Workers int
-	// Window is the number of epochs per monitoring window (default 32).
+	// Window is the number of epochs per monitoring window (default
+	// DefaultWindow).
 	Window int
 	// Policy picks the engine for each next window (default NewThreshold).
 	Policy Policy
@@ -129,12 +120,16 @@ type Config struct {
 	SeedSource string
 }
 
+// DefaultWindow is the monitoring window, in epochs, of a Config that sets
+// none.
+const DefaultWindow = 32
+
 func (c *Config) fill() {
 	if c.Workers <= 0 {
 		panic(fmt.Sprintf("adaptive: invalid worker count %d", c.Workers))
 	}
 	if c.Window <= 0 {
-		c.Window = 32
+		c.Window = DefaultWindow
 	}
 	if c.Policy == nil {
 		c.Policy = NewThreshold()
@@ -214,9 +209,6 @@ func runWindows(rt *engine.Runtime, w Workload, cfg Config, epochs int) Stats {
 		hi := lo + cfg.Window
 		if hi > epochs {
 			hi = epochs
-		}
-		if ws, ok := w.(WindowStarter); ok {
-			ws.WindowStart(lo)
 		}
 		win.lo, win.hi = lo, hi
 		sample := Sample{Engine: engine, StartEpoch: lo, EndEpoch: hi}

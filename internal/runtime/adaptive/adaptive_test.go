@@ -280,35 +280,6 @@ func TestViewMismatchPanics(t *testing.T) {
 	adaptive.Run(adaptive.Combine(k, mismatched{k}), adaptive.Config{Workers: 2})
 }
 
-// windowLog records WindowStart callbacks.
-type windowLog struct {
-	*epochal.Kernel
-	starts []int
-}
-
-func (wl *windowLog) WindowStart(epoch int) { wl.starts = append(wl.starts, epoch) }
-
-// TestWindowStarter checks the quiesced boundary callback fires once per
-// window, in order, before the window executes.
-func TestWindowStarter(t *testing.T) {
-	wl := &windowLog{Kernel: buildKernel(false)}
-	adaptive.Run(wl, adaptive.Config{
-		Workers: 2,
-		Window:  32,
-		Policy:  adaptive.Fixed(adaptive.EngineBarrier),
-		Start:   adaptive.EngineBarrier,
-	})
-	wantStarts := []int{0, 32, 64}
-	if len(wl.starts) != len(wantStarts) {
-		t.Fatalf("WindowStart called %d times, want %d", len(wl.starts), len(wantStarts))
-	}
-	for i, s := range wl.starts {
-		if s != wantStarts[i] {
-			t.Fatalf("WindowStart[%d] = %d, want %d", i, s, wantStarts[i])
-		}
-	}
-}
-
 // TestAdaptiveRecoversFromRealMisspeculation runs the close-conflict
 // variant under an unbounded speculative range: the final high phase's
 // distance-7 conflicts genuinely overlap, misspeculate, and roll back.

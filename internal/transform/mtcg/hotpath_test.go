@@ -33,9 +33,10 @@ func bindCG(t *testing.T) (*ir.Program, domore.Workload) {
 func TestSteadyStateAllocs(t *testing.T) {
 	_, w := bindCG(t)
 	w.Sequential(0)
+	buf := make([]uint64, 0, 16) // the engine's reused scratch
 	for name, f := range map[string]func(){
 		"Sequential":  func() { w.Sequential(1) },
-		"ComputeAddr": func() { w.ComputeAddr(0, 3, nil) },
+		"ComputeAddr": func() { buf = w.ComputeAddr(0, 3, buf[:0]) },
 		"Execute":     func() { w.Execute(0, 3, 1) },
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 {

@@ -140,7 +140,6 @@ type workload struct {
 	outerLo  int64
 	outerN   int64
 	invs     []invocation
-	addrBuf  []uint64
 
 	// Per inner loop, resolved once at Bind: the loop, its computeAddr
 	// slice and the variable slots of its live-ins.
@@ -291,54 +290,21 @@ func (w *workload) Iterations(inv int) int {
 	return int(rec.hi - rec.lo)
 }
 
-// ComputeAddr implements domore.Workload: it interprets the generated
-// slice on the scheduler's environment. Address computations hoisted out
-// of untaken branches may index out of bounds; those loads and addresses
-// are skipped — an overapproximation-tolerant scheduler never misses a real
-// address because every actually-executed access is in the slice. Addresses
-// come out in the slice's tracked order, so one iteration's shadow-memory
-// updates and forwarded sync conditions are the same on every run.
+// ComputeAddr implements domore.Workload: it evaluates the inner loop's
+// slice on the scheduler's environment (slice.ComputeAddr.Eval). A slice
+// fault fails the region, which stops the workers' bodies, and the
+// iteration still carries every address the slice computed.
 func (w *workload) ComputeAddr(inv, iter int, buf []uint64) []uint64 {
 	if w.failed() {
-		return nil
+		return buf
 	}
-	_ = buf // the interpreter-backed slice owns its own result registers
 	rec := w.invs[inv]
-	ca := w.slices[rec.innerIdx]
-	prog := w.par.Prog
-	regs := w.sched.Regs
 	w.sched.Vars[w.inners[rec.innerIdx].VarSlot] = rec.lo + int64(iter)
-	for _, in := range ca.Instrs {
-		// The only instruction of a store-free slice that can fault is a
-		// load; checking its index here keeps the skip off the error path.
-		if in.Op == ir.Load && uint64(regs[in.A]) >= uint64(prog.ArraySizes[in.Slot]) {
-			continue
-		}
-		if err := w.sched.Step(in); err != nil {
-			w.fail(err)
-			return nil
-		}
+	buf, err := w.slices[rec.innerIdx].Eval(w.sched, buf)
+	if err != nil {
+		w.fail(err)
 	}
-	w.addrBuf = w.addrBuf[:0]
-	for _, t := range ca.Addrs {
-		slot := prog.Instrs[t.Instr].Slot
-		idx := regs[t.Reg]
-		if uint64(idx) >= uint64(prog.ArraySizes[slot]) {
-			continue
-		}
-		addr := prog.ArrayBases[slot] + uint64(idx)
-		dup := false
-		for _, a := range w.addrBuf {
-			if a == addr {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			w.addrBuf = append(w.addrBuf, addr)
-		}
-	}
-	return w.addrBuf
+	return buf
 }
 
 // Execute implements domore.Workload: run one inner-loop iteration on the

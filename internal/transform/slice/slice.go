@@ -20,6 +20,7 @@ import (
 
 	"crossinv/internal/analysis/depend"
 	"crossinv/internal/ir"
+	"crossinv/internal/ir/interp"
 )
 
 // ErrSideEffect reports that slicing would duplicate a side-effecting
@@ -63,6 +64,49 @@ type Options struct {
 	// MaxWeight is the performance-guard threshold (default 0.9: the slice
 	// must be strictly lighter than the body it predicts).
 	MaxWeight float64
+}
+
+// Eval runs the slice on env, whose scalars must hold the invocation's
+// live-ins and the inner loop's induction value, and appends each distinct
+// tracked address to buf in tracked order, so an iteration's shadow-memory
+// updates and sync conditions are the same on every run. Out-of-bounds
+// loads and addresses, computed by instructions hoisted out of untaken
+// branches, are skipped; no real address is missed, because every access
+// the body executes is tracked. A failing instruction is skipped too: Eval
+// still appends every address and returns the first failure, so no caller
+// schedules an iteration with fewer addresses than the slice computed. Eval
+// writes only env's registers.
+func (ca *ComputeAddr) Eval(env *interp.Env, buf []uint64) ([]uint64, error) {
+	p := env.Prog
+	regs := env.Regs
+	var first error
+	for _, in := range ca.Instrs {
+		// The only instruction of a store-free slice that can fault is a
+		// load; checking its index here keeps the skip off the error path.
+		if in.Op == ir.Load && uint64(regs[in.A]) >= uint64(p.ArraySizes[in.Slot]) {
+			continue
+		}
+		if err := env.Step(in); err != nil && first == nil {
+			first = err
+		}
+	}
+	start := len(buf)
+next:
+	for _, t := range ca.Addrs {
+		slot := p.Instrs[t.Instr].Slot
+		idx := regs[t.Reg]
+		if uint64(idx) >= uint64(p.ArraySizes[slot]) {
+			continue
+		}
+		addr := p.ArrayBases[slot] + uint64(idx)
+		for _, a := range buf[start:] {
+			if a == addr {
+				continue next
+			}
+		}
+		buf = append(buf, addr)
+	}
+	return buf, first
 }
 
 // Generate builds the computeAddr slice for inner, tracking the memory

@@ -1,56 +1,48 @@
 package speccrossgen
 
 import (
-	"errors"
 	"fmt"
 
-	"crossinv/internal/analysis/verify"
 	"crossinv/internal/ir"
 	"crossinv/internal/ir/interp"
+	"crossinv/internal/transform/slice"
 )
 
-// This file gives a transformed Region a DOMORE face: the computeAddr slice
-// of §3.3 derived by replaying each task's body on a private environment and
-// recording the addresses it touches. Together with the Region's existing
+// This file gives a transformed Region a DOMORE face: each task's address
+// set comes from its inner loop's §3.3.4 computeAddr slice, the same
+// program mtcg's scheduler runs. Together with the Region's existing
 // speccross.Workload implementation, the resulting DomoreView satisfies
 // adaptive.Workload, so compiled LNL regions can run under the adaptive
 // hybrid runtime (crossinv -mode adaptive).
 
-// ErrAddrDependsOnParallel reports that some address (or the control flow
-// selecting which addresses are accessed) inside a parallel body depends on
-// array values the parallel loops themselves write. DOMORE's scheduler must
-// compute an iteration's address set before the iteration runs (§3.3.4
-// aborts the transformation in this case), so such regions have no DOMORE
-// view.
-var ErrAddrDependsOnParallel = errors.New(
-	"speccrossgen: task addresses depend on arrays written by parallel loops; no DOMORE view")
-
 // DomoreView adapts a Region to domore.Workload while keeping the embedded
 // Region's speccross.Workload methods, so it implements adaptive.Workload.
-// ComputeAddr replays the task body on a private environment over a
-// snapshot of the shared arrays, recording every load/store address; the
-// snapshot is refreshed at each adaptive window boundary via WindowStart
-// (a full-quiesce point, so the copy is race-free). NewDomoreView verifies
-// statically that addresses never depend on parallel-written array values,
-// which makes the replayed addresses exact regardless of snapshot age.
+// ComputeAddr evaluates the task's slice on one private scheduler
+// environment over live memory, with the epoch's scalar frame installed.
+// The slice never loads an array the parallel loops write (slice.Generate
+// rejects it with slice.ErrWorkerState), so it reads nothing a running task
+// changes and its addresses are exact whenever the scheduler asks.
 //
-// ComputeAddr shares one replay environment, so only one scheduler may call
+// ComputeAddr shares that one environment, so only one scheduler may call
 // it at a time.
 type DomoreView struct {
 	*Region
-	addrEnv *addrReplayEnv
+	env *interp.Env
+	// slices[i] is the computeAddr slice of Inners[i].
+	slices []*slice.ComputeAddr
 }
 
-// NewDomoreView validates and wraps a transformed region. It fails with
-// ErrAddrDependsOnParallel when the address computations (or branch/bound
-// decisions guarding them) inside the parallel bodies read arrays those
-// bodies write.
-func NewDomoreView(r *Region) (*DomoreView, error) {
-	if err := checkAddrIndependence(r); err != nil {
-		return nil, err
+// NewDomoreView wraps a transformed region with the slices of its inner
+// loops, as mtcg.Transform generated and core's plan verifier checked them.
+func NewDomoreView(r *Region, slices map[*ir.Loop]*slice.ComputeAddr) (*DomoreView, error) {
+	v := &DomoreView{Region: r, env: r.base.Fork()}
+	for _, inner := range r.Inners {
+		ca := slices[inner]
+		if ca == nil {
+			return nil, fmt.Errorf("speccrossgen: no computeAddr slice for loop %q at %s", inner.Var, inner.Pos)
+		}
+		v.slices = append(v.slices, ca)
 	}
-	v := &DomoreView{Region: r}
-	v.addrEnv = newAddrReplayEnv(r)
 	return v, nil
 }
 
@@ -71,133 +63,13 @@ func (v *DomoreView) Sequential(inv int) {}
 // signature — no access tracking).
 func (v *DomoreView) Execute(inv, iter, tid int) { v.Run(inv, iter, tid, nil) }
 
-// ComputeAddr implements domore.Workload by replaying the task body on the
-// private environment and collecting the distinct addresses it loads or
-// stores. It mutates only that private environment, so it is side-effect
-// free with respect to program state, as §3.3.4 requires.
+// ComputeAddr implements domore.Workload by evaluating the task's slice and
+// appending the distinct addresses it tracks to buf. Eval already skips
+// out-of-range loads, the one fault a store-free slice meets on a lowered
+// program; any other failure is an instruction the task body holds too, so
+// the view keeps the addresses and leaves raising it to Execute.
 func (v *DomoreView) ComputeAddr(inv, iter int, buf []uint64) []uint64 {
-	return v.addrEnv.replay(inv, iter, buf)
-}
-
-// WindowStart implements adaptive.WindowStarter: refresh the replay
-// environment's array copy from the live state. All engine workers are
-// quiescent at window boundaries, so the copy is race-free.
-func (v *DomoreView) WindowStart(epoch int) { v.addrEnv.refresh() }
-
-// addrReplayEnv replays task bodies on a private copy of the shared arrays
-// to enumerate the addresses a task will access.
-type addrReplayEnv struct {
-	r   *Region
-	env *interp.Env
-	col addrCollector
-}
-
-func newAddrReplayEnv(r *Region) *addrReplayEnv {
-	a := &addrReplayEnv{r: r, env: r.base.Fork()}
-	a.env.Mem = r.base.Snapshot()
-	a.env.Sink = &a.col
-	return a
-}
-
-// refresh re-copies the live arrays into the private replay copy. Callers
-// must hold a quiesce point (adaptive window boundaries qualify).
-func (a *addrReplayEnv) refresh() {
-	copy(a.env.Mem, a.r.base.Mem)
-}
-
-// replay executes the task body with the collector attached, appending each
-// distinct touched address to buf.
-func (a *addrReplayEnv) replay(inv, iter int, buf []uint64) []uint64 {
-	a.col = addrCollector{buf: buf, start: len(buf)}
-	inner := a.r.enter(a.env, inv, iter)
-	if err := a.env.Exec(inner.Body); err != nil {
-		// The replay copy can lag the live arrays by up to a window; the
-		// independence check guarantees the recorded addresses are still
-		// exact, and value-dependent faults surface in Execute instead.
-		_ = err
-	}
-	return a.col.buf
-}
-
-// addrCollector is the interp.Sink of the address replay: loads and stores
-// alike append their address to buf unless it already appears at or after
-// start (the addresses of the task being replayed).
-type addrCollector struct {
-	buf   []uint64
-	start int
-}
-
-func (c *addrCollector) Read(addr uint64)  { c.add(addr) }
-func (c *addrCollector) Write(addr uint64) { c.add(addr) }
-
-func (c *addrCollector) add(addr uint64) {
-	for _, b := range c.buf[c.start:] {
-		if b == addr {
-			return
-		}
-	}
-	c.buf = append(c.buf, addr)
-}
-
-// checkAddrIndependence taints every register holding a value loaded from a
-// parallel-written array and propagates the taint through registers and
-// scalar variables to a fixpoint (the shared verify.TaintFromArrays pass,
-// which the static plan verifier also uses for slice purity). If taint
-// reaches an address operand (Load/Store index), a branch condition, or a
-// nested loop bound inside a parallel body, the address set cannot be
-// precomputed by the scheduler.
-func checkAddrIndependence(r *Region) error {
-	parallelWrites := map[string]bool{}
-	var body []*ir.Instr
-	for _, inner := range r.Inners {
-		collectInstrs(inner.Body, &body)
-	}
-	for _, in := range body {
-		if in.Op == ir.Store {
-			parallelWrites[in.Array] = true
-		}
-	}
-	if len(parallelWrites) == 0 {
-		return nil
-	}
-
-	t := verify.TaintFromArrays(body, parallelWrites)
-	taintReg := t.Reg
-
-	// Address operands of every access.
-	for _, in := range body {
-		if (in.Op == ir.Load || in.Op == ir.Store) && taintReg[in.A] {
-			return fmt.Errorf("%w (index of %s %q at %s)", ErrAddrDependsOnParallel, in.Op, in.Array, in.Pos)
-		}
-	}
-	// Control flow selecting the accesses: If conditions and nested loop
-	// bounds inside the parallel bodies.
-	var ctrlErr error
-	var walk func(nodes []ir.Node)
-	walk = func(nodes []ir.Node) {
-		for _, n := range nodes {
-			if ctrlErr != nil {
-				return
-			}
-			switch n := n.(type) {
-			case *ir.Loop:
-				if taintReg[n.LoReg] || taintReg[n.HiReg] {
-					ctrlErr = fmt.Errorf("%w (bounds of loop %q at %s)", ErrAddrDependsOnParallel, n.Var, n.Pos)
-					return
-				}
-				walk(n.Body)
-			case *ir.If:
-				if taintReg[n.CondReg] {
-					ctrlErr = fmt.Errorf("%w (branch at %s)", ErrAddrDependsOnParallel, n.Pos)
-					return
-				}
-				walk(n.Then)
-				walk(n.Else)
-			}
-		}
-	}
-	for _, inner := range r.Inners {
-		walk(inner.Body)
-	}
-	return ctrlErr
+	v.enter(v.env, inv, iter)
+	buf, _ = v.slices[v.epochs[inv].innerIdx].Eval(v.env, buf)
+	return buf
 }

@@ -1,29 +1,43 @@
 package speccrossgen_test
 
 import (
-	"errors"
+	"reflect"
 	"testing"
 
+	"crossinv/internal/analysis/depend"
 	"crossinv/internal/ir"
 	"crossinv/internal/ir/interp"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
+	"crossinv/internal/transform/mtcg"
+	"crossinv/internal/transform/slice"
 	"crossinv/internal/transform/speccrossgen"
 )
+
+// view builds the DOMORE view of the region at outer over env, with the
+// slices mtcg.Transform generates for it.
+func view(t *testing.T, p *ir.Program, dep *depend.Result, outer *ir.Loop, env *interp.Env, workers int) *speccrossgen.DomoreView {
+	t.Helper()
+	par, err := mtcg.Transform(p, dep, outer, slice.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := speccrossgen.New(p, dep, outer, env, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := speccrossgen.NewDomoreView(r, par.Slices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
 
 func stencilView(t *testing.T, workers int) (*speccrossgen.DomoreView, *interp.Env) {
 	t.Helper()
 	p, dep := compile(t, stencilSrc)
 	env := interp.NewEnv(p)
-	r, err := speccrossgen.New(p, dep, p.Loops[0], env, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := speccrossgen.NewDomoreView(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v, env
+	return view(t, p, dep, p.Loops[0], env, workers), env
 }
 
 func TestDomoreViewShape(t *testing.T) {
@@ -36,44 +50,61 @@ func TestDomoreViewShape(t *testing.T) {
 	}
 }
 
-// TestDomoreViewComputeAddr: the replayed address set of L1's iteration i
-// (A[i] = B[i] + B[i+1]) is exactly {A[i], B[i], B[i+1]}.
+// TestDomoreViewComputeAddr: the slice's address set for L1's iteration i
+// (A[i] = B[i] + B[i+1]) is exactly {B[i], B[i+1], A[i]}, in body order.
 func TestDomoreViewComputeAddr(t *testing.T) {
 	v, _ := stencilView(t, 1)
 	p := v.Prog
 	got := v.ComputeAddr(0, 5, nil)
-	want := map[uint64]bool{
-		p.Addr("A", 5): true,
-		p.Addr("B", 5): true,
-		p.Addr("B", 6): true,
+	want := []uint64{p.Addr("B", 5), p.Addr("B", 6), p.Addr("A", 5)}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ComputeAddr = %v, want %v", got, want)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("ComputeAddr = %v, want 3 distinct addresses", got)
-	}
-	for _, a := range got {
-		if !want[a] {
-			t.Fatalf("unexpected address %d in %v", a, got)
-		}
-	}
-	// Appending to a caller-owned prefix must leave the prefix intact.
-	buf := []uint64{99}
+	// Appending to a caller-owned prefix must leave the prefix intact, and
+	// dedup only the iteration's own addresses.
+	buf := []uint64{p.Addr("A", 5)}
 	got = v.ComputeAddr(0, 5, buf)
-	if got[0] != 99 || len(got) != 4 {
+	if !reflect.DeepEqual(got, append([]uint64{p.Addr("A", 5)}, want...)) {
 		t.Fatalf("prefix not preserved: %v", got)
+	}
+	// Invocation 3 is L2 at t = 1, whose iteration 2 is j = 3: it touches
+	// A[2] and B[3].
+	if got, want := v.ComputeAddr(3, 2, nil), []uint64{p.Addr("A", 2), p.Addr("B", 3)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ComputeAddr(3, 2) = %v, want %v", got, want)
 	}
 }
 
 // TestDomoreViewReplayIsSideEffectFree: ComputeAddr must not mutate live
-// program state (§3.3.4's requirement on the computeAddr slice).
+// program state (§3.3.4's requirement on the computeAddr slice): neither
+// memory nor the live environment's scalars, nor the epochs' frames it
+// installs, which a second pass would then read back differently.
 func TestDomoreViewReplayIsSideEffectFree(t *testing.T) {
-	v, env := stencilView(t, 1)
-	for iter := 0; iter < v.Iterations(0); iter++ {
-		v.ComputeAddr(0, iter, nil)
+	p, dep := compile(t, stencilSrc)
+	env := interp.NewEnv(p)
+	for i := range env.Mem {
+		env.Mem[i] = int64(i%7 - 3)
 	}
-	for _, a := range env.Array("A") {
-		if a != 0 {
-			t.Fatal("ComputeAddr mutated the live environment")
+	for i := range env.Vars {
+		env.Vars[i] = int64(100 + i)
+	}
+	mem := append([]int64(nil), env.Mem...)
+	vars := append([]int64(nil), env.Vars...)
+	v := view(t, p, dep, p.Loops[0], env, 1)
+	pass := func() [][]uint64 {
+		var out [][]uint64
+		for inv := 0; inv < v.Invocations(); inv++ {
+			for iter := 0; iter < v.Iterations(inv); iter++ {
+				out = append(out, v.ComputeAddr(inv, iter, nil))
+			}
 		}
+		return out
+	}
+	first := pass()
+	if !reflect.DeepEqual(env.Mem, mem) || !reflect.DeepEqual(env.Vars, vars) {
+		t.Fatal("ComputeAddr mutated the live environment")
+	}
+	if second := pass(); !reflect.DeepEqual(first, second) {
+		t.Fatal("a second pass computed different addresses: an epoch frame changed")
 	}
 }
 
@@ -120,27 +151,6 @@ func TestDomoreViewSatisfiesAdaptive(t *testing.T) {
 	}
 }
 
-// TestDomoreViewRejectsValueDependentAddrs: when a parallel loop writes the
-// index array another access reads its address from, the scheduler cannot
-// precompute address sets and the view must be refused.
-func TestDomoreViewRejectsValueDependentAddrs(t *testing.T) {
-	p, dep := compile(t, `func f() {
-		var IDX[8], C[16]
-		for t = 0 .. 3 {
-			parfor i = 0 .. 8 { IDX[i] = IDX[i] + 1 }
-			parfor j = 0 .. 8 { C[IDX[j]] = C[IDX[j]] + j }
-		}
-	}`)
-	env := interp.NewEnv(p)
-	r, err := speccrossgen.New(p, dep, p.Loops[0], env, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := speccrossgen.NewDomoreView(r); !errors.Is(err, speccrossgen.ErrAddrDependsOnParallel) {
-		t.Fatalf("err = %v, want ErrAddrDependsOnParallel", err)
-	}
-}
-
 // TestDomoreViewAllowsReadOnlyIndexArrays: indirection through an index
 // array no parallel loop writes (the CG pattern) is fine.
 func TestDomoreViewAllowsReadOnlyIndexArrays(t *testing.T) {
@@ -173,14 +183,7 @@ func TestDomoreViewAllowsReadOnlyIndexArrays(t *testing.T) {
 	if err := env.Exec([]ir.Node{p.Loops[0]}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := speccrossgen.New(p, dep, outer, env, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := speccrossgen.NewDomoreView(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := view(t, p, dep, outer, env, 2)
 	if stats := domore.Run(v, domore.Options{Workers: 2}); stats.Dependences == 0 {
 		t.Fatal("IDX maps distinct j to shared C cells; dependences expected")
 	}

@@ -8,8 +8,8 @@ import (
 
 // TestTaskEntryAllocs: entering and running a task allocates nothing, with
 // a signature attached (speculative execution) and without (barrier and
-// DOMORE execution), and neither does the DOMORE view's address replay or
-// its window-boundary refresh. Per-task overhead is what decides whether
+// DOMORE execution), and neither does the DOMORE view's slice evaluation.
+// Per-task overhead is what decides whether
 // cross-invocation parallelism pays (§4.2.1), so it is gated at zero.
 func TestTaskEntryAllocs(t *testing.T) {
 	v, _ := stencilView(t, 2)
@@ -20,7 +20,6 @@ func TestTaskEntryAllocs(t *testing.T) {
 		"Run without signature": func() { v.Run(1, 3, 1, nil) },
 		"Execute":               func() { v.Execute(0, 3, 0) },
 		"ComputeAddr":           func() { buf = v.ComputeAddr(1, 3, buf[:0]) },
-		"WindowStart":           func() { v.WindowStart(0) },
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s allocates %.0f objects per call, want 0", name, n)

@@ -34,9 +34,15 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 	}
 }
 
+// domoreRunCap is the most iterations a DOMORE run record carries
+// (domore's runCap). At the harness's default four workers an epoch of more
+// than 4·domoreRunCap tasks gives every worker a block the scheduler must
+// cut into several records.
+const domoreRunCap = 32
+
 func TestGenerateCoversShapes(t *testing.T) {
 	kinds := map[string]bool{}
-	var deps, multi int
+	var deps, multi, long int
 	for seed := uint64(1); seed <= 64; seed++ {
 		s := Generate(seed)
 		kinds[s.SigKind] = true
@@ -46,6 +52,15 @@ func TestGenerateCoversShapes(t *testing.T) {
 		if s.TotalTasks() > int64(s.NumEpochs()) {
 			deps++
 		}
+		for _, ep := range s.Epochs {
+			if len(ep.Tasks) > 4*domoreRunCap {
+				long++
+				break
+			}
+		}
+	}
+	if long == 0 {
+		t.Error("64 seeds never produced an epoch whose per-worker block is longer than a DOMORE run record")
 	}
 	for _, k := range []string{"range", "bloom", "exact"} {
 		if !kinds[k] {

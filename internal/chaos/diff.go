@@ -181,6 +181,9 @@ func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Fai
 			Workers: opts.Workers, Policy: sched.NewRoundRobin(), Trace: rec,
 		}))
 		detail = domoreInvariants(st, spec, rec)
+		if detail == "" && st.Batches != st.Dispatches {
+			detail = fmt.Sprintf("round-robin domore sent %d run records for %d dispatches, want one each", st.Batches, st.Dispatches)
+		}
 		if detail == "" {
 			detail = sameAsFollow(st, spec, opts)
 		}
@@ -252,6 +255,9 @@ func domoreInvariants(st domore.Stats, spec *Spec, rec *trace.Recorder) string {
 	if st.Dispatches != st.Iterations {
 		// Round-robin is single-owner: exactly one dispatch per iteration.
 		return fmt.Sprintf("domore dispatches %d != iterations %d", st.Dispatches, st.Iterations)
+	}
+	if st.Batches > st.Dispatches || (st.Batches == 0) != (st.Dispatches == 0) {
+		return fmt.Sprintf("domore sent %d run records for %d dispatches", st.Batches, st.Dispatches)
 	}
 	if rec == nil {
 		return ""

@@ -17,6 +17,8 @@ const (
 	genMaxBlock     = 12
 	genMaxAddrs     = 6
 	genMaxWork      = 512
+	genWideEvery    = 8
+	genWideTasks    = 160
 	genShapeAffine  = 0
 	genShapeIndir   = 1
 	genShapeScatter = 2
@@ -35,11 +37,21 @@ const (
 // from the same epoch's writes; their manifest distance is controlled by
 // per-task write periods (a task that writes every k-th epoch leaves its
 // readers depending on values k epochs old).
+//
+// About one seed in genWideEvery makes a wide case: genWideTasks blocks and
+// epochs of at least genWideTasks-15 tasks, so at the default four workers
+// each worker's block of an invocation is longer than the 32 iterations a
+// DOMORE run record carries. The choice draws on a generator of its own, so
+// the other seeds' cases are what they were before wide cases existed.
 func Generate(seed uint64) *Spec {
 	rng := workloads.NewRng(seed)
+	wide := workloads.NewRng(^seed).Intn(genWideEvery) == 0
 
 	nEpochs := 2 + rng.Intn(genMaxEpochs-1)
 	nBlocks := 2 + rng.Intn(genMaxTasks-1)
+	if wide {
+		nBlocks = genWideTasks
+	}
 	block := 3 + rng.Intn(genMaxBlock-2)
 	shape := rng.Intn(3)
 	// density: expected cross-block reads per task, in eighths.
@@ -71,6 +83,9 @@ func Generate(seed uint64) *Spec {
 
 	for e := 0; e < nEpochs; e++ {
 		nTasks := 1 + rng.Intn(nBlocks)
+		if wide {
+			nTasks = nBlocks - rng.Intn(16)
+		}
 		ep := EpochSpec{Tasks: make([]TaskSpec, nTasks)}
 
 		// Writes first: each task's writes stay inside its own block.

@@ -70,11 +70,19 @@ const (
 	// breaks exactly the runs of the DOMORE engine proper; only a case with
 	// an iteration that depends on two workers at once can catch it.
 	MutElideCrossCond Mutation = "elide-cross-cond"
+	// MutRunPastCond models a DOMORE scheduler that coalesces too far: an
+	// iteration that needs a condition but continues the run its worker
+	// has open is folded into that run and its conditions are dropped, as
+	// if a run record carried the conditions of every iteration in it. The
+	// engine's seam for it is the workload's RunPastConds method; only a
+	// case whose iteration depends on another worker while its own worker
+	// still holds the run before it can catch it.
+	MutRunPastCond Mutation = "run-past-cond"
 )
 
 // Mutations lists the non-empty mutation kinds.
 func Mutations() []Mutation {
-	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleRuntime, MutReleaseKeepsVersion, MutElideCrossCond}
+	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleRuntime, MutReleaseKeepsVersion, MutElideCrossCond, MutRunPastCond}
 }
 
 // ParseMutation validates a -mutate flag value.
@@ -142,8 +150,9 @@ func MutationCatcher() *Spec {
 // Catcher returns the hand-built case the mutation's self-test runs on:
 // MutationCatcher for the mutations that lose a dependence; for
 // MutStaleRuntime and MutReleaseKeepsVersion a case with no cross-thread
-// dependence at all; and for MutElideCrossCond a case whose readers depend
-// on two workers.
+// dependence at all; for MutElideCrossCond a case whose readers depend on
+// two workers; and for MutRunPastCond one whose readers do so from inside
+// their worker's block.
 //
 // A stale checkpoint image only exists after a run whose last segment
 // committed, and MutationCatcher's segments all misspeculate; in the
@@ -157,6 +166,13 @@ func MutationCatcher() *Spec {
 // pair a slow writer of cell 3i with a fast writer of cell 3i+1, and the
 // next epoch's reader loads both: it follows the fast writer, so the slow
 // one is on another worker and reachable only through a condition.
+//
+// The run catcher's epochs have runCatcherTasks tasks, so at the default
+// four workers each worker's block is two tasks. A slow writer of cell 3i
+// runs first in worker 0's block and a fast writer of cell 3i+1 first in
+// worker 1's; in the next epoch the second task of worker 1's block loads
+// both. It stays behind the fast writer on worker 1, continuing the run of
+// the empty task before it, and needs a condition on worker 0.
 func (m Mutation) Catcher() *Spec {
 	switch m {
 	case MutStaleRuntime, MutReleaseKeepsVersion:
@@ -184,9 +200,24 @@ func (m Mutation) Catcher() *Spec {
 			)
 		}
 		return mustValid(s)
+	case MutRunPastCond:
+		s := &Spec{Name: "chaos-run-catcher", StateLen: 9, SigKind: "exact"}
+		for i := uint64(0); i < 3; i++ {
+			a := 3 * i
+			write, read := make([]TaskSpec, runCatcherTasks), make([]TaskSpec, runCatcherTasks)
+			write[0] = TaskSpec{Writes: []uint64{a}, Work: 200000}
+			write[2] = TaskSpec{Writes: []uint64{a + 1}}
+			read[3] = TaskSpec{Reads: []uint64{a, a + 1}, Writes: []uint64{a + 2}}
+			s.Epochs = append(s.Epochs, EpochSpec{Tasks: write}, EpochSpec{Tasks: read})
+		}
+		return mustValid(s)
 	}
 	return MutationCatcher()
 }
+
+// runCatcherTasks is the task count of the run catcher's epochs: two per
+// worker at the harness's default four.
+const runCatcherTasks = 8
 
 func mustValid(s *Spec) *Spec {
 	if err := s.Validate(); err != nil {
@@ -200,8 +231,9 @@ func mustValid(s *Spec) *Spec {
 // not the execution (RunSpec corrupts the claim before the gate) — and
 // MutStaleRuntime and MutReleaseKeepsVersion, which break the harness's own
 // use of a shared runtime and the pool's release of one (dirtyRun.reset,
-// dirtyRun.on). MutElideCrossCond's wrapper changes nothing but asks the
-// DOMORE engine to break itself (ElideCrossConds).
+// dirtyRun.on). The wrappers of MutElideCrossCond and MutRunPastCond change
+// nothing but ask the DOMORE engine to break itself (ElideCrossConds,
+// RunPastConds).
 func (m Mutation) Wrap(k *epochal.Kernel) adaptive.Workload {
 	if m == MutNone || m == MutWidenStatic || m == MutStaleRuntime || m == MutReleaseKeepsVersion {
 		return k
@@ -222,8 +254,11 @@ func (w *mutated) Epochs() int              { return w.k.Epochs() }
 func (w *mutated) Tasks(epoch int) int      { return w.k.Tasks(epoch) }
 func (w *mutated) Snapshot() any            { return w.k.Snapshot() }
 
-// ElideCrossConds is the DOMORE engine's mutation seam.
+// ElideCrossConds is the DOMORE engine's seam for MutElideCrossCond.
 func (w *mutated) ElideCrossConds() bool { return w.m == MutElideCrossCond }
+
+// RunPastConds is the DOMORE engine's seam for MutRunPastCond.
+func (w *mutated) RunPastConds() bool { return w.m == MutRunPastCond }
 
 // The delta view forwards to the kernel, so the incremental-checkpoint
 // path stays engaged under mutation — skip-delta-restore breaks exactly

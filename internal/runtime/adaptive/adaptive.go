@@ -362,6 +362,7 @@ func addDomore(dst *domore.Stats, s domore.Stats) {
 	dst.Dependences += s.Dependences
 	dst.Stalls += s.Stalls
 	dst.AddrChecks += s.AddrChecks
+	dst.Batches += s.Batches
 }
 
 func addSpec(dst *speccross.Stats, s speccross.Stats) {

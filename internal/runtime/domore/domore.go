@@ -13,10 +13,13 @@
 // with the pipelined plan of Fig 3.2(c).
 //
 // The scheduler also uses what shadow memory tells it to place the
-// iteration: by default an iteration goes to the worker its newest
+// iteration: by default each worker takes one contiguous block of every
+// invocation, and an iteration goes instead to the worker its newest
 // dependence ran on, whose own program order then discharges that
 // dependence (the produce-to-self case of §3.4), so a dependence chain stays
 // on one worker instead of becoming one cross-thread condition per link.
+// Consecutive iterations a worker takes with no condition between them
+// travel as one run record rather than one dispatch record each.
 package domore
 
 import (
@@ -64,9 +67,14 @@ type Options struct {
 	// assignment follow the dependence: an iteration goes to the worker of
 	// its newest prior accessor in shadow memory, unless that worker took
 	// the last three iterations (followCap) or there is no prior accessor,
-	// when it goes to iterNum mod Workers. The rule is a pure function of
-	// the shadow state and the iteration number. sched.NewRoundRobin() and
-	// sched.NewLocalWrite assign as their documentation says.
+	// when iteration it of an n-iteration invocation goes to worker
+	// ⌊it·Workers/n⌋, so each worker's share of an invocation is one
+	// contiguous block. The rule is a pure function of the shadow state and
+	// the iteration's place in its invocation. Under it, the consecutive
+	// iterations a worker takes with no condition between them are sent as
+	// one run record of at most runCap. sched.NewRoundRobin() and
+	// sched.NewLocalWrite assign as their documentation says, one record
+	// per iteration and worker.
 	Policy sched.Policy
 	// QueueCap is the per-worker condition-queue capacity (default 1024).
 	QueueCap int
@@ -88,6 +96,12 @@ type Options struct {
 // round-robin, so an independent stream still reaches every worker. Chosen
 // by measurement from {2, 3, 4} on the engine.dense programs.
 const followCap = 3
+
+// runCap is the most iterations one run record carries, so a worker that
+// takes a long block starts on it before the scheduler has placed all of
+// it. Chosen by measurement from {16, 32, unbounded} on the engine.dense
+// programs.
+const runCap = 32
 
 func (o *Options) fill() {
 	if o.Workers <= 0 {
@@ -127,27 +141,39 @@ type Stats struct {
 	Stalls int64
 	// AddrChecks counts shadow-memory lookups performed by the scheduler.
 	AddrChecks int64
-	// Batches and LaneWaits are always 0. They remain because the
-	// repository benchmark, which no change may edit, reads them.
-	Batches, LaneWaits int64
+	// Batches counts the run records sent to workers. Under the default
+	// assignment one record carries a worker's consecutive iterations of
+	// one invocation up to the next condition, so Batches is at most
+	// Dispatches; under an explicit policy it equals Dispatches.
+	Batches int64
+	// LaneWaits is always 0. It remains because the repository benchmark,
+	// which no change may edit, reads it.
+	LaneWaits int64
 }
 
 // message kinds carried on the scheduler→worker queues.
 const (
 	kindDep int32 = iota // wait until latestFinished[Tid] >= Iter
-	kindRun              // execute (Inv, Index); then publish Iter as finished
+	kindRun              // execute Count iterations from (Inv, Index), publishing each
 	kindEnd              // worker shutdown (the END_TOKEN of §3.3.2)
 )
 
 // cond is one queue message. For kindDep, Tid/Iter carry the dependence;
-// for kindRun, Iter is the combined iteration number and Inv/Index locate
-// the loop iteration to execute.
+// for kindRun, Inv/Index locate the first loop iteration to execute, Iter
+// is its combined iteration number, and Count is how many consecutive
+// iterations of invocation Inv the run holds.
 type cond struct {
 	Kind  int32
 	Tid   int32
 	Iter  int64
 	Inv   int32
 	Index int32
+	Count int32
+}
+
+// next reports whether iteration (inv, it) continues run r.
+func (r *cond) next(inv, it int) bool {
+	return int(r.Inv) == inv && int(r.Index+r.Count) == it
 }
 
 // Run executes the workload under DOMORE with a dedicated scheduler thread
@@ -180,10 +206,10 @@ func RunOn(rt *engine.Runtime, w Workload, opts Options) Stats {
 	return stats
 }
 
-// RunSharded is Run: Options.Lanes is ignored, and Stats.Batches and
-// LaneWaits read 0. It remains because the repository benchmark, which no
-// change may edit, calls it by name; the crossinvvet frozen-surface rule
-// rejects any other caller outside tests.
+// RunSharded is Run: Options.Lanes is ignored, Stats.Batches counts Run's
+// run records, and LaneWaits reads 0. It remains because the repository
+// benchmark, which no change may edit, calls it by name; the crossinvvet
+// frozen-surface rule rejects any other caller outside tests.
 func RunSharded(w Workload, opts Options) Stats { return Run(w, opts) }
 
 // paddedInt64 keeps each worker's latestFinished slot on its own cache line.
@@ -207,13 +233,15 @@ type state struct {
 	local          []workerLocal
 	shadow         *shadow.Sparse // the dependence-detection store, cleared per run
 	pending        [][]cond       // scheduler: per-target conditions of the current iteration
+	open           []cond         // scheduler: per-worker run not yet sent (Count 0: none)
 	buf            []uint64       // scheduler: ComputeAddr scratch
 
 	// The run in progress, written by the control goroutine before it posts
 	// the worker phases.
-	w     Workload
-	rec   *trace.Recorder
-	elide bool // w asked for the elide-cross-cond mutation (see crossCondElider)
+	w       Workload
+	rec     *trace.Recorder
+	elide   bool // w asked for the elide-cross-cond mutation (see crossCondElider)
+	runPast bool // w asked for the run-past-cond mutation (see runPastConder)
 }
 
 // crossCondElider is the seam of the chaos harness's elide-cross-cond
@@ -223,6 +251,14 @@ type state struct {
 // discharged every dependence of the iteration and not only that one. The
 // harness must catch the missed condition; nothing else implements this.
 type crossCondElider interface{ ElideCrossConds() bool }
+
+// runPastConder is the seam of the chaos harness's run-past-cond mutation.
+// A workload whose RunPastConds reports true gets a broken scheduler: an
+// iteration that needs a condition but continues its worker's open run is
+// folded into that run and its conditions are dropped, as if a run record
+// carried its iterations' conditions. The harness must catch the missed
+// condition; nothing else implements this.
+type runPastConder interface{ RunPastConds() bool }
 
 // workerLocal is one worker's private state. Its counters are plain: only
 // the worker writes them, and the control goroutine folds them into Stats
@@ -247,6 +283,7 @@ func stateOn(rt *engine.Runtime, opts *Options) *state {
 			local:          make([]workerLocal, nw),
 			shadow:         shadow.NewSparse(),
 			pending:        make([][]cond, nw),
+			open:           make([]cond, nw),
 		}
 		for tid := range st.local {
 			tid := tid
@@ -272,6 +309,8 @@ func (st *state) begin(w Workload, rec *trace.Recorder) {
 	st.w, st.rec = w, rec
 	e, ok := w.(crossCondElider)
 	st.elide = ok && e.ElideCrossConds()
+	r, ok := w.(runPastConder)
+	st.runPast = ok && r.RunPastConds()
 	for i := range st.latestFinished {
 		st.latestFinished[i].v.Store(-1)
 	}
@@ -294,18 +333,26 @@ func (st *state) fold(stats *Stats) {
 // schedule is Algorithm 1 plus the outer-loop sequential regions: for every
 // iteration it computes the address set, assigns workers, detects conflicts
 // in shadow memory, and forwards conditions followed by the dispatch record.
+// Under the default assignment a dispatch record is held open on its worker
+// and grows by each next iteration of the invocation that worker takes with
+// no condition; it is sent when it stops growing, when it reaches runCap,
+// when a condition naming one of its iterations is about to be sent, so no
+// worker ever waits on an iteration the scheduler holds, and when the
+// invocation ends, before the next Sequential, which may wait for the
+// workers.
 func (st *state) schedule(opts *Options, stats *Stats) {
-	w, queues, pending := st.w, st.queues, st.pending
+	w, queues, pending, open := st.w, st.queues, st.pending, st.open
 	nw := opts.Workers
 	shadowMem := st.shadow
 	shadowMem.Reset()
 	owner, multiOwner := opts.Policy.(*sched.LocalWrite)
+	coalesce := opts.Policy == nil
 	sch := opts.Trace.Lane(trace.LaneScheduler)
 
 	var one [1]int
-	f := follower{sm: shadowMem, nw: int32(nw), elide: st.elide}
+	f := follower{sm: shadowMem, nw: nw, elide: st.elide}
 	// Counted in locals, stored into stats once at the end.
-	var iterNum, dispatches, syncConds, dependences, addrChecks int64
+	var iterNum, dispatches, syncConds, dependences, addrChecks, batches int64
 	buf := st.buf
 	invocations := w.Invocations()
 	for inv := 0; inv < invocations; inv++ {
@@ -319,10 +366,10 @@ func (st *state) schedule(opts *Options, stats *Stats) {
 			sch.Emit(trace.KindAddrCheck, int64(len(addrs)), int64(inv), iterNum)
 			addrChecks += int64(len(addrs))
 			// Without a policy the iteration is stamped with its provisional
-			// round-robin assignee, and placed once its dependences are known.
+			// block assignee, and placed once its dependences are known.
 			var tids []int
-			if opts.Policy == nil {
-				one[0] = f.provisional()
+			if coalesce {
+				one[0] = f.provisional(it, iters)
 				tids = one[:]
 			} else {
 				tids = opts.Policy.Assign(iterNum, addrs, nw)
@@ -352,23 +399,45 @@ func (st *state) schedule(opts *Options, stats *Stats) {
 			if manifest {
 				dependences++
 			}
-			if opts.Policy == nil {
+			if coalesce {
 				one[0] = int(f.place(pending, addrs, iterNum, int32(one[0]), own))
 			}
 			for _, t := range tids {
-				for _, d := range pending[t] {
-					st.produce(queues[t], d, int64(t), sch)
-					syncConds++
-					sch.Emit(trace.KindSyncCond, int64(t), int64(d.Tid), d.Iter)
+				conds, run := pending[t], &open[t]
+				if run.Count > 0 && (!run.next(inv, it) || len(conds) > 0 && !st.runPast) {
+					st.send(t, sch)
+					batches++
 				}
-				st.produce(queues[t], cond{Kind: kindRun, Iter: iterNum, Inv: int32(inv), Index: int32(it)}, int64(t), sch)
+				if run.Count > 0 {
+					// The iteration continues the open run; under the
+					// run-past-cond mutation its conditions are dropped.
+					run.Count++
+				} else {
+					for _, d := range conds {
+						if r := &open[d.Tid]; r.Count > 0 && d.Iter >= r.Iter {
+							st.send(int(d.Tid), sch)
+							batches++
+						}
+						st.produce(queues[t], d, int64(t), sch)
+						syncConds++
+						sch.Emit(trace.KindSyncCond, int64(t), int64(d.Tid), d.Iter)
+					}
+					*run = cond{Kind: kindRun, Iter: iterNum, Inv: int32(inv), Index: int32(it), Count: 1}
+				}
 				dispatches++
 				sch.Emit(trace.KindDispatch, int64(t), iterNum, 0)
-				if sch.Enabled() {
-					sch.Emit(trace.KindQueueDepth, int64(queues[t].Len()), int64(t), 0)
+				if !coalesce || run.Count == runCap {
+					st.send(t, sch)
+					batches++
 				}
 			}
 			iterNum++
+		}
+		for t := range open {
+			if open[t].Count > 0 {
+				st.send(t, sch)
+				batches++
+			}
 		}
 		sch.Emit(trace.KindEpochCommit, 1, int64(inv), int64(inv+1))
 	}
@@ -377,28 +446,34 @@ func (st *state) schedule(opts *Options, stats *Stats) {
 		st.produce(q, cond{Kind: kindEnd}, int64(t), sch)
 	}
 	stats.Iterations, stats.Dispatches, stats.SyncConditions = iterNum, dispatches, syncConds
-	stats.Dependences, stats.AddrChecks = dependences, addrChecks
+	stats.Dependences, stats.AddrChecks, stats.Batches = dependences, addrChecks, batches
+}
+
+// send forwards worker t's open run and closes it.
+func (st *state) send(t int, sch *trace.ThreadTrace) {
+	q := st.queues[t]
+	st.produce(q, st.open[t], int64(t), sch)
+	st.open[t].Count = 0
+	if sch.Enabled() {
+		sch.Emit(trace.KindQueueDepth, int64(q.Len()), int64(t), 0)
+	}
 }
 
 // follower is the default assignment (Options.Policy nil) over one run. It
 // lives on the scheduler's stack.
 type follower struct {
 	sm    *shadow.Sparse
-	nw    int32
-	rr    int32 // the next iteration's provisional assignee, iterNum mod nw
+	nw    int
 	last  int32 // the worker the last iteration went to
 	n     int   // how many consecutive iterations it took
 	elide bool  // the elide-cross-cond mutation (see crossCondElider)
 }
 
-// provisional returns the next iteration's provisional assignee.
-func (f *follower) provisional() int {
-	t := f.rr
-	f.rr++
-	if f.rr == f.nw {
-		f.rr = 0
-	}
-	return int(t)
+// provisional returns the provisional assignee of iteration it of an
+// iters-iteration invocation: worker ⌊it·nw/iters⌋, so each worker's share
+// is one contiguous block, split the same way every invocation.
+func (f *follower) provisional(it, iters int) int {
+	return int(int64(it) * int64(f.nw) / int64(iters))
 }
 
 // place decides where iteration iterNum goes once its addresses have been
@@ -502,7 +577,8 @@ func addDep(deps []cond, tid int32, iter int64) []cond {
 }
 
 // worker is Algorithm 2: consume conditions, stall on unsatisfied
-// dependences, execute dispatched iterations, and publish completion.
+// dependences, execute dispatched runs, and publish each iteration's
+// completion.
 func (st *state) worker(tid int) {
 	q, tt := st.queues[tid], st.rec.Lane(int32(tid))
 	for {
@@ -533,10 +609,16 @@ func (st *state) step(c cond, tid int, tt *trace.ThreadTrace) bool {
 			tt.Emit(trace.KindStallEnd, int64(c.Tid), c.Iter, 0)
 		}
 	case kindRun:
-		tt.Emit(trace.KindIterStart, int64(c.Inv), int64(c.Index), c.Iter)
-		st.w.Execute(int(c.Inv), int(c.Index), tid)
-		st.latestFinished[tid].v.Store(c.Iter)
-		tt.Emit(trace.KindIterEnd, int64(c.Inv), int64(c.Index), c.Iter)
+		// Every iteration is published as it finishes: a condition may
+		// name any of them.
+		done := &st.latestFinished[tid].v
+		for k := int32(0); k < c.Count; k++ {
+			idx, iter := c.Index+k, c.Iter+int64(k)
+			tt.Emit(trace.KindIterStart, int64(c.Inv), int64(idx), iter)
+			st.w.Execute(int(c.Inv), int(idx), tid)
+			done.Store(iter)
+			tt.Emit(trace.KindIterEnd, int64(c.Inv), int64(idx), iter)
+		}
 	}
 	return true
 }

@@ -238,22 +238,30 @@ func TestDuplicatedSchedulerMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFollowKeepsChainsOnOneWorker: in a chain of iterations, each touching
-// the cell the one before it touched, an iteration stays on its
-// predecessor's worker — the dependence discharged by that worker's program
-// order, no condition forwarded — until that worker has taken followCap in a
-// row; then it goes round-robin, and only that hand-over costs a condition.
-// Iterations without a dependence go round-robin.
+// TestFollowKeepsChainsOnOneWorker: an iteration goes to the worker its
+// newest dependence ran on — the dependence discharged by that worker's
+// program order, no condition forwarded — unless that worker took the last
+// followCap iterations; then, and without a dependence, iteration it of an
+// n-iteration invocation goes to its block, worker ⌊it·W/n⌋, and only a
+// dependence left on another worker costs a condition. The first two
+// invocations touch one cell per iteration, split the same way, so each
+// worker's block depends on its own block only; the third is a chain over
+// one cell, which follows and hands over as the rule says. Blocks of two,
+// shorter than followCap, leave the chain room to follow.
 func TestFollowKeepsChainsOnOneWorker(t *testing.T) {
-	const nw, n = 3, 20
-	w := &irregular{data: make([]int64, 2*n)}
-	chain, indep := make([][]uint64, n), make([][]uint64, n)
-	for i := range chain {
-		chain[i] = []uint64{0}
-		indep[i] = []uint64{uint64(n + i)}
+	const nw, n = 3, 6
+	w := &irregular{data: make([]int64, n)}
+	for inv := 0; inv < 3; inv++ {
+		iters := make([][]uint64, n)
+		for i := range iters {
+			iters[i] = []uint64{uint64(i)}
+			if inv == 2 {
+				iters[i] = []uint64{n - 1}
+			}
+		}
+		w.idx = append(w.idx, iters)
 	}
-	w.idx = [][][]uint64{chain, indep}
-	for range 2 * n {
+	for range 3 * n {
 		w.seqs = append(w.seqs, int64(len(w.seqs)+1))
 	}
 	want := w.sequentialRun()
@@ -267,26 +275,43 @@ func TestFollowKeepsChainsOnOneWorker(t *testing.T) {
 		}
 	}
 	checkIrregular(t, "follow", w, want)
-	moves, run := 0, 1
-	for i := 1; i < n; i++ {
-		if workers[i] == workers[i-1] {
-			run++
-			continue
+
+	// The rule, replayed over the cells' last accessors.
+	type access struct{ tid, iter int64 }
+	last := map[uint64]access{}
+	var prev, run int64 = -1, 0
+	wantConds, moved := 0, 0
+	for inv, iters := range w.idx {
+		for it, cells := range iters {
+			iterNum := int64(inv*n + it)
+			to := int64(it * nw / n)
+			if dep, ok := last[cells[0]]; ok && dep.tid != to {
+				if dep.tid != prev || run < followCap {
+					to = dep.tid
+					moved++
+				} else {
+					wantConds++
+				}
+			}
+			if to == prev {
+				run++
+			} else {
+				prev, run = to, 1
+			}
+			last[cells[0]] = access{to, iterNum}
+			if got := workers[iterNum]; got != to {
+				t.Errorf("invocation %d iteration %d on worker %d, want %d", inv, it, got, to)
+			}
 		}
-		moves++
-		if run < followCap || workers[i] != int64(i%nw) {
-			t.Errorf("chain iteration %d left worker %d for %d after a run of %d; want a round-robin hand-over after %d",
-				i, workers[i-1], workers[i], run, followCap)
-		}
-		run = 1
 	}
-	if moves == 0 || conds != moves {
-		t.Errorf("%d conditions for %d hand-overs along the chain; want one each, and some", conds, moves)
-	}
-	for i, got := range workers[n:] {
-		if want := int64((n + i) % nw); got != want {
-			t.Errorf("independent iteration %d on worker %d, want %d", n+i, got, want)
+	for i, got := range workers[:2*n] {
+		if want := int64(i % n * nw / n); got != want {
+			t.Errorf("independent iteration %d on worker %d, want its block's %d", i, got, want)
 		}
+	}
+	if conds != wantConds || conds == 0 || moved == 0 {
+		t.Errorf("%d conditions, want the %d hand-overs along the chain, and some; %d iterations followed off their block, want some",
+			conds, wantConds, moved)
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 )
 
 // The tests in this file pin RunSharded, which the repository benchmark
-// calls by name, as what it is: Run. Options.Lanes changes nothing, and
-// Stats.Batches and LaneWaits read 0. Their names are those of the sharded
-// scheduler's tests, whose configurations they still run.
+// calls by name, as what it is: Run. Options.Lanes changes nothing,
+// Stats.Batches counts Run's run records, and LaneWaits reads 0. Their
+// names are those of the sharded scheduler's tests, whose configurations
+// they still run.
 
 // dataOf returns the cells a test workload writes.
 func dataOf(w Workload) []int64 {
@@ -51,8 +52,8 @@ func sameAsRun(t *testing.T, mk func() Workload, opts func() Options, concurrent
 	if got != want {
 		t.Errorf("RunSharded stats %+v, Run %+v", got, want)
 	}
-	if got.Batches != 0 || got.LaneWaits != 0 {
-		t.Errorf("Batches = %d, LaneWaits = %d; both read 0", got.Batches, got.LaneWaits)
+	if got.Batches != want.Batches || got.LaneWaits != 0 {
+		t.Errorf("Batches = %d, LaneWaits = %d; want Run's %d and 0", got.Batches, got.LaneWaits, want.Batches)
 	}
 	return got
 }
@@ -63,14 +64,15 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 	want := w.sequentialRun()
 	stats := RunSharded(w, Options{Workers: 4, Lanes: 4})
 	checkIrregular(t, "RunSharded", w, want)
+	ref := Run(newIrregular(rand.New(rand.NewSource(42)), 20, 50, 64, 2), Options{Workers: 4})
 	if stats.Iterations != 20*50 {
 		t.Fatalf("Iterations = %d, want %d", stats.Iterations, 20*50)
 	}
 	if stats.Dependences == 0 {
 		t.Fatal("expected dependences on a 64-cell space with 1000 iterations")
 	}
-	if stats.Batches != 0 || stats.LaneWaits != 0 {
-		t.Fatalf("Batches = %d, LaneWaits = %d; both read 0", stats.Batches, stats.LaneWaits)
+	if stats.Batches != ref.Batches || stats.LaneWaits != 0 {
+		t.Fatalf("Batches = %d, LaneWaits = %d; want Run's %d and 0", stats.Batches, stats.LaneWaits, ref.Batches)
 	}
 }
 

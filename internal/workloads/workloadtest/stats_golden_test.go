@@ -30,6 +30,14 @@ import (
 // the domore rows. Iterations, Dispatches, AddrChecks and every adaptive
 // Windows, Switches and Spec field stayed as they were; the
 // domore-round-robin rows, added then, carry the old domore rows' values.
+//
+// It was rewritten a second time when the default assignment gave each
+// worker a contiguous block of every invocation and began sending a
+// worker's consecutive iterations as one run record. Only SyncConditions
+// moved, on the domore, domore-sharded and adaptive-domore rows of CG,
+// ECLAT and PHASED, and Batches, which now counts run records on every
+// domore row. Iterations, Dispatches, AddrChecks and every adaptive and
+// Spec field stayed as they were.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/stats_golden.json")
 
 const goldenPath = "testdata/stats_golden.json"

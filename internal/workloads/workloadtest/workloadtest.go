@@ -113,6 +113,9 @@ func EnginesMatchSequential(t *testing.T, name string) {
 			assertEq(t, "sync conditions", sum.Counts[trace.KindSyncCond], stats.SyncConditions)
 			assertEq(t, "stalls", sum.Counts[trace.KindStallBegin], stats.Stalls)
 			assertEq(t, "addr checks", sum.Sums[trace.KindAddrCheck], stats.AddrChecks)
+			if stats.Batches <= 0 || stats.Batches > stats.Dispatches {
+				t.Errorf("%d run records for %d dispatches; want some, and at most one each", stats.Batches, stats.Dispatches)
+			}
 		})
 	}
 	if e.DomoreOK {
@@ -138,6 +141,7 @@ func EnginesMatchSequential(t *testing.T, name string) {
 			assertEq(t, "dispatches vs default", stats.Dispatches, want.Dispatches)
 			assertEq(t, "dependences vs default", stats.Dependences, want.Dependences)
 			assertEq(t, "addr checks vs default", stats.AddrChecks, want.AddrChecks)
+			assertEq(t, "run records", stats.Batches, stats.Dispatches)
 			sum := rec.Summary()
 			assertEq(t, "iterations", sum.Counts[trace.KindSchedule], stats.Iterations)
 			assertEq(t, "dispatches", sum.Counts[trace.KindDispatch], stats.Dispatches)

@@ -62,14 +62,10 @@ import (
 	"crossinv/internal/core"
 	"crossinv/internal/daemon"
 	"crossinv/internal/ir"
-	"crossinv/internal/ir/interp"
 	"crossinv/internal/obs"
 	"crossinv/internal/runtime/adaptive"
-	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/runtime/trace"
-	"crossinv/internal/sim"
-	"crossinv/internal/transform/speccrossgen"
 )
 
 var (
@@ -83,7 +79,6 @@ var (
 	dump    = flag.Bool("dump", false, "print the lowered IR and exit")
 	profile = flag.Bool("profile", false, "profile before speculating")
 	window  = flag.Int("window", 0, "adaptive monitoring window in epochs (0: runtime default)")
-	sweep   = flag.Bool("sweep", false, "print a 2..24-thread virtual-time scalability sweep and exit")
 
 	traceFile = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
 	metrics   = flag.Bool("metrics", false, "print the metrics registry and per-thread timeline after the run")
@@ -108,8 +103,8 @@ func main() {
 		fatal(err)
 	}
 	if *remote != "" {
-		if *report || *analyze || *lint || *dump || *sweep || *serve != "" || *traceFile != "" || *metrics {
-			fatal(fmt.Errorf("-remote sends the program to a daemon; it cannot combine with local-analysis flags (-report/-analyze/-lint/-dump/-sweep/-serve/-trace/-metrics)"))
+		if *report || *analyze || *lint || *dump || *serve != "" || *traceFile != "" || *metrics {
+			fatal(fmt.Errorf("-remote sends the program to a daemon; it cannot combine with local-analysis flags (-report/-analyze/-lint/-dump/-serve/-trace/-metrics)"))
 		}
 		if *misspec > 0 && *mode != "speccross" && *mode != "adaptive" {
 			fatal(fmt.Errorf("-misspec applies only to -mode speccross or adaptive, not %s", *mode))
@@ -169,14 +164,6 @@ func main() {
 			fatal(err)
 		}
 		plan.Facts = c.Facts()[idx]
-	}
-
-	if *sweep {
-		if target == nil {
-			fatal(fmt.Errorf("no candidate region to sweep"))
-		}
-		runSweep(c, target)
-		return
 	}
 
 	observing := *traceFile != "" || *metrics || *serve != ""
@@ -393,41 +380,6 @@ func reportOutput(c *core.Compiled) string {
 		s += c.Report(r)
 	}
 	return s
-}
-
-// runSweep compiles the region into an instruction-counted virtual-time
-// trace and prints the scalability series the paper's figures plot: the
-// barrier baseline, DOMORE's pipeline, and SPECCROSS with the profiled
-// speculative range.
-func runSweep(c *core.Compiled, target *ir.Loop) {
-	fresh := interp.NewEnv(c.Prog)
-	r, err := speccrossgen.New(c.Prog, c.Dep, target, fresh, 1)
-	if err != nil {
-		fatal(err)
-	}
-	tr := r.Trace(0)
-	pr := r.Profile(signature.Exact)
-	dist, _ := pr.Recommended(24)
-	seq := tr.SeqTime()
-	m := sim.DefaultModel()
-	fmt.Printf("virtual-time sweep (%d epochs, %d tasks, min dependence distance %s)\n",
-		len(tr.Epochs), tr.Tasks(), distText(pr))
-	fmt.Printf("%8s %12s %12s %12s\n", "threads", "barrier", "domore", "speccross")
-	for th := 2; th <= 24; th += 2 {
-		bar := sim.SimBarrier(tr, th, m)
-		dom := sim.SimDomore(tr, th-1, m)
-		spec := sim.SimSpecCross(tr, sim.SpecConfig{
-			Workers: th - 1, CheckpointEvery: len(tr.Epochs), SpecDistance: dist,
-		}, m)
-		fmt.Printf("%8d %11.2fx %11.2fx %11.2fx\n", th, bar.Speedup(seq), dom.Speedup(seq), spec.Speedup(seq))
-	}
-}
-
-func distText(pr speccross.ProfileResult) string {
-	if pr.MinDistance == speccross.NoConflict {
-		return "* (none)"
-	}
-	return fmt.Sprintf("%d", pr.MinDistance)
 }
 
 func fatal(err error) {

@@ -1,6 +1,6 @@
-// Stencil: compare barrier-synchronized DOALL against SPECCROSS on a
-// Jacobi-style sweep — the workload class Fig 5.2(e) evaluates — and show
-// the virtual-time scalability sweep a 24-core machine would exhibit.
+// Stencil: profile a Jacobi-style sweep — the workload class Fig 5.2(e)
+// evaluates — for its minimum dependence distance, then run it under
+// SPECCROSS with that distance and check the result against sequential.
 //
 // Run with: go run ./examples/stencil
 package main
@@ -11,7 +11,6 @@ import (
 
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
-	"crossinv/internal/sim"
 	"crossinv/internal/workloads/jacobi"
 )
 
@@ -40,17 +39,4 @@ func main() {
 	fmt.Printf("speculative execution: %d tasks, %d epochs, %d misspeculations — matches sequential ✔\n",
 		stats.Tasks, stats.Epochs, stats.Misspeculations)
 
-	// Virtual-time scalability: what the paper's 24-core testbed shows
-	// (Fig 5.2(e)): the barrier version flattens, SPECCROSS keeps scaling.
-	tr := jacobi.New(1).Trace()
-	seq := tr.SeqTime()
-	m := sim.DefaultModel()
-	fmt.Printf("\n%8s %12s %12s\n", "threads", "barrier", "speccross")
-	for threads := 2; threads <= 24; threads += 2 {
-		bar := sim.SimBarrier(tr, threads, m)
-		spec := sim.SimSpecCross(tr, sim.SpecConfig{
-			Workers: threads - 1, CheckpointEvery: 1000, SpecDistance: prof.MinDistance,
-		}, m)
-		fmt.Printf("%8d %11.2fx %11.2fx\n", threads, bar.Speedup(seq), spec.Speedup(seq))
-	}
 }

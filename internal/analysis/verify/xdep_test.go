@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"crossinv/internal/analysis/xdep"
 	"crossinv/internal/analysis/verify"
+	"crossinv/internal/analysis/xdep"
 	"crossinv/internal/diag"
 	"crossinv/internal/transform/speccrossgen"
 )

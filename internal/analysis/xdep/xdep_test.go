@@ -261,10 +261,10 @@ func TestClassifySets(t *testing.T) {
 	fwd := xdep.ClassifySets([]xdep.EpochAccess{
 		{Writes: []uint64{7}},
 		{},
-		{Reads: []uint64{7}},          // RAW distance 2
-		{Writes: []uint64{7}},         // WAW 3, WAR 1
-		{Reads: []uint64{9}},          // no conflict
-		{Writes: []uint64{9}},         // WAR distance 1
+		{Reads: []uint64{7}},  // RAW distance 2
+		{Writes: []uint64{7}}, // WAW 3, WAR 1
+		{Reads: []uint64{9}},  // no conflict
+		{Writes: []uint64{9}}, // WAR distance 1
 	})
 	if fwd.Class != xdep.ForwardOnly {
 		t.Fatalf("class = %v, want forward-only", fwd.Class)

@@ -139,7 +139,6 @@ func (s *Spec) Kernel() *epochal.Kernel {
 		BenchName: s.Name,
 		State:     make([]int64, s.StateLen),
 		NumEpochs: len(s.Epochs),
-		SeqCost:   1,
 	}
 	// Declared access addresses are state-cell indices, so the delta view
 	// is element-granular: the incremental-checkpoint path runs in chaos
@@ -149,10 +148,6 @@ func (s *Spec) Kernel() *epochal.Kernel {
 	k.Access = func(e, t int, reads, writes []uint64) ([]uint64, []uint64) {
 		ts := &s.Epochs[e].Tasks[t]
 		return append(reads, ts.Reads...), append(writes, ts.Writes...)
-	}
-	k.TaskCost = func(e, t int) int64 {
-		ts := &s.Epochs[e].Tasks[t]
-		return int64(1 + len(ts.Reads) + len(ts.Writes))
 	}
 	k.Update = func(e, t int) {
 		ts := &s.Epochs[e].Tasks[t]

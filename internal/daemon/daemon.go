@@ -247,9 +247,10 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Serve(ln net.Listener) error {
 	srv := &http.Server{Handler: s.Handler()}
 	go func() {
-		<-s.done
-		// Drain: stop accepting but let every active connection finish its
-		// response — an accepted invocation is never dropped mid-flight.
+		// Release the listener last, once Shutdown's drain is complete:
+		// until then a late request must still reach handleRun and get
+		// its 503, not a refused or reset connection.
+		<-s.drained
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		_ = srv.Shutdown(ctx)

@@ -3,6 +3,8 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -402,6 +404,81 @@ func TestGracefulDrain(t *testing.T) {
 	// The drain flushed cache stats to disk.
 	if _, err := os.Stat(filepath.Join(s.Store().Dir(), "stats.json")); err != nil {
 		t.Errorf("drain did not flush cache stats: %v", err)
+	}
+}
+
+// TestDrainKeepsListenerUntilDrained: Serve releases the listener only
+// when the drain is complete, so a request that arrives while an admitted
+// invocation still runs — on a new connection or an idle keep-alive one —
+// is answered 503, not refused or reset.
+func TestDrainKeepsListenerUntilDrained(t *testing.T) {
+	s := newServer(t, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+	url := "http://" + ln.Addr().String()
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	do := func(method, path string, req *RunRequest) (int, error) {
+		raw, _ := json.Marshal(req)
+		hr, err := http.NewRequest(method, url+path, bytes.NewReader(raw))
+		if err != nil {
+			return 0, err
+		}
+		resp, err := client.Do(hr)
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, nil
+	}
+
+	// Park the leader inside execute: it needs the program's lock.
+	src := flightProg(8)
+	p := s.program(core.SourceHash(src))
+	p.mu.Lock()
+	unlock := sync.OnceFunc(p.mu.Unlock)
+	defer unlock()
+	leader := make(chan int, 1)
+	go func() {
+		status, err := do(http.MethodPost, "/run", &RunRequest{Source: src, Mode: "domore", Workers: 2})
+		if err != nil {
+			t.Errorf("leader: %v", err)
+		}
+		leader <- status
+	}()
+	waitFor(t, "the leader to be admitted", func() bool { return s.Counters()["daemon.admitted"] == 1 })
+	// Leave an idle keep-alive connection in the client's pool.
+	if status, err := do(http.MethodGet, "/healthz", nil); err != nil || status != 200 {
+		t.Fatalf("healthz before drain: %d, %v", status, err)
+	}
+
+	drained := make(chan error, 1)
+	go func() { drained <- s.Shutdown() }()
+	waitFor(t, "the drain to begin", s.Draining)
+	for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); {
+		status, err := do(http.MethodPost, "/run", &RunRequest{Source: flightProg(9), Mode: "seq"})
+		if err != nil {
+			t.Fatalf("POST /run during drain: %v, want 503", err)
+		}
+		if status != http.StatusServiceUnavailable {
+			t.Fatalf("POST /run during drain = %d, want 503", status)
+		}
+	}
+
+	unlock()
+	if status := <-leader; status != 200 {
+		t.Errorf("leader = %d, want 200", status)
+	}
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 }
 

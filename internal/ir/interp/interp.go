@@ -38,8 +38,9 @@ type Env struct {
 	// Sink, when non-nil, sees every load and store. Assign nil, not a nil
 	// pointer wrapped in the interface, to turn observation off.
 	Sink Sink
-	// Steps counts executed instructions; the virtual-time trace exporter
-	// uses it as the per-task cost measure.
+	// Steps counts executed instructions. The differential fuzz test
+	// compares it with the reference interpreter's count, and the
+	// interpreter benchmark reports time per instruction from it.
 	Steps int64
 }
 

@@ -29,8 +29,7 @@ type refEnv struct {
 	Vars   map[string]int64
 	Regs   []int64
 	Hooks  refHooks
-	// Steps counts executed instructions; the virtual-time trace exporter
-	// uses it as the per-task cost measure.
+	// Steps counts executed instructions, for comparison with Env.Steps.
 	Steps int64
 }
 

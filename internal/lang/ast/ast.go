@@ -157,4 +157,4 @@ func (b *Bin) Pos() token.Pos {
 	}
 	return b.L.Pos()
 }
-func (b *Bin) expr()          {}
+func (b *Bin) expr() {}

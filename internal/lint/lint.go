@@ -78,8 +78,7 @@ var auditedStatsFields = map[string]bool{
 
 // enginePackages scopes the stats-atomic rule: only inside the engines do
 // worker goroutines count into Stats fields. Post-join aggregation
-// elsewhere (adaptive's window merge, the simulator) is legitimately
-// plain.
+// elsewhere (adaptive's window merge) is legitimately plain.
 var enginePackages = map[string]bool{
 	"domore":    true,
 	"speccross": true,

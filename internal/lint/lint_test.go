@@ -105,9 +105,9 @@ func (st *state) worker(stats *Stats) { stats.PrefilterHits++ }
 }
 
 func TestStatsAtomicScopedToEnginePackages(t *testing.T) {
-	// Post-join aggregation outside the engines (adaptive's window merge,
-	// the simulator) legitimately uses plain arithmetic — same source,
-	// different package name, zero findings.
+	// Post-join aggregation outside the engines (adaptive's window merge)
+	// legitimately uses plain arithmetic — same source, different package
+	// name, zero findings.
 	src := `package adaptive
 
 type Stats struct{ Stalls int64 }

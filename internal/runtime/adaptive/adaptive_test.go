@@ -74,7 +74,6 @@ func buildKernel(closeHigh bool) *epochal.Kernel {
 		BenchName: "adaptive-test",
 		State:     make([]int64, space),
 		NumEpochs: testEpochs,
-		SeqCost:   10,
 	}
 	k.TasksOf = func(epoch int) int { return tpe }
 	k.Access = func(epoch, task int, reads, writes []uint64) ([]uint64, []uint64) {
@@ -86,7 +85,6 @@ func buildKernel(closeHigh bool) *epochal.Kernel {
 		a := addr[g]
 		k.State[a] = k.State[a]*3 + int64(g) + 1
 	}
-	k.TaskCost = func(epoch, task int) int64 { return 100 }
 	return k
 }
 

@@ -18,7 +18,6 @@ import (
 	"crossinv/internal/ir/interp"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
-	"crossinv/internal/sim"
 )
 
 // ErrNoParallelInner reports a region without parfor children.
@@ -244,47 +243,3 @@ func (r *Region) EpochLabel(epoch int) string {
 func (r *Region) Profile(kind signature.Kind) speccross.ProfileResult {
 	return speccross.Profile(r, kind, speccross.DefaultProfileWindow)
 }
-
-// Trace exports the region's virtual-time structure by replaying every task
-// on a scratch fork, counting interpreted instructions as the cost measure
-// and recording the flat addresses each task touches. unitCost scales
-// instructions to virtual time units (≤0 defaults to 100 — native compiled
-// loop bodies do more per statement than one interpreted instruction, so
-// the default keeps demo programs in the cost regime of the calibrated
-// benchmarks).
-func (r *Region) Trace(unitCost int64) *sim.Trace {
-	if unitCost <= 0 {
-		unitCost = 100
-	}
-	scratch := r.base.Fork()
-	scratch.Mem = r.base.Snapshot() // private copy: replay must not mutate
-	var acc accessLog
-	scratch.Sink = &acc
-	tr := &sim.Trace{Name: r.Prog.Name}
-	for epoch := 0; epoch < r.Epochs(); epoch++ {
-		ep := sim.Epoch{SeqCost: 50 * unitCost}
-		for task := 0; task < r.Tasks(epoch); task++ {
-			acc = accessLog{}
-			inner := r.enter(scratch, epoch, task)
-			before := scratch.Steps
-			if err := scratch.Exec(inner.Body); err != nil {
-				// Replay over the scratch copy diverging from live state can
-				// fault; cost the task with what executed so far.
-				_ = err
-			}
-			ep.Tasks = append(ep.Tasks, sim.Task{
-				Cost:   (scratch.Steps - before) * unitCost,
-				Reads:  acc.reads,
-				Writes: acc.writes,
-			})
-		}
-		tr.Epochs = append(tr.Epochs, ep)
-	}
-	return tr
-}
-
-// accessLog is the interp.Sink Trace records each task's addresses with.
-type accessLog struct{ reads, writes []uint64 }
-
-func (a *accessLog) Read(addr uint64)  { a.reads = append(a.reads, addr) }
-func (a *accessLog) Write(addr uint64) { a.writes = append(a.writes, addr) }

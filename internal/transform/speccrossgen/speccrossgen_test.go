@@ -163,33 +163,3 @@ func TestProfileDetectsStencilDistance(t *testing.T) {
 		t.Fatal("per-loop distances missing")
 	}
 }
-
-func TestTraceExportsInstructionCosts(t *testing.T) {
-	p, dep := compile(t, stencilSrc)
-	env := interp.NewEnv(p)
-	r, err := speccrossgen.New(p, dep, p.Loops[0], env, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := r.Trace(10)
-	if len(tr.Epochs) != r.Epochs() {
-		t.Fatalf("trace epochs = %d, want %d", len(tr.Epochs), r.Epochs())
-	}
-	if tr.Tasks() != 12*40 {
-		t.Fatalf("trace tasks = %d", tr.Tasks())
-	}
-	task := tr.Epochs[0].Tasks[0]
-	if task.Cost <= 0 {
-		t.Fatal("task cost must reflect interpreted instructions")
-	}
-	// L1's body reads B[i] and B[i+1] and writes A[i].
-	if len(task.Reads) != 2 || len(task.Writes) != 1 {
-		t.Fatalf("task accesses = %d reads / %d writes, want 2/1", len(task.Reads), len(task.Writes))
-	}
-	// The replay must not have mutated live program state.
-	for _, v := range env.Array("A") {
-		if v != 0 {
-			t.Fatal("trace replay mutated the live environment")
-		}
-	}
-}

@@ -29,7 +29,6 @@ func New(scale int) *epochal.Kernel {
 		BenchName: "BLACKSCHOLES",
 		State:     make([]int64, 2*options),
 		NumEpochs: runs,
-		SeqCost:   150,
 	}
 	rng := workloads.NewRng(0xB5)
 	params := k.State[options:]
@@ -53,7 +52,6 @@ func New(scale int) *epochal.Kernel {
 			k.State[lo+i] = k.State[lo+i]/3 + v
 		}
 	}
-	k.TaskCost = func(epoch, task int) int64 { return 3300 }
 	// Chunk-granular addresses: price chunk t and parameter block Chunks+t
 	// both cover perChunk consecutive cells at addr*perChunk.
 	k.AddrSpan = epochal.BlockSpan(perChunk)

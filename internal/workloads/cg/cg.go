@@ -10,7 +10,6 @@ package cg
 
 import (
 	"crossinv/internal/runtime/signature"
-	"crossinv/internal/sim"
 	"crossinv/internal/workloads"
 )
 
@@ -27,10 +26,6 @@ type CG struct {
 	C []int64
 	// Space is len(C).
 	Space int
-	// TaskCost is the virtual cost of one update (for Trace).
-	TaskCost int64
-	// SeqCost is the virtual cost of the per-invocation bound computation.
-	SeqCost int64
 }
 
 // New builds a deterministic instance. scale 1 gives 700 invocations of 9
@@ -41,10 +36,8 @@ func New(scale int) *CG {
 		scale = 1
 	}
 	g := &CG{
-		Invs:     700 * scale,
-		Space:    2000,
-		TaskCost: 900, // tiny iterations: the reason barriers sink CG below 1x (Fig 3.3)
-		SeqCost:  150,
+		Invs:  700 * scale,
+		Space: 2000,
 	}
 	g.C = make([]int64, g.Space)
 	rng := workloads.NewRng(0xC6)
@@ -108,27 +101,6 @@ func (g *CG) RunSequential() {
 // Checksum implements workloads.Instance.
 func (g *CG) Checksum() uint64 {
 	return workloads.FoldChecksum(1469598103934665603, g.C)
-}
-
-// Trace implements workloads.Instance.
-func (g *CG) Trace() *sim.Trace {
-	tr := &sim.Trace{Name: g.Name()}
-	for inv := 0; inv < g.Invs; inv++ {
-		e := sim.Epoch{SeqCost: g.SeqCost}
-		for t := 0; t < TasksPerEpoch; t++ {
-			a := g.addr[inv*TasksPerEpoch+t]
-			e.Tasks = append(e.Tasks, sim.Task{
-				Cost:   g.TaskCost,
-				Reads:  []uint64{a},
-				Writes: []uint64{a},
-				// CG's computeAddr is one index-array load (Fig 3.7); the
-				// measured scheduler share is 4.1% (Table 5.2).
-				SchedCost: 40,
-			})
-		}
-		tr.Epochs = append(tr.Epochs, e)
-	}
-	return tr
 }
 
 // --- domore.Workload ---

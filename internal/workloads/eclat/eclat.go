@@ -29,7 +29,6 @@ func New(scale int) *epochal.Kernel {
 		BenchName: "ECLAT",
 		State:     make([]int64, buckets),
 		NumEpochs: nodes,
-		SeqCost:   400,
 	}
 	rng := workloads.NewRng(0xEC1A7)
 	bucketOf := make([]uint64, nodes*ItemsPerNode)
@@ -67,10 +66,6 @@ func New(scale int) *epochal.Kernel {
 		// order-sensitive fold of the id into the bucket summary.
 		k.State[b] = k.State[b]*7 + int64(g)%1000 + 1
 	}
-	// ECLAT's per-item work is light relative to its address computation
-	// (the non-linear transaction-number math lands in computeAddr), which
-	// is Table 5.2's 12.5% scheduler share.
-	k.TaskCost = func(epoch, task int) int64 { return 1200 }
 	return k
 }
 

@@ -2,16 +2,15 @@
 // parallel region is a sequence of loop invocations (epochs) of independent
 // tasks over a flat int64 state — the program shape of Fig 1.3/Fig 4.2.
 // A Kernel describes the structure (epoch/task counts, per-task address
-// sets, the update computation and virtual costs); the skeleton derives the
-// sequential execution, checksum, sim trace, and the speccross.Workload and
-// domore.Workload adapters from it.
+// sets and the update computation); the skeleton derives the sequential
+// execution, checksum, and the speccross.Workload and domore.Workload
+// adapters from it.
 package epochal
 
 import (
 	"sync"
 
 	"crossinv/internal/runtime/signature"
-	"crossinv/internal/sim"
 	"crossinv/internal/workloads"
 )
 
@@ -35,10 +34,11 @@ type Kernel struct {
 	// parallelized); Update must be safe to call concurrently for
 	// different tasks of one epoch.
 	Update func(epoch, task int)
-	// TaskCost is the task's virtual execution cost (for Trace).
+	// TaskCost and SeqCost are read by nothing. They exist only because
+	// the benchmark module (benchmark/engine.go) sets them on its phase
+	// kernels.
 	TaskCost func(epoch, task int) int64
-	// SeqCost is the serial work preceding each epoch (for Trace).
-	SeqCost int64
+	SeqCost  int64
 	// AddrSpan, when set, maps a signature address from Access to the State
 	// cell range [lo, hi) it covers, enabling incremental checkpoints
 	// (speccross.DeltaWorkload): the engine refreshes and rolls back only
@@ -91,25 +91,6 @@ func (k *Kernel) RunSequential() {
 // Checksum implements workloads.Instance.
 func (k *Kernel) Checksum() uint64 {
 	return workloads.FoldChecksum(1469598103934665603, k.State)
-}
-
-// Trace implements workloads.Instance.
-func (k *Kernel) Trace() *sim.Trace {
-	tr := &sim.Trace{Name: k.BenchName}
-	for e := 0; e < k.NumEpochs; e++ {
-		ep := sim.Epoch{SeqCost: k.SeqCost}
-		n := k.TasksOf(e)
-		for t := 0; t < n; t++ {
-			r, w := k.Access(e, t, nil, nil)
-			ep.Tasks = append(ep.Tasks, sim.Task{
-				Cost:   k.TaskCost(e, t),
-				Reads:  r,
-				Writes: w,
-			})
-		}
-		tr.Epochs = append(tr.Epochs, ep)
-	}
-	return tr
 }
 
 // --- speccross.Workload ---
@@ -173,8 +154,7 @@ func (k *Kernel) Invocations() int { return k.NumEpochs }
 func (k *Kernel) Iterations(inv int) int { return k.TasksOf(inv) }
 
 // Sequential implements domore.Workload. The synthetic kernels precompute
-// their bound data, so the scheduler-side serial work is virtual only
-// (SeqCost in the trace).
+// their bound data, so the scheduler has no serial work per invocation.
 func (k *Kernel) Sequential(inv int) {}
 
 // ComputeAddr implements domore.Workload: the scheduler needs the combined

@@ -14,7 +14,6 @@ func counterKernel(epochs, tasks int) *Kernel {
 		BenchName: "counter",
 		State:     make([]int64, 2*tasks),
 		NumEpochs: epochs,
-		SeqCost:   10,
 	}
 	k.TasksOf = func(epoch int) int { return tasks }
 	k.Access = func(epoch, task int, reads, writes []uint64) ([]uint64, []uint64) {
@@ -29,7 +28,6 @@ func counterKernel(epochs, tasks int) *Kernel {
 		src := ((epoch+1)%2)*tasks + task
 		k.State[dst] = k.State[dst]*3 + k.State[src] + int64(epoch+task)
 	}
-	k.TaskCost = func(epoch, task int) int64 { return 100 }
 	return k
 }
 
@@ -43,21 +41,6 @@ func TestSequentialAndChecksum(t *testing.T) {
 	}
 	if a.Name() != "counter" {
 		t.Fatalf("Name = %q", a.Name())
-	}
-}
-
-func TestTraceShape(t *testing.T) {
-	k := counterKernel(10, 8)
-	tr := k.Trace()
-	if len(tr.Epochs) != 10 || tr.Tasks() != 80 {
-		t.Fatalf("trace shape %d epochs / %d tasks", len(tr.Epochs), tr.Tasks())
-	}
-	if tr.Epochs[0].SeqCost != 10 {
-		t.Fatalf("SeqCost = %d", tr.Epochs[0].SeqCost)
-	}
-	task := tr.Epochs[3].Tasks[2]
-	if len(task.Reads) != 1 || len(task.Writes) != 1 || task.Cost != 100 {
-		t.Fatalf("task = %+v", task)
 	}
 }
 

@@ -45,7 +45,6 @@ func New(scale int) *epochal.Kernel {
 		BenchName: "EQUAKE",
 		State:     make([]int64, numFields*nodes),
 		NumEpochs: 3 * steps,
-		SeqCost:   300,
 	}
 	rng := workloads.NewRng(0xE9)
 	for i := range k.State {
@@ -117,7 +116,6 @@ func New(scale int) *epochal.Kernel {
 			}
 		}
 	}
-	k.TaskCost = func(epoch, task int) int64 { return 3200 }
 	// Chunk-granular addresses: field*Chunks+c covers that chunk's nodes.
 	k.AddrSpan = epochal.BlockSpan(nodesPerChunk)
 	return k

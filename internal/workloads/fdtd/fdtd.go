@@ -26,7 +26,6 @@ func New(scale int) *epochal.Kernel {
 		BenchName: "FDTD",
 		State:     make([]int64, 3*n*n),
 		NumEpochs: 3 * steps,
-		SeqCost:   250,
 	}
 	rng := workloads.NewRng(0xFD7D)
 	for i := range k.State {
@@ -89,7 +88,6 @@ func New(scale int) *epochal.Kernel {
 			}
 		}
 	}
-	k.TaskCost = func(epoch, task int) int64 { return 2400 }
 	// Row-granular addresses: field*n+row covers the n cells of that row.
 	k.AddrSpan = epochal.BlockSpan(n)
 	return k

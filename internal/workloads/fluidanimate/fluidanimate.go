@@ -22,7 +22,6 @@ import (
 
 	"crossinv/internal/runtime/barrier"
 	"crossinv/internal/runtime/signature"
-	"crossinv/internal/sim"
 	"crossinv/internal/workloads"
 )
 
@@ -322,58 +321,6 @@ func (f *Fluid) access(ph, c int, reads, writes []uint64) ([]uint64, []uint64) {
 		reads = append(reads, plane(planeBucket, c), plane(planeForce, c))
 	}
 	return reads, writes
-}
-
-// lwTaskCost is the per-cell cost a LOCALWRITE worker pays for its OWN
-// cell (own-side updates; RebuildGrid's full particle scan is inherently
-// per-task).
-func lwTaskCost(ph int) int64 {
-	switch ph {
-	case PhaseDensities:
-		return 2800
-	case PhaseForces:
-		return 5300
-	case PhaseRebuild:
-		return 3000 // scans every particle, keeping its own (§2.2)
-	default:
-		return 900
-	}
-}
-
-// lwWalkPercent is the share of a phase's pair-once per-cell work that
-// LOCALWRITE executes redundantly on EVERY thread — statements 1–2 of
-// Fig 2.3(c): the traversal and the pair distance computation run
-// everywhere; only the owned update is filtered. This is why the paper's
-// LOCALWRITE fluidanimate caps near 2.5× however many threads run (§5.4).
-func lwWalkPercent(ph int) int64 {
-	switch ph {
-	case PhaseDensities, PhaseForces:
-		return 55
-	case PhaseRebuild:
-		return 0 // the scan is modeled as task cost
-	default:
-		return 10
-	}
-}
-
-// Trace implements workloads.Instance: FLUIDANIMATE-2's plan is LOCALWRITE
-// (Table 5.1), so the default trace carries the redundant per-thread work.
-func (f *Fluid) Trace() *sim.Trace {
-	tr := &sim.Trace{Name: f.Name()}
-	for fr := 0; fr < f.Frames; fr++ {
-		for ph := 0; ph < NumPhases; ph++ {
-			e := sim.Epoch{
-				SeqCost:       200,
-				PerThreadCost: lwWalkPercent(ph) * plainCost(ph) * int64(f.Cells) / 100,
-			}
-			for c := 0; c < f.Cells; c++ {
-				r, w := f.access(ph, c, nil, nil)
-				e.Tasks = append(e.Tasks, sim.Task{Cost: lwTaskCost(ph), Reads: r, Writes: w})
-			}
-			tr.Epochs = append(tr.Epochs, e)
-		}
-	}
-	return tr
 }
 
 // --- speccross.Workload (FLUIDANIMATE-2: the whole frame loop) ---

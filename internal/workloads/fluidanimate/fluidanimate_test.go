@@ -105,34 +105,6 @@ func TestSpecCrossWithProfiledDistance(t *testing.T) {
 	t.Logf("profiled min distance: %d (per loop: %v)", pr.MinDistance, pr.PerLoop)
 }
 
-func TestTraceVariantsDiffer(t *testing.T) {
-	f := newT()
-	lw := f.TraceVariant(LocalWrite)
-	dm := f.TraceVariant(Domore)
-	mn := f.TraceVariant(Manual)
-	fo := f.TraceVariant(ForcesOnly)
-	if lw.Epochs[0].PerThreadCost == 0 {
-		t.Fatal("LOCALWRITE variant must carry redundant per-thread cost")
-	}
-	if dm.Epochs[0].PerThreadCost != 0 {
-		t.Fatal("DOMORE variant must not carry the redundant walk")
-	}
-	if mn.SeqTime() >= lw.SeqTime() {
-		t.Fatal("manual pair-once plan must do less total work than LOCALWRITE")
-	}
-	if len(fo.Epochs) != f.Frames {
-		t.Fatalf("FLUIDANIMATE-1 epochs = %d, want one per frame", len(fo.Epochs))
-	}
-	if !fo.Epochs[0].JoinAfter {
-		t.Fatal("FLUIDANIMATE-1 must join after each invocation")
-	}
-	for _, v := range []Variant{LocalWrite, Domore, Manual, ForcesOnly} {
-		if v.String() == "?" {
-			t.Fatal("unnamed variant")
-		}
-	}
-}
-
 func TestEpochLabels(t *testing.T) {
 	f := newT()
 	if f.EpochLabel(0) != "ClearParticles" || f.EpochLabel(5) != "ComputeForces" {

@@ -20,13 +20,11 @@ func New(scale int) *epochal.Kernel {
 	}
 	const n = 100
 	steps := 250 * scale
-	// State layout: grid A at [0, n²), grid B at [n², 2n²). Row-granular
-	// trace addresses live in a separate space above the elements.
+	// State layout: grid A at [0, n²), grid B at [n², 2n²).
 	k := &epochal.Kernel{
 		BenchName: "JACOBI",
 		State:     make([]int64, 2*n*n),
 		NumEpochs: 2 * steps,
-		SeqCost:   200,
 	}
 	rng := workloads.NewRng(0x1AC0B1)
 	for i := range k.State[:n*n] {
@@ -52,7 +50,6 @@ func New(scale int) *epochal.Kernel {
 				k.State[src+i-n] + k.State[src+i+n]) / 5
 		}
 	}
-	k.TaskCost = func(epoch, task int) int64 { return 2600 }
 	// Row-granular addresses: grid*n+row covers the n cells of that row.
 	k.AddrSpan = epochal.BlockSpan(n)
 	return k

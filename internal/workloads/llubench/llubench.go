@@ -33,7 +33,6 @@ func New(scale int) *epochal.Kernel {
 		// Per node: payload and next-index, stored as two planes.
 		State:     make([]int64, 2*Lists*NodesPerList),
 		NumEpochs: epochs,
-		SeqCost:   100,
 	}
 	rng := workloads.NewRng(0x77B)
 	next := k.State[Lists*NodesPerList:]
@@ -61,7 +60,6 @@ func New(scale int) *epochal.Kernel {
 			i = int(next[base+i])
 		}
 	}
-	k.TaskCost = func(epoch, task int) int64 { return 8800 }
 	return k
 }
 

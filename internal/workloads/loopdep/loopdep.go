@@ -26,7 +26,6 @@ func New(scale int) *epochal.Kernel {
 		BenchName: "LOOPDEP",
 		State:     make([]int64, 5*m),
 		NumEpochs: epochs,
-		SeqCost:   150,
 	}
 	rng := workloads.NewRng(0x100DE)
 	for i := range k.State {
@@ -45,7 +44,6 @@ func New(scale int) *epochal.Kernel {
 		src := ((epoch+3)%5)*m + task
 		k.State[dst] = k.State[dst]*5 + k.State[src]%1009 + int64(epoch)
 	}
-	k.TaskCost = func(epoch, task int) int64 { return 700 }
 	// Element-granular addresses: signature address == State index.
 	k.AddrSpan = epochal.IdentitySpan
 	return k

@@ -100,7 +100,6 @@ func build(name string, scale int, closeConflicts bool) *epochal.Kernel {
 		BenchName: name,
 		State:     make([]int64, space),
 		NumEpochs: epochs,
-		SeqCost:   150,
 	}
 
 	// Precompute the address each task updates, like the CG port does: one
@@ -178,7 +177,6 @@ func build(name string, scale int, closeConflicts bool) *epochal.Kernel {
 		a := addr[g]
 		k.State[a] = k.State[a]*3 + int64(g) + 1
 	}
-	k.TaskCost = func(epoch, task int) int64 { return 3000 }
 	// Element-granular addresses: signature address == State index.
 	k.AddrSpan = epochal.IdentitySpan
 	return k

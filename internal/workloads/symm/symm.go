@@ -7,7 +7,6 @@
 package symm
 
 import (
-	"crossinv/internal/sim"
 	"crossinv/internal/workloads"
 	"crossinv/internal/workloads/epochal"
 )
@@ -28,7 +27,6 @@ func New(scale int) *epochal.Kernel {
 		BenchName: "SYMM",
 		State:     make([]int64, n*cols),
 		NumEpochs: n * sweeps,
-		SeqCost:   120,
 	}
 	rng := workloads.NewRng(0x57)
 	for i := range k.State {
@@ -53,42 +51,15 @@ func New(scale int) *epochal.Kernel {
 		}
 		k.State[i] = acc%100003 + int64(task)
 	}
-	// Tiny tasks: the whole invocation is ~width·cost ≈ a few thousand
-	// cycles, the §5.1 regime. computeAddr is pure affine arithmetic, so
-	// the DOMORE scheduler's share is small (Table 5.2: 1.5%).
-	k.TaskCost = func(epoch, task int) int64 { return 480 }
 	// Element-granular addresses: signature address == State index.
 	k.AddrSpan = epochal.IdentitySpan
 	return k
 }
 
-// SchedCost is the scheduler's per-iteration cost for SYMM's affine
-// computeAddr (used by the Trace exporter below via the sim package).
-const SchedCost = 8
-
 func init() {
 	workloads.Register(workloads.Entry{
 		Name: "SYMM", Suite: "PolyBench", Function: "main", Plan: "DOALL",
 		DomoreOK: true, SpecOK: true,
-		Make: func(scale int) workloads.Instance { return NewTraced(scale) },
+		Make: func(scale int) workloads.Instance { return New(scale) },
 	})
-}
-
-// NewTraced wraps New with the per-task scheduler-cost override installed
-// in the exported trace.
-func NewTraced(scale int) *tracedKernel {
-	return &tracedKernel{Kernel: New(scale)}
-}
-
-type tracedKernel struct{ *epochal.Kernel }
-
-// Trace overrides epochal's trace to carry SYMM's cheap scheduler cost.
-func (t *tracedKernel) Trace() *sim.Trace {
-	tr := t.Kernel.Trace()
-	for ei := range tr.Epochs {
-		for ti := range tr.Epochs[ei].Tasks {
-			tr.Epochs[ei].Tasks[ti].SchedCost = SchedCost
-		}
-	}
-	return tr
 }

@@ -2,16 +2,10 @@
 // (Table 5.1). Each sub-package provides a deterministic synthetic instance
 // of one program with the loop/dependence structure the paper describes,
 // exposes the paper's sequential baseline, adapts the parallel region to
-// the runtime engines that apply to it (Table 5.1's applicability columns),
-// and exports a sim.Trace so the evaluation figures can be regenerated on
-// any host (DESIGN.md, substitution 1 and 4).
+// the runtime engines that apply to it (Table 5.1's applicability columns).
 package workloads
 
-import (
-	"fmt"
-
-	"crossinv/internal/sim"
-)
+import "fmt"
 
 // Instance is a constructed benchmark instance.
 type Instance interface {
@@ -21,8 +15,6 @@ type Instance interface {
 	RunSequential()
 	// Checksum folds the final state for equivalence checks.
 	Checksum() uint64
-	// Trace exports the virtual-time execution structure.
-	Trace() *sim.Trace
 }
 
 // Entry describes one benchmark in the registry (one row of Table 5.1).

@@ -91,31 +91,6 @@ func TestSequentialDeterminism(t *testing.T) {
 	}
 }
 
-func TestTracesMatchAdapters(t *testing.T) {
-	for _, e := range workloads.All() {
-		e := e
-		t.Run(e.Name, func(t *testing.T) {
-			inst := e.Make(1)
-			tr := inst.Trace()
-			if tr.Tasks() == 0 {
-				t.Fatal("empty trace")
-			}
-			if sw, ok := inst.(speccross.Workload); ok && e.SpecOK {
-				total := 0
-				for ep := 0; ep < sw.Epochs(); ep++ {
-					total += sw.Tasks(ep)
-				}
-				if total != tr.Tasks() {
-					t.Fatalf("trace tasks %d != workload tasks %d", tr.Tasks(), total)
-				}
-				if len(tr.Epochs) != sw.Epochs() {
-					t.Fatalf("trace epochs %d != workload epochs %d", len(tr.Epochs), sw.Epochs())
-				}
-			}
-		})
-	}
-}
-
 func TestBarrierExecutionMatchesSequential(t *testing.T) {
 	for _, e := range workloads.All() {
 		if !e.SpecOK {

@@ -6,9 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"crossinv/internal/plancache"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
-	"crossinv/internal/plancache"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/workloads"
@@ -76,7 +76,7 @@ func CachedPlanMatchesCold(t *testing.T, store *plancache.Store, name string) {
 	// daemon fingerprints LNL programs.
 	h := sha256.Sum256([]byte("workload:" + name + "|scale=1"))
 	key := plancache.Key{
-		SourceHash:  hex.EncodeToString(h[:]),
+		SourceHash: hex.EncodeToString(h[:]),
 		// Go workloads carry no static xdep report; the fixed token keys
 		// them apart from any real facts hash.
 		Fingerprint: plancache.Fingerprint("workloads/v1", 0, kind.String(), "unanalyzed"),

@@ -17,14 +17,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"crossinv/internal/core"
-	"crossinv/internal/ir/interp"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
-	"crossinv/internal/transform/speccrossgen"
 	"crossinv/internal/workloads"
 
 	_ "crossinv/internal/workloads/blackscholes"
@@ -63,7 +62,9 @@ func main() {
 		}
 		profileBench(e)
 	case flag.NArg() == 1:
-		profileLNL(flag.Arg(0))
+		if err := profileLNL(os.Stdout, flag.Arg(0)); err != nil {
+			fatal(err)
+		}
 	default:
 		fmt.Fprintln(os.Stderr, "usage: profiler [-bench NAME|all] [<program.lnl>]")
 		os.Exit(2)
@@ -78,38 +79,40 @@ func profileBench(e workloads.Entry) {
 		return
 	}
 	res := speccross.Profile(sw, signature.Exact, *window)
-	report(e.Name, res)
+	report(os.Stdout, e.Name, res)
 }
 
-func profileLNL(path string) {
+// profileLNL profiles every candidate region of the program at path the way
+// the engines do: on the state at region entry, behind the slot gate.
+func profileLNL(w io.Writer, path string) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	c, err := core.Compile(string(src))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(c.Regions) == 0 {
-		fatal(fmt.Errorf("%s: no candidate region", path))
+		return fmt.Errorf("%s: no candidate region", path)
 	}
 	for i, region := range c.Regions {
-		env := interp.NewEnv(c.Prog)
-		r, err := speccrossgen.New(c.Prog, c.Dep, region, env, 1)
+		res, err := c.ProfileRegion(region, signature.Exact)
 		if err != nil {
-			fmt.Printf("region %d: %v\n", i, err)
+			fmt.Fprintf(w, "region %d: %v\n", i, err)
 			continue
 		}
-		report(fmt.Sprintf("%s region %d", path, i), r.Profile(signature.Exact))
+		report(w, fmt.Sprintf("%s region %d", path, i), res)
 	}
+	return nil
 }
 
-func report(name string, res speccross.ProfileResult) {
-	fmt.Printf("%s: %d tasks over %d epochs, %d conflicts\n", name, res.Tasks, res.Epochs, res.Conflicts)
+func report(w io.Writer, name string, res speccross.ProfileResult) {
+	fmt.Fprintf(w, "%s: %d tasks over %d epochs, %d conflicts\n", name, res.Tasks, res.Epochs, res.Conflicts)
 	if res.MinDistance == speccross.NoConflict {
-		fmt.Printf("  min dependence distance: * (none observed — unbounded speculation is safe)\n")
+		fmt.Fprintf(w, "  min dependence distance: * (none observed — unbounded speculation is safe)\n")
 	} else {
-		fmt.Printf("  min dependence distance: %d tasks\n", res.MinDistance)
+		fmt.Fprintf(w, "  min dependence distance: %d tasks\n", res.MinDistance)
 	}
 	if len(res.PerLoop) > 0 {
 		labels := make([]string, 0, len(res.PerLoop))
@@ -118,18 +121,18 @@ func report(name string, res speccross.ProfileResult) {
 		}
 		sort.Strings(labels)
 		for _, l := range labels {
-			fmt.Printf("  loop %-24s min distance %d\n", l, res.PerLoop[l])
+			fmt.Fprintf(w, "  loop %-24s min distance %d\n", l, res.PerLoop[l])
 		}
 	}
 	dist, profitable := res.Recommended(*nworkers)
 	if profitable {
 		if dist == 0 {
-			fmt.Printf("  recommendation: speculate unbounded with %d workers\n", *nworkers)
+			fmt.Fprintf(w, "  recommendation: speculate unbounded with %d workers\n", *nworkers)
 		} else {
-			fmt.Printf("  recommendation: speculate with range %d for %d workers\n", dist, *nworkers)
+			fmt.Fprintf(w, "  recommendation: speculate with range %d for %d workers\n", dist, *nworkers)
 		}
 	} else {
-		fmt.Printf("  recommendation: do not speculate with %d workers (distance below threshold, §4.4)\n", *nworkers)
+		fmt.Fprintf(w, "  recommendation: do not speculate with %d workers (distance below threshold, §4.4)\n", *nworkers)
 	}
 }
 

@@ -1,0 +1,46 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"crossinv/internal/core"
+	"crossinv/internal/runtime/signature"
+)
+
+// TestLNLProfileMatchesProfileRegion: for an LNL program the CLI reports,
+// region by region, exactly the profile the engines gate on — the one
+// Compiled.ProfileRegion takes on the state at region entry.
+func TestLNLProfileMatchesProfileRegion(t *testing.T) {
+	for _, name := range []string{"cg.lnl", "stencil.lnl"} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join("..", "..", "examples", "compiler", name)
+			var got bytes.Buffer
+			if err := profileLNL(&got, path); err != nil {
+				t.Fatal(err)
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := core.Compile(string(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			for i, region := range c.Regions {
+				res, err := c.ProfileRegion(region, signature.Exact)
+				if err != nil {
+					t.Fatalf("region %d: %v", i, err)
+				}
+				report(&want, fmt.Sprintf("%s region %d", path, i), res)
+			}
+			if got.String() != want.String() {
+				t.Errorf("profiler printed\n%s\nProfileRegion gives\n%s", got.String(), want.String())
+			}
+		})
+	}
+}

@@ -24,6 +24,10 @@
 //     array or scalar as the string the analyses read, and the slot tables
 //     agree with the name-keyed layout (slots.go).
 //
+// The package derives no plan itself: core builds each region's plan once
+// and hands the pieces to these checks, which read them against the IR
+// without reusing the transforms' own reasoning.
+//
 // Diagnostics are reported through internal/diag with source positions, so
 // `crossinv -lint` can point at the offending line. The mutation helpers in
 // mutate.go seed deliberate corruptions into plans and are reused as
@@ -573,62 +577,4 @@ func Advisor(p *ir.Program, dep *depend.Result, loop *ir.Loop, rec advisor.Recom
 			"parfor annotation on loop %q is disproven: the affine tests found a definite cross-iteration dependence", loop.Var)
 	}
 	return out
-}
-
-// Plan bundles everything the verifier checks for one candidate region.
-// Fields left nil (an inapplicable transform) skip their checks — the
-// engines fall back at runtime in exactly those cases.
-type Plan struct {
-	Prog  *ir.Program
-	Dep   *depend.Result
-	Outer *ir.Loop
-	// Part is the DOMORE scheduler/worker split (nil when partitioning is
-	// inapplicable for this region).
-	Part *partition.Result
-	// Par is the full DOMORE transform with slices and live-ins (nil when
-	// MTCG is inapplicable).
-	Par *mtcg.Parallelized
-	// Sig is the SPECCROSS instrumentation plan.
-	Sig *SignaturePlan
-}
-
-// NewPlan derives the verification plan for a region by running the
-// transform pipeline. Transform inapplicability (no parallel inner, heavy
-// slice, worker-state slice…) is not an error: the corresponding engine
-// refuses the region at runtime too, so those checks are skipped.
-func NewPlan(p *ir.Program, dep *depend.Result, outer *ir.Loop) *Plan {
-	pl := &Plan{Prog: p, Dep: dep, Outer: outer, Sig: SignaturePlanFor(outer)}
-	if par, err := mtcg.Transform(p, dep, outer, slice.Options{}); err == nil {
-		pl.Par = par
-		pl.Part = par.Part
-	} else if part, err := partition.Compute(p, dep, outer); err == nil {
-		// MTCG refused (e.g. a heavy slice) but the partition itself exists;
-		// still verify it.
-		pl.Part = part
-	}
-	return pl
-}
-
-// Verify runs every applicable check over the plan and returns the sorted
-// diagnostics.
-func (pl *Plan) Verify() diag.List {
-	var out diag.List
-	if pl.Part != nil {
-		out = append(out, Partition(pl.Part)...)
-	}
-	if pl.Par != nil {
-		for _, inner := range pl.Par.Part.Inners {
-			out = append(out, Slice(pl.Prog, pl.Par.Part, pl.Par.Slices[inner])...)
-		}
-		out = append(out, MTCG(pl.Par)...)
-	}
-	out = append(out, Signatures(pl.Prog, pl.Outer, pl.Sig)...)
-	out.Sort()
-	return out
-}
-
-// Region is the one-call entry point: derive the plan for a region and
-// verify it.
-func Region(p *ir.Program, dep *depend.Result, outer *ir.Loop) diag.List {
-	return NewPlan(p, dep, outer).Verify()
 }

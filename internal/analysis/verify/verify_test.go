@@ -99,8 +99,14 @@ func TestCleanPlansVerify(t *testing.T) {
 		{"stencil", stencilSrc, "t"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, dep := compile(t, tc.src)
-			list := verify.Region(p, dep, loopByVar(t, p, tc.outer))
+			p, dep, par := transform(t, tc.src, tc.outer)
+			outer := loopByVar(t, p, tc.outer)
+			list := verify.Partition(par.Part)
+			for _, inner := range par.Part.Inners {
+				list = append(list, verify.Slice(p, par.Part, par.Slices[inner])...)
+			}
+			list = append(list, verify.MTCG(par)...)
+			list = append(list, verify.Signatures(p, outer, verify.SignaturePlanFor(outer))...)
 			if len(list) != 0 {
 				t.Errorf("clean program produced diagnostics:\n%s", list.Text())
 			}

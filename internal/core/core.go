@@ -31,21 +31,17 @@ type Compiled struct {
 	// containing parfor children), in preorder.
 	Regions []*ir.Loop
 
-	xdepFacts *xdep.Facts // lazily built by XDep
-	// domorePlans maps each region PlanDOMORE was asked for to its
-	// *domorePlan.
-	domorePlans sync.Map
+	xdepFacts *xdep.Facts
+	// prepared maps each region to its *prepared plan.
+	prepared sync.Map
 }
 
 // XDep returns the cross-invocation dependence facts for every candidate
 // region: distance/direction vectors and a none / forward-only / cyclic /
-// unknown classification per region. The report is computed once per
-// Compiled and cached — it is a pure function of the IR, and its Hash()
-// content-addresses the dependence structure for the plan cache.
+// unknown classification per region. Compile computes the report once — it
+// is a pure function of the IR, and its Hash() content-addresses the
+// dependence structure for the plan cache.
 func (c *Compiled) XDep() *xdep.Facts {
-	if c.xdepFacts == nil {
-		c.xdepFacts = xdep.Analyze(c.Prog, c.Dep, c.Regions)
-	}
 	return c.xdepFacts
 }
 
@@ -61,8 +57,6 @@ func Compile(src string) (*Compiled, error) {
 	}
 	c := &Compiled{Prog: p, Dep: depend.Analyze(p)}
 	c.Regions = speccrossgen.Detect(p)
-	// Compute the cross-invocation facts eagerly so a Compiled shared
-	// across daemon requests never lazily mutates under concurrent readers.
 	c.xdepFacts = xdep.Analyze(p, c.Dep, c.Regions)
 	return c, nil
 }

@@ -7,11 +7,10 @@ import (
 	"crossinv/internal/diag"
 	"crossinv/internal/ir"
 	"crossinv/internal/transform/advisor"
-	"crossinv/internal/transform/mtcg"
 )
 
 // Lint runs the static plan verifier over the whole program: every
-// candidate region's derived parallelization plan (partition, slices, MTCG
+// candidate region's prepared parallelization plan (partition, slices, MTCG
 // communication, signature instrumentation), every loop's advisor
 // classification, and the slot tables the executor indexes by. The returned
 // list is sorted; callers attach the file name
@@ -19,7 +18,7 @@ import (
 func (c *Compiled) Lint() diag.List {
 	var out diag.List
 	for _, region := range c.Regions {
-		out = append(out, verify.Region(c.Prog, c.Dep, region)...)
+		out = append(out, c.prepare(region).diags...)
 	}
 	for _, l := range c.Prog.Loops {
 		rec := advisor.Advise(c.Prog, c.Dep, l)
@@ -34,29 +33,11 @@ func (c *Compiled) Lint() diag.List {
 	return out
 }
 
-// verifyDomorePlan is the always-on gate before a DOMORE execution: the
-// partition, slice, and MTCG checks over the transformed region. The checks
-// are pure static passes over structures the transform already built, so
-// the cost is negligible next to running the region.
-func verifyDomorePlan(par *mtcg.Parallelized) error {
-	var list diag.List
-	list = append(list, verify.Partition(par.Part)...)
-	for _, inner := range par.Part.Inners {
-		list = append(list, verify.Slice(par.Prog, par.Part, par.Slices[inner])...)
-	}
-	list = append(list, verify.MTCG(par)...)
-	if errs := list.Errors(); len(errs) > 0 {
-		errs.Sort()
-		return fmt.Errorf("core: DOMORE plan failed verification:\n%s", errs.Text())
-	}
-	return nil
-}
-
 // verifySignaturePlan is the always-on gate before any speculative or
 // barrier execution built on speccrossgen: the signature-coverage and
-// epoch-boundary checks for the region.
-func verifySignaturePlan(p *ir.Program, region *ir.Loop) error {
-	list := verify.Signatures(p, region, verify.SignaturePlanFor(region))
+// epoch-boundary checks of the region's prepared signature plan.
+func (c *Compiled) verifySignaturePlan(region *ir.Loop) error {
+	list := verify.Signatures(c.Prog, region, c.prepare(region).sig)
 	if errs := list.Errors(); len(errs) > 0 {
 		errs.Sort()
 		return fmt.Errorf("core: speculative region failed verification:\n%s", errs.Text())

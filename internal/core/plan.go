@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"sync"
 
+	"crossinv/internal/analysis/verify"
+	"crossinv/internal/diag"
 	"crossinv/internal/ir"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/transform/advisor"
 	"crossinv/internal/transform/mtcg"
+	"crossinv/internal/transform/partition"
 	"crossinv/internal/transform/slice"
 	"crossinv/internal/transform/speccrossgen"
 )
@@ -102,39 +105,67 @@ func (c *Compiled) ProfileRegion(region *ir.Loop, kind signature.Kind) (speccros
 	return pr.Profile(kind), nil
 }
 
-// PlanDOMORE runs the DOMORE compile pipeline for the region — partition,
-// computeAddr slicing, MTCG — and the always-on plan verifier, returning
-// the transformed region. It runs once per Compiled and region, and every
-// later call, concurrent ones included, gets the same outcome: the result
-// is immutable after construction (Parallelized.Bind builds fresh per-run
-// state), and domore and adaptive runs both need it, so planning again on
-// every run would cost more than many a region's engine does.
+// PlanDOMORE returns the region's verified DOMORE transform — partition,
+// computeAddr slicing, MTCG — from its prepared plan. It fails when the
+// transform refuses the region or the partition, slice or MTCG checks
+// report an error. Every call, concurrent ones included, gets the same
+// outcome: the transform is immutable after construction
+// (Parallelized.Bind builds fresh per-run state).
 func (c *Compiled) PlanDOMORE(region *ir.Loop) (*mtcg.Parallelized, error) {
-	v, ok := c.domorePlans.Load(region)
-	if !ok {
-		v, _ = c.domorePlans.LoadOrStore(region, new(domorePlan))
+	pp := c.prepare(region)
+	if pp.err != nil {
+		return nil, pp.err
 	}
-	m := v.(*domorePlan)
-	m.once.Do(func() { m.par, m.err = c.planDOMORE(region) })
-	return m.par, m.err
+	return pp.par, nil
 }
 
-// domorePlan is one region's PlanDOMORE outcome.
-type domorePlan struct {
+// prepared is one region's parallelization plan, derived and verified once
+// per Compiled: Lint reports its diagnostics, PlanDOMORE hands out its
+// transform, and every run built on speccrossgen gates on its signature
+// plan. Nothing in it changes after construction.
+type prepared struct {
 	once sync.Once
-	par  *mtcg.Parallelized
-	err  error
+	// par is the DOMORE transform. err, when set, is why PlanDOMORE hands
+	// out none: mtcg.Transform's error, or the DOMORE checks' errors.
+	par *mtcg.Parallelized
+	err error
+	// sig is the SPECCROSS instrumentation plan.
+	sig *verify.SignaturePlan
+	// diags are the region's partition, slice, MTCG and signature
+	// diagnostics. The partition is checked also when MTCG refuses the
+	// region but partition.Compute does not.
+	diags diag.List
 }
 
-func (c *Compiled) planDOMORE(region *ir.Loop) (*mtcg.Parallelized, error) {
-	par, err := mtcg.Transform(c.Prog, c.Dep, region, slice.Options{})
-	if err != nil {
-		return nil, err
+// prepare returns region's prepared plan, building it on first use.
+func (c *Compiled) prepare(region *ir.Loop) *prepared {
+	v, ok := c.prepared.Load(region)
+	if !ok {
+		v, _ = c.prepared.LoadOrStore(region, new(prepared))
 	}
-	if err := verifyDomorePlan(par); err != nil {
-		return nil, err
+	pp := v.(*prepared)
+	pp.once.Do(func() { pp.build(c, region) })
+	return pp
+}
+
+func (pp *prepared) build(c *Compiled, region *ir.Loop) {
+	pp.sig = verify.SignaturePlanFor(region)
+	pp.par, pp.err = mtcg.Transform(c.Prog, c.Dep, region, slice.Options{})
+	var checks diag.List
+	if pp.par != nil {
+		checks = append(checks, verify.Partition(pp.par.Part)...)
+		for _, inner := range pp.par.Part.Inners {
+			checks = append(checks, verify.Slice(c.Prog, pp.par.Part, pp.par.Slices[inner])...)
+		}
+		checks = append(checks, verify.MTCG(pp.par)...)
+	} else if part, err := partition.Compute(c.Prog, c.Dep, region); err == nil {
+		checks = verify.Partition(part)
 	}
-	return par, nil
+	if errs := checks.Errors(); pp.err == nil && len(errs) > 0 {
+		errs.Sort()
+		pp.err = fmt.Errorf("core: DOMORE plan failed verification:\n%s", errs.Text())
+	}
+	pp.diags = append(checks, verify.Signatures(c.Prog, region, pp.sig)...)
 }
 
 // Oracle runs the program sequentially and returns the checksum every

@@ -15,19 +15,16 @@ import (
 	"crossinv/internal/transform/speccrossgen"
 )
 
-// Plan is what Run may need about a region beyond its IR: the analysis
-// facts that seed the adaptive controller, and suppliers of the two
-// artifacts that take a pipeline pass to build. Run calls a supplier only
-// when the engine it runs needs the artifact, so a caller that caches them
-// builds, counts and traces each one where it is actually needed.
+// Plan is what Run may need about a region beyond its IR and its prepared
+// plan: the analysis facts that seed the adaptive controller, and a
+// supplier of the §4.4 profile, which takes a profiling pass to build. Run
+// calls the supplier only when the engine it runs needs the profile, so a
+// caller that caches profiles builds, counts and traces each one where it
+// is actually needed.
 type Plan struct {
 	// Facts are the region's entry in Compiled.Facts. Adaptive seeds its
 	// controller from XDepClass and XDepMinDistance.
 	Facts RegionFacts
-	// DOMORE supplies the verified DOMORE transform, which domore runs and
-	// whose §3.3.4 slices give adaptive its DOMORE windows' addresses. Nil
-	// means PlanDOMORE.
-	DOMORE func() (*mtcg.Parallelized, error)
 	// Profile supplies the §4.4 conflict profile. Nil means ProfileRegion
 	// with Options.SigKind.
 	Profile func() (speccross.ProfileResult, error)
@@ -108,16 +105,12 @@ type AdaptiveResult struct {
 //     static facts and then from the profile, unless the facts prove the
 //     region free of cross-invocation dependences (class none): that pins
 //     speculation and no profile is taken. Its DOMORE windows take their
-//     addresses from the DOMORE plan's slices, so it needs the plan too;
+//     addresses from the DOMORE plan's slices, so it needs PlanDOMORE too;
 //   - auto runs Choose's engine for the region's profile.
 func (c *Compiled) Run(region *ir.Loop, p Plan, o Options) (Result, error) {
 	profile := p.Profile
 	if profile == nil {
 		profile = func() (speccross.ProfileResult, error) { return c.ProfileRegion(region, o.SigKind) }
-	}
-	plan := p.DOMORE
-	if plan == nil {
-		plan = func() (*mtcg.Parallelized, error) { return c.PlanDOMORE(region) }
 	}
 	res := Result{Engine: o.Engine}
 	if o.Engine == "auto" {
@@ -136,7 +129,7 @@ func (c *Compiled) Run(region *ir.Loop, p Plan, o Options) (Result, error) {
 		}
 	case "domore":
 		var par *mtcg.Parallelized
-		if par, err = plan(); err != nil {
+		if par, err = c.PlanDOMORE(region); err != nil {
 			return res, err
 		}
 		if res.DOMORE, err = c.runDOMORE(par, region, domore.Options{Workers: o.Workers, Trace: o.Trace}); err == nil {
@@ -164,7 +157,7 @@ func (c *Compiled) Run(region *ir.Loop, p Plan, o Options) (Result, error) {
 			cfg.SeedFromProfile(prof.MinDistance, o.Workers)
 		}
 		var par *mtcg.Parallelized
-		if par, err = plan(); err != nil {
+		if par, err = c.PlanDOMORE(region); err != nil {
 			return res, err
 		}
 		if res.Adaptive, err = c.runAdaptive(par, region, cfg); err == nil {
@@ -206,14 +199,14 @@ func execute[R any](c *Compiled, region *ir.Loop, res *R, env **interp.Env, run 
 }
 
 // speculative builds the epoch/task form of region over env, which the
-// barrier, SPECCROSS and adaptive engines run, behind the signature-plan
-// gate.
+// barrier, SPECCROSS and adaptive engines run, behind the gate on the
+// region's prepared signature plan.
 func (c *Compiled) speculative(region *ir.Loop, env *interp.Env, workers int) (*speccrossgen.Region, error) {
 	r, err := speccrossgen.New(c.Prog, c.Dep, region, env, workers)
 	if err != nil {
 		return nil, err
 	}
-	return r, verifySignaturePlan(c.Prog, region)
+	return r, c.verifySignaturePlan(region)
 }
 
 func (c *Compiled) runBarriers(region *ir.Loop, workers int, rec *trace.Recorder) (*BarrierResult, error) {

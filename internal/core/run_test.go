@@ -3,9 +3,11 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"crossinv/internal/analysis/verify"
 	"crossinv/internal/ir"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
@@ -204,12 +206,23 @@ func TestRunTakesProfileOnlyWhenNeeded(t *testing.T) {
 	}
 }
 
-// TestRunPlansDOMOREOncePerRegion: PlanDOMORE callers, concurrent ones
-// included, and runs whose caller supplies no DOMORE plan share one plan
-// per region.
+// TestRunPlansDOMOREOncePerRegion: Lint prepares each region's plan once,
+// and PlanDOMORE callers, concurrent ones included, and runs under every
+// engine use the very transform and signature plan Lint verified.
 func TestRunPlansDOMOREOncePerRegion(t *testing.T) {
 	c := compileT(t, cgLike)
 	region := c.Regions[len(c.Regions)-1]
+	if list := c.Lint(); len(list) != 0 {
+		t.Fatalf("lint:\n%s", list.Text())
+	}
+	v, ok := c.prepared.Load(region)
+	if !ok {
+		t.Fatal("Lint left no prepared plan")
+	}
+	linted := v.(*prepared)
+	if linted.par == nil || linted.sig == nil {
+		t.Fatalf("Lint prepared par %p, sig %p", linted.par, linted.sig)
+	}
 	pars := make([]*mtcg.Parallelized, 8)
 	var wg sync.WaitGroup
 	for i := range pars {
@@ -224,15 +237,42 @@ func TestRunPlansDOMOREOncePerRegion(t *testing.T) {
 	}
 	wg.Wait()
 	for i, par := range pars {
-		if par == nil || par != pars[0] {
-			t.Fatalf("plan %d is %p, plan 0 %p", i, par, pars[0])
+		if par != linted.par {
+			t.Fatalf("PlanDOMORE caller %d got %p, Lint verified %p", i, par, linted.par)
 		}
 	}
-	res, err := c.Run(region, Plan{}, Options{Engine: "domore", Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, engine := range []string{"barrier", "domore", "speccross", "adaptive", "auto"} {
+		res, err := c.Run(region, Plan{}, Options{Engine: engine, Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		if res.DOMORE != nil && res.DOMORE.Par != linted.par {
+			t.Fatalf("%s ran transform %p, Lint verified %p", engine, res.DOMORE.Par, linted.par)
+		}
+		if pp := c.prepare(region); pp != linted || pp.par != linted.par || pp.sig != linted.sig {
+			t.Fatalf("%s left region plan %p (par %p, sig %p), Lint prepared %p (par %p, sig %p)",
+				engine, pp, pp.par, pp.sig, linted, linted.par, linted.sig)
+		}
 	}
-	if res.DOMORE.Par != pars[0] {
-		t.Fatal("Run without a supplier planned the region again")
+}
+
+// TestRunGatesOnPreparedSignaturePlan is the mutate-prepared case: a
+// signature plan corrupted after a clean Lint is what every run built on
+// speccrossgen reads, so each of them refuses the region.
+func TestRunGatesOnPreparedSignaturePlan(t *testing.T) {
+	c := compileT(t, fig13)
+	region := c.Regions[len(c.Regions)-1]
+	if list := c.Lint(); len(list) != 0 {
+		t.Fatalf("lint:\n%s", list.Text())
+	}
+	if _, ok := verify.CorruptDropInstrumentation(c.Prog, c.prepare(region).sig); !ok {
+		t.Fatal("nothing to corrupt")
+	}
+	// specPlan(false) declares no conflict, so auto runs speccross.
+	for _, engine := range []string{"barrier", "speccross", "adaptive", "auto"} {
+		res, err := c.Run(region, specPlan(false), Options{Engine: engine, Workers: 2})
+		if err == nil || !strings.Contains(err.Error(), "failed verification") {
+			t.Errorf("%s ran (as %s) over a corrupted signature plan (err = %v)", engine, res.Engine, err)
+		}
 	}
 }

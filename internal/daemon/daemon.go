@@ -170,7 +170,7 @@ type Server struct {
 	spanCompile atomic.Int64
 	spanOracle  atomic.Int64
 	spanProfile atomic.Int64
-	spanPlan    atomic.Int64 // DOMORE partition/slice/MTCG pipeline
+	spanPlan    atomic.Int64 // Lint: every region plan derived and verified
 
 	cacheHot  atomic.Int64
 	cacheWarm atomic.Int64

@@ -16,7 +16,6 @@ import (
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/runtime/trace"
-	"crossinv/internal/transform/mtcg"
 )
 
 // RunRequest is one invocation: a program and how to execute it.
@@ -67,7 +66,9 @@ type RunResponse struct {
 	// "cold" (full pipeline).
 	Cache string `json:"cache,omitempty"`
 	// AnalysisSpans counts the analysis stages this request actually ran
-	// (compile + oracle + profile + DOMORE transform). Hot is exactly 0.
+	// (compile + plan + oracle + profile, where plan is the program's one
+	// Lint, which derives and verifies every region's plan). Hot is
+	// exactly 0.
 	AnalysisSpans int64 `json:"analysis_spans"`
 	Regions       int   `json:"regions,omitempty"`
 	DurationNs    int64 `json:"duration_ns"`
@@ -101,18 +102,17 @@ type program struct {
 	compileErr error
 	facts      []core.RegionFacts
 	xdepHash   string
+	linted     bool
 	lintClean  bool
 	oracleDone bool
 	oracle     uint64
 	regions    map[int]*regionPlan
 }
 
-// regionPlan caches per-region derived artifacts. The DOMORE transform is
-// immutable after construction (Bind makes per-run state) and the profile
-// is a pure value, so both are safe to share across invocations.
+// regionPlan caches per-region artifacts core does not keep: the profile,
+// a pure value safe to share across invocations, and the adaptive seed.
 type regionPlan struct {
 	mu   sync.Mutex
-	par  *mtcg.Parallelized
 	prof map[signature.Kind]*speccross.ProfileResult
 	seed *plancache.AdaptiveSeed
 }
@@ -185,10 +185,25 @@ func (p *program) ensureCompiled(s *Server, src string, st *spans) (*core.Compil
 			p.compiled = c
 			p.facts = c.Facts()
 			p.xdepHash = c.XDep().Hash()
-			p.lintClean = !c.Lint().HasErrors()
 		}
 	}
 	return p.compiled, p.compileErr
+}
+
+// ensureLinted runs the compiled program's Lint once, under a plan span:
+// it derives and verifies every region's plan, which later PlanDOMORE calls
+// and runs read.
+func (p *program) ensureLinted(s *Server, c *core.Compiled, inv *invocation, st *spans) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.linted {
+		sp := inv.span(trace.SpanPlan)
+		p.lintClean = !c.Lint().HasErrors()
+		sp.End()
+		p.linted = true
+		st.plan++
+		s.spanPlan.Add(1)
+	}
 }
 
 func (p *program) region(idx int) *regionPlan {
@@ -285,22 +300,6 @@ func (rp *regionPlan) ensureProfile(s *Server, c *core.Compiled, region *ir.Loop
 		rp.prof[kind] = &pr
 	}
 	return *rp.prof[kind], nil
-}
-
-// ensureDomorePlan builds (once) the verified DOMORE transform.
-func (rp *regionPlan) ensureDomorePlan(s *Server, c *core.Compiled, region *ir.Loop, st *spans) (*mtcg.Parallelized, error) {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	if rp.par == nil {
-		par, err := c.PlanDOMORE(region)
-		st.plan++
-		s.spanPlan.Add(1)
-		if err != nil {
-			return nil, err
-		}
-		rp.par = par
-	}
-	return rp.par, nil
 }
 
 func sigKind(name string) (signature.Kind, bool) {
@@ -595,6 +594,7 @@ func (s *Server) execute(req *RunRequest, in runParams, inv *invocation) (*RunRe
 		resp.AnalysisSpans = st.total()
 		return fail(422, "compile: %v", err)
 	}
+	p.ensureLinted(s, c, inv, st)
 	resp.Regions = len(c.Regions)
 
 	regionIdx := req.Region
@@ -657,18 +657,11 @@ func (s *Server) execute(req *RunRequest, in runParams, inv *invocation) (*RunRe
 		return fail(422, "oracle: %v", err)
 	}
 
-	// The suppliers wrap the cached builds in their spans; Run calls each
-	// only when the engine it runs needs the artifact. stage names the one
-	// that failed, for the 422's prefix.
+	// The supplier wraps the cached profile in its span; Run calls it only
+	// when the engine it runs needs the profile. stage names the stage that
+	// failed, for the 422's prefix.
 	var stage string
 	plan := core.Plan{
-		DOMORE: func() (par *mtcg.Parallelized, err error) {
-			defer inv.span(trace.SpanPlan).End()
-			if par, err = rp.ensureDomorePlan(s, c, region, st); err != nil {
-				stage = "domore plan"
-			}
-			return par, err
-		},
 		Profile: func() (pr speccross.ProfileResult, err error) {
 			defer inv.span(trace.SpanProfile).End()
 			if pr, err = rp.ensureProfile(s, c, region, kind, st); err != nil {
@@ -709,7 +702,13 @@ func (s *Server) execute(req *RunRequest, in runParams, inv *invocation) (*RunRe
 	if rerr != nil {
 		// Construction failures (e.g. no DOMORE view for this region shape)
 		// and execution faults are properties of the program, not the
-		// daemon: 422, like a compile error. A failed supplier names itself.
+		// daemon: 422, like a compile error. A failed supplier names itself,
+		// and so does a DOMORE plan the engine needed and the region lacks.
+		if stage == "" && (engine == "domore" || engine == "adaptive") {
+			if _, perr := c.PlanDOMORE(region); perr != nil {
+				stage = "domore plan"
+			}
+		}
 		if stage == "" {
 			stage = engine
 		}
@@ -734,10 +733,10 @@ func (s *Server) execute(req *RunRequest, in runParams, inv *invocation) (*RunRe
 	return resp, 200
 }
 
-// cacheLabel classifies the dispatch path this request took. The DOMORE
-// transform holds live IR pointers and is rebuilt per process, so a warm
-// (post-restart) invocation may re-plan; what warm never repeats is the
-// oracle run and the profiling pass.
+// cacheLabel classifies the dispatch path this request took. The region
+// plans hold live IR pointers and are rebuilt per process, so a warm
+// (post-restart) invocation re-plans; what warm never repeats is the oracle
+// run and the profiling pass.
 func cacheLabel(st *spans, diskHit bool) string {
 	switch {
 	case st.compile == 0 && st.oracle == 0 && st.profile == 0 && st.plan == 0:

@@ -185,7 +185,8 @@ func TestRequestObservability(t *testing.T) {
 }
 
 // TestExecuteTracedSpanTree pins the span tree an in-process invocation
-// produces: one root, the analysis stages parented under it, and one
+// produces: one root, the analysis stages parented under it (the program's
+// one plan span, its Lint, beside compile), and one
 // closed window span per adaptive window parented under the execute
 // span.
 func TestExecuteTracedSpanTree(t *testing.T) {
@@ -206,7 +207,7 @@ func TestExecuteTracedSpanTree(t *testing.T) {
 		t.Fatalf("want one root invocation span: %+v", byKind["invocation"])
 	}
 	root := byKind["invocation"][0].ID
-	for _, kind := range []string{"compile", "cache.lookup", "oracle", "profile", "execute"} {
+	for _, kind := range []string{"compile", "plan", "cache.lookup", "oracle", "profile", "execute"} {
 		got := byKind[kind]
 		if len(got) != 1 || got[0].Parent != root {
 			t.Errorf("%s spans = %+v, want one under root %d", kind, got, root)

@@ -36,7 +36,8 @@ const (
 	SpanOracle
 	// SpanProfile covers the §4.4 profiling pass.
 	SpanProfile
-	// SpanPlan covers DOMORE plan construction.
+	// SpanPlan covers deriving and verifying every region plan of a
+	// compiled program (its one Lint).
 	SpanPlan
 	// SpanWindow covers one adaptive monitoring window (emitted on
 	// LaneControl by the controller, parented under SpanExecute).

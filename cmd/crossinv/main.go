@@ -31,7 +31,10 @@
 //	          its rollback path and flight recorder)
 //	-explain  print the adaptive controller's per-window decision audit
 //	          after the run: engine, sampled signals, and the policy's
-//	          stated reason. With -remote it fetches the daemon's
+//	          stated reason. With -mode domore, print the guard's decision:
+//	          how many iterations ran inline, the measured inline and
+//	          scheduler costs per iteration, and whether the region went
+//	          parallel. With -remote it fetches the daemon's
 //	          /debug/decisions journal for the invocation
 //	-serve    serve /metrics (Prometheus text), /summary (JSON), and
 //	          /debug/pprof/ on ADDR while looping the workload (any mode,
@@ -64,6 +67,7 @@ import (
 	"crossinv/internal/ir"
 	"crossinv/internal/obs"
 	"crossinv/internal/runtime/adaptive"
+	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/runtime/trace"
 )
@@ -83,7 +87,7 @@ var (
 	traceFile = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
 	metrics   = flag.Bool("metrics", false, "print the metrics registry and per-thread timeline after the run")
 	misspec   = flag.Int("misspec", 0, "inject a misspeculation at this epoch (speccross/adaptive)")
-	explain   = flag.Bool("explain", false, "print the adaptive controller's per-window decision audit after the run (adaptive mode; works with -remote)")
+	explain   = flag.Bool("explain", false, "print the adaptive controller's per-window decision audit (adaptive mode; works with -remote) or DOMORE's inline-or-parallel decision (domore mode) after the run")
 
 	serve     = flag.String("serve", "", "serve /metrics, /summary, and /debug/pprof on this address while looping the workload")
 	serveRuns = flag.Int("serve-runs", 0, "with -serve: stop after this many runs (0: loop until killed)")
@@ -117,8 +121,8 @@ func main() {
 		}
 		return
 	}
-	if *explain && *mode != "adaptive" {
-		fatal(fmt.Errorf("-explain renders the adaptive decision audit; it needs -mode adaptive, not %s", *mode))
+	if *explain && *mode != "adaptive" && *mode != "domore" {
+		fatal(fmt.Errorf("-explain renders the adaptive decision audit or the DOMORE guard's decision; it needs -mode adaptive or domore, not %s", *mode))
 	}
 	c, err := core.Compile(string(src))
 	if err != nil {
@@ -214,7 +218,9 @@ func main() {
 		}
 		got := res.Env.Checksum()
 		fmt.Printf("%-10s checksum %016x  %v  (%s)\n", m, got, time.Since(start).Round(time.Microsecond), details(res))
-		if *explain {
+		if *explain && res.DOMORE != nil {
+			fmt.Println(guardLine(res.DOMORE.Stats))
+		} else if *explain {
 			fmt.Print(renderDecisions(audit))
 		}
 		if got != want {
@@ -339,6 +345,22 @@ func details(res core.Result) string {
 		return fmt.Sprintf("windows %d, switches %d, engine windows [domore speccross barrier] %v",
 			st.Windows, st.Switches, st.EngineWindows[:adaptive.EngineBarrier+1])
 	}
+}
+
+// guardLine renders the decision of domore.Run's guard: what ran inline,
+// the two measured rates, and the outcome.
+func guardLine(st domore.Stats) string {
+	var outcome string
+	switch {
+	case st.Inline < st.Iterations:
+		outcome = fmt.Sprintf("went parallel after %d: the scheduler costs less than the body", st.Inline)
+	case st.SchedNs >= st.InlineNs:
+		outcome = "stayed on the calling thread: the scheduler alone costs at least the body"
+	default:
+		outcome = "ran on the calling thread: the region ended before the probe decided or a worker started"
+	}
+	return fmt.Sprintf("  guard: %d of %d iterations inline, inline %.1f ns/iteration, scheduler %.1f ns/iteration; %s",
+		st.Inline, st.Iterations, st.InlineNs, st.SchedNs, outcome)
 }
 
 // lintOutput renders the static plan verifier's diagnostics for the

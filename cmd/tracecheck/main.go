@@ -2,7 +2,9 @@
 // crossinv -trace (or any tool claiming the same format): it parses each
 // file and checks the structural invariants trace.ValidateChrome enforces
 // (known phases, named events, balanced begin/end span nesting per
-// thread, non-negative timestamps). CI runs it over freshly generated
+// thread, non-negative timestamps, and every DOMORE guard decision — an
+// "inline" instant — carrying its inline iteration count and both measured
+// rates). CI runs it over freshly generated
 // traces so a regression in the exporter fails the build rather than
 // silently producing files chrome://tracing cannot load.
 //

@@ -7,6 +7,7 @@ import (
 	"crossinv/internal/analysis/xdep"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
+	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/runtime/trace"
@@ -14,10 +15,14 @@ import (
 )
 
 // Engines lists the engines the differential runner exercises, in run
-// order. domore-round-robin is DOMORE with an explicit round-robin policy:
-// besides the oracle it must agree with the default assignment on every
-// Stats field the assignment cannot change.
-var Engines = []string{"barrier", "domore", "domore-round-robin", "speccross", "adaptive"}
+// order. domore and domore-round-robin are DOMORE's parallel execution
+// (domore.RunOn, on a runtime from the engine pool), the second with an
+// explicit round-robin policy: besides the oracle it must agree with the
+// default assignment on every Stats field the assignment cannot change.
+// domore-guarded is domore.Run, whose guard runs the region inline first
+// and may go parallel where its probe stopped: every iteration must run
+// once, inline or scheduled.
+var Engines = []string{"barrier", "domore", "domore-round-robin", "domore-guarded", "speccross", "adaptive"}
 
 // Options configures a differential run of one case.
 type Options struct {
@@ -174,10 +179,10 @@ func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Fai
 			}
 		}
 	case "domore":
-		st := domore.Run(w, opts.Faults.Domore(domore.Options{Workers: opts.Workers, Trace: rec}))
+		st := parallelDomore(w, opts.Faults.Domore(domore.Options{Workers: opts.Workers, Trace: rec}))
 		detail = domoreInvariants(st, spec, rec)
 	case "domore-round-robin":
-		st := domore.Run(w, opts.Faults.Domore(domore.Options{
+		st := parallelDomore(w, opts.Faults.Domore(domore.Options{
 			Workers: opts.Workers, Policy: sched.NewRoundRobin(), Trace: rec,
 		}))
 		detail = domoreInvariants(st, spec, rec)
@@ -187,6 +192,9 @@ func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Fai
 		if detail == "" {
 			detail = sameAsFollow(st, spec, opts)
 		}
+	case "domore-guarded":
+		st := domore.Run(w, opts.Faults.Domore(domore.Options{Workers: opts.Workers, Trace: rec}))
+		detail = guardedInvariants(st, spec, rec)
 	case "speccross":
 		cfg := opts.Faults.Spec(speccross.Config{
 			Workers:         opts.Workers,
@@ -240,10 +248,48 @@ func diffState(k *epochal.Kernel, want []int64, mk func(string) *Failure) *Failu
 // default assignment over a fresh kernel of the same case: where iterations
 // go changes conditions and stalls, never what is scheduled or checked.
 func sameAsFollow(rr domore.Stats, spec *Spec, opts Options) string {
-	follow := domore.Run(opts.Mutation.Wrap(spec.Kernel()), domore.Options{Workers: opts.Workers})
+	follow := parallelDomore(opts.Mutation.Wrap(spec.Kernel()), domore.Options{Workers: opts.Workers})
 	if rr.Iterations != follow.Iterations || rr.Dispatches != follow.Dispatches ||
 		rr.AddrChecks != follow.AddrChecks || rr.Dependences != follow.Dependences {
 		return fmt.Sprintf("round-robin Stats %+v, default assignment %+v: iterations, dispatches, addr checks or dependences differ", rr, follow)
+	}
+	return ""
+}
+
+// parallelDomore is DOMORE's parallel execution on a runtime borrowed from
+// the engine pool: Acquire, RunOn, Release, which is domore.Run without its
+// guard.
+func parallelDomore(w domore.Workload, opts domore.Options) domore.Stats {
+	rt := engine.Acquire(opts.Workers)
+	defer rt.Release()
+	return domore.RunOn(rt, w, opts)
+}
+
+// guardedInvariants checks a guarded domore.Run: the probe's inline
+// iterations plus the scheduled ones are every iteration, each run once,
+// and the scheduled part keeps the parallel execution's invariants. On a
+// traced run the trace says the same: one inline event naming the inline
+// iterations, and a schedule event for each other one.
+func guardedInvariants(st domore.Stats, spec *Spec, rec *trace.Recorder) string {
+	total := spec.TotalTasks()
+	if st.Iterations != total || st.Inline+st.Dispatches != total {
+		return fmt.Sprintf("guarded domore ran %d iterations inline and dispatched %d, %d in all; workload has %d",
+			st.Inline, st.Dispatches, st.Iterations, total)
+	}
+	if st.Batches > st.Dispatches || (st.Batches == 0) != (st.Dispatches == 0) {
+		return fmt.Sprintf("guarded domore sent %d run records for %d dispatches", st.Batches, st.Dispatches)
+	}
+	if rec == nil {
+		return ""
+	}
+	sum := rec.Summary()
+	if sum.Counts[trace.KindInline] != 1 || sum.Sums[trace.KindInline] != st.Inline {
+		return fmt.Sprintf("guarded domore emitted %d inline events naming %d iterations, Stats say %d",
+			sum.Counts[trace.KindInline], sum.Sums[trace.KindInline], st.Inline)
+	}
+	if sum.Counts[trace.KindSchedule] != total-st.Inline {
+		return fmt.Sprintf("guarded domore scheduled %d iterations in the trace, want %d − %d inline",
+			sum.Counts[trace.KindSchedule], total, st.Inline)
 	}
 	return ""
 }

@@ -31,6 +31,10 @@ import (
 // one each time, since the harness runs them back to back. There the harness
 // rewinds the kernel and tells nobody; that the next run does not take the
 // last one's checkpoint image for current is what Runtime.Release promises.
+// DOMORE's public entry point is guarded and may not use its runtime's
+// threads at all, so the pooled pass spells out its parallel execution —
+// Acquire, RunOn, Release — and runs domore.Run itself as the
+// domore-guarded engine, in both passes.
 
 // dirtyKinds are the ways the dirtying run ends badly, chosen by the fault
 // seed. The first three abort speculative segments and must leave the
@@ -139,7 +143,7 @@ func (d *dirtyRun) barriers(w speccross.Workload) {
 
 func (d *dirtyRun) domore(w domore.Workload, o domore.Options) (st domore.Stats) {
 	if !d.on(func(rt *engine.Runtime) { st = domore.RunOn(rt, w, o) }) {
-		st = domore.Run(w, o)
+		st = parallelDomore(w, o)
 	}
 	return st
 }
@@ -294,6 +298,8 @@ func (d *dirtyRun) runClean(eng string) string {
 		if got != ref {
 			return fmt.Sprintf("deterministic Stats %+v on the reused runtime, %+v on a fresh one", got, ref)
 		}
+	case "domore-guarded":
+		return guardedInvariants(domore.Run(d.k, d.domoreOptions()), d.spec, d.rec)
 	case "speccross":
 		st := d.speccross(d.k, d.specConfig())
 		if detail := speccrossInvariants(st, d.spec, d.rec); detail != "" {

@@ -78,11 +78,18 @@ const (
 	// case whose iteration depends on another worker while its own worker
 	// still holds the run before it can catch it.
 	MutRunPastCond Mutation = "run-past-cond"
+	// MutResumeOffByOne models a DOMORE guard that loses its place: the
+	// scheduler takes over one iteration past where the inline probe
+	// stopped, so that iteration never runs. The engine's seam for it is
+	// the workload's ResumeOffByOne method; only a guarded run that goes
+	// parallel, which a case whose bodies outweigh their address
+	// computation makes it do, can catch it.
+	MutResumeOffByOne Mutation = "resume-off-by-one"
 )
 
 // Mutations lists the non-empty mutation kinds.
 func Mutations() []Mutation {
-	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleRuntime, MutReleaseKeepsVersion, MutElideCrossCond, MutRunPastCond}
+	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleRuntime, MutReleaseKeepsVersion, MutElideCrossCond, MutRunPastCond, MutResumeOffByOne}
 }
 
 // ParseMutation validates a -mutate flag value.
@@ -173,6 +180,12 @@ func MutationCatcher() *Spec {
 // worker 1's; in the next epoch the second task of worker 1's block loads
 // both. It stays behind the fast writer on worker 1, continuing the run of
 // the empty task before it, and needs a condition on worker 0.
+//
+// The resume catcher's tasks each spin resumeCatcherWork rounds and write
+// a cell of their own, so DOMORE's guard finds every body far costlier than
+// its address computation and hands the region to the scheduler once its
+// probe has run; the region is long enough for the probe to stop inside it.
+// Whichever iteration the broken resume skips leaves its cell unwritten.
 func (m Mutation) Catcher() *Spec {
 	switch m {
 	case MutStaleRuntime, MutReleaseKeepsVersion:
@@ -200,6 +213,16 @@ func (m Mutation) Catcher() *Spec {
 			)
 		}
 		return mustValid(s)
+	case MutResumeOffByOne:
+		s := &Spec{Name: "chaos-resume-catcher", StateLen: resumeCatcherEpochs * runCatcherTasks, SigKind: "exact"}
+		for e := 0; e < resumeCatcherEpochs; e++ {
+			tasks := make([]TaskSpec, runCatcherTasks)
+			for i := range tasks {
+				tasks[i] = TaskSpec{Writes: []uint64{uint64(e*runCatcherTasks + i)}, Work: resumeCatcherWork}
+			}
+			s.Epochs = append(s.Epochs, EpochSpec{Tasks: tasks})
+		}
+		return mustValid(s)
 	case MutRunPastCond:
 		s := &Spec{Name: "chaos-run-catcher", StateLen: 9, SigKind: "exact"}
 		for i := uint64(0); i < 3; i++ {
@@ -219,6 +242,14 @@ func (m Mutation) Catcher() *Spec {
 // worker at the harness's default four.
 const runCatcherTasks = 8
 
+// The resume catcher's shape: 32 epochs of runCatcherTasks tasks, each
+// spinning resumeCatcherWork rounds — microseconds a task, against the
+// tenths of one its address computation costs.
+const (
+	resumeCatcherEpochs = 32
+	resumeCatcherWork   = 4000
+)
+
 func mustValid(s *Spec) *Spec {
 	if err := s.Validate(); err != nil {
 		panic(err)
@@ -231,9 +262,9 @@ func mustValid(s *Spec) *Spec {
 // not the execution (RunSpec corrupts the claim before the gate) — and
 // MutStaleRuntime and MutReleaseKeepsVersion, which break the harness's own
 // use of a shared runtime and the pool's release of one (dirtyRun.reset,
-// dirtyRun.on). The wrappers of MutElideCrossCond and MutRunPastCond change
-// nothing but ask the DOMORE engine to break itself (ElideCrossConds,
-// RunPastConds).
+// dirtyRun.on). The wrappers of MutElideCrossCond, MutRunPastCond and
+// MutResumeOffByOne change nothing but ask the DOMORE engine to break itself
+// (ElideCrossConds, RunPastConds, ResumeOffByOne).
 func (m Mutation) Wrap(k *epochal.Kernel) adaptive.Workload {
 	if m == MutNone || m == MutWidenStatic || m == MutStaleRuntime || m == MutReleaseKeepsVersion {
 		return k
@@ -259,6 +290,9 @@ func (w *mutated) ElideCrossConds() bool { return w.m == MutElideCrossCond }
 
 // RunPastConds is the DOMORE engine's seam for MutRunPastCond.
 func (w *mutated) RunPastConds() bool { return w.m == MutRunPastCond }
+
+// ResumeOffByOne is the DOMORE engine's seam for MutResumeOffByOne.
+func (w *mutated) ResumeOffByOne() bool { return w.m == MutResumeOffByOne }
 
 // The delta view forwards to the kernel, so the incremental-checkpoint
 // path stays engaged under mutation — skip-delta-restore breaks exactly

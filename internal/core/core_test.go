@@ -4,8 +4,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"crossinv/internal/ir"
+	"crossinv/internal/ir/interp"
 	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/domore"
+	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/speccross"
 )
 
@@ -149,9 +152,39 @@ func TestDOMOREMatchesSequentialCG(t *testing.T) {
 	}
 	// The IDX pattern revisits C cells across invocations: dynamic
 	// dependences must have been detected.
-	if res.DOMORE.Stats.Dependences == 0 {
+	if st := parallelDOMORE(t, c, region, domore.Options{Workers: 4}); st.Dependences == 0 {
 		t.Fatal("expected dynamic dependences")
 	}
+}
+
+// parallelDOMORE runs region's DOMORE plan as Run's domore engine does, but
+// through domore.RunOn, the unguarded parallel execution, and returns its
+// Stats once the program's result has matched the sequential one.
+func parallelDOMORE(t *testing.T, c *Compiled, region *ir.Loop, opts domore.Options) domore.Stats {
+	t.Helper()
+	par, err := c.PlanDOMORE(region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st domore.Stats
+	res := &DomoreResult{Par: par}
+	_, err = execute(c, region, res, &res.Env, func(env *interp.Env) error {
+		w, err := par.Bind(env, opts.Workers)
+		if err != nil {
+			return err
+		}
+		rt := engine.Acquire(opts.Workers)
+		defer rt.Release()
+		st = domore.RunOn(rt, w, opts)
+		return w.Finish()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Env.Checksum(), seqChecksum(t, c); got != want {
+		t.Fatalf("parallel domore checksum %x != sequential %x", got, want)
+	}
+	return st
 }
 
 func TestDOMOREShardedMatchesSequentialCG(t *testing.T) {
@@ -172,7 +205,7 @@ func TestDOMOREShardedMatchesSequentialCG(t *testing.T) {
 	if res.Stats.Iterations == 0 {
 		t.Fatal("no iterations scheduled")
 	}
-	if res.Stats.Dependences == 0 {
+	if st := parallelDOMORE(t, c, region, domore.Options{Workers: 4, Lanes: 3}); st.Dependences == 0 {
 		t.Fatal("expected dynamic dependences")
 	}
 	// The forwarder runs the domore engine's schedule.

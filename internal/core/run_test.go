@@ -32,7 +32,15 @@ type detStats struct {
 	EngineWindows [adaptive.NumEngines]int
 }
 
+// detDomore keeps only the total of a guarded run (domore.Run, which Run
+// and the forwarders call): how many of its iterations the probe ran inline
+// and how many the scheduler placed is a measurement. The parallel
+// execution's counters (domore.RunOn, as adaptive's windows and
+// parallelDOMORE run it) are all deterministic.
 func detDomore(s domore.Stats) detDomoreStats {
+	if s.InlineNs > 0 {
+		return detDomoreStats{Iterations: s.Iterations}
+	}
 	return detDomoreStats{s.Iterations, s.Dispatches, s.SyncConditions, s.Dependences, s.AddrChecks}
 }
 

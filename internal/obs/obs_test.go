@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"crossinv/internal/runtime/domore"
+	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/trace"
 	"crossinv/internal/workloads/cg"
 )
@@ -54,6 +55,15 @@ func parsePrometheus(t *testing.T, body string) map[string]float64 {
 	return samples
 }
 
+// runParallel is domore.RunOn on a runtime borrowed from the engine pool:
+// the parallel execution, every iteration of which the scheduler emits.
+// domore.Run could run a region this small on the calling thread.
+func runParallel(w domore.Workload, opts domore.Options) domore.Stats {
+	rt := engine.Acquire(opts.Workers)
+	defer rt.Release()
+	return domore.RunOn(rt, w, opts)
+}
+
 // TestMetricsMatchEngineStats scrapes /metrics after a completed DOMORE
 // run and asserts the Prometheus counters agree with the engine's own
 // Stats — the same exactness contract the workload suites assert for the
@@ -61,7 +71,7 @@ func parsePrometheus(t *testing.T, body string) map[string]float64 {
 func TestMetricsMatchEngineStats(t *testing.T) {
 	rec := trace.NewRecorder()
 	w := cg.New(1)
-	stats := domore.Run(w, domore.Options{Workers: 4, Trace: rec})
+	stats := runParallel(w, domore.Options{Workers: 4, Trace: rec})
 	if stats.Iterations == 0 {
 		t.Fatal("no iterations scheduled")
 	}
@@ -95,13 +105,13 @@ func TestMetricsMatchEngineStats(t *testing.T) {
 	if _, ok := samples["crossinv_process_goroutines"]; !ok {
 		t.Error("missing crossinv_process_goroutines gauge")
 	}
-	// domore.Run above built one runtime and left it in the engine pool; a
+	// The run above built one runtime and left it in the engine pool; a
 	// second run is served from there, and the scrape says so.
 	created, reused := samples["crossinv_engine_runtimes_created_total"], samples["crossinv_engine_runtimes_reused_total"]
 	if created < 1 || samples["crossinv_engine_runtimes_idle"] < 1 {
 		t.Errorf("after one engine run: runtimes created %v, idle %v; want at least 1 each", created, samples["crossinv_engine_runtimes_idle"])
 	}
-	domore.Run(cg.New(1), domore.Options{Workers: 4})
+	runParallel(cg.New(1), domore.Options{Workers: 4})
 	samples = parsePrometheus(t, get(t, srv.URL+"/metrics"))
 	if c, r := samples["crossinv_engine_runtimes_created_total"], samples["crossinv_engine_runtimes_reused_total"]; c != created || r != reused+1 {
 		t.Errorf("a second engine run: runtimes created %v → %v, reused %v → %v; want it served from the pool", created, c, reused, r)
@@ -135,7 +145,7 @@ func TestScrapeDuringRun(t *testing.T) {
 	done := make(chan domore.Stats, 1)
 	go func() {
 		w := cg.New(1)
-		done <- domore.Run(w, domore.Options{Workers: 4, Trace: rec})
+		done <- runParallel(w, domore.Options{Workers: 4, Trace: rec})
 	}()
 
 	var scrapes int

@@ -103,6 +103,16 @@ func settle(t *testing.T, what string, base int) {
 	}
 }
 
+// pooledDomore is domore.Run's parallel execution spelled out — a runtime
+// from the pool, RunOn, Release — for the worker-panic cases: Run's guard
+// may run the faulting iteration inline on the caller, where no worker
+// panics and the runtime is rightly pooled again.
+func pooledDomore(c *cells, opts domore.Options) {
+	rt := engine.Acquire(opts.Workers)
+	defer rt.Release()
+	domore.RunOn(rt, c, opts)
+}
+
 // TestEntryPointsLeaveNoGoroutineBehind: every entry point that borrows a
 // runtime hands it back on every way out — a clean run, a misspeculation, a
 // timed-out segment — so that closing the pool's idle runtimes leaves no
@@ -156,14 +166,14 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 					panic("worker fault")
 				}
 			},
-			run: func(c *cells) { domore.Run(c, domore.Options{Workers: nw, QueueCap: 2}) }},
+			run: func(c *cells) { pooledDomore(c, domore.Options{Workers: nw, QueueCap: 2}) }},
 		{name: "domore.RunSharded worker panic", panics: true,
 			fault: func(e, task int, _ *signature.Signature) {
 				if e == 3 && task == 1 {
 					panic("worker fault")
 				}
 			},
-			run: func(c *cells) { domore.RunSharded(c, domore.Options{Workers: nw, Lanes: 2, QueueCap: 2}) }},
+			run: func(c *cells) { pooledDomore(c, domore.Options{Workers: nw, Lanes: 2, QueueCap: 2}) }},
 		{name: "speccross.RunBarriers worker panic", panics: true,
 			fault: func(e, task int, _ *signature.Signature) {
 				if e == 3 && task == 1 {

@@ -119,6 +119,10 @@ func TestStaticSeedReachesStableEngineSooner(t *testing.T) {
 			}
 		} else {
 			cfg.Start = adaptive.EngineBarrier
+			// Speculating over the kernel's real conflicts races by design
+			// (see internal/raceflag): gate the cold arm at the safe
+			// distance, as every other adaptive test does.
+			cfg.Spec.SpecDistance = safeDist
 		}
 		stats := adaptive.Run(k, cfg)
 		if got := k.Checksum(); got != want {

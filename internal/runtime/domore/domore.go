@@ -20,11 +20,25 @@
 // on one worker instead of becoming one cross-thread condition per link.
 // Consecutive iterations a worker takes with no condition between them
 // travel as one run record rather than one dispatch record each.
+//
+// Run guards the transformation the way §3.3.4 guards it at compile time:
+// DOMORE pays only when an iteration's body is worth more than the
+// scheduler's work for it. Under the default assignment Run first executes
+// the region on the calling thread, in order, and times it, and dry-runs
+// the scheduler's per-iteration work — computeAddr and the shadow-memory
+// exchange — on a sample of the iterations it probed. When the scheduler
+// alone costs at least as much per iteration as the inline execution, no
+// worker count can win, and the region finishes on the calling thread;
+// otherwise Run wakes the workers, keeps executing inline until the first
+// of them has started, and hands the rest of the region to the scheduler
+// there. The probe decides within about as long as the runtime's first
+// worker last took to start. RunOn is the unguarded parallel execution.
 package domore
 
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/queue"
@@ -112,8 +126,9 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats reports what the runtime engine observed; the experiments harness
-// uses these counters for Table 5.2 and the figure captions.
+// Stats reports what the runtime engine observed: the counters behind the
+// paper's Table 5.2 (iterations, conditions, stalls), as the repository
+// benchmark and crossinv report them.
 //
 // Concurrency contract (audited, enforced by the stats_race_test regression
 // under -race and by the stats-atomic lint rule): no thread writes Stats
@@ -122,11 +137,23 @@ func (o *Options) fill() {
 // goroutine folds those in at quiesce, when every thread has finished its
 // phase, so callers may read the returned Stats without synchronization.
 type Stats struct {
-	// Iterations is the total number of inner-loop iterations scheduled
-	// (combined across invocations — the paper's global iteration numbers).
+	// Iterations is the total number of inner-loop iterations executed
+	// (combined across invocations — the paper's global iteration numbers),
+	// inline and scheduled alike.
 	Iterations int64
-	// Dispatches counts (iteration, worker) pairs; equals Iterations under
-	// single-owner policies and exceeds it under LOCALWRITE.
+	// Inline counts the iterations Run executed on the calling thread, its
+	// probe included; Iterations − Inline were scheduled onto the workers.
+	// It is 0 under RunOn and under an explicit Policy. Every counter below
+	// counts the scheduled part only.
+	Inline int64
+	// InlineNs and SchedNs are the rates Run's guard decided on, in
+	// nanoseconds per iteration: the probe's inline execution, Sequential
+	// included, and the scheduler's dry-run computeAddr and shadow exchange.
+	// Run stayed on the calling thread when SchedNs ≥ InlineNs. Both are 0
+	// when no guard ran.
+	InlineNs, SchedNs float64
+	// Dispatches counts (iteration, worker) pairs; equals Iterations −
+	// Inline under single-owner policies and exceeds it under LOCALWRITE.
 	Dispatches int64
 	// SyncConditions counts ⟨depTid, depIterNum⟩ conditions forwarded — the
 	// dynamic dependences that manifested across threads.
@@ -179,28 +206,70 @@ func (r *cond) next(inv, it int) bool {
 // Run executes the workload under DOMORE with a dedicated scheduler thread
 // (the Fig 3.2(c) plan) and returns execution statistics. It runs on a
 // runtime borrowed from the engine pool for the call and released on return.
+//
+// Under the default assignment (Options.Policy nil) Run is guarded, as the
+// package documentation describes: it probes the region inline first, and
+// goes parallel from where the probe stopped only when the scheduler's
+// measured cost per iteration is below the inline one. Probed iterations
+// need no conditions, since they finished before the scheduler placed any
+// other, and an invocation the probe left half done does not run
+// Sequential again. The guard's decision is in Stats.Inline, InlineNs and
+// SchedNs, and in one trace.KindInline event on the scheduler lane. A panic
+// in a probed iteration continues on the caller; the runtime stays usable
+// unless the probe had already woken its workers. Under an explicit
+// Policy, Run is RunOn.
 func Run(w Workload, opts Options) Stats {
 	opts.fill()
 	rt := engine.Acquire(opts.Workers)
 	defer rt.Release()
-	return RunOn(rt, w, opts)
+	if opts.Policy != nil {
+		return RunOn(rt, w, opts)
+	}
+	st := stateOn(rt, &opts)
+	st.begin(w, opts.Trace)
+	g := st.probe(st.budget())
+	opts.Trace.Lane(trace.LaneScheduler).Emit(trace.KindInline, g.at.iter, int64(g.inlineNs), int64(g.schedNs))
+	stats := Stats{Iterations: g.at.iter}
+	if g.parallel {
+		stats = st.schedulePosted(&opts, g.at)
+	}
+	stats.Inline, stats.InlineNs, stats.SchedNs = g.at.iter, g.inlineNs, g.schedNs
+	return stats
 }
 
-// RunOn is Run on the threads and state of rt, which must have been created
-// for opts.Workers workers: the calling goroutine is the scheduler, the
-// runtime's worker threads run Algorithm 2, and rings, progress words and
-// the shadow store are reset, not rebuilt. If the scheduler or a
-// worker panics, rt is closed and the panic continues on the caller.
+// RunOn is the unguarded parallel execution: Run with no probe, on the
+// threads and state of rt, which must have been created for opts.Workers
+// workers. The calling goroutine is the scheduler from the region's first
+// iteration, the runtime's worker threads run Algorithm 2, and rings,
+// progress words and the shadow store are reset, not rebuilt. If the
+// scheduler or a worker panics, rt is closed and the panic continues on the
+// caller.
 func RunOn(rt *engine.Runtime, w Workload, opts Options) Stats {
 	opts.fill()
 	defer rt.Settle()
 	st := stateOn(rt, &opts)
 	st.begin(w, opts.Trace)
+	st.post()
+	return st.schedulePosted(&opts, position{})
+}
+
+// post starts the worker phases of a parallel run.
+func (st *state) post() {
+	st.awake.Store(false)
+	st.posted = time.Now()
 	for tid := range st.local {
-		rt.Go(tid, "domore", "worker", st.local[tid].run)
+		st.rt.Go(tid, "domore", "worker", st.local[tid].run)
 	}
+}
+
+// schedulePosted runs the scheduler from position from, the worker phases
+// posted, and quiesces. It measures how long the first worker took to
+// start, which sizes the next guarded probe.
+func (st *state) schedulePosted(opts *Options, from position) Stats {
+	rt := st.rt
+	defer rt.Settle()
 	var stats Stats
-	rt.Labeled("domore", "scheduler", func() { st.schedule(&opts, &stats) })
+	rt.Labeled("domore", "scheduler", func() { st.schedule(opts, &stats, from) })
 	rt.Wait()
 	st.fold(&stats)
 	return stats
@@ -236,12 +305,20 @@ type state struct {
 	open           []cond         // scheduler: per-worker run not yet sent (Count 0: none)
 	buf            []uint64       // scheduler: ComputeAddr scratch
 
+	// startup is how long the worker phases of the last parallel run took to
+	// start: from the first post to the first worker's first instruction.
+	// Zero until a parallel run has measured it.
+	startup time.Duration
+
 	// The run in progress, written by the control goroutine before it posts
 	// the worker phases.
-	w       Workload
-	rec     *trace.Recorder
-	elide   bool // w asked for the elide-cross-cond mutation (see crossCondElider)
-	runPast bool // w asked for the run-past-cond mutation (see runPastConder)
+	w         Workload
+	rec       *trace.Recorder
+	posted    time.Time   // when the worker phases were posted
+	awake     atomic.Bool // a worker has begun its phase
+	elide     bool        // w asked for the elide-cross-cond mutation (see crossCondElider)
+	runPast   bool        // w asked for the run-past-cond mutation (see runPastConder)
+	resumeOff bool        // w asked for the resume-off-by-one mutation (see resumeOffByOner)
 }
 
 // crossCondElider is the seam of the chaos harness's elide-cross-cond
@@ -260,13 +337,21 @@ type crossCondElider interface{ ElideCrossConds() bool }
 // condition; nothing else implements this.
 type runPastConder interface{ RunPastConds() bool }
 
+// resumeOffByOner is the seam of the chaos harness's resume-off-by-one
+// mutation. A workload whose ResumeOffByOne reports true gets a broken
+// guard: the scheduler resumes one iteration past where the probe stopped,
+// so that iteration never runs. The harness must catch the lost iteration;
+// nothing else implements this.
+type resumeOffByOner interface{ ResumeOffByOne() bool }
+
 // workerLocal is one worker's private state. Its counters are plain: only
 // the worker writes them, and the control goroutine folds them into Stats
 // at quiesce.
 type workerLocal struct {
-	stalls int64
-	run    func() // the worker's phase, bound once
-	_      [64]byte
+	stalls  int64
+	started time.Duration // since state.posted, when this worker's phase began
+	run     func()        // the worker's phase, bound once
+	_       [64]byte
 }
 
 // stateOn returns rt's DOMORE state, sized for opts, and resolves the
@@ -311,6 +396,8 @@ func (st *state) begin(w Workload, rec *trace.Recorder) {
 	st.elide = ok && e.ElideCrossConds()
 	r, ok := w.(runPastConder)
 	st.runPast = ok && r.RunPastConds()
+	o, ok := w.(resumeOffByOner)
+	st.resumeOff = ok && o.ResumeOffByOne()
 	for i := range st.latestFinished {
 		st.latestFinished[i].v.Store(-1)
 	}
@@ -322,12 +409,17 @@ func (st *state) begin(w Workload, rec *trace.Recorder) {
 // so a runtime parked in the engine pool pins buffers only.
 func (st *state) Forget() { st.w, st.rec = nil, nil }
 
-// fold adds the per-thread counters to stats and zeroes them.
+// fold adds the per-thread counters to stats and zeroes them, and keeps
+// the phases' start-up time for the next guarded probe: how long the first
+// worker took to begin, since no iteration of the run could start sooner.
 func (st *state) fold(stats *Stats) {
+	startup := st.local[0].started
 	for i := range st.local {
 		stats.Stalls += st.local[i].stalls
 		st.local[i].stalls = 0
+		startup = min(startup, st.local[i].started)
 	}
+	st.startup = startup
 }
 
 // schedule is Algorithm 1 plus the outer-loop sequential regions: for every
@@ -340,7 +432,11 @@ func (st *state) fold(stats *Stats) {
 // worker ever waits on an iteration the scheduler holds, and when the
 // invocation ends, before the next Sequential, which may wait for the
 // workers.
-func (st *state) schedule(opts *Options, stats *Stats) {
+//
+// It starts at from: invocation from.inv, whose Sequential has already run
+// when from.it > 0, at its iteration from.it, numbered from.iter. Under
+// RunOn that is the region's start.
+func (st *state) schedule(opts *Options, stats *Stats, from position) {
 	w, queues, pending, open := st.w, st.queues, st.pending, st.open
 	nw := opts.Workers
 	shadowMem := st.shadow
@@ -352,14 +448,26 @@ func (st *state) schedule(opts *Options, stats *Stats) {
 	var one [1]int
 	f := follower{sm: shadowMem, nw: nw, elide: st.elide}
 	// Counted in locals, stored into stats once at the end.
-	var iterNum, dispatches, syncConds, dependences, addrChecks, batches int64
+	var dispatches, syncConds, dependences, addrChecks, batches int64
+	resumed := from.it > 0
+	if st.resumeOff && from.iter > 0 {
+		from.it++
+		from.iter++
+	}
+	iterNum := from.iter
 	buf := st.buf
 	invocations := w.Invocations()
-	for inv := 0; inv < invocations; inv++ {
-		w.Sequential(inv)
+	for inv := from.inv; inv < invocations; inv++ {
+		first := 0
+		if inv == from.inv {
+			first = from.it
+		}
+		if inv != from.inv || !resumed {
+			w.Sequential(inv)
+		}
 		iters := w.Iterations(inv)
 		sch.Emit(trace.KindEpochBegin, int64(inv), int64(inv+1), 0)
-		for it := 0; it < iters; it++ {
+		for it := first; it < iters; it++ {
 			buf = w.ComputeAddr(inv, it, buf[:0])
 			addrs := buf
 			sch.Emit(trace.KindSchedule, 1, int64(inv), iterNum)
@@ -580,6 +688,8 @@ func addDep(deps []cond, tid int32, iter int64) []cond {
 // dependences, execute dispatched runs, and publish each iteration's
 // completion.
 func (st *state) worker(tid int) {
+	st.local[tid].started = time.Since(st.posted)
+	st.awake.Store(true)
 	q, tt := st.queues[tid], st.rec.Lane(int32(tid))
 	for {
 		c, ok := st.consume(q, int64(tid), tt)

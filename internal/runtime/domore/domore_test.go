@@ -79,7 +79,7 @@ func TestRunMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	w := newIrregular(rng, 20, 50, 64, 2)
 	want := w.sequentialRun()
-	stats := Run(w, Options{Workers: 4})
+	stats := runOn(w, Options{Workers: 4})
 	for a := range want {
 		if w.data[a] != want[a] {
 			t.Fatalf("data[%d] = %d, want %d", a, w.data[a], want[a])
@@ -109,7 +109,7 @@ func TestRunNoConflictsNoConditions(t *testing.T) {
 		}
 	}
 	want := w.sequentialRun()
-	stats := Run(w, Options{Workers: 3})
+	stats := runOn(w, Options{Workers: 3})
 	if stats.SyncConditions != 0 {
 		t.Fatalf("SyncConditions = %d, want 0 for disjoint accesses", stats.SyncConditions)
 	}
@@ -175,7 +175,7 @@ func schedule(t *testing.T, w Workload, opts Options) []trace.Event {
 	t.Helper()
 	rec := trace.NewRecorder()
 	opts.Trace = rec
-	Run(w, opts)
+	runOn(w, opts)
 	var out []trace.Event
 	for _, ev := range rec.Events() {
 		if ev.Kind == trace.KindSyncCond || ev.Kind == trace.KindDispatch {
@@ -324,11 +324,11 @@ func TestInvalidWorkersPanics(t *testing.T) {
 	Run(&irregular{}, Options{Workers: 0})
 }
 
-// Property: for arbitrary irregular access patterns and worker counts, Run
-// under the default assignment and under explicit round-robin produces
-// exactly the sequential result.
+// Property: for arbitrary irregular access patterns and worker counts, the
+// parallel execution under the default assignment and under explicit
+// round-robin, and the guarded Run, produce exactly the sequential result.
 func TestQuickEquivalence(t *testing.T) {
-	prop := func(seed int64, workers uint8, rr bool) bool {
+	prop := func(seed int64, workers uint8, rr, guarded bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nw := int(workers%4) + 1
 		w := newIrregular(rng, 8, 25, 24, 2)
@@ -337,7 +337,11 @@ func TestQuickEquivalence(t *testing.T) {
 		if rr {
 			opts.Policy = sched.NewRoundRobin()
 		}
-		Run(w, opts)
+		if guarded {
+			Run(w, opts)
+		} else {
+			runOn(w, opts)
+		}
 		for a := range want {
 			if w.data[a] != want[a] {
 				return false
@@ -356,6 +360,6 @@ func BenchmarkDomoreIrregular(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		w := newIrregular(rng, 20, 100, 256, 2)
 		b.StartTimer()
-		Run(w, Options{Workers: 4})
+		runOn(w, Options{Workers: 4})
 	}
 }

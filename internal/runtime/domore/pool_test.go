@@ -24,7 +24,10 @@ func checkIrregular(t *testing.T, what string, w *irregular, want []int64) {
 // engine pool: the second and later Run (or RunSharded, which is Run) over
 // a workload — each borrowing the runtime the one before released —
 // allocates exactly what RunOn does on a runtime its caller keeps. No ring
-// or shadow table is built per call, and no goroutine started.
+// or shadow table is built per call, and no goroutine started. A runtime
+// starts its threads the first time a run goes parallel, and Run's guard
+// decides that by measurement, so one parallel run on the pooled runtime
+// starts them before the count.
 func TestPooledRunAllocatesWhatRunOnDoes(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -49,6 +52,7 @@ func TestPooledRunAllocatesWhatRunOnDoes(t *testing.T) {
 		rt.Close()
 		checkIrregular(t, "RunOn", w, want)
 
+		runOn(w, opts)
 		goroutines := 0
 		pooled := testing.AllocsPerRun(10, func() {
 			clear(w.data)
@@ -68,9 +72,9 @@ func TestPooledRunAllocatesWhatRunOnDoes(t *testing.T) {
 	engine.CloseIdle()
 }
 
-// TestPooledRunRebuildsOnlyWhatDiffers: a run that follows a run with
-// another QueueCap, lane count or policy on the same pooled runtime still
-// equals the sequential result, and rebuilds the rings only for a new
+// TestPooledRunRebuildsOnlyWhatDiffers: a parallel run that follows a run
+// with another QueueCap, lane count or policy on the same pooled runtime
+// still equals the sequential result, and rebuilds the rings only for a new
 // capacity.
 func TestPooledRunRebuildsOnlyWhatDiffers(t *testing.T) {
 	engine.CloseIdle()
@@ -81,7 +85,7 @@ func TestPooledRunRebuildsOnlyWhatDiffers(t *testing.T) {
 		opts.Workers = workers
 		w := newIrregular(rand.New(rand.NewSource(11)), 5, 30, 40, 2)
 		want := w.sequentialRun()
-		st := Run(w, opts)
+		st := runOn(w, opts)
 		if st.Iterations != 150 || st.SyncConditions == 0 {
 			t.Errorf("%s: %d iterations, %d sync conditions; want 150 and some", what, st.Iterations, st.SyncConditions)
 		}

@@ -26,7 +26,7 @@ func records(t *testing.T, w Workload, opts Options) ([][]cond, Stats) {
 	st.begin(w, nil)
 	defer st.Forget()
 	var stats Stats
-	st.schedule(&opts, &stats)
+	st.schedule(&opts, &stats, position{})
 	out := make([][]cond, opts.Workers)
 	for tid, q := range st.queues {
 		for {
@@ -216,7 +216,7 @@ func TestRunsNeverStrandACondition(t *testing.T) {
 					}
 					want := data.sequentialRun()
 					done := make(chan Stats, 1)
-					go func() { done <- Run(w, Options{Workers: nw, QueueCap: qcap}) }()
+					go func() { done <- runOn(w, Options{Workers: nw, QueueCap: qcap}) }()
 					select {
 					case st := <-done:
 						checkIrregular(t, name, data, want)

@@ -12,10 +12,13 @@ import (
 )
 
 // The tests in this file pin RunSharded, which the repository benchmark
-// calls by name, as what it is: Run. Options.Lanes changes nothing,
-// Stats.Batches counts Run's run records, and LaneWaits reads 0. Their
-// names are those of the sharded scheduler's tests, whose configurations
-// they still run.
+// calls by name, as what it is: Run. Their names are those of the sharded
+// scheduler's tests, whose configurations they still run. Those that pin
+// what the scheduler does run the parallel execution (runOn) with
+// Options.Lanes set, and find that Lanes changes nothing, Stats.Batches
+// counts Run's run records, and LaneWaits reads 0; TestRunShardedMatchesSequential,
+// TestRunShardedQuick and TestRunShardedSteadyStateAllocs call RunSharded
+// itself, which is guarded like Run.
 
 // dataOf returns the cells a test workload writes.
 func dataOf(w Workload) []int64 {
@@ -25,10 +28,10 @@ func dataOf(w Workload) []int64 {
 	return w.(*irregular).data
 }
 
-// sameAsRun runs one instance from mk under Run and another under
-// RunSharded — one after the other, or at once from two goroutines, each on
-// a runtime of its own from the pool — and requires the same data and the
-// same Stats, Stalls aside.
+// sameAsRun runs one instance from mk in parallel with Options.Lanes unset
+// and another with the lanes opts asks for — one after the other, or at
+// once from two goroutines, each on a runtime of its own from the pool —
+// and requires the same data and the same Stats, Stalls aside.
 func sameAsRun(t *testing.T, mk func() Workload, opts func() Options, concurrent bool) Stats {
 	t.Helper()
 	ref, w := mk(), mk()
@@ -36,12 +39,12 @@ func sameAsRun(t *testing.T, mk func() Workload, opts func() Options, concurrent
 	if concurrent {
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); want = Run(ref, opts()) }()
-		go func() { defer wg.Done(); got = RunSharded(w, opts()) }()
+		go func() { defer wg.Done(); want = runOn(ref, noLanes(opts())) }()
+		go func() { defer wg.Done(); got = runOn(w, opts()) }()
 		wg.Wait()
 	} else {
-		want = Run(ref, opts())
-		got = RunSharded(w, opts())
+		want = runOn(ref, noLanes(opts()))
+		got = runOn(w, opts())
 	}
 	for a, v := range dataOf(ref) {
 		if dataOf(w)[a] != v {
@@ -50,7 +53,7 @@ func sameAsRun(t *testing.T, mk func() Workload, opts func() Options, concurrent
 	}
 	got.Stalls, want.Stalls = 0, 0
 	if got != want {
-		t.Errorf("RunSharded stats %+v, Run %+v", got, want)
+		t.Errorf("stats %+v with lanes, %+v without", got, want)
 	}
 	if got.Batches != want.Batches || got.LaneWaits != 0 {
 		t.Errorf("Batches = %d, LaneWaits = %d; want Run's %d and 0", got.Batches, got.LaneWaits, want.Batches)
@@ -58,13 +61,19 @@ func sameAsRun(t *testing.T, mk func() Workload, opts func() Options, concurrent
 	return got
 }
 
+// noLanes returns o with Options.Lanes unset.
+func noLanes(o Options) Options {
+	o.Lanes = 0
+	return o
+}
+
 func TestRunShardedMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	w := newIrregular(rng, 20, 50, 64, 2)
 	want := w.sequentialRun()
-	stats := RunSharded(w, Options{Workers: 4, Lanes: 4})
+	stats := runOn(w, Options{Workers: 4, Lanes: 4})
 	checkIrregular(t, "RunSharded", w, want)
-	ref := Run(newIrregular(rand.New(rand.NewSource(42)), 20, 50, 64, 2), Options{Workers: 4})
+	ref := runOn(newIrregular(rand.New(rand.NewSource(42)), 20, 50, 64, 2), Options{Workers: 4})
 	if stats.Iterations != 20*50 {
 		t.Fatalf("Iterations = %d, want %d", stats.Iterations, 20*50)
 	}
@@ -73,6 +82,14 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 	}
 	if stats.Batches != ref.Batches || stats.LaneWaits != 0 {
 		t.Fatalf("Batches = %d, LaneWaits = %d; want Run's %d and 0", stats.Batches, stats.LaneWaits, ref.Batches)
+	}
+
+	// RunSharded itself is the guarded Run.
+	w = newIrregular(rand.New(rand.NewSource(42)), 20, 50, 64, 2)
+	guarded := RunSharded(w, Options{Workers: 4, Lanes: 4})
+	checkIrregular(t, "RunSharded", w, want)
+	if guarded.Iterations != 20*50 || guarded.Inline+guarded.Dispatches != guarded.Iterations {
+		t.Fatalf("RunSharded: %d iterations, %d inline + %d dispatched; want %d in all", guarded.Iterations, guarded.Inline, guarded.Dispatches, 20*50)
 	}
 }
 
@@ -126,7 +143,7 @@ func TestRunShardedTinyQueues(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	w := newIrregular(rng, 12, 64, 16, 2) // 16-cell space: dependences everywhere
 	want := w.sequentialRun()
-	stats := RunSharded(w, Options{Workers: 3, Lanes: 2, QueueCap: 2})
+	stats := runOn(w, Options{Workers: 3, Lanes: 2, QueueCap: 2})
 	checkIrregular(t, "tiny queues", w, want)
 	if stats.SyncConditions == 0 {
 		t.Fatal("tiny address space produced no cross-thread dependences; test lost its point")
@@ -151,7 +168,7 @@ func newIrregularLens(rng *rand.Rand, lens []int, space, addrsPerIter int) *irre
 // TestRunShardedChunkBoundaries runs the invocation lengths that straddled
 // the sharded scheduler's chunk size of 8 — one short, exact, one over, two
 // chunks and a tail, and a mix with an empty invocation — for one to three
-// lanes, single-owner and LOCALWRITE multi-owner: RunSharded equals Run.
+// lanes, single-owner and LOCALWRITE multi-owner: the lanes change nothing.
 func TestRunShardedChunkBoundaries(t *testing.T) {
 	const batch, space, workers = 8, 40, 4
 	rep := func(n, times int) []int {
@@ -203,8 +220,9 @@ func TestRunShardedChunkBoundaries(t *testing.T) {
 	}
 }
 
-// TestRunShardedShortInvocationsStartNoLanes: RunSharded starts no thread
-// beyond the workers, whatever the invocation lengths and lane count.
+// TestRunShardedShortInvocationsStartNoLanes: a parallel run with lanes
+// asked for starts no thread beyond the workers, whatever the invocation
+// lengths and lane count.
 func TestRunShardedShortInvocationsStartNoLanes(t *testing.T) {
 	const workers, lanes = 3, 2
 	engine.CloseIdle()
@@ -212,7 +230,7 @@ func TestRunShardedShortInvocationsStartNoLanes(t *testing.T) {
 	for _, lens := range [][]int{{15, 1, 7, 15, 0, 12}, {5, 16, 5, 300}} {
 		w := newIrregularLens(rand.New(rand.NewSource(8)), lens, 24, 2)
 		want := w.sequentialRun()
-		st := RunSharded(w, Options{Workers: workers, Lanes: lanes})
+		st := runOn(w, Options{Workers: workers, Lanes: lanes})
 		checkIrregular(t, "RunSharded", w, want)
 		if st.SyncConditions == 0 {
 			t.Fatal("no condition forwarded; the workers never waited on each other")
@@ -233,7 +251,7 @@ func TestRunShardedTraceParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	w := newIrregular(rng, invs, iters, 32, 2)
 	rec := trace.NewRecorder()
-	stats := RunSharded(w, Options{Workers: workers, Lanes: 3, Trace: rec})
+	stats := runOn(w, Options{Workers: workers, Lanes: 3, Trace: rec})
 	sum := rec.Summary()
 	for _, c := range []struct {
 		what             string

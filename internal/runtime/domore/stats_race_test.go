@@ -8,7 +8,8 @@ import (
 
 // TestStatsCountersRace is the regression for the Stats concurrency
 // contract (see the Stats doc comment): it drives the scheduler — through
-// Run, through RunSharded, and as two runs at once on two pooled runtimes —
+// RunOn, with Options.Lanes set, and as two runs at once on two pooled
+// runtimes —
 // over a conflict-dense workload with enough workers that the worker-side
 // counting — thread-private Stalls folded at quiesce — runs concurrently
 // with the scheduler's plain increments. Under `go test -race` any field
@@ -20,13 +21,13 @@ func TestStatsCountersRace(t *testing.T) {
 		name string
 		run  func(Workload, Options) Stats
 	}{
-		{"dedicated", Run},
-		{"sharded", func(w Workload, o Options) Stats { o.Lanes = 3; return RunSharded(w, o) }},
+		{"dedicated", runOn},
+		{"sharded", func(w Workload, o Options) Stats { o.Lanes = 3; return runOn(w, o) }},
 		{"duplicated", func(w Workload, o Options) Stats {
 			other := newIrregular(rand.New(rand.NewSource(7)), invs, iters, 32, 2)
 			done := make(chan Stats)
-			go func() { done <- Run(other, o) }()
-			st := Run(w, o)
+			go func() { done <- runOn(other, o) }()
+			st := runOn(w, o)
 			if ost := <-done; ost.Iterations != st.Iterations || !reflect.DeepEqual(other.data, dataOf(w)) {
 				t.Errorf("the concurrent twin run: %d iterations, data equal %v", ost.Iterations, reflect.DeepEqual(other.data, dataOf(w)))
 			}

@@ -65,6 +65,8 @@ func eventArgs(e Event) map[string]any {
 		return map[string]any{"start": e.A, "end": e.B, "engine": e.C}
 	case KindEngineSwitch:
 		return map[string]any{"from": e.A, "to": e.B, "epoch": e.C}
+	case KindInline:
+		return map[string]any{"iterations": e.A, "inlineNs": e.B, "schedNs": e.C}
 	case KindQueueDepth:
 		return nil // rendered as a counter event
 	default:
@@ -204,8 +206,10 @@ func WriteChromeProcs(w io.Writer, procs []ChromeProc) error {
 // entries have a name, a known phase, and a non-negative timestamp, and
 // whose B/E events balance per thread with matching names (unclosed
 // spans at end-of-trace are allowed — a panicked worker legitimately
-// leaves one open). The CI trace job runs this (via cmd/tracecheck)
-// against a freshly produced file.
+// leaves one open). An inline instant — the decision of DOMORE's guard —
+// must carry its inline iteration count and both measured rates, none
+// negative. The CI trace job runs this (via cmd/tracecheck) against a
+// freshly produced file.
 func ValidateChrome(data []byte) error {
 	var f chromeFile
 	if err := json.Unmarshal(data, &f); err != nil {
@@ -237,6 +241,13 @@ func ValidateChrome(data []byte) error {
 			stacks[tr] = st[:len(st)-1]
 		case "i", "C", "M", "X":
 			// instant, counter, metadata, complete: no pairing.
+			if e.Phase == "i" && e.Name == KindInline.String() {
+				for _, arg := range []string{"iterations", "inlineNs", "schedNs"} {
+					if v, ok := e.Args[arg].(float64); !ok || v < 0 {
+						return fmt.Errorf("trace: event %d: inline decision without a non-negative %q", i, arg)
+					}
+				}
+			}
 		default:
 			return fmt.Errorf("trace: event %d has unknown phase %q", i, e.Phase)
 		}

@@ -54,6 +54,37 @@ func TestChromeExportValidates(t *testing.T) {
 	}
 }
 
+// TestChromeExportCarriesInlineDecision: DOMORE's guard decision exports
+// as an instant on the scheduler's thread, with the inline iteration count
+// and both rates named, and validates.
+func TestChromeExportCarriesInlineDecision(t *testing.T) {
+	r := NewRecorder()
+	r.Lane(LaneScheduler).Emit(KindInline, 120, 35, 9)
+	var buf bytes.Buffer
+	if err := r.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateChrome(buf.Bytes()); err != nil {
+		t.Fatalf("exported trace does not validate: %v", err)
+	}
+	var f struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range f.TraceEvents {
+		if e.Name != "inline" {
+			continue
+		}
+		if e.Phase != "i" || e.TID != chromeTID(LaneScheduler) || e.Args["iterations"] != 120.0 || e.Args["inlineNs"] != 35.0 || e.Args["schedNs"] != 9.0 {
+			t.Fatalf("inline decision exported as %+v", e)
+		}
+		return
+	}
+	t.Fatal("no inline event in the export")
+}
+
 func TestChromeExportDropsOrphanEnds(t *testing.T) {
 	// A ring small enough to overwrite the StallBegin must still export
 	// a balanced trace (the orphan StallEnd is dropped).
@@ -75,13 +106,15 @@ func TestChromeExportDropsOrphanEnds(t *testing.T) {
 
 func TestValidateChromeRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
-		"not json":       "{",
-		"empty":          `{"traceEvents":[]}`,
-		"no name":        `{"traceEvents":[{"ph":"i","ts":1,"pid":0,"tid":0}]}`,
-		"unknown phase":  `{"traceEvents":[{"name":"x","ph":"Z","ts":1,"pid":0,"tid":0}]}`,
-		"unmatched end":  `{"traceEvents":[{"name":"x","ph":"E","ts":1,"pid":0,"tid":0}]}`,
-		"mismatched end": `{"traceEvents":[{"name":"a","ph":"B","ts":1,"pid":0,"tid":0},{"name":"b","ph":"E","ts":2,"pid":0,"tid":0}]}`,
-		"negative ts":    `{"traceEvents":[{"name":"x","ph":"i","ts":-5,"pid":0,"tid":0}]}`,
+		"not json":         "{",
+		"empty":            `{"traceEvents":[]}`,
+		"no name":          `{"traceEvents":[{"ph":"i","ts":1,"pid":0,"tid":0}]}`,
+		"unknown phase":    `{"traceEvents":[{"name":"x","ph":"Z","ts":1,"pid":0,"tid":0}]}`,
+		"unmatched end":    `{"traceEvents":[{"name":"x","ph":"E","ts":1,"pid":0,"tid":0}]}`,
+		"mismatched end":   `{"traceEvents":[{"name":"a","ph":"B","ts":1,"pid":0,"tid":0},{"name":"b","ph":"E","ts":2,"pid":0,"tid":0}]}`,
+		"negative ts":      `{"traceEvents":[{"name":"x","ph":"i","ts":-5,"pid":0,"tid":0}]}`,
+		"inline, no rates": `{"traceEvents":[{"name":"inline","ph":"i","ts":1,"pid":0,"tid":2,"args":{"iterations":3}}]}`,
+		"inline, negative": `{"traceEvents":[{"name":"inline","ph":"i","ts":1,"pid":0,"tid":2,"args":{"iterations":3,"inlineNs":-1,"schedNs":2}}]}`,
 	}
 	for name, data := range cases {
 		if err := ValidateChrome([]byte(data)); err == nil {

@@ -145,6 +145,11 @@ const (
 	// B=parent span id (0 = root), C=SpanKind code.
 	KindSpanBegin
 	KindSpanEnd
+	// KindInline reports the decision of domore.Run's guard, on the
+	// scheduler lane: A=iterations run inline on the calling thread,
+	// B=their measured ns per iteration, C=the scheduler's measured ns per
+	// iteration. The region went parallel after A iterations when C < B.
+	KindInline
 
 	// KindCount is the number of event kinds (not itself a kind).
 	KindCount
@@ -187,6 +192,7 @@ var kindNames = [KindCount]string{
 	KindDeltaRestore:     "restore.delta",
 	KindSpanBegin:        "span.begin",
 	KindSpanEnd:          "span.end",
+	KindInline:           "inline",
 }
 
 func (k Kind) String() string {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"crossinv/internal/runtime/domore"
+	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/speccross"
 )
 
@@ -61,8 +62,12 @@ func TestDomoreAdapter(t *testing.T) {
 	golden.RunSequential()
 	want := golden.Checksum()
 
+	// The parallel execution: domore.Run's guard could keep a region this
+	// small on the calling thread.
 	k := counterKernel(12, 6)
-	stats := domore.Run(k, domore.Options{Workers: 3})
+	rt := engine.Acquire(3)
+	stats := domore.RunOn(rt, k, domore.Options{Workers: 3})
+	rt.Release()
 	if k.Checksum() != want {
 		t.Fatal("domore adapter diverged")
 	}

@@ -133,16 +133,19 @@ func adaptiveDet(s adaptive.Stats) detStats {
 	return d
 }
 
-// runPooled runs one row through the engine's own entry point, which
-// borrows a runtime from the engine pool for the call.
+// runPooled runs one row on a runtime borrowed from the engine pool for the
+// call: through the engine's own entry point, except the DOMORE rows under
+// the default assignment, whose entry point's guard decides by measurement
+// how much of the region to schedule. Those run domore.RunOn, the parallel
+// execution, on the borrowed runtime.
 func runPooled(row string, inst workloads.Instance, c rowConfig) detStats {
 	switch row {
 	case "domore":
-		return detDomore(domore.Run(inst.(domore.Workload), domore.Options{Workers: 4}))
+		return detDomore(runParallel(inst.(domore.Workload), domore.Options{Workers: 4}))
 	case "domore-round-robin":
 		return detDomore(domore.Run(inst.(domore.Workload), roundRobinOptions()))
 	case "domore-sharded":
-		return detDomore(domore.RunSharded(inst.(domore.Workload), shardedOptions()))
+		return detDomore(runParallel(inst.(domore.Workload), shardedOptions()))
 	case "speccross":
 		return detSpec(speccross.Run(inst.(speccross.Workload), c.spec()))
 	case "adaptive-domore":

@@ -12,6 +12,7 @@ import (
 	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
+	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
@@ -46,6 +47,16 @@ func Make(e workloads.Entry) workloads.Instance {
 		}
 	}
 	return inst
+}
+
+// runParallel is domore.RunOn on a runtime borrowed from the engine pool
+// for the call: the unguarded parallel execution, which the checks that pin
+// what the scheduler and the workers do run instead of the guarded
+// domore.Run.
+func runParallel(w domore.Workload, opts domore.Options) domore.Stats {
+	rt := engine.Acquire(opts.Workers)
+	defer rt.Release()
+	return domore.RunOn(rt, w, opts)
 }
 
 // EnginesMatchSequential runs the named benchmark under every engine its
@@ -99,7 +110,7 @@ func EnginesMatchSequential(t *testing.T, name string) {
 		t.Run("domore", func(t *testing.T) {
 			inst := Make(e)
 			rec := trace.NewRecorder()
-			stats := domore.Run(inst.(domore.Workload), domore.Options{Workers: 4, Trace: rec})
+			stats := runParallel(inst.(domore.Workload), domore.Options{Workers: 4, Trace: rec})
 			if stats.Iterations == 0 {
 				t.Fatal("no iterations scheduled")
 			}
@@ -125,7 +136,7 @@ func EnginesMatchSequential(t *testing.T, name string) {
 			// and dispatches what the default assignment does and finds the
 			// same dependences; only where iterations go differs.
 			ref := Make(e)
-			want := domore.Run(ref.(domore.Workload), domore.Options{Workers: 4, Lanes: 3})
+			want := runParallel(ref.(domore.Workload), domore.Options{Workers: 4, Lanes: 3})
 			check(t, ref, "domore (reference)")
 
 			inst := Make(e)
@@ -148,6 +159,27 @@ func EnginesMatchSequential(t *testing.T, name string) {
 			assertEq(t, "sync conditions", sum.Counts[trace.KindSyncCond], stats.SyncConditions)
 			assertEq(t, "stalls", sum.Counts[trace.KindStallBegin], stats.Stalls)
 			assertEq(t, "addr checks", sum.Sums[trace.KindAddrCheck], stats.AddrChecks)
+		})
+	}
+	if e.DomoreOK {
+		t.Run("domore-guarded", func(t *testing.T) {
+			// domore.Run probes the region inline first and goes parallel
+			// only if the scheduler can win. Whatever it decides, every
+			// iteration runs once: inline or scheduled, and the trace says
+			// which.
+			inst := Make(e)
+			rec := trace.NewRecorder()
+			stats := domore.Run(inst.(domore.Workload), domore.Options{Workers: 4, Trace: rec})
+			check(t, inst, "guarded domore")
+			ref := Make(e)
+			total := runParallel(ref.(domore.Workload), domore.Options{Workers: 4}).Iterations
+			sum := rec.Summary()
+			assertEq(t, "iterations", stats.Iterations, total)
+			assertEq(t, "inline + dispatched", stats.Inline+stats.Dispatches, total)
+			assertEq(t, "scheduled", sum.Counts[trace.KindSchedule], total-stats.Inline)
+			assertEq(t, "inline events", sum.Counts[trace.KindInline], 1)
+			assertEq(t, "inline iterations", sum.Sums[trace.KindInline], stats.Inline)
+			t.Logf("%d of %d iterations inline (%.1f ns/iteration inline, %.1f scheduler)", stats.Inline, total, stats.InlineNs, stats.SchedNs)
 		})
 	}
 	if e.SpecOK {

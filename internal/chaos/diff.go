@@ -7,7 +7,6 @@ import (
 	"crossinv/internal/analysis/xdep"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
-	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/runtime/trace"
@@ -16,9 +15,9 @@ import (
 
 // Engines lists the engines the differential runner exercises, in run
 // order. domore and domore-round-robin are DOMORE's parallel execution
-// (domore.RunOn, on a runtime from the engine pool), the second with an
-// explicit round-robin policy: besides the oracle it must agree with the
-// default assignment on every Stats field the assignment cannot change.
+// (domore.RunParallel), the second with an explicit round-robin policy:
+// besides the oracle it must agree with the default assignment on every
+// Stats field the assignment cannot change.
 // domore-guarded is domore.Run, whose guard runs the region inline first
 // and may go parallel where its probe stopped: every iteration must run
 // once, inline or scheduled.
@@ -179,10 +178,10 @@ func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Fai
 			}
 		}
 	case "domore":
-		st := parallelDomore(w, opts.Faults.Domore(domore.Options{Workers: opts.Workers, Trace: rec}))
+		st := domore.RunParallel(w, opts.Faults.Domore(domore.Options{Workers: opts.Workers, Trace: rec}))
 		detail = domoreInvariants(st, spec, rec)
 	case "domore-round-robin":
-		st := parallelDomore(w, opts.Faults.Domore(domore.Options{
+		st := domore.RunParallel(w, opts.Faults.Domore(domore.Options{
 			Workers: opts.Workers, Policy: sched.NewRoundRobin(), Trace: rec,
 		}))
 		detail = domoreInvariants(st, spec, rec)
@@ -248,21 +247,12 @@ func diffState(k *epochal.Kernel, want []int64, mk func(string) *Failure) *Failu
 // default assignment over a fresh kernel of the same case: where iterations
 // go changes conditions and stalls, never what is scheduled or checked.
 func sameAsFollow(rr domore.Stats, spec *Spec, opts Options) string {
-	follow := parallelDomore(opts.Mutation.Wrap(spec.Kernel()), domore.Options{Workers: opts.Workers})
+	follow := domore.RunParallel(opts.Mutation.Wrap(spec.Kernel()), domore.Options{Workers: opts.Workers})
 	if rr.Iterations != follow.Iterations || rr.Dispatches != follow.Dispatches ||
 		rr.AddrChecks != follow.AddrChecks || rr.Dependences != follow.Dependences {
 		return fmt.Sprintf("round-robin Stats %+v, default assignment %+v: iterations, dispatches, addr checks or dependences differ", rr, follow)
 	}
 	return ""
-}
-
-// parallelDomore is DOMORE's parallel execution on a runtime borrowed from
-// the engine pool: Acquire, RunOn, Release, which is domore.Run without its
-// guard.
-func parallelDomore(w domore.Workload, opts domore.Options) domore.Stats {
-	rt := engine.Acquire(opts.Workers)
-	defer rt.Release()
-	return domore.RunOn(rt, w, opts)
 }
 
 // guardedInvariants checks a guarded domore.Run: the probe's inline

@@ -32,9 +32,9 @@ import (
 // rewinds the kernel and tells nobody; that the next run does not take the
 // last one's checkpoint image for current is what Runtime.Release promises.
 // DOMORE's public entry point is guarded and may not use its runtime's
-// threads at all, so the pooled pass spells out its parallel execution —
-// Acquire, RunOn, Release — and runs domore.Run itself as the
-// domore-guarded engine, in both passes.
+// threads at all, so the pooled pass runs its parallel execution,
+// domore.RunParallel, and runs domore.Run itself as the domore-guarded
+// engine, in both passes.
 
 // dirtyKinds are the ways the dirtying run ends badly, chosen by the fault
 // seed. The first three abort speculative segments and must leave the
@@ -143,7 +143,7 @@ func (d *dirtyRun) barriers(w speccross.Workload) {
 
 func (d *dirtyRun) domore(w domore.Workload, o domore.Options) (st domore.Stats) {
 	if !d.on(func(rt *engine.Runtime) { st = domore.RunOn(rt, w, o) }) {
-		st = parallelDomore(w, o)
+		st = domore.RunParallel(w, o)
 	}
 	return st
 }

@@ -8,7 +8,6 @@ import (
 	"crossinv/internal/ir/interp"
 	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/domore"
-	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/speccross"
 )
 
@@ -173,9 +172,7 @@ func parallelDOMORE(t *testing.T, c *Compiled, region *ir.Loop, opts domore.Opti
 		if err != nil {
 			return err
 		}
-		rt := engine.Acquire(opts.Workers)
-		defer rt.Release()
-		st = domore.RunOn(rt, w, opts)
+		st = domore.RunParallel(w, opts)
 		return w.Finish()
 	})
 	if err != nil {
@@ -205,16 +202,23 @@ func TestDOMOREShardedMatchesSequentialCG(t *testing.T) {
 	if res.Stats.Iterations == 0 {
 		t.Fatal("no iterations scheduled")
 	}
-	if st := parallelDOMORE(t, c, region, domore.Options{Workers: 4, Lanes: 3}); st.Dependences == 0 {
+	sharded := parallelDOMORE(t, c, region, domore.Options{Workers: 4, Lanes: 3})
+	if sharded.Dependences == 0 {
 		t.Fatal("expected dynamic dependences")
 	}
 	// The forwarder runs the domore engine's schedule.
-	ref, err := c.Run(region, Plan{}, Options{Engine: "domore", Workers: 4})
+	o := Options{Engine: "domore", Workers: 4}
+	ref, err := c.Run(region, Plan{}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if det, want := detDomore(res.Stats), detDomore(ref.DOMORE.Stats); det != want {
+	if det, want := detGuarded(res.Stats), detGuarded(ref.DOMORE.Stats); det != want {
 		t.Fatalf("forwarded stats %+v diverge from Run's %+v", det, want)
+	}
+	checkGuarded(t, "forwarder", res.Stats)
+	checkGuarded(t, "Run", ref.DOMORE.Stats)
+	if det, want := detDomore(sharded), detDomore(parallelDOMORE(t, c, region, o.domoreOptions())); det != want {
+		t.Fatalf("forwarded parallel stats %+v diverge from Run's %+v", det, want)
 	}
 }
 

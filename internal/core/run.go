@@ -52,6 +52,11 @@ type Options struct {
 	OnDecision func(adaptive.Decision)
 }
 
+// domoreOptions configures the domore engine of Run from o.
+func (o Options) domoreOptions() domore.Options {
+	return domore.Options{Workers: o.Workers, Trace: o.Trace}
+}
+
 // Result is the outcome of Run. Of Barrier, DOMORE, SpecCross and Adaptive,
 // only the one of the engine that ran is set.
 type Result struct {
@@ -132,7 +137,7 @@ func (c *Compiled) Run(region *ir.Loop, p Plan, o Options) (Result, error) {
 		if par, err = c.PlanDOMORE(region); err != nil {
 			return res, err
 		}
-		if res.DOMORE, err = c.runDOMORE(par, region, domore.Options{Workers: o.Workers, Trace: o.Trace}); err == nil {
+		if res.DOMORE, err = c.runDOMORE(par, region, o.domoreOptions()); err == nil {
 			res.Env = res.DOMORE.Env
 		}
 	case "speccross":

@@ -32,16 +32,31 @@ type detStats struct {
 	EngineWindows [adaptive.NumEngines]int
 }
 
-// detDomore keeps only the total of a guarded run (domore.Run, which Run
-// and the forwarders call): how many of its iterations the probe ran inline
-// and how many the scheduler placed is a measurement. The parallel
-// execution's counters (domore.RunOn, as adaptive's windows and
-// parallelDOMORE run it) are all deterministic.
+// detDomore keeps the counters of the parallel execution (domore.RunOn, as
+// adaptive's windows and parallelDOMORE run it), which are all
+// deterministic.
 func detDomore(s domore.Stats) detDomoreStats {
-	if s.InlineNs > 0 {
-		return detDomoreStats{Iterations: s.Iterations}
-	}
 	return detDomoreStats{s.Iterations, s.Dispatches, s.SyncConditions, s.Dependences, s.AddrChecks}
+}
+
+// detGuarded keeps only the total of a guarded run (domore.Run, which Run
+// and the forwarders call): how many of its iterations the probe ran inline
+// and how many the scheduler placed is a measurement. checkGuarded checks
+// what holds whatever the guard decided, and parallelDOMORE pins the
+// scheduled execution's counters.
+func detGuarded(s domore.Stats) detDomoreStats {
+	return detDomoreStats{Iterations: s.Iterations}
+}
+
+// checkGuarded requires of a guarded run's Stats what holds whatever the
+// guard decided: it measured an inline rate, and every iteration ran either
+// inline or once on a worker.
+func checkGuarded(t *testing.T, what string, s domore.Stats) {
+	t.Helper()
+	if s.InlineNs <= 0 || s.Inline+s.Dispatches != s.Iterations {
+		t.Fatalf("%s: inline rate %v ns/iteration, %d inline + %d dispatched of %d iterations; want a measured rate and every iteration once",
+			what, s.InlineNs, s.Inline, s.Dispatches, s.Iterations)
+	}
 }
 
 func detSpec(s speccross.Stats) detSpecStats {
@@ -57,7 +72,7 @@ func det(r Result, pinned bool) detStats {
 	case r.Barrier != nil:
 		_, d.BarrierWaits = r.Barrier.Barrier.Stats()
 	case r.DOMORE != nil:
-		d.Domore = detDomore(r.DOMORE.Stats)
+		d.Domore = detGuarded(r.DOMORE.Stats)
 	case r.SpecCross != nil:
 		d.Spec = detSpec(r.SpecCross.Stats)
 	case r.Adaptive != nil:
@@ -86,7 +101,7 @@ func forward(c *Compiled, region *ir.Loop, engine string, facts RegionFacts, pro
 		if perr != nil {
 			return res, false, perr
 		}
-		res.DOMORE, err = c.RunDOMOREPlanned(par, region, domore.Options{Workers: workers})
+		res.DOMORE, err = c.RunDOMOREPlanned(par, region, forwardDomore(workers))
 	case "speccross":
 		res.SpecCross, err = c.RunSpecCrossProfiled(region, speccross.Config{Workers: workers}, prof)
 	case "adaptive":
@@ -100,6 +115,9 @@ func forward(c *Compiled, region *ir.Loop, engine string, facts RegionFacts, pro
 	}
 	return res, false, err
 }
+
+// forwardDomore is how forward configures the domore forwarder.
+func forwardDomore(workers int) domore.Options { return domore.Options{Workers: workers} }
 
 // TestRunMatchesForwarders runs every corpus program, fig13 and cgLike
 // under each engine through Run, and requires the sequential result and the
@@ -144,6 +162,17 @@ func TestRunMatchesForwarders(t *testing.T) {
 					}
 					if g, w := det(got, pinned), det(ref, pinned); g != w {
 						t.Fatalf("Run stats %+v != forwarder stats %+v", g, w)
+					}
+					if got.DOMORE != nil {
+						// Both ran guarded; the parallel execution under
+						// each one's options schedules the same.
+						checkGuarded(t, "Run", got.DOMORE.Stats)
+						checkGuarded(t, "forwarder", ref.DOMORE.Stats)
+						o := Options{Engine: engine, Workers: workers}
+						g := detDomore(parallelDOMORE(t, c, region, o.domoreOptions()))
+						if w := detDomore(parallelDOMORE(t, c, region, forwardDomore(workers))); g != w {
+							t.Fatalf("Run's parallel stats %+v != forwarder's %+v", g, w)
+						}
 					}
 				})
 			}

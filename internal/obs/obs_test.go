@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"crossinv/internal/runtime/domore"
-	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/trace"
 	"crossinv/internal/workloads/cg"
 )
@@ -55,15 +54,6 @@ func parsePrometheus(t *testing.T, body string) map[string]float64 {
 	return samples
 }
 
-// runParallel is domore.RunOn on a runtime borrowed from the engine pool:
-// the parallel execution, every iteration of which the scheduler emits.
-// domore.Run could run a region this small on the calling thread.
-func runParallel(w domore.Workload, opts domore.Options) domore.Stats {
-	rt := engine.Acquire(opts.Workers)
-	defer rt.Release()
-	return domore.RunOn(rt, w, opts)
-}
-
 // TestMetricsMatchEngineStats scrapes /metrics after a completed DOMORE
 // run and asserts the Prometheus counters agree with the engine's own
 // Stats — the same exactness contract the workload suites assert for the
@@ -71,7 +61,7 @@ func runParallel(w domore.Workload, opts domore.Options) domore.Stats {
 func TestMetricsMatchEngineStats(t *testing.T) {
 	rec := trace.NewRecorder()
 	w := cg.New(1)
-	stats := runParallel(w, domore.Options{Workers: 4, Trace: rec})
+	stats := domore.RunParallel(w, domore.Options{Workers: 4, Trace: rec})
 	if stats.Iterations == 0 {
 		t.Fatal("no iterations scheduled")
 	}
@@ -111,7 +101,7 @@ func TestMetricsMatchEngineStats(t *testing.T) {
 	if created < 1 || samples["crossinv_engine_runtimes_idle"] < 1 {
 		t.Errorf("after one engine run: runtimes created %v, idle %v; want at least 1 each", created, samples["crossinv_engine_runtimes_idle"])
 	}
-	runParallel(cg.New(1), domore.Options{Workers: 4})
+	domore.RunParallel(cg.New(1), domore.Options{Workers: 4})
 	samples = parsePrometheus(t, get(t, srv.URL+"/metrics"))
 	if c, r := samples["crossinv_engine_runtimes_created_total"], samples["crossinv_engine_runtimes_reused_total"]; c != created || r != reused+1 {
 		t.Errorf("a second engine run: runtimes created %v → %v, reused %v → %v; want it served from the pool", created, c, reused, r)
@@ -145,7 +135,7 @@ func TestScrapeDuringRun(t *testing.T) {
 	done := make(chan domore.Stats, 1)
 	go func() {
 		w := cg.New(1)
-		done <- runParallel(w, domore.Options{Workers: 4, Trace: rec})
+		done <- domore.RunParallel(w, domore.Options{Workers: 4, Trace: rec})
 	}()
 
 	var scrapes int

@@ -11,6 +11,7 @@ import (
 	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
+	"crossinv/internal/runtime/trace"
 )
 
 // cells is a workload whose own methods allocate nothing, so what a run
@@ -103,32 +104,56 @@ func settle(t *testing.T, what string, base int) {
 	}
 }
 
-// pooledDomore is domore.Run's parallel execution spelled out — a runtime
-// from the pool, RunOn, Release — for the worker-panic cases: Run's guard
-// may run the faulting iteration inline on the caller, where no worker
-// panics and the runtime is rightly pooled again.
-func pooledDomore(c *cells, opts domore.Options) {
-	rt := engine.Acquire(opts.Workers)
-	defer rt.Release()
-	domore.RunOn(rt, c, opts)
+// posted reports whether a guarded DOMORE run traced into rec posted its
+// worker phases: every posted worker emits on its lane, if only the
+// queue-empty episode it abandons when the runtime closes, and a run whose
+// guard stayed inline leaves the worker lanes empty.
+func posted(rec *trace.Recorder, nw int) bool {
+	for _, e := range rec.Events() {
+		if e.Lane >= 0 && int(e.Lane) < nw {
+			return true
+		}
+	}
+	return false
+}
+
+// workerIterations counts the iterations the workers of a run traced into
+// rec began.
+func workerIterations(rec *trace.Recorder) int64 {
+	n := int64(0)
+	for _, e := range rec.Events() {
+		if e.Lane >= 0 && e.Kind == trace.KindIterStart {
+			n++
+		}
+	}
+	return n
 }
 
 // TestEntryPointsLeaveNoGoroutineBehind: every entry point that borrows a
 // runtime hands it back on every way out — a clean run, a misspeculation, a
 // timed-out segment — so that closing the pool's idle runtimes leaves no
 // engine goroutine; and a runtime a worker panicked on is torn down, not
-// pooled.
+// pooled. domore.Run's guard adds two ways out: a panic in an iteration it
+// probes on the caller before it posted a worker phase, which leaves the
+// runtime clean and pooled, and one after, which leaves the posted phases
+// outstanding, so the runtime is torn down.
 func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 	const epochs, tasks, nw = 24, 8, 2
 	pin := func(e adaptive.Engine) adaptive.Config {
 		return adaptive.Config{Workers: nw, Window: 4, Policy: adaptive.Fixed(e), Start: e}
 	}
 	legacy, _ := adaptive.ParseEngine("domore-sharded") // the old name pins DOMORE
+	runRec, shardedRec, probeRec := trace.NewRecorder(), trace.NewRecorder(), trace.NewRecorder()
 	cases := []struct {
 		name   string
 		fault  func(epoch, task int, sig *signature.Signature)
 		panics bool
 		run    func(c *cells)
+		// guard, set for a guarded DOMORE run, is the recorder it traces
+		// into, which tells whether it posted its worker phases; inProbe
+		// requires that it did and that the panic came from the probe.
+		guard   *trace.Recorder
+		inProbe bool
 	}{
 		{name: "domore.Run", run: func(c *cells) { domore.Run(c, domore.Options{Workers: nw}) }},
 		{name: "domore.RunSharded", run: func(c *cells) { domore.RunSharded(c, domore.Options{Workers: nw, Lanes: 2}) }},
@@ -166,14 +191,32 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 					panic("worker fault")
 				}
 			},
-			run: func(c *cells) { pooledDomore(c, domore.Options{Workers: nw, QueueCap: 2}) }},
+			guard: runRec,
+			run:   func(c *cells) { domore.Run(c, domore.Options{Workers: nw, QueueCap: 2, Trace: runRec}) }},
 		{name: "domore.RunSharded worker panic", panics: true,
 			fault: func(e, task int, _ *signature.Signature) {
 				if e == 3 && task == 1 {
 					panic("worker fault")
 				}
 			},
-			run: func(c *cells) { pooledDomore(c, domore.Options{Workers: nw, Lanes: 2, QueueCap: 2}) }},
+			guard: shardedRec,
+			run: func(c *cells) {
+				domore.RunSharded(c, domore.Options{Workers: nw, Lanes: 2, QueueCap: 2, Trace: shardedRec})
+			}},
+		{name: "domore.Run panic in the probe after the parallel decision", panics: true,
+			fault: func(e, task int, _ *signature.Signature) {
+				// A body this costly against a free computeAddr decides
+				// parallel at the guard's first clock read, after
+				// iteration (0, 0) on a fresh runtime, and the probe runs
+				// (0, 1) before it looks for a started worker.
+				for t0 := time.Now(); time.Since(t0) < 200*time.Microsecond; {
+				}
+				if e == 0 && task == 1 {
+					panic("worker fault")
+				}
+			},
+			guard: probeRec, inProbe: true,
+			run: func(c *cells) { domore.Run(c, domore.Options{Workers: nw, Trace: probeRec}) }},
 		{name: "speccross.RunBarriers worker panic", panics: true,
 			fault: func(e, task int, _ *signature.Signature) {
 				if e == 3 && task == 1 {
@@ -211,10 +254,21 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 			if !tc.panics {
 				c.check(t, tc.name)
 			}
-			if _, _, idle := engine.Counters(); idle != 1 && !tc.panics {
-				t.Errorf("%d runtimes in the pool after a clean run, want the 1 it released", idle)
-			} else if idle != 0 && tc.panics {
-				t.Errorf("%d runtimes in the pool after a worker panic, want the failed one dropped", idle)
+			failed := tc.panics
+			if tc.guard != nil {
+				switch sent := posted(tc.guard, nw); {
+				case tc.inProbe && !sent:
+					t.Errorf("the guard posted no worker phase; want a parallel decision before the fault")
+				case tc.inProbe && workerIterations(tc.guard) > 0:
+					t.Errorf("the workers began %d iterations; want the fault in the probe", workerIterations(tc.guard))
+				case !sent:
+					failed = false // the probe panicked with every thread idle
+				}
+			}
+			if _, _, idle := engine.Counters(); idle != 1 && !failed {
+				t.Errorf("%d runtimes in the pool after a clean run or a panic on an idle runtime, want the 1 it released", idle)
+			} else if idle != 0 && failed {
+				t.Errorf("%d runtimes in the pool after a panic with phases posted, want the failed one dropped", idle)
 			}
 			engine.CloseIdle()
 			settle(t, tc.name, base)

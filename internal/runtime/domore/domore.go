@@ -83,7 +83,8 @@ type Options struct {
 	// the last three iterations (followCap) or there is no prior accessor,
 	// when iteration it of an n-iteration invocation goes to worker
 	// ⌊it·Workers/n⌋, so each worker's share of an invocation is one
-	// contiguous block. The rule is a pure function of the shadow state and
+	// contiguous block; of an invocation Run's guard left half done, the
+	// rest is split so. The rule is a pure function of the shadow state and
 	// the iteration's place in its invocation. Under it, the consecutive
 	// iterations a worker takes with no condition between them are sent as
 	// one run record of at most runCap. sched.NewRoundRobin() and
@@ -143,8 +144,8 @@ type Stats struct {
 	Iterations int64
 	// Inline counts the iterations Run executed on the calling thread, its
 	// probe included; Iterations − Inline were scheduled onto the workers.
-	// It is 0 under RunOn and under an explicit Policy. Every counter below
-	// counts the scheduled part only.
+	// It is 0 under RunOn, RunParallel and an explicit Policy. Every
+	// counter below counts the scheduled part only.
 	Inline int64
 	// InlineNs and SchedNs are the rates Run's guard decided on, in
 	// nanoseconds per iteration: the probe's inline execution, Sequential
@@ -217,14 +218,14 @@ func (r *cond) next(inv, it int) bool {
 // SchedNs, and in one trace.KindInline event on the scheduler lane. A panic
 // in a probed iteration continues on the caller; the runtime stays usable
 // unless the probe had already woken its workers. Under an explicit
-// Policy, Run is RunOn.
+// Policy, Run is RunParallel.
 func Run(w Workload, opts Options) Stats {
+	if opts.Policy != nil {
+		return RunParallel(w, opts)
+	}
 	opts.fill()
 	rt := engine.Acquire(opts.Workers)
 	defer rt.Release()
-	if opts.Policy != nil {
-		return RunOn(rt, w, opts)
-	}
 	st := stateOn(rt, &opts)
 	st.begin(w, opts.Trace)
 	g := st.probe(st.budget())
@@ -251,6 +252,18 @@ func RunOn(rt *engine.Runtime, w Workload, opts Options) Stats {
 	st.begin(w, opts.Trace)
 	st.post()
 	return st.schedulePosted(&opts, position{})
+}
+
+// RunParallel is RunOn on a runtime borrowed from the engine pool for the
+// call and released on return: Run without its guard, the parallel
+// execution from the region's first iteration whatever the region costs.
+// The tests and chaos arms that pin what the scheduler and the workers do
+// run it.
+func RunParallel(w Workload, opts Options) Stats {
+	opts.fill()
+	rt := engine.Acquire(opts.Workers)
+	defer rt.Release()
+	return RunOn(rt, w, opts)
 }
 
 // post starts the worker phases of a parallel run.
@@ -477,7 +490,7 @@ func (st *state) schedule(opts *Options, stats *Stats, from position) {
 			// block assignee, and placed once its dependences are known.
 			var tids []int
 			if coalesce {
-				one[0] = f.provisional(it, iters)
+				one[0] = f.provisional(it-first, iters-first)
 				tids = one[:]
 			} else {
 				tids = opts.Policy.Assign(iterNum, addrs, nw)
@@ -578,8 +591,9 @@ type follower struct {
 }
 
 // provisional returns the provisional assignee of iteration it of an
-// iters-iteration invocation: worker ⌊it·nw/iters⌋, so each worker's share
-// is one contiguous block, split the same way every invocation.
+// iters-iteration range: worker ⌊it·nw/iters⌋, so each worker's share is
+// one contiguous block, split the same way every invocation. The range is
+// the invocation, or what the guard's probe left of it.
 func (f *follower) provisional(it, iters int) int {
 	return int(int64(it) * int64(f.nw) / int64(iters))
 }

@@ -79,7 +79,7 @@ func TestRunMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	w := newIrregular(rng, 20, 50, 64, 2)
 	want := w.sequentialRun()
-	stats := runOn(w, Options{Workers: 4})
+	stats := RunParallel(w, Options{Workers: 4})
 	for a := range want {
 		if w.data[a] != want[a] {
 			t.Fatalf("data[%d] = %d, want %d", a, w.data[a], want[a])
@@ -109,7 +109,7 @@ func TestRunNoConflictsNoConditions(t *testing.T) {
 		}
 	}
 	want := w.sequentialRun()
-	stats := runOn(w, Options{Workers: 3})
+	stats := RunParallel(w, Options{Workers: 3})
 	if stats.SyncConditions != 0 {
 		t.Fatalf("SyncConditions = %d, want 0 for disjoint accesses", stats.SyncConditions)
 	}
@@ -175,7 +175,7 @@ func schedule(t *testing.T, w Workload, opts Options) []trace.Event {
 	t.Helper()
 	rec := trace.NewRecorder()
 	opts.Trace = rec
-	runOn(w, opts)
+	RunParallel(w, opts)
 	var out []trace.Event
 	for _, ev := range rec.Events() {
 		if ev.Kind == trace.KindSyncCond || ev.Kind == trace.KindDispatch {
@@ -340,7 +340,7 @@ func TestQuickEquivalence(t *testing.T) {
 		if guarded {
 			Run(w, opts)
 		} else {
-			runOn(w, opts)
+			RunParallel(w, opts)
 		}
 		for a := range want {
 			if w.data[a] != want[a] {
@@ -360,6 +360,6 @@ func BenchmarkDomoreIrregular(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		w := newIrregular(rng, 20, 100, 256, 2)
 		b.StartTimer()
-		runOn(w, Options{Workers: 4})
+		RunParallel(w, Options{Workers: 4})
 	}
 }

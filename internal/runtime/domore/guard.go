@@ -72,11 +72,12 @@ func (st *state) budget() time.Duration {
 // where the inline rate was measured over floorReads clock reads or more,
 // the scheduler rate over sampleReads, and they say so; otherwise it
 // decides at the first read past the budget, sampling there if it has no
-// scheduler rate yet. An inline decision runs the region to its end on the
-// calling thread with no more clock reads. A parallel decision posts the
-// worker phases, and the probe goes on executing until the first worker has
-// started, so the wake-up costs the region nothing; it then stops, and the
-// scheduler takes over.
+// scheduler rate yet, and inline if no invocation so far had the two
+// iterations a sample needs. An inline decision runs the region to its end
+// on the calling thread with no more clock reads. A parallel decision posts
+// the worker phases, and the probe goes on executing until the first worker
+// has started, so the wake-up costs the region nothing; it then stops, and
+// the scheduler takes over.
 func (st *state) probe(budget time.Duration) guard {
 	w, sm := st.w, st.shadow
 	sm.Reset()
@@ -160,8 +161,13 @@ func (st *state) probe(budget time.Duration) guard {
 			}
 			now := time.Since(start) - sampleWall
 			window, windowN, inline, readAt = now-inline, done-readAt, now, done
-			if inline >= budget && schedN == 0 {
-				sample(inv, it+1, iters)
+			if inline >= budget && schedN == 0 && !sample(inv, it+1, iters) {
+				// Every invocation so far had one iteration at most, too
+				// few to sample. With no scheduler rate to weigh, the
+				// region stays inline rather than read the clock after
+				// every iteration to its end.
+				decision, decided = rates(), true
+				continue
 			}
 			g := rates()
 			trusted := window >= floorReads*clock && sched >= sampleReads*clock

@@ -10,15 +10,6 @@ import (
 	"crossinv/internal/runtime/trace"
 )
 
-// runOn is RunOn on a runtime borrowed from the engine pool: the unguarded
-// parallel execution, for the tests that pin what the scheduler and the
-// workers do.
-func runOn(w Workload, opts Options) Stats {
-	rt := engine.Acquire(opts.Workers)
-	defer rt.Release()
-	return RunOn(rt, w, opts)
-}
-
 // counting is an irregular workload that counts its Sequential and Execute
 // calls, with spin work in ComputeAddr and in Execute to steer the guard:
 // a costly ComputeAddr and a cheap body keep the region inline, the other
@@ -91,7 +82,10 @@ func (w *counting) checkOnce(t *testing.T, what string, want []int64) {
 // or at an invocation's end — the test runs the region inline up to there
 // as the probe does and hands the rest to the scheduler. Sequential runs
 // once per invocation, Execute once per iteration, and the result is the
-// sequential one.
+// sequential one. The workers split what the probe left of an invocation
+// into blocks as they split a whole one: the first iteration scheduled,
+// which the emptied shadow store gives no dependence to follow, goes to
+// worker 0 wherever the probe stopped.
 func TestResumeRunsEachIterationOnce(t *testing.T) {
 	const invs, iters, workers = 3, 5, 2
 	for stop := 1; stop < invs*iters; stop++ {
@@ -110,27 +104,36 @@ func TestResumeRunsEachIterationOnce(t *testing.T) {
 				}
 			}
 		}
-		opts := Options{Workers: workers}
+		rec := trace.NewRecorder()
+		opts := Options{Workers: workers, Trace: rec}
 		opts.fill()
 		rt := engine.Acquire(workers)
 		st := stateOn(rt, &opts)
-		st.begin(w, nil)
+		st.begin(w, rec)
 		st.post()
 		stats := st.schedulePosted(&opts, at)
 		rt.Release()
 		w.checkOnce(t, "resume", want)
+		for _, e := range rec.Events() {
+			if e.Lane == trace.LaneScheduler && e.Kind == trace.KindDispatch {
+				if e.A != 0 {
+					t.Fatalf("resume after %d: the first scheduled iteration went to worker %d, want 0", stop, e.A)
+				}
+				break
+			}
+		}
 		if stats.Iterations != invs*iters || stats.Dispatches != int64(invs*iters-stop) {
 			t.Fatalf("resume after %d: %d iterations, %d dispatched; want %d and %d", stop, stats.Iterations, stats.Dispatches, invs*iters, invs*iters-stop)
 		}
 	}
 }
 
-// guarded runs w under Run with a recorder and checks what every guarded
-// run must satisfy, whatever the guard decided: each invocation's
-// Sequential and each iteration once, the sequential result, Inline plus the
-// scheduled iterations equal to all of them, and one inline event that says
-// so.
-func guarded(t *testing.T, w *counting, workers int) Stats {
+// guarded runs w under Run with a recorder, which it returns, and checks
+// what every guarded run must satisfy, whatever the guard decided: each
+// invocation's Sequential and each iteration once, the sequential result,
+// Inline plus the scheduled iterations equal to all of them, and one inline
+// event that says so.
+func guarded(t *testing.T, w *counting, workers int) (Stats, *trace.Recorder) {
 	t.Helper()
 	want := w.sequentialRun()
 	rec := trace.NewRecorder()
@@ -148,7 +151,7 @@ func guarded(t *testing.T, w *counting, workers int) Stats {
 	if st.InlineNs <= 0 {
 		t.Fatalf("inline rate %v ns/iteration, want a measurement", st.InlineNs)
 	}
-	return st
+	return st, rec
 }
 
 // TestGuardStaysInlineOnTinyBodies: a region whose scheduler work costs
@@ -162,7 +165,7 @@ func TestGuardStaysInlineOnTinyBodies(t *testing.T) {
 	defer engine.CloseIdle()
 	for attempt := 0; attempt < 5; attempt++ {
 		engine.CloseIdle()
-		st := guarded(t, newCounting(20, 50, 400, 0), workers)
+		st, _ := guarded(t, newCounting(20, 50, 400, 0), workers)
 		if st.Inline != st.Iterations || st.SchedNs < st.InlineNs {
 			continue
 		}
@@ -182,7 +185,8 @@ func TestGuardStaysInlineOnTinyBodies(t *testing.T) {
 
 // TestGuardGoesParallelOnCostlyBodies: a region whose body costs far more
 // than its scheduler work goes parallel after the probe, which resumes
-// where it stopped — mid-invocation, in a region of long invocations.
+// where it stopped — mid-invocation, in a region of long invocations, and
+// in a region of one invocation, whose rest both workers share.
 func TestGuardGoesParallelOnCostlyBodies(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		// The probe hands over once a worker has started, and on one
@@ -192,21 +196,55 @@ func TestGuardGoesParallelOnCostlyBodies(t *testing.T) {
 		t.Skip("a worker cannot start beside the probe on one processor")
 	}
 	const workers = 2
-	for attempt := 0; attempt < 10; attempt++ {
-		w := newCounting(8, 600, 0, 2000)
-		st := guarded(t, w, workers)
-		if st.Inline == 0 || st.Inline == st.Iterations {
-			continue
+	for _, invs := range []int{8, 1} {
+		resumed := false
+		for attempt := 0; attempt < 10 && !resumed; attempt++ {
+			w := newCounting(invs, 600, 0, 2000)
+			st, rec := guarded(t, w, workers)
+			if st.Inline == 0 || st.Inline == st.Iterations {
+				continue
+			}
+			if st.SchedNs >= st.InlineNs || st.Dispatches == 0 {
+				t.Fatalf("parallel run with scheduler %v ≥ inline %v ns/iteration, %d dispatches", st.SchedNs, st.InlineNs, st.Dispatches)
+			}
+			if st.Inline%600 == 0 {
+				continue // the probe stopped at an invocation's end; look for a resume mid-invocation
+			}
+			var ran [workers]int
+			for _, e := range rec.Events() {
+				if e.Lane >= 0 && e.Kind == trace.KindIterStart {
+					ran[e.Lane]++
+				}
+			}
+			if ran[0] == 0 || ran[1] == 0 {
+				t.Fatalf("%d invocations, resumed after %d iterations: the workers ran %v", invs, st.Inline, ran)
+			}
+			resumed = true
 		}
-		if st.SchedNs >= st.InlineNs || st.Dispatches == 0 {
-			t.Fatalf("parallel run with scheduler %v ≥ inline %v ns/iteration, %d dispatches", st.SchedNs, st.InlineNs, st.Dispatches)
+		if !resumed {
+			t.Fatalf("a region of %d invocations with a 2000-round body and a free computeAddr never resumed in parallel mid-invocation in ten runs", invs)
 		}
-		if st.Inline%600 == 0 {
-			continue // the probe stopped at an invocation's end; look for a resume mid-invocation
-		}
-		return
 	}
-	t.Fatal("a region with a 2000-round body and a free computeAddr never resumed in parallel mid-invocation in ten runs")
+}
+
+// TestGuardStaysInlineOnOneIterationInvocations: in a region whose every
+// invocation has one iteration, the probe can take no scheduler sample,
+// so at its budget it decides inline, with no scheduler rate, and the
+// region ends on the calling thread without a worker phase.
+func TestGuardStaysInlineOnOneIterationInvocations(t *testing.T) {
+	const workers = 2
+	engine.CloseIdle()
+	defer engine.CloseIdle()
+	st, _ := guarded(t, newCounting(2000, 1, 0, 0), workers)
+	if st.Inline != st.Iterations || st.SchedNs != 0 {
+		t.Fatalf("%d of %d iterations inline, scheduler rate %v ns/iteration; want all inline and no rate", st.Inline, st.Iterations, st.SchedNs)
+	}
+	rt := engine.Acquire(workers)
+	threads := rt.Threads()
+	rt.Release()
+	if threads != 0 {
+		t.Fatalf("the region started %d runtime threads, want none", threads)
+	}
 }
 
 // TestGuardPanicInProbeReachesCaller: a panic in an iteration the probe

@@ -52,7 +52,7 @@ func TestPooledRunAllocatesWhatRunOnDoes(t *testing.T) {
 		rt.Close()
 		checkIrregular(t, "RunOn", w, want)
 
-		runOn(w, opts)
+		RunParallel(w, opts)
 		goroutines := 0
 		pooled := testing.AllocsPerRun(10, func() {
 			clear(w.data)
@@ -85,7 +85,7 @@ func TestPooledRunRebuildsOnlyWhatDiffers(t *testing.T) {
 		opts.Workers = workers
 		w := newIrregular(rand.New(rand.NewSource(11)), 5, 30, 40, 2)
 		want := w.sequentialRun()
-		st := runOn(w, opts)
+		st := RunParallel(w, opts)
 		if st.Iterations != 150 || st.SyncConditions == 0 {
 			t.Errorf("%s: %d iterations, %d sync conditions; want 150 and some", what, st.Iterations, st.SyncConditions)
 		}

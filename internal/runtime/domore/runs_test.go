@@ -216,7 +216,7 @@ func TestRunsNeverStrandACondition(t *testing.T) {
 					}
 					want := data.sequentialRun()
 					done := make(chan Stats, 1)
-					go func() { done <- runOn(w, Options{Workers: nw, QueueCap: qcap}) }()
+					go func() { done <- RunParallel(w, Options{Workers: nw, QueueCap: qcap}) }()
 					select {
 					case st := <-done:
 						checkIrregular(t, name, data, want)

@@ -39,12 +39,12 @@ func sameAsRun(t *testing.T, mk func() Workload, opts func() Options, concurrent
 	if concurrent {
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); want = runOn(ref, noLanes(opts())) }()
-		go func() { defer wg.Done(); got = runOn(w, opts()) }()
+		go func() { defer wg.Done(); want = RunParallel(ref, noLanes(opts())) }()
+		go func() { defer wg.Done(); got = RunParallel(w, opts()) }()
 		wg.Wait()
 	} else {
-		want = runOn(ref, noLanes(opts()))
-		got = runOn(w, opts())
+		want = RunParallel(ref, noLanes(opts()))
+		got = RunParallel(w, opts())
 	}
 	for a, v := range dataOf(ref) {
 		if dataOf(w)[a] != v {
@@ -71,9 +71,9 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	w := newIrregular(rng, 20, 50, 64, 2)
 	want := w.sequentialRun()
-	stats := runOn(w, Options{Workers: 4, Lanes: 4})
+	stats := RunParallel(w, Options{Workers: 4, Lanes: 4})
 	checkIrregular(t, "RunSharded", w, want)
-	ref := runOn(newIrregular(rand.New(rand.NewSource(42)), 20, 50, 64, 2), Options{Workers: 4})
+	ref := RunParallel(newIrregular(rand.New(rand.NewSource(42)), 20, 50, 64, 2), Options{Workers: 4})
 	if stats.Iterations != 20*50 {
 		t.Fatalf("Iterations = %d, want %d", stats.Iterations, 20*50)
 	}
@@ -143,7 +143,7 @@ func TestRunShardedTinyQueues(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	w := newIrregular(rng, 12, 64, 16, 2) // 16-cell space: dependences everywhere
 	want := w.sequentialRun()
-	stats := runOn(w, Options{Workers: 3, Lanes: 2, QueueCap: 2})
+	stats := RunParallel(w, Options{Workers: 3, Lanes: 2, QueueCap: 2})
 	checkIrregular(t, "tiny queues", w, want)
 	if stats.SyncConditions == 0 {
 		t.Fatal("tiny address space produced no cross-thread dependences; test lost its point")
@@ -230,7 +230,7 @@ func TestRunShardedShortInvocationsStartNoLanes(t *testing.T) {
 	for _, lens := range [][]int{{15, 1, 7, 15, 0, 12}, {5, 16, 5, 300}} {
 		w := newIrregularLens(rand.New(rand.NewSource(8)), lens, 24, 2)
 		want := w.sequentialRun()
-		st := runOn(w, Options{Workers: workers, Lanes: lanes})
+		st := RunParallel(w, Options{Workers: workers, Lanes: lanes})
 		checkIrregular(t, "RunSharded", w, want)
 		if st.SyncConditions == 0 {
 			t.Fatal("no condition forwarded; the workers never waited on each other")
@@ -251,7 +251,7 @@ func TestRunShardedTraceParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	w := newIrregular(rng, invs, iters, 32, 2)
 	rec := trace.NewRecorder()
-	stats := runOn(w, Options{Workers: workers, Lanes: 3, Trace: rec})
+	stats := RunParallel(w, Options{Workers: workers, Lanes: 3, Trace: rec})
 	sum := rec.Summary()
 	for _, c := range []struct {
 		what             string

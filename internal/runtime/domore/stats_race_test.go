@@ -21,13 +21,13 @@ func TestStatsCountersRace(t *testing.T) {
 		name string
 		run  func(Workload, Options) Stats
 	}{
-		{"dedicated", runOn},
-		{"sharded", func(w Workload, o Options) Stats { o.Lanes = 3; return runOn(w, o) }},
+		{"dedicated", RunParallel},
+		{"sharded", func(w Workload, o Options) Stats { o.Lanes = 3; return RunParallel(w, o) }},
 		{"duplicated", func(w Workload, o Options) Stats {
 			other := newIrregular(rand.New(rand.NewSource(7)), invs, iters, 32, 2)
 			done := make(chan Stats)
-			go func() { done <- runOn(other, o) }()
-			st := runOn(w, o)
+			go func() { done <- RunParallel(other, o) }()
+			st := RunParallel(w, o)
 			if ost := <-done; ost.Iterations != st.Iterations || !reflect.DeepEqual(other.data, dataOf(w)) {
 				t.Errorf("the concurrent twin run: %d iterations, data equal %v", ost.Iterations, reflect.DeepEqual(other.data, dataOf(w)))
 			}

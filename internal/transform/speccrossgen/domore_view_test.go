@@ -9,7 +9,6 @@ import (
 	"crossinv/internal/ir/interp"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
-	"crossinv/internal/runtime/engine"
 	"crossinv/internal/transform/mtcg"
 	"crossinv/internal/transform/slice"
 	"crossinv/internal/transform/speccrossgen"
@@ -109,15 +108,6 @@ func TestDomoreViewReplayIsSideEffectFree(t *testing.T) {
 	}
 }
 
-// runParallel is domore.RunOn on a runtime borrowed from the engine pool:
-// the parallel execution, which domore.Run's guard may skip for regions as
-// small as these.
-func runParallel(w domore.Workload, opts domore.Options) domore.Stats {
-	rt := engine.Acquire(opts.Workers)
-	defer rt.Release()
-	return domore.RunOn(rt, w, opts)
-}
-
 // TestDomoreViewRunsUnderDomore: the stencil region executed by the real
 // DOMORE engine through the view reproduces the sequential result.
 func TestDomoreViewRunsUnderDomore(t *testing.T) {
@@ -129,7 +119,7 @@ func TestDomoreViewRunsUnderDomore(t *testing.T) {
 	want := seq.Checksum()
 
 	v, env := stencilView(t, 3)
-	stats := runParallel(v, domore.Options{Workers: 3})
+	stats := domore.RunParallel(v, domore.Options{Workers: 3})
 	if got := env.Checksum(); got != want {
 		t.Fatalf("domore-view checksum %x != sequential %x", got, want)
 	}
@@ -194,7 +184,7 @@ func TestDomoreViewAllowsReadOnlyIndexArrays(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := view(t, p, dep, outer, env, 2)
-	if stats := runParallel(v, domore.Options{Workers: 2}); stats.Dependences == 0 {
+	if stats := domore.RunParallel(v, domore.Options{Workers: 2}); stats.Dependences == 0 {
 		t.Fatal("IDX maps distinct j to shared C cells; dependences expected")
 	}
 	if got := env.Checksum(); got != want {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"crossinv/internal/runtime/domore"
-	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/speccross"
 )
 
@@ -65,9 +64,7 @@ func TestDomoreAdapter(t *testing.T) {
 	// The parallel execution: domore.Run's guard could keep a region this
 	// small on the calling thread.
 	k := counterKernel(12, 6)
-	rt := engine.Acquire(3)
-	stats := domore.RunOn(rt, k, domore.Options{Workers: 3})
-	rt.Release()
+	stats := domore.RunParallel(k, domore.Options{Workers: 3})
 	if k.Checksum() != want {
 		t.Fatal("domore adapter diverged")
 	}

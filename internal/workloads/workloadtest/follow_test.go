@@ -22,7 +22,7 @@ func TestFollowDischargesChains(t *testing.T) {
 		golden := Make(e)
 		golden.RunSequential()
 		inst := Make(e)
-		st := runParallel(inst.(domore.Workload), domore.Options{Workers: 2})
+		st := domore.RunParallel(inst.(domore.Workload), domore.Options{Workers: 2})
 		if inst.Checksum() != golden.Checksum() {
 			t.Errorf("%s: checksum %x != sequential %x", name, inst.Checksum(), golden.Checksum())
 		}

@@ -141,11 +141,11 @@ func adaptiveDet(s adaptive.Stats) detStats {
 func runPooled(row string, inst workloads.Instance, c rowConfig) detStats {
 	switch row {
 	case "domore":
-		return detDomore(runParallel(inst.(domore.Workload), domore.Options{Workers: 4}))
+		return detDomore(domore.RunParallel(inst.(domore.Workload), domore.Options{Workers: 4}))
 	case "domore-round-robin":
 		return detDomore(domore.Run(inst.(domore.Workload), roundRobinOptions()))
 	case "domore-sharded":
-		return detDomore(runParallel(inst.(domore.Workload), shardedOptions()))
+		return detDomore(domore.RunParallel(inst.(domore.Workload), shardedOptions()))
 	case "speccross":
 		return detSpec(speccross.Run(inst.(speccross.Workload), c.spec()))
 	case "adaptive-domore":

@@ -12,7 +12,6 @@ import (
 	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
-	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
@@ -47,16 +46,6 @@ func Make(e workloads.Entry) workloads.Instance {
 		}
 	}
 	return inst
-}
-
-// runParallel is domore.RunOn on a runtime borrowed from the engine pool
-// for the call: the unguarded parallel execution, which the checks that pin
-// what the scheduler and the workers do run instead of the guarded
-// domore.Run.
-func runParallel(w domore.Workload, opts domore.Options) domore.Stats {
-	rt := engine.Acquire(opts.Workers)
-	defer rt.Release()
-	return domore.RunOn(rt, w, opts)
 }
 
 // EnginesMatchSequential runs the named benchmark under every engine its
@@ -110,7 +99,7 @@ func EnginesMatchSequential(t *testing.T, name string) {
 		t.Run("domore", func(t *testing.T) {
 			inst := Make(e)
 			rec := trace.NewRecorder()
-			stats := runParallel(inst.(domore.Workload), domore.Options{Workers: 4, Trace: rec})
+			stats := domore.RunParallel(inst.(domore.Workload), domore.Options{Workers: 4, Trace: rec})
 			if stats.Iterations == 0 {
 				t.Fatal("no iterations scheduled")
 			}
@@ -136,7 +125,7 @@ func EnginesMatchSequential(t *testing.T, name string) {
 			// and dispatches what the default assignment does and finds the
 			// same dependences; only where iterations go differs.
 			ref := Make(e)
-			want := runParallel(ref.(domore.Workload), domore.Options{Workers: 4, Lanes: 3})
+			want := domore.RunParallel(ref.(domore.Workload), domore.Options{Workers: 4, Lanes: 3})
 			check(t, ref, "domore (reference)")
 
 			inst := Make(e)
@@ -172,7 +161,7 @@ func EnginesMatchSequential(t *testing.T, name string) {
 			stats := domore.Run(inst.(domore.Workload), domore.Options{Workers: 4, Trace: rec})
 			check(t, inst, "guarded domore")
 			ref := Make(e)
-			total := runParallel(ref.(domore.Workload), domore.Options{Workers: 4}).Iterations
+			total := domore.RunParallel(ref.(domore.Workload), domore.Options{Workers: 4}).Iterations
 			sum := rec.Summary()
 			assertEq(t, "iterations", stats.Iterations, total)
 			assertEq(t, "inline + dispatched", stats.Inline+stats.Dispatches, total)

@@ -1,7 +1,7 @@
 // Command chaos is the differential fuzzing and fault-injection driver:
-// it runs seeded random workloads under all six engines (barrier,
+// it runs seeded random workloads under all seven engines (barrier,
 // DOMORE, DOMORE with explicit round-robin, DOMORE's guarded entry point,
-// SPECCROSS, adaptive) and fails
+// SPECCROSS, SPECCROSS's guarded entry point, adaptive) and fails
 // if any engine's final memory or Stats invariants diverge from the
 // sequential oracle.
 //
@@ -39,7 +39,7 @@ func run() int {
 		ckpt    = flag.Int("checkpoint-every", 3, "SPECCROSS epochs per checkpoint segment")
 		window  = flag.Int("window", 4, "adaptive epochs per monitoring window")
 		faults  = flag.String("faults", "all", "fault plan: all, none, or a csv of queue-full, delay, sig-conflict, panic, timeout, torn-state, torn-delta, dirty-runtime")
-		mutate  = flag.String("mutate", "", "inject an engine-contract bug (drop-addr, drop-sig-write, skip-restore, skip-delta-restore, widen-static, stale-runtime, release-keeps-version, elide-cross-cond, run-past-cond, resume-off-by-one) and require the harness to catch it")
+		mutate  = flag.String("mutate", "", "inject an engine-contract bug (drop-addr, drop-sig-write, skip-restore, skip-delta-restore, widen-static, stale-runtime, release-keeps-version, elide-cross-cond, run-past-cond, resume-off-by-one, resume-skip-epoch) and require the harness to catch it")
 		shrink  = flag.Bool("shrink", false, "shrink failing cases and write artifacts to -out")
 		out     = flag.String("out", "chaos-artifacts", "artifact output directory")
 		verbose = flag.Bool("v", false, "log every case")

@@ -34,8 +34,10 @@
 //	          stated reason. With -mode domore, print the guard's decision:
 //	          how many iterations ran inline, the measured inline and
 //	          scheduler costs per iteration, and whether the region went
-//	          parallel. With -remote it fetches the daemon's
-//	          /debug/decisions journal for the invocation
+//	          parallel. With -mode speccross, print its guard's: how many
+//	          epochs ran inline, the inline and speculative costs per task,
+//	          and whether the region speculated. With -remote it fetches
+//	          the daemon's /debug/decisions journal for the invocation
 //	-serve    serve /metrics (Prometheus text), /summary (JSON), and
 //	          /debug/pprof/ on ADDR while looping the workload (any mode,
 //	          including adaptive and all; CPU profiles carry engine/lane
@@ -87,7 +89,7 @@ var (
 	traceFile = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
 	metrics   = flag.Bool("metrics", false, "print the metrics registry and per-thread timeline after the run")
 	misspec   = flag.Int("misspec", 0, "inject a misspeculation at this epoch (speccross/adaptive)")
-	explain   = flag.Bool("explain", false, "print the adaptive controller's per-window decision audit (adaptive mode; works with -remote) or DOMORE's inline-or-parallel decision (domore mode) after the run")
+	explain   = flag.Bool("explain", false, "print the adaptive controller's per-window decision audit (adaptive mode; works with -remote), DOMORE's inline-or-parallel decision (domore mode) or SPECCROSS's inline-or-speculate decision (speccross mode) after the run")
 
 	serve     = flag.String("serve", "", "serve /metrics, /summary, and /debug/pprof on this address while looping the workload")
 	serveRuns = flag.Int("serve-runs", 0, "with -serve: stop after this many runs (0: loop until killed)")
@@ -121,8 +123,8 @@ func main() {
 		}
 		return
 	}
-	if *explain && *mode != "adaptive" && *mode != "domore" {
-		fatal(fmt.Errorf("-explain renders the adaptive decision audit or the DOMORE guard's decision; it needs -mode adaptive or domore, not %s", *mode))
+	if *explain && *mode != "adaptive" && *mode != "domore" && *mode != "speccross" {
+		fatal(fmt.Errorf("-explain renders the adaptive decision audit or a guard's decision; it needs -mode adaptive, domore or speccross, not %s", *mode))
 	}
 	c, err := core.Compile(string(src))
 	if err != nil {
@@ -218,9 +220,12 @@ func main() {
 		}
 		got := res.Env.Checksum()
 		fmt.Printf("%-10s checksum %016x  %v  (%s)\n", m, got, time.Since(start).Round(time.Microsecond), details(res))
-		if *explain && res.DOMORE != nil {
+		switch {
+		case *explain && res.DOMORE != nil:
 			fmt.Println(guardLine(res.DOMORE.Stats))
-		} else if *explain {
+		case *explain && res.SpecCross != nil:
+			fmt.Println(specGuardLine(res.SpecCross.Stats))
+		case *explain:
 			fmt.Print(renderDecisions(audit))
 		}
 		if got != want {
@@ -361,6 +366,28 @@ func guardLine(st domore.Stats) string {
 	}
 	return fmt.Sprintf("  guard: %d of %d iterations inline, inline %.1f ns/iteration, scheduler %.1f ns/iteration; %s",
 		st.Inline, st.Iterations, st.InlineNs, st.SchedNs, outcome)
+}
+
+// specGuardLine renders the decision of speccross.Run's guard: the epochs
+// it ran inline, the two rates, and the outcome.
+func specGuardLine(st speccross.Stats) string {
+	if st.InlineNs == 0 {
+		return "  guard: none ran: the run forced a misspeculation, or the profile found speculation unprofitable and barriers ran"
+	}
+	speculated := st.Epochs + st.ReexecutedEpochs
+	var outcome string
+	switch {
+	case speculated == 0 && st.SpecNs >= st.InlineNs:
+		outcome = "stayed on the calling thread: speculation costs at least the body"
+	case speculated == 0:
+		outcome = "ran on the calling thread: the region ended before the probe decided"
+	case st.SpecNs >= st.InlineNs:
+		outcome = "speculated after the probe, then ran the rest inline: a segment cost at least the body"
+	default:
+		outcome = "speculated after the probe: speculation costs less than the body"
+	}
+	return fmt.Sprintf("  guard: %d of %d epochs inline, inline %.1f ns/task, speculation %.1f ns/task; %s",
+		st.Inline, speculated+st.Inline, st.InlineNs, st.SpecNs, outcome)
 }
 
 // lintOutput renders the static plan verifier's diagnostics for the

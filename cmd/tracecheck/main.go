@@ -2,9 +2,10 @@
 // crossinv -trace (or any tool claiming the same format): it parses each
 // file and checks the structural invariants trace.ValidateChrome enforces
 // (known phases, named events, balanced begin/end span nesting per
-// thread, non-negative timestamps, and every DOMORE guard decision — an
-// "inline" instant — carrying its inline iteration count and both measured
-// rates). CI runs it over freshly generated
+// thread, non-negative timestamps, and every guard decision — an "inline"
+// instant — on the lane its engine emits it on, the DOMORE scheduler's with
+// its inline iteration count or the SPECCROSS control lane's with its
+// inline epoch count, carrying both measured rates). CI runs it over freshly generated
 // traces so a regression in the exporter fails the build rather than
 // silently producing files chrome://tracing cannot load.
 //

@@ -46,8 +46,8 @@ func main() {
 		SpecDistanceOf: prof.PerEpoch(fs),
 	})
 	check("speccross", fs.Checksum(), want)
-	fmt.Printf("speccross      checksum %016x  (%d tasks, %d misspeculations)\n",
-		fs.Checksum(), stats.Tasks, stats.Misspeculations)
+	fmt.Printf("speccross      checksum %016x  (%d tasks, %d epochs speculated, %d inline, %d misspeculations)\n",
+		fs.Checksum(), stats.Tasks, stats.Epochs, stats.Inline, stats.Misspeculations)
 
 	fmt.Println("all strategies agree ✔")
 }

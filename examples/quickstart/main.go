@@ -146,8 +146,8 @@ func main() {
 	spec := speccross.Run(ss, speccross.Config{
 		Workers: 4, CheckpointEvery: 50, SpecDistance: dist,
 	})
-	fmt.Printf("speccross     checksum %016x  (%d tasks, %d misspeculations, %d checkpoints)\n",
-		ss.checksum(), spec.Tasks, spec.Misspeculations, spec.Checkpoints)
+	fmt.Printf("speccross     checksum %016x  (%d tasks, %d epochs speculated, %d inline, %d misspeculations, %d checkpoints)\n",
+		ss.checksum(), spec.Tasks, spec.Epochs, spec.Inline, spec.Misspeculations, spec.Checkpoints)
 	if ss.checksum() != want {
 		log.Fatal("SPECCROSS diverged from sequential")
 	}

@@ -36,7 +36,7 @@ func main() {
 	if k.Checksum() != want {
 		log.Fatalf("speccross checksum %x != sequential %x", k.Checksum(), want)
 	}
-	fmt.Printf("speculative execution: %d tasks, %d epochs, %d misspeculations — matches sequential ✔\n",
-		stats.Tasks, stats.Epochs, stats.Misspeculations)
+	fmt.Printf("speccross: %d tasks, %d epochs speculated, %d inline, %d misspeculations — matches sequential ✔\n",
+		stats.Tasks, stats.Epochs, stats.Inline, stats.Misspeculations)
 
 }

@@ -222,7 +222,7 @@ func TestTornDeltaExercisesDeltaRestore(t *testing.T) {
 	want := spec.SequentialState()
 	k := spec.Kernel()
 	w := FaultPlan{TornDelta: true}.Wrap(k, k, spec.NumEpochs())
-	st := speccross.Run(w, speccross.Config{
+	st := speccross.RunParallel(w, speccross.Config{
 		Workers: 4, SigKind: spec.Kind(), CheckpointEvery: 3,
 	})
 	if st.DeltaRestores == 0 {

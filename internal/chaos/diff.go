@@ -20,8 +20,12 @@ import (
 // Stats field the assignment cannot change.
 // domore-guarded is domore.Run, whose guard runs the region inline first
 // and may go parallel where its probe stopped: every iteration must run
-// once, inline or scheduled.
-var Engines = []string{"barrier", "domore", "domore-round-robin", "domore-guarded", "speccross", "adaptive"}
+// once, inline or scheduled. speccross is SPECCROSS's speculative execution
+// (speccross.RunParallel) and speccross-guarded is speccross.Run, whose
+// guard runs epochs inline first and may speculate from where its probe
+// stopped and hand the rest back after a segment: every epoch must be
+// committed, re-executed or run inline.
+var Engines = []string{"barrier", "domore", "domore-round-robin", "domore-guarded", "speccross", "speccross-guarded", "adaptive"}
 
 // Options configures a differential run of one case.
 type Options struct {
@@ -143,7 +147,7 @@ func RunSeed(seed uint64, opts Options) []Failure {
 // final memory equals the sequential oracle.
 func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Failure) {
 	k := spec.Kernel()
-	w := opts.Faults.Wrap(opts.Mutation.Wrap(k), k, spec.NumEpochs())
+	w := opts.Faults.forEngine(engine).Wrap(opts.Mutation.Wrap(k), k, spec.NumEpochs())
 
 	var rec *trace.Recorder
 	if opts.Traced {
@@ -194,15 +198,18 @@ func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Fai
 	case "domore-guarded":
 		st := domore.Run(w, opts.Faults.Domore(domore.Options{Workers: opts.Workers, Trace: rec}))
 		detail = guardedInvariants(st, spec, rec)
-	case "speccross":
+	case "speccross", "speccross-guarded":
 		cfg := opts.Faults.Spec(speccross.Config{
 			Workers:         opts.Workers,
 			SigKind:         spec.Kind(),
 			CheckpointEvery: opts.CheckpointEvery,
 			Trace:           rec,
 		})
-		st := speccross.Run(w, cfg)
-		detail = speccrossInvariants(st, spec, rec)
+		if engine == "speccross" {
+			detail = speccrossInvariants(speccross.RunParallel(w, cfg), spec, rec)
+		} else {
+			detail = guardedSpecInvariants(speccross.Run(w, cfg), spec, rec)
+		}
 	case "adaptive":
 		cfg := adaptive.Config{Workers: opts.Workers, Window: opts.Window, Trace: rec}
 		cfg.Spec.SigKind = spec.Kind()
@@ -353,6 +360,39 @@ func speccrossInvariants(st speccross.Stats, spec *Spec, rec *trace.Recorder) st
 		if c.fromTrace != c.fromStats {
 			return fmt.Sprintf("speccross trace-derived %s %d != engine Stats %d", c.what, c.fromTrace, c.fromStats)
 		}
+	}
+	return ""
+}
+
+// guardedSpecInvariants checks a guarded speccross.Run: the epochs
+// committed speculatively, re-executed after a misspeculation and run
+// inline are every epoch, each run once; a run with no misspeculation
+// counted every task; and on a traced run the trace says the same, with one
+// inline event naming the inline epochs.
+func guardedSpecInvariants(st speccross.Stats, spec *Spec, rec *trace.Recorder) string {
+	n := int64(spec.NumEpochs())
+	if st.Epochs+st.ReexecutedEpochs+st.Inline != n {
+		return fmt.Sprintf("guarded speccross committed %d + re-executed %d + ran inline %d epochs != %d",
+			st.Epochs, st.ReexecutedEpochs, st.Inline, n)
+	}
+	if (st.Misspeculations == 0) != (st.ReexecutedEpochs == 0) {
+		return fmt.Sprintf("guarded speccross misspeculations %d inconsistent with re-executed epochs %d",
+			st.Misspeculations, st.ReexecutedEpochs)
+	}
+	if st.Misspeculations == 0 && st.Tasks != spec.TotalTasks() {
+		return fmt.Sprintf("guarded speccross ran %d tasks without misspeculation, workload has %d", st.Tasks, spec.TotalTasks())
+	}
+	if rec == nil {
+		return ""
+	}
+	sum := rec.Summary()
+	if sum.Counts[trace.KindInline] != 1 || sum.Sums[trace.KindInline] != st.Inline {
+		return fmt.Sprintf("guarded speccross emitted %d inline events naming %d epochs, Stats say %d",
+			sum.Counts[trace.KindInline], sum.Sums[trace.KindInline], st.Inline)
+	}
+	if sum.Sums[trace.KindEpochCommit] != st.Epochs || sum.Counts[trace.KindMisspec] != st.Misspeculations {
+		return fmt.Sprintf("guarded speccross trace-derived committed epochs %d and misspeculations %d != engine Stats %d and %d",
+			sum.Sums[trace.KindEpochCommit], sum.Counts[trace.KindMisspec], st.Epochs, st.Misspeculations)
 	}
 	return ""
 }

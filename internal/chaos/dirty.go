@@ -31,10 +31,11 @@ import (
 // one each time, since the harness runs them back to back. There the harness
 // rewinds the kernel and tells nobody; that the next run does not take the
 // last one's checkpoint image for current is what Runtime.Release promises.
-// DOMORE's public entry point is guarded and may not use its runtime's
-// threads at all, so the pooled pass runs its parallel execution,
-// domore.RunParallel, and runs domore.Run itself as the domore-guarded
-// engine, in both passes.
+// The engines' public entry points, domore.Run and speccross.Run, are
+// guarded and may not use their runtime's threads at all, so the pooled
+// pass runs their parallel executions, domore.RunParallel and
+// speccross.RunParallel, and runs the guarded entry points themselves as
+// the domore-guarded and speccross-guarded engines, in both passes.
 
 // dirtyKinds are the ways the dirtying run ends badly, chosen by the fault
 // seed. The first three abort speculative segments and must leave the
@@ -130,7 +131,7 @@ func (d *dirtyRun) on(f func(rt *engine.Runtime)) bool {
 
 func (d *dirtyRun) speccross(w speccross.Workload, cfg speccross.Config) (st speccross.Stats) {
 	if !d.on(func(rt *engine.Runtime) { st = speccross.RunOn(rt, w, cfg) }) {
-		st = speccross.Run(w, cfg)
+		st = speccross.RunParallel(w, cfg)
 	}
 	return st
 }
@@ -300,6 +301,8 @@ func (d *dirtyRun) runClean(eng string) string {
 		}
 	case "domore-guarded":
 		return guardedInvariants(domore.Run(d.k, d.domoreOptions()), d.spec, d.rec)
+	case "speccross-guarded":
+		return guardedSpecInvariants(speccross.Run(d.k, d.specConfig()), d.spec, d.rec)
 	case "speccross":
 		st := d.speccross(d.k, d.specConfig())
 		if detail := speccrossInvariants(st, d.spec, d.rec); detail != "" {

@@ -253,6 +253,20 @@ func (p FaultPlan) Wrap(inner adaptive.Workload, k *epochal.Kernel, nEpochs int)
 	return inj
 }
 
+// forEngine is the plan the workload layer injects under the given engine.
+// speccross.Run's guard runs sampled tasks of its probe with a live
+// signature, in program order, as the sequential execution: the injector
+// cannot tell them from speculative ones, and a panic there is a panic of
+// the sequential program, not a misspeculation. The guarded arm therefore
+// gets no injected panic and no torn write; its spurious conflicts, full
+// queues, timeouts and delays stay.
+func (p FaultPlan) forEngine(engine string) FaultPlan {
+	if engine == "speccross-guarded" {
+		p.Panic, p.TornDelta = false, false
+	}
+	return p
+}
+
 // Err reports a fault-layer detection (currently: an aliased snapshot),
 // which the differential runner surfaces as a failure.
 func (inj *injector) Err() string {

@@ -85,11 +85,17 @@ const (
 	// parallel, which a case whose bodies outweigh their address
 	// computation makes it do, can catch it.
 	MutResumeOffByOne Mutation = "resume-off-by-one"
+	// MutResumeSkipEpoch models a SPECCROSS guard that loses its place: the
+	// region resumes one epoch past where the inline probe stopped, inline
+	// or speculatively, so that epoch never runs. The engine's seam for it
+	// is the workload's ResumeSkipEpoch method; only the guarded arm of a
+	// case longer than the probe can catch it.
+	MutResumeSkipEpoch Mutation = "resume-skip-epoch"
 )
 
 // Mutations lists the non-empty mutation kinds.
 func Mutations() []Mutation {
-	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleRuntime, MutReleaseKeepsVersion, MutElideCrossCond, MutRunPastCond, MutResumeOffByOne}
+	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleRuntime, MutReleaseKeepsVersion, MutElideCrossCond, MutRunPastCond, MutResumeOffByOne, MutResumeSkipEpoch}
 }
 
 // ParseMutation validates a -mutate flag value.
@@ -186,6 +192,9 @@ func MutationCatcher() *Spec {
 // its address computation and hands the region to the scheduler once its
 // probe has run; the region is long enough for the probe to stop inside it.
 // Whichever iteration the broken resume skips leaves its cell unwritten.
+// It is SPECCROSS's catcher too: its guard's probe stops at an epoch
+// boundary inside the region, and the epoch the broken resume skips leaves
+// its cells unwritten whether the rest runs speculatively or inline.
 func (m Mutation) Catcher() *Spec {
 	switch m {
 	case MutStaleRuntime, MutReleaseKeepsVersion:
@@ -213,7 +222,7 @@ func (m Mutation) Catcher() *Spec {
 			)
 		}
 		return mustValid(s)
-	case MutResumeOffByOne:
+	case MutResumeOffByOne, MutResumeSkipEpoch:
 		s := &Spec{Name: "chaos-resume-catcher", StateLen: resumeCatcherEpochs * runCatcherTasks, SigKind: "exact"}
 		for e := 0; e < resumeCatcherEpochs; e++ {
 			tasks := make([]TaskSpec, runCatcherTasks)
@@ -264,7 +273,8 @@ func mustValid(s *Spec) *Spec {
 // use of a shared runtime and the pool's release of one (dirtyRun.reset,
 // dirtyRun.on). The wrappers of MutElideCrossCond, MutRunPastCond and
 // MutResumeOffByOne change nothing but ask the DOMORE engine to break itself
-// (ElideCrossConds, RunPastConds, ResumeOffByOne).
+// (ElideCrossConds, RunPastConds, ResumeOffByOne), and MutResumeSkipEpoch's
+// asks the SPECCROSS engine (ResumeSkipEpoch).
 func (m Mutation) Wrap(k *epochal.Kernel) adaptive.Workload {
 	if m == MutNone || m == MutWidenStatic || m == MutStaleRuntime || m == MutReleaseKeepsVersion {
 		return k
@@ -293,6 +303,9 @@ func (w *mutated) RunPastConds() bool { return w.m == MutRunPastCond }
 
 // ResumeOffByOne is the DOMORE engine's seam for MutResumeOffByOne.
 func (w *mutated) ResumeOffByOne() bool { return w.m == MutResumeOffByOne }
+
+// ResumeSkipEpoch is the SPECCROSS engine's seam for MutResumeSkipEpoch.
+func (w *mutated) ResumeSkipEpoch() bool { return w.m == MutResumeSkipEpoch }
 
 // The delta view forwards to the kernel, so the incremental-checkpoint
 // path stays engaged under mutation — skip-delta-restore breaks exactly

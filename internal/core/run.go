@@ -57,6 +57,11 @@ func (o Options) domoreOptions() domore.Options {
 	return domore.Options{Workers: o.Workers, Trace: o.Trace}
 }
 
+// specConfig configures the speccross engine of Run from o.
+func (o Options) specConfig() speccross.Config {
+	return speccross.Config{Workers: o.Workers, SigKind: o.SigKind, ForceMisspecEpoch: o.ForceMisspecEpoch, Trace: o.Trace}
+}
+
 // Result is the outcome of Run. Of Barrier, DOMORE, SpecCross and Adaptive,
 // only the one of the engine that ran is set.
 type Result struct {
@@ -145,8 +150,7 @@ func (c *Compiled) Run(region *ir.Loop, p Plan, o Options) (Result, error) {
 		if prof, err = profile(); err != nil {
 			return res, err
 		}
-		cfg := speccross.Config{Workers: o.Workers, SigKind: o.SigKind, ForceMisspecEpoch: o.ForceMisspecEpoch, Trace: o.Trace}
-		if res.SpecCross, err = c.runSpecCross(region, cfg, prof); err == nil {
+		if res.SpecCross, err = c.runSpecCross(region, o.specConfig(), prof); err == nil {
 			res.Env = res.SpecCross.Env
 		}
 	case "adaptive":

@@ -9,6 +9,7 @@ import (
 
 	"crossinv/internal/analysis/verify"
 	"crossinv/internal/ir"
+	"crossinv/internal/ir/interp"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/speccross"
@@ -63,6 +64,26 @@ func detSpec(s speccross.Stats) detSpecStats {
 	return detSpecStats{s.Epochs, s.Checkpoints, s.Misspeculations, s.ReexecutedEpochs, s.DeltaCheckpoints, s.DeltaCells}
 }
 
+// detGuardedSpec keeps only the total of a guarded run (speccross.Run,
+// which Run and the forwarder call): how many of its epochs ran inline and
+// how many speculatively is a measurement. checkGuardedSpec checks what
+// holds whatever the guard decided, and parallelSpec pins the speculative
+// execution's counters.
+func detGuardedSpec(s speccross.Stats) detSpecStats {
+	return detSpecStats{Epochs: s.Epochs + s.ReexecutedEpochs + s.Inline}
+}
+
+// checkGuardedSpec requires of a guarded run's Stats what holds whatever
+// the guard decided: it measured an inline rate, and every epoch was
+// committed, re-executed or run inline.
+func checkGuardedSpec(t *testing.T, what string, s speccross.Stats, epochs int64) {
+	t.Helper()
+	if s.InlineNs <= 0 || s.Epochs+s.ReexecutedEpochs+s.Inline != epochs {
+		t.Fatalf("%s: inline rate %v ns/task, %d committed + %d re-executed + %d inline of %d epochs; want a measured rate and every epoch once",
+			what, s.InlineNs, s.Epochs, s.ReexecutedEpochs, s.Inline, epochs)
+	}
+}
+
 // det extracts r's deterministic Stats. Adaptive runs keep only their
 // window count unless pinned is set: an unpinned controller reads checker
 // pressure, which is timing.
@@ -74,7 +95,7 @@ func det(r Result, pinned bool) detStats {
 	case r.DOMORE != nil:
 		d.Domore = detGuarded(r.DOMORE.Stats)
 	case r.SpecCross != nil:
-		d.Spec = detSpec(r.SpecCross.Stats)
+		d.Spec = detGuardedSpec(r.SpecCross.Stats)
 	case r.Adaptive != nil:
 		d.Windows = r.Adaptive.Stats.Windows
 		if pinned {
@@ -103,7 +124,7 @@ func forward(c *Compiled, region *ir.Loop, engine string, facts RegionFacts, pro
 		}
 		res.DOMORE, err = c.RunDOMOREPlanned(par, region, forwardDomore(workers))
 	case "speccross":
-		res.SpecCross, err = c.RunSpecCrossProfiled(region, speccross.Config{Workers: workers}, prof)
+		res.SpecCross, err = c.RunSpecCrossProfiled(region, forwardSpec(workers), prof)
 	case "adaptive":
 		cfg := adaptive.Config{Workers: workers}
 		cfg.SeedFromFacts(facts.XDepClass, facts.XDepMinDistance)
@@ -118,6 +139,39 @@ func forward(c *Compiled, region *ir.Loop, engine string, facts RegionFacts, pro
 
 // forwardDomore is how forward configures the domore forwarder.
 func forwardDomore(workers int) domore.Options { return domore.Options{Workers: workers} }
+
+// forwardSpec is how forward configures the speccross forwarder.
+func forwardSpec(workers int) speccross.Config { return speccross.Config{Workers: workers} }
+
+// parallelSpec runs region as Run's speccross engine does, but through
+// speccross.RunParallel, the unguarded speculative execution, and returns
+// its Stats and the region's epoch count once the program's result has
+// matched the sequential one.
+func parallelSpec(t *testing.T, c *Compiled, region *ir.Loop, cfg speccross.Config, prof speccross.ProfileResult) (speccross.Stats, int64) {
+	t.Helper()
+	var (
+		st     speccross.Stats
+		epochs int64
+	)
+	res := &SpecCrossResult{}
+	_, err := execute(c, region, res, &res.Env, func(env *interp.Env) error {
+		r, err := c.speculative(region, env, cfg.Workers)
+		if err != nil {
+			return err
+		}
+		epochs = int64(r.Epochs())
+		cfg.SpecDistance, _ = prof.Recommended(cfg.Workers)
+		st = speccross.RunParallel(r, cfg)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Env.Checksum(), seqChecksum(t, c); got != want {
+		t.Fatalf("parallel speccross checksum %x != sequential %x", got, want)
+	}
+	return st, epochs
+}
 
 // TestRunMatchesForwarders runs every corpus program, fig13 and cgLike
 // under each engine through Run, and requires the sequential result and the
@@ -172,6 +226,18 @@ func TestRunMatchesForwarders(t *testing.T) {
 						g := detDomore(parallelDOMORE(t, c, region, o.domoreOptions()))
 						if w := detDomore(parallelDOMORE(t, c, region, forwardDomore(workers))); g != w {
 							t.Fatalf("Run's parallel stats %+v != forwarder's %+v", g, w)
+						}
+					}
+					if got.SpecCross != nil && got.SpecCross.Stats != (speccross.Stats{}) {
+						// Both ran guarded; the speculative execution under
+						// each one's configuration commits the same.
+						o := Options{Engine: engine, Workers: workers}
+						g, gEpochs := parallelSpec(t, c, region, o.specConfig(), prof)
+						w, _ := parallelSpec(t, c, region, forwardSpec(workers), prof)
+						checkGuardedSpec(t, "Run", got.SpecCross.Stats, gEpochs)
+						checkGuardedSpec(t, "forwarder", ref.SpecCross.Stats, gEpochs)
+						if detSpec(g) != detSpec(w) {
+							t.Fatalf("Run's speculative stats %+v != forwarder's %+v", detSpec(g), detSpec(w))
 						}
 					}
 				})

@@ -47,13 +47,19 @@ func TestWorkerPanicIs500(t *testing.T) {
 		mode, src string
 		kind      trace.Kind
 		lane      func(int32) bool
+		misspec   int
 	}{
-		{"barrier", cg, trace.KindIterStart, worker},
-		{"domore", heavy, trace.KindIterStart, worker},
+		{"barrier", cg, trace.KindIterStart, worker, 0},
+		{"domore", heavy, trace.KindIterStart, worker, 0},
 		// The old name runs DOMORE; this case kills its scheduler.
-		{"domore-sharded", heavy, trace.KindSchedule, func(l int32) bool { return l == trace.LaneScheduler }},
-		{"speccross", pipe, trace.KindSigPrefilter, func(l int32) bool { return l <= trace.LaneCheckerBase && l > trace.LaneRequest }},
-		{"adaptive", cg, trace.KindIterStart, worker},
+		{"domore-sharded", heavy, trace.KindSchedule, func(l int32) bool { return l == trace.LaneScheduler }, 0},
+		// speccross.Run's guard keeps pipe's tiny bodies on the calling
+		// thread, where no checker runs. A run that asks for a
+		// misspeculation is unguarded: this one speculates from its first
+		// epoch, and the fault kills a checker shard before the forced
+		// misspeculation at epoch 40.
+		{"speccross", pipe, trace.KindSigPrefilter, func(l int32) bool { return l <= trace.LaneCheckerBase && l > trace.LaneRequest }, 40},
+		{"adaptive", cg, trace.KindIterStart, worker, 0},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -73,7 +79,7 @@ func TestWorkerPanicIs500(t *testing.T) {
 			want := mustSeq(t, s, src)
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
-			req := &RunRequest{Source: src, Mode: tc.mode, Workers: 2, Fresh: true}
+			req := &RunRequest{Source: src, Mode: tc.mode, Workers: 2, Fresh: true, Misspec: tc.misspec}
 
 			// A clean run first, so the oracle and plans exist and the
 			// goroutine baseline includes the HTTP server's own, but not the

@@ -104,7 +104,7 @@ func settle(t *testing.T, what string, base int) {
 	}
 }
 
-// posted reports whether a guarded DOMORE run traced into rec posted its
+// posted reports whether a guarded run traced into rec posted its
 // worker phases: every posted worker emits on its lane, if only the
 // queue-empty episode it abandons when the runtime closes, and a run whose
 // guard stayed inline leaves the worker lanes empty.
@@ -136,14 +136,17 @@ func workerIterations(rec *trace.Recorder) int64 {
 // pooled. domore.Run's guard adds two ways out: a panic in an iteration it
 // probes on the caller before it posted a worker phase, which leaves the
 // runtime clean and pooled, and one after, which leaves the posted phases
-// outstanding, so the runtime is torn down.
+// outstanding, so the runtime is torn down. speccross.Run's guard adds one:
+// a panic in a task its probe runs, with every thread idle. The speculative
+// ways out — a timed-out segment, a speculative worker's panic — are
+// speccross.RunParallel's, since the guard keeps these tiny bodies inline.
 func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 	const epochs, tasks, nw = 24, 8, 2
 	pin := func(e adaptive.Engine) adaptive.Config {
 		return adaptive.Config{Workers: nw, Window: 4, Policy: adaptive.Fixed(e), Start: e}
 	}
 	legacy, _ := adaptive.ParseEngine("domore-sharded") // the old name pins DOMORE
-	runRec, shardedRec, probeRec := trace.NewRecorder(), trace.NewRecorder(), trace.NewRecorder()
+	runRec, shardedRec, probeRec, specRec := trace.NewRecorder(), trace.NewRecorder(), trace.NewRecorder(), trace.NewRecorder()
 	cases := []struct {
 		name   string
 		fault  func(epoch, task int, sig *signature.Signature)
@@ -164,20 +167,20 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 				t.Errorf("Misspeculations = %d, want the 1 forced", st.Misspeculations)
 			}
 		}},
-		{name: "speccross.Run SpecTimeout", run: func(c *cells) {
-			st := speccross.Run(c, speccross.Config{Workers: nw, CheckpointEvery: 5, SpecTimeout: time.Nanosecond})
+		{name: "speccross.RunParallel SpecTimeout", run: func(c *cells) {
+			st := speccross.RunParallel(c, speccross.Config{Workers: nw, CheckpointEvery: 5, SpecTimeout: time.Nanosecond})
 			if st.Epochs+st.ReexecutedEpochs != epochs {
 				t.Errorf("committed %d + re-executed %d epochs, want %d", st.Epochs, st.ReexecutedEpochs, epochs)
 			}
 		}},
-		{name: "speccross.Run speculative worker panic",
+		{name: "speccross.RunParallel speculative worker panic",
 			fault: func(e, task int, sig *signature.Signature) {
 				if sig != nil && e == 3 && task == 1 {
 					panic("speculative fault")
 				}
 			},
 			run: func(c *cells) {
-				if st := speccross.Run(c, speccross.Config{Workers: nw, CheckpointEvery: 5}); st.Misspeculations != 1 {
+				if st := speccross.RunParallel(c, speccross.Config{Workers: nw, CheckpointEvery: 5}); st.Misspeculations != 1 {
 					t.Errorf("Misspeculations = %d, want 1: a speculative fault is a misspeculation", st.Misspeculations)
 				}
 			}},
@@ -217,6 +220,16 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 			},
 			guard: probeRec, inProbe: true,
 			run: func(c *cells) { domore.Run(c, domore.Options{Workers: nw, Trace: probeRec}) }},
+		{name: "speccross.Run panic in the probe", panics: true,
+			fault: func(e, task int, _ *signature.Signature) {
+				if e == 1 && task == 1 {
+					panic("worker fault")
+				}
+			},
+			guard: specRec,
+			run: func(c *cells) {
+				speccross.Run(c, speccross.Config{Workers: nw, CheckpointEvery: 5, Trace: specRec})
+			}},
 		{name: "speccross.RunBarriers worker panic", panics: true,
 			fault: func(e, task int, _ *signature.Signature) {
 				if e == 3 && task == 1 {

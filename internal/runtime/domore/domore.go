@@ -31,14 +31,14 @@
 // worker count can win, and the region finishes on the calling thread;
 // otherwise Run wakes the workers, keeps executing inline until the first
 // of them has started, and hands the rest of the region to the scheduler
-// there. The probe decides within about as long as the runtime's first
-// worker last took to start. RunOn is the unguarded parallel execution.
+// there. The probe decides within about as long as the runtime's threads
+// last took to start a posted phase (engine.Runtime.Budget). RunOn is the
+// unguarded parallel execution.
 package domore
 
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/queue"
@@ -228,7 +228,7 @@ func Run(w Workload, opts Options) Stats {
 	defer rt.Release()
 	st := stateOn(rt, &opts)
 	st.begin(w, opts.Trace)
-	g := st.probe(st.budget())
+	g := st.probe(rt.Budget())
 	opts.Trace.Lane(trace.LaneScheduler).Emit(trace.KindInline, g.at.iter, int64(g.inlineNs), int64(g.schedNs))
 	stats := Stats{Iterations: g.at.iter}
 	if g.parallel {
@@ -269,15 +269,14 @@ func RunParallel(w Workload, opts Options) Stats {
 // post starts the worker phases of a parallel run.
 func (st *state) post() {
 	st.awake.Store(false)
-	st.posted = time.Now()
 	for tid := range st.local {
 		st.rt.Go(tid, "domore", "worker", st.local[tid].run)
 	}
 }
 
 // schedulePosted runs the scheduler from position from, the worker phases
-// posted, and quiesces. It measures how long the first worker took to
-// start, which sizes the next guarded probe.
+// posted, and quiesces. The runtime measures how long the first worker took
+// to start, which sizes the next guarded probe.
 func (st *state) schedulePosted(opts *Options, from position) Stats {
 	rt := st.rt
 	defer rt.Settle()
@@ -318,16 +317,10 @@ type state struct {
 	open           []cond         // scheduler: per-worker run not yet sent (Count 0: none)
 	buf            []uint64       // scheduler: ComputeAddr scratch
 
-	// startup is how long the worker phases of the last parallel run took to
-	// start: from the first post to the first worker's first instruction.
-	// Zero until a parallel run has measured it.
-	startup time.Duration
-
 	// The run in progress, written by the control goroutine before it posts
 	// the worker phases.
 	w         Workload
 	rec       *trace.Recorder
-	posted    time.Time   // when the worker phases were posted
 	awake     atomic.Bool // a worker has begun its phase
 	elide     bool        // w asked for the elide-cross-cond mutation (see crossCondElider)
 	runPast   bool        // w asked for the run-past-cond mutation (see runPastConder)
@@ -361,10 +354,9 @@ type resumeOffByOner interface{ ResumeOffByOne() bool }
 // the worker writes them, and the control goroutine folds them into Stats
 // at quiesce.
 type workerLocal struct {
-	stalls  int64
-	started time.Duration // since state.posted, when this worker's phase began
-	run     func()        // the worker's phase, bound once
-	_       [64]byte
+	stalls int64
+	run    func() // the worker's phase, bound once
+	_      [64]byte
 }
 
 // stateOn returns rt's DOMORE state, sized for opts, and resolves the
@@ -422,17 +414,12 @@ func (st *state) begin(w Workload, rec *trace.Recorder) {
 // so a runtime parked in the engine pool pins buffers only.
 func (st *state) Forget() { st.w, st.rec = nil, nil }
 
-// fold adds the per-thread counters to stats and zeroes them, and keeps
-// the phases' start-up time for the next guarded probe: how long the first
-// worker took to begin, since no iteration of the run could start sooner.
+// fold adds the per-thread counters to stats and zeroes them.
 func (st *state) fold(stats *Stats) {
-	startup := st.local[0].started
 	for i := range st.local {
 		stats.Stalls += st.local[i].stalls
 		st.local[i].stalls = 0
-		startup = min(startup, st.local[i].started)
 	}
-	st.startup = startup
 }
 
 // schedule is Algorithm 1 plus the outer-loop sequential regions: for every
@@ -702,7 +689,6 @@ func addDep(deps []cond, tid int32, iter int64) []cond {
 // dependences, execute dispatched runs, and publish each iteration's
 // completion.
 func (st *state) worker(tid int) {
-	st.local[tid].started = time.Since(st.posted)
 	st.awake.Store(true)
 	q, tt := st.queues[tid], st.rec.Lane(int32(tid))
 	for {

@@ -1,8 +1,9 @@
 package domore
 
 import (
-	"sync"
 	"time"
+
+	"crossinv/internal/runtime/engine"
 )
 
 // position is a place in the region: invocation inv at its iteration it,
@@ -28,24 +29,9 @@ type guard struct {
 // taken only while sampling has cost under 1/probeShare of the inline time.
 const probeShare = 16
 
-// floorReads sizes the probe's smallest budget, and the shortest interval
-// an early decision trusts the inline rate from, in clock reads: one read
-// then costs under 2 % of the interval, so the clock does not decide. The
-// budget floor applies until a parallel run on the runtime has measured its
-// workers' start-up.
-const floorReads = 64
-
 // sampleReads is how long, in clock reads, the scheduler samples must have
 // run before an early decision trusts their rate.
 const sampleReads = 8
-
-// budget is how long the probe may take to decide: as long as the first
-// worker of the runtime's last parallel run took to start, since no worker
-// of a parallel run would have begun sooner, and never below floorReads
-// clock reads.
-func (st *state) budget() time.Duration {
-	return max(st.startup, floorReads*clockCost())
-}
 
 // probe executes the region on the calling thread, in order, from its
 // start, and times it. It reads the clock after 1, 2, 4, … iterations, the
@@ -69,11 +55,11 @@ func (st *state) budget() time.Duration {
 // can win. The sampled rate leaves out the scheduler's Sequential,
 // placement and queue work, and the inline rate keeps Sequential in, so the
 // guard errs toward parallel. It decides parallel at the first clock read
-// where the inline rate was measured over floorReads clock reads or more,
-// the scheduler rate over sampleReads, and they say so; otherwise it
-// decides at the first read past the budget, sampling there if it has no
-// scheduler rate yet, and inline if no invocation so far had the two
-// iterations a sample needs. An inline decision runs the region to its end
+// where the inline rate was measured over engine.FloorReads clock reads or
+// more, the scheduler rate over sampleReads, and they say so; otherwise it
+// decides at the first read past the budget (engine.Runtime.Budget),
+// sampling there if it has no scheduler rate yet, and inline if no
+// invocation so far had the two iterations a sample needs. An inline decision runs the region to its end
 // on the calling thread with no more clock reads. A parallel decision posts
 // the worker phases, and the probe goes on executing until the first worker
 // has started, so the wake-up costs the region nothing; it then stops, and
@@ -82,7 +68,7 @@ func (st *state) probe(budget time.Duration) guard {
 	w, sm := st.w, st.shadow
 	sm.Reset()
 	defer sm.Reset()
-	clock := clockCost()
+	clock := engine.ClockCost()
 	var (
 		done, next int64 = 0, 1 // iterations executed; the clock is read at next
 		sampleWall time.Duration
@@ -170,7 +156,7 @@ func (st *state) probe(budget time.Duration) guard {
 				continue
 			}
 			g := rates()
-			trusted := window >= floorReads*clock && sched >= sampleReads*clock
+			trusted := window >= engine.FloorReads*clock && sched >= sampleReads*clock
 			if schedN > 0 && (trusted || inline >= budget) {
 				if g.parallel = g.schedNs < g.inlineNs; g.parallel {
 					st.post()
@@ -199,23 +185,4 @@ func (st *state) probe(budget time.Duration) guard {
 	}
 	decision.at = position{inv: invocations, iter: done}
 	return decision
-}
-
-var (
-	clockOnce sync.Once
-	clockNs   time.Duration
-)
-
-// clockCost is the measured cost of one clock read on this machine, taken
-// once per process.
-func clockCost() time.Duration {
-	clockOnce.Do(func() {
-		const n = 256
-		t0 := time.Now()
-		for range n {
-			time.Now()
-		}
-		clockNs = max(time.Since(t0)/n, 1)
-	})
-	return clockNs
 }

@@ -35,6 +35,7 @@ import (
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"crossinv/internal/runtime/barrier"
 )
@@ -83,6 +84,11 @@ type Runtime struct {
 	bar     *barrier.Barrier
 	states  []stateSlot
 	labels  labelCache // the control goroutine's
+
+	// postedAt is when the first phase of the outstanding batch was posted;
+	// startup is the batch start-up the last drain measured (see Startup).
+	postedAt time.Time
+	startup  time.Duration
 }
 
 type stateSlot struct{ key, val any }
@@ -100,9 +106,10 @@ type thread struct {
 	fn           func() // nil: exit
 	engine, lane string
 
-	seq    uint64 // control-private: phases posted
-	busy   bool   // control-private: a phase is outstanding
-	labels labelCache
+	seq     uint64        // control-private: phases posted
+	busy    bool          // control-private: a phase is outstanding
+	started time.Duration // since rt.postedAt, when the last phase began
+	labels  labelCache
 }
 
 // New returns a runtime for the given number of worker threads. Threads are
@@ -163,7 +170,11 @@ func (rt *Runtime) post(i int, engine, lane string, fn func()) {
 		panic(fmt.Sprintf("engine: thread %d already has a phase outstanding", i))
 	}
 	t.busy = true
-	rt.pending.Add(1)
+	if rt.pending.Add(1) == 1 {
+		// The first phase of a batch: the thread reads postedAt after it
+		// sees the post, and every reader of the last one has finished.
+		rt.postedAt = time.Now()
+	}
 	t.send(fn, engine, lane)
 }
 
@@ -195,6 +206,7 @@ func (t *thread) run() {
 		pprof.SetGoroutineLabels(context.Background())
 	}()
 	pprof.SetGoroutineLabels(t.labels.get(t.engine, t.lane))
+	t.started = time.Since(t.rt.postedAt)
 	t.fn()
 }
 
@@ -241,12 +253,21 @@ func (rt *Runtime) Wait() {
 	}
 }
 
+// drain waits for every posted phase to finish and records how long the
+// batch took to start: the earliest start among its threads.
 func (rt *Runtime) drain() {
 	rt.await(rt, waitSpins, func() bool { return rt.pending.Load() == 0 })
+	startup, seen := time.Duration(0), false
 	for _, t := range rt.threads {
-		if t != nil {
+		if t != nil && t.busy {
+			if !seen || t.started < startup {
+				startup, seen = t.started, true
+			}
 			t.busy = false
 		}
+	}
+	if seen {
+		rt.startup = startup
 	}
 }
 

@@ -271,3 +271,33 @@ func TestIdleHandOffAllocatesNothing(t *testing.T) {
 		t.Errorf("%v allocations per hand-off, want 0", n)
 	}
 }
+
+// TestStartupIsMeasuredPerBatch: a runtime measures how long the phases
+// posted on it took to start — from the first post of a batch to the
+// earliest start among its threads — at each Wait, and a guard's budget is
+// that start-up, never below FloorReads clock reads.
+func TestStartupIsMeasuredPerBatch(t *testing.T) {
+	rt := New(2)
+	defer rt.Close()
+	floor := FloorReads * ClockCost()
+	if rt.Startup() != 0 || rt.Budget() != floor {
+		t.Fatalf("before any phase: start-up %v, budget %v; want 0 and the floor %v", rt.Startup(), rt.Budget(), floor)
+	}
+	// The second thread's phase is posted after a pause; the batch's
+	// start-up still counts from the first post, so it is no later than
+	// the first thread's start.
+	const pause = 2 * time.Millisecond
+	start := time.Now()
+	var began atomic.Int64
+	rt.Go(0, "test", "worker", func() { began.Store(int64(time.Since(start))) })
+	for time.Since(start) < pause {
+	}
+	rt.Go(1, "test", "worker", func() {})
+	rt.Wait()
+	if s := rt.Startup(); s <= 0 || s > time.Duration(began.Load()) {
+		t.Fatalf("start-up %v, want positive and no later than the first thread began (%v)", s, time.Duration(began.Load()))
+	}
+	if b := rt.Budget(); b != max(rt.Startup(), floor) {
+		t.Fatalf("budget %v, want max(start-up %v, floor %v)", b, rt.Startup(), floor)
+	}
+}

@@ -90,7 +90,7 @@ func TestIncrementalCheckpointEquivalence(t *testing.T) {
 		if mode == "full" {
 			view = fullOnly{w}
 		}
-		st := Run(view, Config{
+		st := RunParallel(view, Config{
 			Workers:           4,
 			SigKind:           signature.Exact,
 			CheckpointEvery:   10,
@@ -141,7 +141,7 @@ func TestBlockGranularDeltaSpans(t *testing.T) {
 		state: make([]int64, blocks*blockSize),
 	}
 	want := w.sequential()
-	st := Run(w, Config{
+	st := RunParallel(w, Config{
 		Workers:           2,
 		SigKind:           signature.Exact,
 		CheckpointEvery:   5,

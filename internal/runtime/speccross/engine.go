@@ -33,22 +33,61 @@ import (
 // checkpoint substitution of §4.2.2: checkpoint and recovery cost are
 // bounded by the write set, not the heap.
 //
+// Unless the run sets ForceMisspecEpoch, Run is guarded, as the package
+// documentation describes. Its probe runs epochs on the calling thread
+// until the first epoch boundary past the runtime's start-up budget
+// (engine.Runtime.Budget), and never fewer than the two sampled epochs the
+// checker sample needs. Speculation starts at that boundary only when
+// max(instr/W, check/S, (instr+check)/min(GOMAXPROCS, W+S)) is below the
+// inline ns per task, where instr and check are the sampled ns per task of
+// an instrumented body and of the checker, W the workers and S the checker
+// shards: every task runs instrumented on some worker and is checked by
+// some shard, and all of them share at most W+S processors. The bound
+// leaves out watermarks, rings, the range gate, checkpoints and wake-ups,
+// so it errs toward speculating; the segment check makes up for it. Each
+// speculative segment is timed from its checkpoint to its commit, recovery
+// included, and once one costs at least the inline ns per task, the rest
+// of the region runs on the calling thread. The decision is in
+// Stats.Inline, InlineNs and SpecNs, and in one trace.KindInline event on
+// the control lane. A panic in a task the guard runs inline continues on
+// the caller, and the runtime goes back to the pool usable.
+//
 // Run borrows a runtime from the engine pool for the call and releases it
 // on return; every segment and every recovery of the run shares its threads
 // and state, and so does the next call that is handed the same runtime.
 func Run(w Workload, cfg Config) Stats {
+	if cfg.ForceMisspecEpoch > 0 {
+		return RunParallel(w, cfg)
+	}
+	cfg.fill()
+	rt := engine.Acquire(cfg.Workers)
+	defer rt.Release()
+	st := stateOn(rt, cfg.Workers)
+	st.cfg = cfg
+	var stats Stats
+	rt.Labeled("speccross", "control", func() { stats = st.run(w, true) })
+	return stats
+}
+
+// RunParallel is RunOn on a runtime borrowed from the engine pool for the
+// call and released on return: Run without its guard, speculating from the
+// region's first epoch whatever the region costs. The tests and chaos arms
+// that pin what speculation does run it.
+func RunParallel(w Workload, cfg Config) Stats {
 	cfg.fill()
 	rt := engine.Acquire(cfg.Workers)
 	defer rt.Release()
 	return RunOn(rt, w, cfg)
 }
 
-// RunOn is Run on the threads and state of rt, which must have been created
-// for cfg.Workers workers: the calling goroutine is the segment control,
-// speculative and recovery workers run on the runtime's worker threads, the
-// checker shards on its auxiliary threads, and every segment and every
-// recovery of the run reuses them. Rings, progress words, the checker log
-// and the signature arenas are reset per segment, not rebuilt.
+// RunOn is the unguarded speculative execution — Run with no probe and no
+// segment check — on the threads and state of rt, which must have been
+// created for cfg.Workers workers: the calling goroutine is the segment
+// control, speculative and recovery workers run on the runtime's worker
+// threads, the checker shards on its auxiliary threads, and every segment
+// and every recovery of the run reuses them. Rings, progress words, the
+// checker log and the signature arenas are reset per segment, not rebuilt.
+// The adaptive controller's speculative windows run it.
 //
 // The incremental-checkpoint base image is kept on the runtime too, and
 // stays valid from one RunOn to the next over the same workload value as
@@ -69,11 +108,13 @@ func RunOn(rt *engine.Runtime, w Workload, cfg Config) Stats {
 	// Restore attribute to the control lane.
 	st := stateOn(rt, cfg.Workers)
 	st.cfg = cfg
-	rt.Labeled("speccross", "control", func() { stats = st.run(w) })
+	rt.Labeled("speccross", "control", func() { stats = st.run(w, false) })
 	return stats
 }
 
-func (st *state) run(w Workload) Stats {
+// run executes the region from its first epoch, behind the guard when
+// guarded is set.
+func (st *state) run(w Workload, guarded bool) Stats {
 	var stats Stats
 	cfg := &st.cfg
 	ctl := cfg.Trace.Lane(trace.LaneControl)
@@ -89,9 +130,9 @@ func (st *state) run(w Workload) Stats {
 	// the runtime plus a generation-stamped visited array, so per-segment
 	// dirty-set dedup is O(dirty) with no O(heap) clearing between segments.
 	// Either is taken lazily, when a speculative segment is about to need
-	// it: untracked execution (barrier recovery, irreversible epochs) only
-	// counts its checkpoint here, and the image is captured — once — before
-	// the next speculation.
+	// it: untracked execution (barrier recovery, irreversible epochs, the
+	// guard's inline epochs) only counts its checkpoint here, and the image
+	// is captured — once — before the next speculation.
 	var snapshot any
 	checkpointFull := func(end int) {
 		stats.Checkpoints++
@@ -125,12 +166,33 @@ func (st *state) run(w Workload) Stats {
 		ctl.Emit(trace.KindDeltaRestore, cells, int64(start), 0)
 	}
 
-	for start := 0; start < epochs; {
+	start := 0
+	var (
+		g    guard
+		segT time.Time // when the segment being timed began
+	)
+	if guarded {
+		g = st.probe(w, &stats)
+		start = g.at
+		if s, ok := w.(resumeSkipper); ok && s.ResumeSkipEpoch() && start < epochs {
+			start++
+		}
+		if g.parallel {
+			segT = time.Now()
+		} else {
+			st.runInline(w, start, epochs, &stats)
+			start = epochs
+		}
+	}
+	for start < epochs {
 		// An irreversible epoch forms its own non-speculative segment.
 		if hasIrr && irr.Irreversible(start) {
 			st.runBarriers(w, start, start+1, cfg.Trace)
 			checkpointFull(start + 1)
 			start++
+			if guarded {
+				segT = time.Now()
+			}
 			continue
 		}
 		end := start + cfg.CheckpointEvery
@@ -172,8 +234,39 @@ func (st *state) run(w Workload) Stats {
 			checkpointFull(end)
 		}
 		start = end
+		if guarded && start < epochs {
+			// The segment check: one clock read per segment.
+			now := time.Now()
+			if tasks := st.prefix[len(st.prefix)-1]; tasks > 0 {
+				if rate := float64(now.Sub(segT)) / float64(tasks); rate >= g.inlineNs {
+					g.specNs = rate
+					st.runInline(w, start, epochs, &stats)
+					start = epochs
+				}
+			}
+			segT = now
+		}
+	}
+	if guarded {
+		stats.InlineNs, stats.SpecNs = g.inlineNs, g.specNs
+		ctl.Emit(trace.KindInline, stats.Inline, int64(g.inlineNs), int64(g.specNs))
 	}
 	return stats
+}
+
+// runInline executes epochs [from, to) in order on the calling thread: the
+// sequential execution, so it needs no checker and no checkpoint. It is
+// untracked, which makes any cached checkpoint image stale.
+func (st *state) runInline(w Workload, from, to int, stats *Stats) {
+	st.rt.StateChanged()
+	for e := from; e < to; e++ {
+		n := w.Tasks(e)
+		for t := 0; t < n; t++ {
+			w.Run(e, t, 0, nil)
+		}
+		stats.Tasks += int64(n)
+	}
+	stats.Inline += int64(to - from)
 }
 
 // RunBarriers executes the workload with the baseline plan: every epoch's
@@ -305,6 +398,11 @@ type state struct {
 	// trackWrites enables per-worker write logs for incremental
 	// checkpointing (workerLocal.dlog, read by control after quiesce).
 	trackWrites bool
+
+	// The guard's scratch: the sampled tasks' log entries and the probe's
+	// clock reads.
+	sample []taskEntry
+	reads  []probeRead
 }
 
 // workerLocal is one worker's private state. Signatures and watermark
@@ -504,13 +602,7 @@ func (st *state) beginSegment(w Workload, cfg *Config, start, end int, trackWrit
 			s.run = func() { st.chk.run(st, sh) }
 		}
 	}
-	if st.kind != cfg.SigKind {
-		st.kind = cfg.SigKind
-		for i := range st.local {
-			st.local[i].sigs, st.local[i].wms = nil, nil
-		}
-		st.chk.dropUnions()
-	}
+	st.useKind(cfg.SigKind)
 	for i := range st.local {
 		l := &st.local[i]
 		l.taken = 0
@@ -522,6 +614,19 @@ func (st *state) beginSegment(w Workload, cfg *Config, start, end int, trackWrit
 		l.dlog = l.dlog[:0]
 	}
 	st.chk.reset(cfg.SigKind, start, end)
+}
+
+// useKind makes the signature arenas and the checker's unions of the given
+// kind, dropping those of another.
+func (st *state) useKind(kind signature.Kind) {
+	if st.kind == kind {
+		return
+	}
+	st.kind = kind
+	for i := range st.local {
+		st.local[i].sigs, st.local[i].wms = nil, nil
+	}
+	st.chk.dropUnions()
 }
 
 // runSpeculative executes epochs [start, end) without barriers and returns

@@ -67,7 +67,7 @@ func TestPerEpochGatingRunsCorrectly(t *testing.T) {
 	w := newTwoLoop(12, 6)
 	want := w.sequential()
 	pr := Profile(newTwoLoop(12, 6), signature.Exact, 0)
-	stats := Run(w, Config{
+	stats := RunParallel(w, Config{
 		Workers:         3,
 		CheckpointEvery: 6,
 		SigKind:         signature.Exact,
@@ -113,7 +113,7 @@ func TestShardedCheckerDetectsConflicts(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		g := newGrid(12, 8, 4, 1)
 		want := g.sequential()
-		Run(g, Config{Workers: 4, CheckpointEvery: 3, CheckerShards: shards})
+		RunParallel(g, Config{Workers: 4, CheckpointEvery: 3, CheckerShards: shards})
 		for a := range want {
 			if g.data[a] != want[a] {
 				t.Fatalf("shards=%d: data[%d] = %d, want %d", shards, a, g.data[a], want[a])
@@ -125,7 +125,7 @@ func TestShardedCheckerDetectsConflicts(t *testing.T) {
 func TestShardedCheckerNoFalseMisspecWhenDisjoint(t *testing.T) {
 	g := newGrid(10, 6, 3, 18) // fully disjoint epochs
 	want := g.sequential()
-	stats := Run(g, Config{Workers: 3, CheckpointEvery: 5, CheckerShards: 3})
+	stats := RunParallel(g, Config{Workers: 3, CheckpointEvery: 5, CheckerShards: 3})
 	for a := range want {
 		if g.data[a] != want[a] {
 			t.Fatalf("data[%d] = %d, want %d", a, g.data[a], want[a])
@@ -139,7 +139,7 @@ func TestShardedCheckerNoFalseMisspecWhenDisjoint(t *testing.T) {
 func TestCheckerShardsClampedToWorkers(t *testing.T) {
 	g := newGrid(4, 4, 2, 8)
 	want := g.sequential()
-	Run(g, Config{Workers: 2, CheckpointEvery: 4, CheckerShards: 16})
+	RunParallel(g, Config{Workers: 2, CheckpointEvery: 4, CheckerShards: 16})
 	for a := range want {
 		if g.data[a] != want[a] {
 			t.Fatalf("data[%d] = %d, want %d", a, g.data[a], want[a])

@@ -19,7 +19,7 @@ func runGated(t *testing.T, epochs, tasks, workers int, dist int64) {
 	want := g.sequential()
 	finished := make(chan Stats, 1)
 	go func() {
-		finished <- Run(g, Config{Workers: workers, CheckpointEvery: 100, SpecDistance: dist})
+		finished <- RunParallel(g, Config{Workers: workers, CheckpointEvery: 100, SpecDistance: dist})
 	}()
 	select {
 	case stats := <-finished:
@@ -28,7 +28,7 @@ func runGated(t *testing.T, epochs, tasks, workers int, dist int64) {
 			t.Errorf("stats = %+v, want %d tasks and no misspeculation", stats, epochs*tasks)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatalf("speccross.Run(%d epochs x %d tasks, workers %d, distance %d) did not return: range gate livelocked",
+		t.Fatalf("speccross.RunParallel(%d epochs x %d tasks, workers %d, distance %d) did not return: range gate livelocked",
 			epochs, tasks, workers, dist)
 	}
 }
@@ -80,7 +80,7 @@ func TestRangeGateAtProfiledDistanceNeverMisspeculates(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		g := newGrid(24, 4, 2, 2)
 		want := g.sequential()
-		stats := Run(g, Config{Workers: 2, CheckpointEvery: 100, SpecDistance: dist})
+		stats := RunParallel(g, Config{Workers: 2, CheckpointEvery: 100, SpecDistance: dist})
 		checkResult(t, g, want)
 		if stats.Misspeculations != 0 {
 			t.Fatalf("run %d: %d misspeculations under a faithful profile (range stalls %d)", i, stats.Misspeculations, stats.RangeStalls)

@@ -109,7 +109,7 @@ func TestRecoveryDeterministicConflicts(t *testing.T) {
 				view = fullOnly{w}
 			}
 			rec := trace.NewRecorder()
-			stats := Run(view, Config{
+			stats := RunParallel(view, Config{
 				Workers:         2,
 				SigKind:         signature.Exact,
 				CheckpointEvery: 2,

@@ -10,6 +10,20 @@
 //
 // The package also provides the profiling mode of §4.4, which computes the
 // minimum dependence distance used to bound the speculative range at runtime.
+//
+// The profile decides whether speculation can be safe and how far ahead it
+// may run; Run's guard decides whether it pays. Every speculative task pays
+// for a signature, a watermark vector, a queue hand-off and a checker
+// comparison, whatever its body costs. Run therefore first executes the
+// region's epochs in order on the calling thread, which is the sequential
+// execution, and times them; on a sample of those tasks it records
+// signatures from worker 0's arena, and it times the checker over the
+// signatures of two sampled epochs. It speculates from the first epoch
+// boundary past the probe's budget only when a lower bound on speculation's
+// cost per task is below the inline one, and then times every speculative
+// segment: once a segment costs as much per task as the inline execution,
+// the rest of the region runs on the calling thread. RunOn, and any run
+// that sets Config.ForceMisspecEpoch, is unguarded.
 package speccross
 
 import (
@@ -32,7 +46,10 @@ type Workload interface {
 	// Run executes one task on worker tid. When sig is non-nil the body
 	// must record its shared-memory accesses into it (the spec_access
 	// instrumentation Algorithm 5 inserts); sig is nil during
-	// non-speculative (re-)execution, where no tracking is needed.
+	// non-speculative (re-)execution, where no tracking is needed. Run's
+	// guard also hands a signature to a sample of the tasks it executes in
+	// order on the calling thread, to time the instrumentation, so a body
+	// must do the same with and without one, apart from recording.
 	Run(epoch, task, tid int, sig *signature.Signature)
 	// Snapshot captures the speculatively-mutated state. It is invoked only
 	// at epoch boundaries with all workers quiescent.
@@ -136,12 +153,14 @@ type Config struct {
 	SpecTimeout time.Duration
 	// ForceMisspecEpoch, when positive, artificially triggers one
 	// misspeculation upon completion of a task of that epoch — the
-	// fault-injection mode Fig 5.3's "with misspec." series uses.
+	// fault-injection mode Fig 5.3's "with misspec." series uses. Such a
+	// run has asked to exercise recovery, so Run does not guard it.
 	// Zero (the default) disables injection.
 	ForceMisspecEpoch int
 	// Trace, when non-nil, receives engine events: segment control
 	// (epoch begin/commit/abort, misspeculation, checkpoint/restore,
-	// recovery spans) on trace.LaneControl, speculative task spans and
+	// recovery spans, and the decision of Run's guard as one
+	// trace.KindInline) on trace.LaneControl, speculative task spans and
 	// range stalls on worker lanes 0..Workers-1, and signature
 	// comparisons / check requests on checker lanes (shard s emits on
 	// trace.LaneCheckerBase - s). A nil Trace compiles the hot path down
@@ -176,8 +195,7 @@ func (c *Config) Shards() int {
 	return min(n, c.Workers)
 }
 
-// Stats reports what the runtime observed; Table 5.3 is generated from
-// these counters.
+// Stats reports what the runtime observed.
 //
 // Concurrency contract (audited, enforced by the stats_race_test regression
 // under -race and by the stats-atomic lint rule): no thread but the control
@@ -187,13 +205,26 @@ func (c *Config) Shards() int {
 // folds those into Stats at each segment's quiesce, when every thread has
 // finished its phase, and writes Epochs, Misspeculations, Checkpoints,
 // ReexecutedEpochs, DeltaCheckpoints, DeltaCells and DeltaRestores itself at
-// segment boundaries. The returned Stats is read only after the last
-// quiesce, so callers may read it without synchronization.
+// segment boundaries, and the guard's Inline, InlineNs and SpecNs. The
+// returned Stats is read only after the last quiesce, so callers may read it
+// without synchronization.
 type Stats struct {
-	// Tasks is the number of task executions, excluding re-execution.
+	// Tasks is the number of task executions, excluding re-execution: the
+	// speculative ones and those Run's guard ran on the calling thread.
 	Tasks int64
-	// Epochs is the number of epochs executed speculatively.
+	// Epochs is the number of epochs executed speculatively and committed.
+	// On a workload with no irreversible epoch, Epochs + ReexecutedEpochs +
+	// Inline is every epoch.
 	Epochs int64
+	// Inline counts the epochs Run's guard executed on the calling thread,
+	// its probe included.
+	Inline int64
+	// InlineNs and SpecNs are the rates Run's guard decided on, in
+	// nanoseconds per task: the probe's inline execution, and speculation's
+	// cost — the lower bound the probe's samples give, or the measured rate
+	// of the speculative segment after which the rest of the region ran
+	// inline. Both are 0 when no guard ran.
+	InlineNs, SpecNs float64
 	// CheckRequests counts checking requests sent to the checker thread
 	// whose comparison window was non-empty (requests against an empty
 	// window are logged but skipped, the optimization §4.1.3 describes).

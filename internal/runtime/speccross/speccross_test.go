@@ -126,7 +126,7 @@ func TestSpeculativeNoConflicts(t *testing.T) {
 	// conflicting layout but verify correctness either way. Here: disjoint.
 	g := newGrid(8, 6, 3, 6*3)
 	want := g.sequential()
-	stats := Run(g, Config{Workers: 3, CheckpointEvery: 4})
+	stats := RunParallel(g, Config{Workers: 3, CheckpointEvery: 4})
 	checkResult(t, g, want)
 	if stats.Misspeculations != 0 {
 		t.Fatalf("Misspeculations = %d, want 0 for disjoint epochs", stats.Misspeculations)
@@ -149,7 +149,7 @@ func TestSpeculativeConflictingAlwaysCorrect(t *testing.T) {
 	// this host, the final state must be the sequential one.
 	g := newGrid(12, 8, 4, 1)
 	want := g.sequential()
-	stats := Run(g, Config{Workers: 4, CheckpointEvery: 3})
+	stats := RunParallel(g, Config{Workers: 4, CheckpointEvery: 3})
 	checkResult(t, g, want)
 	t.Logf("misspeculations=%d reexecuted=%d comparisons=%d",
 		stats.Misspeculations, stats.ReexecutedEpochs, stats.Comparisons)
@@ -178,7 +178,7 @@ func TestWorkerPanicTriggersRecovery(t *testing.T) {
 	want := g.sequential()
 	var fired bool
 	w := &panicOnce{gridWorkload: g, fireEpoch: 2, fireTask: 1, fired: &fired}
-	stats := Run(w, Config{Workers: 2, CheckpointEvery: 10})
+	stats := RunParallel(w, Config{Workers: 2, CheckpointEvery: 10})
 	checkResult(t, g, want)
 	if stats.Misspeculations != 1 {
 		t.Fatalf("Misspeculations = %d, want 1 from the panic", stats.Misspeculations)
@@ -209,7 +209,7 @@ func TestTimeoutTriggersMisspeculation(t *testing.T) {
 	g.slowTask = 0
 	g.slowDur = 60 * time.Millisecond
 	want := g.sequential()
-	stats := Run(g, Config{Workers: 2, CheckpointEvery: 100, SpecTimeout: 10 * time.Millisecond})
+	stats := RunParallel(g, Config{Workers: 2, CheckpointEvery: 100, SpecTimeout: 10 * time.Millisecond})
 	checkResult(t, g, want)
 	if stats.Misspeculations == 0 {
 		t.Fatal("expected a timeout-triggered misspeculation")
@@ -241,7 +241,7 @@ func TestSpecDistanceGating(t *testing.T) {
 	g.slowTask = 1
 	g.slowDur = 5 * time.Millisecond
 	want := g.sequential()
-	stats := Run(g, Config{Workers: 2, CheckpointEvery: 100, SpecDistance: 4})
+	stats := RunParallel(g, Config{Workers: 2, CheckpointEvery: 100, SpecDistance: 4})
 	checkResult(t, g, want)
 	if stats.RangeStalls == 0 {
 		t.Log("no range stalls observed (host scheduling dependent); gating path untested this run")
@@ -251,7 +251,7 @@ func TestSpecDistanceGating(t *testing.T) {
 func TestSingleWorker(t *testing.T) {
 	g := newGrid(6, 3, 2, 1)
 	want := g.sequential()
-	stats := Run(g, Config{Workers: 1})
+	stats := RunParallel(g, Config{Workers: 1})
 	checkResult(t, g, want)
 	if stats.Misspeculations != 0 {
 		t.Fatalf("single worker cannot misspeculate, got %d", stats.Misspeculations)
@@ -349,7 +349,7 @@ func TestQuickAlwaysSequentialResult(t *testing.T) {
 		if inject && g.epochs > 1 {
 			cfg.ForceMisspecEpoch = 1 + rng.Intn(g.epochs-1)
 		}
-		Run(g, cfg)
+		RunParallel(g, cfg)
 		for a := range want {
 			if g.data[a] != want[a] {
 				return false
@@ -367,6 +367,6 @@ func BenchmarkSpecCrossGrid(b *testing.B) {
 		b.StopTimer()
 		g := newGrid(50, 32, 4, 4)
 		b.StartTimer()
-		Run(g, Config{Workers: 4, CheckpointEvery: 25})
+		RunParallel(g, Config{Workers: 4, CheckpointEvery: 25})
 	}
 }

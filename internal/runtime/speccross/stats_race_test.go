@@ -95,7 +95,7 @@ func (w *transposedWorkload) Run(epoch, task, tid int, sig *signature.Signature)
 func TestPrefilterAliasFallsThroughToPreciseScan(t *testing.T) {
 	w := &transposedWorkload{epochs: 40, tasks: 8}
 	w.data = make([]int64, w.tasks*w.epochs)
-	stats := Run(w, Config{Workers: 4, CheckpointEvery: 10})
+	stats := RunParallel(w, Config{Workers: 4, CheckpointEvery: 10})
 	for e := 0; e < w.epochs; e++ {
 		for task := 0; task < w.tasks; task++ {
 			if got, want := w.data[w.cell(e, task)], int64(e*w.tasks+task+1); got != want {

@@ -66,6 +66,9 @@ func eventArgs(e Event) map[string]any {
 	case KindEngineSwitch:
 		return map[string]any{"from": e.A, "to": e.B, "epoch": e.C}
 	case KindInline:
+		if e.Lane == LaneControl {
+			return map[string]any{"epochs": e.A, "inlineNs": e.B, "specNs": e.C}
+		}
 		return map[string]any{"iterations": e.A, "inlineNs": e.B, "schedNs": e.C}
 	case KindQueueDepth:
 		return nil // rendered as a counter event
@@ -201,15 +204,24 @@ func WriteChromeProcs(w io.Writer, procs []ChromeProc) error {
 	return enc.Encode(chromeFile{TraceEvents: out, DisplayTimeUnit: "ns"})
 }
 
+// inlineArgs names the arguments a guard's inline decision carries, by the
+// Chrome thread id of the lane that may emit it: DOMORE's on the scheduler
+// lane, SPECCROSS's on the control lane.
+var inlineArgs = map[int][]string{
+	chromeTID(LaneScheduler): {"iterations", "inlineNs", "schedNs"},
+	chromeTID(LaneControl):   {"epochs", "inlineNs", "specNs"},
+}
+
 // ValidateChrome checks that data is a structurally sound Chrome
 // trace_event file as WriteChrome emits it: a traceEvents array whose
 // entries have a name, a known phase, and a non-negative timestamp, and
 // whose B/E events balance per thread with matching names (unclosed
 // spans at end-of-trace are allowed — a panicked worker legitimately
-// leaves one open). An inline instant — the decision of DOMORE's guard —
-// must carry its inline iteration count and both measured rates, none
-// negative. The CI trace job runs this (via cmd/tracecheck) against a
-// freshly produced file.
+// leaves one open). An inline instant — the decision of an engine's guard —
+// must sit on the scheduler lane (DOMORE's, with its inline iteration
+// count) or the control lane (SPECCROSS's, with its inline epoch count),
+// and carry both measured rates, none negative. The CI trace job runs this
+// (via cmd/tracecheck) against a freshly produced file.
 func ValidateChrome(data []byte) error {
 	var f chromeFile
 	if err := json.Unmarshal(data, &f); err != nil {
@@ -242,7 +254,11 @@ func ValidateChrome(data []byte) error {
 		case "i", "C", "M", "X":
 			// instant, counter, metadata, complete: no pairing.
 			if e.Phase == "i" && e.Name == KindInline.String() {
-				for _, arg := range []string{"iterations", "inlineNs", "schedNs"} {
+				args, ok := inlineArgs[e.TID]
+				if !ok {
+					return fmt.Errorf("trace: event %d: inline decision on tid %d, want the scheduler's or the control lane's", i, e.TID)
+				}
+				for _, arg := range args {
 					if v, ok := e.Args[arg].(float64); !ok || v < 0 {
 						return fmt.Errorf("trace: event %d: inline decision without a non-negative %q", i, arg)
 					}

@@ -56,10 +56,12 @@ func TestChromeExportValidates(t *testing.T) {
 
 // TestChromeExportCarriesInlineDecision: DOMORE's guard decision exports
 // as an instant on the scheduler's thread, with the inline iteration count
-// and both rates named, and validates.
+// and both rates named, SPECCROSS's as one on the control thread, with the
+// inline epoch count and both rates named, and both validate.
 func TestChromeExportCarriesInlineDecision(t *testing.T) {
 	r := NewRecorder()
 	r.Lane(LaneScheduler).Emit(KindInline, 120, 35, 9)
+	r.Lane(LaneControl).Emit(KindInline, 12, 40, 95)
 	var buf bytes.Buffer
 	if err := r.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -73,16 +75,28 @@ func TestChromeExportCarriesInlineDecision(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
+	want := map[int]map[string]any{
+		chromeTID(LaneScheduler): {"iterations": 120.0, "inlineNs": 35.0, "schedNs": 9.0},
+		chromeTID(LaneControl):   {"epochs": 12.0, "inlineNs": 40.0, "specNs": 95.0},
+	}
 	for _, e := range f.TraceEvents {
 		if e.Name != "inline" {
 			continue
 		}
-		if e.Phase != "i" || e.TID != chromeTID(LaneScheduler) || e.Args["iterations"] != 120.0 || e.Args["inlineNs"] != 35.0 || e.Args["schedNs"] != 9.0 {
+		args, ok := want[e.TID]
+		if !ok || e.Phase != "i" || len(e.Args) != len(args) {
 			t.Fatalf("inline decision exported as %+v", e)
 		}
-		return
+		for k, v := range args {
+			if e.Args[k] != v {
+				t.Fatalf("inline decision exported as %+v, want %s = %v", e, k, v)
+			}
+		}
+		delete(want, e.TID)
 	}
-	t.Fatal("no inline event in the export")
+	if len(want) != 0 {
+		t.Fatalf("no inline event on tids %v in the export", want)
+	}
 }
 
 func TestChromeExportDropsOrphanEnds(t *testing.T) {
@@ -115,6 +129,8 @@ func TestValidateChromeRejectsGarbage(t *testing.T) {
 		"negative ts":      `{"traceEvents":[{"name":"x","ph":"i","ts":-5,"pid":0,"tid":0}]}`,
 		"inline, no rates": `{"traceEvents":[{"name":"inline","ph":"i","ts":1,"pid":0,"tid":2,"args":{"iterations":3}}]}`,
 		"inline, negative": `{"traceEvents":[{"name":"inline","ph":"i","ts":1,"pid":0,"tid":2,"args":{"iterations":3,"inlineNs":-1,"schedNs":2}}]}`,
+		"inline, worker":   `{"traceEvents":[{"name":"inline","ph":"i","ts":1,"pid":0,"tid":10,"args":{"iterations":3,"inlineNs":1,"schedNs":2}}]}`,
+		"inline, control":  `{"traceEvents":[{"name":"inline","ph":"i","ts":1,"pid":0,"tid":1,"args":{"iterations":3,"inlineNs":1,"schedNs":2}}]}`,
 	}
 	for name, data := range cases {
 		if err := ValidateChrome([]byte(data)); err == nil {

@@ -17,8 +17,8 @@ import (
 //
 // Observe, Mean, Quantile, and Snapshot synchronize on an internal mutex,
 // so concurrent observers and scrapers (crossinv -serve) are safe. The
-// exported fields remain directly readable for quiescent consumers (the
-// experiments harness, tests); only touch them while no Observe runs.
+// exported fields remain directly readable for quiescent consumers such as
+// tests; only touch them while no Observe runs.
 type Histogram struct {
 	mu      sync.Mutex
 	Buckets [65]int64

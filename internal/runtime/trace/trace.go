@@ -145,10 +145,14 @@ const (
 	// B=parent span id (0 = root), C=SpanKind code.
 	KindSpanBegin
 	KindSpanEnd
-	// KindInline reports the decision of domore.Run's guard, on the
-	// scheduler lane: A=iterations run inline on the calling thread,
-	// B=their measured ns per iteration, C=the scheduler's measured ns per
-	// iteration. The region went parallel after A iterations when C < B.
+	// KindInline reports the decision of an engine's guard. domore.Run
+	// emits it on the scheduler lane: A=iterations run inline on the
+	// calling thread, B=their measured ns per iteration, C=the scheduler's
+	// measured ns per iteration; the region went parallel after A
+	// iterations when C < B. speccross.Run emits it on the control lane
+	// once the region is done: A=epochs run inline on the calling thread,
+	// B=their measured ns per task, C=speculation's ns per task (the
+	// probe's lower bound, or the segment that handed the rest back).
 	KindInline
 
 	// KindCount is the number of event kinds (not itself a kind).

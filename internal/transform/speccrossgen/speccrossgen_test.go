@@ -133,7 +133,7 @@ func TestBarrierAndSpeculativeMatchSequential(t *testing.T) {
 				prof := scratch.Profile(signature.Range)
 				cfg.SpecDistance, _ = prof.Recommended(cfg.Workers)
 			}
-			speccross.Run(r, cfg)
+			speccross.RunParallel(r, cfg)
 		} else {
 			speccross.RunBarriers(r, 3)
 		}

@@ -50,7 +50,7 @@ func TestSpeccrossAdapter(t *testing.T) {
 	want := golden.Checksum()
 
 	k := counterKernel(12, 6)
-	speccross.Run(k, speccross.Config{Workers: 3, CheckpointEvery: 4, SpecDistance: 6})
+	speccross.RunParallel(k, speccross.Config{Workers: 3, CheckpointEvery: 4, SpecDistance: 6})
 	if k.Checksum() != want {
 		t.Fatal("speccross adapter diverged")
 	}

@@ -95,7 +95,7 @@ func TestSpecCrossWithProfiledDistance(t *testing.T) {
 	if dist, profitable := pr.Recommended(cfg.Workers); profitable {
 		cfg.SpecDistance = dist
 	}
-	stats := speccross.Run(f, cfg)
+	stats := speccross.RunParallel(f, cfg)
 	if got := f.Checksum(); got != want {
 		t.Fatalf("speccross checksum %x != sequential %x", got, want)
 	}

@@ -136,7 +136,7 @@ func TestSpecCrossExecutionMatchesSequential(t *testing.T) {
 			cfg := speccross.Config{Workers: 4, CheckpointEvery: 200, SigKind: kind}
 			if dist, profitable := pr.Recommended(cfg.Workers); profitable {
 				cfg.SpecDistance = dist
-				stats := speccross.Run(sw, cfg)
+				stats := speccross.RunParallel(sw, cfg)
 				if stats.Misspeculations != 0 {
 					t.Errorf("misspeculations = %d with profiled gating, want 0", stats.Misspeculations)
 				}
@@ -215,7 +215,7 @@ func TestLLUBenchNoConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := mk(e).(speccross.Workload)
-	stats := speccross.Run(inst, speccross.Config{Workers: 4, CheckpointEvery: 500})
+	stats := speccross.RunParallel(inst, speccross.Config{Workers: 4, CheckpointEvery: 500})
 	if stats.Misspeculations != 0 {
 		t.Fatalf("LLUBENCH misspeculated %d times; lists are disjoint", stats.Misspeculations)
 	}

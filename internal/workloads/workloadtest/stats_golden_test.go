@@ -135,9 +135,10 @@ func adaptiveDet(s adaptive.Stats) detStats {
 
 // runPooled runs one row on a runtime borrowed from the engine pool for the
 // call: through the engine's own entry point, except the DOMORE rows under
-// the default assignment, whose entry point's guard decides by measurement
-// how much of the region to schedule. Those run domore.RunOn, the parallel
-// execution, on the borrowed runtime.
+// the default assignment and the SPECCROSS row, whose entry points' guards
+// decide by measurement how much of the region to run in parallel. Those
+// run domore.RunParallel and speccross.RunParallel, the parallel executions
+// on a borrowed runtime.
 func runPooled(row string, inst workloads.Instance, c rowConfig) detStats {
 	switch row {
 	case "domore":
@@ -147,7 +148,7 @@ func runPooled(row string, inst workloads.Instance, c rowConfig) detStats {
 	case "domore-sharded":
 		return detDomore(domore.RunParallel(inst.(domore.Workload), shardedOptions()))
 	case "speccross":
-		return detSpec(speccross.Run(inst.(speccross.Workload), c.spec()))
+		return detSpec(speccross.RunParallel(inst.(speccross.Workload), c.spec()))
 	case "adaptive-domore":
 		return adaptiveDet(adaptive.Run(inst.(adaptive.Workload), c.adaptive(adaptive.EngineDomore)))
 	case "adaptive-speccross":

@@ -139,7 +139,7 @@ func CachedPlanMatchesCold(t *testing.T, store *plancache.Store, name string) {
 					cdist, cprofitable, dist, profitable)
 			}
 			if cprofitable {
-				stats := speccross.Run(sw, speccross.Config{
+				stats := speccross.RunParallel(sw, speccross.Config{
 					Workers: 4, CheckpointEvery: 200, SigKind: kind, SpecDistance: cdist,
 				})
 				if stats.Misspeculations != 0 {

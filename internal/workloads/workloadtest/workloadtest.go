@@ -180,7 +180,7 @@ func EnginesMatchSequential(t *testing.T, name string) {
 				cfg.SpecDistance = dist
 				rec := trace.NewRecorder()
 				cfg.Trace = rec
-				stats := speccross.Run(sw, cfg)
+				stats := speccross.RunParallel(sw, cfg)
 				if stats.Misspeculations != 0 {
 					t.Errorf("misspeculations = %d with profiled gating, want 0", stats.Misspeculations)
 				}
@@ -197,6 +197,39 @@ func EnginesMatchSequential(t *testing.T, name string) {
 				speccross.RunBarriers(sw, cfg.Workers)
 			}
 			check(t, inst, "speccross")
+		})
+		t.Run("speccross-guarded", func(t *testing.T) {
+			// speccross.Run probes the region inline first and speculates
+			// only if a lower bound on speculation's cost beats it, and
+			// stops once a segment does not. Whatever it decides, every
+			// epoch is committed speculatively, re-executed or run inline,
+			// and the trace says how many inline.
+			inst := Make(e)
+			sw := inst.(speccross.Workload)
+			rec := trace.NewRecorder()
+			cfg := speccross.Config{Workers: 4, CheckpointEvery: 200, SigKind: kind, Trace: rec}
+			if dist, ok := profiled(); ok {
+				cfg.SpecDistance = dist
+			} else if raceflag.Enabled {
+				t.Skip("unprofitable speculation misspeculates, which races by design")
+			}
+			stats := speccross.Run(sw, cfg)
+			check(t, inst, "guarded speccross")
+			epochs := int64(sw.Epochs())
+			tasks := int64(0)
+			for ep := 0; ep < sw.Epochs(); ep++ {
+				tasks += int64(sw.Tasks(ep))
+			}
+			assertEq(t, "committed + re-executed + inline epochs", stats.Epochs+stats.ReexecutedEpochs+stats.Inline, epochs)
+			if stats.Misspeculations == 0 {
+				assertEq(t, "tasks", stats.Tasks, tasks)
+			}
+			sum := rec.Summary()
+			assertEq(t, "inline events", sum.Counts[trace.KindInline], 1)
+			assertEq(t, "inline epochs", sum.Sums[trace.KindInline], stats.Inline)
+			assertEq(t, "epochs", sum.Sums[trace.KindEpochCommit], stats.Epochs)
+			assertEq(t, "misspeculations", sum.Counts[trace.KindMisspec], stats.Misspeculations)
+			t.Logf("%d of %d epochs inline (%.1f ns/task inline, %.1f speculative)", stats.Inline, epochs, stats.InlineNs, stats.SpecNs)
 		})
 	}
 	if e.DomoreOK && e.SpecOK {

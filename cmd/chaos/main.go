@@ -1,7 +1,7 @@
 // Command chaos is the differential fuzzing and fault-injection driver:
 // it runs seeded random workloads under all seven engines (barrier,
-// DOMORE, DOMORE with explicit round-robin, DOMORE's guarded entry point,
-// SPECCROSS, SPECCROSS's guarded entry point, adaptive) and fails
+// DOMORE, DOMORE under its round-robin test seam, DOMORE's guarded entry
+// point, SPECCROSS, SPECCROSS's guarded entry point, adaptive) and fails
 // if any engine's final memory or Stats invariants diverge from the
 // sequential oracle.
 //

@@ -7,7 +7,6 @@ import (
 	"crossinv/internal/analysis/xdep"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
-	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/runtime/trace"
 	"crossinv/internal/workloads/epochal"
@@ -15,9 +14,10 @@ import (
 
 // Engines lists the engines the differential runner exercises, in run
 // order. domore and domore-round-robin are DOMORE's parallel execution
-// (domore.RunParallel), the second with an explicit round-robin policy:
-// besides the oracle it must agree with the default assignment on every
-// Stats field the assignment cannot change.
+// (domore.RunParallel), the second under the scheduler's round-robin test
+// seam, where nearly every dependence crosses threads and costs a
+// condition: besides the oracle it must agree with DOMORE's own assignment
+// on every Stats field the assignment cannot change.
 // domore-guarded is domore.Run, whose guard runs the region inline first
 // and may go parallel where its probe stopped: every iteration must run
 // once, inline or scheduled. speccross is SPECCROSS's speculative execution
@@ -185,9 +185,7 @@ func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Fai
 		st := domore.RunParallel(w, opts.Faults.Domore(domore.Options{Workers: opts.Workers, Trace: rec}))
 		detail = domoreInvariants(st, spec, rec)
 	case "domore-round-robin":
-		st := domore.RunParallel(w, opts.Faults.Domore(domore.Options{
-			Workers: opts.Workers, Policy: sched.NewRoundRobin(), Trace: rec,
-		}))
+		st := domore.RunParallel(roundRobin{w}, opts.Faults.Domore(domore.Options{Workers: opts.Workers, Trace: rec}))
 		detail = domoreInvariants(st, spec, rec)
 		if detail == "" && st.Batches != st.Dispatches {
 			detail = fmt.Sprintf("round-robin domore sent %d run records for %d dispatches, want one each", st.Batches, st.Dispatches)
@@ -250,14 +248,21 @@ func diffState(k *epochal.Kernel, want []int64, mk func(string) *Failure) *Failu
 	return f
 }
 
-// sameAsFollow compares a round-robin DOMORE run's Stats with those of the
-// default assignment over a fresh kernel of the same case: where iterations
-// go changes conditions and stalls, never what is scheduled or checked.
+// roundRobin marks a workload for DOMORE's round-robin test seam: iteration
+// i goes to worker i mod Workers, one run record each.
+type roundRobin struct{ domore.Workload }
+
+func (roundRobin) RoundRobin() bool { return true }
+
+// sameAsFollow compares a round-robin DOMORE run's Stats with those of
+// DOMORE's assignment over a fresh kernel of the same case: where
+// iterations go changes conditions and stalls, never what is scheduled or
+// checked.
 func sameAsFollow(rr domore.Stats, spec *Spec, opts Options) string {
 	follow := domore.RunParallel(opts.Mutation.Wrap(spec.Kernel()), domore.Options{Workers: opts.Workers})
 	if rr.Iterations != follow.Iterations || rr.Dispatches != follow.Dispatches ||
 		rr.AddrChecks != follow.AddrChecks || rr.Dependences != follow.Dependences {
-		return fmt.Sprintf("round-robin Stats %+v, default assignment %+v: iterations, dispatches, addr checks or dependences differ", rr, follow)
+		return fmt.Sprintf("round-robin Stats %+v, DOMORE's assignment %+v: iterations, dispatches, addr checks or dependences differ", rr, follow)
 	}
 	return ""
 }
@@ -296,7 +301,7 @@ func domoreInvariants(st domore.Stats, spec *Spec, rec *trace.Recorder) string {
 		return fmt.Sprintf("domore scheduled %d iterations, workload has %d", st.Iterations, spec.TotalTasks())
 	}
 	if st.Dispatches != st.Iterations {
-		// Round-robin is single-owner: exactly one dispatch per iteration.
+		// Every iteration goes to one worker: one dispatch each.
 		return fmt.Sprintf("domore dispatches %d != iterations %d", st.Dispatches, st.Iterations)
 	}
 	if st.Batches > st.Dispatches || (st.Batches == 0) != (st.Dispatches == 0) {

@@ -8,7 +8,6 @@ import (
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
 	"crossinv/internal/runtime/engine"
-	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/runtime/trace"
@@ -283,17 +282,18 @@ func (d *dirtyRun) runClean(eng string) string {
 	case "barrier":
 		d.barriers(d.k)
 	case "domore", "domore-round-robin":
-		o := d.domoreOptions()
+		var w, fresh domore.Workload = d.k, d.spec.Kernel()
 		if eng == "domore-round-robin" {
-			o.Policy = sched.NewRoundRobin()
+			w, fresh = roundRobin{w}, roundRobin{fresh}
 		}
-		got := d.domore(d.k, o)
+		o := d.domoreOptions()
+		got := d.domore(w, o)
 		if detail := domoreInvariants(got, d.spec, d.rec); detail != "" {
 			return detail
 		}
 		o.Trace = nil
 		own := engine.New(d.opts.Workers)
-		ref := domore.RunOn(own, d.spec.Kernel(), o)
+		ref := domore.RunOn(own, fresh, o)
 		own.Close()
 		got.Stalls, ref.Stalls = 0, 0 // timing
 		if got != ref {

@@ -13,27 +13,26 @@
 // with the pipelined plan of Fig 3.2(c).
 //
 // The scheduler also uses what shadow memory tells it to place the
-// iteration: by default each worker takes one contiguous block of every
-// invocation, and an iteration goes instead to the worker its newest
-// dependence ran on, whose own program order then discharges that
-// dependence (the produce-to-self case of §3.4), so a dependence chain stays
-// on one worker instead of becoming one cross-thread condition per link.
-// Consecutive iterations a worker takes with no condition between them
-// travel as one run record rather than one dispatch record each.
+// iteration: each worker takes one contiguous block of every invocation, and
+// an iteration goes instead to the worker its newest dependence ran on,
+// whose own program order then discharges that dependence (the
+// produce-to-self case of §3.4), so a dependence chain stays on one worker
+// instead of becoming one cross-thread condition per link. Consecutive
+// iterations a worker takes with no condition between them travel as one run
+// record rather than one dispatch record each.
 //
 // Run guards the transformation the way §3.3.4 guards it at compile time:
 // DOMORE pays only when an iteration's body is worth more than the
-// scheduler's work for it. Under the default assignment Run first executes
-// the region on the calling thread, in order, and times it, and dry-runs
-// the scheduler's per-iteration work — computeAddr and the shadow-memory
-// exchange — on a sample of the iterations it probed. When the scheduler
-// alone costs at least as much per iteration as the inline execution, no
-// worker count can win, and the region finishes on the calling thread;
-// otherwise Run wakes the workers, keeps executing inline until the first
-// of them has started, and hands the rest of the region to the scheduler
-// there. The probe decides within about as long as the runtime's threads
-// last took to start a posted phase (engine.Runtime.Budget). RunOn is the
-// unguarded parallel execution.
+// scheduler's work for it. Run first executes the region on the calling
+// thread, in order, and times it, and dry-runs the scheduler's per-iteration
+// work — computeAddr and the shadow-memory exchange — on a sample of the
+// iterations it probed. When the scheduler alone costs at least as much per
+// iteration as the inline execution, no worker count can win, and the region
+// finishes on the calling thread; otherwise Run wakes the workers, keeps
+// executing inline until the first of them has started, and hands the rest
+// of the region to the scheduler there. The probe decides within about as
+// long as the runtime's threads last took to start a posted phase
+// (engine.Runtime.Budget). RunOn is the unguarded parallel execution.
 package domore
 
 import (
@@ -42,7 +41,6 @@ import (
 
 	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/queue"
-	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/shadow"
 	"crossinv/internal/runtime/trace"
 )
@@ -68,8 +66,7 @@ type Workload interface {
 	// stay allocation-free.
 	ComputeAddr(inv, iter int, buf []uint64) []uint64
 	// Execute runs the inner-loop body for iteration (inv, iter) on worker
-	// tid. Under a multi-owner policy (LOCALWRITE) it is invoked once per
-	// owner and must restrict its writes to addresses owned by tid.
+	// tid.
 	Execute(inv, iter, tid int)
 }
 
@@ -77,20 +74,6 @@ type Workload interface {
 type Options struct {
 	// Workers is the number of worker threads (the scheduler is extra).
 	Workers int
-	// Policy assigns iterations to workers. Nil, the default, makes the
-	// assignment follow the dependence: an iteration goes to the worker of
-	// its newest prior accessor in shadow memory, unless that worker took
-	// the last three iterations (followCap) or there is no prior accessor,
-	// when iteration it of an n-iteration invocation goes to worker
-	// ⌊it·Workers/n⌋, so each worker's share of an invocation is one
-	// contiguous block; of an invocation Run's guard left half done, the
-	// rest is split so. The rule is a pure function of the shadow state and
-	// the iteration's place in its invocation. Under it, the consecutive
-	// iterations a worker takes with no condition between them are sent as
-	// one run record of at most runCap. sched.NewRoundRobin() and
-	// sched.NewLocalWrite assign as their documentation says, one record
-	// per iteration and worker.
-	Policy sched.Policy
 	// QueueCap is the per-worker condition-queue capacity (default 1024).
 	QueueCap int
 	// Trace, when non-nil, receives engine events: the scheduler emits on
@@ -106,10 +89,10 @@ type Options struct {
 	Lanes int
 }
 
-// followCap is how many consecutive iterations the default assignment hands
-// one worker by following dependences before it spreads the next one
-// round-robin, so an independent stream still reaches every worker. Chosen
-// by measurement from {2, 3, 4} on the engine.dense programs.
+// followCap is how many consecutive iterations the assignment hands one
+// worker by following dependences before the next one goes to its block,
+// so an independent stream still reaches every worker. Chosen by
+// measurement from {2, 3, 4} on the engine.dense programs.
 const followCap = 3
 
 // runCap is the most iterations one run record carries, so a worker that
@@ -144,8 +127,8 @@ type Stats struct {
 	Iterations int64
 	// Inline counts the iterations Run executed on the calling thread, its
 	// probe included; Iterations − Inline were scheduled onto the workers.
-	// It is 0 under RunOn, RunParallel and an explicit Policy. Every
-	// counter below counts the scheduled part only.
+	// It is 0 under RunOn and RunParallel. Every counter below counts the
+	// scheduled part only.
 	Inline int64
 	// InlineNs and SchedNs are the rates Run's guard decided on, in
 	// nanoseconds per iteration: the probe's inline execution, Sequential
@@ -153,8 +136,8 @@ type Stats struct {
 	// Run stayed on the calling thread when SchedNs ≥ InlineNs. Both are 0
 	// when no guard ran.
 	InlineNs, SchedNs float64
-	// Dispatches counts (iteration, worker) pairs; equals Iterations −
-	// Inline under single-owner policies and exceeds it under LOCALWRITE.
+	// Dispatches counts the iterations sent to the workers, each to one:
+	// always Iterations − Inline.
 	Dispatches int64
 	// SyncConditions counts ⟨depTid, depIterNum⟩ conditions forwarded — the
 	// dynamic dependences that manifested across threads.
@@ -169,10 +152,9 @@ type Stats struct {
 	Stalls int64
 	// AddrChecks counts shadow-memory lookups performed by the scheduler.
 	AddrChecks int64
-	// Batches counts the run records sent to workers. Under the default
-	// assignment one record carries a worker's consecutive iterations of
-	// one invocation up to the next condition, so Batches is at most
-	// Dispatches; under an explicit policy it equals Dispatches.
+	// Batches counts the run records sent to workers. One record carries a
+	// worker's consecutive iterations of one invocation up to the next
+	// condition, at most runCap of them, so Batches is at most Dispatches.
 	Batches int64
 	// LaneWaits is always 0. It remains because the repository benchmark,
 	// which no change may edit, reads it.
@@ -208,21 +190,16 @@ func (r *cond) next(inv, it int) bool {
 // (the Fig 3.2(c) plan) and returns execution statistics. It runs on a
 // runtime borrowed from the engine pool for the call and released on return.
 //
-// Under the default assignment (Options.Policy nil) Run is guarded, as the
-// package documentation describes: it probes the region inline first, and
-// goes parallel from where the probe stopped only when the scheduler's
-// measured cost per iteration is below the inline one. Probed iterations
-// need no conditions, since they finished before the scheduler placed any
-// other, and an invocation the probe left half done does not run
-// Sequential again. The guard's decision is in Stats.Inline, InlineNs and
-// SchedNs, and in one trace.KindInline event on the scheduler lane. A panic
-// in a probed iteration continues on the caller; the runtime stays usable
-// unless the probe had already woken its workers. Under an explicit
-// Policy, Run is RunParallel.
+// Run is guarded, as the package documentation describes: it probes the
+// region inline first, and goes parallel from where the probe stopped only
+// when the scheduler's measured cost per iteration is below the inline one.
+// Probed iterations need no conditions, since they finished before the
+// scheduler placed any other, and an invocation the probe left half done
+// does not run Sequential again. The guard's decision is in Stats.Inline,
+// InlineNs and SchedNs, and in one trace.KindInline event on the scheduler
+// lane. A panic in a probed iteration continues on the caller; the runtime
+// stays usable unless the probe had already woken its workers.
 func Run(w Workload, opts Options) Stats {
-	if opts.Policy != nil {
-		return RunParallel(w, opts)
-	}
 	opts.fill()
 	rt := engine.Acquire(opts.Workers)
 	defer rt.Release()
@@ -325,6 +302,7 @@ type state struct {
 	elide     bool        // w asked for the elide-cross-cond mutation (see crossCondElider)
 	runPast   bool        // w asked for the run-past-cond mutation (see runPastConder)
 	resumeOff bool        // w asked for the resume-off-by-one mutation (see resumeOffByOner)
+	rr        bool        // w asked for round-robin assignment (see roundRobiner)
 }
 
 // crossCondElider is the seam of the chaos harness's elide-cross-cond
@@ -349,6 +327,14 @@ type runPastConder interface{ RunPastConds() bool }
 // so that iteration never runs. The harness must catch the lost iteration;
 // nothing else implements this.
 type resumeOffByOner interface{ ResumeOffByOne() bool }
+
+// roundRobiner is a test seam: a workload whose RoundRobin reports true is
+// scheduled round-robin, iteration iterNum on worker iterNum mod Workers
+// whatever its dependences, with one run record per iteration. It keeps
+// the chaos harness's and the tests' condition-heavy differential, in
+// which nearly every dependence crosses threads; nothing else implements
+// it.
+type roundRobiner interface{ RoundRobin() bool }
 
 // workerLocal is one worker's private state. Its counters are plain: only
 // the worker writes them, and the control goroutine folds them into Stats
@@ -403,6 +389,8 @@ func (st *state) begin(w Workload, rec *trace.Recorder) {
 	st.runPast = ok && r.RunPastConds()
 	o, ok := w.(resumeOffByOner)
 	st.resumeOff = ok && o.ResumeOffByOne()
+	rr, ok := w.(roundRobiner)
+	st.rr = ok && rr.RoundRobin()
 	for i := range st.latestFinished {
 		st.latestFinished[i].v.Store(-1)
 	}
@@ -423,12 +411,12 @@ func (st *state) fold(stats *Stats) {
 }
 
 // schedule is Algorithm 1 plus the outer-loop sequential regions: for every
-// iteration it computes the address set, assigns workers, detects conflicts
-// in shadow memory, and forwards conditions followed by the dispatch record.
-// Under the default assignment a dispatch record is held open on its worker
-// and grows by each next iteration of the invocation that worker takes with
-// no condition; it is sent when it stops growing, when it reaches runCap,
-// when a condition naming one of its iterations is about to be sent, so no
+// iteration it computes the address set, assigns a worker (see follower),
+// detects conflicts in shadow memory, and forwards conditions followed by
+// the dispatch record. A dispatch record is held open on its worker and
+// grows by each next iteration of the invocation that worker takes with no
+// condition; it is sent when it stops growing, when it reaches runCap, when
+// a condition naming one of its iterations is about to be sent, so no
 // worker ever waits on an iteration the scheduler holds, and when the
 // invocation ends, before the next Sequential, which may wait for the
 // workers.
@@ -437,15 +425,12 @@ func (st *state) fold(stats *Stats) {
 // when from.it > 0, at its iteration from.it, numbered from.iter. Under
 // RunOn that is the region's start.
 func (st *state) schedule(opts *Options, stats *Stats, from position) {
-	w, queues, pending, open := st.w, st.queues, st.pending, st.open
+	w, queues, pending, open, rr := st.w, st.queues, st.pending, st.open, st.rr
 	nw := opts.Workers
 	shadowMem := st.shadow
 	shadowMem.Reset()
-	owner, multiOwner := opts.Policy.(*sched.LocalWrite)
-	coalesce := opts.Policy == nil
 	sch := opts.Trace.Lane(trace.LaneScheduler)
 
-	var one [1]int
 	f := follower{sm: shadowMem, nw: nw, elide: st.elide}
 	// Counted in locals, stored into stats once at the end.
 	var dispatches, syncConds, dependences, addrChecks, batches int64
@@ -473,71 +458,58 @@ func (st *state) schedule(opts *Options, stats *Stats, from position) {
 			sch.Emit(trace.KindSchedule, 1, int64(inv), iterNum)
 			sch.Emit(trace.KindAddrCheck, int64(len(addrs)), int64(inv), iterNum)
 			addrChecks += int64(len(addrs))
-			// Without a policy the iteration is stamped with its provisional
-			// block assignee, and placed once its dependences are known.
-			var tids []int
-			if coalesce {
-				one[0] = f.provisional(it-first, iters-first)
-				tids = one[:]
-			} else {
-				tids = opts.Policy.Assign(iterNum, addrs, nw)
+			// The iteration is stamped with its provisional assignee, and
+			// placed once its dependences are known.
+			t := f.provisional(it-first, iters-first)
+			if rr {
+				t = int(iterNum % int64(nw))
 			}
-			for _, t := range tids {
-				pending[t] = pending[t][:0]
-			}
+			pending[t] = pending[t][:0]
 			own, manifest := shadow.None, false
 			for _, a := range addrs {
-				// The thread that will actually perform this access: the
-				// single assignee, or the address's owner under LOCALWRITE.
-				accessor := int32(tids[0])
-				if multiOwner && len(tids) > 1 {
-					accessor = int32(owner.Owner(a, nw))
-				}
-				dep := shadowMem.Exchange(a, accessor, iterNum)
+				dep := shadowMem.Exchange(a, int32(t), iterNum)
 				switch {
 				case dep.Iter == shadow.None || dep.Iter == iterNum:
 					// Untouched, or the address occurs twice in the iteration.
-				case dep.Tid == accessor:
+				case dep.Tid == int32(t):
 					own, manifest = max(own, dep.Iter), true
 				default:
-					pending[accessor] = addDep(pending[accessor], dep.Tid, dep.Iter)
+					pending[t] = addDep(pending[t], dep.Tid, dep.Iter)
 					manifest = true
 				}
 			}
 			if manifest {
 				dependences++
 			}
-			if coalesce {
-				one[0] = int(f.place(pending, addrs, iterNum, int32(one[0]), own))
+			if !rr {
+				t = int(f.place(pending, addrs, iterNum, int32(t), own))
 			}
-			for _, t := range tids {
-				conds, run := pending[t], &open[t]
-				if run.Count > 0 && (!run.next(inv, it) || len(conds) > 0 && !st.runPast) {
-					st.send(t, sch)
-					batches++
-				}
-				if run.Count > 0 {
-					// The iteration continues the open run; under the
-					// run-past-cond mutation its conditions are dropped.
-					run.Count++
-				} else {
-					for _, d := range conds {
-						if r := &open[d.Tid]; r.Count > 0 && d.Iter >= r.Iter {
-							st.send(int(d.Tid), sch)
-							batches++
-						}
-						st.produce(queues[t], d, int64(t), sch)
-						syncConds++
-						sch.Emit(trace.KindSyncCond, int64(t), int64(d.Tid), d.Iter)
+			conds, run := pending[t], &open[t]
+			if run.Count > 0 && (!run.next(inv, it) || len(conds) > 0 && !st.runPast) {
+				st.send(t, sch)
+				batches++
+			}
+			if run.Count > 0 {
+				// The iteration continues the open run; under the
+				// run-past-cond mutation its conditions are dropped.
+				run.Count++
+			} else {
+				for _, d := range conds {
+					if r := &open[d.Tid]; r.Count > 0 && d.Iter >= r.Iter {
+						st.send(int(d.Tid), sch)
+						batches++
 					}
-					*run = cond{Kind: kindRun, Iter: iterNum, Inv: int32(inv), Index: int32(it), Count: 1}
+					st.produce(queues[t], d, int64(t), sch)
+					syncConds++
+					sch.Emit(trace.KindSyncCond, int64(t), int64(d.Tid), d.Iter)
 				}
-				dispatches++
-				sch.Emit(trace.KindDispatch, int64(t), iterNum, 0)
-				if !coalesce || run.Count == runCap {
-					st.send(t, sch)
-					batches++
-				}
+				*run = cond{Kind: kindRun, Iter: iterNum, Inv: int32(inv), Index: int32(it), Count: 1}
+			}
+			dispatches++
+			sch.Emit(trace.KindDispatch, int64(t), iterNum, 0)
+			if rr || run.Count == runCap {
+				st.send(t, sch)
+				batches++
 			}
 			iterNum++
 		}
@@ -567,8 +539,14 @@ func (st *state) send(t int, sch *trace.ThreadTrace) {
 	}
 }
 
-// follower is the default assignment (Options.Policy nil) over one run. It
-// lives on the scheduler's stack.
+// follower is DOMORE's assignment over one run, and it follows the
+// dependence: an iteration goes to the worker of its newest prior accessor
+// in shadow memory, unless that worker took the last followCap iterations or
+// there is no prior accessor, when iteration it of an n-iteration invocation
+// goes to worker ⌊it·Workers/n⌋, so each worker's share of an invocation is
+// one contiguous block; of an invocation Run's guard left half done, the
+// rest is split so. The rule is a pure function of the shadow state and the
+// iteration's place in its invocation. It lives on the scheduler's stack.
 type follower struct {
 	sm    *shadow.Sparse
 	nw    int

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/trace"
 )
 
@@ -135,39 +134,11 @@ func TestRunSingleWorker(t *testing.T) {
 	}
 }
 
-// localWorkload exercises LOCALWRITE scheduling: iterations touch several
-// addresses and each owner applies only its own updates.
-type localWorkload struct {
-	irregular
-	space   int
-	workers int
-}
+// roundRobin marks a workload for the scheduler's round-robin test seam
+// (roundRobiner).
+type roundRobin struct{ Workload }
 
-func (w *localWorkload) Execute(inv, it, tid int) {
-	part := sched.NewLocalWrite(uint64(w.space))
-	tag := w.tagOf(inv, it)
-	for _, a := range w.idx[inv][it] {
-		if part.Owner(a, w.workers) == tid {
-			w.data[a] = w.data[a]*3 + tag
-		}
-	}
-}
-
-func TestRunLocalWritePolicy(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	base := newIrregular(rng, 10, 30, 40, 3)
-	w := &localWorkload{irregular: *base, space: 40, workers: 4}
-	want := w.sequentialRun()
-	stats := Run(w, Options{Workers: 4, Policy: sched.NewLocalWrite(40)})
-	for a := range want {
-		if w.data[a] != want[a] {
-			t.Fatalf("data[%d] = %d, want %d", a, w.data[a], want[a])
-		}
-	}
-	if stats.Dispatches < stats.Iterations {
-		t.Fatalf("Dispatches (%d) < Iterations (%d); multi-owner iterations should fan out", stats.Dispatches, stats.Iterations)
-	}
-}
+func (roundRobin) RoundRobin() bool { return true }
 
 // schedule is the list of scheduler records a run emits: every forwarded
 // condition and dispatch, in order.
@@ -191,32 +162,29 @@ func schedule(t *testing.T, w Workload, opts Options) []trace.Event {
 // when the schedule is a function of the workload alone. Two runs of one
 // workload forward the same conditions and dispatch the same iterations to
 // the same workers, in the same order, and match the sequential result —
-// under the default assignment and under the two policies.
+// under the assignment and under the round-robin seam.
 func TestDuplicatedSchedulerMatchesSequential(t *testing.T) {
 	const invs, iters, nw, space = 15, 40, 4, 48
 	for _, c := range []struct {
-		name   string
-		addrs  int
-		policy func() sched.Policy
+		name string
+		rr   bool
 	}{
-		{"follow", 2, func() sched.Policy { return nil }},
-		{"round-robin", 2, func() sched.Policy { return sched.NewRoundRobin() }},
-		{"localwrite", 1, func() sched.Policy { return sched.NewLocalWrite(space) }},
+		{"follow", false},
+		{"round-robin", true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			mk := func() (Workload, *irregular) {
-				w := newIrregular(rand.New(rand.NewSource(99)), invs, iters, space, c.addrs)
-				if c.name == "localwrite" {
-					lw := &localWorkload{irregular: *w, space: space, workers: nw}
-					return lw, &lw.irregular
+				w := newIrregular(rand.New(rand.NewSource(99)), invs, iters, space, 2)
+				if c.rr {
+					return roundRobin{w}, w
 				}
 				return w, w
 			}
 			w, _ := mk()
-			first := schedule(t, w, Options{Workers: nw, Policy: c.policy()})
+			first := schedule(t, w, Options{Workers: nw})
 			w, data := mk()
 			want := data.sequentialRun()
-			again := schedule(t, w, Options{Workers: nw, Policy: c.policy()})
+			again := schedule(t, w, Options{Workers: nw})
 			checkIrregular(t, c.name, data, want)
 			if len(first) != len(again) {
 				t.Fatalf("%d scheduler records, then %d", len(first), len(again))
@@ -325,22 +293,23 @@ func TestInvalidWorkersPanics(t *testing.T) {
 }
 
 // Property: for arbitrary irregular access patterns and worker counts, the
-// parallel execution under the default assignment and under explicit
-// round-robin, and the guarded Run, produce exactly the sequential result.
+// parallel execution under the assignment and under the round-robin seam,
+// and the guarded Run, produce exactly the sequential result.
 func TestQuickEquivalence(t *testing.T) {
 	prop := func(seed int64, workers uint8, rr, guarded bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nw := int(workers%4) + 1
 		w := newIrregular(rng, 8, 25, 24, 2)
 		want := w.sequentialRun()
-		opts := Options{Workers: nw}
+		var run Workload = w
 		if rr {
-			opts.Policy = sched.NewRoundRobin()
+			run = roundRobin{w}
 		}
+		opts := Options{Workers: nw}
 		if guarded {
-			Run(w, opts)
+			Run(run, opts)
 		} else {
-			RunParallel(w, opts)
+			RunParallel(run, opts)
 		}
 		for a := range want {
 			if w.data[a] != want[a] {

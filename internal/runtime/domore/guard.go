@@ -25,23 +25,19 @@ type guard struct {
 	inlineNs, schedNs float64
 }
 
-// probeShare caps the dry scheduler samples: after the first, a sample is
-// taken only while sampling has cost under 1/probeShare of the inline time.
-const probeShare = 16
-
 // sampleReads is how long, in clock reads, the scheduler samples must have
 // run before an early decision trusts their rate.
 const sampleReads = 8
 
 // probe executes the region on the calling thread, in order, from its
 // start, and times it. It reads the clock after 1, 2, 4, … iterations, the
-// step cut short where the rate so far predicts the budget's end, so cheap
-// bodies are not swamped by clock reads and costly ones do not overshoot.
+// step cut short where the rate so far predicts the budget's end
+// (engine.NextRead).
 // The inline rate is the one since the previous read: the latest half of
 // the iterations probed, so the cold first ones do not set it.
 //
 // At the region's start, and at a clock read while sampling has cost under
-// 1/probeShare of the inline time, it dry-runs the scheduler's
+// 1/engine.ProbeShare of the inline time, it dry-runs the scheduler's
 // per-iteration work for the next iterations of the invocation (of the next
 // one, at its end), after Sequential as the scheduler would: computeAddr
 // and the exchange into the runtime's shadow store, reset afterwards. A
@@ -166,14 +162,8 @@ func (st *state) probe(budget time.Duration) guard {
 					continue
 				}
 			}
-			step := done
-			if inline > 0 {
-				if left := int64(float64(budget-inline) * float64(done) / float64(inline)); left < step {
-					step = max(left, 1)
-				}
-			}
-			next = done + step
-			if sampleDue || probeShare*sampleWall < inline {
+			next = engine.NextRead(done, inline, budget)
+			if sampleDue || engine.ProbeShare*sampleWall < inline {
 				sampleDue = !sample(inv, it+1, iters)
 			}
 		}

@@ -8,7 +8,6 @@ import (
 
 	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/engine"
-	"crossinv/internal/runtime/sched"
 )
 
 func checkIrregular(t *testing.T, what string, w *irregular, want []int64) {
@@ -80,12 +79,16 @@ func TestPooledRunRebuildsOnlyWhatDiffers(t *testing.T) {
 	engine.CloseIdle()
 	defer engine.CloseIdle()
 	const workers = 3
-	run := func(what string, opts Options) {
+	run := func(what string, opts Options, rr bool) {
 		t.Helper()
 		opts.Workers = workers
 		w := newIrregular(rand.New(rand.NewSource(11)), 5, 30, 40, 2)
 		want := w.sequentialRun()
-		st := RunParallel(w, opts)
+		var run Workload = w
+		if rr {
+			run = roundRobin{w}
+		}
+		st := RunParallel(run, opts)
 		if st.Iterations != 150 || st.SyncConditions == 0 {
 			t.Errorf("%s: %d iterations, %d sync conditions; want 150 and some", what, st.Iterations, st.SyncConditions)
 		}
@@ -100,21 +103,21 @@ func TestPooledRunRebuildsOnlyWhatDiffers(t *testing.T) {
 	}
 	created, _, _ := engine.Counters()
 
-	run("2 lanes", Options{QueueCap: 64, Lanes: 2})
+	run("2 lanes", Options{QueueCap: 64, Lanes: 2}, false)
 	first := ring()
-	run("round-robin", Options{QueueCap: 64, Policy: sched.NewRoundRobin()})
+	run("round-robin", Options{QueueCap: 64}, true)
 	if ring() != first {
-		t.Error("Run with another policy at one capacity rebuilt the rings")
+		t.Error("Run under the round-robin seam at one capacity rebuilt the rings")
 	}
-	run("3 lanes", Options{QueueCap: 64, Lanes: 3})
+	run("3 lanes", Options{QueueCap: 64, Lanes: 3}, false)
 	if ring() != first {
 		t.Error("Lanes 2 → 3 rebuilt the rings")
 	}
-	run("small rings", Options{QueueCap: 2})
+	run("small rings", Options{QueueCap: 2}, false)
 	if ring() == first {
 		t.Error("QueueCap 64 → 2 kept the rings")
 	}
-	run("defaults", Options{})
+	run("defaults", Options{}, false)
 
 	if c, _, _ := engine.Counters(); c != created+1 {
 		t.Errorf("%d runtimes built for five runs and four look-ins, want 1", c-created)

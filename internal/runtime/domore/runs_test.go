@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"crossinv/internal/runtime/engine"
-	"crossinv/internal/runtime/sched"
 )
 
 // records runs the scheduler of a run of w with no worker consuming, and
@@ -75,11 +74,11 @@ func run(inv, index int, iter int64, count int) cond {
 
 func dep(tid int, iter int64) cond { return cond{Kind: kindDep, Tid: int32(tid), Iter: iter} }
 
-// TestRunsCoalesce pins the records the scheduler sends. Under the default
-// assignment each worker's block of an invocation travels as one run
-// record, cut where an iteration needs a condition, at the invocation's
-// end and at runCap; under an explicit policy every (iteration, worker)
-// pair is a record of its own. Batches counts the records.
+// TestRunsCoalesce pins the records the scheduler sends. Each worker's
+// block of an invocation travels as one run record, cut where an iteration
+// needs a condition, at the invocation's end and at runCap; under the
+// round-robin seam every iteration is a record of its own. Batches counts
+// the records.
 func TestRunsCoalesce(t *testing.T) {
 	// split: iteration 6 depends on iteration 1 (worker 0) and, newer, on
 	// iteration 5 (its own worker 1), so it stays and needs a condition on
@@ -89,7 +88,7 @@ func TestRunsCoalesce(t *testing.T) {
 	long := distinct(0, 2*runCap+6)
 	for _, tc := range []struct {
 		name    string
-		w       *irregular
+		w       Workload
 		opts    Options
 		want    [][]cond
 		batches int64
@@ -104,7 +103,7 @@ func TestRunsCoalesce(t *testing.T) {
 			[][]cond{{run(0, 0, 0, runCap), run(0, runCap, runCap, runCap), run(0, 2*runCap, 2*runCap, 6)}}, 3},
 		{"fewer-iterations-than-workers", cells(distinct(0, 2), nil, distinct(2, 3)), Options{Workers: 4},
 			[][]cond{{run(0, 0, 0, 1), run(2, 0, 2, 1)}, {run(2, 1, 3, 1)}, {run(0, 1, 1, 1), run(2, 2, 4, 1)}, nil}, 5},
-		{"round-robin", cells(distinct(0, 6)), Options{Workers: 3, Policy: sched.NewRoundRobin()},
+		{"round-robin", roundRobin{cells(distinct(0, 6))}, Options{Workers: 3},
 			[][]cond{{run(0, 0, 0, 1), run(0, 3, 3, 1)}, {run(0, 1, 1, 1), run(0, 4, 4, 1)}, {run(0, 2, 2, 1), run(0, 5, 5, 1)}}, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -123,25 +122,6 @@ func TestRunsCoalesce(t *testing.T) {
 		})
 	}
 
-	t.Run("localwrite", func(t *testing.T) {
-		const space, nw = 40, 4
-		w := &localWorkload{irregular: *newIrregular(rand.New(rand.NewSource(5)), 6, 20, space, 3), space: space, workers: nw}
-		got, st := records(t, w, Options{Workers: nw, Policy: sched.NewLocalWrite(space)})
-		n := int64(0)
-		for tid := range got {
-			for _, c := range got[tid] {
-				if c.Kind == kindRun {
-					n++
-					if c.Count != 1 {
-						t.Fatalf("worker %d got a run of %d under LOCALWRITE", tid, c.Count)
-					}
-				}
-			}
-		}
-		if st.Batches != n || st.Batches != st.Dispatches || st.Dispatches <= st.Iterations {
-			t.Errorf("%d records, Batches %d, Dispatches %d, Iterations %d; want one record per dispatch, and fan-out", n, st.Batches, st.Dispatches, st.Iterations)
-		}
-	})
 }
 
 // joining is irregular whose Sequential waits until every iteration of the

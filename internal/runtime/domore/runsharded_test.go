@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"crossinv/internal/runtime/engine"
-	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/trace"
 )
 
@@ -22,8 +21,8 @@ import (
 
 // dataOf returns the cells a test workload writes.
 func dataOf(w Workload) []int64 {
-	if lw, ok := w.(*localWorkload); ok {
-		return lw.data
+	if rr, ok := w.(roundRobin); ok {
+		w = rr.Workload
 	}
 	return w.(*irregular).data
 }
@@ -115,27 +114,6 @@ func TestRunShardedScheduleEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunShardedLocalWrite covers multi-owner scheduling through the
-// forwarder, one run after the other and both at once.
-func TestRunShardedLocalWrite(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
-		name := "serial"
-		if concurrent {
-			name = "concurrent"
-		}
-		t.Run(name, func(t *testing.T) {
-			mk := func() Workload {
-				rng := rand.New(rand.NewSource(5))
-				return &localWorkload{irregular: *newIrregular(rng, 10, 30, 40, 3), space: 40, workers: 4}
-			}
-			opts := func() Options { return Options{Workers: 4, Lanes: 3, Policy: sched.NewLocalWrite(40)} }
-			if got := sameAsRun(t, mk, opts, concurrent); got.Dispatches < got.Iterations {
-				t.Errorf("Dispatches (%d) < Iterations (%d); multi-owner iterations should fan out", got.Dispatches, got.Iterations)
-			}
-		})
-	}
-}
-
 // TestRunShardedTinyQueues drives the producer through constant
 // backpressure: rings of two messages on a conflict-dense workload, where
 // every dispatch waits for room and every condition for its source.
@@ -168,7 +146,7 @@ func newIrregularLens(rng *rand.Rand, lens []int, space, addrsPerIter int) *irre
 // TestRunShardedChunkBoundaries runs the invocation lengths that straddled
 // the sharded scheduler's chunk size of 8 — one short, exact, one over, two
 // chunks and a tail, and a mix with an empty invocation — for one to three
-// lanes, single-owner and LOCALWRITE multi-owner: the lanes change nothing.
+// lanes, under the round-robin seam: the lanes change nothing.
 func TestRunShardedChunkBoundaries(t *testing.T) {
 	const batch, space, workers = 8, 40, 4
 	rep := func(n, times int) []int {
@@ -189,34 +167,14 @@ func TestRunShardedChunkBoundaries(t *testing.T) {
 		{"mix", []int{3, batch, 1, 2*batch + 3, batch - 1, 0, batch + 1, 3 * batch, 5, batch}},
 	}
 	for _, shape := range shapes {
-		for _, multi := range []bool{false, true} {
-			name := shape.name + "/round-robin"
-			if multi {
-				name = shape.name + "/localwrite"
+		t.Run(shape.name+"/round-robin", func(t *testing.T) {
+			mk := func() Workload {
+				return roundRobin{newIrregularLens(rand.New(rand.NewSource(31)), shape.lens, space, 3)}
 			}
-			t.Run(name, func(t *testing.T) {
-				mk := func() Workload {
-					w := newIrregularLens(rand.New(rand.NewSource(31)), shape.lens, space, 3)
-					if multi {
-						return &localWorkload{irregular: *w, space: space, workers: workers}
-					}
-					return w
-				}
-				for lanes := 1; lanes <= 3; lanes++ {
-					opts := func() Options {
-						o := Options{Workers: workers, Lanes: lanes, Policy: sched.NewRoundRobin()}
-						if multi {
-							o.Policy = sched.NewLocalWrite(space)
-						}
-						return o
-					}
-					got := sameAsRun(t, mk, opts, false)
-					if multi && got.Dispatches <= got.Iterations && got.Iterations > 0 {
-						t.Errorf("Dispatches %d <= Iterations %d: the multi-owner case lost its point", got.Dispatches, got.Iterations)
-					}
-				}
-			})
-		}
+			for lanes := 1; lanes <= 3; lanes++ {
+				sameAsRun(t, mk, func() Options { return Options{Workers: workers, Lanes: lanes} }, false)
+			}
+		})
 	}
 }
 

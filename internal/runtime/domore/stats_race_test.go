@@ -49,7 +49,7 @@ func TestStatsCountersRace(t *testing.T) {
 				t.Fatalf("Iterations = %d, want %d", stats.Iterations, invs*iters)
 			}
 			if stats.Dispatches != stats.Iterations {
-				t.Fatalf("Dispatches = %d != Iterations %d under a single-owner policy",
+				t.Fatalf("Dispatches = %d != Iterations %d; each iteration goes to one worker",
 					stats.Dispatches, stats.Iterations)
 			}
 			// 32 cells shared by 2560 two-address iterations: cross-worker

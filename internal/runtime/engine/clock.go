@@ -18,6 +18,11 @@ import (
 // its threads' start-up.
 const FloorReads = 64
 
+// ProbeShare caps a guard's sampling: past the samples it cannot decide
+// without, a guard samples only while sampling has cost under 1/ProbeShare
+// of the inline time.
+const ProbeShare = 16
+
 var (
 	clockOnce sync.Once
 	clockNs   time.Duration
@@ -46,4 +51,19 @@ func (rt *Runtime) Startup() time.Duration { return rt.startup }
 // runtime's Startup, and never below FloorReads clock reads.
 func (rt *Runtime) Budget() time.Duration {
 	return max(rt.startup, FloorReads*ClockCost())
+}
+
+// NextRead is how many units a guard's probe has executed at its next clock
+// read, given done ≥ 1 units executed in inline time by this one: twice
+// done, so cheap bodies are not swamped by clock reads, cut short where the
+// rate so far predicts the budget's end, so costly ones do not overshoot,
+// and never less than one more.
+func NextRead(done int64, inline, budget time.Duration) int64 {
+	step := done
+	if inline > 0 {
+		if left := int64(float64(budget-inline) * float64(done) / float64(inline)); left < step {
+			step = max(left, 1)
+		}
+	}
+	return done + step
 }

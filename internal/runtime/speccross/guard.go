@@ -19,11 +19,6 @@ type guard struct {
 	inlineNs, specNs float64
 }
 
-// probeShare caps the sampling: after the two sampled epochs the checker
-// sample needs, an epoch is sampled only while sampling has cost under
-// 1/probeShare of the inline time.
-const probeShare = 16
-
 // sampleTasks is how many tasks of a sampled epoch run instrumented.
 const sampleTasks = 16
 
@@ -45,12 +40,12 @@ type resumeSkipper interface{ ResumeSkipEpoch() bool }
 // its first, task by task on worker 0 with no signature — the sequential
 // execution, untracked, so it reports a state change to the runtime — and
 // times them. It reads the clock after 1, 2, 4, … uninstrumented tasks,
-// the step cut short where the rate so far predicts the budget's end. The
-// inline rate is over the latest half of those tasks, so the cold first
-// ones do not set it.
+// the step cut short where the rate so far predicts the budget's end
+// (engine.NextRead). The inline rate is over the latest half of those
+// tasks, so the cold first ones do not set it.
 //
 // The first sampleTasks tasks of the first two epochs, and of a later one
-// while sampling has cost under 1/probeShare of the inline time, run
+// while sampling has cost under 1/engine.ProbeShare of the inline time, run
 // instead with a signature from worker 0's arena. That is still each
 // task's one execution, since recording writes no state; its time is the
 // instrumented rate. Once two epochs are sampled, the checker processes
@@ -90,7 +85,7 @@ func (st *state) probe(w Workload, stats *Stats) guard {
 	for e < epochs {
 		n := w.Tasks(e)
 		t := 0
-		if k := min(n, sampleTasks); k > 0 && (sampled < 2 || probeShare*sampleWall < inline) {
+		if k := min(n, sampleTasks); k > 0 && (sampled < 2 || engine.ProbeShare*sampleWall < inline) {
 			t0 := time.Now()
 			at := len(entries)
 			for ; t < k; t++ {
@@ -120,13 +115,7 @@ func (st *state) probe(w Workload, stats *Stats) guard {
 			if past = inline >= budget; past {
 				continue
 			}
-			step := plain
-			if inline > 0 {
-				if left := int64(float64(budget-inline) * float64(plain) / float64(inline)); left < step {
-					step = max(left, 1)
-				}
-			}
-			next = plain + step
+			next = engine.NextRead(plain, inline, budget)
 		}
 		stats.Tasks += int64(n)
 		e++

@@ -8,7 +8,7 @@ import (
 )
 
 // TestFollowDischargesChains: on the registry programs whose dependences
-// form chains, DOMORE's default assignment puts each iteration on the
+// form chains, DOMORE's assignment puts each iteration on the
 // worker its newest dependence ran on, so at two workers almost no
 // dependence needs a cross-thread condition — at most 2 % of the
 // iterations that have one. Round-robin turned nearly every one into a

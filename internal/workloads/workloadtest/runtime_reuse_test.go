@@ -19,7 +19,7 @@ func runOn(rt *engine.Runtime, row string, inst workloads.Instance, c rowConfig)
 	case "domore":
 		return detDomore(domore.RunOn(rt, inst.(domore.Workload), domore.Options{Workers: 4}))
 	case "domore-round-robin":
-		return detDomore(domore.RunOn(rt, inst.(domore.Workload), roundRobinOptions()))
+		return detDomore(domore.RunOn(rt, roundRobin{inst.(domore.Workload)}, domore.Options{Workers: 4}))
 	case "domore-sharded":
 		return detDomore(domore.RunOn(rt, inst.(domore.Workload), shardedOptions()))
 	case "speccross":

@@ -11,7 +11,6 @@ import (
 	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
-	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/workloads"
@@ -106,10 +105,6 @@ func configFor(e workloads.Entry) rowConfig {
 // shardedOptions are what the benchmark's domore-sharded rows pass.
 func shardedOptions() domore.Options { return domore.Options{Workers: 4, Lanes: 3} }
 
-func roundRobinOptions() domore.Options {
-	return domore.Options{Workers: 4, Policy: sched.NewRoundRobin()}
-}
-
 func (c rowConfig) spec() speccross.Config {
 	return speccross.Config{Workers: 4, CheckpointEvery: 200, SigKind: c.kind, SpecDistance: c.dist, CheckerShards: c.shards}
 }
@@ -134,17 +129,16 @@ func adaptiveDet(s adaptive.Stats) detStats {
 }
 
 // runPooled runs one row on a runtime borrowed from the engine pool for the
-// call: through the engine's own entry point, except the DOMORE rows under
-// the default assignment and the SPECCROSS row, whose entry points' guards
-// decide by measurement how much of the region to run in parallel. Those
-// run domore.RunParallel and speccross.RunParallel, the parallel executions
-// on a borrowed runtime.
+// call: through the engine's own entry point, except the DOMORE rows and
+// the SPECCROSS row, whose entry points' guards decide by measurement how
+// much of the region to run in parallel. Those run domore.RunParallel and
+// speccross.RunParallel, the parallel executions on a borrowed runtime.
 func runPooled(row string, inst workloads.Instance, c rowConfig) detStats {
 	switch row {
 	case "domore":
 		return detDomore(domore.RunParallel(inst.(domore.Workload), domore.Options{Workers: 4}))
 	case "domore-round-robin":
-		return detDomore(domore.Run(inst.(domore.Workload), roundRobinOptions()))
+		return detDomore(domore.RunParallel(roundRobin{inst.(domore.Workload)}, domore.Options{Workers: 4}))
 	case "domore-sharded":
 		return detDomore(domore.RunParallel(inst.(domore.Workload), shardedOptions()))
 	case "speccross":

@@ -12,7 +12,6 @@ import (
 	"crossinv/internal/raceflag"
 	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/domore"
-	"crossinv/internal/runtime/sched"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/runtime/trace"
@@ -121,18 +120,16 @@ func EnginesMatchSequential(t *testing.T, name string) {
 	if e.DomoreOK {
 		t.Run("domore-sharded", func(t *testing.T) {
 			// The lane count the benchmark's domore-sharded rows pass changes
-			// nothing, and an explicit round-robin policy schedules, checks
-			// and dispatches what the default assignment does and finds the
-			// same dependences; only where iterations go differs.
+			// nothing, and the scheduler's round-robin test seam schedules,
+			// checks and dispatches what DOMORE's assignment does and finds
+			// the same dependences; only where iterations go differs.
 			ref := Make(e)
 			want := domore.RunParallel(ref.(domore.Workload), domore.Options{Workers: 4, Lanes: 3})
 			check(t, ref, "domore (reference)")
 
 			inst := Make(e)
 			rec := trace.NewRecorder()
-			stats := domore.Run(inst.(domore.Workload), domore.Options{
-				Workers: 4, Lanes: 3, Policy: sched.NewRoundRobin(), Trace: rec,
-			})
+			stats := domore.RunParallel(roundRobin{inst.(domore.Workload)}, domore.Options{Workers: 4, Lanes: 3, Trace: rec})
 			if stats.Iterations == 0 {
 				t.Fatal("no iterations scheduled")
 			}
@@ -267,6 +264,12 @@ func EnginesMatchSequential(t *testing.T, name string) {
 // assertEq compares a trace-derived counter against the engine's own Stats
 // field — the contract that lets the observability layer replace ad-hoc
 // counters.
+// roundRobin marks a workload for DOMORE's round-robin test seam: iteration
+// i goes to worker i mod Workers, one run record each.
+type roundRobin struct{ domore.Workload }
+
+func (roundRobin) RoundRobin() bool { return true }
+
 func assertEq(t *testing.T, what string, fromTrace, fromStats int64) {
 	t.Helper()
 	if fromTrace != fromStats {

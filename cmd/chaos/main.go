@@ -12,6 +12,8 @@
 //	chaos -replay case.json           re-run a shrunk artifact or bare spec
 //	chaos -mutate drop-addr -shrink   inject an engine-contract bug; exit 0
 //	                                  only if the harness catches and shrinks it
+//	chaos -mutate all -shrink         the same for every mutation, each under
+//	                                  its own fault plan
 //
 // On failure (and with -shrink) the failing case is reduced and written
 // to -out as a replayable JSON artifact.
@@ -21,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"crossinv/internal/chaos"
 )
@@ -30,6 +33,10 @@ func main() {
 }
 
 func run() int {
+	names := make([]string, 0, len(chaos.Mutations()))
+	for _, m := range chaos.Mutations() {
+		names = append(names, string(m))
+	}
 	var (
 		n       = flag.Int("n", 200, "number of random seeds to sweep")
 		seed    = flag.Int64("seed", -1, "run exactly this seed instead of a sweep")
@@ -39,7 +46,7 @@ func run() int {
 		ckpt    = flag.Int("checkpoint-every", 3, "SPECCROSS epochs per checkpoint segment")
 		window  = flag.Int("window", 4, "adaptive epochs per monitoring window")
 		faults  = flag.String("faults", "all", "fault plan: all, none, or a csv of queue-full, delay, sig-conflict, panic, timeout, torn-state, torn-delta, dirty-runtime")
-		mutate  = flag.String("mutate", "", "inject an engine-contract bug (drop-addr, drop-sig-write, skip-restore, skip-delta-restore, widen-static, stale-runtime, release-keeps-version, elide-cross-cond, run-past-cond, resume-off-by-one, resume-skip-epoch) and require the harness to catch it")
+		mutate  = flag.String("mutate", "", "inject an engine-contract bug (all, or one of "+strings.Join(names, ", ")+") and require the harness to catch it")
 		shrink  = flag.Bool("shrink", false, "shrink failing cases and write artifacts to -out")
 		out     = flag.String("out", "chaos-artifacts", "artifact output directory")
 		verbose = flag.Bool("v", false, "log every case")
@@ -100,35 +107,60 @@ func sweepSeeds(one, first int64, n int) []uint64 {
 }
 
 // mutationRun is the self-test of the harness: with a deliberately broken
-// engine contract the differential run MUST fail; exit 0 means the bug
-// was caught (and, with -shrink, reduced to a replayable artifact).
+// engine contract the differential run MUST fail; exit 0 means every
+// requested mutation ("all" requests each of chaos.Mutations()) was caught
+// (and, with -shrink, reduced to a replayable artifact).
 func mutationRun(mutate, faults string, base chaos.Options, shrink bool, out string) int {
-	mut, err := chaos.ParseMutation(mutate)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+	muts := chaos.Mutations()
+	if mutate != "all" {
+		mut, err := chaos.ParseMutation(mutate)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+		muts = []chaos.Mutation{mut}
 	}
-	opts := base
-	opts.Mutation = mut
 	// The default fault plan for a mutation is the one that drives its
 	// broken path (e.g. skip-restore needs a misspeculation); an explicit
 	// -faults overrides it.
-	opts.Faults = mut.Faults()
 	explicit := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "faults" {
 			explicit = true
 		}
 	})
+	var override chaos.FaultPlan
 	if explicit {
-		plan, err := chaos.ParseFaults(faults, 0)
-		if err != nil {
+		var err error
+		if override, err = chaos.ParseFaults(faults, 0); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		opts.Faults = plan
 	}
 
+	escaped := 0
+	for _, mut := range muts {
+		opts := base
+		opts.Mutation = mut
+		opts.Faults = mut.Faults()
+		if explicit {
+			opts.Faults = override
+		}
+		if !catchMutation(mut, opts, shrink, out) {
+			escaped++
+		}
+	}
+	if escaped > 0 {
+		fmt.Printf("FAIL: %d of %d mutations escaped or did not shrink\n", escaped, len(muts))
+		return 1
+	}
+	return 0
+}
+
+// catchMutation runs the mutation's catcher case until the differential
+// oracle reports it, and with shrink writes the reduced case to out. It
+// reports whether the mutation was caught (and shrunk, when asked).
+func catchMutation(mut chaos.Mutation, opts chaos.Options, shrink bool, out string) bool {
 	spec := mut.Catcher()
 	spec.Name = "chaos-mutation-" + string(mut)
 	for attempt := 0; attempt < 20; attempt++ {
@@ -143,16 +175,11 @@ func mutationRun(mutate, faults string, base chaos.Options, shrink bool, out str
 			for _, f := range fails {
 				fmt.Printf("  %s\n", f)
 			}
-			if shrink {
-				if !shrinkAndWrite(spec, 0, opts, out) {
-					return 1
-				}
-			}
-			return 0
+			return !shrink || shrinkAndWrite(spec, 0, opts, out)
 		}
 	}
 	fmt.Printf("FAIL: mutation %s was NOT detected — the harness missed an injected engine bug\n", mut)
-	return 1
+	return false
 }
 
 func shrinkAndWrite(spec *chaos.Spec, seed uint64, opts chaos.Options, out string) bool {

@@ -722,8 +722,7 @@ func TestUnparallelizableRequestsNameTheirStage(t *testing.T) {
 
 // TestColdAutoStoresChosenEngine pins the plan record of a cold auto
 // request: the engine it stores is core.Choose's for the region's profile,
-// whether speculation pays (lag 16, two workers) or not (lag 1), with the
-// adaptive runtime's default window.
+// whether speculation pays (lag 16, two workers) or not (lag 1).
 func TestColdAutoStoresChosenEngine(t *testing.T) {
 	const workers = 2
 	mk := func(lag int) string {
@@ -764,11 +763,43 @@ func TestColdAutoStoresChosenEngine(t *testing.T) {
 		if !ok {
 			t.Fatalf("lag %d: no plan stored", lag)
 		}
-		if plan.Engine != want || plan.Adaptive == nil || *plan.Adaptive != (plancache.AdaptiveSeed{Start: want, Window: adaptive.DefaultWindow}) {
-			t.Errorf("lag %d: stored engine %q, adaptive seed %+v; want %q, window %d", lag, plan.Engine, plan.Adaptive, want, adaptive.DefaultWindow)
+		if plan.Engine != want {
+			t.Errorf("lag %d: stored engine %q, want %q", lag, plan.Engine, want)
 		}
 	}
 	if !engines["domore"] || !engines["speccross"] {
 		t.Fatalf("the two programs chose %v; want one of each engine", engines)
+	}
+}
+
+// TestRestartKeepsDefaultWindow: an adaptive request that asks for no
+// window runs adaptive.DefaultWindow epochs a window, also after a restart
+// over a cache a request with another window wrote.
+func TestRestartKeepsDefaultWindow(t *testing.T) {
+	raw, err := os.ReadFile("../../examples/compiler/cg.lnl") // 40 epochs
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(raw)
+	dir := t.TempDir()
+	first := newServer(t, Config{CacheDir: dir})
+	if resp, status := first.Execute(&RunRequest{Source: src, Mode: "adaptive", Workers: 2, Window: 8}); status != 200 {
+		t.Fatalf("window 8 run: %d %s", status, resp.Error)
+	}
+	if err := first.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newServer(t, Config{CacheDir: dir})
+	resp, status := s.Execute(&RunRequest{Source: src, Mode: "adaptive", Workers: 2})
+	if status != 200 || resp.Cache != "warm" {
+		t.Fatalf("restarted run: %d %q, cache %q; want a warm 200", status, resp.Error, resp.Cache)
+	}
+	entries := s.Decisions().Snapshot(resp.Invocation)
+	if len(entries) == 0 {
+		t.Fatal("the adaptive run journaled no decisions")
+	}
+	if e := entries[0]; e.EndEpoch-e.StartEpoch != adaptive.DefaultWindow {
+		t.Errorf("first window spans epochs [%d,%d), want %d epochs", e.StartEpoch, e.EndEpoch, adaptive.DefaultWindow)
 	}
 }

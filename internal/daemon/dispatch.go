@@ -34,7 +34,8 @@ type RunRequest struct {
 	Region int `json:"region,omitempty"`
 	// Sig selects the signature scheme: range (default), bloom, exact.
 	Sig string `json:"sig,omitempty"`
-	// Window overrides the adaptive monitoring window.
+	// Window is the adaptive monitoring window in epochs; 0 means
+	// adaptive.DefaultWindow.
 	Window int `json:"window,omitempty"`
 	// Misspec, when positive, forces one artificial misspeculation at
 	// that epoch (speccross and adaptive modes). A fault-injection knob:
@@ -109,12 +110,11 @@ type program struct {
 	regions    map[int]*regionPlan
 }
 
-// regionPlan caches per-region artifacts core does not keep: the profile,
-// a pure value safe to share across invocations, and the adaptive seed.
+// regionPlan caches the per-region artifact core does not keep: the
+// profile, a pure value safe to share across invocations.
 type regionPlan struct {
 	mu   sync.Mutex
 	prof map[signature.Kind]*speccross.ProfileResult
-	seed *plancache.AdaptiveSeed
 }
 
 type programInfo struct {
@@ -217,11 +217,11 @@ func (p *program) region(idx int) *regionPlan {
 	return rp
 }
 
-// adopt tries to fill the in-memory gaps (oracle, profile, adaptive seed)
-// from the disk cache. Verify-on-load: an entry is adopted only when the
-// freshly compiled program re-passes the analysis/verify gates (lint
-// clean) and the entry's shape matches the compiled region count — on any
-// doubt it is ignored and the cold path recomputes. Returns whether the
+// adopt tries to fill the in-memory gaps (oracle, profile) from the disk
+// cache. Verify-on-load: an entry is adopted only when the freshly
+// compiled program re-passes the analysis/verify gates (lint clean) and
+// the entry's shape matches the compiled region count — on any doubt it is
+// ignored and the cold path recomputes. Returns whether the
 // disk entry supplied anything.
 func (s *Server) adopt(p *program, rp *regionPlan, key plancache.Key, kind signature.Kind) bool {
 	p.mu.Lock()
@@ -259,9 +259,6 @@ func (s *Server) adopt(p *program, rp *regionPlan, key plancache.Key, kind signa
 		rp.mu.Lock()
 		if plan.Profile != nil && rp.prof[kind] == nil {
 			rp.prof[kind] = fromCacheProfile(plan.Profile)
-		}
-		if rp.seed == nil {
-			rp.seed = plan.Adaptive
 		}
 		rp.mu.Unlock()
 	}
@@ -368,7 +365,7 @@ func toCacheFacts(fs []core.RegionFacts) []plancache.RegionFacts {
 
 // putPlan persists every artifact the request left in memory. Best
 // effort: a failed write degrades the next restart to cold, nothing else.
-func (s *Server) putPlan(p *program, rp *regionPlan, key plancache.Key, kind signature.Kind, regionIdx, workers, window int) {
+func (s *Server) putPlan(p *program, rp *regionPlan, key plancache.Key, kind signature.Kind, regionIdx, workers int) {
 	p.mu.Lock()
 	plan := plancache.Plan{
 		SeqChecksum: p.oracle,
@@ -384,10 +381,6 @@ func (s *Server) putPlan(p *program, rp *regionPlan, key plancache.Key, kind sig
 		if pr := rp.prof[kind]; pr != nil {
 			plan.Profile = toCacheProfile(pr)
 			plan.Engine = core.Choose(*pr, workers)
-			if window <= 0 {
-				window = adaptive.DefaultWindow
-			}
-			plan.Adaptive = &plancache.AdaptiveSeed{Start: plan.Engine, Window: window}
 		}
 		rp.mu.Unlock()
 	}
@@ -627,7 +620,7 @@ func (s *Server) execute(req *RunRequest, in runParams, inv *invocation) (*RunRe
 		}
 		p.mu.Unlock()
 		if freshOracle {
-			s.putPlan(p, nil, key, kind, regionIdx, workers, req.Window)
+			s.putPlan(p, nil, key, kind, regionIdx, workers)
 		}
 		resp.OK = true
 		resp.Engine = "seq"
@@ -675,18 +668,10 @@ func (s *Server) execute(req *RunRequest, in runParams, inv *invocation) (*RunRe
 		plan.Facts = p.facts[regionIdx]
 	}
 	p.mu.Unlock()
-	window := req.Window
-	if window <= 0 {
-		rp.mu.Lock()
-		if rp.seed != nil {
-			window = rp.seed.Window
-		}
-		rp.mu.Unlock()
-	}
 
 	esp := inv.span(trace.SpanExecute)
 	res, rerr := c.Run(region, plan, core.Options{
-		Engine: mode, Workers: workers, SigKind: kind, Window: window,
+		Engine: mode, Workers: workers, SigKind: kind, Window: req.Window,
 		ForceMisspecEpoch: req.Misspec,
 		Trace:             inv.rec,
 		SpanParent:        esp.ID(),
@@ -720,7 +705,7 @@ func (s *Server) execute(req *RunRequest, in runParams, inv *invocation) (*RunRe
 	}
 
 	if st.oracle > 0 || st.profile > 0 {
-		s.putPlan(p, rp, key, kind, regionIdx, workers, req.Window)
+		s.putPlan(p, rp, key, kind, regionIdx, workers)
 	}
 
 	resp.OK = true

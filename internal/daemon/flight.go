@@ -74,7 +74,7 @@ type flightKey struct {
 	kind    signature.Kind
 	workers int // resolved against Config.DefaultWorkers
 	region  int // as requested: the last-region default resolves per program
-	window  int // as requested: 0 leaves the adaptive seed's window in force
+	window  int // as requested: 0 is adaptive.DefaultWindow
 }
 
 // result is what the table keeps of a verified execution: enough to answer

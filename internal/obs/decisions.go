@@ -10,7 +10,7 @@ import (
 )
 
 // DecisionsSchema versions the /debug/decisions document.
-const DecisionsSchema = "crossinv-decisions/v1"
+const DecisionsSchema = "crossinv-decisions/v2"
 
 // DecisionEntry is one journaled adaptive-controller decision: the
 // daemon converts each adaptive.Decision into this flat JSON form,
@@ -38,8 +38,6 @@ type DecisionEntry struct {
 
 	Reason     string `json:"reason"`
 	SeedSource string `json:"seed_source,omitempty"`
-	PolicyLow  int    `json:"policy_low"`
-	PolicyHold int    `json:"policy_hold"`
 
 	RuntimeReused  bool `json:"runtime_reused"`
 	RuntimeThreads int  `json:"runtime_threads"`
@@ -68,8 +66,6 @@ func DecisionFromAudit(invocation string, d adaptive.Decision) DecisionEntry {
 		BoundaryNs:       d.BoundaryNs,
 		Reason:           d.Reason,
 		SeedSource:       d.SeedSource,
-		PolicyLow:        d.PolicyLow,
-		PolicyHold:       d.PolicyHold,
 		RuntimeReused:    d.RuntimeReused,
 		RuntimeThreads:   d.RuntimeThreads,
 		CheckerShards:    d.CheckerShards,

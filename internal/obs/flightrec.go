@@ -28,49 +28,33 @@ const (
 
 // FlightConfig tunes the always-on flight recorder.
 type FlightConfig struct {
-	// Cap is how many recent invocations the rolling window retains
-	// (default 32).
-	Cap int
 	// Dir is where dump artifacts are written; empty disables disk dumps
 	// (the in-memory window and /debug/flightrec still work).
 	Dir string
-	// MisspecMin is the per-invocation misspeculation count at or above
-	// which the misspec-storm trigger fires (default 1; negative
-	// disables).
-	MisspecMin int64
-	// PressureMax is the checker comparisons-per-task bound above which
-	// the checker-pressure trigger fires (default 64; negative disables).
-	PressureMax float64
 	// LatencyBudget, when positive, arms the p99 trigger: an invocation
 	// over budget while the observed p99 also exceeds it fires a dump.
 	LatencyBudget time.Duration
-	// MinSamples is how many latency observations must accumulate before
-	// the p99 trigger is judged (default 32).
-	MinSamples int
-	// Cooldown is the minimum spacing between latency-p99 dumps, keeping
-	// a sustained breach from dumping on every request (default 5s). The
-	// other triggers are not throttled: they are rare by construction
-	// and CI depends on a forced misspeculation always dumping.
-	Cooldown time.Duration
 }
 
-func (c *FlightConfig) fill() {
-	if c.Cap <= 0 {
-		c.Cap = 32
-	}
-	if c.MisspecMin == 0 {
-		c.MisspecMin = 1
-	}
-	if c.PressureMax == 0 {
-		c.PressureMax = 64
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 32
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 5 * time.Second
-	}
-}
+// The flight recorder's fixed bounds.
+const (
+	// flightCap is how many recent invocations the rolling window retains.
+	flightCap = 32
+	// misspecMin is the per-invocation misspeculation count at or above
+	// which the misspec-storm trigger fires.
+	misspecMin = 1
+	// pressureMax is the checker comparisons-per-task bound above which
+	// the checker-pressure trigger fires.
+	pressureMax float64 = 64
+	// minSamples is how many latency observations must accumulate before
+	// the p99 trigger is judged.
+	minSamples = 32
+	// cooldown is the minimum spacing between latency-p99 dumps, keeping a
+	// sustained breach from dumping on every request. The other triggers
+	// are not throttled: they are rare by construction and CI depends on a
+	// forced misspeculation always dumping.
+	cooldown = 5 * time.Second
+)
 
 // FlightInvocation is one invocation's footprint in the rolling window:
 // identity, outcome, the counters the triggers judge, its span events
@@ -129,9 +113,8 @@ type FlightRecorder struct {
 	lastP99  time.Time
 }
 
-// NewFlightRecorder returns a recorder with the config's gaps filled.
+// NewFlightRecorder returns a recorder for the config.
 func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	cfg.fill()
 	return &FlightRecorder{cfg: cfg, triggers: map[string]int64{}}
 }
 
@@ -145,11 +128,11 @@ func (f *FlightRecorder) Observe(fi FlightInvocation, full func() []trace.Event)
 	defer f.mu.Unlock()
 	f.hist.Observe(fi.DurNs)
 	f.total++
-	if len(f.ring) < f.cfg.Cap {
+	if len(f.ring) < flightCap {
 		f.ring = append(f.ring, fi)
 	} else {
 		f.ring[f.next] = fi
-		f.next = (f.next + 1) % f.cfg.Cap
+		f.next = (f.next + 1) % flightCap
 	}
 
 	trigger, reason := f.judge(fi)
@@ -170,14 +153,14 @@ func (f *FlightRecorder) judge(fi FlightInvocation) (trigger, reason string) {
 	switch {
 	case fi.Status >= 500:
 		return Trigger5xx, fmt.Sprintf("status %d", fi.Status)
-	case f.cfg.MisspecMin > 0 && fi.Misspecs >= f.cfg.MisspecMin:
-		return TriggerMisspec, fmt.Sprintf("%d misspeculations (threshold %d)", fi.Misspecs, f.cfg.MisspecMin)
-	case f.cfg.PressureMax > 0 && fi.Tasks > 0 && float64(fi.Comparisons)/float64(fi.Tasks) > f.cfg.PressureMax:
+	case fi.Misspecs >= misspecMin:
+		return TriggerMisspec, fmt.Sprintf("%d misspeculations (threshold %d)", fi.Misspecs, misspecMin)
+	case fi.Tasks > 0 && float64(fi.Comparisons)/float64(fi.Tasks) > pressureMax:
 		return TriggerCheckerPressure, fmt.Sprintf("%.1f comparisons/task (threshold %.1f)",
-			float64(fi.Comparisons)/float64(fi.Tasks), f.cfg.PressureMax)
+			float64(fi.Comparisons)/float64(fi.Tasks), pressureMax)
 	}
-	if b := f.cfg.LatencyBudget; b > 0 && fi.DurNs > int64(b) && f.hist.Count >= int64(f.cfg.MinSamples) {
-		if p99 := f.hist.Quantile(0.99); p99 > int64(b) && time.Since(f.lastP99) >= f.cfg.Cooldown {
+	if b := f.cfg.LatencyBudget; b > 0 && fi.DurNs > int64(b) && f.hist.Count >= minSamples {
+		if p99 := f.hist.Quantile(0.99); p99 > int64(b) && time.Since(f.lastP99) >= cooldown {
 			f.lastP99 = time.Now()
 			return TriggerLatencyP99, fmt.Sprintf("invocation %s over budget %s with p99 %s",
 				time.Duration(fi.DurNs), b, time.Duration(p99))

@@ -84,7 +84,7 @@ func TestDecisionLogRingAndFilter(t *testing.T) {
 // and a tracecheck-clean Chrome file.
 func TestFlightRecorderTriggers(t *testing.T) {
 	dir := t.TempDir()
-	f := NewFlightRecorder(FlightConfig{Cap: 8, Dir: dir, PressureMax: 10})
+	f := NewFlightRecorder(FlightConfig{Dir: dir})
 
 	if trig := f.Observe(FlightInvocation{ID: "inv-ok", Status: 200, DurNs: 1000, Tasks: 10}, nil); trig != "" {
 		t.Fatalf("healthy invocation triggered %q", trig)
@@ -105,7 +105,11 @@ func TestFlightRecorderTriggers(t *testing.T) {
 		t.Error("full-capture callback not invoked on trigger")
 	}
 
-	if trig := f.Observe(FlightInvocation{ID: "inv-press", Status: 200, Tasks: 10, Comparisons: 500}, nil); trig != TriggerCheckerPressure {
+	// 64 comparisons per task sits on the bound; one more goes over it.
+	if trig := f.Observe(FlightInvocation{ID: "inv-at", Status: 200, Tasks: 10, Comparisons: 640}, nil); trig != "" {
+		t.Errorf("pressure at the bound triggered %q", trig)
+	}
+	if trig := f.Observe(FlightInvocation{ID: "inv-press", Status: 200, Tasks: 10, Comparisons: 650}, nil); trig != TriggerCheckerPressure {
 		t.Errorf("pressure trigger = %q", trig)
 	}
 	if trig := f.Observe(FlightInvocation{ID: "inv-500", Status: 500}, nil); trig != Trigger5xx {
@@ -174,17 +178,14 @@ func TestFlightRecorderTriggers(t *testing.T) {
 }
 
 // TestFlightRecorderLatencyTrigger pins the p99 breach path: it needs
-// MinSamples history, an over-budget invocation, and respects the
+// minSamples history, an over-budget invocation, and respects the
 // cooldown between dumps.
 func TestFlightRecorderLatencyTrigger(t *testing.T) {
-	f := NewFlightRecorder(FlightConfig{
-		Cap: 64, LatencyBudget: time.Millisecond, MinSamples: 8,
-		Cooldown: time.Hour, MisspecMin: -1, PressureMax: -1,
-	})
+	f := NewFlightRecorder(FlightConfig{LatencyBudget: time.Millisecond})
 	// Seed history entirely over budget so p99 breaches once judged.
-	for i := 0; i < 7; i++ {
+	for i := 0; i < minSamples-1; i++ {
 		if trig := f.Observe(FlightInvocation{Status: 200, DurNs: int64(2 * time.Millisecond)}, nil); trig != "" {
-			t.Fatalf("triggered %q before MinSamples", trig)
+			t.Fatalf("triggered %q before minSamples", trig)
 		}
 	}
 	if trig := f.Observe(FlightInvocation{ID: "inv-slow", Status: 200, DurNs: int64(3 * time.Millisecond)}, nil); trig != TriggerLatencyP99 {
@@ -199,7 +200,7 @@ func TestFlightRecorderLatencyTrigger(t *testing.T) {
 // TestFlightRecorderHandler covers the /debug/flightrec JSON shape and
 // the manual ?dump=1 path (in-memory only: no Dir configured).
 func TestFlightRecorderHandler(t *testing.T) {
-	f := NewFlightRecorder(FlightConfig{Cap: 4})
+	f := NewFlightRecorder(FlightConfig{})
 	f.Observe(FlightInvocation{ID: "inv-1", Status: 200, DurNs: 500, Spans: trace.SpansFromEvents(spanEvents("inv-1"))}, nil)
 
 	rr := httptest.NewRecorder()

@@ -3,8 +3,7 @@
 // premise applied to the compiler itself. Entries are keyed by the
 // program-source hash plus a pipeline/config fingerprint and hold only
 // serializable plan artifacts: analysis facts, the sequential oracle
-// checksum, the §4.4 conflict profile, the adaptive seed, and a
-// bench-informed engine choice. The live IR and transforms are rebuilt by
+// checksum, the §4.4 conflict profile, and a bench-informed engine choice. The live IR and transforms are rebuilt by
 // the owner (they hold pointers); everything expensive to *discover* is
 // persisted here.
 //
@@ -77,8 +76,10 @@ type Profile struct {
 	PerLoop     map[string]int64 `json:"per_loop,omitempty"`
 }
 
-// AdaptiveSeed primes the adaptive policy on warm invocations: the engine
-// to start with and the monitoring window that history found effective.
+// AdaptiveSeed is an adaptive start engine and window. Nothing reads it:
+// a request's window is what it asks for, or the adaptive default. It is
+// kept because the repository benchmark (benchmark/daemon.go) constructs
+// one.
 type AdaptiveSeed struct {
 	Start  string `json:"start"`
 	Window int    `json:"window,omitempty"`
@@ -112,7 +113,7 @@ type Plan struct {
 	// Profile is the cached §4.4 conflict profile (nil when the region
 	// was never profiled).
 	Profile *Profile `json:"profile,omitempty"`
-	// Adaptive seeds the hybrid runtime's policy (nil when unknown).
+	// Adaptive is unused; see AdaptiveSeed.
 	Adaptive *AdaptiveSeed `json:"adaptive,omitempty"`
 	// Engine records the bench-informed engine choice for this program
 	// ("" when no bench history exists).

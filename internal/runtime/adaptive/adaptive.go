@@ -12,13 +12,13 @@
 // the current engine; DOMORE windows report the manifest-dependence rate
 // (iterations with a dependence, from the scheduler of Algorithm 1),
 // SPECCROSS windows report misspeculations and checker pressure (from
-// the Chapter 4 Stats); a Policy — hysteresis thresholds by default,
-// pluggable for bandit-style learners — picks the engine for the next
-// window. Switches pay the documented quiesce cost: a drain barrier when
-// leaving DOMORE, a checkpoint barrier when leaving SPECCROSS (both fall
-// out of the quiesce every window boundary performs: the engines of all
-// windows run on one engine.Runtime, whose threads drain their mailboxes
-// there, so a switch hands the same threads a different loop).
+// the Chapter 4 Stats); ThresholdPolicy's hysteresis rule picks the
+// engine for the next window (a seed may pin one engine with Fixed).
+// Switches pay the documented quiesce cost: a drain barrier when leaving
+// DOMORE, a checkpoint barrier when leaving SPECCROSS (both fall out of
+// the quiesce every window boundary performs: the engines of all windows
+// run on one engine.Runtime, whose threads drain their mailboxes there,
+// so a switch hands the same threads a different loop).
 package adaptive
 
 import (
@@ -39,38 +39,11 @@ import (
 // Invocations and epochs must describe the same structure:
 // Invocations() == Epochs() and Iterations(i) == Tasks(i) for every i.
 //
-// The epochal.Kernel skeleton and the benchmark adapters already satisfy
-// both halves; Combine glues together separately implemented views.
+// The epochal.Kernel skeleton and the benchmark adapters satisfy both
+// halves.
 type Workload interface {
 	domore.Workload
 	speccross.Workload
-}
-
-// Combine builds a unified Workload from separately implemented engine
-// views over the same region and shared state. The two views must agree
-// on structure (d.Invocations() == s.Epochs(), iteration counts equal).
-func Combine(d domore.Workload, s speccross.Workload) Workload {
-	return &combined{d: d, s: s}
-}
-
-type combined struct {
-	d domore.Workload
-	s speccross.Workload
-}
-
-func (c *combined) Invocations() int         { return c.d.Invocations() }
-func (c *combined) Iterations(inv int) int   { return c.d.Iterations(inv) }
-func (c *combined) Sequential(inv int)       { c.d.Sequential(inv) }
-func (c *combined) Execute(inv, iter, t int) { c.d.Execute(inv, iter, t) }
-func (c *combined) Epochs() int              { return c.s.Epochs() }
-func (c *combined) Tasks(epoch int) int      { return c.s.Tasks(epoch) }
-func (c *combined) Snapshot() any            { return c.s.Snapshot() }
-func (c *combined) Restore(snap any)         { c.s.Restore(snap) }
-func (c *combined) ComputeAddr(inv, iter int, buf []uint64) []uint64 {
-	return c.d.ComputeAddr(inv, iter, buf)
-}
-func (c *combined) Run(epoch, task, tid int, sig *signature.Signature) {
-	c.s.Run(epoch, task, tid, sig)
 }
 
 // Config tunes an adaptive execution.
@@ -81,7 +54,8 @@ type Config struct {
 	// Window is the number of epochs per monitoring window (default
 	// DefaultWindow).
 	Window int
-	// Policy picks the engine for each next window (default NewThreshold).
+	// Policy picks the engine for each next window (default a fresh
+	// ThresholdPolicy).
 	Policy Policy
 	// Start is the engine of the first window (default EngineDomore: it is
 	// non-speculative and measures the manifest rate directly, so it is
@@ -132,7 +106,7 @@ func (c *Config) fill() {
 		c.Window = DefaultWindow
 	}
 	if c.Policy == nil {
-		c.Policy = NewThreshold()
+		c.Policy = &ThresholdPolicy{}
 	}
 }
 
@@ -274,7 +248,7 @@ func runWindows(rt *engine.Runtime, w Workload, cfg Config, epochs int) Stats {
 		stats.EngineWindows[engine]++
 		stats.Samples = append(stats.Samples, sample)
 
-		next := cfg.Policy.Decide(sample)
+		next, reason := cfg.Policy.Decide(sample)
 		if next < 0 || next >= NumEngines {
 			panic(fmt.Sprintf("adaptive: policy returned unknown engine %v", next))
 		}
@@ -283,7 +257,6 @@ func runWindows(rt *engine.Runtime, w Workload, cfg Config, epochs int) Stats {
 			ctl.Emit(trace.KindEngineSwitch, int64(engine), int64(next), int64(hi))
 		}
 		if cfg.OnDecision != nil {
-			ps := explainPolicy(cfg.Policy, next)
 			cfg.OnDecision(Decision{
 				Window:     stats.Windows - 1,
 				Sample:     sample,
@@ -291,10 +264,8 @@ func runWindows(rt *engine.Runtime, w Workload, cfg Config, epochs int) Stats {
 				Switched:   next != engine,
 				WindowNs:   winNs,
 				BoundaryNs: int64(time.Since(boundaryStart)),
-				Reason:     ps.Reason,
+				Reason:     reason,
 				SeedSource: cfg.SeedSource,
-				PolicyLow:  ps.Low,
-				PolicyHold: ps.Hold,
 
 				RuntimeReused:  rt.Reused(),
 				RuntimeThreads: rt.Threads(),

@@ -183,12 +183,17 @@ func TestAdaptiveTracksPhases(t *testing.T) {
 func TestAdaptiveFixedPolicies(t *testing.T) {
 	want := seqChecksum(false)
 	// "domore-sharded", a DOMORE scheduler's old name, pins DOMORE.
-	for _, name := range []string{"domore", "speccross", "barrier", "domore-sharded"} {
-		eng, ok := adaptive.ParseEngine(name)
-		if !ok {
-			t.Fatalf("ParseEngine(%q) failed", name)
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		eng  adaptive.Engine
+	}{
+		{"domore", adaptive.EngineDomore},
+		{"speccross", adaptive.EngineSpecCross},
+		{"barrier", adaptive.EngineBarrier},
+		{"domore-sharded", adaptive.EngineDomore},
+	} {
+		eng := tc.eng
+		t.Run(tc.name, func(t *testing.T) {
 			k := buildKernel(false)
 			stats := adaptive.Run(k, adaptive.Config{
 				Workers: 4,
@@ -239,29 +244,6 @@ func TestAdaptiveWindowRemainder(t *testing.T) {
 	}
 }
 
-// splitViews wraps a kernel so Combine gets two genuinely distinct values.
-type domoreView struct{ *epochal.Kernel }
-type specView struct{ *epochal.Kernel }
-
-// TestCombine glues separately-implemented engine views back into one
-// adaptive workload and checks execution forwards to both.
-func TestCombine(t *testing.T) {
-	want := seqChecksum(false)
-	k := buildKernel(false)
-	var w adaptive.Workload = adaptive.Combine(domoreView{k}, specView{k})
-	stats := adaptive.Run(w, adaptive.Config{
-		Workers: 4,
-		Window:  16,
-		Spec:    speccross.Config{SpecDistance: safeDist},
-	})
-	if got := k.Checksum(); got != want {
-		t.Fatalf("combined checksum %x != sequential %x", got, want)
-	}
-	if stats.Windows != testEpochs/16 {
-		t.Fatalf("Windows = %d, want %d", stats.Windows, testEpochs/16)
-	}
-}
-
 // mismatched reports a different epoch count on the speccross view.
 type mismatched struct{ *epochal.Kernel }
 
@@ -275,7 +257,7 @@ func TestViewMismatchPanics(t *testing.T) {
 		}
 	}()
 	k := buildKernel(false)
-	adaptive.Run(adaptive.Combine(k, mismatched{k}), adaptive.Config{Workers: 2})
+	adaptive.Run(mismatched{k}, adaptive.Config{Workers: 2})
 }
 
 // TestAdaptiveRecoversFromRealMisspeculation runs the close-conflict

@@ -21,7 +21,7 @@ const (
 	// EngineDomoreSharded is never chosen, run or reported. It stays
 	// declared because the repository benchmark, which no change may edit,
 	// indexes per-engine counts with it; the crossinvvet frozen-surface rule
-	// rejects any other use. ParseEngine reads its old name as EngineDomore.
+	// rejects any other use.
 	EngineDomoreSharded
 	// NumEngines is the number of selectable engines.
 	NumEngines
@@ -75,12 +75,25 @@ type Sample struct {
 }
 
 // Policy picks the engine for the next window given the sample of the
-// last one. Implementations may be stateful (hysteresis, bandit
-// estimators); the controller calls Decide exactly once per window, in
-// window order, from a single goroutine.
+// last one, and states its ground: the reason is what the window's
+// Decision journals. Implementations may be stateful; the controller calls
+// Decide exactly once per window, in window order, from a single goroutine.
 type Policy interface {
-	Decide(s Sample) Engine
+	Decide(s Sample) (next Engine, reason string)
 }
+
+// The default policy's bounds.
+const (
+	// specEnter is the manifest rate at or below which a DOMORE window
+	// hands off to SPECCROSS.
+	specEnter = 0.05
+	// pressureMax is the checker comparisons per task above which a
+	// SPECCROSS window falls back to DOMORE.
+	pressureMax float64 = 8
+	// backoff is how many DOMORE windows the policy holds after a fallback
+	// before a low manifest rate counts again.
+	backoff = 4
+)
 
 // ThresholdPolicy is the default controller policy: a hysteresis
 // threshold scheme around the paper's crossover finding (§5, Fig 5.4 —
@@ -88,124 +101,67 @@ type Policy interface {
 // SPECCROSS when they are rare, and §4.4's profitability threshold says
 // speculation should not be attempted when conflicts sit too close).
 //
-// From DOMORE it hands off to SPECCROSS after Patience consecutive
-// windows whose manifest rate is at or below SpecEnter. From SPECCROSS it
-// falls back to DOMORE as soon as a window misspeculates or checker
-// pressure exceeds PressureMax, then holds DOMORE for Backoff windows
-// before trusting a low manifest rate again (misspeculation is paid in
-// rollback plus barrier re-execution, so flapping is the worst case).
-// Barrier windows carry no signal; the policy immediately probes with
-// DOMORE, whose monitors see every manifested dependence.
+// From DOMORE it hands off to SPECCROSS after a window whose manifest rate
+// is at or below specEnter. From SPECCROSS it falls back to DOMORE as soon
+// as a window misspeculates or checker pressure exceeds pressureMax, then
+// holds DOMORE for backoff windows before trusting a low manifest rate
+// again (misspeculation is paid in rollback plus barrier re-execution, so
+// flapping is the worst case). Barrier windows carry no signal; the policy
+// immediately probes with DOMORE, whose monitors see every manifested
+// dependence. The zero value is ready to use.
 type ThresholdPolicy struct {
-	// SpecEnter is the manifest-rate bound at or below which a DOMORE
-	// window counts toward switching to SPECCROSS (default 0.05).
-	SpecEnter float64
-	// PressureMax is the checker-comparisons-per-task bound above which a
-	// SPECCROSS window triggers fallback to DOMORE (default 8).
-	PressureMax float64
-	// Patience is how many consecutive qualifying DOMORE windows are
-	// required before entering SPECCROSS (default 1).
-	Patience int
-	// Backoff is how many DOMORE windows to hold after a misspeculation
-	// before low manifest rates count again (default 4).
-	Backoff int
-	// PrefilterMax, when positive, is the union pre-filter hit-rate bound
-	// above which a SPECCROSS window triggers fallback even before the
-	// precise comparisons pile up (the cheap checker-pressure signal).
-	// Zero disables the check, which is the default: the bound is
-	// workload-dependent, so callers opt in.
-	PrefilterMax float64
-
-	low        int    // consecutive DOMORE windows at/below SpecEnter
-	hold       int    // remaining post-misspeculation hold windows
-	lastReason string // ground for the last Decide answer, for Explain
-}
-
-// NewThreshold returns a ThresholdPolicy with the default constants.
-func NewThreshold() *ThresholdPolicy {
-	return &ThresholdPolicy{SpecEnter: 0.05, PressureMax: 8, Patience: 1, Backoff: 4}
-}
-
-func (p *ThresholdPolicy) fill() {
-	if p.SpecEnter == 0 {
-		p.SpecEnter = 0.05
-	}
-	if p.PressureMax == 0 {
-		p.PressureMax = 8
-	}
-	if p.Patience <= 0 {
-		p.Patience = 1
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = 4
-	}
+	hold int // remaining post-misspeculation hold windows
 }
 
 // Decide implements Policy.
-func (p *ThresholdPolicy) Decide(s Sample) Engine {
-	p.fill()
+func (p *ThresholdPolicy) Decide(s Sample) (Engine, string) {
 	switch s.Engine {
 	case EngineBarrier:
 		// The barrier baseline observes nothing; probe with DOMORE, whose
 		// scheduler measures the manifest rate directly.
-		p.lastReason = "barrier window carries no dependence signal; probing with domore"
-		return EngineDomore
+		return EngineDomore, "barrier window carries no dependence signal; probing with domore"
 	case EngineDomore:
 		if p.hold > 0 {
 			p.hold--
-			p.low = 0
-			p.lastReason = fmt.Sprintf("post-misspeculation backoff, holding %v (%d windows left)", s.Engine, p.hold)
-			return s.Engine
+			return s.Engine, fmt.Sprintf("post-misspeculation backoff, holding %v (%d windows left)", s.Engine, p.hold)
 		}
-		if s.ManifestRate <= p.SpecEnter {
-			p.low++
-		} else {
-			p.low = 0
+		if s.ManifestRate <= specEnter {
+			return EngineSpecCross, fmt.Sprintf("manifest rate %.3f at/below spec-enter %.3f for 1 window(s); entering speculation",
+				s.ManifestRate, specEnter)
 		}
-		if p.low >= p.Patience {
-			p.low = 0
-			p.lastReason = fmt.Sprintf("manifest rate %.3f at/below spec-enter %.3f for %d window(s); entering speculation",
-				s.ManifestRate, p.SpecEnter, p.Patience)
-			return EngineSpecCross
-		}
-		if s.ManifestRate <= p.SpecEnter {
-			p.lastReason = fmt.Sprintf("manifest rate %.3f qualifies but patience %d/%d not met", s.ManifestRate, p.low, p.Patience)
-		} else {
-			p.lastReason = fmt.Sprintf("manifest rate %.3f above spec-enter %.3f; dependences manifest, staying in %v",
-				s.ManifestRate, p.SpecEnter, s.Engine)
-		}
-		return s.Engine
+		return s.Engine, fmt.Sprintf("manifest rate %.3f above spec-enter %.3f; dependences manifest, staying in %v",
+			s.ManifestRate, specEnter, s.Engine)
 	case EngineSpecCross:
+		var reason string
 		switch {
 		case s.Misspeculated:
-			p.lastReason = fmt.Sprintf("window misspeculated; falling back to domore for %d windows", p.Backoff)
-		case s.CheckerPressure > p.PressureMax:
-			p.lastReason = fmt.Sprintf("checker pressure %.2f above %.2f; falling back to domore", s.CheckerPressure, p.PressureMax)
-		case p.PrefilterMax > 0 && s.PrefilterHitRate > p.PrefilterMax:
-			p.lastReason = fmt.Sprintf("pre-filter hit rate %.2f above %.2f; falling back to domore", s.PrefilterHitRate, p.PrefilterMax)
+			reason = fmt.Sprintf("window misspeculated; falling back to domore for %d windows", backoff)
+		case s.CheckerPressure > pressureMax:
+			reason = fmt.Sprintf("checker pressure %.2f above %.2f; falling back to domore", s.CheckerPressure, pressureMax)
 		default:
-			p.lastReason = fmt.Sprintf("speculation healthy (pressure %.2f, pre-filter hit rate %.2f); staying in speccross",
+			return EngineSpecCross, fmt.Sprintf("speculation healthy (pressure %.2f, pre-filter hit rate %.2f); staying in speccross",
 				s.CheckerPressure, s.PrefilterHitRate)
-			return EngineSpecCross
 		}
-		p.hold = p.Backoff
-		p.low = 0
-		return EngineDomore
+		p.hold = backoff
+		return EngineDomore, reason
 	}
-	p.lastReason = fmt.Sprintf("unknown engine %v; keeping it", s.Engine)
-	return s.Engine
-}
-
-// Explain implements Explainer: the reason for the last Decide answer
-// plus the hysteresis counters backing it.
-func (p *ThresholdPolicy) Explain() PolicyState {
-	return PolicyState{Reason: p.lastReason, Low: p.low, Hold: p.hold}
+	return s.Engine, fmt.Sprintf("unknown engine %v; keeping it", s.Engine)
 }
 
 // Fixed is a degenerate policy that always answers the same engine — the
 // static strategies the adaptive controller is compared against (and a
-// way to run any single engine through the windowed execution path).
+// way to run any single engine through the windowed execution path). It
+// must name an engine below NumEngines.
 type Fixed Engine
 
+// pinned holds Fixed's reasons, built once so a pinned window allocates
+// nothing.
+var pinned = func() (r [NumEngines]string) {
+	for e := range r {
+		r[e] = "policy pinned to " + Engine(e).String()
+	}
+	return r
+}()
+
 // Decide implements Policy.
-func (f Fixed) Decide(Sample) Engine { return Engine(f) }
+func (f Fixed) Decide(Sample) (Engine, string) { return Engine(f), pinned[f] }

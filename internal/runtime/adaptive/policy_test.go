@@ -1,6 +1,11 @@
 package adaptive_test
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"crossinv/internal/runtime/adaptive"
@@ -31,67 +36,46 @@ func TestEngineString(t *testing.T) {
 }
 
 func TestThresholdBarrierProbes(t *testing.T) {
-	p := adaptive.NewThreshold()
-	if got := p.Decide(adaptive.Sample{Engine: adaptive.EngineBarrier}); got != adaptive.EngineDomore {
+	p := &adaptive.ThresholdPolicy{}
+	if got, _ := p.Decide(adaptive.Sample{Engine: adaptive.EngineBarrier}); got != adaptive.EngineDomore {
 		t.Fatalf("after a blind barrier window got %v, want the domore probe", got)
 	}
 }
 
 func TestThresholdEnterSpeculation(t *testing.T) {
-	p := adaptive.NewThreshold()
-	p.Patience = 2
-	if got := p.Decide(domoreSample(0.7)); got != adaptive.EngineDomore {
+	p := &adaptive.ThresholdPolicy{}
+	if got, _ := p.Decide(domoreSample(0.7)); got != adaptive.EngineDomore {
 		t.Fatalf("high manifest rate switched to %v", got)
 	}
-	if got := p.Decide(domoreSample(0.01)); got != adaptive.EngineDomore {
-		t.Fatalf("one low window must not satisfy Patience=2, got %v", got)
-	}
-	// A high-rate window in between resets the consecutive-window count.
-	if got := p.Decide(domoreSample(0.9)); got != adaptive.EngineDomore {
-		t.Fatalf("rate spike switched to %v", got)
-	}
-	p.Decide(domoreSample(0.0))
-	if got := p.Decide(domoreSample(0.02)); got != adaptive.EngineSpecCross {
-		t.Fatalf("two consecutive low windows got %v, want speccross", got)
+	if got, _ := p.Decide(domoreSample(0.02)); got != adaptive.EngineSpecCross {
+		t.Fatalf("low manifest rate got %v, want speccross", got)
 	}
 }
 
 func TestThresholdMisspeculationBackoff(t *testing.T) {
-	p := adaptive.NewThreshold()
-	p.Backoff = 2
-	if got := p.Decide(specSample(true, 0)); got != adaptive.EngineDomore {
+	p := &adaptive.ThresholdPolicy{}
+	if got, _ := p.Decide(specSample(true, 0)); got != adaptive.EngineDomore {
 		t.Fatalf("misspeculation got %v, want fallback to domore", got)
 	}
 	// During the hold, even rate zero must not re-enter speculation.
-	for i := 0; i < 2; i++ {
-		if got := p.Decide(domoreSample(0)); got != adaptive.EngineDomore {
+	for i := 0; i < 4; i++ {
+		if got, _ := p.Decide(domoreSample(0)); got != adaptive.EngineDomore {
 			t.Fatalf("hold window %d got %v, want domore", i, got)
 		}
 	}
 	// Hold expired: a low window counts again.
-	if got := p.Decide(domoreSample(0)); got != adaptive.EngineSpecCross {
+	if got, _ := p.Decide(domoreSample(0)); got != adaptive.EngineSpecCross {
 		t.Fatalf("post-hold low window got %v, want speccross", got)
 	}
 }
 
 func TestThresholdCheckerPressure(t *testing.T) {
-	p := adaptive.NewThreshold()
-	if got := p.Decide(specSample(false, 3)); got != adaptive.EngineSpecCross {
+	p := &adaptive.ThresholdPolicy{}
+	if got, _ := p.Decide(specSample(false, 3)); got != adaptive.EngineSpecCross {
 		t.Fatalf("moderate pressure got %v, want to stay speculative", got)
 	}
-	if got := p.Decide(specSample(false, 50)); got != adaptive.EngineDomore {
+	if got, _ := p.Decide(specSample(false, 50)); got != adaptive.EngineDomore {
 		t.Fatalf("checker overload got %v, want fallback to domore", got)
-	}
-}
-
-func TestThresholdZeroValueUsesDefaults(t *testing.T) {
-	// A zero ThresholdPolicy must behave like NewThreshold (fill on Decide).
-	var p adaptive.ThresholdPolicy
-	if got := p.Decide(domoreSample(0.04)); got != adaptive.EngineSpecCross {
-		t.Fatalf("zero-value policy: low window got %v, want speccross with default Patience=1", got)
-	}
-	if got := p.Decide(specSample(false, 0.5)); got != adaptive.EngineSpecCross {
-		t.Fatalf("zero-value policy: clean spec window got %v", got)
 	}
 }
 
@@ -99,9 +83,73 @@ func TestFixedPolicy(t *testing.T) {
 	for eng := adaptive.Engine(0); eng < adaptive.NumEngines; eng++ {
 		p := adaptive.Fixed(eng)
 		for _, s := range []adaptive.Sample{domoreSample(0.9), domoreSample(0), specSample(true, 99), {Engine: adaptive.EngineBarrier}} {
-			if got := p.Decide(s); got != eng {
+			if got, _ := p.Decide(s); got != eng {
 				t.Fatalf("Fixed(%v).Decide = %v", eng, got)
 			}
 		}
+	}
+}
+
+var updateTrace = flag.Bool("update", false, "rewrite testdata/decisions.golden")
+
+// decisionScript is a scripted window sequence that reaches every branch of
+// the default policy: the barrier probe, DOMORE above and at the
+// speculation bound, the post-misspeculation hold countdown, and SPECCROSS
+// misspeculated, over the pressure bound, and healthy.
+var decisionScript = []adaptive.Sample{
+	{Engine: adaptive.EngineBarrier, Tasks: 100},
+	domoreSample(0.7),
+	domoreSample(0.05),
+	{Engine: adaptive.EngineSpecCross, Tasks: 100, CheckerPressure: 3, PrefilterHitRate: 0.2},
+	{Engine: adaptive.EngineSpecCross, Tasks: 100, CheckerPressure: 8, PrefilterHitRate: 0.95},
+	specSample(false, 50),
+	domoreSample(0),
+	domoreSample(0.9),
+	domoreSample(0),
+	domoreSample(0),
+	domoreSample(0.051),
+	domoreSample(0.01),
+	specSample(true, 50),
+	domoreSample(0),
+	domoreSample(0),
+	domoreSample(0),
+	domoreSample(0),
+	domoreSample(0.049),
+	specSample(true, 0),
+	{Engine: adaptive.Engine(9), Tasks: 100},
+	{Engine: adaptive.EngineBarrier, Tasks: 100},
+}
+
+// TestDecisionTraceGolden pins every (next engine, reason) pair the default
+// policy and the pinned policies answer over decisionScript, byte for byte:
+// the daemon journals these reasons, so a change to the rule shows here.
+func TestDecisionTraceGolden(t *testing.T) {
+	var b strings.Builder
+	record := func(name string, p adaptive.Policy) {
+		for i, s := range decisionScript {
+			next, reason := p.Decide(s)
+			fmt.Fprintf(&b, "%s\t%d\t%v rate=%.3f misspec=%v pressure=%.2f prefilter=%.2f\t%v\t%s\n",
+				name, i, s.Engine, s.ManifestRate, s.Misspeculated, s.CheckerPressure, s.PrefilterHitRate, next, reason)
+		}
+	}
+	record("threshold", &adaptive.ThresholdPolicy{})
+	for _, e := range []adaptive.Engine{adaptive.EngineDomore, adaptive.EngineSpecCross, adaptive.EngineBarrier} {
+		record("fixed-"+e.String(), adaptive.Fixed(e))
+	}
+	path := filepath.Join("testdata", "decisions.golden")
+	if *updateTrace {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("decision trace differs from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }

@@ -145,7 +145,6 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 	pin := func(e adaptive.Engine) adaptive.Config {
 		return adaptive.Config{Workers: nw, Window: 4, Policy: adaptive.Fixed(e), Start: e}
 	}
-	legacy, _ := adaptive.ParseEngine("domore-sharded") // the old name pins DOMORE
 	runRec, shardedRec, probeRec, specRec := trace.NewRecorder(), trace.NewRecorder(), trace.NewRecorder(), trace.NewRecorder()
 	cases := []struct {
 		name   string
@@ -187,7 +186,7 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 		{name: "speccross.RunBarriers", run: func(c *cells) { speccross.RunBarriers(c, nw) }},
 		{name: "adaptive.Run domore", run: func(c *cells) { adaptive.Run(c, pin(adaptive.EngineDomore)) }},
 		{name: "adaptive.Run speccross", run: func(c *cells) { adaptive.Run(c, pin(adaptive.EngineSpecCross)) }},
-		{name: "adaptive.Run domore-sharded", run: func(c *cells) { adaptive.Run(c, pin(legacy)) }},
+		{name: "adaptive.Run domore-sharded", run: func(c *cells) { adaptive.Run(c, pin(adaptive.EngineDomore)) }},
 		{name: "domore.Run worker panic", panics: true,
 			fault: func(e, task int, _ *signature.Signature) {
 				if e == 3 && task == 1 {
@@ -323,11 +322,11 @@ func TestWindowsShareOneSetOfThreads(t *testing.T) {
 // alternate switches between DOMORE and SPECCROSS at every boundary.
 type alternate struct{}
 
-func (alternate) Decide(s adaptive.Sample) adaptive.Engine {
+func (alternate) Decide(s adaptive.Sample) (adaptive.Engine, string) {
 	if s.Engine == adaptive.EngineDomore {
-		return adaptive.EngineSpecCross
+		return adaptive.EngineSpecCross, "alternate"
 	}
-	return adaptive.EngineDomore
+	return adaptive.EngineDomore, "alternate"
 }
 
 // TestWindowsAllocateNothingOfTheirOwn is the per-window allocation gate: a

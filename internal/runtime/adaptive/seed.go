@@ -2,51 +2,12 @@ package adaptive
 
 import "crossinv/internal/runtime/speccross"
 
-// NoConflictDistance re-exports speccross.NoConflict for seed callers
-// that carry profile distances without importing the engine.
-const NoConflictDistance = speccross.NoConflict
-
 // This file is the static–dynamic synergy seam (ROADMAP item 5, "The
 // Potential of Synergistic Static, Dynamic and Speculative Loop Nest
 // Optimizations"): instead of starting every adaptive execution cold with
-// the default probe engine, a caller holding profile history — typically
-// the crossinvd plan cache — primes the policy state before the first
-// window runs.
+// the default probe engine, a caller holding static facts or a §4.4
+// profile primes the policy state before the first window runs.
 
-// ParseEngine maps an engine's display name back to its identifier — the
-// inverse of Engine.String, used to revive cached seeds. "domore-sharded",
-// the name of a DOMORE scheduler since folded into DOMORE's, still reads as
-// EngineDomore, so seeds cached under it stay valid.
-func ParseEngine(name string) (Engine, bool) {
-	switch name {
-	case "domore", "domore-sharded":
-		return EngineDomore, true
-	case "speccross":
-		return EngineSpecCross, true
-	case "barrier":
-		return EngineBarrier, true
-	}
-	return 0, false
-}
-
-// SeedFromProfile primes the config from a §4.4 conflict profile
-// (minDistance as speccross.ProfileResult.MinDistance reports it,
-// NoConflict meaning none observed):
-//
-//   - profitable speculation (distance ≥ workers, the paper's threshold):
-//     start directly in SPECCROSS with the profiled distance installed as
-//     the speculative-range bound — skipping the cold DOMORE probe window
-//     the default Start would spend rediscovering what the profile knows;
-//   - unprofitable speculation: the paper's rule is "speculation will not
-//     be done", so the policy is pinned to DOMORE. The default
-//     ThresholdPolicy only ever moves between DOMORE and SPECCROSS, so
-//     pinning is exactly threshold-minus-speculation — and it keeps
-//     profile-gated runs deterministic under the race detector (entering
-//     SPECCROSS below the profiled distance races by design).
-//
-// Callers that also cached a preferred start engine or window (plan-cache
-// adaptive seeds) should set Start/Window before calling; SeedFromProfile
-// only overrides Start when the profile demands it.
 // SeedFromFacts primes the config from a static cross-invocation verdict
 // (an internal/analysis/xdep class name), so the first window already runs
 // the engine the dependence structure calls for instead of probing:
@@ -87,21 +48,36 @@ func (c *Config) SeedFromFacts(class string, minDistance int64) bool {
 	return true
 }
 
+// SeedFromProfile primes the config from a §4.4 conflict profile
+// (minDistance as speccross.ProfileResult.MinDistance reports it,
+// speccross.NoConflict meaning none observed), deciding through
+// speccross.ProfileResult.Recommended:
+//
+//   - profitable speculation: start directly in SPECCROSS with the
+//     recommended speculative-range bound installed — skipping the cold
+//     DOMORE probe window the default Start would spend rediscovering what
+//     the profile knows;
+//   - unprofitable speculation: the paper's rule is "speculation will not
+//     be done", so the policy is pinned to DOMORE. The default
+//     ThresholdPolicy only ever moves between DOMORE and SPECCROSS, so
+//     pinning is exactly threshold-minus-speculation — and it keeps
+//     profile-gated runs deterministic under the race detector (entering
+//     SPECCROSS below the profiled distance races by design).
+//
+// A workers count below 1 is read as 1.
 func (c *Config) SeedFromProfile(minDistance int64, workers int) {
 	if workers <= 0 {
 		workers = 1
 	}
-	if minDistance != NoConflictDistance && minDistance < int64(workers) {
+	prof := speccross.ProfileResult{MinDistance: minDistance}
+	dist, profitable := prof.Recommended(workers)
+	if !profitable {
 		c.Start = EngineDomore
 		c.Policy = Fixed(EngineDomore)
 		c.SeedSource = "profile:unprofitable"
 		return
 	}
 	c.Start = EngineSpecCross
-	if minDistance != NoConflictDistance {
-		c.Spec.SpecDistance = minDistance
-	} else {
-		c.Spec.SpecDistance = 0
-	}
+	c.Spec.SpecDistance = dist
 	c.SeedSource = "profile:speculate"
 }

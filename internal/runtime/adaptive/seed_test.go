@@ -5,23 +5,9 @@ import (
 	"testing"
 
 	"crossinv/internal/runtime/adaptive"
+	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/workloads/epochal"
 )
-
-func TestParseEngine(t *testing.T) {
-	for _, e := range []adaptive.Engine{adaptive.EngineDomore, adaptive.EngineSpecCross, adaptive.EngineBarrier} {
-		got, ok := adaptive.ParseEngine(e.String())
-		if !ok || got != e {
-			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, ok)
-		}
-	}
-	if got, ok := adaptive.ParseEngine("domore-sharded"); !ok || got != adaptive.EngineDomore {
-		t.Errorf("ParseEngine(\"domore-sharded\") = %v, %v; want the domore alias", got, ok)
-	}
-	if _, ok := adaptive.ParseEngine("warp-drive"); ok {
-		t.Error("ParseEngine accepted an unknown name")
-	}
-}
 
 func TestSeedFromProfile(t *testing.T) {
 	// Profitable: distance at/above the worker count starts SPECCROSS
@@ -37,7 +23,7 @@ func TestSeedFromProfile(t *testing.T) {
 
 	// No observed conflict: unbounded speculation.
 	cfg = adaptive.Config{}
-	cfg.SeedFromProfile(adaptive.NoConflictDistance, 4)
+	cfg.SeedFromProfile(speccross.NoConflict, 4)
 	if cfg.Start != adaptive.EngineSpecCross || cfg.Spec.SpecDistance != 0 {
 		t.Errorf("no-conflict seed: start %v distance %d, want speccross/0", cfg.Start, cfg.Spec.SpecDistance)
 	}

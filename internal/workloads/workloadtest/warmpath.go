@@ -96,7 +96,6 @@ func CachedPlanMatchesCold(t *testing.T, store *plancache.Store, name string) {
 		SeqChecksum: want,
 		Regions:     1,
 		Profile:     cacheProfile(&pr),
-		Adaptive:    &plancache.AdaptiveSeed{Start: engine, Window: 32},
 		Engine:      engine,
 		LintClean:   true,
 	}); err != nil {
@@ -165,9 +164,6 @@ func CachedPlanMatchesCold(t *testing.T, store *plancache.Store, name string) {
 		t.Run("adaptive", func(t *testing.T) {
 			inst := Make(e)
 			cfg := adaptive.Config{Workers: 4}
-			if plan.Adaptive != nil && plan.Adaptive.Window > 0 {
-				cfg.Window = plan.Adaptive.Window
-			}
 			cfg.Spec.SigKind = kind
 			// The daemon's warm path: policy state seeded from the cached
 			// distance instead of a fresh profiling pass.

@@ -99,7 +99,9 @@ func fetchDecisions(client *http.Client, base, invocation string) ([]obs.Decisio
 
 // renderDecisions formats the decision audit: a header naming the engine
 // runtime the run was given, then one window per line — the sampled signals
-// the policy saw, what it chose, and why.
+// the policy saw, what it chose, and why. A window that ran wholly inline
+// reads "inline" where the others read stay or switch, and a window that
+// ran part of its tasks inline names how many.
 func renderDecisions(entries []obs.DecisionEntry) string {
 	if len(entries) == 0 {
 		return "  (no adaptive decisions recorded)\n"
@@ -114,13 +116,19 @@ func renderDecisions(entries []obs.DecisionEntry) string {
 	}
 	fmt.Fprintf(&b, "  runtime: %s, %d threads, %d checker shards\n", origin, last.RuntimeThreads, last.CheckerShards)
 	for _, e := range entries {
-		verb := "stay"
-		if e.Switched {
+		verb, tasks := "stay", fmt.Sprint(e.Tasks)
+		switch {
+		case e.Inline > 0 && e.Inline == e.Tasks:
+			verb = "inline"
+		case e.Switched:
 			verb = "switch"
 		}
-		fmt.Fprintf(&b, "  window %2d [%d,%d) %-9s %s→ %-9s  tasks %-5d misspec %-5v pressure %-6.2f prefilter %-5.2f  %s\n",
+		if e.Inline > 0 && e.Inline < e.Tasks {
+			tasks = fmt.Sprintf("%d (%d inline)", e.Tasks, e.Inline)
+		}
+		fmt.Fprintf(&b, "  window %2d [%d,%d) %-9s %s→ %-9s  tasks %-5s misspec %-5v pressure %-6.2f prefilter %-5.2f  %s\n",
 			e.Window, e.StartEpoch, e.EndEpoch, e.Engine, verb, e.Next,
-			e.Tasks, e.Misspeculated, e.CheckerPressure, e.PrefilterHitRate, e.Reason)
+			tasks, e.Misspeculated, e.CheckerPressure, e.PrefilterHitRate, e.Reason)
 	}
 	if src := entries[0].SeedSource; src != "" {
 		fmt.Fprintf(&b, "  seed: %s\n", src)

@@ -24,8 +24,12 @@ import (
 // (speccross.RunParallel) and speccross-guarded is speccross.Run, whose
 // guard runs epochs inline first and may speculate from where its probe
 // stopped and hand the rest back after a segment: every epoch must be
-// committed, re-executed or run inline.
-var Engines = []string{"barrier", "domore", "domore-round-robin", "domore-guarded", "speccross", "speccross-guarded", "adaptive"}
+// committed, re-executed or run inline. adaptive is the adaptive
+// controller's windowed execution with every window posted
+// (adaptive.RunParallel), and adaptive-guarded is adaptive.Run, whose price
+// test may run a window inline instead: every task must run once, in an
+// inline window or a posted one.
+var Engines = []string{"barrier", "domore", "domore-round-robin", "domore-guarded", "speccross", "speccross-guarded", "adaptive", "adaptive-guarded"}
 
 // Options configures a differential run of one case.
 type Options struct {
@@ -208,12 +212,17 @@ func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Fai
 		} else {
 			detail = guardedSpecInvariants(speccross.Run(w, cfg), spec, rec)
 		}
-	case "adaptive":
+	case "adaptive", "adaptive-guarded":
 		cfg := adaptive.Config{Workers: opts.Workers, Window: opts.Window, Trace: rec}
 		cfg.Spec.SigKind = spec.Kind()
 		cfg.Spec = opts.Faults.Spec(cfg.Spec)
 		cfg.Domore = opts.Faults.Domore(cfg.Domore)
-		st := adaptive.Run(w, cfg)
+		var st adaptive.Stats
+		if engine == "adaptive" {
+			st = adaptive.RunParallel(w, cfg)
+		} else {
+			st = adaptive.Run(w, cfg)
+		}
 		detail = adaptiveInvariants(st, spec, opts.Window, rec)
 	default:
 		panic("chaos: unknown engine " + engine)
@@ -402,10 +411,32 @@ func guardedSpecInvariants(st speccross.Stats, spec *Spec, rec *trace.Recorder) 
 	return ""
 }
 
+// adaptiveInvariants checks an adaptive run, guarded or not: one window per
+// Window epochs, each counted for its engine; the windows ran every task
+// once, inline or posted; DOMORE's Stats count exactly its windows' inline
+// iterations; and on a traced run the trace agrees, with one KindInline
+// event naming each window's inline tasks.
 func adaptiveInvariants(st adaptive.Stats, spec *Spec, window int, rec *trace.Recorder) string {
 	wantWindows := (spec.NumEpochs() + window - 1) / window
 	if st.Windows != wantWindows {
 		return fmt.Sprintf("adaptive ran %d windows, want %d", st.Windows, wantWindows)
+	}
+	var tasks, inline, domoreInline, inlineWindows int64
+	for _, s := range st.Samples {
+		tasks += s.Tasks
+		inline += s.Inline
+		if s.Inline > 0 {
+			inlineWindows++
+		}
+		if s.Engine == adaptive.EngineDomore {
+			domoreInline += s.Inline
+		}
+	}
+	if tasks != spec.TotalTasks() {
+		return fmt.Sprintf("adaptive windows ran %d tasks, %d of them inline; workload has %d", tasks, inline, spec.TotalTasks())
+	}
+	if st.Domore.Inline != domoreInline {
+		return fmt.Sprintf("adaptive DOMORE Stats count %d inline iterations, its windows %d", st.Domore.Inline, domoreInline)
 	}
 	var engineWindows int
 	for _, n := range st.EngineWindows {
@@ -430,6 +461,10 @@ func adaptiveInvariants(st adaptive.Stats, spec *Spec, window int, rec *trace.Re
 	if sum.Counts[trace.KindEngineSwitch] != int64(st.Switches) {
 		return fmt.Sprintf("adaptive trace-derived switches %d != engine Stats %d",
 			sum.Counts[trace.KindEngineSwitch], st.Switches)
+	}
+	if sum.Counts[trace.KindInline] != inlineWindows || sum.Sums[trace.KindInline] != inline {
+		return fmt.Sprintf("adaptive emitted %d inline events naming %d tasks; %d windows ran %d tasks inline",
+			sum.Counts[trace.KindInline], sum.Sums[trace.KindInline], inlineWindows, inline)
 	}
 	return ""
 }

@@ -150,7 +150,7 @@ func (d *dirtyRun) domore(w domore.Workload, o domore.Options) (st domore.Stats)
 
 func (d *dirtyRun) adaptive(w adaptive.Workload, cfg adaptive.Config) (st adaptive.Stats) {
 	if !d.on(func(rt *engine.Runtime) { st = adaptive.RunOn(rt, w, cfg) }) {
-		st = adaptive.Run(w, cfg)
+		st = adaptive.RunParallel(w, cfg)
 	}
 	return st
 }
@@ -312,14 +312,17 @@ func (d *dirtyRun) runClean(eng string) string {
 		if st.Checkpoints != segments {
 			return fmt.Sprintf("speccross took %d checkpoints over %d segments", st.Checkpoints, segments)
 		}
-	case "adaptive":
+	case "adaptive", "adaptive-guarded":
 		cfg := adaptive.Config{Workers: d.opts.Workers, Window: d.opts.Window, Trace: d.rec}
 		cfg.Spec.SigKind = d.spec.Kind()
 		cfg.Domore = d.opts.Faults.Domore(cfg.Domore)
-		st := d.adaptive(d.k, cfg)
-		if detail := adaptiveInvariants(st, d.spec, d.opts.Window, d.rec); detail != "" {
-			return detail
+		var st adaptive.Stats
+		if eng == "adaptive" {
+			st = d.adaptive(d.k, cfg)
+		} else {
+			st = adaptive.Run(d.k, cfg)
 		}
+		return adaptiveInvariants(st, d.spec, d.opts.Window, d.rec)
 	default:
 		panic("chaos: unknown engine " + eng)
 	}

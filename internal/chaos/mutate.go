@@ -91,11 +91,17 @@ const (
 	// is the workload's ResumeSkipEpoch method; only the guarded arm of a
 	// case longer than the probe can catch it.
 	MutResumeSkipEpoch Mutation = "resume-skip-epoch"
+	// MutInlineWindowSkipEpoch models an adaptive guard that loses its
+	// place: every window it runs inline starts one epoch late, so that
+	// epoch never runs. The controller's seam for it is the workload's
+	// InlineWindowSkipEpoch method; only the adaptive-guarded arm, whose
+	// first window always begins inline, can catch it.
+	MutInlineWindowSkipEpoch Mutation = "inline-window-skip-epoch"
 )
 
 // Mutations lists the non-empty mutation kinds.
 func Mutations() []Mutation {
-	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleRuntime, MutReleaseKeepsVersion, MutElideCrossCond, MutRunPastCond, MutResumeOffByOne, MutResumeSkipEpoch}
+	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleRuntime, MutReleaseKeepsVersion, MutElideCrossCond, MutRunPastCond, MutResumeOffByOne, MutResumeSkipEpoch, MutInlineWindowSkipEpoch}
 }
 
 // ParseMutation validates a -mutate flag value.
@@ -273,8 +279,10 @@ func mustValid(s *Spec) *Spec {
 // use of a shared runtime and the pool's release of one (dirtyRun.reset,
 // dirtyRun.on). The wrappers of MutElideCrossCond, MutRunPastCond and
 // MutResumeOffByOne change nothing but ask the DOMORE engine to break itself
-// (ElideCrossConds, RunPastConds, ResumeOffByOne), and MutResumeSkipEpoch's
-// asks the SPECCROSS engine (ResumeSkipEpoch).
+// (ElideCrossConds, RunPastConds, ResumeOffByOne), MutResumeSkipEpoch's
+// asks the SPECCROSS engine (ResumeSkipEpoch), and
+// MutInlineWindowSkipEpoch's asks the adaptive controller
+// (InlineWindowSkipEpoch).
 func (m Mutation) Wrap(k *epochal.Kernel) adaptive.Workload {
 	if m == MutNone || m == MutWidenStatic || m == MutStaleRuntime || m == MutReleaseKeepsVersion {
 		return k
@@ -306,6 +314,10 @@ func (w *mutated) ResumeOffByOne() bool { return w.m == MutResumeOffByOne }
 
 // ResumeSkipEpoch is the SPECCROSS engine's seam for MutResumeSkipEpoch.
 func (w *mutated) ResumeSkipEpoch() bool { return w.m == MutResumeSkipEpoch }
+
+// InlineWindowSkipEpoch is the adaptive controller's seam for
+// MutInlineWindowSkipEpoch.
+func (w *mutated) InlineWindowSkipEpoch() bool { return w.m == MutInlineWindowSkipEpoch }
 
 // The delta view forwards to the kernel, so the incremental-checkpoint
 // path stays engaged under mutation — skip-delta-restore breaks exactly

@@ -86,7 +86,9 @@ func checkGuardedSpec(t *testing.T, what string, s speccross.Stats, epochs int64
 
 // det extracts r's deterministic Stats. Adaptive runs keep only their
 // window count unless pinned is set: an unpinned controller reads checker
-// pressure, which is timing.
+// pressure, which is timing. A pinned one keeps its engine's windows and
+// only the totals of its engine Stats, since adaptive.Run's guard decides by
+// measurement which windows run inline.
 func det(r Result, pinned bool) detStats {
 	d := detStats{Engine: r.Engine}
 	switch {
@@ -101,8 +103,8 @@ func det(r Result, pinned bool) detStats {
 		if pinned {
 			d.Switches = r.Adaptive.Stats.Switches
 			d.EngineWindows = r.Adaptive.Stats.EngineWindows
-			d.Domore = detDomore(r.Adaptive.Stats.Domore)
-			d.Spec = detSpec(r.Adaptive.Stats.Spec)
+			d.Domore = detGuarded(r.Adaptive.Stats.Domore)
+			d.Spec = detGuardedSpec(r.Adaptive.Stats.Spec)
 		}
 	}
 	return d

@@ -10,7 +10,7 @@ import (
 )
 
 // DecisionsSchema versions the /debug/decisions document.
-const DecisionsSchema = "crossinv-decisions/v2"
+const DecisionsSchema = "crossinv-decisions/v3"
 
 // DecisionEntry is one journaled adaptive-controller decision: the
 // daemon converts each adaptive.Decision into this flat JSON form,
@@ -28,6 +28,7 @@ type DecisionEntry struct {
 	Switched   bool   `json:"switched"`
 
 	Tasks            int64   `json:"tasks"`
+	Inline           int64   `json:"inline"`
 	ManifestRate     float64 `json:"manifest_rate"`
 	Misspeculated    bool    `json:"misspeculated"`
 	CheckerPressure  float64 `json:"checker_pressure"`
@@ -35,6 +36,9 @@ type DecisionEntry struct {
 
 	WindowNs   int64 `json:"window_ns"`
 	BoundaryNs int64 `json:"boundary_ns"`
+
+	InlineNs float64 `json:"inline_ns"`
+	EngineNs float64 `json:"engine_ns"`
 
 	Reason     string `json:"reason"`
 	SeedSource string `json:"seed_source,omitempty"`
@@ -58,12 +62,15 @@ func DecisionFromAudit(invocation string, d adaptive.Decision) DecisionEntry {
 		Next:             d.Next.String(),
 		Switched:         d.Switched,
 		Tasks:            d.Sample.Tasks,
+		Inline:           d.Sample.Inline,
 		ManifestRate:     d.Sample.ManifestRate,
 		Misspeculated:    d.Sample.Misspeculated,
 		CheckerPressure:  d.Sample.CheckerPressure,
 		PrefilterHitRate: d.Sample.PrefilterHitRate,
 		WindowNs:         d.WindowNs,
 		BoundaryNs:       d.BoundaryNs,
+		InlineNs:         d.InlineNs,
+		EngineNs:         d.EngineNs,
 		Reason:           d.Reason,
 		SeedSource:       d.SeedSource,
 		RuntimeReused:    d.RuntimeReused,

@@ -19,6 +19,11 @@
 // the quiesce every window boundary performs: the engines of all windows
 // run on one engine.Runtime, whose threads drain their mailboxes there,
 // so a switch hands the same threads a different loop).
+//
+// Run is guarded, as domore.Run and speccross.Run are: a window whose
+// engine has cost more per task than inline execution runs on the calling
+// thread instead, and is re-priced at a bounded share of the run (guard.go).
+// RunOn and RunParallel post every window.
 package adaptive
 
 import (
@@ -73,11 +78,11 @@ type Config struct {
 	// a misspeculating window rolls back exactly to its own start).
 	Spec speccross.Config
 	// Trace, when non-nil, is shared by the controller and every engine
-	// window: the controller emits window-begin and engine-switch events
-	// on trace.LaneControl, and each window's engine emits its usual
-	// stream (lanes persist across windows; the boundary quiesce makes
-	// the handoff safe). The per-window monitor Sample comes from engine
-	// Stats whether or not tracing is on.
+	// window: the controller emits window-begin, engine-switch and inline
+	// events on trace.LaneControl, and each posted window's engine emits
+	// its usual stream (lanes persist across windows; the boundary quiesce
+	// makes the handoff safe). The per-window monitor Sample comes from
+	// engine Stats whether or not tracing is on.
 	Trace *trace.Recorder
 	// SpanParent, when nonzero, parents each window's request span under
 	// an enclosing span — the daemon passes its execute span's id so the
@@ -118,164 +123,247 @@ type Stats struct {
 	Switches int
 	// EngineWindows counts windows executed per engine, indexed by Engine.
 	EngineWindows [NumEngines]int
-	// Domore aggregates the DOMORE windows' statistics.
+	// Domore aggregates the DOMORE windows' statistics. Inline counts the
+	// iterations DOMORE windows ran on the calling thread, and InlineNs and
+	// SchedNs are the latest such window's inline rate and DOMORE's price.
 	Domore domore.Stats
-	// Spec aggregates the SPECCROSS windows' statistics.
+	// Spec aggregates the SPECCROSS windows' statistics and what barrier
+	// and SPECCROSS windows ran inline, through the epoch view: Inline
+	// counts those epochs (their tasks are in Tasks), and InlineNs and
+	// SpecNs are the latest such window's inline rate and its engine's
+	// price.
 	Spec speccross.Stats
 	// Samples is the per-window monitor log, in execution order.
 	Samples []Sample
 }
 
 // Run executes the workload under the adaptive controller and returns the
-// combined statistics. Correctness is engine-independent: every window
-// runs to completion (SPECCROSS windows recover internally via rollback
-// and barrier re-execution), and window boundaries fully quiesce, so the
-// final state equals the sequential result regardless of the decisions.
-// Run borrows one runtime from the engine pool for the call and releases it
-// on return.
+// combined statistics. It is guarded, as domore.Run and speccross.Run are:
+// the policy names each window's engine E, and a price test then decides
+// whether E's window is posted to the workers or runs inline, on the
+// calling thread, through E's own sequential view (guard.go states the
+// rule). The first window runs inline until the runtime's probe budget
+// (engine.Runtime.Budget) has passed and posts the rest of its epochs to
+// E. A panic in an inline window continues on the caller, and the runtime
+// goes back to the pool usable. A run that asks for a forced
+// misspeculation (Spec.ForceMisspecEpoch) is RunParallel, as in
+// speccross.Run: the fault asks to see speculation recover.
+//
+// Correctness is engine-independent: every window runs to completion
+// (SPECCROSS windows recover internally via rollback and barrier
+// re-execution), and window boundaries fully quiesce, so the final state
+// equals the sequential result regardless of the decisions. Run borrows one
+// runtime from the engine pool for the call and releases it on return.
 func Run(w Workload, cfg Config) Stats {
+	if cfg.Spec.ForceMisspecEpoch > 0 {
+		return RunParallel(w, cfg)
+	}
+	cfg.fill()
+	rt := engine.Acquire(cfg.Workers)
+	defer rt.Release()
+	return run(rt, w, cfg, true)
+}
+
+// RunOn is the unguarded windowed execution, on the threads and state of rt,
+// which must have been created for cfg.Workers workers: every window is
+// posted to the engine the policy names. Every window's engine runs on rt,
+// so a window boundary is a quiesce of standing threads and an engine
+// switch hands the same workers a different loop; nothing is spawned,
+// joined or allocated per window.
+func RunOn(rt *engine.Runtime, w Workload, cfg Config) Stats {
+	defer rt.Settle()
+	return run(rt, w, cfg, false)
+}
+
+// RunParallel is RunOn on a runtime borrowed from the engine pool for the
+// call and released on return: Run without its guard, every window posted
+// whatever it costs. The tests and chaos arms that pin what the engines'
+// windows do run it.
+func RunParallel(w Workload, cfg Config) Stats {
 	cfg.fill()
 	rt := engine.Acquire(cfg.Workers)
 	defer rt.Release()
 	return RunOn(rt, w, cfg)
 }
 
-// RunOn is Run on the threads and state of rt, which must have been created
-// for cfg.Workers workers. Every window's engine runs on it, so a window
-// boundary is a quiesce of standing threads and an engine switch hands the
-// same workers a different loop; nothing is spawned, joined or allocated
-// per window.
-func RunOn(rt *engine.Runtime, w Workload, cfg Config) Stats {
+// run is the controller loop, behind the price test when guarded is set.
+// It runs on the adaptive monitor's labeled goroutine, and each posted
+// window's engine relabels the runtime threads it posts to (the controller
+// thread itself re-labels per engine call via the engines' own Labeled
+// wrappers, so its scheduling work attributes to the engine that performed
+// it).
+func run(rt *engine.Runtime, w Workload, cfg Config, guarded bool) Stats {
 	cfg.fill()
 	epochs := w.Epochs()
 	if inv := w.Invocations(); inv != epochs {
 		panic(fmt.Sprintf("adaptive: workload views disagree: %d invocations vs %d epochs", inv, epochs))
 	}
-	defer rt.Settle()
-	var stats Stats
-	rt.Labeled("adaptive", "control", func() { stats = runWindows(rt, w, cfg, epochs) })
-	return stats
+	c := newController(rt, w, cfg, guarded)
+	c.stats.Samples = make([]Sample, 0, (epochs+cfg.Window-1)/cfg.Window)
+	rt.Labeled("adaptive", "control", func() {
+		e := cfg.Start
+		for lo := 0; lo < epochs; lo += cfg.Window {
+			e = c.window(e, lo, min(lo+cfg.Window, epochs))
+		}
+	})
+	return c.stats
 }
 
-// runWindows is the controller loop: it runs on the adaptive monitor's
-// labeled goroutine, and each window's engine relabels the runtime threads
-// it posts to (the controller thread itself re-labels per engine call via
-// the engines' own Labeled wrappers, so its scheduling work attributes to
-// the engine that performed it).
-func runWindows(rt *engine.Runtime, w Workload, cfg Config, epochs int) Stats {
-	stats := Stats{Samples: make([]Sample, 0, (epochs+cfg.Window-1)/cfg.Window)}
-	ctl := cfg.Trace.Lane(trace.LaneControl)
-	engine := cfg.Start
+// controller is one adaptive run: its configuration, the window view every
+// posted window hands its engine, the guard's prices, and the statistics so
+// far.
+type controller struct {
+	rt      *engine.Runtime
+	cfg     Config
+	ctl     *trace.ThreadTrace
+	guarded bool
+	skip    bool // the workload asked for the inline-window-skip-epoch mutation
+	shards  int  // SPECCROSS's checker shards, for the Decision
 	// One view object serves every window: SPECCROSS keeps its checkpoint
 	// image on the runtime, valid from one speculative window to the next
 	// for as long as it is handed the same workload value.
-	win := &window{w: w}
-	win.dw, _ = w.(speccross.DeltaWorkload)
-	win.irr, _ = w.(speccross.Irreversibler)
+	win    window
+	distOf func(epoch int) int64 // Spec.SpecDistanceOf re-based to the window, or nil
+	prices prices
+	stats  Stats
+}
+
+func newController(rt *engine.Runtime, w Workload, cfg Config, guarded bool) *controller {
+	c := &controller{rt: rt, cfg: cfg, ctl: cfg.Trace.Lane(trace.LaneControl), guarded: guarded, win: window{w: w}}
+	c.win.dw, _ = w.(speccross.DeltaWorkload)
+	c.win.irr, _ = w.(speccross.Irreversibler)
+	if s, ok := w.(inlineSkipper); ok {
+		c.skip = s.InlineWindowSkipEpoch()
+	}
 	spec := cfg.Spec
 	spec.Workers = cfg.Workers
-	shards := spec.Shards()
-	var distOf func(epoch int) int64
+	c.shards = spec.Shards()
 	if of := cfg.Spec.SpecDistanceOf; of != nil {
-		distOf = func(epoch int) int64 { return of(win.lo + epoch) }
+		c.distOf = func(epoch int) int64 { return of(c.win.lo + epoch) }
 	}
-	for lo := 0; lo < epochs; {
-		hi := lo + cfg.Window
-		if hi > epochs {
-			hi = epochs
-		}
-		win.lo, win.hi = lo, hi
-		sample := Sample{Engine: engine, StartEpoch: lo, EndEpoch: hi}
-		winSpan := ctl.BeginSpan(trace.SpanWindow, cfg.SpanParent)
-		ctl.Emit(trace.KindWindowBegin, int64(lo), int64(hi), int64(engine))
-		winStart := time.Now()
+	return c
+}
 
-		switch engine {
-		case EngineBarrier:
-			speccross.RunBarriersOn(rt, win, cfg.Trace)
-			for e := lo; e < hi; e++ {
-				sample.Tasks += int64(w.Tasks(e))
-			}
-		case EngineDomore:
-			opts := cfg.Domore
-			opts.Workers = cfg.Workers
-			opts.Trace = cfg.Trace
-			st := domore.RunOn(rt, win, opts)
-			addDomore(&stats.Domore, st)
-			sample.Tasks = st.Iterations
-			if st.Iterations > 0 {
-				sample.ManifestRate = float64(st.Dependences) / float64(st.Iterations)
-			}
-		case EngineSpecCross:
-			sc := cfg.Spec
-			sc.Workers = cfg.Workers
-			sc.CheckpointEvery = hi - lo
-			sc.Trace = cfg.Trace
-			// The template's epoch-indexed knobs are absolute; the window
-			// view re-bases epochs to 0, so shift them accordingly.
-			sc.SpecDistanceOf = distOf
-			if fe := cfg.Spec.ForceMisspecEpoch; fe > 0 {
-				if fe >= lo && fe < hi {
-					rel := fe - lo
-					if rel == 0 && hi-lo > 1 {
-						// speccross only injects on positive epoch indices;
-						// keep the fault in-window by moving it one epoch.
-						rel = 1
-					}
-					sc.ForceMisspecEpoch = rel
-				} else {
-					sc.ForceMisspecEpoch = -1
-				}
-			}
-			st := speccross.RunOn(rt, win, sc)
-			addSpec(&stats.Spec, st)
-			sample.Tasks = st.Tasks
-			sample.Misspeculated = st.Misspeculations > 0
-			if st.Tasks > 0 {
-				sample.CheckerPressure = float64(st.Comparisons) / float64(st.Tasks)
-			}
-			if st.PrefilterChecks > 0 {
-				sample.PrefilterHitRate = float64(st.PrefilterHits) / float64(st.PrefilterChecks)
-			}
-		default:
-			panic(fmt.Sprintf("adaptive: unknown engine %v", engine))
-		}
-		winNs := int64(time.Since(winStart))
-		winSpan.End()
+// window runs epochs [lo, hi) as one window of engine e and returns the
+// engine of the next: the policy's answer after a window that posted, and e
+// after one that ran wholly inline, which carries no conflict signal.
+func (c *controller) window(e Engine, lo, hi int) Engine {
+	cfg := &c.cfg
+	s := Sample{Engine: e, StartEpoch: lo, EndEpoch: hi}
+	span := c.ctl.BeginSpan(trace.SpanWindow, cfg.SpanParent)
+	c.ctl.Emit(trace.KindWindowBegin, int64(lo), int64(hi), int64(e))
+	inlineNs, engineNs := c.prices.inline, c.prices.engine[e]
+	start := time.Now()
+	from := lo
+	switch {
+	case !c.guarded:
+	case c.stats.Windows == 0:
+		from = c.inline(e, lo, hi, c.rt.Budget(), &s)
+	case !c.prices.post(e):
+		from = c.inline(e, lo, hi, 0, &s)
+	}
+	posted := from < hi
+	if posted {
+		c.post(e, from, hi, &s)
+	}
+	winNs := int64(time.Since(start))
+	span.End()
 
-		boundaryStart := time.Now()
-		stats.Windows++
-		stats.EngineWindows[engine]++
-		stats.Samples = append(stats.Samples, sample)
-
-		next, reason := cfg.Policy.Decide(sample)
+	boundaryStart := time.Now()
+	c.stats.Windows++
+	c.stats.EngineWindows[e]++
+	c.stats.Samples = append(c.stats.Samples, s)
+	next, reason := e, ""
+	if posted {
+		next, reason = cfg.Policy.Decide(s)
 		if next < 0 || next >= NumEngines {
 			panic(fmt.Sprintf("adaptive: policy returned unknown engine %v", next))
 		}
-		if next != engine {
-			stats.Switches++
-			ctl.Emit(trace.KindEngineSwitch, int64(engine), int64(next), int64(hi))
+		if next != e {
+			c.stats.Switches++
+			c.ctl.Emit(trace.KindEngineSwitch, int64(e), int64(next), int64(hi))
 		}
-		if cfg.OnDecision != nil {
-			cfg.OnDecision(Decision{
-				Window:     stats.Windows - 1,
-				Sample:     sample,
-				Next:       next,
-				Switched:   next != engine,
-				WindowNs:   winNs,
-				BoundaryNs: int64(time.Since(boundaryStart)),
-				Reason:     reason,
-				SeedSource: cfg.SeedSource,
-
-				RuntimeReused:  rt.Reused(),
-				RuntimeThreads: rt.Threads(),
-				CheckerShards:  shards,
-			})
-		}
-		engine = next
-		lo = hi
+	} else if cfg.OnDecision != nil {
+		reason = inlineReason(e, c.stats.Windows == 1, inlineNs, engineNs)
 	}
-	return stats
+	if cfg.OnDecision != nil {
+		cfg.OnDecision(Decision{
+			Window:     c.stats.Windows - 1,
+			Sample:     s,
+			Next:       next,
+			Switched:   next != e,
+			WindowNs:   winNs,
+			BoundaryNs: int64(time.Since(boundaryStart)),
+			Reason:     reason,
+			SeedSource: cfg.SeedSource,
+			InlineNs:   inlineNs,
+			EngineNs:   engineNs,
+
+			RuntimeReused:  c.rt.Reused(),
+			RuntimeThreads: c.rt.Threads(),
+			CheckerShards:  c.shards,
+		})
+	}
+	return next
+}
+
+// post runs epochs [lo, hi) on engine e's parallel execution, adds what it
+// observed to s and the statistics, and prices e by the wall time it took.
+func (c *controller) post(e Engine, lo, hi int, s *Sample) {
+	cfg, rt, w := &c.cfg, c.rt, c.win.w
+	c.win.lo, c.win.hi = lo, hi
+	var tasks int64
+	for ep := lo; ep < hi; ep++ {
+		tasks += int64(w.Tasks(ep))
+	}
+	start := time.Now()
+	switch e {
+	case EngineBarrier:
+		speccross.RunBarriersOn(rt, &c.win, cfg.Trace)
+	case EngineDomore:
+		opts := cfg.Domore
+		opts.Workers = cfg.Workers
+		opts.Trace = cfg.Trace
+		st := domore.RunOn(rt, &c.win, opts)
+		addDomore(&c.stats.Domore, st)
+		if st.Iterations > 0 {
+			s.ManifestRate = float64(st.Dependences) / float64(st.Iterations)
+		}
+	case EngineSpecCross:
+		sc := cfg.Spec
+		sc.Workers = cfg.Workers
+		sc.CheckpointEvery = hi - lo
+		sc.Trace = cfg.Trace
+		// The template's epoch-indexed knobs are absolute; the window
+		// view re-bases epochs to 0, so shift them accordingly.
+		sc.SpecDistanceOf = c.distOf
+		if fe := cfg.Spec.ForceMisspecEpoch; fe > 0 {
+			if fe >= lo && fe < hi {
+				rel := fe - lo
+				if rel == 0 && hi-lo > 1 {
+					// speccross only injects on positive epoch indices;
+					// keep the fault in-window by moving it one epoch.
+					rel = 1
+				}
+				sc.ForceMisspecEpoch = rel
+			} else {
+				sc.ForceMisspecEpoch = -1
+			}
+		}
+		st := speccross.RunOn(rt, &c.win, sc)
+		addSpec(&c.stats.Spec, st)
+		s.Misspeculated = st.Misspeculations > 0
+		if st.Tasks > 0 {
+			s.CheckerPressure = float64(st.Comparisons) / float64(st.Tasks)
+		}
+		if st.PrefilterChecks > 0 {
+			s.PrefilterHitRate = float64(st.PrefilterHits) / float64(st.PrefilterChecks)
+		}
+	default:
+		panic(fmt.Sprintf("adaptive: unknown engine %v", e))
+	}
+	s.Tasks += tasks
+	c.prices.ranPosted(e, time.Since(start), tasks)
 }
 
 // window exposes the epoch range [lo, hi) of a workload as a standalone
@@ -328,6 +416,10 @@ func (s *window) Irreversible(epoch int) bool {
 
 func addDomore(dst *domore.Stats, s domore.Stats) {
 	dst.Iterations += s.Iterations
+	dst.Inline += s.Inline
+	if s.InlineNs > 0 {
+		dst.InlineNs, dst.SchedNs = s.InlineNs, s.SchedNs
+	}
 	dst.Dispatches += s.Dispatches
 	dst.SyncConditions += s.SyncConditions
 	dst.Dependences += s.Dependences
@@ -339,6 +431,10 @@ func addDomore(dst *domore.Stats, s domore.Stats) {
 func addSpec(dst *speccross.Stats, s speccross.Stats) {
 	dst.Tasks += s.Tasks
 	dst.Epochs += s.Epochs
+	dst.Inline += s.Inline
+	if s.InlineNs > 0 {
+		dst.InlineNs, dst.SpecNs = s.InlineNs, s.SpecNs
+	}
 	dst.CheckRequests += s.CheckRequests
 	dst.Comparisons += s.Comparisons
 	dst.Misspeculations += s.Misspeculations

@@ -97,11 +97,12 @@ func seqChecksum(closeHigh bool) uint64 {
 // TestAdaptiveTracksPhases drives the full controller loop race-cleanly:
 // DOMORE through the first high phase, handoff to SPECCROSS once the low
 // phase drops the manifest rate, fallback to DOMORE when the injected
-// misspeculation fires after the high phase returns.
+// misspeculation fires after the high phase returns. Every window posts
+// (RunParallel), so every one feeds the policy.
 func TestAdaptiveTracksPhases(t *testing.T) {
 	want := seqChecksum(false)
 	k := buildKernel(false)
-	stats := adaptive.Run(k, adaptive.Config{
+	stats := adaptive.RunParallel(k, adaptive.Config{
 		Workers: 4,
 		Window:  8,
 		Spec: speccross.Config{
@@ -266,14 +267,15 @@ func TestViewMismatchPanics(t *testing.T) {
 // Speculative execution past an unchecked conflict is a data race by
 // construction (the checker detects it after the fact), so this test is
 // skipped under the race detector; the race-safe tests above cover the
-// same control path via fault injection.
+// same control path via fault injection. Every window posts (RunParallel):
+// a window Run's guard keeps inline cannot misspeculate.
 func TestAdaptiveRecoversFromRealMisspeculation(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("speculation past close conflicts races by design; injection covers this path under -race")
 	}
 	want := seqChecksum(true)
 	k := buildKernel(true)
-	stats := adaptive.Run(k, adaptive.Config{
+	stats := adaptive.RunParallel(k, adaptive.Config{
 		Workers: 4,
 		Window:  8,
 	})

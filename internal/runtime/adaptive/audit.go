@@ -21,8 +21,16 @@ type Decision struct {
 	// a switch when one happens (the quiesce is part of the window join).
 	WindowNs   int64
 	BoundaryNs int64
-	// Reason is the policy's stated ground for Next, as Decide returned it.
+	// Reason is the policy's stated ground for Next, as Decide returned it,
+	// or, for a window that ran wholly inline, the price test's ground for
+	// running it there.
 	Reason string
+	// InlineNs and EngineNs are the prices the guard compared for the
+	// window, in ns per task: the latest inline window's, and the latest
+	// posted window's of the window's engine. Either is 0 while unpriced,
+	// both are under RunOn, and the first window is chosen by the probe
+	// budget, not by them.
+	InlineNs, EngineNs float64
 	// SeedSource records how the run's starting engine/policy were
 	// primed (Config.SeedSource): static facts, §4.4 profile, plan
 	// cache, or empty for a cold start.

@@ -56,8 +56,14 @@ type Sample struct {
 	Engine Engine
 	// StartEpoch and EndEpoch delimit the window, [StartEpoch, EndEpoch).
 	StartEpoch, EndEpoch int
-	// Tasks is the number of tasks/iterations the window executed.
+	// Tasks is the number of tasks/iterations the window ran, each counted
+	// once however often a misspeculating SPECCROSS window executed it.
 	Tasks int64
+	// Inline is how many of them Run's guard ran on the calling thread:
+	// all of them in an inline window, which carries none of the signals
+	// below; in the first window, those run before the probe budget passed
+	// and the rest was posted to Engine. It is 0 under RunOn.
+	Inline int64
 	// ManifestRate is domore.Stats.Dependences per iteration (DOMORE
 	// windows). It counts a dependence wherever it ran, so keeping one on
 	// its worker does not make a window look speculable.
@@ -77,7 +83,9 @@ type Sample struct {
 // Policy picks the engine for the next window given the sample of the
 // last one, and states its ground: the reason is what the window's
 // Decision journals. Implementations may be stateful; the controller calls
-// Decide exactly once per window, in window order, from a single goroutine.
+// Decide once per window that posted work to its engine — every window
+// under RunOn, and under Run not those that ran wholly inline, which carry
+// no conflict signal — in window order, from a single goroutine.
 type Policy interface {
 	Decide(s Sample) (next Engine, reason string)
 }

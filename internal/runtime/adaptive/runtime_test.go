@@ -140,12 +140,14 @@ func workerIterations(rec *trace.Recorder) int64 {
 // a panic in a task its probe runs, with every thread idle. The speculative
 // ways out — a timed-out segment, a speculative worker's panic — are
 // speccross.RunParallel's, since the guard keeps these tiny bodies inline.
+// adaptive.Run's guard adds one: a panic in the first window's first epoch,
+// which always runs inline with every thread idle.
 func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 	const epochs, tasks, nw = 24, 8, 2
 	pin := func(e adaptive.Engine) adaptive.Config {
 		return adaptive.Config{Workers: nw, Window: 4, Policy: adaptive.Fixed(e), Start: e}
 	}
-	runRec, shardedRec, probeRec, specRec := trace.NewRecorder(), trace.NewRecorder(), trace.NewRecorder(), trace.NewRecorder()
+	runRec, shardedRec, probeRec, specRec, inlineRec := trace.NewRecorder(), trace.NewRecorder(), trace.NewRecorder(), trace.NewRecorder(), trace.NewRecorder()
 	cases := []struct {
 		name   string
 		fault  func(epoch, task int, sig *signature.Signature)
@@ -238,11 +240,30 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 			run: func(c *cells) { speccross.RunBarriers(c, nw) }},
 		{name: "adaptive.Run worker panic in a barrier window", panics: true,
 			fault: func(e, task int, sig *signature.Signature) {
-				if sig == nil && e == 9 && task == 0 {
+				// The first epoch outlasts the probe budget of a fresh
+				// runtime, so the first window posts its other epochs to
+				// the barrier workers, and one of them panics.
+				if e == 0 && task == 0 {
+					for t0 := time.Now(); time.Since(t0) < time.Millisecond; {
+					}
+				}
+				if sig == nil && e == 2 && task == 0 {
 					panic("worker fault")
 				}
 			},
 			run: func(c *cells) { adaptive.Run(c, pin(adaptive.EngineBarrier)) }},
+		{name: "adaptive.Run panic in the first window's inline epochs", panics: true,
+			fault: func(e, task int, _ *signature.Signature) {
+				if e == 0 && task == 1 {
+					panic("worker fault")
+				}
+			},
+			guard: inlineRec,
+			run: func(c *cells) {
+				cfg := pin(adaptive.EngineBarrier)
+				cfg.Trace = inlineRec
+				adaptive.Run(c, cfg)
+			}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -332,7 +353,8 @@ func (alternate) Decide(s adaptive.Sample) (adaptive.Engine, string) {
 // TestWindowsAllocateNothingOfTheirOwn is the per-window allocation gate: a
 // run cut into 12 windows allocates at most a small constant more than the
 // same run as one window — no per-window ring, log, arena, base image,
-// shadow store, label set or closure.
+// shadow store, label set or closure. Every window posts (RunParallel); an
+// inline window runs no engine at all.
 func TestWindowsAllocateNothingOfTheirOwn(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -345,7 +367,7 @@ func TestWindowsAllocateNothingOfTheirOwn(t *testing.T) {
 		c := newCells(epochs, tasks, nw)
 		return testing.AllocsPerRun(10, func() {
 			clear(c.state)
-			adaptive.Run(c, adaptive.Config{Workers: nw, Window: window, Policy: policy, Start: start})
+			adaptive.RunParallel(c, adaptive.Config{Workers: nw, Window: window, Policy: policy, Start: start})
 		})
 	}
 	for _, e := range []adaptive.Engine{adaptive.EngineDomore, adaptive.EngineSpecCross, adaptive.EngineBarrier} {
@@ -363,10 +385,12 @@ func TestWindowsAllocateNothingOfTheirOwn(t *testing.T) {
 }
 
 // TestPooledRunAllocatesWhatRunOnDoes is the deterministic cost gate of the
-// engine pool: the second and later adaptive.Run over a workload — each
-// borrowing the runtime the one before released — allocates exactly what
-// RunOn does on a runtime its caller keeps (the sample log and the window
-// view), whichever engines its windows use, and starts no goroutine.
+// engine pool: the second and later adaptive.RunParallel over a workload —
+// each borrowing the runtime the one before released — allocates exactly
+// what RunOn does on a runtime its caller keeps (the sample log and the
+// controller), whichever engines its windows use, and starts no goroutine.
+// The guarded adaptive.Run allocates no more: its inline windows run no
+// engine.
 func TestPooledRunAllocatesWhatRunOnDoes(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -397,17 +421,25 @@ func TestPooledRunAllocatesWhatRunOnDoes(t *testing.T) {
 		goroutines := 0
 		pooled := testing.AllocsPerRun(10, func() {
 			clear(c.state) // rewound behind the pool's back: Release covers it
-			adaptive.Run(c, cfg)
+			adaptive.RunParallel(c, cfg)
 			if goroutines == 0 {
 				goroutines = runtime.NumGoroutine() // after the warm-up run
 			}
 		})
-		c.check(t, tc.name+": pooled Run")
+		c.check(t, tc.name+": pooled RunParallel")
 		if pooled != kept {
-			t.Errorf("%s: a pooled Run allocates %v objects, RunOn on a kept runtime %v", tc.name, pooled, kept)
+			t.Errorf("%s: a pooled RunParallel allocates %v objects, RunOn on a kept runtime %v", tc.name, pooled, kept)
 		}
 		if n := runtime.NumGoroutine(); n != goroutines {
 			t.Errorf("%s: %d goroutines after 10 pooled runs, %d after the first", tc.name, n, goroutines)
+		}
+		guarded := testing.AllocsPerRun(10, func() {
+			clear(c.state)
+			adaptive.Run(c, cfg)
+		})
+		c.check(t, tc.name+": guarded Run")
+		if guarded > kept {
+			t.Errorf("%s: a guarded Run allocates %v objects, RunOn on a kept runtime %v", tc.name, guarded, kept)
 		}
 	}
 	engine.CloseIdle()

@@ -94,6 +94,7 @@ func TestSeedFromFacts(t *testing.T) {
 // the blind barrier baseline — needs a probe window before the policy
 // lands on DOMORE, while a statically seeded run (xdep proved the
 // dependences forward-only) opens there. Both must still match sequential.
+// Every window posts (RunParallel), so every one feeds the policy.
 func TestStaticSeedReachesStableEngineSooner(t *testing.T) {
 	firstStable := func(seed bool) int {
 		want := seqChecksum(false)
@@ -110,7 +111,7 @@ func TestStaticSeedReachesStableEngineSooner(t *testing.T) {
 			// distance, as every other adaptive test does.
 			cfg.Spec.SpecDistance = safeDist
 		}
-		stats := adaptive.Run(k, cfg)
+		stats := adaptive.RunParallel(k, cfg)
 		if got := k.Checksum(); got != want {
 			t.Fatalf("seed=%v checksum %x != sequential %x", seed, got, want)
 		}
@@ -194,7 +195,8 @@ func seedKernel() *epochal.Kernel {
 // misspeculates on the hot-cell recurrence, while the run seeded with the
 // proven forward-only distance speculates inside that bound and never rolls
 // back. Both must match the sequential result — seeding is a performance
-// fact, never a correctness one.
+// fact, never a correctness one. Every window posts (RunParallel): a window
+// Run's guard keeps inline cannot misspeculate.
 func TestSeedKernelBehavior(t *testing.T) {
 	const minDistance = 32
 	seq := seedKernel()
@@ -207,7 +209,7 @@ func TestSeedKernelBehavior(t *testing.T) {
 			t.Fatal("SeedFromFacts rejected forward-only")
 		}
 		k := seedKernel()
-		for _, s := range adaptive.Run(k, cfg).Samples {
+		for _, s := range adaptive.RunParallel(k, cfg).Samples {
 			if s.Engine == adaptive.EngineSpecCross {
 				spec++
 			}

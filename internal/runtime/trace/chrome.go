@@ -67,7 +67,7 @@ func eventArgs(e Event) map[string]any {
 		return map[string]any{"from": e.A, "to": e.B, "epoch": e.C}
 	case KindInline:
 		if e.Lane == LaneControl {
-			return map[string]any{"epochs": e.A, "inlineNs": e.B, "specNs": e.C}
+			return map[string]any{"inline": e.A, "inlineNs": e.B, "engineNs": e.C}
 		}
 		return map[string]any{"iterations": e.A, "inlineNs": e.B, "schedNs": e.C}
 	case KindQueueDepth:
@@ -206,10 +206,12 @@ func WriteChromeProcs(w io.Writer, procs []ChromeProc) error {
 
 // inlineArgs names the arguments a guard's inline decision carries, by the
 // Chrome thread id of the lane that may emit it: DOMORE's on the scheduler
-// lane, SPECCROSS's on the control lane.
+// lane; SPECCROSS's and the adaptive controller's on the control lane, where
+// inline counts epochs (SPECCROSS) or tasks (an adaptive window) and
+// engineNs is speculation's rate or the window's engine's price.
 var inlineArgs = map[int][]string{
 	chromeTID(LaneScheduler): {"iterations", "inlineNs", "schedNs"},
-	chromeTID(LaneControl):   {"epochs", "inlineNs", "specNs"},
+	chromeTID(LaneControl):   {"inline", "inlineNs", "engineNs"},
 }
 
 // ValidateChrome checks that data is a structurally sound Chrome

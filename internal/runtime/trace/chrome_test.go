@@ -77,7 +77,7 @@ func TestChromeExportCarriesInlineDecision(t *testing.T) {
 	}
 	want := map[int]map[string]any{
 		chromeTID(LaneScheduler): {"iterations": 120.0, "inlineNs": 35.0, "schedNs": 9.0},
-		chromeTID(LaneControl):   {"epochs": 12.0, "inlineNs": 40.0, "specNs": 95.0},
+		chromeTID(LaneControl):   {"inline": 12.0, "inlineNs": 40.0, "engineNs": 95.0},
 	}
 	for _, e := range f.TraceEvents {
 		if e.Name != "inline" {

@@ -153,6 +153,10 @@ const (
 	// once the region is done: A=epochs run inline on the calling thread,
 	// B=their measured ns per task, C=speculation's ns per task (the
 	// probe's lower bound, or the segment that handed the rest back).
+	// adaptive.Run emits it on the control lane for each window that ran
+	// tasks inline: A=those tasks, B=their measured ns per task, C=the
+	// price of the window's engine, its latest posted window's ns per task
+	// (0 while unpriced).
 	KindInline
 
 	// KindCount is the number of event kinds (not itself a kind).

@@ -129,10 +129,11 @@ func adaptiveDet(s adaptive.Stats) detStats {
 }
 
 // runPooled runs one row on a runtime borrowed from the engine pool for the
-// call: through the engine's own entry point, except the DOMORE rows and
-// the SPECCROSS row, whose entry points' guards decide by measurement how
-// much of the region to run in parallel. Those run domore.RunParallel and
-// speccross.RunParallel, the parallel executions on a borrowed runtime.
+// call: through the engine's own entry point, except where that entry
+// point's guard decides by measurement how much of the region to run in
+// parallel — the DOMORE, SPECCROSS and adaptive rows. Those run
+// domore.RunParallel, speccross.RunParallel and adaptive.RunParallel, the
+// parallel executions on a borrowed runtime.
 func runPooled(row string, inst workloads.Instance, c rowConfig) detStats {
 	switch row {
 	case "domore":
@@ -144,9 +145,9 @@ func runPooled(row string, inst workloads.Instance, c rowConfig) detStats {
 	case "speccross":
 		return detSpec(speccross.RunParallel(inst.(speccross.Workload), c.spec()))
 	case "adaptive-domore":
-		return adaptiveDet(adaptive.Run(inst.(adaptive.Workload), c.adaptive(adaptive.EngineDomore)))
+		return adaptiveDet(adaptive.RunParallel(inst.(adaptive.Workload), c.adaptive(adaptive.EngineDomore)))
 	case "adaptive-speccross":
-		return adaptiveDet(adaptive.Run(inst.(adaptive.Workload), c.adaptive(adaptive.EngineSpecCross)))
+		return adaptiveDet(adaptive.RunParallel(inst.(adaptive.Workload), c.adaptive(adaptive.EngineSpecCross)))
 	}
 	panic("unknown row " + row)
 }

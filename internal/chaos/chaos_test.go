@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"crossinv/internal/raceflag"
+	"crossinv/internal/runtime/adaptive"
 	"crossinv/internal/runtime/speccross"
 )
 
@@ -234,6 +236,61 @@ func TestTornDeltaExercisesDeltaRestore(t *testing.T) {
 	for i, v := range k.State {
 		if v != want[i] {
 			t.Fatalf("state[%d] = %d, oracle %d", i, v, want[i])
+		}
+	}
+}
+
+// TestGuardedArmsReachInjectedFaults: the injector fires its speculative
+// panic and torn write only after a checkpoint, so a guard's probe, which
+// hands sampled tasks a live signature as the sequential execution, never
+// trips them, and the guarded arms keep both faults. This pins that they
+// do reach them: over the generated cases, speccross.Run and adaptive.Run,
+// configured as their arms are, each tear a write at least once, and every
+// run ends at the sequential state. Whether a guard speculates is a
+// measurement, and on one processor or under the race detector it rarely
+// does, so the test runs only on two or more processors without it.
+func TestGuardedArmsReachInjectedFaults(t *testing.T) {
+	if raceflag.Enabled || runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the guards seldom speculate on one processor or under the race detector")
+	}
+	opts := Options{}
+	opts.fill()
+	for _, arm := range []string{"speccross-guarded", "adaptive-guarded"} {
+		panics, tears := 0, 0
+		for seed := uint64(1); seed <= 200; seed++ {
+			spec := Generate(seed)
+			want := spec.SequentialState()
+			for _, plan := range []FaultPlan{{Seed: seed, Panic: true}, {Seed: seed, TornDelta: true}} {
+				k := spec.Kernel()
+				w := plan.Wrap(k, k, spec.NumEpochs())
+				if arm == "speccross-guarded" {
+					speccross.Run(w, specConfig(spec, opts, nil))
+				} else {
+					adaptive.Run(w, adaptiveConfig(spec, opts, nil, true))
+				}
+				inj, ok := w.(*injector)
+				if d, isDelta := w.(*deltaInjector); isDelta {
+					inj, ok = d.injector, true
+				}
+				if !ok {
+					t.Fatalf("seed %d: the plan wrapped no injector", seed)
+				}
+				if plan.Panic && inj.panicEpoch >= 0 && inj.panicLeft.Load() == 0 {
+					panics++
+				}
+				if plan.TornDelta && len(k.State) > 0 && inj.tornLeft.Load() == 0 {
+					tears++
+				}
+				for i, v := range want {
+					if k.State[i] != v {
+						t.Fatalf("%s, seed %d, %s: state[%d] = %d, oracle %d", arm, seed, plan, i, k.State[i], v)
+					}
+				}
+			}
+		}
+		t.Logf("%s: over 200 cases, %d injected panics and %d torn writes fired", arm, panics, tears)
+		if tears == 0 {
+			t.Errorf("%s: no torn write fired over 200 cases", arm)
 		}
 	}
 }

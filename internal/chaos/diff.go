@@ -26,9 +26,11 @@ import (
 // stopped and hand the rest back after a segment: every epoch must be
 // committed, re-executed or run inline. adaptive is the adaptive
 // controller's windowed execution with every window posted
-// (adaptive.RunParallel), and adaptive-guarded is adaptive.Run, whose price
-// test may run a window inline instead: every task must run once, in an
-// inline window or a posted one.
+// (adaptive.RunParallel), and adaptive-guarded is adaptive.Run, which hands
+// a window to DOMORE's or SPECCROSS's own guard while that engine is
+// unpriced, and whose price test may run a window inline: every task must
+// run once, inline or posted; it starts half the cases at SPECCROSS
+// (adaptiveConfig).
 var Engines = []string{"barrier", "domore", "domore-round-robin", "domore-guarded", "speccross", "speccross-guarded", "adaptive", "adaptive-guarded"}
 
 // Options configures a differential run of one case.
@@ -151,7 +153,7 @@ func RunSeed(seed uint64, opts Options) []Failure {
 // final memory equals the sequential oracle.
 func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Failure) {
 	k := spec.Kernel()
-	w := opts.Faults.forEngine(engine).Wrap(opts.Mutation.Wrap(k), k, spec.NumEpochs())
+	w := opts.Faults.Wrap(opts.Mutation.Wrap(k), k, spec.NumEpochs())
 
 	var rec *trace.Recorder
 	if opts.Traced {
@@ -201,22 +203,14 @@ func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Fai
 		st := domore.Run(w, opts.Faults.Domore(domore.Options{Workers: opts.Workers, Trace: rec}))
 		detail = guardedInvariants(st, spec, rec)
 	case "speccross", "speccross-guarded":
-		cfg := opts.Faults.Spec(speccross.Config{
-			Workers:         opts.Workers,
-			SigKind:         spec.Kind(),
-			CheckpointEvery: opts.CheckpointEvery,
-			Trace:           rec,
-		})
+		cfg := specConfig(spec, opts, rec)
 		if engine == "speccross" {
 			detail = speccrossInvariants(speccross.RunParallel(w, cfg), spec, rec)
 		} else {
 			detail = guardedSpecInvariants(speccross.Run(w, cfg), spec, rec)
 		}
 	case "adaptive", "adaptive-guarded":
-		cfg := adaptive.Config{Workers: opts.Workers, Window: opts.Window, Trace: rec}
-		cfg.Spec.SigKind = spec.Kind()
-		cfg.Spec = opts.Faults.Spec(cfg.Spec)
-		cfg.Domore = opts.Faults.Domore(cfg.Domore)
+		cfg := adaptiveConfig(spec, opts, rec, engine == "adaptive-guarded")
 		var st adaptive.Stats
 		if engine == "adaptive" {
 			st = adaptive.RunParallel(w, cfg)
@@ -234,6 +228,32 @@ func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Fai
 		return mk(msg)
 	}
 	return diffState(k, want, mk)
+}
+
+// specConfig is the SPECCROSS arms' configuration of a case.
+func specConfig(spec *Spec, opts Options, rec *trace.Recorder) speccross.Config {
+	return opts.Faults.Spec(speccross.Config{
+		Workers:         opts.Workers,
+		SigKind:         spec.Kind(),
+		CheckpointEvery: opts.CheckpointEvery,
+		Trace:           rec,
+	})
+}
+
+// adaptiveConfig is the adaptive arms' configuration of a case. The guarded
+// arm starts a case with an odd number of epochs at SPECCROSS rather than
+// the controller's default DOMORE, so that SPECCROSS's guard, and the
+// speculative faults after its checkpoint, are reached in the first window
+// of half the cases, not only after a switch.
+func adaptiveConfig(spec *Spec, opts Options, rec *trace.Recorder, guarded bool) adaptive.Config {
+	cfg := adaptive.Config{Workers: opts.Workers, Window: opts.Window, Trace: rec}
+	cfg.Spec.SigKind = spec.Kind()
+	cfg.Spec = opts.Faults.Spec(cfg.Spec)
+	cfg.Domore = opts.Faults.Domore(cfg.Domore)
+	if guarded && spec.NumEpochs()%2 == 1 {
+		cfg.Start = adaptive.EngineSpecCross
+	}
+	return cfg
 }
 
 // diffState compares the final memory image against the oracle, keeping

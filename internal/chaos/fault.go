@@ -207,6 +207,16 @@ type injector struct {
 	panicEpoch, panicTask int
 	panicLeft             atomic.Int32
 	tornLeft              atomic.Int32 // TornDelta once-latch
+	// armed is set once an engine has captured a checkpoint (Snapshot, or
+	// the delta view's ReadCell), which it does before its first
+	// speculative segment. The panic and torn-write faults fire only once
+	// armed: a guard's probe (speccross.Run's, and adaptive.Run's over an
+	// unpriced SPECCROSS window) runs sampled tasks with a live signature
+	// too, but as the sequential execution, before any checkpoint, and a
+	// panic there is a panic of the program, not a misspeculation. Once a
+	// checkpoint exists no probe runs again in that engine call, and the
+	// adaptive controller never probes a SPECCROSS that has speculated.
+	armed atomic.Bool
 
 	errMsg atomic.Pointer[string]
 }
@@ -223,7 +233,7 @@ type deltaInjector struct {
 }
 
 func (d *deltaInjector) StateLen() int                       { return d.dw.StateLen() }
-func (d *deltaInjector) ReadCell(c uint64) int64             { return d.dw.ReadCell(c) }
+func (d *deltaInjector) ReadCell(c uint64) int64             { d.arm(); return d.dw.ReadCell(c) }
 func (d *deltaInjector) WriteCell(c uint64, v int64)         { d.dw.WriteCell(c, v) }
 func (d *deltaInjector) AddrCells(a uint64) (uint64, uint64) { return d.dw.AddrCells(a) }
 
@@ -251,20 +261,6 @@ func (p FaultPlan) Wrap(inner adaptive.Workload, k *epochal.Kernel, nEpochs int)
 		return &deltaInjector{injector: inj, dw: dw}
 	}
 	return inj
-}
-
-// forEngine is the plan the workload layer injects under the given engine.
-// speccross.Run's guard runs sampled tasks of its probe with a live
-// signature, in program order, as the sequential execution: the injector
-// cannot tell them from speculative ones, and a panic there is a panic of
-// the sequential program, not a misspeculation. The guarded arm therefore
-// gets no injected panic and no torn write; its spurious conflicts, full
-// queues, timeouts and delays stay.
-func (p FaultPlan) forEngine(engine string) FaultPlan {
-	if engine == "speccross-guarded" {
-		p.Panic, p.TornDelta = false, false
-	}
-	return p
 }
 
 // Err reports a fault-layer detection (currently: an aliased snapshot),
@@ -297,14 +293,26 @@ func (inj *injector) ComputeAddr(inv, iter int, buf []uint64) []uint64 {
 	return inj.inner.ComputeAddr(inv, iter, buf)
 }
 
+// arm marks a checkpoint captured (see injector.armed).
+func (inj *injector) arm() {
+	if !inj.armed.Load() {
+		inj.armed.Store(true)
+	}
+}
+
 // Run injects the speculative-path faults. Both fire only with a live
-// signature — i.e. during speculative execution — so barrier re-execution
-// and the non-speculative engines are untouched, exactly like real
-// faults that only corrupt speculative state.
+// signature after a checkpoint — i.e. during speculative execution — so
+// barrier re-execution, a guard's probe and the non-speculative engines
+// are untouched, exactly like real faults that only corrupt speculative
+// state.
 func (inj *injector) Run(epoch, task, tid int, sig *signature.Signature) {
 	if sig != nil {
 		if epoch == inj.conflictA || epoch == inj.conflictB {
 			sig.Write(sentinelAddr)
+		}
+		if !inj.armed.Load() {
+			inj.inner.Run(epoch, task, tid, sig)
+			return
 		}
 		if inj.plan.TornDelta && inj.tornLeft.CompareAndSwap(1, 0) {
 			// Tear one tracked write: record the victim cell first (the
@@ -331,6 +339,7 @@ func (inj *injector) Run(epoch, task, tid int, sig *signature.Signature) {
 // not follow. Called only at engine quiesce points, per the Workload
 // contract.
 func (inj *injector) Snapshot() any {
+	inj.arm()
 	snap := inj.inner.Snapshot()
 	if inj.plan.TornState {
 		if sl, ok := snap.([]int64); ok && len(sl) > 0 && len(inj.k.State) > 0 {

@@ -83,19 +83,24 @@ const (
 	// stopped, so that iteration never runs. The engine's seam for it is
 	// the workload's ResumeOffByOne method; only a guarded run that goes
 	// parallel, which a case whose bodies outweigh their address
-	// computation makes it do, can catch it.
+	// computation makes it do, can catch it: domore-guarded, and
+	// adaptive-guarded, whose first window runs DOMORE's guard.
 	MutResumeOffByOne Mutation = "resume-off-by-one"
 	// MutResumeSkipEpoch models a SPECCROSS guard that loses its place: the
 	// region resumes one epoch past where the inline probe stopped, inline
 	// or speculatively, so that epoch never runs. The engine's seam for it
-	// is the workload's ResumeSkipEpoch method; only the guarded arm of a
-	// case longer than the probe can catch it.
+	// is the workload's ResumeSkipEpoch method; only a guarded arm of a
+	// case longer than the probe can catch it: speccross-guarded, and
+	// adaptive-guarded once its policy has switched to a SPECCROSS it has
+	// not priced.
 	MutResumeSkipEpoch Mutation = "resume-skip-epoch"
 	// MutInlineWindowSkipEpoch models an adaptive guard that loses its
-	// place: every window it runs inline starts one epoch late, so that
-	// epoch never runs. The controller's seam for it is the workload's
-	// InlineWindowSkipEpoch method; only the adaptive-guarded arm, whose
-	// first window always begins inline, can catch it.
+	// place: every window its price test runs inline starts one epoch
+	// late, so that epoch never runs. The controller's seam for it is the
+	// workload's InlineWindowSkipEpoch method; only the adaptive-guarded
+	// arm can catch it, on a case longer than one window, since an
+	// engine's own guard runs the first: one whose cheap bodies make the
+	// price test choose inline execution for a later window.
 	MutInlineWindowSkipEpoch Mutation = "inline-window-skip-epoch"
 )
 
@@ -201,6 +206,17 @@ func MutationCatcher() *Spec {
 // It is SPECCROSS's catcher too: its guard's probe stops at an epoch
 // boundary inside the region, and the epoch the broken resume skips leaves
 // its cells unwritten whether the rest runs speculatively or inline.
+//
+// MutInlineWindowSkipEpoch runs on the inline catcher: inlineCatcherEpochs
+// epochs of runCatcherTasks empty tasks, each writing a cell of its own,
+// so it spans several adaptive windows. DOMORE's guard runs the first
+// window, and its bodies cost less than their address computation, so it
+// keeps the window inline and prices DOMORE at its scheduler estimate,
+// above the measured inline rate; the price test then runs the next window
+// inline on its own. Should the estimate come out below, the window is
+// posted, and a posted window of empty tasks costs its wake-up and quiesce,
+// so the one after it runs inline. Whichever epoch the broken inline
+// window skips leaves its cells unwritten.
 func (m Mutation) Catcher() *Spec {
 	switch m {
 	case MutStaleRuntime, MutReleaseKeepsVersion:
@@ -238,6 +254,16 @@ func (m Mutation) Catcher() *Spec {
 			s.Epochs = append(s.Epochs, EpochSpec{Tasks: tasks})
 		}
 		return mustValid(s)
+	case MutInlineWindowSkipEpoch:
+		s := &Spec{Name: "chaos-inline-catcher", StateLen: inlineCatcherEpochs * runCatcherTasks, SigKind: "exact"}
+		for e := 0; e < inlineCatcherEpochs; e++ {
+			tasks := make([]TaskSpec, runCatcherTasks)
+			for i := range tasks {
+				tasks[i] = TaskSpec{Writes: []uint64{uint64(e*runCatcherTasks + i)}}
+			}
+			s.Epochs = append(s.Epochs, EpochSpec{Tasks: tasks})
+		}
+		return mustValid(s)
 	case MutRunPastCond:
 		s := &Spec{Name: "chaos-run-catcher", StateLen: 9, SigKind: "exact"}
 		for i := uint64(0); i < 3; i++ {
@@ -264,6 +290,10 @@ const (
 	resumeCatcherEpochs = 32
 	resumeCatcherWork   = 4000
 )
+
+// inlineCatcherEpochs is the inline catcher's length: four adaptive
+// windows at the harness's default window of four epochs.
+const inlineCatcherEpochs = 16
 
 func mustValid(s *Spec) *Spec {
 	if err := s.Validate(); err != nil {

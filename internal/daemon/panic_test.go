@@ -42,6 +42,12 @@ func TestWorkerPanicIs500(t *testing.T) {
 	heavy := "func heavy() {\n  var A[6500]\n  for t = 1 .. 400 {\n    parfor i = 0 .. 16 {\n      x = A[(t-1)*16 + i]\n" +
 		strings.Repeat("      x = x * 7 + 3\n", 40) +
 		"      A[t*16 + i] = x % 1000003\n    }\n  }\n}\n"
+	// adaptive.Run hands its first window to the seeded engine's own guard.
+	// Every iteration here also reads the previous epoch's last cell, a
+	// dependence at distance 1 that the profile finds too close to
+	// speculate across, so the seed is DOMORE, whose guard sends these
+	// costly bodies to the workers as it does heavy's.
+	chain := strings.Replace(heavy, "x = A[(t-1)*16 + i]", "x = A[(t-1)*16 + 15] + A[(t-1)*16 + i]", 1)
 	worker := func(l int32) bool { return l >= 0 }
 	cases := []struct {
 		mode, src string
@@ -59,7 +65,7 @@ func TestWorkerPanicIs500(t *testing.T) {
 		// epoch, and the fault kills a checker shard before the forced
 		// misspeculation at epoch 40.
 		{"speccross", pipe, trace.KindSigPrefilter, func(l int32) bool { return l <= trace.LaneCheckerBase && l > trace.LaneRequest }, 40},
-		{"adaptive", cg, trace.KindIterStart, worker, 0},
+		{"adaptive", chain, trace.KindIterStart, worker, 0},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -21,9 +21,12 @@
 // so a switch hands the same threads a different loop).
 //
 // Run is guarded, as domore.Run and speccross.Run are: a window whose
-// engine has cost more per task than inline execution runs on the calling
-// thread instead, and is re-priced at a bounded share of the run (guard.go).
-// RunOn and RunParallel post every window.
+// DOMORE or SPECCROSS engine has no price yet goes through that engine's own
+// guard, which goes parallel where its probe stopped or finishes the window
+// on the calling thread; a window whose engine has cost more per task than
+// inline execution runs on the calling thread instead, and is re-priced at
+// a bounded share of the run (guard.go). RunOn and RunParallel post every
+// window.
 package adaptive
 
 import (
@@ -79,10 +82,12 @@ type Config struct {
 	Spec speccross.Config
 	// Trace, when non-nil, is shared by the controller and every engine
 	// window: the controller emits window-begin, engine-switch and inline
-	// events on trace.LaneControl, and each posted window's engine emits
-	// its usual stream (lanes persist across windows; the boundary quiesce
-	// makes the handoff safe). The per-window monitor Sample comes from
-	// engine Stats whether or not tracing is on.
+	// events on trace.LaneControl (one inline event per window with inline
+	// tasks, naming them: an engine guard run in a window emits none of its
+	// own), and each window's engine emits its usual stream (lanes persist
+	// across windows; the boundary quiesce makes the handoff safe). The
+	// per-window monitor Sample comes from engine Stats whether or not
+	// tracing is on.
 	Trace *trace.Recorder
 	// SpanParent, when nonzero, parents each window's request span under
 	// an enclosing span — the daemon passes its execute span's id so the
@@ -129,9 +134,9 @@ type Stats struct {
 	Domore domore.Stats
 	// Spec aggregates the SPECCROSS windows' statistics and what barrier
 	// and SPECCROSS windows ran inline, through the epoch view: Inline
-	// counts those epochs (their tasks are in Tasks), and InlineNs and
-	// SpecNs are the latest such window's inline rate and its engine's
-	// price.
+	// counts those epochs and InlineTasks their tasks (which are in Tasks
+	// too), and InlineNs and SpecNs are the latest such window's inline
+	// rate and its engine's price.
 	Spec speccross.Stats
 	// Samples is the per-window monitor log, in execution order.
 	Samples []Sample
@@ -139,15 +144,20 @@ type Stats struct {
 
 // Run executes the workload under the adaptive controller and returns the
 // combined statistics. It is guarded, as domore.Run and speccross.Run are:
-// the policy names each window's engine E, and a price test then decides
-// whether E's window is posted to the workers or runs inline, on the
-// calling thread, through E's own sequential view (guard.go states the
-// rule). The first window runs inline until the runtime's probe budget
-// (engine.Runtime.Budget) has passed and posts the rest of its epochs to
-// E. A panic in an inline window continues on the caller, and the runtime
-// goes back to the pool usable. A run that asks for a forced
-// misspeculation (Spec.ForceMisspecEpoch) is RunParallel, as in
-// speccross.Run: the fault asks to see speculation recover.
+// the policy names each window's engine E, and guard.go's rule then decides
+// how E's window runs. While DOMORE or SPECCROSS is unpriced, its window
+// goes through that engine's own guard (domore.RunGuardedOn,
+// speccross.RunGuardedOn) on the controller's runtime and window view, so
+// the first window of a region, and the first after a switch to an engine
+// that has not run yet, costs what domore.Run or speccross.Run costs on
+// those epochs. Once E is priced, a price test posts its window to the
+// workers or runs it inline, on the calling thread, through E's own
+// sequential view. The barrier has no guard: its first window runs inline
+// until the runtime's probe budget (engine.Runtime.Budget) has passed and
+// posts the rest of its epochs. A panic in an inline window continues on
+// the caller, and the runtime goes back to the pool usable. A run that asks
+// for a forced misspeculation (Spec.ForceMisspecEpoch) is RunParallel, as
+// in speccross.Run: the fault asks to see speculation recover.
 //
 // Correctness is engine-independent: every window runs to completion
 // (SPECCROSS windows recover internally via rollback and barrier
@@ -235,6 +245,12 @@ func newController(rt *engine.Runtime, w Workload, cfg Config, guarded bool) *co
 	if s, ok := w.(inlineSkipper); ok {
 		c.skip = s.InlineWindowSkipEpoch()
 	}
+	if r, ok := w.(interface{ ResumeOffByOne() bool }); ok {
+		c.win.resumeOff = r.ResumeOffByOne()
+	}
+	if r, ok := w.(interface{ ResumeSkipEpoch() bool }); ok {
+		c.win.resumeSkip = r.ResumeSkipEpoch()
+	}
 	spec := cfg.Spec
 	spec.Workers = cfg.Workers
 	c.shards = spec.Shards()
@@ -245,26 +261,36 @@ func newController(rt *engine.Runtime, w Workload, cfg Config, guarded bool) *co
 }
 
 // window runs epochs [lo, hi) as one window of engine e and returns the
-// engine of the next: the policy's answer after a window that posted, and e
-// after one that ran wholly inline, which carries no conflict signal.
+// engine of the next: the policy's answer after a window posted from its
+// first epoch, and e after any other. Inline epochs carry no conflict
+// signal, and the posted rest of a window cannot see the dependences into
+// them, so its manifest rate may read low where the region's is not.
 func (c *controller) window(e Engine, lo, hi int) Engine {
 	cfg := &c.cfg
 	s := Sample{Engine: e, StartEpoch: lo, EndEpoch: hi}
 	span := c.ctl.BeginSpan(trace.SpanWindow, cfg.SpanParent)
 	c.ctl.Emit(trace.KindWindowBegin, int64(lo), int64(hi), int64(e))
 	inlineNs, engineNs := c.prices.inline, c.prices.engine[e]
+	whole := false // the window was posted from its first epoch
+	guard := c.guarded && e != EngineBarrier && engineNs == 0
 	start := time.Now()
-	from := lo
 	switch {
 	case !c.guarded:
+		c.post(e, lo, hi, false, &s)
+		whole = true
+	case guard:
+		inlineNs, engineNs = c.post(e, lo, hi, true, &s)
 	case c.stats.Windows == 0:
-		from = c.inline(e, lo, hi, c.rt.Budget(), &s)
-	case !c.prices.post(e):
-		from = c.inline(e, lo, hi, 0, &s)
-	}
-	posted := from < hi
-	if posted {
-		c.post(e, from, hi, &s)
+		// The barrier has no guard of its own: its first window runs
+		// inline for the probe budget and posts the rest.
+		if from := c.inline(e, lo, hi, c.rt.Budget(), &s); from < hi {
+			c.post(e, from, hi, false, &s)
+		}
+	case c.prices.post(e):
+		c.post(e, lo, hi, false, &s)
+		whole = true
+	default:
+		c.inline(e, lo, hi, 0, &s)
 	}
 	winNs := int64(time.Since(start))
 	span.End()
@@ -274,7 +300,7 @@ func (c *controller) window(e Engine, lo, hi int) Engine {
 	c.stats.EngineWindows[e]++
 	c.stats.Samples = append(c.stats.Samples, s)
 	next, reason := e, ""
-	if posted {
+	if whole {
 		next, reason = cfg.Policy.Decide(s)
 		if next < 0 || next >= NumEngines {
 			panic(fmt.Sprintf("adaptive: policy returned unknown engine %v", next))
@@ -284,7 +310,7 @@ func (c *controller) window(e Engine, lo, hi int) Engine {
 			c.ctl.Emit(trace.KindEngineSwitch, int64(e), int64(next), int64(hi))
 		}
 	} else if cfg.OnDecision != nil {
-		reason = inlineReason(e, c.stats.Windows == 1, inlineNs, engineNs)
+		reason = inlineReason(e, &s, guard, inlineNs, engineNs)
 	}
 	if cfg.OnDecision != nil {
 		cfg.OnDecision(Decision{
@@ -307,12 +333,16 @@ func (c *controller) window(e Engine, lo, hi int) Engine {
 	return next
 }
 
-// post runs epochs [lo, hi) on engine e's parallel execution, adds what it
-// observed to s and the statistics, and prices e by the wall time it took.
-func (c *controller) post(e Engine, lo, hi int, s *Sample) {
+// post runs epochs [lo, hi) on engine e and adds what it observed to s and
+// the statistics. Unguarded, e's parallel execution runs them all. Guarded,
+// e's own guard runs them: it may run some or all of them inline on the
+// calling thread, and post returns its rates, in ns per task, the inline
+// one and its estimate of e's. The prices record the window either way
+// (guard.go); the barrier has no guard.
+func (c *controller) post(e Engine, lo, hi int, guarded bool, s *Sample) (inlineNs, engineNs float64) {
 	cfg, rt, w := &c.cfg, c.rt, c.win.w
 	c.win.lo, c.win.hi = lo, hi
-	var tasks int64
+	var tasks, inline int64
 	for ep := lo; ep < hi; ep++ {
 		tasks += int64(w.Tasks(ep))
 	}
@@ -324,11 +354,16 @@ func (c *controller) post(e Engine, lo, hi int, s *Sample) {
 		opts := cfg.Domore
 		opts.Workers = cfg.Workers
 		opts.Trace = cfg.Trace
-		st := domore.RunOn(rt, &c.win, opts)
-		addDomore(&c.stats.Domore, st)
-		if st.Iterations > 0 {
-			s.ManifestRate = float64(st.Dependences) / float64(st.Iterations)
+		run := domore.RunOn
+		if guarded {
+			run = domore.RunGuardedOn
 		}
+		st := run(rt, &c.win, opts)
+		addDomore(&c.stats.Domore, st)
+		if n := st.Iterations - st.Inline; n > 0 {
+			s.ManifestRate = float64(st.Dependences) / float64(n)
+		}
+		inline, inlineNs, engineNs = st.Inline, st.InlineNs, st.SchedNs
 	case EngineSpecCross:
 		sc := cfg.Spec
 		sc.Workers = cfg.Workers
@@ -350,7 +385,11 @@ func (c *controller) post(e Engine, lo, hi int, s *Sample) {
 				sc.ForceMisspecEpoch = -1
 			}
 		}
-		st := speccross.RunOn(rt, &c.win, sc)
+		run := speccross.RunOn
+		if guarded {
+			run = speccross.RunGuardedOn
+		}
+		st := run(rt, &c.win, sc)
 		addSpec(&c.stats.Spec, st)
 		s.Misspeculated = st.Misspeculations > 0
 		if st.Tasks > 0 {
@@ -359,11 +398,22 @@ func (c *controller) post(e Engine, lo, hi int, s *Sample) {
 		if st.PrefilterChecks > 0 {
 			s.PrefilterHitRate = float64(st.PrefilterHits) / float64(st.PrefilterChecks)
 		}
+		inline, inlineNs, engineNs = st.InlineTasks, st.InlineNs, st.SpecNs
 	default:
 		panic(fmt.Sprintf("adaptive: unknown engine %v", e))
 	}
+	d := time.Since(start)
 	s.Tasks += tasks
-	c.prices.ranPosted(e, time.Since(start), tasks)
+	s.Inline += inline
+	if !guarded {
+		c.prices.ranPosted(e, d, tasks)
+		return 0, 0
+	}
+	if inline > 0 {
+		c.ctl.Emit(trace.KindInline, inline, int64(inlineNs), int64(engineNs))
+	}
+	c.prices.ranGuarded(e, d, tasks, inline, inlineNs, engineNs)
+	return inlineNs, engineNs
 }
 
 // window exposes the epoch range [lo, hi) of a workload as a standalone
@@ -374,6 +424,9 @@ type window struct {
 	dw     speccross.DeltaWorkload // w's delta view, or nil
 	irr    speccross.Irreversibler // w's irreversible-epoch marker, or nil
 	lo, hi int
+	// The engines' guards read the chaos harness's resume mutations off the
+	// workload they are handed, which is this view; it forwards w's answers.
+	resumeOff, resumeSkip bool
 }
 
 func (s *window) Invocations() int       { return s.hi - s.lo }
@@ -414,6 +467,9 @@ func (s *window) Irreversible(epoch int) bool {
 	return s.irr != nil && s.irr.Irreversible(s.lo+epoch)
 }
 
+func (s *window) ResumeOffByOne() bool  { return s.resumeOff }
+func (s *window) ResumeSkipEpoch() bool { return s.resumeSkip }
+
 func addDomore(dst *domore.Stats, s domore.Stats) {
 	dst.Iterations += s.Iterations
 	dst.Inline += s.Inline
@@ -432,6 +488,7 @@ func addSpec(dst *speccross.Stats, s speccross.Stats) {
 	dst.Tasks += s.Tasks
 	dst.Epochs += s.Epochs
 	dst.Inline += s.Inline
+	dst.InlineTasks += s.InlineTasks
 	if s.InlineNs > 0 {
 		dst.InlineNs, dst.SpecNs = s.InlineNs, s.SpecNs
 	}

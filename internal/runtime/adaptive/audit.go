@@ -22,14 +22,17 @@ type Decision struct {
 	WindowNs   int64
 	BoundaryNs int64
 	// Reason is the policy's stated ground for Next, as Decide returned it,
-	// or, for a window that ran wholly inline, the price test's ground for
-	// running it there.
+	// or, for a window not posted from its first epoch, the ground of what
+	// ran it: the engine's own guard ("speccross guard: bound 663 ns/task
+	// ≥ inline 147; window ran inline"), or the price test.
 	Reason string
-	// InlineNs and EngineNs are the prices the guard compared for the
-	// window, in ns per task: the latest inline window's, and the latest
-	// posted window's of the window's engine. Either is 0 while unpriced,
-	// both are under RunOn, and the first window is chosen by the probe
-	// budget, not by them.
+	// InlineNs and EngineNs are what decided the window, in ns per task.
+	// For a window the engine's own guard ran, they are the guard's rates:
+	// its measured inline one and its estimate of the engine's. Otherwise
+	// they are the prices the price test compared: the latest inline
+	// window's, and the latest posted window's of the window's engine;
+	// either is 0 while unpriced, both are under RunOn, and the barrier's
+	// first window is chosen by the probe budget, not by them.
 	InlineNs, EngineNs float64
 	// SeedSource records how the run's starting engine/policy were
 	// primed (Config.SeedSource): static facts, §4.4 profile, plan

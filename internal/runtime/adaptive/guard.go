@@ -17,21 +17,29 @@ import (
 //
 // The prices are ns per task. E's is the wall time of its latest posted
 // window, wake-up and quiesce included, over that window's tasks; inline's
-// is the latest inline window's. An unpriced E is posted; a priced one is
+// is the latest inline window's. While DOMORE or SPECCROSS is unpriced, its
+// window goes through the engine's own guard, which measures both: one that
+// posted anything prices E at its wall time per task, which blends in the
+// inline part but lies on the same side of inline's price as E's own rate,
+// and prices an unpriced inline at the guard's measured inline rate; one
+// that ran wholly inline is an inline window priced at that rate, and
+// prices E at the guard's estimate, a lower bound on E's cost, or leaves E
+// unpriced when the guard has none. An unpriced barrier is posted (its
+// first window runs inline for the probe budget first). A priced E is
 // posted when its price is below inline's, and otherwise its window runs
-// inline. Each verdict is re-tried at a bounded share of what it costs:
-// over a posted window of n tasks, E lost gap = (price(E) − price(inline))·n
-// against inline when positive, and inline lost −gap against E when
-// negative. A losing E is posted again once the inline windows since its
-// last posted window have taken engine.ProbeShare × gap, and a winning E's
-// window runs inline again once E's windows since the last inline one have
-// taken engine.ProbeShare × −gap, so exploring costs at most
-// 1/engine.ProbeShare of the run.
+// inline. Each verdict is
+// re-tried at a bounded share of what it costs: over a posted window of n
+// tasks, E lost gap = (price(E) − price(inline))·n against inline when
+// positive, and inline lost −gap against E when negative. A losing E is
+// posted again once the inline windows since its last posted window have
+// taken engine.ProbeShare × gap, and a winning E's window runs inline again
+// once E's windows since the last inline one have taken engine.ProbeShare ×
+// −gap, so exploring costs at most 1/engine.ProbeShare of the run.
 
 // prices is what the guard has measured so far.
 type prices struct {
-	inline float64             // the latest inline window's ns per task; 0: unpriced
-	engine [NumEngines]float64 // each engine's latest posted window's ns per task; 0: unpriced
+	inline float64             // the latest inline window's ns per task, or, before one, a guard's inline rate; 0: unpriced
+	engine [NumEngines]float64 // each engine's latest posted window's ns per task, or its guard's estimate; 0: unpriced
 	tasks  [NumEngines]int64   // and that window's tasks
 	// inlined is the time of the inline windows since each engine's latest
 	// posted window; posted is each engine's posted windows' time since the
@@ -70,6 +78,30 @@ func (p *prices) ranPosted(e Engine, d time.Duration, tasks int64) {
 	}
 	p.inlined[e] = 0
 	p.posted[e] += d
+}
+
+// ranGuarded records a window of engine e that e's own guard ran: of the
+// given tasks and time, inline of them on the calling thread, with
+// inlineNs the guard's measured inline ns per task and est its estimate of
+// e's (0: none). Inline is priced at the guard's measured rate, not at the
+// window's wall time, which carries the guard's sampling: so the next
+// window's price test weighs the two rates the guard weighed. A window
+// that posted anything sets it only while inline is unpriced.
+func (p *prices) ranGuarded(e Engine, d time.Duration, tasks, inline int64, inlineNs, est float64) {
+	if inline < tasks {
+		p.ranPosted(e, d, tasks)
+		if p.inline == 0 {
+			p.inline = inlineNs
+		}
+		return
+	}
+	p.ranInline(d, tasks)
+	if inlineNs > 0 {
+		p.inline = inlineNs
+	}
+	if est > 0 {
+		p.engine[e], p.tasks[e] = est, tasks
+	}
 }
 
 // inlineSkipper is the seam of the chaos harness's inline-window-skip-epoch
@@ -133,7 +165,7 @@ func (c *controller) inline(e Engine, lo, hi int, budget time.Duration, s *Sampl
 	if e == EngineDomore {
 		addDomore(&c.stats.Domore, domore.Stats{Iterations: done, Inline: done, InlineNs: rate, SchedNs: price})
 	} else {
-		addSpec(&c.stats.Spec, speccross.Stats{Tasks: done, Inline: int64(at - lo), InlineNs: rate, SpecNs: price})
+		addSpec(&c.stats.Spec, speccross.Stats{Tasks: done, Inline: int64(at - lo), InlineTasks: done, InlineNs: rate, SpecNs: price})
 	}
 	if done > 0 {
 		c.ctl.Emit(trace.KindInline, done, int64(rate), int64(price))
@@ -142,12 +174,26 @@ func (c *controller) inline(e Engine, lo, hi int, budget time.Duration, s *Sampl
 	return at
 }
 
-// inlineReason states why a window of engine e ran wholly inline, given the
-// prices its test compared.
-func inlineReason(e Engine, first bool, inlineNs, engineNs float64) string {
+// inlineReason states why a window of engine e was not posted from its
+// first epoch, given its sample and the prices or, when guard is set, the
+// rates of e's own guard, which ran it.
+func inlineReason(e Engine, s *Sample, guard bool, inlineNs, engineNs float64) string {
 	switch {
-	case first:
-		return fmt.Sprintf("first window ran inline within the probe budget; %v unpriced", e)
+	case guard && s.Inline < s.Tasks:
+		cmp := "<"
+		if engineNs >= inlineNs {
+			cmp = "≥"
+		}
+		return fmt.Sprintf("%v guard: bound %.0f ns/task %s inline %.0f; %d of %d tasks ran inline, the rest posted",
+			e, engineNs, cmp, inlineNs, s.Inline, s.Tasks)
+	case guard && engineNs < inlineNs:
+		return fmt.Sprintf("%v guard: bound %.0f ns/task < inline %.0f; window ran inline, ending within the probe", e, engineNs, inlineNs)
+	case guard:
+		return fmt.Sprintf("%v guard: bound %.0f ns/task ≥ inline %.0f; window ran inline", e, engineNs, inlineNs)
+	case s.Inline < s.Tasks:
+		return fmt.Sprintf("%v has no guard; first window ran %d of %d tasks inline within the probe budget, the rest posted", e, s.Inline, s.Tasks)
+	case engineNs == 0:
+		return fmt.Sprintf("%v has no guard; first window ran inline within the probe budget", e)
 	case engineNs < inlineNs:
 		return fmt.Sprintf("%v priced %.0f ns/task < inline %.0f, but its windows have taken %d× inline's loss; window ran inline to re-price it",
 			e, engineNs, inlineNs, engine.ProbeShare)

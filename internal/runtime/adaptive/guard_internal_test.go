@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,11 +59,50 @@ func TestPriceTest(t *testing.T) {
 	}
 }
 
+// TestGuardedWindowPricesInline: a window an engine's guard ran prices
+// inline at the guard's measured rate. A wholly inline one does so in
+// place of its wall time, which carries the guard's sampling, and prices
+// the engine at the guard's estimate, so the next window's test weighs
+// the two rates the guard weighed. One that posted anything prices the
+// engine at its wall time and sets inline only while inline is unpriced,
+// so a second window may be posted at once when the engine won.
+func TestGuardedWindowPricesInline(t *testing.T) {
+	const n = 100 // tasks per window
+	var p prices
+	// The guard measured inline at 1 µs a task and bounded DOMORE at 3 µs,
+	// and its sampling made the window take 2 µs a task.
+	p.ranGuarded(EngineDomore, 200*time.Microsecond, n, n, 1000, 3000)
+	if p.inline != 1000 || p.engine[EngineDomore] != 3000 {
+		t.Fatalf("wholly inline window priced inline %.0f, DOMORE %.0f; want the guard's 1000 and 3000", p.inline, p.engine[EngineDomore])
+	}
+	if p.post(EngineDomore) {
+		t.Error("DOMORE, bounded at 3× inline, posted the next window")
+	}
+	// SPECCROSS's guard ran 10 tasks inline at 2 µs, then posted the rest:
+	// 60 µs for the window, below inline's price, which it leaves alone.
+	p.ranGuarded(EngineSpecCross, 60*time.Microsecond, n, 10, 2000, 500)
+	if p.inline != 1000 || p.engine[EngineSpecCross] != 600 {
+		t.Fatalf("split window priced inline %.0f, SPECCROSS %.0f; want 1000 kept and 600", p.inline, p.engine[EngineSpecCross])
+	}
+	// On a fresh run, a split window is the first to price inline.
+	var q prices
+	q.ranGuarded(EngineSpecCross, 60*time.Microsecond, n, 10, 2000, 500)
+	if q.inline != 2000 || !q.post(EngineSpecCross) {
+		t.Errorf("first split window priced inline %.0f and posted the next window %v; want 2000 and true", q.inline, q.post(EngineSpecCross))
+	}
+}
+
 // deltaCells is a workload of read-modify-write tasks over a delta view:
-// task t of every epoch rewrites cell t from its old value.
+// task t of every epoch rewrites cell t from its old value. With faultEpoch
+// set, task 0 of that epoch fails once when it runs speculatively, the way
+// the chaos harness's injected faults do: it panics, after scribbling over
+// cell 0, which it has recorded as written, when tear is set.
 type deltaCells struct {
 	epochs, tasks int
 	state         []int64
+	faultEpoch    int
+	tear          bool
+	fired         atomic.Bool
 }
 
 func (d *deltaCells) body(e, t int)                              { d.state[t] = d.state[t]*3 + int64(e*d.tasks+t) + 1 }
@@ -83,6 +123,12 @@ func (d *deltaCells) Run(e, t, _ int, sig *signature.Signature) {
 	if sig != nil {
 		sig.Read(uint64(t))
 		sig.Write(uint64(t))
+		if e == d.faultEpoch && t == 0 && d.fired.CompareAndSwap(false, true) {
+			if d.tear {
+				d.state[0] += 0x7e7e7e01
+			}
+			panic("injected speculative fault")
+		}
 	}
 	d.body(e, t)
 }
@@ -90,9 +136,10 @@ func (d *deltaCells) Run(e, t, _ int, sig *signature.Signature) {
 // TestInlineWindowInvalidatesCheckpointImage: a posted SPECCROSS window
 // leaves its checkpoint image on the runtime, an inline window then
 // rewrites every cell untracked, and the next posted SPECCROSS window
-// misspeculates and restores its dirty cells. Unless the inline window told
-// the runtime the state changed, the restore takes the image from before
-// it, and the re-executed window starts from the wrong values.
+// misspeculates — forced, by a panicking task, or by one that tore a cell
+// before it panicked — and restores its dirty cells. Unless the inline
+// window told the runtime the state changed, the restore takes the image
+// from before it, and the re-executed window starts from the wrong values.
 func TestInlineWindowInvalidatesCheckpointImage(t *testing.T) {
 	const epochs, tasks, nw = 12, 8, 2
 	ref := &deltaCells{epochs: epochs, tasks: tasks, state: make([]int64, tasks)}
@@ -101,28 +148,44 @@ func TestInlineWindowInvalidatesCheckpointImage(t *testing.T) {
 			ref.body(e, k)
 		}
 	}
-	rt := engine.New(nw)
-	defer rt.Close()
-	w := &deltaCells{epochs: epochs, tasks: tasks, state: make([]int64, tasks)}
-	cfg := Config{Workers: nw, Window: 4, Spec: speccross.Config{ForceMisspecEpoch: 9}}
-	cfg.fill()
-	c := newController(rt, w, cfg, true)
-	var s Sample
-	c.post(EngineSpecCross, 0, 4, &s)
-	if at := c.inline(EngineSpecCross, 4, 8, 0, &s); at != 8 {
-		t.Fatalf("inline window stopped at epoch %d, want 8", at)
-	}
-	c.post(EngineSpecCross, 8, 12, &s)
-	if c.stats.Spec.Misspeculations != 1 || c.stats.Spec.DeltaRestores != 1 {
-		t.Fatalf("%d misspeculations, %d delta restores; want the forced one restored from the image",
-			c.stats.Spec.Misspeculations, c.stats.Spec.DeltaRestores)
-	}
-	for i, v := range ref.state {
-		if w.state[i] != v {
-			t.Fatalf("state[%d] = %d, sequential = %d: the restore used an image from before the inline window", i, w.state[i], v)
-		}
-	}
-	if s.Tasks != epochs*tasks || s.Inline != 4*tasks {
-		t.Errorf("windows ran %d tasks, %d inline; want %d, %d", s.Tasks, s.Inline, epochs*tasks, 4*tasks)
+	for _, tc := range []struct {
+		name       string
+		force      int // speccross.Config.ForceMisspecEpoch
+		faultEpoch int
+		tear       bool
+	}{
+		{"forced", 9, -1, false},
+		{"panic", 0, 9, false},
+		{"torn-write", 0, 9, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := engine.New(nw)
+			defer rt.Close()
+			w := &deltaCells{epochs: epochs, tasks: tasks, state: make([]int64, tasks), faultEpoch: tc.faultEpoch, tear: tc.tear}
+			cfg := Config{Workers: nw, Window: 4, Spec: speccross.Config{ForceMisspecEpoch: tc.force}}
+			cfg.fill()
+			c := newController(rt, w, cfg, true)
+			var s Sample
+			c.post(EngineSpecCross, 0, 4, false, &s)
+			if at := c.inline(EngineSpecCross, 4, 8, 0, &s); at != 8 {
+				t.Fatalf("inline window stopped at epoch %d, want 8", at)
+			}
+			c.post(EngineSpecCross, 8, 12, false, &s)
+			if c.stats.Spec.Misspeculations != 1 || c.stats.Spec.DeltaRestores != 1 {
+				t.Fatalf("%d misspeculations, %d delta restores; want the one of epoch 9 restored from the image",
+					c.stats.Spec.Misspeculations, c.stats.Spec.DeltaRestores)
+			}
+			if tc.faultEpoch >= 0 && !w.fired.Load() {
+				t.Fatal("the speculative fault never fired")
+			}
+			for i, v := range ref.state {
+				if w.state[i] != v {
+					t.Fatalf("state[%d] = %d, sequential = %d: the restore used an image from before the inline window", i, w.state[i], v)
+				}
+			}
+			if s.Tasks != epochs*tasks || s.Inline != 4*tasks {
+				t.Errorf("windows ran %d tasks, %d inline; want %d, %d", s.Tasks, s.Inline, epochs*tasks, 4*tasks)
+			}
+		})
 	}
 }

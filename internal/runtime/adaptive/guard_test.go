@@ -17,10 +17,11 @@ import (
 )
 
 // guardedRun runs c under adaptive.Run pinned to e, traced and journaled,
-// and checks what holds whatever the price test decided: the windows ran
-// every task once, the first window ran its first epoch inline, one
-// KindInline event names each window's inline tasks, and a window that ran
-// wholly inline kept its engine and journaled the price test's ground.
+// and checks what holds whatever the guards decided: the windows ran every
+// task once, the first window ran its first epoch inline, through e's own
+// guard unless e is the barrier, and journaled that guard's verdict and
+// rates, one KindInline event names each window's inline tasks, and a
+// window that ran wholly inline kept its engine and journaled its ground.
 func guardedRun(t *testing.T, c *cells, e adaptive.Engine) adaptive.Stats {
 	t.Helper()
 	rec := trace.NewRecorder()
@@ -45,7 +46,7 @@ func guardedRun(t *testing.T, c *cells, e adaptive.Engine) adaptive.Stats {
 			t.Errorf("%v: inline window %d decided %v (switched %v) because %q; want its engine kept and the price test's ground",
 				e, i, d.Next, d.Switched, d.Reason)
 		}
-		if i > 0 && (d.InlineNs <= 0 || d.EngineNs < d.InlineNs) {
+		if i > 0 && !strings.Contains(d.Reason, " guard: ") && (d.InlineNs <= 0 || d.EngineNs < d.InlineNs) {
 			t.Errorf("%v: inline window %d compared engine %.0f ns/task with inline %.0f; want both priced, the engine not cheaper",
 				e, i, d.EngineNs, d.InlineNs)
 		}
@@ -55,6 +56,10 @@ func guardedRun(t *testing.T, c *cells, e adaptive.Engine) adaptive.Stats {
 	}
 	if st.Samples[0].Inline == 0 {
 		t.Errorf("%v: the first window ran nothing inline", e)
+	}
+	if d := ds[0]; e != adaptive.EngineBarrier && (!strings.HasPrefix(d.Reason, e.String()+" guard: ") || d.InlineNs <= 0 || d.Next != e) {
+		t.Errorf("%v: the first window decided %v because %q at inline %.0f ns/task; want %v kept on its own guard's measured verdict",
+			e, d.Next, d.Reason, d.InlineNs, e)
 	}
 	sum := rec.Summary()
 	if sum.Counts[trace.KindInline] != inlineWindows || sum.Sums[trace.KindInline] != inline {
@@ -69,8 +74,9 @@ func guardedRun(t *testing.T, c *cells, e adaptive.Engine) adaptive.Stats {
 
 // TestGuardedStatsCountInlineWindows: on a guarded run the inline work in
 // Stats is exactly the inline tasks of the Samples — DOMORE's iterations
-// through its own view, and the epoch view's tasks of barrier windows — and
-// every epoch of a SPECCROSS run was committed, re-executed or run inline.
+// through its own view, and the epoch view's tasks of barrier and SPECCROSS
+// windows — and every epoch of a SPECCROSS run was committed, re-executed
+// or run inline.
 func TestGuardedStatsCountInlineWindows(t *testing.T) {
 	const epochs, tasks, nw = 24, 8, 2
 	inline := func(st adaptive.Stats) (n int64) {
@@ -86,13 +92,101 @@ func TestGuardedStatsCountInlineWindows(t *testing.T) {
 	// A posted barrier window reports no Stats, so the epoch view's tasks
 	// are the inline ones.
 	st = guardedRun(t, newCells(epochs, tasks, nw), adaptive.EngineBarrier)
-	if st.Spec.Tasks != inline(st) {
-		t.Errorf("barrier: Stats count %d inline tasks, samples %d", st.Spec.Tasks, inline(st))
+	if st.Spec.Tasks != inline(st) || st.Spec.InlineTasks != inline(st) {
+		t.Errorf("barrier: Stats count %d tasks, %d of them inline; samples %d inline", st.Spec.Tasks, st.Spec.InlineTasks, inline(st))
 	}
 	st = guardedRun(t, newCells(epochs, tasks, nw), adaptive.EngineSpecCross)
-	if s := st.Spec; s.Epochs+s.ReexecutedEpochs+s.Inline != epochs || s.Inline == 0 {
-		t.Errorf("speccross: %d committed + %d re-executed + %d inline epochs, want %d with the first inline",
-			s.Epochs, s.ReexecutedEpochs, s.Inline, epochs)
+	if s := st.Spec; s.Epochs+s.ReexecutedEpochs+s.Inline != epochs || s.Inline == 0 || s.InlineTasks != inline(st) {
+		t.Errorf("speccross: %d committed + %d re-executed + %d inline epochs of %d tasks, want %d with the first inline and %d tasks",
+			s.Epochs, s.ReexecutedEpochs, s.Inline, s.InlineTasks, epochs, inline(st))
+	}
+}
+
+// recordingPolicy is ThresholdPolicy keeping every sample it is handed.
+type recordingPolicy struct {
+	adaptive.ThresholdPolicy
+	seen []adaptive.Sample
+}
+
+func (p *recordingPolicy) Decide(s adaptive.Sample) (adaptive.Engine, string) {
+	p.seen = append(p.seen, s)
+	return p.ThresholdPolicy.Decide(s)
+}
+
+// TestPolicyReadsOnlyWindowsPostedWhole: adaptive.Run hands the policy the
+// sample of every window posted from its first epoch, and of no other. A
+// window an engine's guard split ran its first epochs inline, and the
+// posted rest saw no dependence into them, so its manifest rate can read
+// low on a region whose dependences manifest; a window that ran inline
+// carries no signal at all. The costly bodies make DOMORE's guard go
+// parallel, so the run has a split window, and, once DOMORE is priced
+// below inline, whole ones. Whether it does is a measurement: the test
+// checks every run and needs one of up to five to have both, and skips
+// when the machine gave none (a guard kept inline, a priced DOMORE lost).
+func TestPolicyReadsOnlyWindowsPostedWhole(t *testing.T) {
+	const epochs, tasks, nw = 48, 8, 2
+	for attempt := 0; attempt < 5; attempt++ {
+		c := newCells(epochs, tasks, nw)
+		c.fault = func(int, int, *signature.Signature) {
+			for t0 := time.Now(); time.Since(t0) < 5*time.Microsecond; {
+			}
+		}
+		p := &recordingPolicy{}
+		st := adaptive.Run(c, adaptive.Config{Workers: nw, Window: 4, Policy: p})
+		c.check(t, "recorded")
+		whole, split := 0, 0
+		for _, s := range st.Samples {
+			switch {
+			case s.Inline == 0:
+				whole++
+			case s.Inline < s.Tasks:
+				split++
+			}
+		}
+		for _, s := range p.seen {
+			if s.Inline != 0 {
+				t.Errorf("the policy was handed window [%d,%d) of %v, %d of its %d tasks inline", s.StartEpoch, s.EndEpoch, s.Engine, s.Inline, s.Tasks)
+			}
+		}
+		if len(p.seen) != whole {
+			t.Errorf("the policy decided %d times over %d windows posted whole", len(p.seen), whole)
+		}
+		if t.Failed() || split > 0 && len(p.seen) > 0 {
+			return
+		}
+	}
+	t.Skip("no run had both a split window and a decision; the guards' measurements kept them apart")
+}
+
+// TestColdPhasedSafeSpeculatesOnWholeWindowsOnly: a cold run of the
+// registry's PHASED-SAFE at window 6 enters SPECCROSS only after a window
+// posted whole, and so never in its first, high-rate phase. That phase's
+// lag-4 reuse manifests as dependences into the window's own earlier
+// epochs; a window split by DOMORE's guard would show its posted rest none
+// of those, read manifest rate 0, and send the policy into a SPECCROSS
+// window that misspeculates.
+func TestColdPhasedSafeSpeculatesOnWholeWindowsOnly(t *testing.T) {
+	k := phased.NewSafe(1)
+	var ds []adaptive.Decision
+	st := adaptive.Run(k, adaptive.Config{Workers: 2, Window: 6, OnDecision: func(d adaptive.Decision) { ds = append(ds, d) }})
+	ref := phased.NewSafe(1)
+	ref.RunSequential()
+	if k.Checksum() != ref.Checksum() {
+		t.Fatalf("checksum %x, sequential %x", k.Checksum(), ref.Checksum())
+	}
+	for _, d := range ds {
+		if s := d.Sample; s.Inline > 0 && d.Switched {
+			t.Errorf("window %d [%d,%d) ran %d of %d tasks inline, then switched to %v because %q",
+				d.Window, s.StartEpoch, s.EndEpoch, s.Inline, s.Tasks, d.Next, d.Reason)
+		}
+	}
+	high := phased.PhaseBounds(1)[1]
+	for i, s := range st.Samples {
+		if s.Engine == adaptive.EngineSpecCross && s.StartEpoch < high {
+			t.Errorf("window %d [%d,%d) of the high-rate phase ran SPECCROSS (misspeculated %v)",
+				i, s.StartEpoch, s.EndEpoch, s.Misspeculated)
+			break
+		}
 	}
 }
 

@@ -59,10 +59,14 @@ type Sample struct {
 	// Tasks is the number of tasks/iterations the window ran, each counted
 	// once however often a misspeculating SPECCROSS window executed it.
 	Tasks int64
-	// Inline is how many of them Run's guard ran on the calling thread:
-	// all of them in an inline window, which carries none of the signals
-	// below; in the first window, those run before the probe budget passed
-	// and the rest was posted to Engine. It is 0 under RunOn.
+	// Inline is how many of them Run ran on the calling thread: all of
+	// them in a window the price test ran inline, which carries none of the
+	// signals below; in a window that went through Engine's own guard (the
+	// barrier's: its first window), those its probe ran before the guard
+	// posted the rest or finished the window inline. The signals of such a
+	// split window come from its posted rest, which never saw the
+	// dependences into its inline epochs. The policy reads only windows
+	// with Inline 0, which under RunOn is every window.
 	Inline int64
 	// ManifestRate is domore.Stats.Dependences per iteration (DOMORE
 	// windows). It counts a dependence wherever it ran, so keeping one on
@@ -83,9 +87,9 @@ type Sample struct {
 // Policy picks the engine for the next window given the sample of the
 // last one, and states its ground: the reason is what the window's
 // Decision journals. Implementations may be stateful; the controller calls
-// Decide once per window that posted work to its engine — every window
-// under RunOn, and under Run not those that ran wholly inline, which carry
-// no conflict signal — in window order, from a single goroutine.
+// Decide once per window posted to its engine from its first epoch — every
+// window under RunOn, and under Run those with Sample.Inline 0 — in window
+// order, from a single goroutine.
 type Policy interface {
 	Decide(s Sample) (next Engine, reason string)
 }

@@ -32,7 +32,8 @@
 // executing inline until the first of them has started, and hands the rest
 // of the region to the scheduler there. The probe decides within about as
 // long as the runtime's threads last took to start a posted phase
-// (engine.Runtime.Budget). RunOn is the unguarded parallel execution.
+// (engine.Runtime.Budget). RunGuardedOn is that guarded execution on a
+// caller's runtime, and RunOn the unguarded parallel execution.
 package domore
 
 import (
@@ -125,8 +126,8 @@ type Stats struct {
 	// (combined across invocations — the paper's global iteration numbers),
 	// inline and scheduled alike.
 	Iterations int64
-	// Inline counts the iterations Run executed on the calling thread, its
-	// probe included; Iterations − Inline were scheduled onto the workers.
+	// Inline counts the iterations Run or RunGuardedOn executed on the
+	// calling thread, its probe included; Iterations − Inline were scheduled onto the workers.
 	// It is 0 under RunOn and RunParallel. Every counter below counts the
 	// scheduled part only.
 	Inline int64
@@ -187,26 +188,36 @@ func (r *cond) next(inv, it int) bool {
 }
 
 // Run executes the workload under DOMORE with a dedicated scheduler thread
-// (the Fig 3.2(c) plan) and returns execution statistics. It runs on a
-// runtime borrowed from the engine pool for the call and released on return.
-//
-// Run is guarded, as the package documentation describes: it probes the
-// region inline first, and goes parallel from where the probe stopped only
-// when the scheduler's measured cost per iteration is below the inline one.
-// Probed iterations need no conditions, since they finished before the
-// scheduler placed any other, and an invocation the probe left half done
-// does not run Sequential again. The guard's decision is in Stats.Inline,
-// InlineNs and SchedNs, and in one trace.KindInline event on the scheduler
-// lane. A panic in a probed iteration continues on the caller; the runtime
-// stays usable unless the probe had already woken its workers.
+// (the Fig 3.2(c) plan) and returns execution statistics. It is RunGuardedOn
+// on a runtime borrowed from the engine pool for the call and released on
+// return, and it traces the guard's decision as one trace.KindInline event
+// on the scheduler lane.
 func Run(w Workload, opts Options) Stats {
 	opts.fill()
 	rt := engine.Acquire(opts.Workers)
 	defer rt.Release()
+	stats := RunGuardedOn(rt, w, opts)
+	opts.Trace.Lane(trace.LaneScheduler).Emit(trace.KindInline, stats.Inline, int64(stats.InlineNs), int64(stats.SchedNs))
+	return stats
+}
+
+// RunGuardedOn is the guarded execution, as the package documentation
+// describes, on the threads and state of rt, which must have been created
+// for opts.Workers workers: it probes the region inline first, and goes
+// parallel from where the probe stopped only when the scheduler's measured
+// cost per iteration is below the inline one. Probed iterations need no
+// conditions, since they finished before the scheduler placed any other,
+// and an invocation the probe left half done does not run Sequential again.
+// The guard's decision is in Stats.Inline, InlineNs and SchedNs; unlike
+// Run, RunGuardedOn emits no trace.KindInline, so a caller running it
+// inside a larger region (the adaptive controller's windows) traces its
+// inline work once, itself. A panic in a probed iteration continues on the
+// caller; rt stays usable unless the probe had already woken its workers.
+func RunGuardedOn(rt *engine.Runtime, w Workload, opts Options) Stats {
+	opts.fill()
 	st := stateOn(rt, &opts)
 	st.begin(w, opts.Trace)
 	g := st.probe(rt.Budget())
-	opts.Trace.Lane(trace.LaneScheduler).Emit(trace.KindInline, g.at.iter, int64(g.inlineNs), int64(g.schedNs))
 	stats := Stats{Iterations: g.at.iter}
 	if g.parallel {
 		stats = st.schedulePosted(&opts, g.at)

@@ -52,9 +52,10 @@ import (
 // the control lane. A panic in a task the guard runs inline continues on
 // the caller, and the runtime goes back to the pool usable.
 //
-// Run borrows a runtime from the engine pool for the call and releases it
-// on return; every segment and every recovery of the run shares its threads
-// and state, and so does the next call that is handed the same runtime.
+// Run is RunGuardedOn, plus that event, on a runtime borrowed from the
+// engine pool for the call and released on return; every segment and every
+// recovery of the run shares its threads and state, and so does the next
+// call that is handed the same runtime.
 func Run(w Workload, cfg Config) Stats {
 	if cfg.ForceMisspecEpoch > 0 {
 		return RunParallel(w, cfg)
@@ -62,6 +63,19 @@ func Run(w Workload, cfg Config) Stats {
 	cfg.fill()
 	rt := engine.Acquire(cfg.Workers)
 	defer rt.Release()
+	stats := RunGuardedOn(rt, w, cfg)
+	cfg.Trace.Lane(trace.LaneControl).Emit(trace.KindInline, stats.Inline, int64(stats.InlineNs), int64(stats.SpecNs))
+	return stats
+}
+
+// RunGuardedOn is Run's guarded execution on the threads and state of rt,
+// which must have been created for cfg.Workers workers. Run sends a run that
+// sets ForceMisspecEpoch to RunParallel instead; RunGuardedOn guards it like
+// any other. Unlike Run, it emits no
+// trace.KindInline, so a caller running it inside a larger region (the
+// adaptive controller's windows) traces its inline work once, itself.
+func RunGuardedOn(rt *engine.Runtime, w Workload, cfg Config) Stats {
+	cfg.fill()
 	st := stateOn(rt, cfg.Workers)
 	st.cfg = cfg
 	var stats Stats
@@ -249,7 +263,6 @@ func (st *state) run(w Workload, guarded bool) Stats {
 	}
 	if guarded {
 		stats.InlineNs, stats.SpecNs = g.inlineNs, g.specNs
-		ctl.Emit(trace.KindInline, stats.Inline, int64(g.inlineNs), int64(g.specNs))
 	}
 	return stats
 }
@@ -265,6 +278,7 @@ func (st *state) runInline(w Workload, from, to int, stats *Stats) {
 			w.Run(e, t, 0, nil)
 		}
 		stats.Tasks += int64(n)
+		stats.InlineTasks += int64(n)
 	}
 	stats.Inline += int64(to - from)
 }
@@ -467,6 +481,10 @@ func stateOn(rt *engine.Runtime, workers int) *state {
 			pos:   make([]paddedU64, workers),
 			done:  make([]paddedI64, workers),
 			local: make([]workerLocal, workers),
+			// The probe's, sized for what it keeps: two sampled epochs' entries
+			// and a clock read per doubling of the tasks it has run.
+			sample: make([]taskEntry, 0, 2*sampleTasks),
+			reads:  make([]probeRead, 0, 64),
 		}
 		st.chk.rows = make([]checkerRow, workers)
 		for tid := range st.local {

@@ -118,6 +118,7 @@ func (st *state) probe(w Workload, stats *Stats) guard {
 			next = engine.NextRead(plain, inline, budget)
 		}
 		stats.Tasks += int64(n)
+		stats.InlineTasks += int64(n)
 		e++
 		if past && checkN > 0 {
 			break

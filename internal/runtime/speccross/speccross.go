@@ -22,8 +22,9 @@
 // boundary past the probe's budget only when a lower bound on speculation's
 // cost per task is below the inline one, and then times every speculative
 // segment: once a segment costs as much per task as the inline execution,
-// the rest of the region runs on the calling thread. RunOn, and any run
-// that sets Config.ForceMisspecEpoch, is unguarded.
+// the rest of the region runs on the calling thread. RunGuardedOn is the
+// same guarded execution on a caller's runtime; RunOn, and any run that
+// sets Config.ForceMisspecEpoch, is unguarded.
 package speccross
 
 import (
@@ -205,9 +206,9 @@ func (c *Config) Shards() int {
 // folds those into Stats at each segment's quiesce, when every thread has
 // finished its phase, and writes Epochs, Misspeculations, Checkpoints,
 // ReexecutedEpochs, DeltaCheckpoints, DeltaCells and DeltaRestores itself at
-// segment boundaries, and the guard's Inline, InlineNs and SpecNs. The
-// returned Stats is read only after the last quiesce, so callers may read it
-// without synchronization.
+// segment boundaries, and the guard's Inline, InlineTasks, InlineNs and
+// SpecNs. The returned Stats is read only after the last quiesce, so callers
+// may read it without synchronization.
 type Stats struct {
 	// Tasks is the number of task executions, excluding re-execution: the
 	// speculative ones and those Run's guard ran on the calling thread.
@@ -217,8 +218,8 @@ type Stats struct {
 	// Inline is every epoch.
 	Epochs int64
 	// Inline counts the epochs Run's guard executed on the calling thread,
-	// its probe included.
-	Inline int64
+	// its probe included, and InlineTasks their tasks.
+	Inline, InlineTasks int64
 	// InlineNs and SpecNs are the rates Run's guard decided on, in
 	// nanoseconds per task: the probe's inline execution, and speculation's
 	// cost — the lower bound the probe's samples give, or the measured rate

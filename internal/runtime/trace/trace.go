@@ -146,17 +146,18 @@ const (
 	KindSpanBegin
 	KindSpanEnd
 	// KindInline reports the decision of an engine's guard. domore.Run
-	// emits it on the scheduler lane: A=iterations run inline on the
-	// calling thread, B=their measured ns per iteration, C=the scheduler's
-	// measured ns per iteration; the region went parallel after A
-	// iterations when C < B. speccross.Run emits it on the control lane
-	// once the region is done: A=epochs run inline on the calling thread,
-	// B=their measured ns per task, C=speculation's ns per task (the
+	// emits it on the scheduler lane once the region is done: A=iterations
+	// run inline on the calling thread, B=their measured ns per iteration,
+	// C=the scheduler's measured ns per iteration; the region went parallel
+	// after A iterations when C < B. speccross.Run emits it on the control
+	// lane once the region is done: A=epochs run inline on the calling
+	// thread, B=their measured ns per task, C=speculation's ns per task (the
 	// probe's lower bound, or the segment that handed the rest back).
 	// adaptive.Run emits it on the control lane for each window that ran
 	// tasks inline: A=those tasks, B=their measured ns per task, C=the
-	// price of the window's engine, its latest posted window's ns per task
-	// (0 while unpriced).
+	// window engine's price, its latest posted window's ns per task (0
+	// while unpriced), or, for a window that engine's own guard ran, the
+	// guard's two rates; the engine's guard emits none of its own there.
 	KindInline
 
 	// KindCount is the number of event kinds (not itself a kind).

@@ -23,9 +23,10 @@
 // Run is guarded, as domore.Run and speccross.Run are: a window whose
 // DOMORE or SPECCROSS engine has no price yet goes through that engine's own
 // guard, which goes parallel where its probe stopped or finishes the window
-// on the calling thread; a window whose engine has cost more per task than
-// inline execution runs on the calling thread instead, and is re-priced at
-// a bounded share of the run (guard.go). RunOn and RunParallel post every
+// on the calling thread; an unpriced barrier, which has no guard, is
+// posted; a window whose engine has cost more per task than inline
+// execution runs on the calling thread instead, and is re-priced at a
+// bounded share of the run (guard.go). RunOn and RunParallel post every
 // window.
 package adaptive
 
@@ -67,7 +68,9 @@ type Config struct {
 	Policy Policy
 	// Start is the engine of the first window (default EngineDomore: it is
 	// non-speculative and measures the manifest rate directly, so it is
-	// the safe probe when nothing is known yet).
+	// the safe probe when nothing is known yet). Under Run, a DOMORE or
+	// SPECCROSS start goes through that engine's guard, and a barrier start
+	// is posted.
 	Start Engine
 	// Domore is the DOMORE options template. Workers is overridden per
 	// window. The engine clears its shadow store for each DOMORE window
@@ -152,10 +155,9 @@ type Stats struct {
 // that has not run yet, costs what domore.Run or speccross.Run costs on
 // those epochs. Once E is priced, a price test posts its window to the
 // workers or runs it inline, on the calling thread, through E's own
-// sequential view. The barrier has no guard: its first window runs inline
-// until the runtime's probe budget (engine.Runtime.Budget) has passed and
-// posts the rest of its epochs. A panic in an inline window continues on
-// the caller, and the runtime goes back to the pool usable. A run that asks
+// sequential view. The barrier has no guard: while unpriced, its window is
+// posted. A panic in an inline window or a guard's probe continues on the
+// caller, and the runtime goes back to the pool usable. A run that asks
 // for a forced misspeculation (Spec.ForceMisspecEpoch) is RunParallel, as
 // in speccross.Run: the fault asks to see speculation recover.
 //
@@ -280,17 +282,11 @@ func (c *controller) window(e Engine, lo, hi int) Engine {
 		whole = true
 	case guard:
 		inlineNs, engineNs = c.post(e, lo, hi, true, &s)
-	case c.stats.Windows == 0:
-		// The barrier has no guard of its own: its first window runs
-		// inline for the probe budget and posts the rest.
-		if from := c.inline(e, lo, hi, c.rt.Budget(), &s); from < hi {
-			c.post(e, from, hi, false, &s)
-		}
 	case c.prices.post(e):
 		c.post(e, lo, hi, false, &s)
 		whole = true
 	default:
-		c.inline(e, lo, hi, 0, &s)
+		c.inline(e, lo, hi, &s)
 	}
 	winNs := int64(time.Since(start))
 	span.End()

@@ -31,8 +31,7 @@ type Decision struct {
 	// its measured inline one and its estimate of the engine's. Otherwise
 	// they are the prices the price test compared: the latest inline
 	// window's, and the latest posted window's of the window's engine;
-	// either is 0 while unpriced, both are under RunOn, and the barrier's
-	// first window is chosen by the probe budget, not by them.
+	// either is 0 while unpriced, and both are under RunOn.
 	InlineNs, EngineNs float64
 	// SeedSource records how the run's starting engine/policy were
 	// primed (Config.SeedSource): static facts, §4.4 profile, plan

@@ -24,17 +24,16 @@ import (
 // and prices an unpriced inline at the guard's measured inline rate; one
 // that ran wholly inline is an inline window priced at that rate, and
 // prices E at the guard's estimate, a lower bound on E's cost, or leaves E
-// unpriced when the guard has none. An unpriced barrier is posted (its
-// first window runs inline for the probe budget first). A priced E is
-// posted when its price is below inline's, and otherwise its window runs
-// inline. Each verdict is
-// re-tried at a bounded share of what it costs: over a posted window of n
-// tasks, E lost gap = (price(E) − price(inline))·n against inline when
-// positive, and inline lost −gap against E when negative. A losing E is
-// posted again once the inline windows since its last posted window have
-// taken engine.ProbeShare × gap, and a winning E's window runs inline again
-// once E's windows since the last inline one have taken engine.ProbeShare ×
-// −gap, so exploring costs at most 1/engine.ProbeShare of the run.
+// unpriced when the guard has none. An unpriced barrier is posted. A
+// priced E is posted when its price is below inline's, and otherwise its
+// window runs inline. Each verdict is re-tried at a bounded share of what
+// it costs: over a posted window of n tasks, E lost gap = (price(E) −
+// price(inline))·n against inline when positive, and inline lost −gap
+// against E when negative. A losing E is posted again once the inline
+// windows since its last posted window have repaid engine.ProbeShare × gap
+// (engine.Repaid), and a winning E's window runs inline again once E's
+// windows since the last inline one have repaid engine.ProbeShare × −gap,
+// so exploring costs at most 1/engine.ProbeShare of the run.
 
 // prices is what the guard has measured so far.
 type prices struct {
@@ -55,9 +54,9 @@ func (p *prices) post(e Engine) bool {
 	}
 	gap := (p.engine[e] - p.inline) * float64(p.tasks[e])
 	if gap < 0 {
-		return float64(p.posted[e]) < -engine.ProbeShare*gap
+		return !engine.Repaid(p.posted[e], -gap)
 	}
-	return float64(p.inlined[e]) >= engine.ProbeShare*gap
+	return engine.Repaid(p.inlined[e], gap)
 }
 
 // ranInline records an inline window of the given tasks and time.
@@ -111,24 +110,20 @@ func (p *prices) ranGuarded(e Engine, d time.Duration, tasks, inline int64, inli
 // implements this.
 type inlineSkipper interface{ InlineWindowSkipEpoch() bool }
 
-// inline runs epochs from lo of the window on the calling thread, in order,
-// through engine e's sequential view — DOMORE's Sequential and Execute,
-// or the epoch view's Run with no signature, which barrier and SPECCROSS
-// share — untracked, so it reports a state change to the runtime after. With
-// a positive budget it reads the clock on the guards' schedule
-// (engine.NextRead) at epoch boundaries, and stops at the first boundary
-// past the budget; otherwise it runs to hi. It returns the epoch it
-// stopped at, and adds what it ran to s, the statistics, the trace and the
+// inline runs epochs [lo, hi) of the window on the calling thread, in
+// order, through engine e's sequential view — DOMORE's Sequential and
+// Execute, or the epoch view's Run with no signature, which barrier and
+// SPECCROSS share — untracked, so it reports a state change to the runtime
+// after. It adds what it ran to s, the statistics, the trace and the
 // prices.
-func (c *controller) inline(e Engine, lo, hi int, budget time.Duration, s *Sample) int {
+func (c *controller) inline(e Engine, lo, hi int, s *Sample) {
 	w := c.win.w
 	if c.skip && lo < hi {
 		lo++
 	}
-	var done, next int64 = 0, 1 // tasks run; the clock is read at next
+	var done int64 // tasks run
 	start := time.Now()
-	at := lo
-	for at < hi {
+	for at := lo; at < hi; at++ {
 		var n int
 		if e == EngineDomore {
 			w.Sequential(at)
@@ -143,14 +138,6 @@ func (c *controller) inline(e Engine, lo, hi int, budget time.Duration, s *Sampl
 			}
 		}
 		done += int64(n)
-		at++
-		if budget > 0 && done >= next {
-			d := time.Since(start)
-			if d >= budget {
-				break
-			}
-			next = engine.NextRead(done, d, budget)
-		}
 	}
 	d := time.Since(start)
 	c.rt.StateChanged()
@@ -165,13 +152,12 @@ func (c *controller) inline(e Engine, lo, hi int, budget time.Duration, s *Sampl
 	if e == EngineDomore {
 		addDomore(&c.stats.Domore, domore.Stats{Iterations: done, Inline: done, InlineNs: rate, SchedNs: price})
 	} else {
-		addSpec(&c.stats.Spec, speccross.Stats{Tasks: done, Inline: int64(at - lo), InlineTasks: done, InlineNs: rate, SpecNs: price})
+		addSpec(&c.stats.Spec, speccross.Stats{Tasks: done, Inline: int64(hi - lo), InlineTasks: done, InlineNs: rate, SpecNs: price})
 	}
 	if done > 0 {
 		c.ctl.Emit(trace.KindInline, done, int64(rate), int64(price))
 	}
 	c.prices.ranInline(d, done)
-	return at
 }
 
 // inlineReason states why a window of engine e was not posted from its
@@ -190,10 +176,6 @@ func inlineReason(e Engine, s *Sample, guard bool, inlineNs, engineNs float64) s
 		return fmt.Sprintf("%v guard: bound %.0f ns/task < inline %.0f; window ran inline, ending within the probe", e, engineNs, inlineNs)
 	case guard:
 		return fmt.Sprintf("%v guard: bound %.0f ns/task ≥ inline %.0f; window ran inline", e, engineNs, inlineNs)
-	case s.Inline < s.Tasks:
-		return fmt.Sprintf("%v has no guard; first window ran %d of %d tasks inline within the probe budget, the rest posted", e, s.Inline, s.Tasks)
-	case engineNs == 0:
-		return fmt.Sprintf("%v has no guard; first window ran inline within the probe budget", e)
 	case engineNs < inlineNs:
 		return fmt.Sprintf("%v priced %.0f ns/task < inline %.0f, but its windows have taken %d× inline's loss; window ran inline to re-price it",
 			e, engineNs, inlineNs, engine.ProbeShare)

@@ -61,9 +61,9 @@ type Sample struct {
 	Tasks int64
 	// Inline is how many of them Run ran on the calling thread: all of
 	// them in a window the price test ran inline, which carries none of the
-	// signals below; in a window that went through Engine's own guard (the
-	// barrier's: its first window), those its probe ran before the guard
-	// posted the rest or finished the window inline. The signals of such a
+	// signals below; in a window that went through Engine's own guard,
+	// those its probe ran before the guard posted the rest or finished the
+	// window inline. The signals of such a
 	// split window come from its posted rest, which never saw the
 	// dependences into its inline epochs. The policy reads only windows
 	// with Inline 0, which under RunOn is every window.

@@ -141,7 +141,7 @@ func workerIterations(rec *trace.Recorder) int64 {
 // ways out — a timed-out segment, a speculative worker's panic — are
 // speccross.RunParallel's, since the guard keeps these tiny bodies inline.
 // adaptive.Run's guard adds one: a panic in the first window's first epoch,
-// which always runs inline with every thread idle.
+// which SPECCROSS's guard always runs inline with every thread idle.
 func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 	const epochs, tasks, nw = 24, 8, 2
 	pin := func(e adaptive.Engine) adaptive.Config {
@@ -240,13 +240,8 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 			run: func(c *cells) { speccross.RunBarriers(c, nw) }},
 		{name: "adaptive.Run worker panic in a barrier window", panics: true,
 			fault: func(e, task int, sig *signature.Signature) {
-				// The first epoch outlasts the probe budget of a fresh
-				// runtime, so the first window posts its other epochs to
-				// the barrier workers, and one of them panics.
-				if e == 0 && task == 0 {
-					for t0 := time.Now(); time.Since(t0) < time.Millisecond; {
-					}
-				}
+				// An unpriced barrier's window is posted, so a barrier
+				// worker runs epoch 2 and panics.
 				if sig == nil && e == 2 && task == 0 {
 					panic("worker fault")
 				}
@@ -260,7 +255,7 @@ func TestEntryPointsLeaveNoGoroutineBehind(t *testing.T) {
 			},
 			guard: inlineRec,
 			run: func(c *cells) {
-				cfg := pin(adaptive.EngineBarrier)
+				cfg := pin(adaptive.EngineSpecCross)
 				cfg.Trace = inlineRec
 				adaptive.Run(c, cfg)
 			}},

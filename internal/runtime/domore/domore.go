@@ -304,6 +304,7 @@ type state struct {
 	pending        [][]cond       // scheduler: per-target conditions of the current iteration
 	open           []cond         // scheduler: per-worker run not yet sent (Count 0: none)
 	buf            []uint64       // scheduler: ComputeAddr scratch
+	meter          engine.Probe   // the guard's inline measurement
 
 	// The run in progress, written by the control goroutine before it posts
 	// the worker phases.

@@ -2,8 +2,6 @@ package domore
 
 import (
 	"time"
-
-	"crossinv/internal/runtime/engine"
 )
 
 // position is a place in the region: invocation inv at its iteration it,
@@ -30,20 +28,17 @@ type guard struct {
 const sampleReads = 8
 
 // probe executes the region on the calling thread, in order, from its
-// start, and times it. It reads the clock after 1, 2, 4, … iterations, the
-// step cut short where the rate so far predicts the budget's end
-// (engine.NextRead).
-// The inline rate is the one since the previous read: the latest half of
-// the iterations probed, so the cold first ones do not set it.
+// start, and times it through the state's engine.Probe, which reads the
+// clock on its schedule and gives the inline rate.
 //
-// At the region's start, and at a clock read while sampling has cost under
-// 1/engine.ProbeShare of the inline time, it dry-runs the scheduler's
-// per-iteration work for the next iterations of the invocation (of the next
-// one, at its end), after Sequential as the scheduler would: computeAddr
-// and the exchange into the runtime's shadow store, reset afterwards. A
-// sample is one untimed iteration, which warms the caches and the shadow
-// store, then 1, 2, 4, … timed ones; the scheduler rate is over the timed
-// ones of every sample.
+// At the region's start, and at a clock read while sampling is due
+// (engine.Probe.SampleDue), it dry-runs the scheduler's per-iteration work
+// for the next iterations of the invocation (of the next one, at its end),
+// after Sequential as the scheduler would: computeAddr and the exchange
+// into the runtime's shadow store, reset afterwards. A sample is one
+// untimed iteration, which warms the caches and the shadow store, then 1,
+// 2, 4, … timed ones; the scheduler rate is over the timed ones of every
+// sample.
 //
 // The decision is parallel when the scheduler rate is below the inline one.
 // The scheduler thread does every iteration's address computation, so when
@@ -51,39 +46,30 @@ const sampleReads = 8
 // can win. The sampled rate leaves out the scheduler's Sequential,
 // placement and queue work, and the inline rate keeps Sequential in, so the
 // guard errs toward parallel. It decides parallel at the first clock read
-// where the inline rate was measured over engine.FloorReads clock reads or
-// more, the scheduler rate over sampleReads, and they say so; otherwise it
-// decides at the first read past the budget (engine.Runtime.Budget),
-// sampling there if it has no scheduler rate yet, and inline if no
-// invocation so far had the two iterations a sample needs. An inline decision runs the region to its end
-// on the calling thread with no more clock reads. A parallel decision posts
-// the worker phases, and the probe goes on executing until the first worker
-// has started, so the wake-up costs the region nothing; it then stops, and
-// the scheduler takes over.
+// where the inline rate is trusted (engine.Probe.Trusted), the scheduler
+// rate spans sampleReads clock reads, and they say so; otherwise it decides
+// at the first read past the budget, sampling there if it has no scheduler
+// rate yet, and inline if no invocation so far had the two iterations a
+// sample needs. An inline decision runs the region to its end on the
+// calling thread with no more clock reads. A parallel decision posts the
+// worker phases, and the probe goes on executing until the first worker has
+// started, so the wake-up costs the region nothing; it then stops, and the
+// scheduler takes over.
 func (st *state) probe(budget time.Duration) guard {
-	w, sm := st.w, st.shadow
+	w, sm, p := st.w, st.shadow, &st.meter
 	sm.Reset()
 	defer sm.Reset()
-	clock := engine.ClockCost()
 	var (
-		done, next int64 = 0, 1 // iterations executed; the clock is read at next
-		sampleWall time.Duration
-		sampleN    = 1
-		sched      time.Duration // the timed sample iterations' time, less the clock reads
-		schedN     int           // and their number
-		inline     time.Duration // inline time at the latest clock read
-		window     time.Duration // inline time since the read before
-		windowN    int64         // and the iterations in it
-		readAt     int64         // iterations done at the latest clock read
-		decision   guard         // the decision, once decided
-		decided    bool
+		done     int64 // iterations executed
+		sampleN  = 1
+		sched    time.Duration // the timed sample iterations' time, less the clock reads
+		schedN   int           // and their number
+		decision guard         // the decision, once decided
+		decided  bool
 	)
 	buf := st.buf
 	rates := func() guard {
-		g := guard{}
-		if windowN > 0 {
-			g.inlineNs = float64(window) / float64(windowN)
-		}
+		g := guard{inlineNs: p.Rate()}
 		if schedN > 0 {
 			g.schedNs = float64(sched) / float64(schedN)
 		}
@@ -109,14 +95,14 @@ func (st *state) probe(budget time.Duration) guard {
 			addrs(inv, it)
 		}
 		d := time.Since(t1)
-		sampleWall += d + t1.Sub(t0)
-		sched += max(d-clock, 0)
+		p.Sampled(d + t1.Sub(t0))
+		sched += p.Timed(d)
 		schedN += k
 		sampleN *= 2
 		return true
 	}
 	sampleDue := true
-	start := time.Now()
+	p.Start(budget)
 	invocations := w.Invocations()
 	for inv := 0; inv < invocations; inv++ {
 		w.Sequential(inv)
@@ -138,12 +124,11 @@ func (st *state) probe(budget time.Duration) guard {
 				}
 				continue
 			}
-			if done < next {
+			if !p.Due(done) {
 				continue
 			}
-			now := time.Since(start) - sampleWall
-			window, windowN, inline, readAt = now-inline, done-readAt, now, done
-			if inline >= budget && schedN == 0 && !sample(inv, it+1, iters) {
+			past := p.Read(done)
+			if past && schedN == 0 && !sample(inv, it+1, iters) {
 				// Every invocation so far had one iteration at most, too
 				// few to sample. With no scheduler rate to weigh, the
 				// region stays inline rather than read the clock after
@@ -152,25 +137,23 @@ func (st *state) probe(budget time.Duration) guard {
 				continue
 			}
 			g := rates()
-			trusted := window >= engine.FloorReads*clock && sched >= sampleReads*clock
-			if schedN > 0 && (trusted || inline >= budget) {
+			if schedN > 0 && (past || p.Trusted() && p.Spans(sched, sampleReads)) {
 				if g.parallel = g.schedNs < g.inlineNs; g.parallel {
 					st.post()
 				}
-				if g.parallel || inline >= budget {
+				if g.parallel || past {
 					decision, decided = g, true
 					continue
 				}
 			}
-			next = engine.NextRead(done, inline, budget)
-			if sampleDue || engine.ProbeShare*sampleWall < inline {
+			if sampleDue || p.SampleDue() {
 				sampleDue = !sample(inv, it+1, iters)
 			}
 		}
 	}
 	st.buf = buf
 	if !decided && done > 0 {
-		window, windowN = time.Since(start)-sampleWall, done
+		p.Read(done)
 		decision = rates()
 	}
 	decision.at = position{inv: invocations, iter: done}

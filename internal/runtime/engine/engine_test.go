@@ -279,7 +279,7 @@ func TestIdleHandOffAllocatesNothing(t *testing.T) {
 func TestStartupIsMeasuredPerBatch(t *testing.T) {
 	rt := New(2)
 	defer rt.Close()
-	floor := FloorReads * ClockCost()
+	floor := FloorReads * clockCost()
 	if rt.Startup() != 0 || rt.Budget() != floor {
 		t.Fatalf("before any phase: start-up %v, budget %v; want 0 and the floor %v", rt.Startup(), rt.Budget(), floor)
 	}

@@ -9,9 +9,9 @@ import (
 	"crossinv/internal/raceflag"
 )
 
-// The shadow stores are single-writer by contract: the engines give each
-// scheduler (or each duplicated-scheduler worker, §3.4) a private
-// instance or serialize access externally. The hammer reproduces the
+// The shadow store is single-writer by contract: the engine gives each
+// scheduler a private instance or serializes access externally. The
+// hammer reproduces the
 // strongest concurrent shape that contract allows — many goroutines
 // mutating one store under external synchronization, with per-address
 // update order fixed by ownership — and asserts the result is exactly a
@@ -39,7 +39,7 @@ func hammerLog(n int) []update {
 	return log
 }
 
-func hammer(t *testing.T, mk func() Store) {
+func hammer(t *testing.T) {
 	const goroutines = 4
 	n := 30000
 	if raceflag.Enabled {
@@ -56,7 +56,7 @@ func hammer(t *testing.T, mk func() Store) {
 		written[u.addr][Entry{Tid: u.tid, Iter: u.iter}] = true
 	}
 
-	st := mk()
+	st := NewSparse()
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -115,7 +115,7 @@ func hammer(t *testing.T, mk func() Store) {
 	wg.Wait()
 
 	// Sequential replay of the identical log is the oracle.
-	ref := mk()
+	ref := NewSparse()
 	for _, u := range log {
 		ref.Update(u.addr, u.tid, u.iter)
 	}
@@ -130,41 +130,27 @@ func hammer(t *testing.T, mk func() Store) {
 }
 
 func TestConcurrentHammerLastWriterWins(t *testing.T) {
-	t.Run("dense", func(t *testing.T) { hammer(t, func() Store { return NewDense(hammerAddrSpace) }) })
-	t.Run("sparse", func(t *testing.T) { hammer(t, func() Store { return NewSparse() }) })
+	t.Run("sparse", hammer)
 }
 
-// fuzzDenseSize is the Dense store's bound in FuzzStoreAgreement, whose
-// 4-byte records are (op, addr, tid, iter). Addresses span 0..255; the ones
-// beyond the bound are applied to Sparse and the model only (Dense panics
-// on them — TestDenseOutOfRangePanics).
-const fuzzDenseSize = 128
-
-// FuzzStoreAgreement checks Dense, Sparse, and a plain map model agree on
-// any op log: Sparse matches the model everywhere, Dense on the addresses
-// inside its bound.
+// FuzzStoreAgreement checks Sparse and a plain map model agree on any op
+// log, whose 4-byte records are (op, addr, tid, iter).
 func FuzzStoreAgreement(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 9, 1, 5, 0, 0})             // update then lookup
-	f.Add([]byte{0, 200, 2, 3, 1, 200, 0, 0})         // out-of-dense-range update
+	f.Add([]byte{0, 200, 2, 3, 1, 200, 0, 0})         // a high address
 	f.Add([]byte{0, 9, 1, 1, 0, 9, 2, 2, 1, 9, 0, 0}) // last writer wins
 	f.Add([]byte{0, 4, 1, 1, 7, 0, 0, 0, 1, 4, 0, 0}) // reset clears
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dense := NewDense(fuzzDenseSize)
 		sparse := NewSparse()
 		model := make(map[uint64]Entry)
 
 		check := func(addr uint64) {
 			want, ok := model[addr]
 			if !ok {
-				want = Entry{Tid: -1, Iter: None}
+				want = empty
 			}
 			if got := sparse.Lookup(addr); got != want {
 				t.Fatalf("sparse.Lookup(%d) = %+v, model = %+v", addr, got, want)
-			}
-			if addr < fuzzDenseSize {
-				if got := dense.Lookup(addr); got != want {
-					t.Fatalf("dense.Lookup(%d) = %+v, model = %+v", addr, got, want)
-				}
 			}
 		}
 
@@ -172,14 +158,10 @@ func FuzzStoreAgreement(f *testing.F) {
 			op, addr := data[i], uint64(data[i+1])
 			switch {
 			case op%8 == 7:
-				dense.Reset()
 				sparse.Reset()
 				model = make(map[uint64]Entry)
 			case op%2 == 0:
 				tid, iter := int32(data[i+2]), int64(data[i+3])
-				if addr < fuzzDenseSize {
-					dense.Update(addr, tid, iter)
-				}
 				sparse.Update(addr, tid, iter)
 				model[addr] = Entry{Tid: tid, Iter: iter}
 			default:
@@ -192,15 +174,6 @@ func FuzzStoreAgreement(f *testing.F) {
 		}
 		if sparse.Len() != len(model) {
 			t.Fatalf("sparse.Len() = %d, model has %d addresses", sparse.Len(), len(model))
-		}
-		inRange := 0
-		for a := range model {
-			if a < fuzzDenseSize {
-				inRange++
-			}
-		}
-		if dense.Len() != inRange {
-			t.Fatalf("dense.Len() = %d, model has %d in-range addresses", dense.Len(), inRange)
 		}
 	})
 }

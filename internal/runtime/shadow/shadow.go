@@ -3,13 +3,10 @@
 // which worker thread last touched the corresponding memory location and in
 // which (combined, cross-invocation) iteration, as the tuple ⟨tid, iterNum⟩.
 //
-// Two stores are provided: Dense, an array indexed directly by address, for
-// workloads whose address space is a compact range of array indices; and
-// Sparse, a hash table for workloads with large or scattered address spaces
-// (the engines' default). Both are single-writer structures: only the
-// scheduler thread (or, in the duplicated-scheduler variant of §3.4, one
-// private instance per worker) mutates them, so no internal locking is
-// needed.
+// The store is Sparse, a hash table, so any address space a workload uses —
+// compact array indices or large scattered addresses — costs memory in the
+// addresses touched. It is a single-writer structure: only the scheduler
+// thread mutates it, so no internal locking is needed.
 package shadow
 
 import "math/bits"
@@ -27,71 +24,8 @@ type Entry struct {
 // empty is the value of an untouched cell.
 var empty = Entry{Tid: -1, Iter: None}
 
-// Store is the shadow-memory abstraction shared by the dense and sparse
-// implementations.
-type Store interface {
-	// Lookup returns the last recorded accessor of addr, or an entry with
-	// Iter == None if the address has not been touched.
-	Lookup(addr uint64) Entry
-	// Update records that worker tid accessed addr during iteration iter.
-	Update(addr uint64, tid int32, iter int64)
-	// Exchange is Lookup followed by Update in one step: it records the
-	// access and returns the accessor it replaced. It is what the
-	// schedulers call per address (Algorithm 1 always does both).
-	Exchange(addr uint64, tid int32, iter int64) Entry
-	// Reset clears every entry. It is used between outer-region executions.
-	Reset()
-	// Len reports how many addresses currently have a recorded accessor.
-	Len() int
-}
-
-// Dense is a Store backed by a flat slice; address a maps to cell a. Lookups
-// and updates are O(1) with no hashing, which is what makes the scheduler
-// cheap enough to keep up with workers (Table 5.2 measures the ratio).
-type Dense struct {
-	cells []Entry
-	used  int
-}
-
-// NewDense returns a dense store covering addresses [0, size).
-func NewDense(size int) *Dense {
-	d := &Dense{cells: make([]Entry, size)}
-	d.Reset()
-	return d
-}
-
-// Lookup implements Store. An address outside [0, size) panics (the slice
-// bounds check): a store sized from a wrong bound would otherwise report the
-// address untouched, which is a missed dependence and a wrong result.
-func (d *Dense) Lookup(addr uint64) Entry { return d.cells[addr] }
-
-// Exchange implements Store; out-of-range addresses panic like Lookup.
-func (d *Dense) Exchange(addr uint64, tid int32, iter int64) Entry {
-	c := &d.cells[addr]
-	prev := *c
-	if prev.Iter == None {
-		d.used++
-	}
-	*c = Entry{Tid: tid, Iter: iter}
-	return prev
-}
-
-// Update implements Store.
-func (d *Dense) Update(addr uint64, tid int32, iter int64) { d.Exchange(addr, tid, iter) }
-
-// Reset implements Store.
-func (d *Dense) Reset() {
-	for i := range d.cells {
-		d.cells[i] = empty
-	}
-	d.used = 0
-}
-
-// Len implements Store.
-func (d *Dense) Len() int { return d.used }
-
-// Sparse is a Store for address spaces too large or too scattered to shadow
-// densely (the space/time trade-off §3.2.1 discusses): an open-addressed,
+// Sparse is the shadow store for any address space, however large or
+// scattered (the space/time trade-off §3.2.1 discusses): an open-addressed,
 // linear-probed hash table of ⟨addr, iter, tid⟩ slots kept at load ≤ ½. It
 // grows by doubling and never shrinks, nothing is ever deleted from it (so
 // probing needs no tombstones), and Reset is O(1): every slot carries the
@@ -131,7 +65,8 @@ func (s *Sparse) home(addr uint64) uint64 {
 	return addr * 0x9e3779b97f4a7c15 >> s.shift
 }
 
-// Lookup implements Store.
+// Lookup returns the last recorded accessor of addr, or an entry with Iter
+// == None if the address has not been touched.
 func (s *Sparse) Lookup(addr uint64) Entry {
 	mask := uint64(len(s.slots) - 1)
 	for i := s.home(addr); ; i = (i + 1) & mask {
@@ -145,8 +80,11 @@ func (s *Sparse) Lookup(addr uint64) Entry {
 	}
 }
 
-// Exchange implements Store: one probe sequence finds the slot, reads the
-// previous accessor and writes the new one.
+// Exchange is Lookup followed by Update in one step: it records that worker
+// tid accessed addr during iteration iter and returns the accessor it
+// replaced. It is what the scheduler calls per address (Algorithm 1 always
+// does both), and one probe sequence finds the slot, reads the previous
+// accessor and writes the new one.
 func (s *Sparse) Exchange(addr uint64, tid int32, iter int64) Entry {
 	mask := uint64(len(s.slots) - 1)
 	for i := s.home(addr); ; i = (i + 1) & mask {
@@ -168,7 +106,7 @@ func (s *Sparse) Exchange(addr uint64, tid int32, iter int64) Entry {
 	}
 }
 
-// Update implements Store.
+// Update records that worker tid accessed addr during iteration iter.
 func (s *Sparse) Update(addr uint64, tid int32, iter int64) { s.Exchange(addr, tid, iter) }
 
 // grow doubles the table and re-inserts the current generation's slots.
@@ -188,7 +126,8 @@ func (s *Sparse) grow() {
 	}
 }
 
-// Reset implements Store by moving to the next generation. When the stamp
+// Reset clears every entry, between region executions, by moving to the
+// next generation. When the stamp
 // wraps, slots written 2³² resets ago would read as current, so that one
 // reset in 2³² clears the table.
 func (s *Sparse) Reset() {
@@ -200,5 +139,5 @@ func (s *Sparse) Reset() {
 	}
 }
 
-// Len implements Store.
+// Len reports how many addresses currently have a recorded accessor.
 func (s *Sparse) Len() int { return s.used }

@@ -413,10 +413,10 @@ type state struct {
 	// checkpointing (workerLocal.dlog, read by control after quiesce).
 	trackWrites bool
 
-	// The guard's scratch: the sampled tasks' log entries and the probe's
-	// clock reads.
+	// The guard's inline measurement, and its scratch: the sampled tasks'
+	// log entries.
+	meter  engine.Probe
 	sample []taskEntry
-	reads  []probeRead
 }
 
 // workerLocal is one worker's private state. Signatures and watermark
@@ -481,10 +481,8 @@ func stateOn(rt *engine.Runtime, workers int) *state {
 			pos:   make([]paddedU64, workers),
 			done:  make([]paddedI64, workers),
 			local: make([]workerLocal, workers),
-			// The probe's, sized for what it keeps: two sampled epochs' entries
-			// and a clock read per doubling of the tasks it has run.
+			// The probe's, sized for what it keeps: two sampled epochs' entries.
 			sample: make([]taskEntry, 0, 2*sampleTasks),
-			reads:  make([]probeRead, 0, 64),
 		}
 		st.chk.rows = make([]checkerRow, workers)
 		for tid := range st.local {

@@ -3,8 +3,6 @@ package speccross
 import (
 	"runtime"
 	"time"
-
-	"crossinv/internal/runtime/engine"
 )
 
 // guard is what Run's probe measured and decided.
@@ -22,13 +20,6 @@ type guard struct {
 // sampleTasks is how many tasks of a sampled epoch run instrumented.
 const sampleTasks = 16
 
-// probeRead is one clock read of the probe: the inline time so far, less
-// sampling, and the uninstrumented tasks executed by then.
-type probeRead struct {
-	at    time.Duration
-	plain int64
-}
-
 // resumeSkipper is the seam of the chaos harness's resume-skip-epoch
 // mutation. A workload whose ResumeSkipEpoch reports true gets a broken
 // guard: the region resumes one epoch past where the probe stopped, inline
@@ -39,53 +30,47 @@ type resumeSkipper interface{ ResumeSkipEpoch() bool }
 // probe executes the region's epochs in order on the calling thread from
 // its first, task by task on worker 0 with no signature — the sequential
 // execution, untracked, so it reports a state change to the runtime — and
-// times them. It reads the clock after 1, 2, 4, … uninstrumented tasks,
-// the step cut short where the rate so far predicts the budget's end
-// (engine.NextRead). The inline rate is over the latest half of those
-// tasks, so the cold first ones do not set it.
+// times its uninstrumented tasks through the state's engine.Probe, which
+// reads the clock on its schedule and gives the inline rate.
 //
 // The first sampleTasks tasks of the first two epochs, and of a later one
-// while sampling has cost under 1/engine.ProbeShare of the inline time, run
-// instead with a signature from worker 0's arena. That is still each
-// task's one execution, since recording writes no state; its time is the
-// instrumented rate. Once two epochs are sampled, the checker processes
-// the signatures of the latest two in the state's own log, as if
-// alternating workers had run them with every task of the earlier epoch
-// still running when each of the later one began; that is the checker
-// rate, and the log is emptied afterwards.
+// while sampling is due (engine.Probe.SampleDue), run instead with a
+// signature from worker 0's arena. That is still each task's one
+// execution, since recording writes no state; its time is the instrumented
+// rate. Once two epochs are sampled, the checker processes the signatures
+// of the latest two in the state's own log, as if alternating workers had
+// run them with every task of the earlier epoch still running when each of
+// the later one began; that is the checker rate, and the log is emptied
+// afterwards.
 //
 // The probe stops at the first epoch boundary past the budget where it has
 // both rates and returns the decision Run's documentation gives; a region
 // whose epochs all fit in the probe has run to its end, inline.
 func (st *state) probe(w Workload, stats *Stats) guard {
-	cfg := &st.cfg
-	budget, clock := st.rt.Budget(), engine.ClockCost()
+	cfg, p := &st.cfg, &st.meter
 	nw := len(st.local)
 	st.rt.StateChanged()
 	st.useKind(cfg.SigKind)
 	loc := &st.local[0]
 	loc.taken = 0
 	var (
-		plain, next int64 = 0, 1 // uninstrumented tasks; the clock is read at next
-		inline      time.Duration
-		sampleWall  time.Duration // instrumented tasks and checker samples
-		instr       time.Duration // the instrumented tasks' time, less a clock read each sample
-		instrN      int
-		check       time.Duration // the checker samples' time
-		checkN      int
-		sampled     int
-		prev        int // the latest sampled epoch; entries holds its signatures
-		past        bool
+		plain   int64         // uninstrumented tasks
+		instr   time.Duration // the instrumented tasks' time, less a clock read each sample
+		instrN  int
+		check   time.Duration // the checker samples' time
+		checkN  int
+		sampled int
+		prev    int // the latest sampled epoch; entries holds its signatures
+		past    bool
 	)
 	entries := st.sample[:0]
-	reads := append(st.reads[:0], probeRead{})
-	start := time.Now()
+	p.Start(st.rt.Budget())
 	epochs := w.Epochs()
 	e := 0
 	for e < epochs {
 		n := w.Tasks(e)
 		t := 0
-		if k := min(n, sampleTasks); k > 0 && (sampled < 2 || engine.ProbeShare*sampleWall < inline) {
+		if k := min(n, sampleTasks); k > 0 && (sampled < 2 || p.SampleDue()) {
 			t0 := time.Now()
 			at := len(entries)
 			for ; t < k; t++ {
@@ -94,7 +79,7 @@ func (st *state) probe(w Workload, stats *Stats) guard {
 				sig.Seal()
 				entries = append(entries, taskEntry{tid: int32(t % nw), pos: packET(int32(e), int32(t)), wm: wm, sig: sig})
 			}
-			instr += max(time.Since(t0)-clock, 0)
+			instr += p.Timed(time.Since(t0))
 			instrN += k
 			if sampled++; sampled > 1 {
 				check += st.checkSample(entries[:at], entries[at:], prev, e)
@@ -102,20 +87,14 @@ func (st *state) probe(w Workload, stats *Stats) guard {
 				entries = append(entries[:0], entries[at:]...)
 			}
 			prev = e
-			sampleWall += time.Since(t0)
+			p.Sampled(time.Since(t0))
 		}
 		for ; t < n; t++ {
 			w.Run(e, t, 0, nil)
 			plain++
-			if past || plain < next {
-				continue
+			if p.Due(plain) {
+				past = p.Read(plain)
 			}
-			inline = time.Since(start) - sampleWall
-			reads = append(reads, probeRead{inline, plain})
-			if past = inline >= budget; past {
-				continue
-			}
-			next = engine.NextRead(plain, inline, budget)
 		}
 		stats.Tasks += int64(n)
 		stats.InlineTasks += int64(n)
@@ -126,23 +105,14 @@ func (st *state) probe(w Workload, stats *Stats) guard {
 	}
 	g := guard{at: e}
 	stats.Inline += int64(e)
-	// The inline rate, from the latest read at or below half the tasks.
-	now := time.Since(start) - sampleWall
-	from := reads[0]
-	for _, r := range reads {
-		if 2*r.plain <= plain {
-			from = r
-		}
-	}
-	if plain > from.plain {
-		g.inlineNs = float64(now-from.at) / float64(plain-from.plain)
-	}
+	p.Read(plain)
+	g.inlineNs = p.Rate()
 	if instrN > 0 && checkN > 0 {
 		in, ck := float64(instr)/float64(instrN), float64(check)/float64(checkN)
 		g.specNs = specBound(in, ck, nw, cfg.CheckerShards, runtime.GOMAXPROCS(0))
 		g.parallel = e < epochs && g.specNs < g.inlineNs
 	}
-	st.sample, st.reads = entries[:0], reads[:0]
+	st.sample = entries[:0]
 	loc.taken = 0
 	return g
 }

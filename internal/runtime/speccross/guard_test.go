@@ -221,8 +221,10 @@ func TestGuardPanicInProbeReachesCaller(t *testing.T) {
 	engine.CloseIdle()
 	defer engine.CloseIdle()
 	created, _, _ := engine.Counters()
-	for _, at := range []int{1, 40} { // a sampled task, and one past the samples
-		w := newCounting(12, 8, 2, 0)
+	// A sampled task, and one past the samples still in epoch 0, which the
+	// probe always runs on the calling thread.
+	for _, at := range []int{1, 20} {
+		w := newCounting(12, 24, 2, 0)
 		w.panicAt = at
 		func() {
 			defer func() {
@@ -251,6 +253,10 @@ func TestGuardPanicInProbeReachesCaller(t *testing.T) {
 // epoch after the probe's last one, whatever the guard decides, so the
 // harness that looks for it has something to find.
 func TestGuardResumeSkipEpochIsCaught(t *testing.T) {
+	// A fresh runtime's budget is the floor. A pooled one's is the start-up
+	// an earlier test measured, which can outlast the whole region and
+	// leave the seam no epoch to skip.
+	engine.CloseIdle()
 	w := newCounting(40, 8, 2, 0)
 	w.resumeSkipsEpoch = true
 	st := Run(w, Config{Workers: 2, CheckpointEvery: 4})

@@ -225,6 +225,7 @@ func main() {
 			fmt.Println(guardLine(res.DOMORE.Stats))
 		case *explain && res.SpecCross != nil:
 			fmt.Println(specGuardLine(res.SpecCross.Stats))
+			fmt.Println(checkpointLine(res.SpecCross.Stats))
 		case *explain:
 			fmt.Print(renderDecisions(audit))
 		}
@@ -388,6 +389,15 @@ func specGuardLine(st speccross.Stats) string {
 	}
 	return fmt.Sprintf("  guard: %d of %d epochs inline, inline %.1f ns/task, speculation %.1f ns/task; %s",
 		st.Inline, speculated+st.Inline, st.InlineNs, st.SpecNs, outcome)
+}
+
+// checkpointLine renders what SPECCROSS's checkpoints cost: how many were
+// taken, how many of them incrementally and over how many cells, the
+// rollbacks, and the control thread's time capturing, committing and
+// restoring images.
+func checkpointLine(st speccross.Stats) string {
+	return fmt.Sprintf("  checkpoints: %d (%d incremental, %d cells), %d rollbacks, %v capturing, committing and restoring images",
+		st.Checkpoints, st.DeltaCheckpoints, st.DeltaCells, st.Misspeculations, time.Duration(st.CheckpointNs).Round(time.Microsecond))
 }
 
 // lintOutput renders the static plan verifier's diagnostics for the

@@ -208,7 +208,7 @@ type injector struct {
 	panicLeft             atomic.Int32
 	tornLeft              atomic.Int32 // TornDelta once-latch
 	// armed is set once an engine has captured a checkpoint (Snapshot, or
-	// the delta view's ReadCell), which it does before its first
+	// the delta view's LoadCells), which it does before its first
 	// speculative segment. The panic and torn-write faults fire only once
 	// armed: a guard's probe (speccross.Run's, and adaptive.Run's over an
 	// unpriced SPECCROSS window) runs sampled tasks with a live signature
@@ -233,8 +233,8 @@ type deltaInjector struct {
 }
 
 func (d *deltaInjector) StateLen() int                       { return d.dw.StateLen() }
-func (d *deltaInjector) ReadCell(c uint64) int64             { d.arm(); return d.dw.ReadCell(c) }
-func (d *deltaInjector) WriteCell(c uint64, v int64)         { d.dw.WriteCell(c, v) }
+func (d *deltaInjector) LoadCells(lo uint64, dst []int64)    { d.arm(); d.dw.LoadCells(lo, dst) }
+func (d *deltaInjector) StoreCells(lo uint64, src []int64)   { d.dw.StoreCells(lo, src) }
 func (d *deltaInjector) AddrCells(a uint64) (uint64, uint64) { return d.dw.AddrCells(a) }
 
 // Wrap builds the fault-injecting workload view over inner, whose
@@ -293,6 +293,13 @@ func (inj *injector) ComputeAddr(inv, iter int, buf []uint64) []uint64 {
 	return inj.inner.ComputeAddr(inv, iter, buf)
 }
 
+// SkipDirtyCell forwards the skip-dirty-cell seam of a mutated inner
+// workload, whose catcher runs under the torn-delta fault.
+func (inj *injector) SkipDirtyCell() bool {
+	s, ok := inj.inner.(interface{ SkipDirtyCell() bool })
+	return ok && s.SkipDirtyCell()
+}
+
 // arm marks a checkpoint captured (see injector.armed).
 func (inj *injector) arm() {
 	if !inj.armed.Load() {
@@ -318,7 +325,7 @@ func (inj *injector) Run(epoch, task, tid int, sig *signature.Signature) {
 			// Tear one tracked write: record the victim cell first (the
 			// record-before-write contract puts it in the engine's write
 			// log), scribble it directly in the underlying state —
-			// bypassing any mutated WriteCell view, the fault is in the
+			// bypassing any mutated StoreCells view, the fault is in the
 			// speculative execution, not the repair path — then die. The
 			// rollback must restore the cell from its base image. Atomic
 			// like the kernel's own stores: other lanes run concurrently.

@@ -32,12 +32,22 @@ const (
 	// MutSkipRestore turns Restore into a no-op, so misspeculation
 	// recovery re-executes on top of poisoned speculative state.
 	MutSkipRestore Mutation = "skip-restore"
-	// MutSkipDeltaRestore turns WriteCell into a no-op: the
+	// MutSkipDeltaRestore turns StoreCells into a no-op: the
 	// incremental-checkpoint rollback silently fails to repair the cells
 	// it believes it restored. Full-snapshot restores are untouched, so
 	// only the write-set delta path (and the harness's coverage of it)
 	// can catch this one.
 	MutSkipDeltaRestore Mutation = "skip-delta-restore"
+	// MutSkipDirtyCell models an incremental checkpointer whose bitmap walk
+	// stops one cell short: every bulk commit and every bulk rollback
+	// leaves out the highest dirty cell, so the base image keeps a stale
+	// value there, or the rolled-back state a speculative one. The
+	// engine's seam for it is the workload's SkipDirtyCell method; only a
+	// misspeculation that rolls back a cell the segment really wrote can
+	// catch it, so it pairs with the torn-delta fault, and its catcher
+	// starts adaptive-guarded at SPECCROSS so that every SPECCROSS arm,
+	// guarded or not, reaches it.
+	MutSkipDirtyCell Mutation = "skip-dirty-cell"
 	// MutWidenStatic corrupts the static cross-invocation claim rather
 	// than the engines: the xdep-style classification of the case is
 	// forced to "none" (provably conflict-free) regardless of its declared
@@ -106,7 +116,7 @@ const (
 
 // Mutations lists the non-empty mutation kinds.
 func Mutations() []Mutation {
-	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutWidenStatic, MutStaleRuntime, MutReleaseKeepsVersion, MutElideCrossCond, MutRunPastCond, MutResumeOffByOne, MutResumeSkipEpoch, MutInlineWindowSkipEpoch}
+	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutSkipDirtyCell, MutWidenStatic, MutStaleRuntime, MutReleaseKeepsVersion, MutElideCrossCond, MutRunPastCond, MutResumeOffByOne, MutResumeSkipEpoch, MutInlineWindowSkipEpoch}
 }
 
 // ParseMutation validates a -mutate flag value.
@@ -121,15 +131,15 @@ func ParseMutation(s string) (Mutation, error) {
 // Faults is the fault plan that makes the mutation's broken path run:
 // skip-restore is only reachable through a misspeculation recovery, so it
 // pairs with a deterministic injected panic (plus the torn-state scribble
-// the skipped restore then fails to repair). skip-delta-restore likewise
-// pairs with the torn-delta fault, whose scribbled cell only a working
-// delta restore repairs. The other mutations corrupt paths every run
-// exercises and need no help.
+// the skipped restore then fails to repair). skip-delta-restore and
+// skip-dirty-cell likewise pair with the torn-delta fault, whose scribbled
+// cell only a working delta rollback repairs. The other mutations corrupt
+// paths every run exercises and need no help.
 func (m Mutation) Faults() FaultPlan {
 	switch m {
 	case MutSkipRestore:
 		return FaultPlan{Panic: true, TornState: true}
-	case MutSkipDeltaRestore:
+	case MutSkipDeltaRestore, MutSkipDirtyCell:
 		return FaultPlan{TornDelta: true}
 	case MutStaleRuntime, MutReleaseKeepsVersion:
 		// Seed 0 dirties the shared runtime with a forced misspeculation,
@@ -183,6 +193,15 @@ func MutationCatcher() *Spec {
 // runtime catcher every segment of the warm-up commits, so the forced
 // misspeculation of the run after it restores read-modify-written cells
 // from the wrong run's image.
+//
+// MutSkipDirtyCell runs on the resume catcher cut to dirtyCatcherEpochs
+// epochs, an odd number, so that the adaptive-guarded arm starts at
+// SPECCROSS. SPECCROSS's guard finds the bodies costly and speculates once
+// its probe has run, within the first adaptive window too, and the
+// torn-delta fault then fails the first speculative task. Every task of
+// the segment stores to a cell of its own after recording it, so the
+// highest dirty cell was written, and the broken rollback leaves its
+// speculative value in place.
 //
 // In MutationCatcher the reader is the only later accessor of the cell it
 // reads, so the default DOMORE assignment puts it behind its writer on one
@@ -244,9 +263,13 @@ func (m Mutation) Catcher() *Spec {
 			)
 		}
 		return mustValid(s)
-	case MutResumeOffByOne, MutResumeSkipEpoch:
-		s := &Spec{Name: "chaos-resume-catcher", StateLen: resumeCatcherEpochs * runCatcherTasks, SigKind: "exact"}
-		for e := 0; e < resumeCatcherEpochs; e++ {
+	case MutResumeOffByOne, MutResumeSkipEpoch, MutSkipDirtyCell:
+		epochs := resumeCatcherEpochs
+		if m == MutSkipDirtyCell {
+			epochs = dirtyCatcherEpochs
+		}
+		s := &Spec{Name: "chaos-resume-catcher", StateLen: epochs * runCatcherTasks, SigKind: "exact"}
+		for e := 0; e < epochs; e++ {
 			tasks := make([]TaskSpec, runCatcherTasks)
 			for i := range tasks {
 				tasks[i] = TaskSpec{Writes: []uint64{uint64(e*runCatcherTasks + i)}, Work: resumeCatcherWork}
@@ -291,6 +314,10 @@ const (
 	resumeCatcherWork   = 4000
 )
 
+// dirtyCatcherEpochs is the dirty-cell catcher's length: odd, and longer
+// than the probe.
+const dirtyCatcherEpochs = 13
+
 // inlineCatcherEpochs is the inline catcher's length: four adaptive
 // windows at the harness's default window of four epochs.
 const inlineCatcherEpochs = 16
@@ -309,8 +336,9 @@ func mustValid(s *Spec) *Spec {
 // use of a shared runtime and the pool's release of one (dirtyRun.reset,
 // dirtyRun.on). The wrappers of MutElideCrossCond, MutRunPastCond and
 // MutResumeOffByOne change nothing but ask the DOMORE engine to break itself
-// (ElideCrossConds, RunPastConds, ResumeOffByOne), MutResumeSkipEpoch's
-// asks the SPECCROSS engine (ResumeSkipEpoch), and
+// (ElideCrossConds, RunPastConds, ResumeOffByOne), MutResumeSkipEpoch's and
+// MutSkipDirtyCell's ask the SPECCROSS engine (ResumeSkipEpoch,
+// SkipDirtyCell), and
 // MutInlineWindowSkipEpoch's asks the adaptive controller
 // (InlineWindowSkipEpoch).
 func (m Mutation) Wrap(k *epochal.Kernel) adaptive.Workload {
@@ -345,22 +373,25 @@ func (w *mutated) ResumeOffByOne() bool { return w.m == MutResumeOffByOne }
 // ResumeSkipEpoch is the SPECCROSS engine's seam for MutResumeSkipEpoch.
 func (w *mutated) ResumeSkipEpoch() bool { return w.m == MutResumeSkipEpoch }
 
+// SkipDirtyCell is the SPECCROSS engine's seam for MutSkipDirtyCell.
+func (w *mutated) SkipDirtyCell() bool { return w.m == MutSkipDirtyCell }
+
 // InlineWindowSkipEpoch is the adaptive controller's seam for
 // MutInlineWindowSkipEpoch.
 func (w *mutated) InlineWindowSkipEpoch() bool { return w.m == MutInlineWindowSkipEpoch }
 
 // The delta view forwards to the kernel, so the incremental-checkpoint
 // path stays engaged under mutation — skip-delta-restore breaks exactly
-// that path's repair writes.
+// that path's bulk rollback.
 func (w *mutated) StateLen() int                       { return w.k.StateLen() }
-func (w *mutated) ReadCell(c uint64) int64             { return w.k.ReadCell(c) }
+func (w *mutated) LoadCells(lo uint64, dst []int64)    { w.k.LoadCells(lo, dst) }
 func (w *mutated) AddrCells(a uint64) (uint64, uint64) { return w.k.AddrCells(a) }
 
-func (w *mutated) WriteCell(c uint64, v int64) {
+func (w *mutated) StoreCells(lo uint64, src []int64) {
 	if w.m == MutSkipDeltaRestore {
 		return
 	}
-	w.k.WriteCell(c, v)
+	w.k.StoreCells(lo, src)
 }
 
 func (w *mutated) ComputeAddr(inv, iter int, buf []uint64) []uint64 {

@@ -257,7 +257,10 @@ func postRun(t *testing.T, url string, req *RunRequest) (*RunResponse, int) {
 // (the budget saturates AND still serves), and afterwards the daemon is
 // healthy with zero in-flight work.
 func TestConcurrentInvocationsWithAdmissionControl(t *testing.T) {
-	src := corpus(t)["cg.lnl"]
+	// Each request must hold its slot long enough for the storm to queue
+	// behind it: heavy's region runs for milliseconds, where cg.lnl's runs
+	// wholly inline in well under one.
+	src := heavy
 	s := newServer(t, Config{MaxInFlight: 2, QueueDepth: 2, QueueTimeout: 20 * time.Millisecond})
 	// Pre-warm so concurrent requests exercise the hot path, not 64
 	// simultaneous compiles of the same program.

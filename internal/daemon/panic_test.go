@@ -21,6 +21,17 @@ import (
 // returned to the engine pool — the next request on the slot is built a new
 // one and served correctly — and once the pool's idle runtimes are closed no
 // engine goroutine is left behind.
+// heavy is a region whose bodies cost many times their address
+// computation, unlike cg.lnl's, which cost no more than theirs and which
+// domore.Run's guard therefore keeps on the calling thread. heavy's goes
+// parallel, and it runs for milliseconds (about 25 ms under DOMORE on two
+// workers), so its workers start before the probe, which goes on until
+// they do, has finished it, and a request for it holds its execution slot
+// that long.
+var heavy = "func heavy() {\n  var A[6500]\n  for t = 1 .. 400 {\n    parfor i = 0 .. 16 {\n      x = A[(t-1)*16 + i]\n" +
+	strings.Repeat("      x = x * 7 + 3\n", 40) +
+	"      A[t*16 + i] = x % 1000003\n    }\n  }\n}\n"
+
 func TestWorkerPanicIs500(t *testing.T) {
 	cg := corpus(t)["cg.lnl"]
 	// Epoch t reads what epoch t-4 wrote: speculation overlaps epochs, so
@@ -34,14 +45,8 @@ func TestWorkerPanicIs500(t *testing.T) {
   }
 }
 `
-	// domore.Run's guard keeps cg.lnl's region, whose bodies cost no more
-	// than their address computation, on the calling thread. This one's
-	// bodies cost many times theirs, so it goes parallel and has threads
-	// to kill, and it runs for milliseconds, so its workers start before
-	// the probe, which goes on until they do, has finished it.
-	heavy := "func heavy() {\n  var A[6500]\n  for t = 1 .. 400 {\n    parfor i = 0 .. 16 {\n      x = A[(t-1)*16 + i]\n" +
-		strings.Repeat("      x = x * 7 + 3\n", 40) +
-		"      A[t*16 + i] = x % 1000003\n    }\n  }\n}\n"
+	// domore.Run's guard keeps cg.lnl's region on the calling thread;
+	// heavy's goes parallel and has threads to kill.
 	// adaptive.Run hands its first window to the seeded engine's own guard.
 	// Every iteration here also reads the previous epoch's last cell, a
 	// dependence at distance 1 that the profile finds too close to

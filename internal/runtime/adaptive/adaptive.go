@@ -253,6 +253,9 @@ func newController(rt *engine.Runtime, w Workload, cfg Config, guarded bool) *co
 	if r, ok := w.(interface{ ResumeSkipEpoch() bool }); ok {
 		c.win.resumeSkip = r.ResumeSkipEpoch()
 	}
+	if r, ok := w.(interface{ SkipDirtyCell() bool }); ok {
+		c.win.skipCell = r.SkipDirtyCell()
+	}
 	spec := cfg.Spec
 	spec.Workers = cfg.Workers
 	c.shards = spec.Shards()
@@ -420,9 +423,10 @@ type window struct {
 	dw     speccross.DeltaWorkload // w's delta view, or nil
 	irr    speccross.Irreversibler // w's irreversible-epoch marker, or nil
 	lo, hi int
-	// The engines' guards read the chaos harness's resume mutations off the
-	// workload they are handed, which is this view; it forwards w's answers.
-	resumeOff, resumeSkip bool
+	// The engines read the chaos harness's resume and skip-dirty-cell
+	// mutations off the workload they are handed, which is this view; it
+	// forwards w's answers.
+	resumeOff, resumeSkip, skipCell bool
 }
 
 func (s *window) Invocations() int       { return s.hi - s.lo }
@@ -451,8 +455,8 @@ func (s *window) StateLen() int {
 	return 0
 }
 
-func (s *window) ReadCell(cell uint64) int64     { return s.dw.ReadCell(cell) }
-func (s *window) WriteCell(cell uint64, v int64) { s.dw.WriteCell(cell, v) }
+func (s *window) LoadCells(lo uint64, dst []int64)  { s.dw.LoadCells(lo, dst) }
+func (s *window) StoreCells(lo uint64, src []int64) { s.dw.StoreCells(lo, src) }
 func (s *window) AddrCells(addr uint64) (lo, hi uint64) {
 	return s.dw.AddrCells(addr)
 }
@@ -465,6 +469,7 @@ func (s *window) Irreversible(epoch int) bool {
 
 func (s *window) ResumeOffByOne() bool  { return s.resumeOff }
 func (s *window) ResumeSkipEpoch() bool { return s.resumeSkip }
+func (s *window) SkipDirtyCell() bool   { return s.skipCell }
 
 func addDomore(dst *domore.Stats, s domore.Stats) {
 	dst.Iterations += s.Iterations
@@ -499,4 +504,5 @@ func addSpec(dst *speccross.Stats, s speccross.Stats) {
 	dst.DeltaCheckpoints += s.DeltaCheckpoints
 	dst.DeltaCells += s.DeltaCells
 	dst.DeltaRestores += s.DeltaRestores
+	dst.CheckpointNs += s.CheckpointNs
 }

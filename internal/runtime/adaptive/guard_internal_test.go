@@ -116,8 +116,8 @@ func (d *deltaCells) Tasks(int) int                              { return d.task
 func (d *deltaCells) Snapshot() any                              { return append([]int64(nil), d.state...) }
 func (d *deltaCells) Restore(s any)                              { copy(d.state, s.([]int64)) }
 func (d *deltaCells) StateLen() int                              { return len(d.state) }
-func (d *deltaCells) ReadCell(c uint64) int64                    { return d.state[c] }
-func (d *deltaCells) WriteCell(c uint64, v int64)                { d.state[c] = v }
+func (d *deltaCells) LoadCells(lo uint64, dst []int64)           { copy(dst, d.state[lo:]) }
+func (d *deltaCells) StoreCells(lo uint64, src []int64)          { copy(d.state[lo:], src) }
 func (d *deltaCells) AddrCells(a uint64) (lo, hi uint64)         { return a, a + 1 }
 func (d *deltaCells) Run(e, t, _ int, sig *signature.Signature) {
 	if sig != nil {
@@ -175,6 +175,9 @@ func TestInlineWindowInvalidatesCheckpointImage(t *testing.T) {
 			}
 			if tc.faultEpoch >= 0 && !w.fired.Load() {
 				t.Fatal("the speculative fault never fired")
+			}
+			if c.stats.Spec.CheckpointNs <= 0 {
+				t.Errorf("Spec.CheckpointNs = %d after two posted windows' captures, commits and rollback", c.stats.Spec.CheckpointNs)
 			}
 			for i, v := range ref.state {
 				if w.state[i] != v {

@@ -87,8 +87,8 @@ func (c *cells) Run(epoch, task, _ int, sig *signature.Signature) {
 func (c *cells) Snapshot() any                      { return append([]int64(nil), c.state...) }
 func (c *cells) Restore(s any)                      { copy(c.state, s.([]int64)) }
 func (c *cells) StateLen() int                      { return len(c.state) }
-func (c *cells) ReadCell(i uint64) int64            { return c.state[i] }
-func (c *cells) WriteCell(i uint64, v int64)        { c.state[i] = v }
+func (c *cells) LoadCells(lo uint64, dst []int64)   { copy(dst, c.state[lo:]) }
+func (c *cells) StoreCells(lo uint64, src []int64)  { copy(c.state[lo:], src) }
 func (c *cells) AddrCells(a uint64) (lo, hi uint64) { return a, a + 1 }
 
 // settle waits for the goroutine count to return to base (Close has

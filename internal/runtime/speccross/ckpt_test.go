@@ -34,8 +34,8 @@ func (w *deltaArrayWorkload) Snapshot() any           { return append([]int64(ni
 func (w *deltaArrayWorkload) Restore(s any)           { copy(w.state, s.([]int64)) }
 
 func (w *deltaArrayWorkload) StateLen() int                       { return w.cells }
-func (w *deltaArrayWorkload) ReadCell(c uint64) int64             { return w.state[c] }
-func (w *deltaArrayWorkload) WriteCell(c uint64, v int64)         { w.state[c] = v }
+func (w *deltaArrayWorkload) LoadCells(lo uint64, dst []int64)    { copy(dst, w.state[lo:]) }
+func (w *deltaArrayWorkload) StoreCells(lo uint64, src []int64)   { copy(w.state[lo:], src) }
 func (w *deltaArrayWorkload) AddrCells(a uint64) (uint64, uint64) { return a, a + 1 }
 
 func (w *deltaArrayWorkload) cellOf(e, t, j int) int {
@@ -131,6 +131,25 @@ func TestIncrementalCheckpointEquivalence(t *testing.T) {
 	}
 }
 
+// TestCheckpointNs pins what Stats.CheckpointNs measures: a delta run with
+// a forced misspeculation spends time capturing, committing and rolling
+// back its image, and a region the guard ran wholly inline takes no image
+// at all.
+func TestCheckpointNs(t *testing.T) {
+	st := Run(newDeltaArray(12, 8, 1<<12), Config{
+		Workers: 2, SigKind: signature.Exact, CheckpointEvery: 4, ForceMisspecEpoch: 6,
+	})
+	if st.DeltaRestores != 1 || st.CheckpointNs <= 0 {
+		t.Errorf("forced misspeculation: %d delta restores, CheckpointNs %d; want 1 and a positive time", st.DeltaRestores, st.CheckpointNs)
+	}
+	// The probe needs two sampled epochs before it can decide, so a
+	// two-epoch region always runs to its end on the calling thread.
+	st = Run(newDeltaArray(2, 8, 1<<12), Config{Workers: 2, SigKind: signature.Exact, CheckpointEvery: 4})
+	if st.Inline != 2 || st.CheckpointNs != 0 {
+		t.Errorf("inline region: %d of 2 epochs inline, CheckpointNs %d; want 2 and 0", st.Inline, st.CheckpointNs)
+	}
+}
+
 // TestBlockGranularDeltaSpans exercises AddrCells spans wider than one
 // cell: block-granular signature addresses must refresh and roll back the
 // whole block.
@@ -175,9 +194,9 @@ func (w *blockDeltaWorkload) Tasks(int) int { return w.tasks }
 func (w *blockDeltaWorkload) Snapshot() any { return append([]int64(nil), w.state...) }
 func (w *blockDeltaWorkload) Restore(s any) { copy(w.state, s.([]int64)) }
 
-func (w *blockDeltaWorkload) StateLen() int               { return len(w.state) }
-func (w *blockDeltaWorkload) ReadCell(c uint64) int64     { return w.state[c] }
-func (w *blockDeltaWorkload) WriteCell(c uint64, v int64) { w.state[c] = v }
+func (w *blockDeltaWorkload) StateLen() int                     { return len(w.state) }
+func (w *blockDeltaWorkload) LoadCells(lo uint64, dst []int64)  { copy(dst, w.state[lo:]) }
+func (w *blockDeltaWorkload) StoreCells(lo uint64, src []int64) { copy(w.state[lo:], src) }
 func (w *blockDeltaWorkload) AddrCells(a uint64) (uint64, uint64) {
 	return a * blockCells, (a + 1) * blockCells
 }

@@ -27,11 +27,16 @@ import (
 // synchronizations.
 //
 // Checkpoints are full snapshots or — for DeltaWorkloads with a nonzero
-// StateLen — incremental: the engine keeps one base image of the state and,
-// at each commit, refreshes only the cells the segment's tracked write set
-// touched; a rollback likewise rewrites only the dirty cells. This is the
-// checkpoint substitution of §4.2.2: checkpoint and recovery cost are
-// bounded by the write set, not the heap.
+// StateLen — incremental: the engine keeps one base image of the state,
+// captured in one bulk copy before the first speculative segment and again
+// after any untracked phase. At a commit it marks the cells the segment's
+// tracked write set spans in a bitmap, one bit per cell, and refreshes
+// each run of marked cells in one copy; a rollback likewise rewrites only
+// those runs. This is the checkpoint substitution of §4.2.2: checkpoint
+// and recovery cost are bounded by the write set, not the heap — a segment
+// that dirtied most of the state costs about one copy of it, and one that
+// dirtied a few cells costs those cells plus a scan of StateLen/64 words.
+// The control goroutine's time in all of it is Stats.CheckpointNs.
 //
 // Unless the run sets ForceMisspecEpoch, Run is guarded, as the package
 // documentation describes. Its probe runs epochs on the calling thread
@@ -141,13 +146,18 @@ func (st *state) run(w Workload, guarded bool) Stats {
 
 	// Checkpoint state. Full mode takes a snapshot as each speculative
 	// segment begins; incremental mode keeps a base image of every cell on
-	// the runtime plus a generation-stamped visited array, so per-segment
-	// dirty-set dedup is O(dirty) with no O(heap) clearing between segments.
-	// Either is taken lazily, when a speculative segment is about to need
-	// it: untracked execution (barrier recovery, irreversible epochs, the
-	// guard's inline epochs) only counts its checkpoint here, and the image
-	// is captured — once — before the next speculation.
+	// the runtime plus a bitmap of the segment's dirty cells, and copies
+	// the runs of set bits. Either is taken lazily, when a speculative
+	// segment is about to need it: untracked execution (barrier recovery,
+	// irreversible epochs, the guard's inline epochs) only counts its
+	// checkpoint here, and the image is captured — once — before the next
+	// speculation. Every capture, commit and rollback is timed into
+	// Stats.CheckpointNs.
 	var snapshot any
+	st.skipCell = false
+	if s, ok := w.(dirtyCellSkipper); ok {
+		st.skipCell = s.SkipDirtyCell()
+	}
 	checkpointFull := func(end int) {
 		stats.Checkpoints++
 		ctl.Emit(trace.KindCheckpoint, int64(end), 0, 0)
@@ -159,7 +169,9 @@ func (st *state) run(w Workload, guarded bool) Stats {
 			checkpointFull(end)
 			return
 		}
-		cells := st.sweepDirty(dw, func(c uint64) { st.base[c] = dw.ReadCell(c) })
+		t0 := time.Now()
+		cells := st.copyDirty(dw, true)
+		stats.CheckpointNs += int64(time.Since(t0))
 		stats.Checkpoints++
 		stats.DeltaCheckpoints++
 		stats.DeltaCells += cells
@@ -169,12 +181,15 @@ func (st *state) run(w Workload, guarded bool) Stats {
 	// restore rolls the state back to the segment's checkpoint: a full
 	// Restore, or a rewrite of exactly the dirty cells.
 	restore := func(start int) {
+		t0 := time.Now()
 		if !useDelta {
 			w.Restore(snapshot)
+			stats.CheckpointNs += int64(time.Since(t0))
 			ctl.Emit(trace.KindRestore, int64(start), 0, 0)
 			return
 		}
-		cells := st.sweepDirty(dw, func(c uint64) { dw.WriteCell(c, st.base[c]) })
+		cells := st.copyDirty(dw, false)
+		stats.CheckpointNs += int64(time.Since(t0))
 		stats.DeltaRestores++
 		ctl.Emit(trace.KindRestore, int64(start), 0, 0)
 		ctl.Emit(trace.KindDeltaRestore, cells, int64(start), 0)
@@ -222,11 +237,13 @@ func (st *state) run(w Workload, guarded bool) Stats {
 			}
 		}
 
+		t0 := time.Now()
 		if useDelta {
 			st.ensureBase(w, dw)
 		} else {
 			snapshot = w.Snapshot()
 		}
+		stats.CheckpointNs += int64(time.Since(t0))
 		ctl.Emit(trace.KindEpochBegin, int64(start), int64(end), 0)
 		reason := st.runSpeculative(w, cfg, start, end, useDelta)
 		st.fold(&stats)
@@ -387,13 +404,15 @@ type state struct {
 	kind   signature.Kind // of the arenas and the checker's unions
 
 	// Incremental-checkpoint image: base holds every cell's checkpointed
-	// value, stamp/gen dedup a dirty sweep. It is current while baseFor is
-	// the workload it was read from and baseVersion the runtime's state
-	// version (see RunOn).
-	base, stamp []int64
-	gen         int64
+	// value, dirty the cells the finished segment wrote. It is current
+	// while baseFor is the workload it was read from and baseVersion the
+	// runtime's state version (see RunOn). skipCell is the run's
+	// skip-dirty-cell seam (dirtyCellSkipper).
+	base        []int64
+	dirty       dirtySet
 	baseFor     Workload
 	baseVersion uint64
+	skipCell    bool
 
 	// The phase in progress, written by the control goroutine before it
 	// posts to the threads.
@@ -508,21 +527,20 @@ func (st *state) aborted() bool { return st.misspec.Load() != st.segBase }
 // already was.
 func (st *state) flag(reason int32) { st.misspec.CompareAndSwap(st.segBase, st.segBase|uint64(reason)) }
 
-// ensureBase makes the base image current for w, reading every cell only
-// when the cached image is for another workload or predates an untracked
-// change of the state.
+// ensureBase makes the base image current for w, capturing the whole
+// state in one bulk copy only when the cached image is for another
+// workload or predates an untracked change of the state.
 func (st *state) ensureBase(w Workload, dw DeltaWorkload) {
 	n := dw.StateLen()
 	if st.baseVersion == st.rt.StateVersion() && len(st.base) == n && sameWorkload(st.baseFor, w) {
 		return
 	}
 	if cap(st.base) < n {
-		st.base, st.stamp, st.gen = make([]int64, n), make([]int64, n), 0
+		st.base = make([]int64, n)
 	}
-	st.base, st.stamp = st.base[:n], st.stamp[:n]
-	for i := range st.base {
-		st.base[i] = dw.ReadCell(uint64(i))
-	}
+	st.base = st.base[:n]
+	st.dirty.resize(n)
+	dw.LoadCells(0, st.base)
 	st.baseFor, st.baseVersion = w, st.rt.StateVersion()
 }
 
@@ -536,26 +554,36 @@ func sameWorkload(a, b Workload) bool {
 	return t.Kind() == reflect.Pointer && t == reflect.TypeOf(b) && a == b
 }
 
-// sweepDirty calls visit once for every state cell the finished segment's
-// write logs cover and returns how many that was.
-func (st *state) sweepDirty(dw DeltaWorkload, visit func(cell uint64)) (cells int64) {
-	st.gen++
+// dirtyCellSkipper is the seam of the chaos harness's skip-dirty-cell
+// mutation. A workload whose SkipDirtyCell reports true gets a broken
+// checkpointer: every commit and every rollback leaves out the highest
+// dirty cell, so the base image or the rolled-back state keeps a wrong
+// value there. The harness must catch it; nothing else implements this.
+type dirtyCellSkipper interface{ SkipDirtyCell() bool }
+
+// copyDirty marks the state cells the finished segment's write logs cover
+// and copies each run of them: from the state into the base image to
+// commit, or from the image back into the state to roll back. It returns
+// how many distinct cells that was.
+func (st *state) copyDirty(dw DeltaWorkload, commit bool) (cells int64) {
+	d := &st.dirty
 	for i := range st.local {
 		for _, a := range st.local[i].dlog {
-			lo, hi := dw.AddrCells(a)
-			if hi > uint64(len(st.base)) {
-				hi = uint64(len(st.base)) // sentinel / out-of-range addresses
-			}
-			for c := lo; c < hi; c++ {
-				if st.stamp[c] == st.gen {
-					continue // already visited this sweep
-				}
-				st.stamp[c] = st.gen
-				visit(c)
-				cells++
-			}
+			d.mark(dw.AddrCells(a))
 		}
 	}
+	cells = d.count()
+	if st.skipCell {
+		d.dropHighest()
+	}
+	for lo, hi := d.next(0); lo < hi; lo, hi = d.next(hi) {
+		if commit {
+			dw.LoadCells(lo, st.base[lo:hi])
+		} else {
+			dw.StoreCells(lo, st.base[lo:hi])
+		}
+	}
+	d.empty()
 	return cells
 }
 

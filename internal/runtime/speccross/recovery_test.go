@@ -53,8 +53,8 @@ func (w *recoveryWorkload) Restore(s any) { copy(w.state, s.([]int64)) }
 // [0, StateLen) and is ignored by the checkpointer, exercising the
 // out-of-range skip).
 func (w *recoveryWorkload) StateLen() int                       { return len(w.state) }
-func (w *recoveryWorkload) ReadCell(cell uint64) int64          { return w.state[cell] }
-func (w *recoveryWorkload) WriteCell(cell uint64, v int64)      { w.state[cell] = v }
+func (w *recoveryWorkload) LoadCells(lo uint64, dst []int64)    { copy(dst, w.state[lo:]) }
+func (w *recoveryWorkload) StoreCells(lo uint64, src []int64)   { copy(w.state[lo:], src) }
 func (w *recoveryWorkload) AddrCells(a uint64) (uint64, uint64) { return a, a + 1 }
 
 func (w *recoveryWorkload) Run(e, t, tid int, sig *signature.Signature) {

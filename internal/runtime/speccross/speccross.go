@@ -75,20 +75,30 @@ type Workload interface {
 // task recorded. Addresses whose span falls outside [0, StateLen) —
 // sentinel conflict addresses, for example — are ignored by the
 // checkpointer. Run calls with a nil signature (barrier recovery,
-// irreversible epochs) are untracked; the engine rebuilds the full base
-// image after them. A StateLen of 0 declares the workload delta-incapable
+// irreversible epochs) are untracked; the engine captures the whole image
+// again after them. A StateLen of 0 declares the workload delta-incapable
 // (no sound address→cell mapping is available) and keeps it on full
 // snapshots.
+//
+// The state moves in bulk: LoadCells and StoreCells copy a run of
+// consecutive cells, and the engine calls them only while every thread of
+// the run is quiescent, at a segment's checkpoint or rollback, so they
+// need no synchronization with the tasks and must not keep the slice they
+// are handed. A capture is one LoadCells of the whole state; a commit or a
+// rollback is one call per run of consecutive dirty cells, and
+// record-before-write is what makes those runs cover every store the
+// segment made.
 type DeltaWorkload interface {
 	Workload
 	// StateLen reports the number of state cells (0 disables incremental
-	// checkpointing).
+	// checkpointing). It must not change during a run.
 	StateLen() int
-	// ReadCell returns the current value of one cell.
-	ReadCell(cell uint64) int64
-	// WriteCell overwrites one cell; the engine uses it to roll dirty
-	// cells back to their checkpoint values.
-	WriteCell(cell uint64, v int64)
+	// LoadCells copies cells [lo, lo+len(dst)) of the state into dst.
+	LoadCells(lo uint64, dst []int64)
+	// StoreCells overwrites cells [lo, lo+len(src)) of the state with src;
+	// the engine uses it to roll dirty cells back to their checkpoint
+	// values.
+	StoreCells(lo uint64, src []int64)
 	// AddrCells resolves a signature address to the state cell span
 	// [lo, hi) it covers — the identity mapping (addr, addr+1) when
 	// signature addresses are element indices.
@@ -205,10 +215,10 @@ func (c *Config) Shards() int {
 // PrefilterHits, in plain thread-private counters; the control goroutine
 // folds those into Stats at each segment's quiesce, when every thread has
 // finished its phase, and writes Epochs, Misspeculations, Checkpoints,
-// ReexecutedEpochs, DeltaCheckpoints, DeltaCells and DeltaRestores itself at
-// segment boundaries, and the guard's Inline, InlineTasks, InlineNs and
-// SpecNs. The returned Stats is read only after the last quiesce, so callers
-// may read it without synchronization.
+// ReexecutedEpochs, DeltaCheckpoints, DeltaCells, DeltaRestores and
+// CheckpointNs itself at segment boundaries, and the guard's Inline,
+// InlineTasks, InlineNs and SpecNs. The returned Stats is read only after
+// the last quiesce, so callers may read it without synchronization.
 type Stats struct {
 	// Tasks is the number of task executions, excluding re-execution: the
 	// speculative ones and those Run's guard ran on the calling thread.
@@ -254,13 +264,21 @@ type Stats struct {
 	PrefilterHits int64
 	// DeltaCheckpoints counts checkpoints taken incrementally (a subset of
 	// Checkpoints); DeltaCells is the total number of state cells those
-	// checkpoints refreshed in the base image.
+	// checkpoints refreshed in the base image: for each, the exact number
+	// of distinct cells its segment's write set spans.
 	DeltaCheckpoints int64
 	DeltaCells       int64
 	// DeltaRestores counts incremental rollbacks: misspeculation recoveries
 	// that rewrote only the segment's dirty cells instead of restoring a
 	// full snapshot.
 	DeltaRestores int64
+	// CheckpointNs is the control goroutine's time, in nanoseconds, spent
+	// capturing, committing and restoring checkpoint images — Snapshot and
+	// Restore, or the incremental image's capture, commit and rollback —
+	// timed with one pair of clock reads around each. Checkpoints an
+	// untracked phase only counts (the guard's inline epochs, barrier
+	// recovery) cost nothing here, so a region run wholly inline reads 0.
+	CheckpointNs int64
 }
 
 // packET packs an (epoch, task) pair so positions can be compared with a

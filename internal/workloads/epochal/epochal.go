@@ -136,11 +136,11 @@ func (k *Kernel) StateLen() int {
 	return len(k.State)
 }
 
-// ReadCell implements speccross.DeltaWorkload.
-func (k *Kernel) ReadCell(cell uint64) int64 { return k.State[cell] }
+// LoadCells implements speccross.DeltaWorkload.
+func (k *Kernel) LoadCells(lo uint64, dst []int64) { copy(dst, k.State[lo:]) }
 
-// WriteCell implements speccross.DeltaWorkload.
-func (k *Kernel) WriteCell(cell uint64, v int64) { k.State[cell] = v }
+// StoreCells implements speccross.DeltaWorkload.
+func (k *Kernel) StoreCells(lo uint64, src []int64) { copy(k.State[lo:], src) }
 
 // AddrCells implements speccross.DeltaWorkload.
 func (k *Kernel) AddrCells(addr uint64) (lo, hi uint64) { return k.AddrSpan(addr) }

@@ -225,6 +225,7 @@ func main() {
 			fmt.Println(guardLine(res.DOMORE.Stats))
 		case *explain && res.SpecCross != nil:
 			fmt.Println(specGuardLine(res.SpecCross.Stats))
+			fmt.Println(chunkLine(res.SpecCross, *workers))
 			fmt.Println(checkpointLine(res.SpecCross.Stats))
 		case *explain:
 			fmt.Print(renderDecisions(audit))
@@ -389,6 +390,20 @@ func specGuardLine(st speccross.Stats) string {
 	}
 	return fmt.Sprintf("  guard: %d of %d epochs inline, inline %.1f ns/task, speculation %.1f ns/task; %s",
 		st.Inline, speculated+st.Inline, st.InlineNs, st.SpecNs, outcome)
+}
+
+// chunkLine renders how SPECCROSS's speculative workers took their tasks:
+// the distance the run speculated within and the most tasks a chunk held
+// at it (speccross.ChunkTasks).
+func chunkLine(res *core.SpecCrossResult, workers int) string {
+	dist, profitable := res.Profile.Recommended(workers)
+	switch {
+	case !profitable:
+		return "  chunks: none: the profile found speculation unprofitable and barriers ran"
+	case dist == 0:
+		return fmt.Sprintf("  chunks: %d task each: no distance bounds speculation (the run was not profiled, or its profile found no conflict)", res.ChunkTasks)
+	}
+	return fmt.Sprintf("  chunks: up to %d tasks each: distance %d shared by %d workers", res.ChunkTasks, dist, workers)
 }
 
 // checkpointLine renders what SPECCROSS's checkpoints cost: how many were

@@ -157,7 +157,7 @@ func (d *dirtyRun) adaptive(w adaptive.Workload, cfg adaptive.Config) (st adapti
 
 func (d *dirtyRun) specConfig() speccross.Config {
 	c := speccross.Config{
-		Workers: d.opts.Workers, SigKind: d.spec.Kind(),
+		Workers: d.opts.Workers, SigKind: d.spec.Kind(), SpecDistance: d.spec.SpecDistance(d.opts.Workers),
 		CheckpointEvery: d.opts.CheckpointEvery, Trace: d.rec,
 	}
 	if d.opts.Faults.QueueFull {
@@ -315,6 +315,7 @@ func (d *dirtyRun) runClean(eng string) string {
 	case "adaptive", "adaptive-guarded":
 		cfg := adaptive.Config{Workers: d.opts.Workers, Window: d.opts.Window, Trace: d.rec}
 		cfg.Spec.SigKind = d.spec.Kind()
+		cfg.Spec.SpecDistance = d.spec.SpecDistance(d.opts.Workers)
 		cfg.Domore = d.opts.Faults.Domore(cfg.Domore)
 		var st adaptive.Stats
 		if eng == "adaptive" {

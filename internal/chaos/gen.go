@@ -22,6 +22,8 @@ const (
 	genShapeAffine  = 0
 	genShapeIndir   = 1
 	genShapeScatter = 2
+	// genDistanceStream seeds the generator Spec.Distance is drawn on.
+	genDistanceStream = 0x9e3779b97f4a7c15
 )
 
 // Generate derives a complete Spec from a seed. Every structural choice —
@@ -37,6 +39,10 @@ const (
 // from the same epoch's writes; their manifest distance is controlled by
 // per-task write periods (a task that writes every k-th epoch leaves its
 // readers depending on values k epochs old).
+//
+// One seed in three runs the SPECCROSS arms at no speculative distance,
+// one at the case's profiled one and one at an overstated one
+// (Spec.Distance), drawn on a generator of its own as well.
 //
 // About one seed in genWideEvery makes a wide case: genWideTasks blocks and
 // epochs of at least genWideTasks-15 tasks, so at the default four workers
@@ -62,6 +68,7 @@ func Generate(seed uint64) *Spec {
 		Seed:     seed,
 		StateLen: nBlocks * block,
 		SigKind:  kinds[rng.Intn(3)],
+		Distance: []string{"", distProfiled, distOverstated}[workloads.NewRng(seed^genDistanceStream).Intn(3)],
 	}
 
 	// Per-task write cadence: period 1 writes every epoch, longer periods

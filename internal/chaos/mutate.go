@@ -112,11 +112,20 @@ const (
 	// engine's own guard runs the first: one whose cheap bodies make the
 	// price test choose inline execution for a later window.
 	MutInlineWindowSkipEpoch Mutation = "inline-window-skip-epoch"
+	// MutChunkTailUnchecked models a SPECCROSS checker that takes a chunk
+	// for its first task: of each chunk of consecutive tasks a worker
+	// hands it, it logs and compares only the first entry, so a conflict
+	// of any later task of a chunk goes unseen. The engine's seam for it is
+	// the workload's SkipChunkTail method; only a run whose distance cuts
+	// epochs into chunks of two or more tasks, and lets a conflicting pair
+	// overlap, can catch it: an overstated Spec.Distance under an arm that
+	// speculates.
+	MutChunkTailUnchecked Mutation = "chunk-tail-unchecked"
 )
 
 // Mutations lists the non-empty mutation kinds.
 func Mutations() []Mutation {
-	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutSkipDirtyCell, MutWidenStatic, MutStaleRuntime, MutReleaseKeepsVersion, MutElideCrossCond, MutRunPastCond, MutResumeOffByOne, MutResumeSkipEpoch, MutInlineWindowSkipEpoch}
+	return []Mutation{MutDropAddr, MutDropSigWrite, MutSkipRestore, MutSkipDeltaRestore, MutSkipDirtyCell, MutWidenStatic, MutStaleRuntime, MutReleaseKeepsVersion, MutElideCrossCond, MutRunPastCond, MutResumeOffByOne, MutResumeSkipEpoch, MutInlineWindowSkipEpoch, MutChunkTailUnchecked}
 }
 
 // ParseMutation validates a -mutate flag value.
@@ -226,6 +235,15 @@ func MutationCatcher() *Spec {
 // boundary inside the region, and the epoch the broken resume skips leaves
 // its cells unwritten whether the rest runs speculatively or inline.
 //
+// MutChunkTailUnchecked runs on the chunk catcher: pairs of epochs of
+// runCatcherTasks tasks at an overstated distance, which at the default
+// four workers cuts each epoch into four chunks of two tasks, chunk c on
+// worker c. A slow writer of cell 2i heads worker 3's chunk of the first
+// epoch of a pair; the reader of that cell is task 1 of the second, the
+// tail of worker 0's chunk, which the overstated distance lets run while
+// the writer still spins or has not started. Only the reader's own entry
+// shows the conflict.
+//
 // MutInlineWindowSkipEpoch runs on the inline catcher: inlineCatcherEpochs
 // epochs of runCatcherTasks empty tasks, each writing a cell of its own,
 // so it spans several adaptive windows. DOMORE's guard runs the first
@@ -287,6 +305,16 @@ func (m Mutation) Catcher() *Spec {
 			s.Epochs = append(s.Epochs, EpochSpec{Tasks: tasks})
 		}
 		return mustValid(s)
+	case MutChunkTailUnchecked:
+		s := &Spec{Name: "chaos-chunk-catcher", StateLen: 6, SigKind: "exact", Distance: distOverstated}
+		for i := uint64(0); i < 3; i++ {
+			a := 2 * i
+			write, read := make([]TaskSpec, runCatcherTasks), make([]TaskSpec, runCatcherTasks)
+			write[runCatcherTasks-2] = TaskSpec{Writes: []uint64{a}, Work: 200000}
+			read[1] = TaskSpec{Reads: []uint64{a}, Writes: []uint64{a + 1}}
+			s.Epochs = append(s.Epochs, EpochSpec{Tasks: write}, EpochSpec{Tasks: read})
+		}
+		return mustValid(s)
 	case MutRunPastCond:
 		s := &Spec{Name: "chaos-run-catcher", StateLen: 9, SigKind: "exact"}
 		for i := uint64(0); i < 3; i++ {
@@ -336,9 +364,9 @@ func mustValid(s *Spec) *Spec {
 // use of a shared runtime and the pool's release of one (dirtyRun.reset,
 // dirtyRun.on). The wrappers of MutElideCrossCond, MutRunPastCond and
 // MutResumeOffByOne change nothing but ask the DOMORE engine to break itself
-// (ElideCrossConds, RunPastConds, ResumeOffByOne), MutResumeSkipEpoch's and
-// MutSkipDirtyCell's ask the SPECCROSS engine (ResumeSkipEpoch,
-// SkipDirtyCell), and
+// (ElideCrossConds, RunPastConds, ResumeOffByOne), MutResumeSkipEpoch's,
+// MutSkipDirtyCell's and MutChunkTailUnchecked's ask the SPECCROSS engine
+// (ResumeSkipEpoch, SkipDirtyCell, SkipChunkTail), and
 // MutInlineWindowSkipEpoch's asks the adaptive controller
 // (InlineWindowSkipEpoch).
 func (m Mutation) Wrap(k *epochal.Kernel) adaptive.Workload {
@@ -375,6 +403,9 @@ func (w *mutated) ResumeSkipEpoch() bool { return w.m == MutResumeSkipEpoch }
 
 // SkipDirtyCell is the SPECCROSS engine's seam for MutSkipDirtyCell.
 func (w *mutated) SkipDirtyCell() bool { return w.m == MutSkipDirtyCell }
+
+// SkipChunkTail is the SPECCROSS engine's seam for MutChunkTailUnchecked.
+func (w *mutated) SkipChunkTail() bool { return w.m == MutChunkTailUnchecked }
 
 // InlineWindowSkipEpoch is the adaptive controller's seam for
 // MutInlineWindowSkipEpoch.

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"crossinv/internal/runtime/signature"
+	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/workloads"
 	"crossinv/internal/workloads/epochal"
 )
@@ -50,11 +51,16 @@ type EpochSpec struct {
 // canonical representation: the shrinker edits it structurally, and
 // Kernel materializes it as an epochal.Kernel so it runs under every
 // engine and plugs into the internal/workloads interfaces.
+//
+// Distance is the speculative distance the SPECCROSS arms run the case at
+// (see Spec.SpecDistance): empty for none, "profiled" for the case's own
+// §4.4 profile, "overstated" for a multiple of it.
 type Spec struct {
 	Name     string      `json:"name"`
 	Seed     uint64      `json:"seed,omitempty"`
 	StateLen int         `json:"state_len"`
 	SigKind  string      `json:"sig_kind"`
+	Distance string      `json:"distance,omitempty"`
 	Epochs   []EpochSpec `json:"epochs"`
 }
 
@@ -98,6 +104,11 @@ func (s *Spec) Validate() error {
 	case "", "range", "bloom", "exact":
 	default:
 		return fmt.Errorf("chaos: unknown sig_kind %q", s.SigKind)
+	}
+	switch s.Distance {
+	case "", distProfiled, distOverstated:
+	default:
+		return fmt.Errorf("chaos: unknown distance %q", s.Distance)
 	}
 	for e := range s.Epochs {
 		writers := map[uint64]int{}
@@ -173,6 +184,32 @@ func (s *Spec) Kernel() *epochal.Kernel {
 		}
 	}
 	return k
+}
+
+// The Spec.Distance draws besides none.
+const (
+	distProfiled   = "profiled"
+	distOverstated = "overstated"
+)
+
+// SpecDistance is the speculative distance (speccross.Config.SpecDistance)
+// the SPECCROSS arms of a run at the given worker count use. A profiled
+// case runs at the minimum distance the §4.4 profile of its own kernel,
+// with its own signature kind, finds: NoConflict when there is none, which
+// the range gate never stops at but which cuts every epoch into one chunk
+// per worker. An overstated case runs at 4·workers times that distance,
+// which makes chunks of twice the profiled distance and lets tasks that
+// really conflict overlap, so only the checker stands between the gate and
+// a wrong result.
+func (s *Spec) SpecDistance(workers int) int64 {
+	if s.Distance == "" {
+		return 0
+	}
+	d := speccross.Profile(s.Kernel(), s.Kind(), speccross.DefaultProfileWindow).MinDistance
+	if s.Distance == distOverstated && d != speccross.NoConflict {
+		d *= 4 * int64(workers)
+	}
+	return d
 }
 
 // SequentialState runs the case sequentially on fresh state and returns

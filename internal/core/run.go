@@ -95,6 +95,10 @@ type SpecCrossResult struct {
 	Env     *interp.Env
 	Stats   speccross.Stats
 	Profile speccross.ProfileResult
+	// ChunkTasks is the most tasks one chunk of a speculative segment held
+	// at the run's distance (speccross.ChunkTasks over the region's
+	// epochs), or 0 when barriers ran.
+	ChunkTasks int
 }
 
 // AdaptiveResult is the outcome of an adaptive hybrid execution.
@@ -252,6 +256,9 @@ func (c *Compiled) runSpecCross(region *ir.Loop, cfg speccross.Config, prof spec
 			return nil
 		}
 		cfg.SpecDistance = dist
+		for e := range r.Epochs() {
+			res.ChunkTasks = max(res.ChunkTasks, speccross.ChunkTasks(dist, r.Tasks(e), cfg.Workers))
+		}
 		res.Stats = speccross.Run(r, cfg)
 		return nil
 	})

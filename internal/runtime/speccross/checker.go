@@ -20,22 +20,30 @@ import (
 //
 //   - r is the later-epoch side against any logged task s of another thread
 //     with s.epoch < r.epoch and s at-or-after the watermark r recorded for
-//     s's thread when r began ("epochs earlier than the signature's epoch,
-//     but at least as recent as the epoch-task pair recorded when the task
-//     began", §4.2.1);
+//     s's thread when r's chunk began ("epochs earlier than the signature's
+//     epoch, but at least as recent as the epoch-task pair recorded when
+//     the task began", §4.2.1);
 //   - r is the earlier-epoch side against any logged later-epoch task s
 //     whose own watermark for r's thread was at-or-before r's position —
-//     meaning r had not finished when s began, so they overlapped.
+//     meaning r had not finished when s's chunk began, so they may have
+//     overlapped.
+//
+// A worker's position names its running chunk's first task, or one past
+// the last task of the chunk it finished, so a watermark read while a chunk
+// runs pairs its every task, conservatively, and one read after it pairs
+// none of them. Requests carry whole chunks: a chunk's entries are logged
+// under one lock of their row, and each other row is scanned for all of
+// them under one read lock.
 //
 // The log is sharded by worker row, each row guarded by its own lock, so
 // shards comparing against different workers' histories never contend.
-// Each shard logs the entry (write lock on its own row) *before* scanning
-// the other rows (read locks), which preserves the coverage argument
-// pairwise per row: for any overlapping pair (a, b) processed concurrently
-// by different shards, if a's scan of b's row missed b, then a's read of
-// that row completed before b was appended — so b's later scan of a's row,
-// which b performs only after appending itself, observes a. Every
-// cross-epoch overlapping pair is checked at least once.
+// Each shard logs a chunk's entries (write lock on its own row) *before*
+// scanning the other rows (read locks), which preserves the coverage
+// argument pairwise per row: for any overlapping pair (a, b) processed
+// concurrently by different shards, if a's scan of b's row missed b, then
+// a's read of that row completed before b was appended — so b's later scan
+// of a's row, which b performs only after appending itself, observes a.
+// Every cross-epoch overlapping pair is checked at least once.
 //
 // Two summaries amortize the scans:
 //
@@ -125,7 +133,11 @@ func (c *checker) run(st *state, sh int) {
 				remaining--
 				continue
 			}
-			c.process(req.entry, st, loc, tt)
+			es := req.entries
+			if st.headOnly {
+				es = es[:1]
+			}
+			c.process(es, st, loc, tt)
 		}
 		if progress {
 			spins = 0
@@ -140,42 +152,36 @@ func (c *checker) run(st *state, sh int) {
 	}
 }
 
-// process logs the entry and performs both comparison directions.
-func (c *checker) process(e taskEntry, st *state, loc *shardLocal, tt *trace.ThreadTrace) {
-	epoch, _ := unpackET(e.pos)
-	rel := int(epoch) - c.start
+// process logs one chunk's entries and performs both comparison directions
+// for each. The entries are one worker's consecutive tasks of one epoch,
+// sealed, sharing one watermark vector; the worker still owns the slice,
+// so process only reads it.
+func (c *checker) process(es []taskEntry, st *state, loc *shardLocal, tt *trace.ThreadTrace) {
+	head := &es[0]
+	epoch, _ := unpackET(head.pos)
+	rel, tid := int(epoch)-c.start, int(head.tid)
 
-	// Empty signatures cannot conflict with anything; skip both the log and
-	// the comparisons (the "guaranteed independent" skip of §4.1.3).
-	if e.sig.Empty() {
+	// Empty signatures cannot conflict with anything; they are neither
+	// logged nor compared (the "guaranteed independent" skip of §4.1.3).
+	// A chunk of nothing but empty ones is skipped whole.
+	if !c.log(es, tid, rel) {
 		return
 	}
 
-	// Seal while this shard still solely owns the entry: exact sets sort
-	// lazily, and after logging, other shards may compare against the
-	// signature concurrently — those comparisons must be pure reads.
-	e.sig.Seal()
-
 	// Log first (see the type comment for why ordering matters with
-	// sharded checkers).
-	c.log(e, rel)
-
+	// sharded checkers), then scan each other row once for the chunk.
 	windowNonEmpty := false
 	conflict := false
 	for o := 0; o < len(c.rows) && !conflict; o++ {
-		if o == int(e.tid) {
+		if o == tid {
 			continue
 		}
-		wmEpoch, _ := unpackET(e.wm[o])
+		wmEpoch, _ := unpackET(head.wm[o])
 		if int(wmEpoch) < int(epoch) {
 			windowNonEmpty = true
 		}
-		lo := int(wmEpoch) - c.start
-		if lo < 0 {
-			lo = 0
-		}
 		var overlap bool
-		conflict, overlap = c.scan(e, o, lo, rel, loc, tt)
+		conflict, overlap = c.scan(es, o, max(int(wmEpoch)-c.start, 0), rel, loc, tt)
 		windowNonEmpty = windowNonEmpty || overlap
 	}
 
@@ -186,32 +192,45 @@ func (c *checker) process(e taskEntry, st *state, loc *shardLocal, tt *trace.Thr
 
 	if windowNonEmpty {
 		loc.checkRequests++
-		tt.Emit(trace.KindCheckRequest, int64(e.tid), int64(e.pos), 0)
+		tt.Emit(trace.KindCheckRequest, int64(tid), int64(head.pos), 0)
 	}
 }
 
-// log appends e to its worker's row for relative epoch rel and folds it
-// into the row-epoch's union and watermark minimum. The row's union stays
-// sealed under the same lock, so readers always see a sorted accumulator.
-// The lock is released by defer, as in scan: a panic in here must not leave
-// the row locked against the other shards, which would then never reach a
-// point where they notice the runtime stopped.
-func (c *checker) log(e taskEntry, rel int) {
-	row := &c.rows[e.tid]
+// log appends the chunk's non-empty entries to worker tid's row for
+// relative epoch rel, under one lock, and folds them into the row-epoch's
+// union and its watermark minimum (once: they share one vector). It
+// reports whether it logged any. The row's union stays sealed under the
+// same lock, so readers always see a sorted accumulator. The lock is
+// released by defer, as in scan: a panic in here must not leave the row
+// locked against the other shards, which would then never reach a point
+// where they notice the runtime stopped.
+func (c *checker) log(es []taskEntry, tid, rel int) (logged bool) {
+	row := &c.rows[tid]
 	row.mu.Lock()
 	defer row.mu.Unlock()
 	first := len(row.log[rel]) == 0
-	row.log[rel] = append(row.log[rel], e)
-	if row.union[rel] == nil {
-		row.union[rel] = signature.New(c.kind)
+	for i := range es {
+		e := &es[i]
+		if e.sig.Empty() {
+			continue
+		}
+		row.log[rel] = append(row.log[rel], *e)
+		if row.union[rel] == nil {
+			row.union[rel] = signature.New(c.kind)
+		}
+		row.union[rel].Union(e.sig)
+		logged = true
 	}
-	row.union[rel].Union(e.sig)
+	if !logged {
+		return false
+	}
 	row.union[rel].Seal()
+	wm := es[0].wm
 	if first {
-		row.minWM[rel] = append(row.minWM[rel], e.wm...)
+		row.minWM[rel] = append(row.minWM[rel], wm...)
 	} else {
 		mw := row.minWM[rel]
-		for i, w := range e.wm {
+		for i, w := range wm {
 			if w < mw[i] {
 				mw[i] = w
 			}
@@ -220,16 +239,36 @@ func (c *checker) log(e taskEntry, rel int) {
 	if rel > row.maxEpoch {
 		row.maxEpoch = rel
 	}
+	return true
 }
 
-// scan compares e against worker o's row in both directions, from relative
-// epoch lo on. It reports whether a conflict was found and whether any
-// later-epoch task of o overlapped e.
-func (c *checker) scan(e taskEntry, o, lo, rel int, loc *shardLocal, tt *trace.ThreadTrace) (conflict, overlap bool) {
+// scan compares each non-empty entry of a chunk against worker o's row in
+// both directions, from relative epoch lo on, under one read lock. It
+// reports whether a conflict was found and whether any later-epoch task of
+// o overlapped one of them.
+func (c *checker) scan(es []taskEntry, o, lo, rel int, loc *shardLocal, tt *trace.ThreadTrace) (conflict, overlap bool) {
 	orow := &c.rows[o]
 	orow.mu.RLock()
 	defer orow.mu.RUnlock()
+	for i := range es {
+		e := &es[i]
+		if e.sig.Empty() {
+			continue
+		}
+		var ov bool
+		conflict, ov = c.scanEntry(e, orow, o, lo, rel, loc, tt)
+		overlap = overlap || ov
+		if conflict {
+			return true, overlap
+		}
+	}
+	return false, overlap
+}
 
+// scanEntry compares e against the read-locked row orow of worker o. It
+// reports whether a conflict was found and whether any later-epoch task of
+// o overlapped e.
+func (c *checker) scanEntry(e *taskEntry, orow *checkerRow, o, lo, rel int, loc *shardLocal, tt *trace.ThreadTrace) (conflict, overlap bool) {
 	// Direction 1: e is the later-epoch side.
 	for re := lo; re < rel && re <= orow.maxEpoch; re++ {
 		if len(orow.log[re]) == 0 {
@@ -245,7 +284,7 @@ func (c *checker) scan(e taskEntry, o, lo, rel int, loc *shardLocal, tt *trace.T
 		for i := range orow.log[re] {
 			s := &orow.log[re][i]
 			if s.pos < e.wm[o] {
-				continue // finished before e began: ordered, no overlap
+				continue // finished before e's chunk began: ordered, no overlap
 			}
 			loc.comparisons++
 			tt.Emit(trace.KindSigCheck, int64(s.tid), int64(s.pos), 0)

@@ -26,6 +26,17 @@ import (
 // irreversible are likewise executed non-speculatively between two full
 // synchronizations.
 //
+// Within a segment each worker runs its chunks of every epoch in order
+// (see the package documentation): per chunk it publishes its position,
+// waits at the range gate until the chunk's last task is less than the
+// epoch's distance ahead of every other worker's completion, reads the
+// other workers' positions as the chunk's watermarks, runs the tasks —
+// each with a signature of its own — publishes its position one past the
+// chunk and then its completion, and hands the checker the chunk's entries
+// in one request. A watermark the checker reads as "still running" is then
+// at most the distance behind every task of the chunk that read it, so a
+// faithful profile keeps the checker quiet, as it did one task a chunk.
+//
 // Checkpoints are full snapshots or — for DeltaWorkloads with a nonzero
 // StateLen — incremental: the engine keeps one base image of the state,
 // captured in one bulk copy before the first speculative segment and again
@@ -154,9 +165,12 @@ func (st *state) run(w Workload, guarded bool) Stats {
 	// speculation. Every capture, commit and rollback is timed into
 	// Stats.CheckpointNs.
 	var snapshot any
-	st.skipCell = false
+	st.skipCell, st.headOnly = false, false
 	if s, ok := w.(dirtyCellSkipper); ok {
 		st.skipCell = s.SkipDirtyCell()
+	}
+	if s, ok := w.(chunkTailSkipper); ok {
+		st.headOnly = s.SkipChunkTail()
 	}
 	checkpointFull := func(end int) {
 		stats.Checkpoints++
@@ -251,6 +265,7 @@ func (st *state) run(w Workload, guarded bool) Stats {
 			ctl.Emit(trace.KindEpochCommit, int64(end-start), int64(start), int64(end))
 			checkpointDirty(end)
 			stats.Epochs += int64(end - start)
+			stats.Tasks += st.prefix[end-start]
 		} else {
 			stats.Misspeculations++
 			ctl.Emit(trace.KindMisspec, int64(reason), int64(start), int64(end))
@@ -363,8 +378,9 @@ func (st *state) barrierWorker(tid int) {
 }
 
 // taskEntry is one logged task execution: its signature plus the watermark
-// vector (other threads' positions when the task began), which the checker
-// needs to pair overlapping tasks in both directions.
+// vector (other threads' positions when the task's chunk began, shared by
+// every task of the chunk), which the checker needs to pair overlapping
+// tasks in both directions.
 type taskEntry struct {
 	tid int32
 	pos uint64   // packed (epoch, task)
@@ -372,10 +388,11 @@ type taskEntry struct {
 	sig *signature.Signature
 }
 
-// request is one message on a worker→checker queue.
+// request is one message on a worker→checker queue: the entries of one
+// chunk, in task order, or the worker's end token.
 type request struct {
-	entry taskEntry
-	end   bool
+	entries []taskEntry
+	end     bool
 }
 
 // stateKey is the key SPECCROSS's state is kept under in a runtime.
@@ -431,6 +448,8 @@ type state struct {
 	// trackWrites enables per-worker write logs for incremental
 	// checkpointing (workerLocal.dlog, read by control after quiesce).
 	trackWrites bool
+	// headOnly is the run's chunk-tail-unchecked seam (chunkTailSkipper).
+	headOnly bool
 
 	// The guard's inline measurement, and its scratch: the sampled tasks'
 	// log entries.
@@ -438,20 +457,23 @@ type state struct {
 	sample []taskEntry
 }
 
-// workerLocal is one worker's private state. Signatures and watermark
-// vectors come from block arenas that are recycled when the segment ends —
-// committed or aborted, every entry of a finished segment is dead — and the
-// counters are plain, folded into Stats at quiesce.
+// workerLocal is one worker's private state. Signatures, watermark vectors
+// and log entries come from arenas that are recycled when the segment ends
+// — committed or aborted, every entry of a finished segment is dead — and
+// the counter is plain, folded into Stats at quiesce.
 type workerLocal struct {
-	sigs  [][]signature.Signature // blocks of sigBlock
-	wms   [][]uint64              // matching watermark blocks, workers*sigBlock each
-	taken int                     // signatures handed out this segment
+	sigs    [][]signature.Signature // blocks of sigBlock
+	wms     [][]uint64              // watermark blocks, workers*sigBlock each
+	taken   int                     // signatures handed out this segment
+	wmTaken int                     // watermark vectors handed out this segment
+	// ents holds the segment's entries; each request is a run of them.
+	ents []taskEntry
 	// dlog accumulates the worker's tracked writes across the segment
 	// (addresses in order, possibly with duplicates).
-	dlog               []uint64
-	tasks, rangeStalls int64
-	run, runBarrier    func() // the worker's phases, bound once
-	_                  [64]byte
+	dlog            []uint64
+	rangeStalls     int64
+	run, runBarrier func() // the worker's phases, bound once
+	_               [64]byte
 }
 
 // shardLocal is one checker shard's private state.
@@ -484,9 +506,9 @@ const (
 )
 
 // sigBlock is how many per-task signatures a worker acquires per batch
-// allocation (signature.NewBatch); the watermark vectors are carved from a
-// matching arena, so per-task allocation cost is O(1/sigBlock) in a
-// runtime's first segments and zero once its arenas have grown.
+// allocation (signature.NewBatch), and how many per-chunk watermark vectors
+// per block of that arena, so allocation cost is O(1/sigBlock) per task in
+// a runtime's first segments and zero once its arenas have grown.
 const sigBlock = 64
 
 // stateOn returns rt's SPECCROSS state.
@@ -561,6 +583,13 @@ func sameWorkload(a, b Workload) bool {
 // value there. The harness must catch it; nothing else implements this.
 type dirtyCellSkipper interface{ SkipDirtyCell() bool }
 
+// chunkTailSkipper is the seam of the chaos harness's chunk-tail-unchecked
+// mutation. A workload whose SkipChunkTail reports true gets a broken
+// checker: of each chunk's entries it logs and compares only the first, so
+// a conflict of any later task of a chunk goes unseen. The harness must
+// catch it; nothing else implements this.
+type chunkTailSkipper interface{ SkipChunkTail() bool }
+
 // copyDirty marks the state cells the finished segment's write logs cover
 // and copies each run of them: from the state into the base image to
 // commit, or from the image back into the state to roll back. It returns
@@ -592,9 +621,8 @@ func (st *state) copyDirty(dw DeltaWorkload, commit bool) (cells int64) {
 func (st *state) fold(stats *Stats) {
 	for i := range st.local {
 		l := &st.local[i]
-		stats.Tasks += l.tasks
 		stats.RangeStalls += l.rangeStalls
-		l.tasks, l.rangeStalls = 0, 0
+		l.rangeStalls = 0
 	}
 	for i := range st.shards {
 		s := &st.shards[i]
@@ -649,7 +677,7 @@ func (st *state) beginSegment(w Workload, cfg *Config, start, end int, trackWrit
 	st.useKind(cfg.SigKind)
 	for i := range st.local {
 		l := &st.local[i]
-		l.taken = 0
+		l.taken, l.wmTaken, l.ents = 0, 0, l.ents[:0]
 		if l.dlog == nil {
 			// Non-nil even when empty: a nil Signature.WriteLog means
 			// "do not log".
@@ -698,23 +726,50 @@ func (st *state) runSpeculative(w Workload, cfg *Config, start, end int, trackWr
 	return int32(st.misspec.Load() - st.segBase)
 }
 
-// take hands the worker its next signature and watermark vector of the
-// segment, growing the arenas by one block when they run out.
-func (l *workerLocal) take(kind signature.Kind, nw int) (*signature.Signature, []uint64) {
+// take hands the worker its next signature of the segment, growing the
+// arena by one block when it runs out.
+func (l *workerLocal) take(kind signature.Kind) *signature.Signature {
 	b, i := l.taken/sigBlock, l.taken%sigBlock
 	if b == len(l.sigs) {
 		l.sigs = append(l.sigs, signature.NewBatch(kind, sigBlock))
-		l.wms = append(l.wms, make([]uint64, nw*sigBlock))
 	}
 	l.taken++
 	sig := &l.sigs[b][i]
 	sig.Reset() // recycled from an earlier segment
-	return sig, l.wms[b][i*nw : (i+1)*nw : (i+1)*nw]
+	return sig
+}
+
+// takeWM hands the worker its next watermark vector of the segment, one
+// per chunk, growing the arena by one block when it runs out.
+func (l *workerLocal) takeWM(nw int) []uint64 {
+	b, i := l.wmTaken/sigBlock, l.wmTaken%sigBlock
+	if b == len(l.wms) {
+		l.wms = append(l.wms, make([]uint64, nw*sigBlock))
+	}
+	l.wmTaken++
+	return l.wms[b][i*nw : (i+1)*nw : (i+1)*nw]
+}
+
+// ChunkTasks is how many consecutive tasks of an epoch of n tasks one chunk
+// of a speculative segment holds when the epoch's speculative distance is
+// dist and nw workers share it: half the distance shared among the workers, so that the chunks all
+// of them run at once span half of it; at least one task; and never more
+// than an even share of the epoch, so that no worker sits the epoch out.
+// With no distance every chunk is one task.
+func ChunkTasks(dist int64, n, nw int) int {
+	if dist <= 0 {
+		return 1
+	}
+	return int(max(1, min(dist/2/int64(nw), int64((n+nw-1)/nw))))
 }
 
 // specWorker executes this thread's share of every epoch in the segment,
 // publishing positions, signatures and checking requests (the worker loop of
-// Fig 4.7).
+// Fig 4.7). Its share is block-cyclic: the epoch's tasks are cut into
+// chunks of ChunkTasks consecutive tasks, and chunk c is worker c mod nw's.
+// Each chunk publishes its position, passes the range gate, reads the
+// watermark vector, publishes its completion and sends its request once;
+// every task in it still records its own signature and its own entry.
 func (st *state) specWorker(tid int) {
 	w, cfg, nw, start, end := st.w, &st.cfg, len(st.local), st.start, st.end
 	q, tt, loc := st.queues[tid], st.rec.Lane(int32(tid)), &st.local[tid]
@@ -739,56 +794,72 @@ func (st *state) specWorker(tid int) {
 
 	for e := start; e < end; e++ {
 		n := w.Tasks(e)
-		for t := tid; t < n; t += nw {
+		dist := cfg.SpecDistance
+		if cfg.SpecDistanceOf != nil {
+			dist = cfg.SpecDistanceOf(e)
+		}
+		k := ChunkTasks(dist, n, nw)
+		base := st.prefix[e-start]
+		for first := tid * k; first < n; first += nw * k {
+			last := min(first+k, n) - 1
 			if st.aborted() {
 				st.produceReq(q, request{end: true}, tid, tt)
 				return
 			}
-			global := st.prefix[e-start] + int64(t)
-			dist := cfg.SpecDistance
-			if cfg.SpecDistanceOf != nil {
-				dist = cfg.SpecDistanceOf(e)
-			}
 			// Publish position, gate, then read the other threads' positions:
-			// the watermark vector for this task (Fig 4.6). The position goes
-			// out before the gate because the gate may publish, through
-			// done, that everything of this worker below the task is
-			// complete; a worker let through on that must also read a
-			// position past those tasks, or the checker would take them for
-			// still running and report an overlap that never happened.
-			st.pos[tid].v.Store(packET(int32(e), int32(t)))
-			if st.stallOnRange(tid, global, dist, tt) {
+			// the chunk's watermark vector (Fig 4.6). The position goes out
+			// before the gate because the gate may publish, through done,
+			// that everything of this worker below the chunk is complete; a
+			// worker let through on that must also read a position past
+			// those tasks, or the checker would take them for still running
+			// and report an overlap that never happened. The gate waits on
+			// the chunk's last task, so every task of it is within the
+			// distance of what the watermarks name.
+			st.pos[tid].v.Store(packET(int32(e), int32(first)))
+			if st.stallOnRange(tid, base+int64(first), base+int64(last), dist, tt) {
 				st.produceReq(q, request{end: true}, tid, tt)
 				return
 			}
-			sig, wm := loc.take(cfg.SigKind, nw)
+			wm := loc.takeWM(nw)
 			for o := 0; o < nw; o++ {
 				if o != tid {
 					wm[o] = st.pos[o].v.Load()
 				}
 			}
 
-			tt.Emit(trace.KindTaskStart, int64(e), int64(t), global)
-			if st.trackWrites {
-				sig.WriteLog = loc.dlog
+			at := len(loc.ents)
+			for t := first; t <= last; t++ {
+				global := base + int64(t)
+				sig := loc.take(cfg.SigKind)
+				tt.Emit(trace.KindTaskStart, int64(e), int64(t), global)
+				if st.trackWrites {
+					sig.WriteLog = loc.dlog
+				}
+				curSig = sig
+				w.Run(e, t, tid, sig)
+				curSig = nil
+				if st.trackWrites {
+					loc.dlog = sig.WriteLog
+					sig.WriteLog = nil
+				}
+				// Seal before publishing: checker shards compare against the
+				// logged signature concurrently, which must be read-only.
+				sig.Seal()
+				tt.Emit(trace.KindTaskEnd, int64(e), int64(t), global)
+				loc.ents = append(loc.ents, taskEntry{tid: int32(tid), pos: packET(int32(e), int32(t)), wm: wm, sig: sig})
 			}
-			curSig = sig
-			w.Run(e, t, tid, sig)
-			curSig = nil
-			if st.trackWrites {
-				loc.dlog = sig.WriteLog
-				sig.WriteLog = nil
+			// The chunk is done: its position moves one past its last task
+			// before done says so, so a worker that the new done lets
+			// through reads a watermark past the whole chunk. A one-task
+			// chunk's position already names its last task.
+			if last > first {
+				st.pos[tid].v.Store(packET(int32(e), int32(last+1)))
 			}
-			// Seal before publishing: checker shards compare against the
-			// logged signature concurrently, which must be read-only.
-			sig.Seal()
-			st.done[tid].v.Store(global)
-			loc.tasks++
-			tt.Emit(trace.KindTaskEnd, int64(e), int64(t), global)
-
-			st.produceReq(q, request{entry: taskEntry{
-				tid: int32(tid), pos: packET(int32(e), int32(t)), wm: wm, sig: sig,
-			}}, tid, tt)
+			st.done[tid].v.Store(base + int64(last))
+			// The checker reads the chunk's entries and never writes them; the
+			// cap keeps it off the arena past them.
+			ents := loc.ents[at:len(loc.ents):len(loc.ents)]
+			st.produceReq(q, request{entries: ents}, tid, tt)
 
 			if cfg.ForceMisspecEpoch == e {
 				st.flag(misspecInjected)
@@ -821,10 +892,11 @@ func (st *state) produceReq(q *queue.SPSC[request], r request, owner int, tt *tr
 	}
 }
 
-// stallOnRange blocks while this worker is more than SpecDistance tasks
-// ahead of the laggard (the enter_task gating of Table 4.1). It reports true
-// if the segment misspeculated while waiting.
-func (st *state) stallOnRange(tid int, global, dist int64, tt *trace.ThreadTrace) (aborted bool) {
+// stallOnRange blocks while the last task of the chunk of global tasks
+// first..last would be SpecDistance or more tasks ahead of the laggard (the enter_task gating
+// of Table 4.1, taken once per chunk). It reports true if the segment
+// misspeculated while waiting.
+func (st *state) stallOnRange(tid int, first, last, dist int64, tt *trace.ThreadTrace) (aborted bool) {
 	if dist <= 0 {
 		return false
 	}
@@ -839,33 +911,35 @@ func (st *state) stallOnRange(tid int, global, dist int64, tt *trace.ThreadTrace
 				min = d
 			}
 		}
-		if global-min < dist {
+		if last-min < dist {
 			// Strictly within the profiled window: any pair separated by
 			// at least the minimum dependence distance is ordered, so a
 			// faithful profile guarantees misspeculation-free execution.
 			if stalled {
-				tt.Emit(trace.KindRangeStallEnd, global, dist, 0)
+				tt.Emit(trace.KindRangeStallEnd, last, dist, 0)
 			}
 			return false
 		}
 		if st.aborted() || !st.rt.Pause(spins) {
 			if stalled {
-				tt.Emit(trace.KindRangeStallEnd, global, dist, 1)
+				tt.Emit(trace.KindRangeStallEnd, last, dist, 1)
 			}
 			return true
 		}
 		if !stalled {
 			stalled = true
-			// done[tid] so far names this worker's last completed task, but
-			// every task of this worker below global is complete, and the
-			// numbers in between belong to other workers. Publish that
+			// done[tid] so far names the end of this worker's last chunk,
+			// but every task of this worker below first is complete, and
+			// the numbers in between belong to other workers. Publish that
 			// frontier before waiting, or two workers can each wait for the
-			// other to pass a number neither owns. It only ever moves up, and
-			// among stalled workers the one with the smallest next task then
-			// sees every other frontier at or above it and proceeds.
-			st.done[tid].v.Store(global - 1)
+			// other to pass a number neither owns. It only ever moves up,
+			// and among stalled workers the one with the lowest chunk then
+			// sees every other frontier at or past its last task and
+			// proceeds: chunks are contiguous and never longer than the
+			// distance.
+			st.done[tid].v.Store(first - 1)
 			st.local[tid].rangeStalls++
-			tt.Emit(trace.KindRangeStallBegin, global, dist, 0)
+			tt.Emit(trace.KindRangeStallBegin, last, dist, 0)
 		}
 	}
 }

@@ -52,7 +52,8 @@ func (st *state) probe(w Workload, stats *Stats) guard {
 	st.rt.StateChanged()
 	st.useKind(cfg.SigKind)
 	loc := &st.local[0]
-	loc.taken = 0
+	loc.taken, loc.wmTaken = 0, 0
+	wm := loc.takeWM(nw) // every sampled entry's: checkSample fills it
 	var (
 		plain   int64         // uninstrumented tasks
 		instr   time.Duration // the instrumented tasks' time, less a clock read each sample
@@ -74,7 +75,7 @@ func (st *state) probe(w Workload, stats *Stats) guard {
 			t0 := time.Now()
 			at := len(entries)
 			for ; t < k; t++ {
-				sig, wm := loc.take(cfg.SigKind, nw)
+				sig := loc.take(cfg.SigKind)
 				w.Run(e, t, 0, sig)
 				sig.Seal()
 				entries = append(entries, taskEntry{tid: int32(t % nw), pos: packET(int32(e), int32(t)), wm: wm, sig: sig})
@@ -113,7 +114,7 @@ func (st *state) probe(w Workload, stats *Stats) guard {
 		g.parallel = e < epochs && g.specNs < g.inlineNs
 	}
 	st.sample = entries[:0]
-	loc.taken = 0
+	loc.taken, loc.wmTaken = 0, 0
 	return g
 }
 
@@ -128,29 +129,25 @@ func specBound(instr, check float64, workers, shards, procs int) float64 {
 
 // checkSample times the checker over the signatures of two sampled epochs,
 // a of epoch ea and b of the later eb, logged into the state's own checker
-// as if alternating workers had run them and every task of ea was still
-// running when each task of eb began. Only b is timed: each of its entries
-// is logged and compared against a, as a speculative task is against the
-// epochs it overlapped, while a's are only logged. It empties the log
-// afterwards.
+// as if alternating workers had run them one task a chunk and every task of
+// ea was still running when each task of eb began. Only b is timed: each of
+// its entries is logged and compared against a, as a speculative task is
+// against the epochs it overlapped, while a's are only logged. It empties
+// the log afterwards.
 func (st *state) checkSample(a, b []taskEntry, ea, eb int) time.Duration {
 	c := &st.chk
 	c.reset(st.cfg.SigKind, ea, eb+1)
-	wm := packET(int32(ea), 0)
-	for _, es := range [][]taskEntry{a, b} {
-		for i := range es {
-			for o := range es[i].wm {
-				es[i].wm[o] = wm
-			}
-		}
+	wm := a[0].wm // the probe's one vector, which every entry shares
+	for o := range wm {
+		wm[o] = packET(int32(ea), 0)
 	}
 	var loc shardLocal
 	for i := range a {
-		c.process(a[i], st, &loc, nil)
+		c.process(a[i:i+1], st, &loc, nil)
 	}
 	t0 := time.Now()
 	for i := range b {
-		c.process(b[i], st, &loc, nil)
+		c.process(b[i:i+1], st, &loc, nil)
 	}
 	d := time.Since(t0)
 	c.reset(st.cfg.SigKind, 0, 0)

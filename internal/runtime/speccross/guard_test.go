@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"crossinv/internal/runtime/engine"
 	"crossinv/internal/runtime/signature"
@@ -21,7 +22,8 @@ type counting struct {
 	work             int
 	slowTid          int // -1: none
 	slowWork         int
-	panicAt          int // Run panics on this combined task; -1: never
+	panicAt          int           // Run panics on this combined task; -1: never
+	taskDur          time.Duration // each task also runs at least this long; 0: no wait
 	resumeSkipsEpoch bool
 	sink             atomic.Uint64
 }
@@ -51,6 +53,8 @@ func (w *counting) Run(epoch, task, tid int, sig *signature.Signature) {
 		w.spin(w.slowWork)
 	} else {
 		w.spin(w.work)
+	}
+	for t0 := time.Now(); time.Since(t0) < w.taskDur; {
 	}
 	w.runs[i].Add(1)
 	w.gridWorkload.Run(epoch, task, tid, sig)
@@ -255,9 +259,15 @@ func TestGuardPanicInProbeReachesCaller(t *testing.T) {
 func TestGuardResumeSkipEpochIsCaught(t *testing.T) {
 	// A fresh runtime's budget is the floor. A pooled one's is the start-up
 	// an earlier test measured, which can outlast the whole region and
-	// leave the seam no epoch to skip.
+	// leave the seam no epoch to skip. Each task lasts the floor budget, so
+	// the probe is past it at its first plain task, in the third epoch of
+	// forty, however fast the bodies would have been.
 	engine.CloseIdle()
+	rt := engine.New(2)
+	floor := rt.Budget()
+	rt.Close()
 	w := newCounting(40, 8, 2, 0)
+	w.taskDur = floor
 	w.resumeSkipsEpoch = true
 	st := Run(w, Config{Workers: 2, CheckpointEvery: 4})
 	if st.Epochs+st.ReexecutedEpochs+st.Inline != int64(w.Epochs()-1) {

@@ -11,6 +11,23 @@
 // The package also provides the profiling mode of §4.4, which computes the
 // minimum dependence distance used to bound the speculative range at runtime.
 //
+// A worker takes its share of an epoch in chunks of consecutive tasks,
+// block-cyclically: with a profiled distance d and W workers a chunk holds
+// max(1, d/2/W) tasks, at most an even share of the epoch, and chunk c is
+// worker c mod W's. The speculative range, the watermarks and the checker
+// hand-off of §4.2.1 are then paid once per chunk, not once per task: a
+// chunk publishes its position at its first task, passes the range gate on
+// its last, reads one watermark vector, publishes its position one past its
+// last task and only then its completion, and sends the checker one request
+// holding an entry — signature and position — for each of its tasks. This
+// adds no false misspeculation. The gate waits on the chunk's last task,
+// completion moves only at chunk ends and the end position is published
+// before it, so every pair the checker takes for overlapping lies within
+// the distance, where the profile, run with the same signature kind on the
+// same input, found no conflict. A range gate of any distance of one or
+// more still cannot deadlock: chunks are contiguous and never longer than
+// the distance. With no distance a chunk is one task.
+//
 // The profile decides whether speculation can be safe and how far ahead it
 // may run; Run's guard decides whether it pays. Every speculative task pays
 // for a signature, a watermark vector, a queue hand-off and a checker
@@ -129,8 +146,10 @@ type Config struct {
 	// SpecDistance is the speculation bound in tasks: a worker stalls when
 	// it would run SpecDistance or more tasks ahead of the laggard thread
 	// (the minimum dependence distance from profiling, §4.4), so any task
-	// pair separated by at least the profiled distance is ordered. Zero or
-	// negative means unbounded speculation.
+	// pair separated by at least the profiled distance is ordered. It also
+	// sizes the chunks workers take their tasks in (see the package
+	// documentation). Zero or negative means unbounded speculation, one
+	// task a chunk.
 	SpecDistance int64
 	// SpecDistanceOf, when set, overrides SpecDistance per epoch — the
 	// per-loop minimum dependence distances of §4.4 (Table 4.1 passes
@@ -210,18 +229,21 @@ func (c *Config) Shards() int {
 //
 // Concurrency contract (audited, enforced by the stats_race_test regression
 // under -race and by the stats-atomic lint rule): no thread but the control
-// goroutine writes Stats. Workers count Tasks and RangeStalls, and checker
-// shards count CheckRequests, Comparisons, PrefilterChecks and
-// PrefilterHits, in plain thread-private counters; the control goroutine
-// folds those into Stats at each segment's quiesce, when every thread has
-// finished its phase, and writes Epochs, Misspeculations, Checkpoints,
+// goroutine writes Stats. Workers count RangeStalls, and checker shards
+// count CheckRequests, Comparisons, PrefilterChecks and PrefilterHits, in
+// plain thread-private counters; the control goroutine folds those into
+// Stats at each segment's quiesce, when every thread has finished its
+// phase, and writes Tasks, Epochs, Misspeculations, Checkpoints,
 // ReexecutedEpochs, DeltaCheckpoints, DeltaCells, DeltaRestores and
 // CheckpointNs itself at segment boundaries, and the guard's Inline,
 // InlineTasks, InlineNs and SpecNs. The returned Stats is read only after
 // the last quiesce, so callers may read it without synchronization.
 type Stats struct {
-	// Tasks is the number of task executions, excluding re-execution: the
-	// speculative ones and those Run's guard ran on the calling thread.
+	// Tasks is the number of task executions that stood: the tasks of the
+	// committed speculative segments and those Run's guard ran on the
+	// calling thread (InlineTasks). An aborted segment's executions, however
+	// many ran before the workers saw the flag, are left out, and so is the
+	// re-execution that replaced them, so Tasks is a fixed count.
 	Tasks int64
 	// Epochs is the number of epochs executed speculatively and committed.
 	// On a workload with no irreversible epoch, Epochs + ReexecutedEpochs +
@@ -236,9 +258,10 @@ type Stats struct {
 	// of the speculative segment after which the rest of the region ran
 	// inline. Both are 0 when no guard ran.
 	InlineNs, SpecNs float64
-	// CheckRequests counts checking requests sent to the checker thread
-	// whose comparison window was non-empty (requests against an empty
-	// window are logged but skipped, the optimization §4.1.3 describes).
+	// CheckRequests counts checking requests — one per chunk — sent to the
+	// checker thread whose comparison window was non-empty (requests
+	// against an empty window are logged but skipped, the optimization
+	// §4.1.3 describes).
 	CheckRequests int64
 	// Comparisons counts signature pairs compared by the checker.
 	Comparisons int64

@@ -84,8 +84,8 @@ const (
 	KindBarrierWaitBegin
 	KindBarrierWaitEnd
 	// KindRangeStallBegin/KindRangeStallEnd span a speculative-range
-	// stall (the enter_task gating of Table 4.1). A=global task number,
-	// B=distance bound.
+	// stall (the enter_task gating of Table 4.1, taken per chunk). A=global
+	// task number of the chunk's last task, B=distance bound.
 	KindRangeStallBegin
 	KindRangeStallEnd
 	// KindEpochBegin opens an epoch segment. A=start epoch, B=end epoch
@@ -99,8 +99,9 @@ const (
 	// KindSigCheck marks one checker signature comparison.
 	// A=logged task's lane, B=logged task's packed position.
 	KindSigCheck
-	// KindCheckRequest marks a checking request whose comparison window
-	// was non-empty (§4.1.3). A=requesting worker, B=packed position.
+	// KindCheckRequest marks a checking request — one chunk of tasks —
+	// whose comparison window was non-empty (§4.1.3). A=requesting worker,
+	// B=packed position of the chunk's first task.
 	KindCheckRequest
 	// KindMisspec marks a detected misspeculation. A=reason
 	// (1 conflict, 2 panic, 3 injected, 4 timeout), B=start, C=end.

@@ -1,12 +1,13 @@
 // Command profiler runs the SPECCROSS dependence-distance profiling pass
 // (§4.4) over benchmarks or LNL programs, reporting the observed conflicts
 // and the minimum dependence distance that bounds safe speculation — the
-// inputs to Table 5.3.
+// inputs to Table 5.3. For a benchmark DOMORE applies to it also measures
+// Table 5.2's scheduler/worker ratio (see schedulerRatio).
 //
 // Usage:
 //
 //	profiler -bench CG               # profile a registered benchmark
-//	profiler -bench all              # profile all SPECCROSS benchmarks
+//	profiler -bench all              # profile all SPECCROSS and DOMORE benchmarks
 //	profiler <program.lnl>           # profile an LNL program's region
 //
 //	-scale N    benchmark input scale (default 1)
@@ -20,8 +21,11 @@ import (
 	"io"
 	"os"
 	"sort"
+	"time"
 
 	"crossinv/internal/core"
+	"crossinv/internal/runtime/domore"
+	"crossinv/internal/runtime/shadow"
 	"crossinv/internal/runtime/signature"
 	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/workloads"
@@ -51,8 +55,8 @@ func main() {
 	switch {
 	case *bench == "all":
 		for _, e := range workloads.All() {
-			if e.SpecOK {
-				profileBench(e)
+			if e.SpecOK || e.DomoreOK {
+				profileBench(os.Stdout, e, e.SpecOK)
 			}
 		}
 	case *bench != "":
@@ -60,7 +64,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		profileBench(e)
+		profileBench(os.Stdout, e, true)
 	case flag.NArg() == 1:
 		if err := profileLNL(os.Stdout, flag.Arg(0)); err != nil {
 			fatal(err)
@@ -71,15 +75,62 @@ func main() {
 	}
 }
 
-func profileBench(e workloads.Entry) {
-	inst := e.Make(*scale)
-	sw, ok := inst.(speccross.Workload)
-	if !ok {
-		fmt.Printf("%s: no SPECCROSS adapter\n", e.Name)
-		return
+// profileBench prints e's SPECCROSS profile when spec is set, and its
+// scheduler/worker ratio when DOMORE applies to it.
+func profileBench(w io.Writer, e workloads.Entry, spec bool) {
+	if spec {
+		if sw, ok := e.Make(*scale).(speccross.Workload); ok {
+			report(w, e.Name, speccross.Profile(sw, signature.Exact, *window))
+		} else {
+			fmt.Fprintf(w, "%s: no SPECCROSS adapter\n", e.Name)
+		}
 	}
-	res := speccross.Profile(sw, signature.Exact, *window)
-	report(os.Stdout, e.Name, res)
+	if e.DomoreOK {
+		dw := e.Make(*scale).(domore.Workload)
+		sched, work, iters := schedulerRatio(dw)
+		fmt.Fprintf(w, "%s: scheduler/worker %.1f %% (scheduler %.0f ns, worker %.0f ns per iteration, %d iterations on one thread)\n",
+			e.Name, 100*float64(sched)/float64(work), float64(sched)/float64(iters), float64(work)/float64(iters), iters)
+	}
+}
+
+// schedulerRatio measures Table 5.2's scheduler/worker ratio for w: it runs
+// the whole region in order on the calling thread and times, per
+// invocation, the scheduler's work apart from the worker's. The scheduler's
+// is what DOMORE's guard samples: computeAddr and one shadow-store exchange
+// per address. The worker's is Sequential and Execute. Every interval less
+// one clock read is what is summed.
+func schedulerRatio(w domore.Workload) (sched, work time.Duration, iters int64) {
+	const reads = 256
+	t0 := time.Now()
+	for range reads {
+		time.Now()
+	}
+	clock := time.Since(t0) / reads
+	timed := func(d time.Duration) time.Duration { return max(d-clock, 0) }
+
+	sm := shadow.NewSparse()
+	var buf []uint64
+	for inv := 0; inv < w.Invocations(); inv++ {
+		t0 := time.Now()
+		w.Sequential(inv)
+		t1 := time.Now()
+		n := w.Iterations(inv)
+		for it := 0; it < n; it++ {
+			buf = w.ComputeAddr(inv, it, buf[:0])
+			for _, a := range buf {
+				sm.Exchange(a, 0, iters+int64(it))
+			}
+		}
+		t2 := time.Now()
+		for it := 0; it < n; it++ {
+			w.Execute(inv, it, 0)
+		}
+		t3 := time.Now()
+		sched += timed(t2.Sub(t1))
+		work += timed(t1.Sub(t0)) + timed(t3.Sub(t2))
+		iters += int64(n)
+	}
+	return sched, work, iters
 }
 
 // profileLNL profiles every candidate region of the program at path the way

@@ -429,8 +429,10 @@ func (e *ExactSet) Intersects(other Set) bool {
 
 // Union implements Set. When both sides are already sorted (the common
 // case in the checker, which seals signatures before logging and unions
-// them into an always-sorted accumulator) the result is built by a linear
-// merge and stays sorted, so no re-sort is ever needed on that path.
+// them into an always-sorted accumulator) the result is merged from the
+// back into the receiver's own grown slice and stays sorted, so no re-sort
+// is ever needed on that path and an accumulator with room to spare
+// allocates nothing.
 func (e *ExactSet) Union(other Set) {
 	o, ok := other.(*ExactSet)
 	if !ok {
@@ -445,20 +447,22 @@ func (e *ExactSet) Union(other Set) {
 		return
 	}
 	if e.sorted && o.sorted {
-		merged := make([]uint64, 0, len(e.addrs)+len(o.addrs))
-		i, j := 0, 0
-		for i < len(e.addrs) && j < len(o.addrs) {
-			if e.addrs[i] <= o.addrs[j] {
-				merged = append(merged, e.addrs[i])
-				i++
+		// src is taken before the grow: on a self-union (o == e) it is the
+		// receiver's old prefix, which the merge can share because it
+		// writes position i+j+1 only after reading positions i and j, and
+		// reads nothing above them again.
+		src := o.addrs
+		i, j := len(e.addrs)-1, len(src)-1
+		e.addrs = slices.Grow(e.addrs, len(src))[:len(e.addrs)+len(src)]
+		for k := len(e.addrs) - 1; j >= 0; k-- {
+			if i >= 0 && e.addrs[i] > src[j] {
+				e.addrs[k] = e.addrs[i]
+				i--
 			} else {
-				merged = append(merged, o.addrs[j])
-				j++
+				e.addrs[k] = src[j]
+				j--
 			}
 		}
-		merged = append(merged, e.addrs[i:]...)
-		merged = append(merged, o.addrs[j:]...)
-		e.addrs = merged
 		return
 	}
 	e.addrs = append(e.addrs, o.addrs...)

@@ -2,7 +2,10 @@ package signature
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"crossinv/internal/raceflag"
 )
 
 // This file differentially tests the word-parallel set operations (the
@@ -396,4 +399,85 @@ func FuzzWordParallelOps(f *testing.F) {
 		sameBits(t, a, ra)
 		sameBits(t, b, rb)
 	})
+}
+
+// TestExactUnionMatchesMultisetModel drives random add/seal/union/self-union/
+// reset sequences through ExactSet against a sorted-multiset model: after
+// every step the set holds exactly the model's addresses, duplicates
+// included, and a set that says it is sorted is.
+func TestExactUnionMatchesMultisetModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	check := func(trial, step int, e *ExactSet, model []uint64) {
+		t.Helper()
+		got := slices.Clone(e.addrs)
+		if e.sorted && !slices.IsSorted(got) {
+			t.Fatalf("trial %d step %d: set claims sorted but holds %v", trial, step, got)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, model) {
+			t.Fatalf("trial %d step %d: set holds %v, model %v", trial, step, got, model)
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		e := NewExactSet()
+		var model []uint64
+		for step := 0; step < 8; step++ {
+			switch rng.Intn(5) {
+			case 0:
+				for _, a := range drawAddrs(rng) {
+					e.Add(a)
+					model = append(model, a)
+				}
+			case 1:
+				e.seal()
+			case 2:
+				o := NewExactSet()
+				for _, a := range drawAddrs(rng) {
+					o.Add(a)
+					model = append(model, a)
+				}
+				if rng.Intn(2) == 0 {
+					o.seal()
+				}
+				e.Union(o)
+			case 3:
+				model = append(model, model...)
+				e.Union(e)
+			case 4:
+				e.Reset()
+				model = model[:0]
+			}
+			slices.Sort(model)
+			check(trial, step, e, model)
+		}
+	}
+}
+
+// TestExactUnionReusesCapacity: the checker unions sealed signatures into
+// an accumulator it resets and reuses, so once the accumulator has grown to
+// hold them, a sorted union (self-union included) allocates nothing.
+func TestExactUnionReusesCapacity(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	a, b := NewExactSet(), NewExactSet()
+	for i := uint64(0); i < 40; i++ {
+		a.Add(i * 3)
+		b.Add(100 - i*2)
+	}
+	a.seal()
+	b.seal()
+	acc := NewExactSet()
+	union := func() {
+		acc.Reset()
+		acc.Union(a)
+		acc.Union(b)
+		acc.Union(acc)
+	}
+	if n := testing.AllocsPerRun(100, union); n != 0 {
+		t.Errorf("a warm sorted union makes %.1f allocations, want 0", n)
+	}
+	if len(acc.addrs) != 160 || !acc.sorted || !slices.IsSorted(acc.addrs) {
+		t.Errorf("union holds %d addresses (sorted %v), want 160 in order", len(acc.addrs), acc.sorted)
+	}
 }

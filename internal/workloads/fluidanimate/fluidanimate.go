@@ -279,48 +279,68 @@ func (f *Fluid) Checksum() uint64 {
 	return h
 }
 
-// access appends the cell-granular read and write sets of (phase, cell).
-func (f *Fluid) access(ph, c int, reads, writes []uint64) ([]uint64, []uint64) {
+// access reports the cell-granular accesses of (phase, cell): each address
+// the task writes to write, and each address it reads to read, unless read
+// is nil. One description serves both engine views. SPECCROSS's signature
+// records both sets. DOMORE's scheduler shadows only the writes, because
+// Sequential's join already orders every read after the phases before it,
+// so its view skips the 144 reads of RebuildGrid and the 27 of each
+// neighbour phase rather than build and discard them.
+func (f *Fluid) access(ph, c int, read, write func(uint64)) {
 	// Cell-contiguous layout (cell·numPlanes + plane): one task's writes
 	// form a tight address cluster, which keeps range signatures usable and
 	// is also how the real program's per-cell structs would sit in memory.
 	plane := func(pl, cell int) uint64 { return uint64(cell*numPlanes + pl) }
 	switch ph {
 	case PhaseClear:
-		writes = append(writes, plane(planeBucket, c))
+		write(plane(planeBucket, c))
 	case PhaseRebuild:
-		writes = append(writes, plane(planeBucket, c))
-		for cc := 0; cc < f.Cells; cc++ {
-			reads = append(reads, plane(planeCellOf, cc))
+		write(plane(planeBucket, c))
+		if read != nil {
+			for cc := 0; cc < f.Cells; cc++ {
+				read(plane(planeCellOf, cc))
+			}
 		}
 	case PhaseInitDensities:
-		writes = append(writes, plane(planeDensity, c), plane(planeForce, c))
-		reads = append(reads, plane(planeBucket, c))
-	case PhaseDensities:
-		writes = append(writes, plane(planeDensity, c))
-		var nb []int
-		nb = f.neighbors(c, nb)
-		for _, n := range nb {
-			reads = append(reads, plane(planeBucket, n), plane(planePos, n), plane(planeDensity, n))
+		write(plane(planeDensity, c))
+		write(plane(planeForce, c))
+		if read != nil {
+			read(plane(planeBucket, c))
+		}
+	case PhaseDensities, PhaseForces:
+		if ph == PhaseDensities {
+			write(plane(planeDensity, c))
+		} else {
+			write(plane(planeForce, c))
+		}
+		if read != nil {
+			var nb [9]int // on the stack: the list never leaves access
+			for _, n := range f.neighbors(c, nb[:0]) {
+				read(plane(planeBucket, n))
+				read(plane(planePos, n))
+				read(plane(planeDensity, n))
+			}
 		}
 	case PhaseDensities2:
-		writes = append(writes, plane(planeDensity, c))
-		reads = append(reads, plane(planeBucket, c))
-	case PhaseForces:
-		writes = append(writes, plane(planeForce, c))
-		var nb []int
-		nb = f.neighbors(c, nb)
-		for _, n := range nb {
-			reads = append(reads, plane(planeBucket, n), plane(planePos, n), plane(planeDensity, n))
+		write(plane(planeDensity, c))
+		if read != nil {
+			read(plane(planeBucket, c))
 		}
 	case PhaseCollisions:
-		writes = append(writes, plane(planeVel, c))
-		reads = append(reads, plane(planeBucket, c), plane(planePos, c))
+		write(plane(planeVel, c))
+		if read != nil {
+			read(plane(planeBucket, c))
+			read(plane(planePos, c))
+		}
 	case PhaseAdvance:
-		writes = append(writes, plane(planePos, c), plane(planeVel, c), plane(planeCellOf, c))
-		reads = append(reads, plane(planeBucket, c), plane(planeForce, c))
+		write(plane(planePos, c))
+		write(plane(planeVel, c))
+		write(plane(planeCellOf, c))
+		if read != nil {
+			read(plane(planeBucket, c))
+			read(plane(planeForce, c))
+		}
 	}
-	return reads, writes
 }
 
 // --- speccross.Workload (FLUIDANIMATE-2: the whole frame loop) ---
@@ -335,13 +355,7 @@ func (f *Fluid) Tasks(epoch int) int { return f.Cells }
 func (f *Fluid) Run(epoch, task, tid int, sig *signature.Signature) {
 	ph := epoch % NumPhases
 	if sig != nil {
-		r, w := f.access(ph, task, nil, nil)
-		for _, a := range r {
-			sig.Read(a)
-		}
-		for _, a := range w {
-			sig.Write(a)
-		}
+		f.access(ph, task, sig.Read, sig.Write)
 	}
 	f.phase(ph, task)
 }
@@ -405,10 +419,11 @@ func (f *Fluid) Sequential(inv int) {
 	}
 }
 
-// ComputeAddr implements domore.Workload.
+// ComputeAddr implements domore.Workload: the iteration's write set, the
+// addresses the scheduler shadows.
 func (f *Fluid) ComputeAddr(inv, iter int, buf []uint64) []uint64 {
-	_, w := f.access(inv%NumPhases, iter, nil, buf)
-	return w
+	f.access(inv%NumPhases, iter, nil, func(a uint64) { buf = append(buf, a) })
+	return buf
 }
 
 // Execute implements domore.Workload.

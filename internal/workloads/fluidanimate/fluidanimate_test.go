@@ -1,6 +1,7 @@
 package fluidanimate
 
 import (
+	"slices"
 	"testing"
 
 	"crossinv/internal/raceflag"
@@ -109,5 +110,34 @@ func TestEpochLabels(t *testing.T) {
 	f := newT()
 	if f.EpochLabel(0) != "ClearParticles" || f.EpochLabel(5) != "ComputeForces" {
 		t.Fatalf("labels wrong: %q %q", f.EpochLabel(0), f.EpochLabel(5))
+	}
+}
+
+// TestEngineViewsShareOneDescription: DOMORE's ComputeAddr returns exactly
+// the writes SPECCROSS's Run records, in the same order, for every phase and
+// cell, and the read sets are RebuildGrid's every-cell scan and the
+// neighbour phases' three planes per neighbour.
+func TestEngineViewsShareOneDescription(t *testing.T) {
+	f := New(1)
+	sig := signature.New(signature.Exact)
+	var buf []uint64
+	for ph := 0; ph < NumPhases; ph++ {
+		for c := 0; c < f.Cells; c++ {
+			buf = f.ComputeAddr(ph, c, buf[:0])
+			sig.Reset()
+			sig.WriteLog = []uint64{}
+			f.Run(ph, c, 0, sig)
+			if !slices.Equal(buf, sig.WriteLog) {
+				t.Fatalf("%s cell %d: ComputeAddr %v, Run writes %v", PhaseNames[ph], c, buf, sig.WriteLog)
+			}
+			reads := 0
+			f.access(ph, c, func(uint64) { reads++ }, func(uint64) {})
+			want := map[int]int{PhaseRebuild: f.Cells, PhaseDensities: 3 * len(f.neighbors(c, nil)),
+				PhaseForces: 3 * len(f.neighbors(c, nil)), PhaseInitDensities: 1, PhaseDensities2: 1,
+				PhaseCollisions: 2, PhaseAdvance: 2}[ph]
+			if reads != want {
+				t.Fatalf("%s cell %d: %d reads, want %d", PhaseNames[ph], c, reads, want)
+			}
+		}
 	}
 }

@@ -18,11 +18,18 @@
 # reads (.report.json) and the share of CPU time stolen from the VM while it
 # ran (.steal, from /proc/stat). For each workload and end-to-end metric
 # the script prints both medians, the change's wins over the pairs, the
-# parent's interquartile range and the verdict, then benchmark -compare's
+# parent's interquartile range and the verdict; then one line per
+# benchmark row (the run logs' "row NAME median X ms" lines): the median
+# over the parent's runs of that row's per-run median, the same over the
+# change's runs, and the change in per cent, so the rows that moved and
+# the rows that did not read off one command; then benchmark -compare's
 # regression check of the same runs. A gain is claimed only as the north
 # star defines it: at least ten pairs, the change better in at least nine
 # tenths of them, and the medians apart by more than the parent's IQR. The
 # last line is "verdict: no gain claimed" or "verdict: gain claimed on ...".
+# A traced pass (--trace 1) reports per-layer metrics only, so its table
+# has no end-to-end lines, and its rows include the sequential and barrier
+# reference rows.
 # The exit status is 0 whenever every run completed.
 set -euo pipefail
 
@@ -130,6 +137,7 @@ for w in $workloads; do
 		| ($pairs | length) as $n
 		| ["metric", "parent_median", "change_median", "parent_iqr", "wins", "verdict"],
 		  ($defs[] as $m
+		   | select([$pairs[] | .p, .c | .metrics[$m.name]] | all(. != null))
 		   | (if $m.better == "higher" then 1 else -1 end) as $dir
 		   | [$pairs[].p.metrics[$m.name].value] as $pv
 		   | [$pairs[].c.metrics[$m.name].value] as $cv
@@ -149,6 +157,29 @@ for w in $workloads; do
 	for m in $(awk -F'\t' '$6 == "gain" { print $1 }' <<<"$table"); do
 		gains+=("$w $m")
 	done
+
+	echo "-- rows (median over the runs of each run's row median, ms):"
+	for side in parent change; do
+		for i in $(seq 1 "$pairs"); do
+			awk -v s=$side '$1 == "row" && $3 == "median" { print s, $2, $4 }' "$out/$w/$side-$(printf %02d "$i").log"
+		done
+	done | jq -R -r -s '
+		def med: sort as $s | ($s | length) as $n
+			| if $n == 0 then null
+			  elif $n % 2 == 1 then $s[($n - 1) / 2]
+			  else ($s[$n / 2 - 1] + $s[$n / 2]) / 2 end;
+		[split("\n")[] | select(length > 0) | split(" ") | {side: .[0], row: .[1], v: (.[2] | tonumber)}]
+		| group_by(.row)[]
+		| ([.[] | select(.side == "parent") | .v] | med) as $p
+		| ([.[] | select(.side == "change") | .v] | med) as $c
+		| [.[0].row, ($p // "-"), ($c // "-"),
+		   (if $p != null and $c != null and $p > 0 then ($c - $p) / $p * 100 else "-" end)]
+		| @tsv' |
+		awk -F'\t' '{
+			printf "%-44s", $1
+			for (i = 2; i <= 3; i++) if ($i == "-") printf " %10s", "-"; else printf " %10.4f", $i
+			if ($4 == "-") print "        -"; else printf " %+8.1f%%\n", $4
+		}'
 
 	# -compare reads every workload, so it reports the others missing and
 	# exits 1; only this workload's lines are kept.

@@ -407,12 +407,12 @@ func chunkLine(res *core.SpecCrossResult, workers int) string {
 }
 
 // checkpointLine renders what SPECCROSS's checkpoints cost: how many were
-// taken, how many of them incrementally and over how many cells, the
-// rollbacks, and the control thread's time capturing, committing and
-// restoring images.
+// taken, the dirty cells the commits refreshed, the rollbacks, and the
+// control thread's time capturing, committing and rolling back the cell
+// image.
 func checkpointLine(st speccross.Stats) string {
-	return fmt.Sprintf("  checkpoints: %d (%d incremental, %d cells), %d rollbacks, %v capturing, committing and restoring images",
-		st.Checkpoints, st.DeltaCheckpoints, st.DeltaCells, st.Misspeculations, time.Duration(st.CheckpointNs).Round(time.Microsecond))
+	return fmt.Sprintf("  checkpoints: %d, %d dirty cells, %d rollbacks, %v on the cell image",
+		st.Checkpoints, st.DeltaCells, st.DeltaRestores, time.Duration(st.CheckpointNs).Round(time.Microsecond))
 }
 
 // lintOutput renders the static plan verifier's diagnostics for the

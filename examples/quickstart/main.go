@@ -76,17 +76,32 @@ func (s *stencil) Run(epoch, task, tid int, sig *signature.Signature) {
 	}
 }
 
-func (s *stencil) Snapshot() any {
-	cp := make([]int64, width+width+1)
-	copy(cp, s.a)
-	copy(cp[width:], s.b)
-	return cp
+// The state SPECCROSS checkpoints is a cell image: a's cells, then b's.
+// A signature address above is the index of its cell, so the cell map is
+// the identity.
+func (s *stencil) StateLen() int { return len(s.a) + len(s.b) }
+
+func (s *stencil) LoadCells(lo uint64, dst []int64) {
+	for i := range dst {
+		dst[i] = *s.cell(lo + uint64(i))
+	}
 }
 
-func (s *stencil) Restore(v any) {
-	cp := v.([]int64)
-	copy(s.a, cp[:width])
-	copy(s.b, cp[width:])
+func (s *stencil) StoreCells(lo uint64, src []int64) {
+	for i, v := range src {
+		*s.cell(lo + uint64(i)) = v
+	}
+}
+
+func (s *stencil) cell(c uint64) *int64 {
+	if c < width {
+		return &s.a[c]
+	}
+	return &s.b[c-width]
+}
+
+func (s *stencil) CellMap() func(addr uint64) (lo, hi uint64) {
+	return func(addr uint64) (lo, hi uint64) { return addr, addr + 1 }
 }
 
 // --- domore.Workload: same epochs, plus scheduler-side address slices ---

@@ -204,9 +204,9 @@ func TestDifferentialDirtyRuntime(t *testing.T) {
 }
 
 // TestDifferentialTornDelta runs the sweep with only the torn-delta fault
-// enabled: without TornState forcing full snapshots, the engines keep the
-// incremental-checkpoint path, so the scribbled cell is repaired by a
-// delta restore — and semantics must still hold.
+// enabled: without TornState taking the cell map away, the engines keep
+// it, so the scribbled cell is repaired by the rollback of the write set's
+// dirty cells — and semantics must still hold.
 func TestDifferentialTornDelta(t *testing.T) {
 	for seed := uint64(1); seed <= uint64(seedCount()); seed++ {
 		for _, f := range RunSeed(seed, Options{Faults: FaultPlan{Seed: seed, TornDelta: true}}) {
@@ -216,14 +216,18 @@ func TestDifferentialTornDelta(t *testing.T) {
 }
 
 // TestTornDeltaExercisesDeltaRestore pins that the torn-delta fault really
-// drives the incremental rollback (rather than being silently absorbed by
-// a full snapshot): a speccross run over a delta-capable case with the
-// fault must record at least one delta restore and still match the oracle.
+// drives the rollback of the write set's dirty cells (rather than being
+// absorbed by a whole-image rollback): the wrapped case keeps its cell
+// map, and a speccross run with the fault must record at least one
+// rollback and still match the oracle.
 func TestTornDeltaExercisesDeltaRestore(t *testing.T) {
 	spec := MutationCatcher()
 	want := spec.SequentialState()
 	k := spec.Kernel()
 	w := FaultPlan{TornDelta: true}.Wrap(k, k, spec.NumEpochs())
+	if w.CellMap() == nil {
+		t.Fatal("the torn-delta view has no cell map: its rollbacks rewrite the whole image")
+	}
 	st := speccross.RunParallel(w, speccross.Config{
 		Workers: 4, SigKind: spec.Kind(), CheckpointEvery: 3,
 	})
@@ -269,9 +273,6 @@ func TestGuardedArmsReachInjectedFaults(t *testing.T) {
 					adaptive.Run(w, adaptiveConfig(spec, opts, nil, true))
 				}
 				inj, ok := w.(*injector)
-				if d, isDelta := w.(*deltaInjector); isDelta {
-					inj, ok = d.injector, true
-				}
 				if !ok {
 					t.Fatalf("seed %d: the plan wrapped no injector", seed)
 				}

@@ -224,9 +224,6 @@ func runEngine(spec *Spec, engine string, want []int64, opts Options) (fail *Fai
 	if detail != "" {
 		return mk(detail)
 	}
-	if msg := InjectorErr(w); msg != "" {
-		return mk(msg)
-	}
 	return diffState(k, want, mk)
 }
 

@@ -48,21 +48,19 @@ type FaultPlan struct {
 	// Timeout sets a tiny SpecTimeout so speculative segments routinely
 	// abort via the user-defined timeout of §4.2.2.
 	Timeout bool
-	// TornState simulates torn/failed checkpoints: every Restore first
-	// scribbles the whole live state (as if speculative writes had torn
-	// it arbitrarily) before applying the snapshot, so recovery is proven
-	// to repair arbitrary corruption; every Snapshot is probed for
-	// aliasing (a snapshot that shares memory with the live state would
-	// be torn by later speculative writes).
+	// TornState simulates torn/failed checkpoints: the wrapped workload
+	// declares no cell map, so every rollback rewrites the whole image,
+	// and each rollback first scribbles the whole live state (as if
+	// speculative writes had torn it arbitrarily), so recovery is proven
+	// to repair arbitrary corruption.
 	TornState bool
 	// TornDelta tears one tracked speculative write: the first speculative
 	// task records a victim cell in its signature (record-before-write, so
 	// the cell lands in the engine's write log), scribbles the cell, and
-	// panics. The incremental-checkpoint rollback must repair the cell
-	// from its base image — a delta restore that misses logged cells
-	// diverges from the oracle. Unlike TornState this fault is compatible
-	// with (and exists to exercise) the write-set delta path; on workloads
-	// forced onto full snapshots it is repaired by the full restore.
+	// panics. The rollback must repair the cell from the checkpoint's
+	// image — one that misses logged cells diverges from the oracle.
+	// Unlike TornState this fault keeps the workload's cell map, and
+	// exists to exercise the rollback of the write set's dirty cells.
 	TornDelta bool
 	// DirtyRuntime adds a pass that runs the case's engines back to back on
 	// one engine runtime — warmed up by a clean speculative run, then
@@ -207,8 +205,8 @@ type injector struct {
 	panicEpoch, panicTask int
 	panicLeft             atomic.Int32
 	tornLeft              atomic.Int32 // TornDelta once-latch
-	// armed is set once an engine has captured a checkpoint (Snapshot, or
-	// the delta view's LoadCells), which it does before its first
+	// armed is set once an engine has captured a checkpoint (LoadCells),
+	// which it does before its first
 	// speculative segment. The panic and torn-write faults fire only once
 	// armed: a guard's probe (speccross.Run's, and adaptive.Run's over an
 	// unpriced SPECCROSS window) runs sampled tasks with a live signature
@@ -217,25 +215,7 @@ type injector struct {
 	// checkpoint exists no probe runs again in that engine call, and the
 	// adaptive controller never probes a SPECCROSS that has speculated.
 	armed atomic.Bool
-
-	errMsg atomic.Pointer[string]
 }
-
-// deltaInjector is an injector over a delta-capable inner workload: it
-// forwards the speccross.DeltaWorkload view, so the incremental-checkpoint
-// path stays engaged under fault injection (which is what TornDelta
-// exercises). TornState runs deliberately stay on the plain injector —
-// its whole-state Restore scribble is only repairable by a full-snapshot
-// restore, so hiding the delta view there preserves that coverage.
-type deltaInjector struct {
-	*injector
-	dw speccross.DeltaWorkload
-}
-
-func (d *deltaInjector) StateLen() int                       { return d.dw.StateLen() }
-func (d *deltaInjector) LoadCells(lo uint64, dst []int64)    { d.arm(); d.dw.LoadCells(lo, dst) }
-func (d *deltaInjector) StoreCells(lo uint64, src []int64)   { d.dw.StoreCells(lo, src) }
-func (d *deltaInjector) AddrCells(a uint64) (uint64, uint64) { return d.dw.AddrCells(a) }
 
 // Wrap builds the fault-injecting workload view over inner, whose
 // underlying state lives in k. With an inactive plan it returns inner
@@ -257,30 +237,7 @@ func (p FaultPlan) Wrap(inner adaptive.Workload, k *epochal.Kernel, nEpochs int)
 	if p.TornDelta && len(k.State) > 0 {
 		inj.tornLeft.Store(1)
 	}
-	if dw, ok := inner.(speccross.DeltaWorkload); ok && dw.StateLen() > 0 && !p.TornState {
-		return &deltaInjector{injector: inj, dw: dw}
-	}
 	return inj
-}
-
-// Err reports a fault-layer detection (currently: an aliased snapshot),
-// which the differential runner surfaces as a failure.
-func (inj *injector) Err() string {
-	if s := inj.errMsg.Load(); s != nil {
-		return *s
-	}
-	return ""
-}
-
-// InjectorErr extracts the fault-layer error from a wrapped workload.
-func InjectorErr(w adaptive.Workload) string {
-	switch inj := w.(type) {
-	case *injector:
-		return inj.Err()
-	case *deltaInjector:
-		return inj.Err()
-	}
-	return ""
 }
 
 func (inj *injector) Invocations() int         { return inj.inner.Invocations() }
@@ -340,37 +297,27 @@ func (inj *injector) Run(epoch, task, tid int, sig *signature.Signature) {
 	inj.inner.Run(epoch, task, tid, sig)
 }
 
-// Snapshot probes checkpoint isolation under TornState: a snapshot that
-// aliases the live state would be torn by subsequent speculative writes,
-// so the probe briefly perturbs the state and checks the snapshot did
-// not follow. Called only at engine quiesce points, per the Workload
-// contract.
-func (inj *injector) Snapshot() any {
-	inj.arm()
-	snap := inj.inner.Snapshot()
-	if inj.plan.TornState {
-		if sl, ok := snap.([]int64); ok && len(sl) > 0 && len(inj.k.State) > 0 {
-			old := inj.k.State[0]
-			inj.k.State[0] = old ^ 0x5a5a5a5a
-			if sl[0] == old^0x5a5a5a5a {
-				msg := "torn-state probe: snapshot aliases live state"
-				inj.errMsg.Store(&msg)
-			}
-			inj.k.State[0] = old
-		}
-	}
-	return snap
-}
+// The cell image forwards to the inner workload. Capturing it arms the
+// speculative faults; under TornState the view has no cell map, so each
+// rollback is one StoreCells of the whole image, and it scribbles every
+// state cell before handing the image over: the rollback is proven to
+// repair arbitrary corruption rather than relying on the abort having
+// left the state mostly intact.
+func (inj *injector) StateLen() int                    { return inj.inner.StateLen() }
+func (inj *injector) LoadCells(lo uint64, dst []int64) { inj.arm(); inj.inner.LoadCells(lo, dst) }
 
-// Restore simulates a torn speculative state: before handing the
-// snapshot to the workload, it scribbles every state cell, so the
-// restore path is proven to repair arbitrary corruption rather than
-// relying on the abort having left state mostly intact.
-func (inj *injector) Restore(snap any) {
+func (inj *injector) StoreCells(lo uint64, src []int64) {
 	if inj.plan.TornState {
 		for i := range inj.k.State {
 			inj.k.State[i] += 0x6b6b6b
 		}
 	}
-	inj.inner.Restore(snap)
+	inj.inner.StoreCells(lo, src)
+}
+
+func (inj *injector) CellMap() func(addr uint64) (lo, hi uint64) {
+	if inj.plan.TornState {
+		return nil
+	}
+	return inj.inner.CellMap()
 }

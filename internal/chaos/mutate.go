@@ -29,14 +29,14 @@ const (
 	// the recorded signature, so the SPECCROSS checker can miss a real
 	// cross-epoch conflict and commit a violated segment.
 	MutDropSigWrite Mutation = "drop-sig-write"
-	// MutSkipRestore turns Restore into a no-op, so misspeculation
+	// MutSkipRestore turns StoreCells into a no-op over a view with no cell
+	// map, so the whole-image rollback silently fails and misspeculation
 	// recovery re-executes on top of poisoned speculative state.
 	MutSkipRestore Mutation = "skip-restore"
-	// MutSkipDeltaRestore turns StoreCells into a no-op: the
-	// incremental-checkpoint rollback silently fails to repair the cells
-	// it believes it restored. Full-snapshot restores are untouched, so
-	// only the write-set delta path (and the harness's coverage of it)
-	// can catch this one.
+	// MutSkipDeltaRestore turns StoreCells into a no-op over the kernel's
+	// cell map: the rollback of the write set's dirty cells silently fails
+	// to repair the cells it believes it restored, so only the harness's
+	// coverage of the mapped path can catch this one.
 	MutSkipDeltaRestore Mutation = "skip-delta-restore"
 	// MutSkipDirtyCell models an incremental checkpointer whose bitmap walk
 	// stops one cell short: every bulk commit and every bulk rollback
@@ -387,7 +387,6 @@ func (w *mutated) Sequential(inv int)       { w.k.Sequential(inv) }
 func (w *mutated) Execute(inv, iter, t int) { w.k.Execute(inv, iter, t) }
 func (w *mutated) Epochs() int              { return w.k.Epochs() }
 func (w *mutated) Tasks(epoch int) int      { return w.k.Tasks(epoch) }
-func (w *mutated) Snapshot() any            { return w.k.Snapshot() }
 
 // ElideCrossConds is the DOMORE engine's seam for MutElideCrossCond.
 func (w *mutated) ElideCrossConds() bool { return w.m == MutElideCrossCond }
@@ -411,18 +410,25 @@ func (w *mutated) SkipChunkTail() bool { return w.m == MutChunkTailUnchecked }
 // MutInlineWindowSkipEpoch.
 func (w *mutated) InlineWindowSkipEpoch() bool { return w.m == MutInlineWindowSkipEpoch }
 
-// The delta view forwards to the kernel, so the incremental-checkpoint
-// path stays engaged under mutation — skip-delta-restore breaks exactly
-// that path's bulk rollback.
-func (w *mutated) StateLen() int                       { return w.k.StateLen() }
-func (w *mutated) LoadCells(lo uint64, dst []int64)    { w.k.LoadCells(lo, dst) }
-func (w *mutated) AddrCells(a uint64) (uint64, uint64) { return w.k.AddrCells(a) }
+// The cell image forwards to the kernel. Both restore mutations break its
+// rollback, skip-restore with no cell map (every rollback rewrites the
+// whole image) and skip-delta-restore with the kernel's (a rollback
+// rewrites the write set's dirty cells).
+func (w *mutated) StateLen() int                    { return w.k.StateLen() }
+func (w *mutated) LoadCells(lo uint64, dst []int64) { w.k.LoadCells(lo, dst) }
 
 func (w *mutated) StoreCells(lo uint64, src []int64) {
-	if w.m == MutSkipDeltaRestore {
+	if w.m == MutSkipRestore || w.m == MutSkipDeltaRestore {
 		return
 	}
 	w.k.StoreCells(lo, src)
+}
+
+func (w *mutated) CellMap() func(addr uint64) (lo, hi uint64) {
+	if w.m == MutSkipRestore {
+		return nil
+	}
+	return w.k.CellMap()
 }
 
 func (w *mutated) ComputeAddr(inv, iter int, buf []uint64) []uint64 {
@@ -451,11 +457,4 @@ func (w *mutated) Run(epoch, task, tid int, sig *signature.Signature) {
 		return
 	}
 	w.k.Run(epoch, task, tid, sig)
-}
-
-func (w *mutated) Restore(snap any) {
-	if w.m == MutSkipRestore {
-		return
-	}
-	w.k.Restore(snap)
 }

@@ -151,9 +151,9 @@ func (s *Spec) Kernel() *epochal.Kernel {
 		State:     make([]int64, s.StateLen),
 		NumEpochs: len(s.Epochs),
 	}
-	// Declared access addresses are state-cell indices, so the delta view
-	// is element-granular: the incremental-checkpoint path runs in chaos
-	// sweeps with exactly the spans the tasks really touch.
+	// Declared access addresses are state-cell indices, so the cell map
+	// is the identity: checkpoints in chaos sweeps copy exactly the cells
+	// the tasks really touch.
 	k.AddrSpan = epochal.IdentitySpan
 	k.TasksOf = func(e int) int { return len(s.Epochs[e].Tasks) }
 	k.Access = func(e, t int, reads, writes []uint64) ([]uint64, []uint64) {

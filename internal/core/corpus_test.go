@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"crossinv/internal/ir/interp"
 	"crossinv/internal/raceflag"
+	"crossinv/internal/runtime/signature"
+	"crossinv/internal/runtime/speccross"
+	"crossinv/internal/transform/speccrossgen"
 )
 
 // TestCorpus runs every loop-nest-language program in testdata through the
@@ -61,4 +66,104 @@ func TestCorpus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCompiledRegionsRollBackThroughCellImage runs every region of the
+// corpus and of examples/compiler under speccross.RunParallel with a forced
+// misspeculation and segments of two epochs. Each must end at the
+// sequential checksum after rolling back through its cell image, the
+// program's flat memory, and on some region the commits must refresh fewer
+// cells than a whole image per segment: the cell map makes them O(dirty).
+// A region that drops the highest dirty cell of every commit and rollback
+// must make the check fail, which shows it fires.
+func TestCompiledRegionsRollBackThroughCellImage(t *testing.T) {
+	var files []string
+	for _, pat := range []string{filepath.Join("testdata", "*.lnl"), filepath.Join("..", "..", "examples", "compiler", "*.lnl")} {
+		m, err := filepath.Glob(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	if len(files) < 8 {
+		t.Fatalf("found %d programs, expected the corpus and the examples", len(files))
+	}
+	fails, belowWhole := rollBackRegions(t, files, func(r *speccrossgen.Region) speccross.Workload { return r })
+	for _, f := range fails {
+		t.Error(f)
+	}
+	if !belowWhole {
+		t.Error("no region's commits refreshed fewer cells than a whole image per segment")
+	}
+	fails, _ = rollBackRegions(t, files, func(r *speccrossgen.Region) speccross.Workload { return skipDirtyCell{r} })
+	if len(fails) == 0 {
+		t.Error("regions that skip a dirty cell at every commit and rollback all passed")
+	}
+	t.Logf("skipping a dirty cell, %d regions diverged", len(fails))
+}
+
+// skipDirtyCell is a region with the SPECCROSS engine's skip-dirty-cell
+// seam switched on.
+type skipDirtyCell struct{ *speccrossgen.Region }
+
+func (skipDirtyCell) SkipDirtyCell() bool { return true }
+
+// rollBackRegions runs every region of every program in files, as wrap
+// presents it, under speccross.RunParallel with a misspeculation forced
+// half way, and returns what went wrong, and whether some region's commits
+// refreshed fewer cells than a whole image per segment. Speculation is
+// bounded by the region's profiled distance, so only the forced
+// misspeculation rolls back.
+func rollBackRegions(t *testing.T, files []string, wrap func(*speccrossgen.Region) speccross.Workload) (fails []string, belowWhole bool) {
+	t.Helper()
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		want := seqChecksum(t, c)
+		for i, region := range c.Regions {
+			prof, err := c.ProfileRegion(region, signature.Exact)
+			if err != nil {
+				t.Fatalf("%s region %d: profile: %v", file, i, err)
+			}
+			cfg := speccross.Config{Workers: 2, SigKind: signature.Exact, CheckpointEvery: 2, SpecDistance: prof.MinDistance}
+			if prof.MinDistance == speccross.NoConflict {
+				cfg.SpecDistance = 0
+			}
+			var (
+				st    speccross.Stats
+				cells int
+				env   *interp.Env
+				done  struct{}
+			)
+			_, err = execute(c, region, &done, &env, func(e *interp.Env) error {
+				r, err := c.speculative(region, e, cfg.Workers)
+				if err != nil {
+					return err
+				}
+				cfg.ForceMisspecEpoch = max(1, r.Epochs()/2)
+				cells = r.StateLen()
+				st = speccross.RunParallel(wrap(r), cfg)
+				return nil
+			})
+			where := fmt.Sprintf("%s region %d", filepath.Base(file), i)
+			switch {
+			case err != nil:
+				fails = append(fails, fmt.Sprintf("%s: %v", where, err))
+			case env.Checksum() != want:
+				fails = append(fails, fmt.Sprintf("%s: checksum %x, sequential %x", where, env.Checksum(), want))
+			case st.DeltaRestores < 1:
+				fails = append(fails, fmt.Sprintf("%s: %d rollbacks through the cell image, want the forced one", where, st.DeltaRestores))
+			}
+			if st.DeltaCells < st.Checkpoints*int64(cells) {
+				belowWhole = true
+			}
+		}
+	}
+	return fails, belowWhole
 }

@@ -83,17 +83,6 @@ func (e *Env) Array(name string) []int64 {
 	return e.Mem[base : base+uint64(e.Prog.ArraySizes[s])]
 }
 
-// Snapshot copies the array state (the speculative state SPECCROSS
-// checkpoints).
-func (e *Env) Snapshot() []int64 {
-	return append([]int64(nil), e.Mem...)
-}
-
-// Restore copies a snapshot back over the array state.
-func (e *Env) Restore(snap []int64) {
-	copy(e.Mem, snap)
-}
-
 // Checksum folds every array into one value, for cheap equivalence checks
 // between execution strategies. Arrays fold in ascending name order, not
 // layout order: cached plans store this value as the sequential oracle, so

@@ -208,33 +208,6 @@ func TestForkSharesMemNotScalars(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	prog, _ := parser.Parse("func f() { var A[3], B[2] A[0] = 1 A[1] = 2 B[1] = 3 }")
-	p, _ := ir.Lower(prog)
-	env, err := interp.Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := env.Checksum()
-	snap := env.Snapshot()
-	// A torn speculative write: every cell of every array clobbered, through
-	// the environment and through a fork of it.
-	for i := range env.Mem {
-		env.Mem[i] = -1
-	}
-	env.Fork().Array("B")[0] = 99
-	if snap[0] != 1 {
-		t.Fatal("snapshot must not alias live memory")
-	}
-	env.Restore(snap)
-	if a, b := env.Array("A"), env.Array("B"); a[0] != 1 || a[1] != 2 || a[2] != 0 || b[0] != 0 || b[1] != 3 {
-		t.Fatalf("restore not exact: A=%v B=%v", a, b)
-	}
-	if env.Checksum() != want {
-		t.Fatal("checksum changed across snapshot/restore")
-	}
-}
-
 func TestChecksumDistinguishesStates(t *testing.T) {
 	prog, _ := parser.Parse("func f() { var A[4] A[2] = 5 }")
 	p, _ := ir.Lower(prog)

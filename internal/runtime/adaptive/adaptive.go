@@ -242,7 +242,6 @@ type controller struct {
 
 func newController(rt *engine.Runtime, w Workload, cfg Config, guarded bool) *controller {
 	c := &controller{rt: rt, cfg: cfg, ctl: cfg.Trace.Lane(trace.LaneControl), guarded: guarded, win: window{w: w}}
-	c.win.dw, _ = w.(speccross.DeltaWorkload)
 	c.win.irr, _ = w.(speccross.Irreversibler)
 	if s, ok := w.(inlineSkipper); ok {
 		c.skip = s.InlineWindowSkipEpoch()
@@ -420,7 +419,6 @@ func (c *controller) post(e Engine, lo, hi int, guarded bool, s *Sample) (inline
 // a region starting at invocation/epoch 0.
 type window struct {
 	w      Workload
-	dw     speccross.DeltaWorkload // w's delta view, or nil
 	irr    speccross.Irreversibler // w's irreversible-epoch marker, or nil
 	lo, hi int
 	// The engines read the chaos harness's resume and skip-dirty-cell
@@ -442,24 +440,13 @@ func (s *window) Tasks(epoch int) int { return s.w.Tasks(s.lo + epoch) }
 func (s *window) Run(epoch, task, tid int, sig *signature.Signature) {
 	s.w.Run(s.lo+epoch, task, tid, sig)
 }
-func (s *window) Snapshot() any    { return s.w.Snapshot() }
-func (s *window) Restore(snap any) { s.w.Restore(snap) }
 
-// The speccross.DeltaWorkload view forwards to the underlying workload so
-// SPECCROSS windows keep incremental checkpoints; StateLen 0 (the
-// delta-incapable marker) is reported when the workload has no delta view.
-func (s *window) StateLen() int {
-	if s.dw != nil {
-		return s.dw.StateLen()
-	}
-	return 0
-}
-
-func (s *window) LoadCells(lo uint64, dst []int64)  { s.dw.LoadCells(lo, dst) }
-func (s *window) StoreCells(lo uint64, src []int64) { s.dw.StoreCells(lo, src) }
-func (s *window) AddrCells(addr uint64) (lo, hi uint64) {
-	return s.dw.AddrCells(addr)
-}
+// The cell image forwards to the underlying workload, so SPECCROSS windows
+// keep its checkpoints and its cell map.
+func (s *window) StateLen() int                              { return s.w.StateLen() }
+func (s *window) LoadCells(lo uint64, dst []int64)           { s.w.LoadCells(lo, dst) }
+func (s *window) StoreCells(lo uint64, src []int64)          { s.w.StoreCells(lo, src) }
+func (s *window) CellMap() func(addr uint64) (lo, hi uint64) { return s.w.CellMap() }
 
 // Irreversible forwards the §4.2.2 irreversible-epoch marker when the
 // underlying workload provides one.

@@ -92,7 +92,7 @@ func TestGuardedWindowPricesInline(t *testing.T) {
 	}
 }
 
-// deltaCells is a workload of read-modify-write tasks over a delta view:
+// deltaCells is a workload of read-modify-write tasks with a cell map:
 // task t of every epoch rewrites cell t from its old value. With faultEpoch
 // set, task 0 of that epoch fails once when it runs speculatively, the way
 // the chaos harness's injected faults do: it panics, after scribbling over
@@ -113,12 +113,12 @@ func (d *deltaCells) ComputeAddr(_, it int, b []uint64) []uint64 { return append
 func (d *deltaCells) Execute(inv, it, _ int)                     { d.body(inv, it) }
 func (d *deltaCells) Epochs() int                                { return d.epochs }
 func (d *deltaCells) Tasks(int) int                              { return d.tasks }
-func (d *deltaCells) Snapshot() any                              { return append([]int64(nil), d.state...) }
-func (d *deltaCells) Restore(s any)                              { copy(d.state, s.([]int64)) }
 func (d *deltaCells) StateLen() int                              { return len(d.state) }
 func (d *deltaCells) LoadCells(lo uint64, dst []int64)           { copy(dst, d.state[lo:]) }
 func (d *deltaCells) StoreCells(lo uint64, src []int64)          { copy(d.state[lo:], src) }
-func (d *deltaCells) AddrCells(a uint64) (lo, hi uint64)         { return a, a + 1 }
+func (d *deltaCells) CellMap() func(addr uint64) (lo, hi uint64) {
+	return func(a uint64) (uint64, uint64) { return a, a + 1 }
+}
 func (d *deltaCells) Run(e, t, _ int, sig *signature.Signature) {
 	if sig != nil {
 		sig.Read(uint64(t))

@@ -38,8 +38,11 @@ func newDistWorkload(tasks []int, dist int) *distWorkload {
 
 func (w *distWorkload) Epochs() int         { return len(w.tasks) }
 func (w *distWorkload) Tasks(epoch int) int { return w.tasks[epoch] }
-func (w *distWorkload) Snapshot() any       { return append([]int64(nil), w.data...) }
-func (w *distWorkload) Restore(s any)       { copy(w.data, s.([]int64)) }
+func (w *distWorkload) StateLen() int       { return len(w.data) }
+
+func (w *distWorkload) LoadCells(lo uint64, dst []int64)           { copy(dst, w.data[lo:]) }
+func (w *distWorkload) StoreCells(lo uint64, src []int64)          { copy(w.data[lo:], src) }
+func (w *distWorkload) CellMap() func(addr uint64) (lo, hi uint64) { return nil }
 
 // source is the cell task g reads, or -1.
 func (w *distWorkload) source(epoch, g int) int {

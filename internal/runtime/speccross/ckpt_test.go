@@ -6,7 +6,11 @@ import (
 	"crossinv/internal/runtime/signature"
 )
 
-// deltaArrayWorkload is a DeltaWorkload with a large state and a small
+// cellIndex is the cell map of a workload whose signature addresses are
+// cell indices.
+func cellIndex(a uint64) (lo, hi uint64) { return a, a + 1 }
+
+// deltaArrayWorkload is a workload with a cell map, a large state and a small
 // per-task write set: each task owns the cells congruent to its task index
 // and writes a few of them per epoch (record-before-write), so tasks of one
 // epoch are independent and tasks of different epochs conflict only within
@@ -30,13 +34,11 @@ func newDeltaArray(epochs, tasks, cells int) *deltaArrayWorkload {
 func (w *deltaArrayWorkload) Epochs() int             { return w.epochs }
 func (w *deltaArrayWorkload) Tasks(int) int           { return w.tasks }
 func (w *deltaArrayWorkload) Irreversible(e int) bool { return w.irr[e] }
-func (w *deltaArrayWorkload) Snapshot() any           { return append([]int64(nil), w.state...) }
-func (w *deltaArrayWorkload) Restore(s any)           { copy(w.state, s.([]int64)) }
 
-func (w *deltaArrayWorkload) StateLen() int                       { return w.cells }
-func (w *deltaArrayWorkload) LoadCells(lo uint64, dst []int64)    { copy(dst, w.state[lo:]) }
-func (w *deltaArrayWorkload) StoreCells(lo uint64, src []int64)   { copy(w.state[lo:], src) }
-func (w *deltaArrayWorkload) AddrCells(a uint64) (uint64, uint64) { return a, a + 1 }
+func (w *deltaArrayWorkload) StateLen() int                              { return w.cells }
+func (w *deltaArrayWorkload) LoadCells(lo uint64, dst []int64)           { copy(dst, w.state[lo:]) }
+func (w *deltaArrayWorkload) StoreCells(lo uint64, src []int64)          { copy(w.state[lo:], src) }
+func (w *deltaArrayWorkload) CellMap() func(addr uint64) (lo, hi uint64) { return cellIndex }
 
 func (w *deltaArrayWorkload) cellOf(e, t, j int) int {
 	slots := w.cells / w.tasks
@@ -65,16 +67,17 @@ func (w *deltaArrayWorkload) sequential() []int64 {
 	return out
 }
 
-// fullOnly exposes only the Workload methods of the workload it wraps,
-// hiding any delta view, so the engine takes full Snapshot/Restore
-// checkpoints of it.
-type fullOnly struct{ Workload }
+// noMap exposes only the Workload methods of the workload it wraps, with
+// no cell map, so every checkpoint of it takes the whole image.
+type noMap struct{ Workload }
+
+func (noMap) CellMap() func(addr uint64) (lo, hi uint64) { return nil }
 
 // TestIncrementalCheckpointEquivalence runs the same workload — including
-// an irreversible epoch (untracked execution forcing a full base rebuild)
-// and an injected misspeculation (forcing a delta rollback) — under full
-// and incremental checkpointing and requires identical final state, equal
-// to the sequential replay.
+// an irreversible epoch (untracked execution forcing a capture of the whole
+// image) and an injected misspeculation (forcing a rollback) — with no cell
+// map and with one, and requires identical final state, equal to the
+// sequential replay.
 func TestIncrementalCheckpointEquivalence(t *testing.T) {
 	build := func() *deltaArrayWorkload {
 		w := newDeltaArray(40, 8, 1<<14)
@@ -84,11 +87,11 @@ func TestIncrementalCheckpointEquivalence(t *testing.T) {
 	want := build().sequential()
 
 	var incStats Stats
-	for _, mode := range []string{"full", "incremental"} {
+	for _, mode := range []string{"whole", "incremental"} {
 		w := build()
 		var view Workload = w
-		if mode == "full" {
-			view = fullOnly{w}
+		if mode == "whole" {
+			view = noMap{w}
 		}
 		st := RunParallel(view, Config{
 			Workers:           4,
@@ -102,6 +105,9 @@ func TestIncrementalCheckpointEquivalence(t *testing.T) {
 		if got := st.DeltaCheckpoints > 0; got != (mode == "incremental") {
 			t.Fatalf("%s: DeltaCheckpoints = %d", mode, st.DeltaCheckpoints)
 		}
+		if st.DeltaRestores != 1 {
+			t.Fatalf("%s: DeltaRestores = %d, want 1 (the injected abort)", mode, st.DeltaRestores)
+		}
 		for i := range want {
 			if w.state[i] != want[i] {
 				t.Fatalf("%s: state[%d] = %d, sequential = %d", mode, i, w.state[i], want[i])
@@ -114,9 +120,6 @@ func TestIncrementalCheckpointEquivalence(t *testing.T) {
 
 	if incStats.DeltaCheckpoints == 0 {
 		t.Error("incremental mode took no delta checkpoints")
-	}
-	if incStats.DeltaRestores != 1 {
-		t.Errorf("DeltaRestores = %d, want 1 (the injected abort)", incStats.DeltaRestores)
 	}
 	// The point of checkpoint substitution: total refreshed cells must be
 	// bounded by the tracked write set, far below one full copy per
@@ -150,7 +153,7 @@ func TestCheckpointNs(t *testing.T) {
 	}
 }
 
-// TestBlockGranularDeltaSpans exercises AddrCells spans wider than one
+// TestBlockGranularDeltaSpans exercises cell map spans wider than one
 // cell: block-granular signature addresses must refresh and roll back the
 // whole block.
 func TestBlockGranularDeltaSpans(t *testing.T) {
@@ -191,14 +194,12 @@ const blockCells = 8
 
 func (w *blockDeltaWorkload) Epochs() int   { return w.epochs }
 func (w *blockDeltaWorkload) Tasks(int) int { return w.tasks }
-func (w *blockDeltaWorkload) Snapshot() any { return append([]int64(nil), w.state...) }
-func (w *blockDeltaWorkload) Restore(s any) { copy(w.state, s.([]int64)) }
 
 func (w *blockDeltaWorkload) StateLen() int                     { return len(w.state) }
 func (w *blockDeltaWorkload) LoadCells(lo uint64, dst []int64)  { copy(dst, w.state[lo:]) }
 func (w *blockDeltaWorkload) StoreCells(lo uint64, src []int64) { copy(w.state[lo:], src) }
-func (w *blockDeltaWorkload) AddrCells(a uint64) (uint64, uint64) {
-	return a * blockCells, (a + 1) * blockCells
+func (w *blockDeltaWorkload) CellMap() func(addr uint64) (lo, hi uint64) {
+	return func(a uint64) (uint64, uint64) { return a * blockCells, (a + 1) * blockCells }
 }
 
 func (w *blockDeltaWorkload) blockOf(e, t int) int {

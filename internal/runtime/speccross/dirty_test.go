@@ -7,41 +7,49 @@ import (
 	"crossinv/internal/runtime/signature"
 )
 
-// spanCells is a DeltaWorkload over a plain cell array whose signature
-// address a covers cells [a·stride, a·stride+width): the identity mapping
-// (1, 1), block-granular addresses (b, b) and overlapping spans (s < w).
+// spanCells is a workload over a plain cell array whose signature address
+// a covers cells [a·stride, a·stride+width): the identity mapping (1, 1),
+// block-granular addresses (b, b) and overlapping spans (s < w) — or, with
+// noMap set, no cell map at all.
 type spanCells struct {
 	state         []int64
 	stride, width uint64
+	noMap         bool
 }
 
 func (w *spanCells) Epochs() int                             { return 0 }
 func (w *spanCells) Tasks(int) int                           { return 0 }
 func (w *spanCells) Run(int, int, int, *signature.Signature) {}
-func (w *spanCells) Snapshot() any                           { return nil }
-func (w *spanCells) Restore(any)                             {}
 func (w *spanCells) StateLen() int                           { return len(w.state) }
 func (w *spanCells) LoadCells(lo uint64, dst []int64)        { copy(dst, w.state[lo:lo+uint64(len(dst))]) }
 func (w *spanCells) StoreCells(lo uint64, src []int64)       { copy(w.state[lo:lo+uint64(len(src))], src) }
-func (w *spanCells) AddrCells(a uint64) (uint64, uint64)     { return a * w.stride, a*w.stride + w.width }
+func (w *spanCells) span(a uint64) (uint64, uint64)          { return a * w.stride, a*w.stride + w.width }
+func (w *spanCells) CellMap() func(addr uint64) (lo, hi uint64) {
+	if w.noMap {
+		return nil
+	}
+	return w.span
+}
 
 // FuzzDirtyCopy checks the bitmap checkpointer against a per-cell model:
-// over a random state length, span shape and set of worker write logs
-// (with sentinel and out-of-range addresses, and entries repeated within
-// and across logs), a commit must refresh exactly the spanned cells of the
-// base image, a rollback must rewrite exactly those cells of the state,
-// both must report the number of distinct spanned cells, and each must
-// leave the bitmap empty for the next segment.
+// over a random state length, span shape — no cell map among them — and
+// set of worker write logs (with sentinel and out-of-range addresses, and
+// entries repeated within and across logs), a commit must refresh exactly
+// the spanned cells of the base image, a rollback must rewrite exactly
+// those cells of the state, both must report the number of distinct
+// spanned cells, and each must leave the bitmap empty for the next
+// segment. With no cell map, every cell counts as spanned.
 func FuzzDirtyCopy(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 7, 1, 200, 5})
 	f.Add([]byte{2, 130, 4, 3, 10, 10, 11, 255, 12, 64, 63, 1, 0})
 	f.Add([]byte{1, 64, 1, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte{3, 90, 5, 0, 1, 2, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
 		w := &spanCells{state: make([]int64, 1+int(data[1])*3+int(data[2]%3))}
-		switch data[0] % 3 {
+		switch data[0] % 4 {
 		case 0:
 			w.stride, w.width = 1, 1
 		case 1:
@@ -50,6 +58,8 @@ func FuzzDirtyCopy(f *testing.F) {
 		case 2:
 			w.stride = 1 + uint64(data[3]%5)
 			w.width = w.stride + 1 + uint64(data[3]/5%90)
+		case 3:
+			w.noMap = true
 		}
 		n := len(w.state)
 		st := &state{local: make([]workerLocal, 1+int(data[2]/3%4))}
@@ -71,14 +81,21 @@ func FuzzDirtyCopy(f *testing.F) {
 		}
 		want := make([]bool, n)
 		var wantCells int64
+		mark := func(lo, hi uint64) {
+			for c := lo; c < hi && c < uint64(n); c++ {
+				if !want[c] {
+					want[c] = true
+					wantCells++
+				}
+			}
+		}
+		if w.noMap {
+			mark(0, uint64(n)) // every cell, whatever the logs hold
+		}
 		for _, l := range st.local {
 			for _, a := range l.dlog {
-				lo, hi := w.AddrCells(a)
-				for c := lo; c < hi && c < uint64(n); c++ {
-					if !want[c] {
-						want[c] = true
-						wantCells++
-					}
+				if !w.noMap {
+					mark(w.span(a))
 				}
 			}
 		}
@@ -94,7 +111,7 @@ func FuzzDirtyCopy(f *testing.F) {
 		for c := range w.state {
 			w.state[c] = -int64(c) - 1
 		}
-		if got := st.copyDirty(w, true); got != wantCells {
+		if got := st.copyDirty(w, w.CellMap(), true); got != wantCells {
 			t.Fatalf("commit counted %d cells, model %d", got, wantCells)
 		}
 		for c := range st.base {
@@ -114,7 +131,7 @@ func FuzzDirtyCopy(f *testing.F) {
 		for c := range w.state {
 			w.state[c] = int64(c) * 1000
 		}
-		if got := st.copyDirty(w, false); got != wantCells {
+		if got := st.copyDirty(w, w.CellMap(), false); got != wantCells {
 			t.Fatalf("rollback counted %d cells, model %d", got, wantCells)
 		}
 		for c := range w.state {

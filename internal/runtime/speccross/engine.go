@@ -37,16 +37,19 @@ import (
 // at most the distance behind every task of the chunk that read it, so a
 // faithful profile keeps the checker quiet, as it did one task a chunk.
 //
-// Checkpoints are full snapshots or — for DeltaWorkloads with a nonzero
-// StateLen — incremental: the engine keeps one base image of the state,
-// captured in one bulk copy before the first speculative segment and again
-// after any untracked phase. At a commit it marks the cells the segment's
-// tracked write set spans in a bitmap, one bit per cell, and refreshes
-// each run of marked cells in one copy; a rollback likewise rewrites only
-// those runs. This is the checkpoint substitution of §4.2.2: checkpoint
-// and recovery cost are bounded by the write set, not the heap — a segment
-// that dirtied most of the state costs about one copy of it, and one that
-// dirtied a few cells costs those cells plus a scan of StateLen/64 words.
+// The checkpoint is the workload's cell image (Workload.StateLen,
+// LoadCells, StoreCells): the engine keeps one copy of every cell on the
+// runtime, captured in one bulk copy before the first speculative segment
+// and again after any untracked phase. For a workload with a cell map, a
+// commit marks the cells the segment's tracked write set spans in a
+// bitmap, one bit per cell, and refreshes each run of marked cells in one
+// copy; a rollback likewise rewrites only those runs. This is the
+// checkpoint substitution of §4.2.2: checkpoint and recovery cost are
+// bounded by the write set, not the heap — a segment that dirtied most of
+// the state costs about one copy of it, and one that dirtied a few cells
+// costs those cells plus a scan of StateLen/64 words. A workload with no
+// cell map logs no writes: its rollback rewrites every cell, and its
+// commit leaves the image to be captured again before the next segment.
 // The control goroutine's time in all of it is Stats.CheckpointNs.
 //
 // Unless the run sets ForceMisspecEpoch, Run is guarded, as the package
@@ -119,11 +122,11 @@ func RunParallel(w Workload, cfg Config) Stats {
 // checker log and the signature arenas are reset per segment, not rebuilt.
 // The adaptive controller's speculative windows run it.
 //
-// The incremental-checkpoint base image is kept on the runtime too, and
-// stays valid from one RunOn to the next over the same workload value as
-// long as every change to the workload's state in between was a tracked
-// speculative write. Engines running on rt report their untracked phases
-// themselves; a caller that changes the state between two runs (Restore,
+// The checkpoint's cell image is kept on the runtime too, and stays valid
+// from one RunOn to the next over the same workload value as long as every
+// change to the workload's state in between was a tracked speculative
+// write. Engines running on rt report their untracked phases themselves; a
+// caller that changes the state between two runs (a reset,
 // re-initialisation) must call rt.StateChanged.
 //
 // If control, a checker shard or a recovery worker panics, rt is closed and
@@ -134,8 +137,8 @@ func RunOn(rt *engine.Runtime, w Workload, cfg Config) Stats {
 	defer rt.Settle()
 	var stats Stats
 	// Segment control (checkpoint, rollback, recovery sequencing) runs on
-	// the calling goroutine; label it so profile samples of Snapshot and
-	// Restore attribute to the control lane.
+	// the calling goroutine; label it so profile samples of the image's
+	// copies attribute to the control lane.
 	st := stateOn(rt, cfg.Workers)
 	st.cfg = cfg
 	rt.Labeled("speccross", "control", func() { stats = st.run(w, false) })
@@ -152,19 +155,14 @@ func (st *state) run(w Workload, guarded bool) Stats {
 	irr, hasIrr := w.(Irreversibler)
 	epochs := w.Epochs()
 
-	dw, hasDelta := w.(DeltaWorkload)
-	useDelta := hasDelta && dw.StateLen() > 0
-
-	// Checkpoint state. Full mode takes a snapshot as each speculative
-	// segment begins; incremental mode keeps a base image of every cell on
-	// the runtime plus a bitmap of the segment's dirty cells, and copies
-	// the runs of set bits. Either is taken lazily, when a speculative
-	// segment is about to need it: untracked execution (barrier recovery,
-	// irreversible epochs, the guard's inline epochs) only counts its
-	// checkpoint here, and the image is captured — once — before the next
-	// speculation. Every capture, commit and rollback is timed into
-	// Stats.CheckpointNs.
-	var snapshot any
+	// Checkpoint state: a cell image of the whole state on the runtime
+	// plus a bitmap of the segment's dirty cells, copied as runs of set
+	// bits. The image is captured lazily, when a speculative segment is
+	// about to need it: untracked execution (barrier recovery, irreversible
+	// epochs, the guard's inline epochs) only counts its checkpoint here,
+	// and the image is captured — once — before the next speculation.
+	// Every capture, commit and rollback is timed into Stats.CheckpointNs.
+	cellOf := w.CellMap()
 	st.skipCell, st.headOnly = false, false
 	if s, ok := w.(dirtyCellSkipper); ok {
 		st.skipCell = s.SkipDirtyCell()
@@ -172,37 +170,31 @@ func (st *state) run(w Workload, guarded bool) Stats {
 	if s, ok := w.(chunkTailSkipper); ok {
 		st.headOnly = s.SkipChunkTail()
 	}
-	checkpointFull := func(end int) {
+	checkpoint := func(end int) {
 		stats.Checkpoints++
 		ctl.Emit(trace.KindCheckpoint, int64(end), 0, 0)
 	}
-	// checkpointDirty refreshes the base image for the committed segment's
-	// tracked write set only.
-	checkpointDirty := func(end int) {
-		if !useDelta {
-			checkpointFull(end)
+	// commit refreshes the image for the committed segment's tracked write
+	// set, or, with no cell map, leaves it to be captured again.
+	commit := func(end int) {
+		if cellOf == nil {
+			st.baseFor = nil
+			checkpoint(end)
 			return
 		}
 		t0 := time.Now()
-		cells := st.copyDirty(dw, true)
+		cells := st.copyDirty(w, cellOf, true)
 		stats.CheckpointNs += int64(time.Since(t0))
-		stats.Checkpoints++
 		stats.DeltaCheckpoints++
 		stats.DeltaCells += cells
-		ctl.Emit(trace.KindCheckpoint, int64(end), 0, 0)
+		checkpoint(end)
 		ctl.Emit(trace.KindCkptDelta, cells, int64(end), 0)
 	}
-	// restore rolls the state back to the segment's checkpoint: a full
-	// Restore, or a rewrite of exactly the dirty cells.
+	// restore rolls the state back to the segment's checkpoint by
+	// rewriting its dirty cells from the image.
 	restore := func(start int) {
 		t0 := time.Now()
-		if !useDelta {
-			w.Restore(snapshot)
-			stats.CheckpointNs += int64(time.Since(t0))
-			ctl.Emit(trace.KindRestore, int64(start), 0, 0)
-			return
-		}
-		cells := st.copyDirty(dw, false)
+		cells := st.copyDirty(w, cellOf, false)
 		stats.CheckpointNs += int64(time.Since(t0))
 		stats.DeltaRestores++
 		ctl.Emit(trace.KindRestore, int64(start), 0, 0)
@@ -231,7 +223,7 @@ func (st *state) run(w Workload, guarded bool) Stats {
 		// An irreversible epoch forms its own non-speculative segment.
 		if hasIrr && irr.Irreversible(start) {
 			st.runBarriers(w, start, start+1, cfg.Trace)
-			checkpointFull(start + 1)
+			checkpoint(start + 1)
 			start++
 			if guarded {
 				segT = time.Now()
@@ -252,18 +244,14 @@ func (st *state) run(w Workload, guarded bool) Stats {
 		}
 
 		t0 := time.Now()
-		if useDelta {
-			st.ensureBase(w, dw)
-		} else {
-			snapshot = w.Snapshot()
-		}
+		st.ensureBase(w)
 		stats.CheckpointNs += int64(time.Since(t0))
 		ctl.Emit(trace.KindEpochBegin, int64(start), int64(end), 0)
-		reason := st.runSpeculative(w, cfg, start, end, useDelta)
+		reason := st.runSpeculative(w, cfg, start, end, cellOf != nil)
 		st.fold(&stats)
 		if reason == misspecNone {
 			ctl.Emit(trace.KindEpochCommit, int64(end-start), int64(start), int64(end))
-			checkpointDirty(end)
+			commit(end)
 			stats.Epochs += int64(end - start)
 			stats.Tasks += st.prefix[end-start]
 		} else {
@@ -277,7 +265,7 @@ func (st *state) run(w Workload, guarded bool) Stats {
 			ctl.Emit(trace.KindRecoveryEnd, int64(end-start), int64(start), int64(end))
 			// Recovery ran untracked (nil signatures), which made the base
 			// image stale; the next speculative segment re-captures it.
-			checkpointFull(end)
+			checkpoint(end)
 		}
 		start = end
 		if guarded && start < epochs {
@@ -401,7 +389,7 @@ type stateKey struct{}
 // state is what a runtime keeps for SPECCROSS between segments, recoveries
 // and runs: the worker→checker rings, the position and completion words,
 // the checker log, the per-worker signature arenas and write logs, and the
-// incremental-checkpoint base image. A segment resets what it uses; the
+// checkpoint's cell image. A segment resets what it uses; the
 // rings are rebuilt only for a different capacity, the arenas only for a
 // different signature kind.
 type state struct {
@@ -420,7 +408,7 @@ type state struct {
 	chk    checker
 	kind   signature.Kind // of the arenas and the checker's unions
 
-	// Incremental-checkpoint image: base holds every cell's checkpointed
+	// The checkpoint's cell image: base holds every cell's checkpointed
 	// value, dirty the cells the finished segment wrote. It is current
 	// while baseFor is the workload it was read from and baseVersion the
 	// runtime's state version (see RunOn). skipCell is the run's
@@ -445,8 +433,8 @@ type state struct {
 	// armed for.
 	misspec atomic.Uint64
 	segBase uint64
-	// trackWrites enables per-worker write logs for incremental
-	// checkpointing (workerLocal.dlog, read by control after quiesce).
+	// trackWrites enables per-worker write logs for a workload with a cell
+	// map (workerLocal.dlog, read by control after quiesce).
 	trackWrites bool
 	// headOnly is the run's chunk-tail-unchecked seam (chunkTailSkipper).
 	headOnly bool
@@ -551,9 +539,10 @@ func (st *state) flag(reason int32) { st.misspec.CompareAndSwap(st.segBase, st.s
 
 // ensureBase makes the base image current for w, capturing the whole
 // state in one bulk copy only when the cached image is for another
-// workload or predates an untracked change of the state.
-func (st *state) ensureBase(w Workload, dw DeltaWorkload) {
-	n := dw.StateLen()
+// workload, predates an untracked change of the state, or was left stale
+// by a commit of a workload with no cell map.
+func (st *state) ensureBase(w Workload) {
+	n := w.StateLen()
 	if st.baseVersion == st.rt.StateVersion() && len(st.base) == n && sameWorkload(st.baseFor, w) {
 		return
 	}
@@ -562,7 +551,7 @@ func (st *state) ensureBase(w Workload, dw DeltaWorkload) {
 	}
 	st.base = st.base[:n]
 	st.dirty.resize(n)
-	dw.LoadCells(0, st.base)
+	w.LoadCells(0, st.base)
 	st.baseFor, st.baseVersion = w, st.rt.StateVersion()
 }
 
@@ -591,14 +580,19 @@ type dirtyCellSkipper interface{ SkipDirtyCell() bool }
 type chunkTailSkipper interface{ SkipChunkTail() bool }
 
 // copyDirty marks the state cells the finished segment's write logs cover
-// and copies each run of them: from the state into the base image to
-// commit, or from the image back into the state to roll back. It returns
-// how many distinct cells that was.
-func (st *state) copyDirty(dw DeltaWorkload, commit bool) (cells int64) {
+// under cellOf — every cell when cellOf is nil — and copies each run of
+// them: from the state into the base image to commit, or from the image
+// back into the state to roll back. It returns how many distinct cells
+// that was.
+func (st *state) copyDirty(w Workload, cellOf func(uint64) (uint64, uint64), commit bool) (cells int64) {
 	d := &st.dirty
-	for i := range st.local {
-		for _, a := range st.local[i].dlog {
-			d.mark(dw.AddrCells(a))
+	if cellOf == nil {
+		d.mark(0, d.n)
+	} else {
+		for i := range st.local {
+			for _, a := range st.local[i].dlog {
+				d.mark(cellOf(a))
+			}
 		}
 	}
 	cells = d.count()
@@ -607,9 +601,9 @@ func (st *state) copyDirty(dw DeltaWorkload, commit bool) (cells int64) {
 	}
 	for lo, hi := d.next(0); lo < hi; lo, hi = d.next(hi) {
 		if commit {
-			dw.LoadCells(lo, st.base[lo:hi])
+			w.LoadCells(lo, st.base[lo:hi])
 		} else {
-			dw.StoreCells(lo, st.base[lo:hi])
+			w.StoreCells(lo, st.base[lo:hi])
 		}
 	}
 	d.empty()

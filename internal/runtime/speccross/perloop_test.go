@@ -100,8 +100,10 @@ type unlabeled struct{ g *gridWorkload }
 func (u unlabeled) Epochs() int                               { return u.g.Epochs() }
 func (u unlabeled) Tasks(e int) int                           { return u.g.Tasks(e) }
 func (u unlabeled) Run(e, t, tid int, s *signature.Signature) { u.g.Run(e, t, tid, s) }
-func (u unlabeled) Snapshot() any                             { return u.g.Snapshot() }
-func (u unlabeled) Restore(s any)                             { u.g.Restore(s) }
+func (u unlabeled) StateLen() int                             { return u.g.StateLen() }
+func (u unlabeled) LoadCells(lo uint64, dst []int64)          { u.g.LoadCells(lo, dst) }
+func (u unlabeled) StoreCells(lo uint64, src []int64)         { u.g.StoreCells(lo, src) }
+func (u unlabeled) CellMap() func(uint64) (uint64, uint64)    { return u.g.CellMap() }
 
 func TestShardedCheckerDetectsConflicts(t *testing.T) {
 	if raceflag.Enabled {

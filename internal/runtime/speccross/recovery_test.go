@@ -42,20 +42,14 @@ func newRecoveryWorkload() *recoveryWorkload {
 
 func (w *recoveryWorkload) Epochs() int         { return len(w.pairOf) }
 func (w *recoveryWorkload) Tasks(epoch int) int { return 2 }
-func (w *recoveryWorkload) Snapshot() any {
-	cp := make([]int64, len(w.state))
-	copy(cp, w.state)
-	return cp
-}
-func (w *recoveryWorkload) Restore(s any) { copy(w.state, s.([]int64)) }
 
-// The delta view: element-granular addresses (the sentinel lies outside
-// [0, StateLen) and is ignored by the checkpointer, exercising the
+// The cell image with element-granular addresses (the sentinel lies
+// outside [0, StateLen) and is ignored by the checkpointer, exercising the
 // out-of-range skip).
-func (w *recoveryWorkload) StateLen() int                       { return len(w.state) }
-func (w *recoveryWorkload) LoadCells(lo uint64, dst []int64)    { copy(dst, w.state[lo:]) }
-func (w *recoveryWorkload) StoreCells(lo uint64, src []int64)   { copy(w.state[lo:], src) }
-func (w *recoveryWorkload) AddrCells(a uint64) (uint64, uint64) { return a, a + 1 }
+func (w *recoveryWorkload) StateLen() int                              { return len(w.state) }
+func (w *recoveryWorkload) LoadCells(lo uint64, dst []int64)           { copy(dst, w.state[lo:]) }
+func (w *recoveryWorkload) StoreCells(lo uint64, src []int64)          { copy(w.state[lo:], src) }
+func (w *recoveryWorkload) CellMap() func(addr uint64) (lo, hi uint64) { return cellIndex }
 
 func (w *recoveryWorkload) Run(e, t, tid int, sig *signature.Signature) {
 	if sig != nil {
@@ -73,7 +67,7 @@ func (w *recoveryWorkload) Run(e, t, tid int, sig *signature.Signature) {
 			sig.Write(recoverySentinel)
 			w.flags[w.pairOf[e-1]].Store(true)
 		}
-		// Record-before-write for the owned cell (DeltaWorkload contract).
+		// Record-before-write for the owned cell (the CellMap contract).
 		sig.Write(uint64(e*2 + t))
 	}
 	// Each task owns one cell, so tasks never race and the final state
@@ -99,14 +93,15 @@ func sequentialRecoveryState() []int64 {
 // result. Any drift in these counts means the recovery path changed
 // behaviour, not just performance.
 func TestRecoveryDeterministicConflicts(t *testing.T) {
-	// The exact same recovery accounting must hold under both checkpoint
-	// substitutions: full snapshots and incremental (write-set) deltas.
+	// The exact same recovery accounting must hold with no cell map, where
+	// every rollback rewrites the full image, and with one, where it
+	// rewrites the write set's dirty cells.
 	for _, mode := range []string{"full", "incremental"} {
 		t.Run(mode, func(t *testing.T) {
 			w := newRecoveryWorkload()
 			var view Workload = w
 			if mode == "full" {
-				view = fullOnly{w}
+				view = noMap{w}
 			}
 			rec := trace.NewRecorder()
 			stats := RunParallel(view, Config{
@@ -128,18 +123,15 @@ func TestRecoveryDeterministicConflicts(t *testing.T) {
 			if stats.Checkpoints != 3 {
 				t.Errorf("Checkpoints = %d, want exactly 3 (one per segment end)", stats.Checkpoints)
 			}
-			switch mode {
-			case "full":
-				if stats.DeltaRestores != 0 || stats.DeltaCheckpoints != 0 {
-					t.Errorf("full mode took delta checkpoints: %+v", stats)
-				}
-			case "incremental":
-				if stats.DeltaRestores != 2 {
-					t.Errorf("DeltaRestores = %d, want 2 (one per abort)", stats.DeltaRestores)
-				}
-				if stats.DeltaCheckpoints != 1 {
-					t.Errorf("DeltaCheckpoints = %d, want 1 (only segment [0,2) commits)", stats.DeltaCheckpoints)
-				}
+			if stats.DeltaRestores != 2 {
+				t.Errorf("DeltaRestores = %d, want 2 (one per abort)", stats.DeltaRestores)
+			}
+			wantDelta := int64(1) // only segment [0,2) commits
+			if mode == "full" {
+				wantDelta = 0 // a commit with no cell map leaves the image to be captured again
+			}
+			if stats.DeltaCheckpoints != wantDelta {
+				t.Errorf("DeltaCheckpoints = %d, want %d", stats.DeltaCheckpoints, wantDelta)
 			}
 
 			sum := rec.Summary()

@@ -69,57 +69,41 @@ type Workload interface {
 	// order on the calling thread, to time the instrumentation, so a body
 	// must do the same with and without one, apart from recording.
 	Run(epoch, task, tid int, sig *signature.Signature)
-	// Snapshot captures the speculatively-mutated state. It is invoked only
-	// at epoch boundaries with all workers quiescent.
-	Snapshot() any
-	// Restore rolls the state back to a snapshot taken by Snapshot.
-	Restore(snapshot any)
-}
 
-// DeltaWorkload is optionally implemented by workloads whose speculative
-// state is an addressable array of int64 cells (the signature address of a
-// cell is its index). It enables incremental copy-on-write checkpoints
-// (§4.2.2's checkpoint substitution): instead of a full Snapshot per
-// segment, the engine keeps one base image and refreshes or restores only
-// the cells the segment's tracked write set touched, so checkpoint and
-// recovery cost scale with dirty state rather than heap size.
-//
-// Contract: during speculative execution every state mutation must be
-// recorded with Signature.Write *before* the store is performed
-// (record-before-write). Signature addresses need not be element-granular:
-// AddrCells maps each one to the state cell span it covers, and every cell
-// a task actually stores to must lie inside the span of some address the
-// task recorded. Addresses whose span falls outside [0, StateLen) —
-// sentinel conflict addresses, for example — are ignored by the
-// checkpointer. Run calls with a nil signature (barrier recovery,
-// irreversible epochs) are untracked; the engine captures the whole image
-// again after them. A StateLen of 0 declares the workload delta-incapable
-// (no sound address→cell mapping is available) and keeps it on full
-// snapshots.
-//
-// The state moves in bulk: LoadCells and StoreCells copy a run of
-// consecutive cells, and the engine calls them only while every thread of
-// the run is quiescent, at a segment's checkpoint or rollback, so they
-// need no synchronization with the tasks and must not keep the slice they
-// are handed. A capture is one LoadCells of the whole state; a commit or a
-// rollback is one call per run of consecutive dirty cells, and
-// record-before-write is what makes those runs cover every store the
-// segment made.
-type DeltaWorkload interface {
-	Workload
-	// StateLen reports the number of state cells (0 disables incremental
-	// checkpointing). It must not change during a run.
+	// The speculatively mutated state is an array of StateLen int64 cells,
+	// the cell image: the checkpoint of §4.2.2 is one kept copy of it. The
+	// engine moves it in bulk, and only while every thread of the run is
+	// quiescent, at a segment's checkpoint or rollback, so LoadCells and
+	// StoreCells need no synchronization with the tasks and must not keep
+	// the slice they are handed.
+
+	// StateLen reports the number of state cells. It must not change
+	// during a run.
 	StateLen() int
 	// LoadCells copies cells [lo, lo+len(dst)) of the state into dst.
 	LoadCells(lo uint64, dst []int64)
 	// StoreCells overwrites cells [lo, lo+len(src)) of the state with src;
-	// the engine uses it to roll dirty cells back to their checkpoint
-	// values.
+	// the engine uses it to roll cells back to their checkpoint values.
 	StoreCells(lo uint64, src []int64)
-	// AddrCells resolves a signature address to the state cell span
-	// [lo, hi) it covers — the identity mapping (addr, addr+1) when
-	// signature addresses are element indices.
-	AddrCells(addr uint64) (lo, hi uint64)
+	// CellMap returns the map from a signature address to the state cell
+	// span [lo, hi) it covers — the identity (addr, addr+1) when signature
+	// addresses are cell indices — or nil when the workload has no sound
+	// one (block- or object-granular addresses with no fixed span).
+	//
+	// With a map, checkpoints are incremental. During speculative
+	// execution every state mutation must then be recorded with
+	// Signature.Write *before* the store is performed
+	// (record-before-write), and every cell a task stores to must lie
+	// inside the span of some address the task recorded. Addresses whose
+	// span falls outside [0, StateLen) — sentinel conflict addresses, for
+	// example — are ignored. A commit refreshes, and a rollback rewrites,
+	// only the runs of cells the segment's write set spans.
+	//
+	// Without one, the engine logs no writes: a rollback rewrites the
+	// whole image, and a commit leaves the image to be captured again
+	// before the next speculative segment — one bulk copy of the state
+	// per segment either way.
+	CellMap() func(addr uint64) (lo, hi uint64)
 }
 
 // Irreversibler is optionally implemented by workloads with epochs that
@@ -268,7 +252,8 @@ type Stats struct {
 	// Misspeculations counts detected violations (signature conflicts,
 	// worker panics, injected faults, and timeouts).
 	Misspeculations int64
-	// Checkpoints counts snapshots taken.
+	// Checkpoints counts checkpoints: one at the end of every segment,
+	// speculative or not.
 	Checkpoints int64
 	// ReexecutedEpochs counts epochs re-executed with non-speculative
 	// barriers after misspeculation.
@@ -285,20 +270,21 @@ type Stats struct {
 	// PrefilterHits/PrefilterChecks is the cheap checker-pressure signal
 	// the adaptive monitor samples.
 	PrefilterHits int64
-	// DeltaCheckpoints counts checkpoints taken incrementally (a subset of
-	// Checkpoints); DeltaCells is the total number of state cells those
-	// checkpoints refreshed in the base image: for each, the exact number
-	// of distinct cells its segment's write set spans.
+	// DeltaCheckpoints counts the commits that refreshed the cell image
+	// through the segment's dirty cells (a subset of Checkpoints: a
+	// workload with no cell map, and an untracked phase, leave the image
+	// to be captured again instead); DeltaCells is the total number of
+	// state cells those commits refreshed: for each, the exact number of
+	// distinct cells its segment's write set spans.
 	DeltaCheckpoints int64
 	DeltaCells       int64
-	// DeltaRestores counts incremental rollbacks: misspeculation recoveries
-	// that rewrote only the segment's dirty cells instead of restoring a
-	// full snapshot.
+	// DeltaRestores counts rollbacks: misspeculation recoveries that
+	// rewrote the segment's dirty cells from the image — every cell of a
+	// workload with no cell map.
 	DeltaRestores int64
 	// CheckpointNs is the control goroutine's time, in nanoseconds, spent
-	// capturing, committing and restoring checkpoint images — Snapshot and
-	// Restore, or the incremental image's capture, commit and rollback —
-	// timed with one pair of clock reads around each. Checkpoints an
+	// capturing, committing and rolling back the cell image, timed with
+	// one pair of clock reads around each. Checkpoints an
 	// untracked phase only counts (the guard's inline epochs, barrier
 	// recovery) cost nothing here, so a region run wholly inline reads 0.
 	CheckpointNs int64

@@ -68,15 +68,11 @@ func (g *gridWorkload) Run(epoch, task, tid int, sig *signature.Signature) {
 	}
 }
 
-func (g *gridWorkload) Snapshot() any {
-	cp := make([]int64, len(g.data))
-	copy(cp, g.data)
-	return cp
-}
-
-func (g *gridWorkload) Restore(s any) {
-	copy(g.data, s.([]int64))
-}
+// The grid has no cell map: its checkpoints take the whole image.
+func (g *gridWorkload) StateLen() int                              { return len(g.data) }
+func (g *gridWorkload) LoadCells(lo uint64, dst []int64)           { copy(dst, g.data[lo:]) }
+func (g *gridWorkload) StoreCells(lo uint64, src []int64)          { copy(g.data[lo:], src) }
+func (g *gridWorkload) CellMap() func(addr uint64) (lo, hi uint64) { return nil }
 
 func (g *gridWorkload) Irreversible(epoch int) bool { return g.irrEpochs[epoch] }
 

@@ -77,8 +77,11 @@ type transposedWorkload struct {
 
 func (w *transposedWorkload) Epochs() int   { return w.epochs }
 func (w *transposedWorkload) Tasks(int) int { return w.tasks }
-func (w *transposedWorkload) Snapshot() any { return append([]int64(nil), w.data...) }
-func (w *transposedWorkload) Restore(s any) { copy(w.data, s.([]int64)) }
+func (w *transposedWorkload) StateLen() int { return len(w.data) }
+
+func (w *transposedWorkload) LoadCells(lo uint64, dst []int64)           { copy(dst, w.data[lo:]) }
+func (w *transposedWorkload) StoreCells(lo uint64, src []int64)          { copy(w.data[lo:], src) }
+func (w *transposedWorkload) CellMap() func(addr uint64) (lo, hi uint64) { return nil }
 func (w *transposedWorkload) cell(e, t int) int {
 	return t*w.epochs + e
 }

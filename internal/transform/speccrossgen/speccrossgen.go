@@ -222,11 +222,24 @@ func (r *Region) Run(epoch, task, tid int, sig *signature.Signature) {
 	}
 }
 
-// Snapshot implements speccross.Workload.
-func (r *Region) Snapshot() any { return r.base.Snapshot() }
+// StateLen implements speccross.Workload: the cells are the program's flat
+// memory, Env.Mem, which every worker's fork shares. Scalars live in the
+// forks and in each epoch's frame, and are never speculative state.
+func (r *Region) StateLen() int { return len(r.base.Mem) }
 
-// Restore implements speccross.Workload.
-func (r *Region) Restore(s any) { r.base.Restore(s.([]int64)) }
+// LoadCells implements speccross.Workload.
+func (r *Region) LoadCells(lo uint64, dst []int64) { copy(dst, r.base.Mem[lo:]) }
+
+// StoreCells implements speccross.Workload.
+func (r *Region) StoreCells(lo uint64, src []int64) { copy(r.base.Mem[lo:], src) }
+
+// CellMap implements speccross.Workload: a signature address is a flat
+// address, the index of its cell. The executor records a store's address
+// into the signature after the bounds check and before the store, so the
+// map is sound (record-before-write).
+func (r *Region) CellMap() func(addr uint64) (lo, hi uint64) { return flatCell }
+
+func flatCell(addr uint64) (lo, hi uint64) { return addr, addr + 1 }
 
 // EpochLabel implements speccross.Labeler: epochs are named after the
 // source position of their inner loop, so per-loop minimum dependence

@@ -2,6 +2,7 @@ package speccrossgen_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"crossinv/internal/analysis/depend"
@@ -73,6 +74,49 @@ func TestRegionStructure(t *testing.T) {
 	}
 	if r.EpochLabel(0) != r.EpochLabel(2) {
 		t.Fatal("invocations of the same loop must share a label")
+	}
+}
+
+// TestCellImageRestore: a region's cell image is the program's flat memory.
+// A capture through LoadCells, a torn speculative write of every array
+// cell through the environment and through a fork of it, and a StoreCells
+// of the capture restore every array exactly.
+func TestCellImageRestore(t *testing.T) {
+	p, dep := compile(t, `func f() {
+		var A[3], B[2]
+		for t = 0 .. 2 {
+			parfor i = 0 .. 3 { A[i] = A[i] + B[1] }
+		}
+	}`)
+	env := interp.NewEnv(p)
+	copy(env.Array("A"), []int64{1, 2, 0})
+	copy(env.Array("B"), []int64{0, 3})
+	want := env.Checksum()
+	r, err := speccrossgen.New(p, dep, p.Loops[0], env, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.StateLen() != len(env.Mem) {
+		t.Fatalf("StateLen %d, want the %d cells of Mem", r.StateLen(), len(env.Mem))
+	}
+	img := make([]int64, r.StateLen())
+	r.LoadCells(0, img)
+	for i := range env.Mem {
+		env.Mem[i] = -1
+	}
+	env.Fork().Array("B")[0] = 99
+	if slices.Contains(img, -1) {
+		t.Fatal("the captured image aliases live memory")
+	}
+	r.StoreCells(0, img)
+	if a, b := env.Array("A"), env.Array("B"); a[0] != 1 || a[1] != 2 || a[2] != 0 || b[0] != 0 || b[1] != 3 {
+		t.Fatalf("restore not exact: A=%v B=%v", a, b)
+	}
+	if env.Checksum() != want {
+		t.Fatal("checksum changed across capture and restore")
+	}
+	if lo, hi := r.CellMap()(4); lo != 4 || hi != 5 {
+		t.Fatalf("flat address 4 maps to cells [%d, %d), want [4, 5)", lo, hi)
 	}
 }
 

@@ -144,15 +144,25 @@ func (g *CG) Run(epoch, task, tid int, sig *signature.Signature) {
 	g.update(gi)
 }
 
-// Snapshot implements speccross.Workload.
-func (g *CG) Snapshot() any {
-	cp := make([]int64, len(g.C))
-	copy(cp, g.C)
-	return cp
-}
+// StateLen implements speccross.Workload: the cells are C.
+func (g *CG) StateLen() int { return len(g.C) }
 
-// Restore implements speccross.Workload.
-func (g *CG) Restore(s any) { copy(g.C, s.([]int64)) }
+// LoadCells implements speccross.Workload.
+func (g *CG) LoadCells(lo uint64, dst []int64) { copy(dst, g.C[lo:]) }
+
+// StoreCells implements speccross.Workload.
+func (g *CG) StoreCells(lo uint64, src []int64) { copy(g.C[lo:], src) }
+
+// CellMap implements speccross.Workload: a signature address is the index
+// of the element of C it names.
+func (g *CG) CellMap() func(addr uint64) (lo, hi uint64) { return cellOfElement }
+
+func cellOfElement(addr uint64) (lo, hi uint64) { return addr, addr + 1 }
+
+// Snapshot and Restore exist for the benchmark module; see
+// workloads.Snapshot.
+func (g *CG) Snapshot() any { return workloads.Snapshot(g) }
+func (g *CG) Restore(s any) { workloads.Restore(g, s) }
 
 func init() {
 	workloads.Register(workloads.Entry{

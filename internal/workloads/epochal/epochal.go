@@ -40,13 +40,12 @@ type Kernel struct {
 	TaskCost func(epoch, task int) int64
 	SeqCost  int64
 	// AddrSpan, when set, maps a signature address from Access to the State
-	// cell range [lo, hi) it covers, enabling incremental checkpoints
-	// (speccross.DeltaWorkload): the engine refreshes and rolls back only
-	// the cells the tracked write set spans instead of copying the whole
-	// state. Use IdentitySpan for element-granular kernels whose addresses
-	// are State indices. Nil declares no sound mapping (block- or
-	// object-granular addresses with no fixed span), keeping the kernel on
-	// full snapshots.
+	// cell range [lo, hi) it covers: it is the kernel's CellMap, with which
+	// SPECCROSS refreshes and rolls back only the cells the tracked write
+	// set spans instead of copying the whole state. Use IdentitySpan for
+	// element-granular kernels whose addresses are State indices. Nil
+	// declares no sound mapping (block- or object-granular addresses with no
+	// fixed span): every checkpoint of the kernel is then a whole copy.
 	AddrSpan func(addr uint64) (lo, hi uint64)
 
 	// bufs recycles the buffers Run and ComputeAddr hand to Access, which
@@ -117,33 +116,22 @@ func (k *Kernel) Run(epoch, task, tid int, sig *signature.Signature) {
 	k.Update(epoch, task)
 }
 
-// Snapshot implements speccross.Workload.
-func (k *Kernel) Snapshot() any {
-	cp := make([]int64, len(k.State))
-	copy(cp, k.State)
-	return cp
-}
+// StateLen implements speccross.Workload: the cells are State.
+func (k *Kernel) StateLen() int { return len(k.State) }
 
-// Restore implements speccross.Workload.
-func (k *Kernel) Restore(s any) { copy(k.State, s.([]int64)) }
-
-// StateLen implements speccross.DeltaWorkload; 0 (no AddrSpan declared)
-// keeps the kernel on full snapshots.
-func (k *Kernel) StateLen() int {
-	if k.AddrSpan == nil {
-		return 0
-	}
-	return len(k.State)
-}
-
-// LoadCells implements speccross.DeltaWorkload.
+// LoadCells implements speccross.Workload.
 func (k *Kernel) LoadCells(lo uint64, dst []int64) { copy(dst, k.State[lo:]) }
 
-// StoreCells implements speccross.DeltaWorkload.
+// StoreCells implements speccross.Workload.
 func (k *Kernel) StoreCells(lo uint64, src []int64) { copy(k.State[lo:], src) }
 
-// AddrCells implements speccross.DeltaWorkload.
-func (k *Kernel) AddrCells(addr uint64) (lo, hi uint64) { return k.AddrSpan(addr) }
+// CellMap implements speccross.Workload: AddrSpan, or nil.
+func (k *Kernel) CellMap() func(addr uint64) (lo, hi uint64) { return k.AddrSpan }
+
+// Snapshot and Restore exist for the benchmark module; see
+// workloads.Snapshot.
+func (k *Kernel) Snapshot() any { return workloads.Snapshot(k) }
+func (k *Kernel) Restore(s any) { workloads.Restore(k, s) }
 
 // --- domore.Workload ---
 

@@ -360,39 +360,62 @@ func (f *Fluid) Run(epoch, task, tid int, sig *signature.Signature) {
 	f.phase(ph, task)
 }
 
-// Snapshot implements speccross.Workload.
-func (f *Fluid) Snapshot() any {
-	return &snapshot{
-		px: append([]int64(nil), f.px...), py: append([]int64(nil), f.py...),
-		vx: append([]int64(nil), f.vx...), vy: append([]int64(nil), f.vy...),
-		fx: append([]int64(nil), f.fx...), fy: append([]int64(nil), f.fy...),
-		density:    append([]int64(nil), f.density...),
-		cellOf:     append([]int32(nil), f.cellOf...),
-		bucketData: append([]int32(nil), f.bucketData...),
-		bucketLen:  append([]int32(nil), f.bucketLen...),
+// StateLen implements speccross.Workload. The cells are the particle and
+// bucket arrays, one after another in a fixed order: px, py, vx, vy, fx,
+// fy, density, then cellOf, bucketData and bucketLen, whose int32s widen
+// to a cell on load and narrow back on store. The cell view is only a
+// view: the arrays keep their own layout, which the DOMORE plans run on.
+func (f *Fluid) StateLen() int { return 8*f.P + f.Cells*f.P + f.Cells }
+
+// LoadCells implements speccross.Workload.
+func (f *Fluid) LoadCells(lo uint64, dst []int64) {
+	f.cells(lo, len(dst),
+		func(a []int64, k int) { copy(dst[k:], a) },
+		func(a []int32, k int) {
+			for i, v := range a {
+				dst[k+i] = int64(v)
+			}
+		})
+}
+
+// StoreCells implements speccross.Workload.
+func (f *Fluid) StoreCells(lo uint64, src []int64) {
+	f.cells(lo, len(src),
+		func(a []int64, k int) { copy(a, src[k:]) },
+		func(a []int32, k int) {
+			for i := range a {
+				a[i] = int32(src[k+i])
+			}
+		})
+}
+
+// cells hands on64 or on32 the part of each state array that cells
+// [lo, lo+n) cover, with the offset into the run of its first cell.
+func (f *Fluid) cells(lo uint64, n int, on64 func(a []int64, k int), on32 func(a []int32, k int)) {
+	from, to := int(lo), int(lo)+n
+	at := 0 // the cell of the array's first element
+	for _, a := range [...][]int64{f.px, f.py, f.vx, f.vy, f.fx, f.fy, f.density} {
+		if i, j := max(from-at, 0), min(to-at, len(a)); i < j {
+			on64(a[i:j], at+i-from)
+		}
+		at += len(a)
+	}
+	for _, a := range [...][]int32{f.cellOf, f.bucketData, f.bucketLen} {
+		if i, j := max(from-at, 0), min(to-at, len(a)); i < j {
+			on32(a[i:j], at+i-from)
+		}
+		at += len(a)
 	}
 }
 
-type snapshot struct {
-	px, py, vx, vy, fx, fy, density []int64
-	cellOf                          []int32
-	bucketData, bucketLen           []int32
-}
+// CellMap implements speccross.Workload: nil. A signature address names a
+// plane of a grid cell (see access), not a span of the cell image.
+func (f *Fluid) CellMap() func(addr uint64) (lo, hi uint64) { return nil }
 
-// Restore implements speccross.Workload.
-func (f *Fluid) Restore(sn any) {
-	s := sn.(*snapshot)
-	copy(f.px, s.px)
-	copy(f.py, s.py)
-	copy(f.vx, s.vx)
-	copy(f.vy, s.vy)
-	copy(f.fx, s.fx)
-	copy(f.fy, s.fy)
-	copy(f.density, s.density)
-	copy(f.cellOf, s.cellOf)
-	copy(f.bucketData, s.bucketData)
-	copy(f.bucketLen, s.bucketLen)
-}
+// Snapshot and Restore exist for the benchmark module; see
+// workloads.Snapshot.
+func (f *Fluid) Snapshot() any { return workloads.Snapshot(f) }
+func (f *Fluid) Restore(s any) { workloads.Restore(f, s) }
 
 // EpochLabel implements speccross.Labeler.
 func (f *Fluid) EpochLabel(epoch int) string { return PhaseNames[epoch%NumPhases] }

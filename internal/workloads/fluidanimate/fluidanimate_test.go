@@ -141,3 +141,36 @@ func TestEngineViewsShareOneDescription(t *testing.T) {
 		}
 	}
 }
+
+// TestCellImageRoundTrip: FLUIDANIMATE's cell view covers every array of
+// its state in one fixed order. A run of cells that crosses array
+// boundaries loads what the whole image holds there, and storing the
+// whole image back over a scribbled state restores it exactly, int32
+// arrays included.
+func TestCellImageRoundTrip(t *testing.T) {
+	f := New(1)
+	f.Frames = 1
+	f.RunSequential()
+	want := f.Checksum()
+	img := make([]int64, f.StateLen())
+	f.LoadCells(0, img)
+	lo := 7*f.P - 3 // the end of density, all of cellOf, the start of bucketData
+	run := make([]int64, f.P+6)
+	f.LoadCells(uint64(lo), run)
+	if !slices.Equal(run, img[lo:lo+len(run)]) {
+		t.Fatal("a run across array boundaries differs from the whole image")
+	}
+	scribble := slices.Clone(img)
+	for i := range scribble {
+		scribble[i] = int64(i%7) - 3
+	}
+	f.StoreCells(0, scribble)
+	if f.Checksum() == want {
+		t.Fatal("storing a scribbled image left the state as it was")
+	}
+	f.StoreCells(uint64(lo), run)
+	f.StoreCells(0, img)
+	if f.Checksum() != want {
+		t.Fatal("storing the image back did not restore the state")
+	}
+}

@@ -110,3 +110,23 @@ func FoldChecksum(h uint64, data []int64) uint64 {
 	}
 	return h
 }
+
+// Cells is the cell view of an instance's state, the image SPECCROSS
+// checkpoints (speccross.Workload's StateLen, LoadCells and StoreCells).
+type Cells interface {
+	StateLen() int
+	LoadCells(lo uint64, dst []int64)
+	StoreCells(lo uint64, src []int64)
+}
+
+// Snapshot copies every cell of c's state. The registry instances keep
+// Snapshot() any and Restore(any) methods only because the benchmark module
+// (benchmark/engine.go) resets instances through them; each forwards here.
+func Snapshot(c Cells) any {
+	s := make([]int64, c.StateLen())
+	c.LoadCells(0, s)
+	return s
+}
+
+// Restore copies a Snapshot of c back over its state.
+func Restore(c Cells, s any) { c.StoreCells(0, s.([]int64)) }

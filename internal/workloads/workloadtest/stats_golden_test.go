@@ -37,6 +37,11 @@ import (
 // ECLAT and PHASED, and Batches, which now counts run records on every
 // domore row. Iterations, Dispatches, AddrChecks and every adaptive and
 // Spec field stayed as they were.
+//
+// It was rewritten a third time when the cell image became SPECCROSS's only
+// checkpoint and CG gained its cell map. Only DeltaCheckpoints and
+// DeltaCells moved, on CG's speccross and adaptive-speccross rows, whose
+// commits now refresh their dirty cells; no other field or row changed.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/stats_golden.json")
 
 const goldenPath = "testdata/stats_golden.json"

@@ -412,7 +412,7 @@ func chunkLine(res *core.SpecCrossResult, workers int) string {
 // image.
 func checkpointLine(st speccross.Stats) string {
 	return fmt.Sprintf("  checkpoints: %d, %d dirty cells, %d rollbacks, %v on the cell image",
-		st.Checkpoints, st.DeltaCells, st.DeltaRestores, time.Duration(st.CheckpointNs).Round(time.Microsecond))
+		st.Checkpoints, st.DeltaCells, st.Misspeculations, time.Duration(st.CheckpointNs).Round(time.Microsecond))
 }
 
 // lintOutput renders the static plan verifier's diagnostics for the

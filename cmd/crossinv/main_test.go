@@ -115,18 +115,18 @@ func TestServeLoop(t *testing.T) {
 	}
 }
 
-// TestReportGolden pins the -report format for the example programs.
 // TestCheckpointLine pins -explain's checkpoint line: every checkpoint is
 // of the one cell image, so it reads checkpoints, the dirty cells the
 // commits refreshed, rollbacks and time, with no split by kind.
 func TestCheckpointLine(t *testing.T) {
-	st := speccross.Stats{Checkpoints: 5, DeltaCheckpoints: 3, DeltaCells: 120, DeltaRestores: 1, Misspeculations: 1, CheckpointNs: 42_400}
+	st := speccross.Stats{Checkpoints: 5, DeltaCheckpoints: 3, DeltaCells: 120, Misspeculations: 1, CheckpointNs: 42_400}
 	want := "  checkpoints: 5, 120 dirty cells, 1 rollbacks, 42µs on the cell image"
 	if got := checkpointLine(st); got != want {
 		t.Fatalf("checkpointLine = %q, want %q", got, want)
 	}
 }
 
+// TestReportGolden pins the -report format for the example programs.
 func TestReportGolden(t *testing.T) {
 	for _, name := range []string{"cg", "stencil"} {
 		t.Run(name, func(t *testing.T) {

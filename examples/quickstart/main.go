@@ -101,7 +101,7 @@ func (s *stencil) cell(c uint64) *int64 {
 }
 
 func (s *stencil) CellMap() func(addr uint64) (lo, hi uint64) {
-	return func(addr uint64) (lo, hi uint64) { return addr, addr + 1 }
+	return speccross.IdentityCells
 }
 
 // --- domore.Workload: same epochs, plus scheduler-side address slices ---

@@ -386,7 +386,7 @@ func speccrossInvariants(st speccross.Stats, spec *Spec, rec *trace.Recorder) st
 		{"misspeculations", sum.Counts[trace.KindMisspec], st.Misspeculations},
 		{"checkpoints", sum.Counts[trace.KindCheckpoint], st.Checkpoints},
 		{"delta checkpoints", sum.Counts[trace.KindCkptDelta], st.DeltaCheckpoints},
-		{"delta restores", sum.Counts[trace.KindDeltaRestore], st.DeltaRestores},
+		{"restores", sum.Counts[trace.KindRestore], st.Misspeculations},
 		{"re-executed epochs", sum.Sums[trace.KindRecoveryEnd], st.ReexecutedEpochs},
 		{"range stalls", sum.Counts[trace.KindRangeStallBegin], st.RangeStalls},
 	} {

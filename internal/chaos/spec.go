@@ -154,7 +154,7 @@ func (s *Spec) Kernel() *epochal.Kernel {
 	// Declared access addresses are state-cell indices, so the cell map
 	// is the identity: checkpoints in chaos sweeps copy exactly the cells
 	// the tasks really touch.
-	k.AddrSpan = epochal.IdentitySpan
+	k.AddrSpan = speccross.IdentityCells
 	k.TasksOf = func(e int) int { return len(s.Epochs[e].Tasks) }
 	k.Access = func(e, t int, reads, writes []uint64) ([]uint64, []uint64) {
 		ts := &s.Epochs[e].Tasks[t]

@@ -157,8 +157,8 @@ func rollBackRegions(t *testing.T, files []string, wrap func(*speccrossgen.Regio
 				fails = append(fails, fmt.Sprintf("%s: %v", where, err))
 			case env.Checksum() != want:
 				fails = append(fails, fmt.Sprintf("%s: checksum %x, sequential %x", where, env.Checksum(), want))
-			case st.DeltaRestores < 1:
-				fails = append(fails, fmt.Sprintf("%s: %d rollbacks through the cell image, want the forced one", where, st.DeltaRestores))
+			case st.Misspeculations < 1:
+				fails = append(fails, fmt.Sprintf("%s: %d rollbacks through the cell image, want the forced one", where, st.Misspeculations))
 			}
 			if st.DeltaCells < st.Checkpoints*int64(cells) {
 				belowWhole = true

@@ -490,6 +490,5 @@ func addSpec(dst *speccross.Stats, s speccross.Stats) {
 	dst.PrefilterHits += s.PrefilterHits
 	dst.DeltaCheckpoints += s.DeltaCheckpoints
 	dst.DeltaCells += s.DeltaCells
-	dst.DeltaRestores += s.DeltaRestores
 	dst.CheckpointNs += s.CheckpointNs
 }

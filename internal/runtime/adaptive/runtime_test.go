@@ -87,11 +87,7 @@ func (c *cells) Run(epoch, task, _ int, sig *signature.Signature) {
 func (c *cells) StateLen() int                              { return len(c.state) }
 func (c *cells) LoadCells(lo uint64, dst []int64)           { copy(dst, c.state[lo:]) }
 func (c *cells) StoreCells(lo uint64, src []int64)          { copy(c.state[lo:], src) }
-func (c *cells) CellMap() func(addr uint64) (lo, hi uint64) { return cellIndex }
-
-// cellIndex is the cell map of a workload whose signature addresses are
-// cell indices.
-func cellIndex(a uint64) (lo, hi uint64) { return a, a + 1 }
+func (c *cells) CellMap() func(addr uint64) (lo, hi uint64) { return speccross.IdentityCells }
 
 // settle waits for the goroutine count to return to base (Close has
 // returned by then; the runtime may still be retiring the goroutines).

@@ -6,10 +6,6 @@ import (
 	"crossinv/internal/runtime/signature"
 )
 
-// cellIndex is the cell map of a workload whose signature addresses are
-// cell indices.
-func cellIndex(a uint64) (lo, hi uint64) { return a, a + 1 }
-
 // deltaArrayWorkload is a workload with a cell map, a large state and a small
 // per-task write set: each task owns the cells congruent to its task index
 // and writes a few of them per epoch (record-before-write), so tasks of one
@@ -38,7 +34,7 @@ func (w *deltaArrayWorkload) Irreversible(e int) bool { return w.irr[e] }
 func (w *deltaArrayWorkload) StateLen() int                              { return w.cells }
 func (w *deltaArrayWorkload) LoadCells(lo uint64, dst []int64)           { copy(dst, w.state[lo:]) }
 func (w *deltaArrayWorkload) StoreCells(lo uint64, src []int64)          { copy(w.state[lo:], src) }
-func (w *deltaArrayWorkload) CellMap() func(addr uint64) (lo, hi uint64) { return cellIndex }
+func (w *deltaArrayWorkload) CellMap() func(addr uint64) (lo, hi uint64) { return IdentityCells }
 
 func (w *deltaArrayWorkload) cellOf(e, t, j int) int {
 	slots := w.cells / w.tasks
@@ -105,9 +101,6 @@ func TestIncrementalCheckpointEquivalence(t *testing.T) {
 		if got := st.DeltaCheckpoints > 0; got != (mode == "incremental") {
 			t.Fatalf("%s: DeltaCheckpoints = %d", mode, st.DeltaCheckpoints)
 		}
-		if st.DeltaRestores != 1 {
-			t.Fatalf("%s: DeltaRestores = %d, want 1 (the injected abort)", mode, st.DeltaRestores)
-		}
 		for i := range want {
 			if w.state[i] != want[i] {
 				t.Fatalf("%s: state[%d] = %d, sequential = %d", mode, i, w.state[i], want[i])
@@ -142,8 +135,8 @@ func TestCheckpointNs(t *testing.T) {
 	st := Run(newDeltaArray(12, 8, 1<<12), Config{
 		Workers: 2, SigKind: signature.Exact, CheckpointEvery: 4, ForceMisspecEpoch: 6,
 	})
-	if st.DeltaRestores != 1 || st.CheckpointNs <= 0 {
-		t.Errorf("forced misspeculation: %d delta restores, CheckpointNs %d; want 1 and a positive time", st.DeltaRestores, st.CheckpointNs)
+	if st.Misspeculations != 1 || st.CheckpointNs <= 0 {
+		t.Errorf("forced misspeculation: %d rollbacks, CheckpointNs %d; want 1 and a positive time", st.Misspeculations, st.CheckpointNs)
 	}
 	// The probe needs two sampled epochs before it can decide, so a
 	// two-epoch region always runs to its end on the calling thread.
@@ -171,9 +164,6 @@ func TestBlockGranularDeltaSpans(t *testing.T) {
 	})
 	if st.Misspeculations != 1 {
 		t.Fatalf("Misspeculations = %d, want 1", st.Misspeculations)
-	}
-	if st.DeltaRestores != 1 {
-		t.Fatalf("DeltaRestores = %d, want 1", st.DeltaRestores)
 	}
 	for i := range want {
 		if w.state[i] != want[i] {

@@ -196,9 +196,7 @@ func (st *state) run(w Workload, guarded bool) Stats {
 		t0 := time.Now()
 		cells := st.copyDirty(w, cellOf, false)
 		stats.CheckpointNs += int64(time.Since(t0))
-		stats.DeltaRestores++
-		ctl.Emit(trace.KindRestore, int64(start), 0, 0)
-		ctl.Emit(trace.KindDeltaRestore, cells, int64(start), 0)
+		ctl.Emit(trace.KindRestore, cells, int64(start), 0)
 	}
 
 	start := 0

@@ -85,8 +85,8 @@ func TestPooledRunRebuildsOnlyWhatDiffers(t *testing.T) {
 		want := w.sequential()
 		// Range signatures of this workload's interleaved cells overlap, so
 		// there may be more rollbacks than the forced one.
-		if st := Run(w, cfg); st.Misspeculations == 0 || st.DeltaRestores != st.Misspeculations {
-			t.Errorf("%s: %d misspeculations, %d delta restores; want the forced one at least, each restored", what, st.Misspeculations, st.DeltaRestores)
+		if st := Run(w, cfg); st.Misspeculations == 0 {
+			t.Errorf("%s: no misspeculation; want the forced one at least", what)
 		}
 		checkDelta(t, what, w, want)
 	}

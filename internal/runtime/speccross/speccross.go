@@ -106,6 +106,10 @@ type Workload interface {
 	CellMap() func(addr uint64) (lo, hi uint64)
 }
 
+// IdentityCells is the cell map of a workload whose signature addresses are
+// its cell indices: address a covers exactly cell a.
+func IdentityCells(addr uint64) (lo, hi uint64) { return addr, addr + 1 }
+
 // Irreversibler is optionally implemented by workloads with epochs that
 // perform irreversible operations (I/O); such epochs are executed
 // non-speculatively between two full synchronizations (§4.2.2).
@@ -218,9 +222,9 @@ func (c *Config) Shards() int {
 // plain thread-private counters; the control goroutine folds those into
 // Stats at each segment's quiesce, when every thread has finished its
 // phase, and writes Tasks, Epochs, Misspeculations, Checkpoints,
-// ReexecutedEpochs, DeltaCheckpoints, DeltaCells, DeltaRestores and
-// CheckpointNs itself at segment boundaries, and the guard's Inline,
-// InlineTasks, InlineNs and SpecNs. The returned Stats is read only after
+// ReexecutedEpochs, DeltaCheckpoints, DeltaCells and CheckpointNs itself
+// at segment boundaries, and the guard's Inline, InlineTasks, InlineNs and
+// SpecNs. The returned Stats is read only after
 // the last quiesce, so callers may read it without synchronization.
 type Stats struct {
 	// Tasks is the number of task executions that stood: the tasks of the
@@ -250,7 +254,9 @@ type Stats struct {
 	// Comparisons counts signature pairs compared by the checker.
 	Comparisons int64
 	// Misspeculations counts detected violations (signature conflicts,
-	// worker panics, injected faults, and timeouts).
+	// worker panics, injected faults, and timeouts). Each one rolls the
+	// state back once, rewriting the segment's dirty cells from the image —
+	// every cell of a workload with no cell map.
 	Misspeculations int64
 	// Checkpoints counts checkpoints: one at the end of every segment,
 	// speculative or not.
@@ -278,10 +284,6 @@ type Stats struct {
 	// distinct cells its segment's write set spans.
 	DeltaCheckpoints int64
 	DeltaCells       int64
-	// DeltaRestores counts rollbacks: misspeculation recoveries that
-	// rewrote the segment's dirty cells from the image — every cell of a
-	// workload with no cell map.
-	DeltaRestores int64
 	// CheckpointNs is the control goroutine's time, in nanoseconds, spent
 	// capturing, committing and rolling back the cell image, timed with
 	// one pair of clock reads around each. Checkpoints an

@@ -106,9 +106,11 @@ const (
 	// KindMisspec marks a detected misspeculation. A=reason
 	// (1 conflict, 2 panic, 3 injected, 4 timeout), B=start, C=end.
 	KindMisspec
-	// KindCheckpoint marks a snapshot. A=epoch after which state is safe.
+	// KindCheckpoint marks a checkpoint. A=epoch after which state is safe.
 	KindCheckpoint
-	// KindRestore marks a rollback to the segment checkpoint. A=start.
+	// KindRestore marks a rollback to the segment checkpoint: the
+	// segment's dirty cells, every cell of a workload with no cell map,
+	// were rewritten from the image. A=#cells restored, B=start epoch.
 	KindRestore
 	// KindRecoveryBegin/KindRecoveryEnd span the non-speculative barrier
 	// re-execution after misspeculation. Begin: A=start, B=end.
@@ -135,11 +137,6 @@ const (
 	// B=epoch after which state is safe. Always paired with the
 	// KindCheckpoint event of the same commit.
 	KindCkptDelta
-	// KindDeltaRestore marks an incremental rollback: the segment's dirty
-	// cells were rewritten from the base image. A=#cells restored,
-	// B=start epoch. Always paired with the KindRestore event of the
-	// same abort.
-	KindDeltaRestore
 	// KindSpanBegin/KindSpanEnd delimit one request-scoped span (see
 	// span.go): a named stage of a daemon invocation (admission, cache
 	// lookup, profile, window, …). A=span id (unique per recorder),
@@ -199,7 +196,6 @@ var kindNames = [KindCount]string{
 	KindEngineSwitch:     "engine.switch",
 	KindSigPrefilter:     "sig.prefilter",
 	KindCkptDelta:        "checkpoint.delta",
-	KindDeltaRestore:     "restore.delta",
 	KindSpanBegin:        "span.begin",
 	KindSpanEnd:          "span.end",
 	KindInline:           "inline",

@@ -237,9 +237,7 @@ func (r *Region) StoreCells(lo uint64, src []int64) { copy(r.base.Mem[lo:], src)
 // address, the index of its cell. The executor records a store's address
 // into the signature after the bounds check and before the store, so the
 // map is sound (record-before-write).
-func (r *Region) CellMap() func(addr uint64) (lo, hi uint64) { return flatCell }
-
-func flatCell(addr uint64) (lo, hi uint64) { return addr, addr + 1 }
+func (r *Region) CellMap() func(addr uint64) (lo, hi uint64) { return speccross.IdentityCells }
 
 // EpochLabel implements speccross.Labeler: epochs are named after the
 // source position of their inner loop, so per-loop minimum dependence

@@ -10,6 +10,7 @@ package cg
 
 import (
 	"crossinv/internal/runtime/signature"
+	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/workloads"
 )
 
@@ -155,9 +156,7 @@ func (g *CG) StoreCells(lo uint64, src []int64) { copy(g.C[lo:], src) }
 
 // CellMap implements speccross.Workload: a signature address is the index
 // of the element of C it names.
-func (g *CG) CellMap() func(addr uint64) (lo, hi uint64) { return cellOfElement }
-
-func cellOfElement(addr uint64) (lo, hi uint64) { return addr, addr + 1 }
+func (g *CG) CellMap() func(addr uint64) (lo, hi uint64) { return speccross.IdentityCells }
 
 // Snapshot and Restore exist for the benchmark module; see
 // workloads.Snapshot.

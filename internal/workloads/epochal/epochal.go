@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"crossinv/internal/runtime/signature"
+	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/workloads"
 )
 
@@ -42,7 +43,8 @@ type Kernel struct {
 	// AddrSpan, when set, maps a signature address from Access to the State
 	// cell range [lo, hi) it covers: it is the kernel's CellMap, with which
 	// SPECCROSS refreshes and rolls back only the cells the tracked write
-	// set spans instead of copying the whole state. Use IdentitySpan for
+	// set spans instead of copying the whole state. Use
+	// speccross.IdentityCells for
 	// element-granular kernels whose addresses are State indices. Nil
 	// declares no sound mapping (block- or object-granular addresses with no
 	// fixed span): every checkpoint of the kernel is then a whole copy.
@@ -64,9 +66,9 @@ func (k *Kernel) getBufs() *accessBufs {
 	return new(accessBufs)
 }
 
-// IdentitySpan is the AddrSpan of element-granular kernels: signature
-// address a covers exactly State cell a.
-func IdentitySpan(addr uint64) (lo, hi uint64) { return addr, addr + 1 }
+// IdentitySpan is speccross.IdentityCells, the AddrSpan of
+// element-granular kernels, under the name the benchmark module uses.
+var IdentitySpan = speccross.IdentityCells
 
 // BlockSpan builds the AddrSpan of uniformly block-granular kernels:
 // signature address a covers State cells [a·size, (a+1)·size).

@@ -6,6 +6,7 @@
 package loopdep
 
 import (
+	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/workloads"
 	"crossinv/internal/workloads/epochal"
 )
@@ -45,7 +46,7 @@ func New(scale int) *epochal.Kernel {
 		k.State[dst] = k.State[dst]*5 + k.State[src]%1009 + int64(epoch)
 	}
 	// Element-granular addresses: signature address == State index.
-	k.AddrSpan = epochal.IdentitySpan
+	k.AddrSpan = speccross.IdentityCells
 	return k
 }
 

@@ -12,6 +12,7 @@
 package phased
 
 import (
+	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/workloads"
 	"crossinv/internal/workloads/epochal"
 )
@@ -178,7 +179,7 @@ func build(name string, scale int, closeConflicts bool) *epochal.Kernel {
 		k.State[a] = k.State[a]*3 + int64(g) + 1
 	}
 	// Element-granular addresses: signature address == State index.
-	k.AddrSpan = epochal.IdentitySpan
+	k.AddrSpan = speccross.IdentityCells
 	return k
 }
 

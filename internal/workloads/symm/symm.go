@@ -7,6 +7,7 @@
 package symm
 
 import (
+	"crossinv/internal/runtime/speccross"
 	"crossinv/internal/workloads"
 	"crossinv/internal/workloads/epochal"
 )
@@ -52,7 +53,7 @@ func New(scale int) *epochal.Kernel {
 		k.State[i] = acc%100003 + int64(task)
 	}
 	// Element-granular addresses: signature address == State index.
-	k.AddrSpan = epochal.IdentitySpan
+	k.AddrSpan = speccross.IdentityCells
 	return k
 }
 

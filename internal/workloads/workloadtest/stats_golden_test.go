@@ -62,7 +62,7 @@ func detSpec(s speccross.Stats) detStats {
 	return detStats{
 		"Epochs": s.Epochs, "Checkpoints": s.Checkpoints, "Misspeculations": s.Misspeculations,
 		"ReexecutedEpochs": s.ReexecutedEpochs, "DeltaCheckpoints": s.DeltaCheckpoints,
-		"DeltaCells": s.DeltaCells, "DeltaRestores": s.DeltaRestores,
+		"DeltaCells": s.DeltaCells,
 	}
 }
 

@@ -44,10 +44,10 @@ type Kernel struct {
 	// cell range [lo, hi) it covers: it is the kernel's CellMap, with which
 	// SPECCROSS refreshes and rolls back only the cells the tracked write
 	// set spans instead of copying the whole state. Use
-	// speccross.IdentityCells for
-	// element-granular kernels whose addresses are State indices. Nil
-	// declares no sound mapping (block- or object-granular addresses with no
-	// fixed span): every checkpoint of the kernel is then a whole copy.
+	// speccross.IdentityCells for element-granular kernels whose addresses
+	// are State indices. Nil declares no sound mapping (block- or
+	// object-granular addresses with no fixed span): every checkpoint of
+	// the kernel is then a whole copy.
 	AddrSpan func(addr uint64) (lo, hi uint64)
 
 	// bufs recycles the buffers Run and ComputeAddr hand to Access, which
